@@ -188,18 +188,6 @@ fn bench_routing(c: &mut Criterion) {
             std::hint::black_box(hops)
         });
     });
-    // The Vec-collecting wrapper, for comparison.
-    c.bench_function("route_xy_collect_all_pairs", |b| {
-        b.iter(|| {
-            let mut hops = 0usize;
-            for a in 0..64u16 {
-                for bb in 0..64u16 {
-                    hops += topo.route_xy(RouterId::new(a), RouterId::new(bb)).len();
-                }
-            }
-            std::hint::black_box(hops)
-        });
-    });
 }
 
 fn bench_workload_generation(c: &mut Criterion) {

@@ -60,18 +60,6 @@ pub fn run_spec(spec: &WorkloadSpec, config: &SystemConfig, seeds: u64) -> Vec<S
         .collect()
 }
 
-/// Like [`run_spec`] but tolerates deadlocks (used to demonstrate DirCMP's
-/// failure mode); returns `Err` results untouched.
-pub fn run_spec_fallible(
-    spec: &WorkloadSpec,
-    config: &SystemConfig,
-    seeds: u64,
-) -> Vec<Result<SimReport, RunError>> {
-    (0..seeds)
-        .map(|seed| run_seed_fallible(spec, config, seed))
-        .collect()
-}
-
 /// Geometric mean of per-seed ratios `f(ft[i]) / f(base[i])`.
 ///
 /// # Panics
@@ -209,16 +197,6 @@ impl BenchArgs {
     }
 }
 
-/// Optional `--csv FILE` destination from argv.
-pub fn arg_csv() -> Option<String> {
-    BenchArgs::parse().csv()
-}
-
-/// Parses `--seeds N` style overrides from argv (very small helper).
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    BenchArgs::parse().u64_flag(name, default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,8 +221,9 @@ mod tests {
 
     #[test]
     fn arg_parser_defaults() {
-        assert_eq!(arg_u64("--definitely-not-passed", 7), 7);
-        assert_eq!(arg_csv(), None);
+        let args = BenchArgs::parse();
+        assert_eq!(args.u64_flag("--definitely-not-passed", 7), 7);
+        assert_eq!(args.csv(), None);
     }
 
     #[test]

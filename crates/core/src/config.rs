@@ -1,6 +1,6 @@
 //! System configuration (paper Table 4).
 
-use ftdircmp_noc::{FaultConfig, FaultDomainConfig, FaultEvent, MeshConfig, RoutingMode};
+use ftdircmp_noc::{FaultConfig, FaultDomainConfig, MeshConfig, RoutingMode, Topology};
 
 /// Which coherence protocol the system runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -250,6 +250,9 @@ impl SystemConfig {
     /// routers, zero timeouts under FtDirCMP).
     pub fn validate(&self) -> Result<(), String> {
         let mesh_nodes = u32::from(self.mesh.width) * u32::from(self.mesh.height);
+        if mesh_nodes == 0 {
+            return Err("mesh dimensions must be positive".to_string());
+        }
         if u32::from(self.tiles) != mesh_nodes {
             return Err(format!(
                 "tiles ({}) must equal mesh size ({}x{})",
@@ -285,30 +288,12 @@ impl SystemConfig {
         {
             return Err("FtDirCMP timeouts must be positive".to_string());
         }
-        if !self.protocol.is_fault_tolerant() && self.mesh.faults.is_faulty() {
-            // Legal (it is exactly experiment E12) but worth noting: DirCMP
-            // will deadlock. Validation passes.
-        }
-        self.mesh.faults.validate().map_err(|e| e.to_string())?;
-        if let Some(domains) = &self.mesh.faults.domains {
-            for (i, ev) in domains.events.iter().enumerate() {
-                let router = match *ev {
-                    FaultEvent::LinkFlap { from, .. } => from,
-                    FaultEvent::RouterBrownout { router, .. } => router,
-                    FaultEvent::RegionBurst { epicenter, .. } => epicenter,
-                };
-                if router.index() as u32 >= mesh_nodes {
-                    return Err(format!(
-                        "fault event {i} ({}) references router {router} outside the \
-                         {}x{} mesh",
-                        ev.label(),
-                        self.mesh.width,
-                        self.mesh.height
-                    ));
-                }
-            }
-        }
-        Ok(())
+        // Faults under DirCMP are legal (it is exactly experiment E12: DirCMP
+        // deadlocks), so the protocol does not enter into this.
+        self.mesh
+            .faults
+            .validate_for(&Topology::new(self.mesh.width, self.mesh.height))
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -438,7 +423,7 @@ mod tests {
 
     #[test]
     fn validate_checks_domain_events_against_the_mesh() {
-        use ftdircmp_noc::{Direction, RouterId};
+        use ftdircmp_noc::{Direction, FaultEvent, RouterId};
 
         let flap = |r: u16| FaultEvent::LinkFlap {
             from: RouterId::new(r),
@@ -455,6 +440,15 @@ mod tests {
             SystemConfig::ftdircmp().with_fault_domains(FaultDomainConfig::events(vec![flap(16)]));
         assert!(bad.validate().unwrap_err().contains("outside"));
 
+        // r3 sits on the east edge of the 4x4 mesh: its east link does not
+        // exist, so the flap could never fire.
+        let edge =
+            SystemConfig::ftdircmp().with_fault_domains(FaultDomainConfig::events(vec![flap(3)]));
+        assert!(edge.validate().unwrap_err().contains("off the mesh edge"));
+        // The same flap is fine on a mesh where r3 has an east neighbor.
+        let wide = edge.with_mesh(8, 2);
+        assert!(wide.validate().is_ok(), "{:?}", wide.validate());
+
         let mut empty = FaultDomainConfig::events(vec![flap(5)]);
         empty.events = vec![FaultEvent::RouterBrownout {
             router: RouterId::new(2),
@@ -463,5 +457,19 @@ mod tests {
         }];
         let c = SystemConfig::ftdircmp().with_fault_domains(empty);
         assert!(c.validate().unwrap_err().contains("empty window"));
+
+        // Out-of-range rates and probabilities used to be clamped (or, when
+        // negative, to run fault-free) without a word.
+        for (faults, needle) in [
+            (FaultConfig::per_million(-5.0), "loss_per_million = -5"),
+            (FaultConfig::per_million(1_000_001.0), "loss_per_million"),
+            (FaultConfig::per_million(f64::NAN), "loss_per_million"),
+            (FaultConfig::bursts(100.0, 1.5, 4), "burst_continue = 1.5"),
+            (FaultConfig::bursts(100.0, -0.1, 4), "burst_continue"),
+        ] {
+            let mut c = SystemConfig::ftdircmp();
+            c.mesh.faults = faults;
+            assert!(c.validate().unwrap_err().contains(needle));
+        }
     }
 }

@@ -115,7 +115,7 @@ impl std::ops::Deref for Facets {
 /// after the next reissue already bumped the serial and is discarded as
 /// stale. Backoff guarantees the window eventually exceeds any finite
 /// latency, making recovery convergent for *any* positive base timeout
-/// (DESIGN.md §6.3).
+/// (DESIGN.md §6.4).
 pub fn backoff_delay(base: u64, attempt: u32) -> u64 {
     base.saturating_mul(1u64 << attempt.min(6))
 }

@@ -1,11 +1,13 @@
-//! Correlated fault domains: per-link channels and scheduled fault events.
+//! Located faults: per-link channels and scheduled fault events.
 //!
-//! The paper's fault model (§3, [`crate::FaultConfig`]) is a single global
-//! drop lottery: every message in the mesh faces the same Bernoulli/burst
-//! coin regardless of which link it traverses. Real transient faults are
-//! spatially and temporally correlated — a marginal link flaps, a router
-//! neighborhood browns out, a burst hits one region. This module adds that
-//! structure *under* the existing injector (DESIGN.md §12):
+//! The paper's fault model (§3) only says that a message arrives intact or
+//! not at all; its evaluation draws losses from one global lottery, the same
+//! coin for every message whichever links it crosses. Real transient faults
+//! are spatially and temporally correlated — a marginal link flaps, a router
+//! neighborhood browns out, a burst hits one region. This module holds the
+//! *link-level* sources of the one fault pipeline ([`crate::FaultInjector`],
+//! DESIGN.md §12), consulted hop by hop during the route walk, next to the
+//! message-level sources (schedule, bursts, lottery) that `fault.rs` holds:
 //!
 //! * **Per-link channels** — every [`crate::LinkId`] gets its own
 //!   Gilbert–Elliott good/bad two-state channel. Channel decisions are pure
@@ -18,12 +20,12 @@
 //!   degraded), and region bursts (all links within a Manhattan radius of an
 //!   epicenter forced into the bad state together).
 //!
-//! None of this is consulted unless [`crate::FaultConfig::domains`] is set,
-//! so every existing configuration keeps its byte-identical behaviour.
+//! Link state exists only while [`crate::FaultConfig::domains`] is set;
+//! without it the walk never asks and the pipeline is the lottery alone.
 
 use ftdircmp_sim::splitmix64;
 
-use crate::{Direction, RouterId};
+use crate::{Direction, DropCause, LinkId, RouterId, Topology};
 
 /// Gilbert–Elliott two-state (good/bad) channel parameters, applied to
 /// every link of the mesh.
@@ -117,6 +119,18 @@ impl FaultEvent {
         }
     }
 
+    /// The router the event is anchored at: a flap's source router, the
+    /// browned-out router, a burst's epicenter.
+    pub fn router(&self) -> RouterId {
+        match *self {
+            FaultEvent::LinkFlap { from: router, .. }
+            | FaultEvent::RouterBrownout { router, .. }
+            | FaultEvent::RegionBurst {
+                epicenter: router, ..
+            } => router,
+        }
+    }
+
     /// Whether the event is active at `now`.
     pub fn active_at(&self, now: u64) -> bool {
         let (start, end) = self.window();
@@ -166,7 +180,6 @@ impl FaultEvent {
 ///     start: 1_000,
 ///     end: 2_000,
 /// }]);
-/// assert!(domains.validate().is_ok());
 /// assert!(domains.is_active());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -226,38 +239,11 @@ impl FaultDomainConfig {
             .clone()
             .unwrap_or_else(|| LinkChannelConfig::passthrough(DEFAULT_DEGRADED_DROP))
     }
-
-    /// Validates channel probabilities and event windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FaultConfigError`] found: a probability outside
-    /// `[0, 1]` or an empty/inverted event window.
-    pub fn validate(&self) -> Result<(), FaultConfigError> {
-        if let Some(ch) = &self.channel {
-            for (field, value) in [
-                ("p_enter_bad", ch.p_enter_bad),
-                ("p_exit_bad", ch.p_exit_bad),
-                ("drop_good", ch.drop_good),
-                ("drop_bad", ch.drop_bad),
-            ] {
-                if !(0.0..=1.0).contains(&value) || value.is_nan() {
-                    return Err(FaultConfigError::InvalidProbability { field, value });
-                }
-            }
-        }
-        for (index, ev) in self.events.iter().enumerate() {
-            let (start, end) = ev.window();
-            if start >= end {
-                return Err(FaultConfigError::EmptyEventWindow { index, start, end });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Typed fault-configuration error, surfaced through
-/// [`crate::FaultConfig::validate`] at system construction.
+/// [`crate::FaultConfig::validate`] and [`crate::FaultConfig::validate_for`]
+/// at system construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultConfigError {
     /// Both `drop_indices` and a probabilistic `loss_per_million` were set.
@@ -269,9 +255,16 @@ pub enum FaultConfigError {
         /// Number of scheduled drop indices.
         indices: usize,
     },
-    /// A channel probability is outside `[0, 1]`.
+    /// `loss_per_million` is negative, above one million or NaN. Such a rate
+    /// used to be clamped (or, when negative, to run fault-free) silently.
+    InvalidLossRate {
+        /// The offending rate.
+        loss_per_million: f64,
+    },
+    /// A probability (`burst_continue` or a [`LinkChannelConfig`] field) is
+    /// outside `[0, 1]` or NaN.
     InvalidProbability {
-        /// Which [`LinkChannelConfig`] field.
+        /// Which field.
         field: &'static str,
         /// The offending value.
         value: f64,
@@ -284,6 +277,23 @@ pub enum FaultConfigError {
         start: u64,
         /// Window end.
         end: u64,
+    },
+    /// A fault event names a router the mesh does not have.
+    RouterOutsideMesh {
+        /// Index into [`FaultDomainConfig::events`].
+        index: usize,
+        /// The router the event is anchored at.
+        router: RouterId,
+    },
+    /// A [`FaultEvent::LinkFlap`] names a link that points off the mesh
+    /// edge: there is nothing to take down, so the event could never fire.
+    NoSuchLink {
+        /// Index into [`FaultDomainConfig::events`].
+        index: usize,
+        /// Source router of the named link.
+        from: RouterId,
+        /// Direction of the named link.
+        dir: Direction,
     },
 }
 
@@ -298,12 +308,26 @@ impl std::fmt::Display for FaultConfigError {
                 "drop_indices ({indices} scheduled) and loss_per_million ({loss_per_million}) \
                  are mutually exclusive: the deterministic schedule would silently shadow the rate"
             ),
+            FaultConfigError::InvalidLossRate { loss_per_million } => write!(
+                f,
+                "loss_per_million = {loss_per_million} is not a rate in [0, 1000000]"
+            ),
             FaultConfigError::InvalidProbability { field, value } => {
-                write!(f, "link channel {field} = {value} is not a probability")
+                write!(f, "{field} = {value} is not a probability in [0, 1]")
             }
             FaultConfigError::EmptyEventWindow { index, start, end } => {
                 write!(f, "fault event {index} has empty window [{start},{end})")
             }
+            FaultConfigError::RouterOutsideMesh { index, router } => {
+                write!(
+                    f,
+                    "fault event {index} names router {router}, outside the mesh"
+                )
+            }
+            FaultConfigError::NoSuchLink { index, from, dir } => write!(
+                f,
+                "fault event {index} flaps link {from}-{dir}, which points off the mesh edge"
+            ),
         }
     }
 }
@@ -373,9 +397,137 @@ impl LinkChannel {
     }
 }
 
+/// Link-level fault state, owned by [`crate::FaultInjector`]: per-link
+/// Gilbert–Elliott channels plus the hard-down / degraded link masks derived
+/// from the event timeline.
+///
+/// Masks are recomputed lazily: they stay valid for the window
+/// `[valid_from, valid_until)` between event boundaries, so the per-message
+/// cost is one range check. Nothing is allocated before the first message.
+#[derive(Debug, Clone)]
+pub(crate) struct LinkState {
+    seed: u64,
+    channel_cfg: LinkChannelConfig,
+    channels: Vec<LinkChannel>,
+    /// Hard-down links (active flaps): nothing traverses them.
+    down: Vec<bool>,
+    /// Event-degraded links (brown-outs, region bursts): forced into the
+    /// bad channel state.
+    degraded: Vec<bool>,
+    valid_from: u64,
+    valid_until: u64,
+}
+
+impl LinkState {
+    /// Fresh channels (count 0) and an empty validity window: the first
+    /// message computes the masks.
+    pub(crate) fn new(cfg: &FaultDomainConfig) -> Self {
+        LinkState {
+            seed: cfg.domain_seed,
+            channel_cfg: cfg.effective_channel(),
+            channels: Vec::new(),
+            down: Vec::new(),
+            degraded: Vec::new(),
+            valid_from: 0,
+            valid_until: 0,
+        }
+    }
+
+    /// The link-level sources for a message injected at `now` under the
+    /// timeline `events`, split in two so that routing can hold the first
+    /// while the walk calls the second: the hard-down mask (one flag per
+    /// [`LinkId::dense_index`]) and the per-link decision — `None` if the
+    /// message crosses the link, [`DropCause::LinkDown`] if it cannot enter
+    /// it (no channel decision is consumed), [`DropCause::Channel`] if it
+    /// enters and the link's channel loses it.
+    pub(crate) fn at(
+        &mut self,
+        now: u64,
+        events: &[FaultEvent],
+        topo: &Topology,
+    ) -> (&[bool], impl FnMut(usize) -> Option<DropCause> + '_) {
+        if !(self.valid_from <= now && now < self.valid_until) {
+            self.refresh(now, events, topo);
+        }
+        let (down, degraded) = (&self.down[..], &self.degraded[..]);
+        let (channels, cfg, seed) = (&mut self.channels[..], &self.channel_cfg, self.seed);
+        let decide = move |link: usize| {
+            if down[link] {
+                Some(DropCause::LinkDown)
+            } else {
+                channels[link]
+                    .step(cfg, seed, link, degraded[link])
+                    .then_some(DropCause::Channel)
+            }
+        };
+        (down, decide)
+    }
+
+    /// Recomputes the masks for `now`. Pure function of the event timeline
+    /// and `now` (never of call order), so non-monotonic send times
+    /// recompute correctly.
+    fn refresh(&mut self, now: u64, events: &[FaultEvent], topo: &Topology) {
+        let slots = topo.link_slots();
+        self.channels.resize(slots, LinkChannel::default());
+        for mask in [&mut self.down, &mut self.degraded] {
+            mask.clear();
+            mask.resize(slots, false);
+        }
+        let (mut from, mut until) = (0u64, u64::MAX);
+        for ev in events {
+            let (start, end) = ev.window();
+            if ev.active_at(now) {
+                from = from.max(start);
+                until = until.min(end);
+                self.apply(ev, topo);
+            } else if now < start {
+                until = until.min(start);
+            } else {
+                from = from.max(end);
+            }
+        }
+        self.valid_from = from;
+        self.valid_until = until;
+    }
+
+    /// Marks the links an active event takes down or degrades (slots of
+    /// links that point off the mesh edge may get marked too; no route reads
+    /// them). An event anchored outside the mesh marks nothing: `validate_for`
+    /// rejects it, but a bare `Mesh` accepts any configuration.
+    fn apply(&mut self, ev: &FaultEvent, topo: &Topology) {
+        if ev.router().index() >= topo.router_count() {
+            return;
+        }
+        let slot = |from, dir| LinkId::new(from, dir).dense_index();
+        match *ev {
+            FaultEvent::LinkFlap { from, dir, .. } => self.down[slot(from, dir)] = true,
+            FaultEvent::RouterBrownout { router, .. } => {
+                for d in Direction::ALL {
+                    if let Some(nb) = topo.neighbor(router, d) {
+                        self.degraded[slot(router, d)] = true;
+                        self.degraded[slot(nb, d.opposite())] = true;
+                    }
+                }
+            }
+            FaultEvent::RegionBurst {
+                epicenter, radius, ..
+            } => {
+                for r in (0..topo.router_count()).map(|r| RouterId::new(r as u16)) {
+                    if topo.hops(r, epicenter) <= radius {
+                        for d in Direction::ALL {
+                            self.degraded[slot(r, d)] = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultConfig;
 
     fn flap(start: u64, end: u64) -> FaultEvent {
         FaultEvent::LinkFlap {
@@ -423,8 +575,10 @@ mod tests {
             drop_good: 0.0,
             drop_bad: 0.5,
         });
+        let validate =
+            |d: &FaultDomainConfig| FaultConfig::none().with_domains(d.clone()).validate();
         assert!(matches!(
-            d.validate(),
+            validate(&d),
             Err(FaultConfigError::InvalidProbability {
                 field: "p_enter_bad",
                 ..
@@ -433,11 +587,11 @@ mod tests {
         d.channel = None;
         d.events = vec![flap(200, 200)];
         assert!(matches!(
-            d.validate(),
+            validate(&d),
             Err(FaultConfigError::EmptyEventWindow { index: 0, .. })
         ));
         d.events = vec![flap(100, 200)];
-        assert!(d.validate().is_ok());
+        assert!(validate(&d).is_ok());
     }
 
     #[test]

@@ -1,18 +1,29 @@
-//! Transient-fault injection.
+//! Transient-fault injection: the one fault pipeline.
 //!
 //! Implements the paper's fault model (§3): the network either delivers a
 //! message correctly or not at all. Corrupted messages are assumed to be
 //! detected by a per-message CRC and discarded at the receiver, which is
 //! equivalent to a loss, so the injector only ever *drops* messages.
 //!
-//! Fault rates follow the paper's evaluation, expressed as **messages lost
+//! [`FaultInjector`] is the whole runtime pipeline (DESIGN.md §12). Every
+//! fault source is one arm of one of its two decisions:
+//!
+//! * the **per-link decision**, asked hop by hop during the route walk and
+//!   only while [`FaultConfig::domains`] is set: hard-down links (flaps) and
+//!   per-link Gilbert–Elliott channels (ambient, or forced bad by brown-outs
+//!   and region bursts) — their state lives in `domain.rs`;
+//! * the **per-message decision**, asked once after the walk for every
+//!   non-local message: the injection log, the class filter, the
+//!   deterministic drop schedule, burst continuation and the lottery.
+//!
+//! Lottery rates follow the paper's evaluation, expressed as **messages lost
 //! per million messages** traversing the network. Faults may be isolated or
 //! arrive in bursts (§3: "either an isolated one or a burst of them").
 
 use ftdircmp_sim::DetRng;
 
-use crate::domain::{FaultConfigError, FaultDomainConfig};
-use crate::VcClass;
+use crate::domain::{FaultConfigError, FaultDomainConfig, FaultEvent, LinkState};
+use crate::{DropCause, Topology, VcClass};
 
 /// Fault-injection configuration.
 ///
@@ -71,11 +82,7 @@ impl FaultConfig {
     pub fn per_million(rate: f64) -> Self {
         FaultConfig {
             loss_per_million: rate,
-            burst_continue: 0.0,
-            burst_cap: 0,
-            only_classes: None,
-            drop_indices: None,
-            domains: None,
+            ..FaultConfig::none()
         }
     }
 
@@ -84,36 +91,25 @@ impl FaultConfig {
     /// messages.
     pub fn bursts(rate: f64, burst_continue: f64, burst_cap: u64) -> Self {
         FaultConfig {
-            loss_per_million: rate,
             burst_continue,
             burst_cap,
-            only_classes: None,
-            drop_indices: None,
-            domains: None,
+            ..FaultConfig::per_million(rate)
         }
     }
 
     /// Targets losses at specific message classes only.
     pub fn targeting(rate: f64, classes: Vec<VcClass>) -> Self {
         FaultConfig {
-            loss_per_million: rate,
-            burst_continue: 0.0,
-            burst_cap: 0,
             only_classes: Some(classes),
-            drop_indices: None,
-            domains: None,
+            ..FaultConfig::per_million(rate)
         }
     }
 
     /// Drops exactly the messages at the given 0-based injection indices.
     pub fn drop_exactly(indices: Vec<u64>) -> Self {
         FaultConfig {
-            loss_per_million: 0.0,
-            burst_continue: 0.0,
-            burst_cap: 0,
-            only_classes: None,
             drop_indices: Some(indices),
-            domains: None,
+            ..FaultConfig::none()
         }
     }
 
@@ -140,25 +136,74 @@ impl FaultConfig {
             .is_none_or(|cs| cs.contains(&class))
     }
 
-    /// Validates the configuration, rejecting the silent-precedence trap
-    /// (`drop_indices` together with a probabilistic rate — the schedule
-    /// used to shadow the rate without warning) and any malformed fault
-    /// domain. Called from `SystemConfig::validate` at construction.
+    /// Validates everything that can be checked without knowing the mesh
+    /// (see [`FaultConfig::validate_for`], which adds the rest).
     ///
     /// # Errors
     ///
     /// Returns the first [`FaultConfigError`] found.
     pub fn validate(&self) -> Result<(), FaultConfigError> {
-        if self.loss_per_million > 0.0 {
+        self.check(None)
+    }
+
+    /// Validates the configuration for a run on a `topo`-shaped mesh; called
+    /// by `SystemConfig::validate` at system construction. Nothing a fault
+    /// configuration says is clamped or silently ignored: the lottery rate
+    /// lies in `[0, 1e6]` and every probability in `[0, 1]`; `drop_indices`
+    /// is not combined with a rate (the schedule would shadow it); event
+    /// windows are non-empty; and, the part that needs `topo`, every event
+    /// names a router inside the mesh and every flap a link that exists.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`FaultConfigError`] found.
+    pub fn validate_for(&self, topo: &Topology) -> Result<(), FaultConfigError> {
+        self.check(Some(topo))
+    }
+
+    fn check(&self, topo: Option<&Topology>) -> Result<(), FaultConfigError> {
+        let loss_per_million = self.loss_per_million;
+        if !(0.0..=1_000_000.0).contains(&loss_per_million) {
+            return Err(FaultConfigError::InvalidLossRate { loss_per_million });
+        }
+        let channel = self.domains.as_ref().and_then(|d| d.channel.as_ref());
+        let probabilities = [
+            ("burst_continue", Some(self.burst_continue)),
+            ("p_enter_bad", channel.map(|ch| ch.p_enter_bad)),
+            ("p_exit_bad", channel.map(|ch| ch.p_exit_bad)),
+            ("drop_good", channel.map(|ch| ch.drop_good)),
+            ("drop_bad", channel.map(|ch| ch.drop_bad)),
+        ];
+        for (field, value) in probabilities {
+            // `contains` is false for NaN.
+            if let Some(value) = value.filter(|v| !(0.0..=1.0).contains(v)) {
+                return Err(FaultConfigError::InvalidProbability { field, value });
+            }
+        }
+        if loss_per_million > 0.0 {
             if let Some(indices) = self.drop_indices.as_ref().filter(|v| !v.is_empty()) {
                 return Err(FaultConfigError::ConflictingDropModes {
-                    loss_per_million: self.loss_per_million,
+                    loss_per_million,
                     indices: indices.len(),
                 });
             }
         }
-        if let Some(domains) = &self.domains {
-            domains.validate()?;
+        let events = self.domains.iter().flat_map(|d| &d.events);
+        for (index, ev) in events.enumerate() {
+            let (start, end) = ev.window();
+            if start >= end {
+                return Err(FaultConfigError::EmptyEventWindow { index, start, end });
+            }
+            let Some(topo) = topo else { continue };
+            let router = ev.router();
+            if router.index() >= topo.router_count() {
+                return Err(FaultConfigError::RouterOutsideMesh { index, router });
+            }
+            if let FaultEvent::LinkFlap { from, dir, .. } = *ev {
+                if topo.neighbor(from, dir).is_none() {
+                    return Err(FaultConfigError::NoSuchLink { index, from, dir });
+                }
+            }
         }
         Ok(())
     }
@@ -170,8 +215,8 @@ impl Default for FaultConfig {
     }
 }
 
-/// Stateful fault injector: decides, per message, whether the network loses
-/// it.
+/// The fault pipeline: decides, link by link and then per message, whether
+/// the network loses a message.
 ///
 /// # Example
 ///
@@ -191,11 +236,18 @@ pub struct FaultInjector {
     /// `Vec::contains` scan per message.
     sorted_drops: Vec<u64>,
     drop_cursor: usize,
+    /// Lottery probability per eligible message: `loss_per_million` as a
+    /// share, computed once per configuration.
+    loss_probability: f64,
+    /// One bit per [`VcClass::index`]: the classes `config.only_classes`
+    /// leaves eligible for message-level drops.
+    eligible_classes: u8,
     rng: DetRng,
     burst_remaining: u64,
     messages_seen: u64,
-    messages_dropped: u64,
     injection_log: Option<Vec<VcClass>>,
+    /// Link-level sources; `Some` exactly while `config.domains` is.
+    links: Option<LinkState>,
 }
 
 impl FaultInjector {
@@ -204,19 +256,20 @@ impl FaultInjector {
     /// A deterministic drop schedule may be given unsorted and with
     /// duplicates; it is normalized here.
     pub fn new(config: FaultConfig, rng: DetRng) -> Self {
-        let mut sorted_drops = config.drop_indices.clone().unwrap_or_default();
-        sorted_drops.sort_unstable();
-        sorted_drops.dedup();
-        FaultInjector {
-            config,
-            sorted_drops,
+        let mut injector = FaultInjector {
+            config: FaultConfig::none(),
+            sorted_drops: Vec::new(),
             drop_cursor: 0,
+            loss_probability: 0.0,
+            eligible_classes: 0,
             rng,
             burst_remaining: 0,
             messages_seen: 0,
-            messages_dropped: 0,
             injection_log: None,
-        }
+            links: None,
+        };
+        injector.set_config(config);
+        injector
     }
 
     /// Starts recording the virtual-channel class of every message examined
@@ -231,26 +284,43 @@ impl FaultInjector {
         self.injection_log.as_deref().unwrap_or(&[])
     }
 
-    /// Decides whether the next message (of `class`) is lost.
+    /// The link-level sources for a message injected at `now` (the
+    /// hard-down mask and the per-link decision, see [`LinkState::at`]), or
+    /// `None` when the configuration has none: the route walk then never
+    /// consults the pipeline per hop.
+    pub(crate) fn links_at(
+        &mut self,
+        now: u64,
+        topo: &Topology,
+    ) -> Option<(&[bool], impl FnMut(usize) -> Option<DropCause> + '_)> {
+        let events = &self.config.domains.as_ref()?.events;
+        Some(self.links.as_mut()?.at(now, events, topo))
+    }
+
+    /// The per-message decision: whether the next message (of `class`) is
+    /// lost to a message-level source. Every non-local message is examined
+    /// exactly once, whatever happened to it on its links: the injection log
+    /// and the drop-schedule indices count examined messages.
     pub fn should_drop_class(&mut self, class: VcClass) -> bool {
         if let Some(log) = &mut self.injection_log {
             log.push(class);
         }
-        if !self.config.targets(class) {
+        if self.eligible_classes & (1 << class.index()) == 0 {
             self.messages_seen += 1;
             return false;
         }
         self.should_drop()
     }
 
-    /// Decides whether the next message is lost.
+    /// The per-message decision for a message of an eligible class.
     pub fn should_drop(&mut self) -> bool {
-        // Deterministic schedule takes precedence.
+        let index = self.messages_seen;
+        self.messages_seen += 1;
+        // A deterministic schedule replaces the probabilistic sources
+        // (`FaultConfig::validate` rejects configuring both).
         if self.config.drop_indices.is_some() {
-            let index = self.messages_seen;
-            self.messages_seen += 1;
             // Indices are sorted and message indices arrive ascending, so a
-            // cursor replaces the former O(n) `contains` per message.
+            // cursor replaces an O(n) `contains` per message.
             while self
                 .sorted_drops
                 .get(self.drop_cursor)
@@ -258,66 +328,67 @@ impl FaultInjector {
             {
                 self.drop_cursor += 1;
             }
-            if self.sorted_drops.get(self.drop_cursor) == Some(&index) {
-                self.drop_cursor += 1;
-                self.messages_dropped += 1;
-                return true;
-            }
-            return false;
+            let scheduled = self.sorted_drops.get(self.drop_cursor) == Some(&index);
+            self.drop_cursor += usize::from(scheduled);
+            return scheduled;
         }
-        self.messages_seen += 1;
         if self.burst_remaining > 0 {
             self.burst_remaining -= 1;
-            self.messages_dropped += 1;
             return true;
         }
-        if !self.config.is_faulty() {
+        // `chance` draws nothing at probability zero: a configuration
+        // without a lottery leaves the stream untouched.
+        if !self.rng.chance(self.loss_probability) {
             return false;
         }
-        let p = (self.config.loss_per_million / 1_000_000.0).clamp(0.0, 1.0);
-        if self.rng.chance(p) {
-            if self.config.burst_continue > 0.0 {
-                self.burst_remaining = self
-                    .rng
-                    .geometric(self.config.burst_continue, self.config.burst_cap);
-            }
-            self.messages_dropped += 1;
-            true
-        } else {
-            false
+        if self.config.burst_continue > 0.0 {
+            self.burst_remaining = self
+                .rng
+                .geometric(self.config.burst_continue, self.config.burst_cap);
         }
+        true
     }
 
-    /// Replaces the fault configuration mid-run, preserving the injector's
-    /// random stream and message counters.
+    /// Replaces the fault configuration mid-run: every per-configuration
+    /// value is recomputed and all source state starts over (the schedule
+    /// cursor, a burst in progress, link channels and masks), while the
+    /// injector's random stream, its message count and the injection log
+    /// carry on.
     ///
     /// This is the fork point of checkpoint-fork campaigns: the shared
     /// warmup runs with [`FaultConfig::none`] (which makes **no** RNG
     /// draws — both the fault-free path and the deterministic-schedule
-    /// path leave the stream untouched), so after the swap the injector is
-    /// in exactly the state a from-scratch run with `config` would reach
-    /// at the same point, had its faults been gated during warmup.
+    /// path leave the stream untouched — and no link decisions), so after
+    /// the swap the injector is in exactly the state a from-scratch run
+    /// with `config` would reach at the same point, had its faults been
+    /// gated during warmup: per-link decision streams start at count 0.
     /// Deterministic drop indices keep counting from the run's first
     /// message: indices below [`FaultInjector::messages_seen`] can no
     /// longer fire.
     pub fn set_config(&mut self, config: FaultConfig) {
-        let mut sorted_drops = config.drop_indices.clone().unwrap_or_default();
-        sorted_drops.sort_unstable();
-        sorted_drops.dedup();
-        self.config = config;
-        self.sorted_drops = sorted_drops;
+        self.sorted_drops.clear();
+        self.sorted_drops
+            .extend_from_slice(config.drop_indices.as_deref().unwrap_or_default());
+        self.sorted_drops.sort_unstable();
+        self.sorted_drops.dedup();
         self.drop_cursor = 0;
         self.burst_remaining = 0;
+        self.loss_probability = if config.loss_per_million > 0.0 {
+            (config.loss_per_million / 1_000_000.0).min(1.0)
+        } else {
+            0.0
+        };
+        self.eligible_classes = VcClass::ALL
+            .into_iter()
+            .filter(|c| config.targets(*c))
+            .fold(0, |mask, c| mask | 1 << c.index());
+        self.links = config.domains.as_ref().map(LinkState::new);
+        self.config = config;
     }
 
     /// Messages examined so far.
     pub fn messages_seen(&self) -> u64 {
         self.messages_seen
-    }
-
-    /// Messages dropped so far.
-    pub fn messages_dropped(&self) -> u64 {
-        self.messages_dropped
     }
 
     /// The active configuration.
@@ -336,7 +407,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(!inj.should_drop());
         }
-        assert_eq!(inj.messages_dropped(), 0);
         assert_eq!(inj.messages_seen(), 10_000);
     }
 
@@ -359,7 +429,6 @@ mod tests {
         assert!(inj.should_drop());
         assert!(inj.should_drop());
         assert!(inj.should_drop());
-        assert_eq!(inj.messages_dropped(), 4);
     }
 
     #[test]
@@ -380,7 +449,6 @@ mod tests {
         assert!(!inj.should_drop_class(VcClass::Unblock));
         assert!(inj.should_drop_class(VcClass::Response));
         assert_eq!(inj.messages_seen(), 3);
-        assert_eq!(inj.messages_dropped(), 1);
     }
 
     #[test]
@@ -401,7 +469,6 @@ mod tests {
         let mut inj = FaultInjector::new(cfg, DetRng::from_seed(1));
         let pattern: Vec<bool> = (0..6).map(|_| inj.should_drop()).collect();
         assert_eq!(pattern, vec![true, false, false, true, false, false]);
-        assert_eq!(inj.messages_dropped(), 2);
     }
 
     #[test]
@@ -415,7 +482,6 @@ mod tests {
             pattern,
             vec![false, true, false, true, false, true, false, false]
         );
-        assert_eq!(inj.messages_dropped(), 3);
     }
 
     #[test]
@@ -433,7 +499,6 @@ mod tests {
         assert!(!inj.should_drop_class(VcClass::Request)); // index 1
         assert!(inj.should_drop_class(VcClass::Request)); // index 2: dropped
         assert!(!inj.should_drop_class(VcClass::Request)); // index 3
-        assert_eq!(inj.messages_dropped(), 1);
     }
 
     #[test]
@@ -478,7 +543,6 @@ mod tests {
         inj.set_config(FaultConfig::drop_exactly(vec![2, 6]));
         let pattern: Vec<bool> = (4..8).map(|_| inj.should_drop()).collect();
         assert_eq!(pattern, vec![false, false, true, false]);
-        assert_eq!(inj.messages_dropped(), 1);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! The network is also where transient faults live (§3 fault model): a
 //! message is either delivered intact or dropped — corruption is detected by
 //! a per-message CRC at the receiver and the message is discarded, which is
-//! indistinguishable from a loss. [`FaultInjector`] implements isolated and
-//! bursty losses at a configurable rate per million messages. The
-//! [`FaultDomainConfig`] layer extends this with **correlated** faults:
-//! per-link Gilbert–Elliott channels, scheduled link flaps, router
-//! brown-outs and region bursts, with fault-aware adaptive routing around
-//! hard-down links (DESIGN.md §12).
+//! indistinguishable from a loss. [`FaultInjector`] is the one pipeline that
+//! decides it (DESIGN.md §12): per message, the paper's lottery (isolated or
+//! bursty losses at a rate per million messages), an exact drop schedule
+//! and class targeting; per link, the **correlated** faults of a
+//! [`FaultDomainConfig`] — Gilbert–Elliott channels, scheduled link flaps,
+//! router brown-outs and region bursts, with adaptive routing steering
+//! around hard-down links.
 //!
 //! The mesh is a *timing and fault oracle*, not an active component: the
 //! protocol simulator calls [`Mesh::send`] and receives either the delivery
@@ -44,8 +45,8 @@ pub use domain::{
 };
 pub use fault::{FaultConfig, FaultInjector};
 pub use mesh::{Mesh, MeshConfig, RoutingMode, SendOutcome};
-pub use stats::{DomainDropCause, NocStats};
-pub use topology::{AdaptiveRoute, Coord, Direction, LinkId, RouterId, Topology, XyRoute};
+pub use stats::{DropCause, NocStats};
+pub use topology::{Coord, Direction, LinkId, Route, RouterId, Topology};
 
 /// Virtual-channel classes used by the coherence protocols.
 ///

@@ -2,9 +2,7 @@
 
 use ftdircmp_sim::{Cycle, DetRng};
 
-use crate::domain::{FaultDomainConfig, FaultEvent, LinkChannel, LinkChannelConfig};
-use crate::stats::DomainDropCause;
-use crate::{Direction, FaultConfig, FaultInjector, LinkId, NocStats, RouterId, Topology, VcClass};
+use crate::{DropCause, FaultConfig, FaultInjector, NocStats, RouterId, Topology, VcClass};
 
 /// How messages are routed through the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -120,130 +118,11 @@ pub struct Mesh {
     config: MeshConfig,
     link_free: Vec<Cycle>,
     link_busy: Vec<u64>,
+    /// The fault pipeline: every fault source, link-level and message-level.
     fault: FaultInjector,
-    /// Correlated fault-domain state (per-link channels + event masks);
-    /// `None` unless `config.faults.domains` is set, keeping the legacy
-    /// send path byte-identical.
-    domain: Option<DomainState>,
     route_rng: DetRng,
     jitter_rng: DetRng,
     stats: NocStats,
-}
-
-/// Live fault-domain state: per-link Gilbert–Elliott channels plus the
-/// hard-down / degraded link masks derived from the event timeline.
-///
-/// Masks are recomputed lazily: they stay valid for the window
-/// `[valid_from, valid_until)` between event boundaries, so the per-message
-/// cost is one range check.
-#[derive(Debug, Clone)]
-struct DomainState {
-    cfg: FaultDomainConfig,
-    channel_cfg: LinkChannelConfig,
-    channels: Vec<LinkChannel>,
-    /// Hard-down links (active flaps): nothing traverses them.
-    down: Vec<bool>,
-    /// Event-degraded links (brown-outs, region bursts): forced into the
-    /// bad channel state.
-    degraded: Vec<bool>,
-    valid_from: u64,
-    valid_until: u64,
-    any_down: bool,
-}
-
-impl DomainState {
-    fn new(cfg: FaultDomainConfig, slots: usize) -> Self {
-        let channel_cfg = cfg.effective_channel();
-        DomainState {
-            cfg,
-            channel_cfg,
-            channels: vec![LinkChannel::default(); slots],
-            down: vec![false; slots],
-            degraded: vec![false; slots],
-            // Empty validity window: the first send recomputes the masks.
-            valid_from: 0,
-            valid_until: 0,
-            any_down: false,
-        }
-    }
-
-    /// Brings the masks up to date for `now`. Pure function of the event
-    /// timeline and `now` (never of call order), so non-monotonic send
-    /// times recompute correctly.
-    fn refresh(&mut self, now: u64, topo: &Topology) {
-        if self.valid_from <= now && now < self.valid_until {
-            return;
-        }
-        self.down.iter_mut().for_each(|d| *d = false);
-        self.degraded.iter_mut().for_each(|d| *d = false);
-        self.any_down = false;
-        let (mut from, mut until) = (0u64, u64::MAX);
-        for i in 0..self.cfg.events.len() {
-            let (start, end) = self.cfg.events[i].window();
-            if self.cfg.events[i].active_at(now) {
-                from = from.max(start);
-                until = until.min(end);
-                let ev = self.cfg.events[i].clone();
-                self.apply(&ev, topo);
-            } else if now < start {
-                until = until.min(start);
-            } else {
-                from = from.max(end);
-            }
-        }
-        self.valid_from = from;
-        self.valid_until = until;
-    }
-
-    /// Marks the links an active event takes down or degrades. Routers
-    /// outside the mesh (possible when a domain config is reused across
-    /// mesh sizes) are ignored.
-    fn apply(&mut self, ev: &FaultEvent, topo: &Topology) {
-        match *ev {
-            FaultEvent::LinkFlap { from, dir, .. } => {
-                if from.index() < topo.router_count() && topo.neighbor(from, dir).is_some() {
-                    self.down[LinkId::new(from, dir).dense_index()] = true;
-                    self.any_down = true;
-                }
-            }
-            FaultEvent::RouterBrownout { router, .. } => {
-                if router.index() >= topo.router_count() {
-                    return;
-                }
-                for d in Direction::ALL {
-                    if let Some(nb) = topo.neighbor(router, d) {
-                        self.degraded[LinkId::new(router, d).dense_index()] = true;
-                        self.degraded[LinkId::new(nb, d.opposite()).dense_index()] = true;
-                    }
-                }
-            }
-            FaultEvent::RegionBurst {
-                epicenter, radius, ..
-            } => {
-                if epicenter.index() >= topo.router_count() {
-                    return;
-                }
-                for r in 0..topo.router_count() {
-                    let rid = RouterId::new(r as u16);
-                    if topo.hops(rid, epicenter) > radius {
-                        continue;
-                    }
-                    for d in Direction::ALL {
-                        if topo.neighbor(rid, d).is_some() {
-                            self.degraded[LinkId::new(rid, d).dense_index()] = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Steps link `idx`'s channel for one message; returns whether the
-    /// channel lost it.
-    fn step_link(&mut self, idx: usize) -> bool {
-        let forced = self.degraded[idx];
-        self.channels[idx].step(&self.channel_cfg, self.cfg.domain_seed, idx, forced)
-    }
 }
 
 impl Mesh {
@@ -259,18 +138,12 @@ impl Mesh {
         }
         let route_rng = rng.fork("adaptive-routes");
         let jitter_rng = rng.fork("jitter");
-        let domain = config
-            .faults
-            .domains
-            .clone()
-            .map(|d| DomainState::new(d, topology.link_slots()));
         Mesh {
             topology,
             config,
             link_free,
             link_busy,
             fault,
-            domain,
             route_rng,
             jitter_rng,
             stats: NocStats::new(),
@@ -292,22 +165,17 @@ impl Mesh {
         &self.stats
     }
 
-    /// Fault-injection counters.
+    /// The fault pipeline (its message count and injection log).
     pub fn fault_injector(&self) -> &FaultInjector {
         &self.fault
     }
 
     /// Replaces the fault configuration mid-run (the fork point of
-    /// checkpoint-fork campaigns; see [`FaultInjector::set_config`]).
+    /// checkpoint-fork campaigns; see [`FaultInjector::set_config`] for what
+    /// starts over and what carries on).
     pub fn set_fault_config(&mut self, faults: FaultConfig) {
         self.config.faults = faults.clone();
-        let domains = faults.domains.clone();
         self.fault.set_config(faults);
-        // Fresh channels (count 0): per-link decision streams start at the
-        // fork point, so a forked run matches a from-scratch run whose
-        // warmup made no domain decisions (channels are gated during
-        // warmup, which runs fault-free).
-        self.domain = domains.map(|d| DomainState::new(d, self.topology.link_slots()));
     }
 
     /// Injects a message of `size_bytes` at `now` from `src` to `dst` on
@@ -315,7 +183,9 @@ impl Mesh {
     ///
     /// Returns the arrival cycle, or [`SendOutcome::Dropped`] if a transient
     /// fault lost the message. Dropped messages still consume the bandwidth
-    /// they used before being lost (the reservation is made either way).
+    /// they used before being lost: a message a link loses has reserved
+    /// every link up to and including that one, a message a message-level
+    /// source picks has reserved its whole route.
     ///
     /// # Panics
     ///
@@ -344,28 +214,42 @@ impl Mesh {
             };
         }
 
-        if self.domain.is_some() {
-            return self.send_through_domains(now, src, dst, size_bytes, class);
-        }
-
         let ser = serialization_cycles(size_bytes, self.config.link_bytes_per_cycle);
 
-        // Walk the route without materializing it: reserve bandwidth on each
-        // link as the walker yields it. Split borrows so the route walker
-        // (topology + route RNG) and the reservation state stay disjoint.
+        // Walk the route without materializing it. Split borrows so the
+        // route walker (route RNG + down-mask), the link-level fault state
+        // and the reservation state stay disjoint.
         let Mesh {
             topology,
             config,
             link_free,
             link_busy,
+            fault,
             route_rng,
             jitter_rng,
             ..
         } = self;
+        let (down, mut link_decision) = fault.links_at(now.as_u64(), topology).unzip();
+        let mut route = match config.routing {
+            RoutingMode::DimensionOrdered => topology.route_xy_iter(src, dst),
+            RoutingMode::Adaptive => topology.route_adaptive_iter(src, dst, route_rng, down),
+        };
         let mut arrive = now;
         let mut hops = 0u32;
-        let mut reserve = |link: crate::LinkId| {
+        let lost = loop {
+            let Some(link) = route.next() else {
+                // Arrived, or stranded with every productive link down.
+                break route.stranded().then_some(DropCause::Unroutable);
+            };
             let idx = link.dense_index();
+            // The link-level sources decide first, and are asked only when
+            // the configuration has any. A down link turns the message away
+            // (only XY gets there: adaptive routes avoid down links); any
+            // other link it enters, reserving its bandwidth.
+            let decision = link_decision.as_mut().and_then(|decide| decide(idx));
+            if decision == Some(DropCause::LinkDown) {
+                break decision;
+            }
             let depart = arrive.max(link_free[idx]);
             link_free[idx] = depart + ser;
             link_busy[idx] += ser;
@@ -374,159 +258,21 @@ impl Mesh {
                 arrive += jitter_rng.below(config.hop_jitter_cycles + 1);
             }
             hops += 1;
+            // A loss ends the walk: later links are neither reserved nor
+            // asked.
+            if decision.is_some() {
+                break decision;
+            }
         };
-        match config.routing {
-            RoutingMode::DimensionOrdered => {
-                topology.route_xy_iter(src, dst).for_each(&mut reserve);
-            }
-            RoutingMode::Adaptive => {
-                topology
-                    .route_adaptive_iter(src, dst, route_rng)
-                    .for_each(&mut reserve);
-            }
-        }
+        // Ends the link view's borrow of the pipeline.
+        drop(link_decision);
 
-        if self.fault.should_drop_class(class) {
-            self.stats.record_dropped(class, size_bytes);
-            return SendOutcome::Dropped;
-        }
-
-        if self.config.jitter_cycles > 0 {
-            arrive += self.jitter_rng.below(self.config.jitter_cycles + 1);
-        }
-
-        let latency = arrive - now;
-        self.stats.record_sent(class, size_bytes, hops, latency);
-        SendOutcome::Delivered { at: arrive }
-    }
-
-    /// Fault-domain send path: like [`Mesh::send`], but every traversed link
-    /// steps its Gilbert–Elliott channel, hard-down links stop the walk, and
-    /// (in adaptive mode) routing steers around down links via the live
-    /// mask. The classic injector still examines every message afterwards so
-    /// `drop_indices` schedules and the injection log keep their global
-    /// numbering.
-    fn send_through_domains(
-        &mut self,
-        now: Cycle,
-        src: RouterId,
-        dst: RouterId,
-        size_bytes: u32,
-        class: VcClass,
-    ) -> SendOutcome {
-        let ser = serialization_cycles(size_bytes, self.config.link_bytes_per_cycle);
-        let Mesh {
-            topology,
-            config,
-            link_free,
-            link_busy,
-            domain,
-            route_rng,
-            jitter_rng,
-            ..
-        } = self;
-        let domain = domain.as_mut().expect("domains configured");
-        domain.refresh(now.as_u64(), topology);
-
-        let mut arrive = now;
-        let mut hops = 0u32;
-        let mut cause: Option<DomainDropCause> = None;
-        // Reserves bandwidth on `idx` and steps its channel; returns whether
-        // the channel lost the message on that link.
-        let mut traverse = |idx: usize, domain: &mut DomainState| {
-            let depart = arrive.max(link_free[idx]);
-            link_free[idx] = depart + ser;
-            link_busy[idx] += ser;
-            arrive = depart + ser + config.router_latency;
-            if config.hop_jitter_cycles > 0 {
-                arrive += jitter_rng.below(config.hop_jitter_cycles + 1);
-            }
-            hops += 1;
-            domain.step_link(idx)
-        };
-        match config.routing {
-            RoutingMode::DimensionOrdered => {
-                // XY routes are fixed: a down link on the path kills the
-                // message (no detour exists in dimension order).
-                for link in topology.route_xy_iter(src, dst) {
-                    let idx = link.dense_index();
-                    if domain.down[idx] {
-                        cause = Some(DomainDropCause::LinkDown);
-                        break;
-                    }
-                    if traverse(idx, domain) {
-                        cause = Some(DomainDropCause::Channel);
-                        break;
-                    }
-                }
-            }
-            RoutingMode::Adaptive => {
-                // Masked minimal-adaptive walk: identical to
-                // `route_adaptive_iter` when nothing is down (same productive
-                // set, one RNG draw per two-way hop), but filters hard-down
-                // links out of the productive set first.
-                let dstc = topology.coord(dst);
-                let mut cur = src;
-                loop {
-                    let c = topology.coord(cur);
-                    let mut productive = [Direction::East; 2];
-                    let mut n = 0;
-                    if c.x() < dstc.x() {
-                        productive[n] = Direction::East;
-                        n += 1;
-                    } else if c.x() > dstc.x() {
-                        productive[n] = Direction::West;
-                        n += 1;
-                    }
-                    if c.y() < dstc.y() {
-                        productive[n] = Direction::South;
-                        n += 1;
-                    } else if c.y() > dstc.y() {
-                        productive[n] = Direction::North;
-                        n += 1;
-                    }
-                    if n == 0 {
-                        break;
-                    }
-                    let mut alive = [Direction::East; 2];
-                    let mut m = 0;
-                    for d in &productive[..n] {
-                        if !domain.down[LinkId::new(cur, *d).dense_index()] {
-                            alive[m] = *d;
-                            m += 1;
-                        }
-                    }
-                    let dir = match m {
-                        0 => {
-                            // Minimal routing only: every productive link is
-                            // down, so the message has no surviving route.
-                            cause = Some(DomainDropCause::Unroutable);
-                            break;
-                        }
-                        1 => alive[0],
-                        _ => *route_rng.pick(&alive[..m]),
-                    };
-                    let idx = LinkId::new(cur, dir).dense_index();
-                    if traverse(idx, domain) {
-                        cause = Some(DomainDropCause::Channel);
-                        break;
-                    }
-                    cur = topology
-                        .neighbor(cur, dir)
-                        .expect("route stepped off the mesh");
-                }
-            }
-        }
-
-        // The injector must see every non-local message even when the domain
-        // layer already lost it: drop-schedule indices and the injection log
-        // count examined messages, not surviving ones.
-        let injector_drop = self.fault.should_drop_class(class);
-        if let Some(c) = cause {
-            self.stats.record_domain_drop(c);
-        }
-        if cause.is_some() || injector_drop {
-            self.stats.record_dropped(class, size_bytes);
+        // The message-level sources examine every non-local message, even
+        // one a link already lost: drop-schedule indices and the injection
+        // log count examined messages, not surviving ones.
+        let picked = self.fault.should_drop_class(class);
+        if let Some(cause) = lost.or(picked.then_some(DropCause::Injector)) {
+            self.stats.record_dropped(class, size_bytes, cause);
             return SendOutcome::Dropped;
         }
 
@@ -915,7 +661,7 @@ mod tests {
 
     mod domains {
         use super::*;
-        use crate::domain::{FaultDomainConfig, FaultEvent, LinkChannelConfig};
+        use crate::{Direction, FaultDomainConfig, FaultEvent, LinkChannelConfig};
 
         fn flap(start: u64, end: u64) -> FaultEvent {
             // Takes down the eastward link out of r0: the first hop of every
@@ -1082,7 +828,7 @@ mod tests {
             );
             assert!(south.is_dropped(), "schedule index 2 must still fire");
             assert_eq!(m.stats().link_down_drops(), 2);
-            assert_eq!(m.fault_injector().messages_dropped(), 1);
+            assert_eq!(m.stats().dropped_by(DropCause::Injector), 1);
             assert_eq!(m.fault_injector().injection_log().len(), 3);
         }
 
@@ -1101,19 +847,28 @@ mod tests {
         #[test]
         fn inactive_domains_leave_fault_free_timing_identical() {
             // An installed but event-free, channel-free domain config must
-            // not perturb delivery times relative to the legacy path.
-            let cfg = FaultDomainConfig::events(vec![]);
-            let mut with = domain_mesh(cfg, RoutingMode::DimensionOrdered);
-            let mut without = mesh();
-            for i in 0..500u64 {
-                let src = RouterId::new((i % 16) as u16);
-                let dst = RouterId::new(((i * 11 + 5) % 16) as u16);
-                assert_eq!(
-                    with.send(Cycle::new(i * 7), src, dst, 72, VcClass::Response),
-                    without.send(Cycle::new(i * 7), src, dst, 72, VcClass::Response)
+            // not perturb delivery times relative to a mesh without one. In
+            // adaptive mode that also pins the route draws: routing under an
+            // empty down-mask picks exactly as routing without a mask.
+            for routing in [RoutingMode::DimensionOrdered, RoutingMode::Adaptive] {
+                let mut with = domain_mesh(FaultDomainConfig::events(vec![]), routing);
+                let mut without = Mesh::new(
+                    MeshConfig {
+                        routing,
+                        ..MeshConfig::default()
+                    },
+                    DetRng::from_seed(42),
                 );
+                for i in 0..2000u64 {
+                    let src = RouterId::new((i % 16) as u16);
+                    let dst = RouterId::new(((i * 11 + 5) % 16) as u16);
+                    assert_eq!(
+                        with.send(Cycle::new(i * 7), src, dst, 72, VcClass::Response),
+                        without.send(Cycle::new(i * 7), src, dst, 72, VcClass::Response)
+                    );
+                }
+                assert_eq!(with.stats().total_dropped(), 0);
             }
-            assert_eq!(with.stats().total_dropped(), 0);
         }
     }
 }

@@ -16,15 +16,17 @@ pub struct NocStats {
     hop_histogram: Histogram,
     latency_histogram: Histogram,
     local_deliveries: Counter,
-    /// Fault-domain drop causes (all zero without domains configured).
-    dropped_link_down: Counter,
-    dropped_channel: Counter,
-    dropped_unroutable: Counter,
+    /// Dropped messages by [`DropCause`] (declaration order).
+    dropped_by_cause: [Counter; 4],
 }
 
-/// Why the fault-domain layer lost a message (see DESIGN.md §12).
+/// Why the network lost a message: which arm of the fault pipeline
+/// (DESIGN.md §12). A message lost on a link *and* picked by a message-level
+/// source is counted once, under the link's cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DomainDropCause {
+pub enum DropCause {
+    /// A message-level source: drop schedule, burst continuation or lottery.
+    Injector,
     /// The route crossed a hard-down (flapping) link.
     LinkDown,
     /// A per-link Gilbert–Elliott channel (possibly event-degraded) lost it.
@@ -46,21 +48,14 @@ impl NocStats {
         self.latency_histogram.record(latency);
     }
 
-    pub(crate) fn record_dropped(&mut self, class: VcClass, bytes: u32) {
+    pub(crate) fn record_dropped(&mut self, class: VcClass, bytes: u32, cause: DropCause) {
         self.messages_dropped[class.index()].incr();
         self.bytes_dropped[class.index()].add(u64::from(bytes));
+        self.dropped_by_cause[cause as usize].incr();
     }
 
     pub(crate) fn record_local(&mut self) {
         self.local_deliveries.incr();
-    }
-
-    pub(crate) fn record_domain_drop(&mut self, cause: DomainDropCause) {
-        match cause {
-            DomainDropCause::LinkDown => self.dropped_link_down.incr(),
-            DomainDropCause::Channel => self.dropped_channel.incr(),
-            DomainDropCause::Unroutable => self.dropped_unroutable.incr(),
-        }
     }
 
     /// Messages successfully injected for `class` (delivered or in flight).
@@ -105,19 +100,24 @@ impl NocStats {
         self.local_deliveries.get()
     }
 
+    /// Messages lost to `cause`.
+    pub fn dropped_by(&self, cause: DropCause) -> u64 {
+        self.dropped_by_cause[cause as usize].get()
+    }
+
     /// Messages lost crossing a hard-down (flapping) link.
     pub fn link_down_drops(&self) -> u64 {
-        self.dropped_link_down.get()
+        self.dropped_by(DropCause::LinkDown)
     }
 
     /// Messages lost to per-link channel state (ambient or event-degraded).
     pub fn channel_drops(&self) -> u64 {
-        self.dropped_channel.get()
+        self.dropped_by(DropCause::Channel)
     }
 
     /// Messages dropped because adaptive routing found no surviving route.
     pub fn unroutable_drops(&self) -> u64 {
-        self.dropped_unroutable.get()
+        self.dropped_by(DropCause::Unroutable)
     }
 
     /// Distribution of hop counts.
@@ -153,7 +153,7 @@ mod tests {
     fn drops_are_counted_separately_but_in_totals() {
         let mut s = NocStats::new();
         s.record_sent(VcClass::Unblock, 8, 2, 10);
-        s.record_dropped(VcClass::Unblock, 8);
+        s.record_dropped(VcClass::Unblock, 8, DropCause::Injector);
         assert_eq!(s.messages(VcClass::Unblock), 1);
         assert_eq!(s.dropped(VcClass::Unblock), 1);
         assert_eq!(s.total_dropped(), 1);
@@ -180,12 +180,19 @@ mod tests {
     #[test]
     fn domain_drop_causes_tracked_separately() {
         let mut s = NocStats::new();
-        s.record_domain_drop(DomainDropCause::LinkDown);
-        s.record_domain_drop(DomainDropCause::LinkDown);
-        s.record_domain_drop(DomainDropCause::Channel);
-        s.record_domain_drop(DomainDropCause::Unroutable);
+        for cause in [
+            DropCause::LinkDown,
+            DropCause::LinkDown,
+            DropCause::Channel,
+            DropCause::Unroutable,
+            DropCause::Injector,
+        ] {
+            s.record_dropped(VcClass::Request, 8, cause);
+        }
         assert_eq!(s.link_down_drops(), 2);
         assert_eq!(s.channel_drops(), 1);
         assert_eq!(s.unroutable_drops(), 1);
+        assert_eq!(s.dropped_by(DropCause::Injector), 1);
+        assert_eq!(s.total_dropped(), 5);
     }
 }

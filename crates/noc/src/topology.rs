@@ -1,5 +1,7 @@
 //! Mesh geometry: routers, coordinates, links and routes.
 
+use std::cmp::Ordering;
+
 use ftdircmp_sim::DetRng;
 
 /// Identifier of a router (one per tile) in row-major order.
@@ -242,164 +244,125 @@ impl Topology {
 
     /// Dimension-ordered (XY) route as an allocation-free walker: the
     /// deterministic path used by DirCMP's ordered-network assumption.
-    /// Yields the sequence of links traversed (nothing when `src == dst`).
-    pub fn route_xy_iter(&self, src: RouterId, dst: RouterId) -> XyRoute<'_> {
-        XyRoute {
-            topo: self,
-            cur: src,
-            dstc: self.coord(dst),
-        }
-    }
-
-    /// Dimension-ordered (XY) route, collected into a `Vec`. Hot paths walk
-    /// [`Topology::route_xy_iter`] instead to avoid the allocation.
-    pub fn route_xy(&self, src: RouterId, dst: RouterId) -> Vec<LinkId> {
-        self.route_xy_iter(src, dst).collect()
+    /// Yields the `hops(src, dst)` links traversed (nothing when
+    /// `src == dst`).
+    pub fn route_xy_iter(&self, src: RouterId, dst: RouterId) -> Route<'static> {
+        Route::new(self, src, dst, None)
     }
 
     /// Randomized minimal adaptive route as an allocation-free walker: at
     /// each hop, picks uniformly among the productive directions. Models an
     /// *unordered* network (adaptive routing), the extension discussed in
     /// paper §2 / its reference 6.
-    pub fn route_adaptive_iter<'t, 'r>(
-        &'t self,
+    ///
+    /// `down` is the fault pipeline's hard-down mask (one flag per
+    /// [`LinkId::dense_index`]; `None` = every link is up): down links are
+    /// taken out of the productive set before the pick, so the route steers
+    /// around them where a minimal alternative survives and otherwise stops
+    /// short ([`Route::stranded`]).
+    pub fn route_adaptive_iter<'r>(
+        &self,
         src: RouterId,
         dst: RouterId,
         rng: &'r mut DetRng,
-    ) -> AdaptiveRoute<'t, 'r> {
-        AdaptiveRoute {
-            topo: self,
-            rng,
-            cur: src,
-            dstc: self.coord(dst),
-        }
-    }
-
-    /// Randomized minimal adaptive route, collected into a `Vec`. Hot paths
-    /// walk [`Topology::route_adaptive_iter`] instead.
-    pub fn route_adaptive(&self, src: RouterId, dst: RouterId, rng: &mut DetRng) -> Vec<LinkId> {
-        self.route_adaptive_iter(src, dst, rng).collect()
+        down: Option<&'r [bool]>,
+    ) -> Route<'r> {
+        Route::new(self, src, dst, Some((rng, down)))
     }
 }
 
-/// Allocation-free dimension-ordered route walker.
+/// Allocation-free minimal route walker, created by
+/// [`Topology::route_xy_iter`] or [`Topology::route_adaptive_iter`].
 ///
-/// Created by [`Topology::route_xy_iter`]; yields exactly
-/// `Topology::hops(src, dst)` links.
-#[derive(Debug, Clone)]
-pub struct XyRoute<'t> {
-    topo: &'t Topology,
-    cur: RouterId,
-    dstc: Coord,
-}
-
-impl XyRoute<'_> {
-    fn remaining(&self) -> usize {
-        let c = self.topo.coord(self.cur);
-        usize::from(c.x().abs_diff(self.dstc.x())) + usize::from(c.y().abs_diff(self.dstc.y()))
-    }
-}
-
-impl Iterator for XyRoute<'_> {
-    type Item = LinkId;
-
-    fn next(&mut self) -> Option<LinkId> {
-        let c = self.topo.coord(self.cur);
-        let dir = if c.x() < self.dstc.x() {
-            Direction::East
-        } else if c.x() > self.dstc.x() {
-            Direction::West
-        } else if c.y() < self.dstc.y() {
-            Direction::South
-        } else if c.y() > self.dstc.y() {
-            Direction::North
-        } else {
-            return None;
-        };
-        let link = LinkId {
-            from: self.cur,
-            dir,
-        };
-        self.cur = self
-            .topo
-            .neighbor(self.cur, dir)
-            .expect("route stepped off the mesh");
-        Some(link)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for XyRoute<'_> {}
-
-/// Allocation-free randomized minimal adaptive route walker.
-///
-/// Created by [`Topology::route_adaptive_iter`]; yields exactly
-/// `Topology::hops(src, dst)` links, consuming one RNG draw per hop where
-/// both dimensions are productive (identical to the historical `Vec`-based
-/// routing, so seeded runs reproduce the same paths).
+/// With every link up it yields exactly `Topology::hops(src, dst)` links. An
+/// adaptive route consumes one RNG draw per hop where two productive links
+/// are up (identical to the historical `Vec`-based routing, so seeded runs
+/// reproduce the same paths) and none where only one is.
 #[derive(Debug)]
-pub struct AdaptiveRoute<'t, 'r> {
-    topo: &'t Topology,
-    rng: &'r mut DetRng,
+pub struct Route<'r> {
+    /// Mesh columns: the router-index distance of one hop south.
+    width: u16,
+    /// Where the walk stands: the router index and its coordinate advance
+    /// together, so a hop costs no division.
     cur: RouterId,
+    c: Coord,
     dstc: Coord,
+    /// `None`: dimension order, always the first productive direction.
+    /// `Some`: a uniform pick among the productive links the mask leaves up.
+    adaptive: Option<(&'r mut DetRng, Option<&'r [bool]>)>,
 }
 
-impl AdaptiveRoute<'_, '_> {
-    fn remaining(&self) -> usize {
-        let c = self.topo.coord(self.cur);
-        usize::from(c.x().abs_diff(self.dstc.x())) + usize::from(c.y().abs_diff(self.dstc.y()))
+impl<'r> Route<'r> {
+    fn new(
+        topo: &Topology,
+        src: RouterId,
+        dst: RouterId,
+        adaptive: Option<(&'r mut DetRng, Option<&'r [bool]>)>,
+    ) -> Self {
+        Route {
+            width: topo.width,
+            cur: src,
+            c: topo.coord(src),
+            dstc: topo.coord(dst),
+            adaptive,
+        }
+    }
+
+    /// Whether an adaptive walk stopped short of its destination because
+    /// every productive link out of the router it reached is down (minimal
+    /// routing only: no detour is attempted). Meaningful once `next` has
+    /// returned `None`.
+    pub fn stranded(&self) -> bool {
+        self.c != self.dstc
     }
 }
 
-impl Iterator for AdaptiveRoute<'_, '_> {
+/// The direction that brings coordinate `c` closer to `dst` along one axis,
+/// `None` when they already agree.
+fn toward(c: u16, dst: u16, up: Direction, back: Direction) -> Option<Direction> {
+    match c.cmp(&dst) {
+        Ordering::Less => Some(up),
+        Ordering::Greater => Some(back),
+        Ordering::Equal => None,
+    }
+}
+
+impl Iterator for Route<'_> {
     type Item = LinkId;
 
     fn next(&mut self) -> Option<LinkId> {
-        let c = self.topo.coord(self.cur);
-        let mut productive = [Direction::East; 2];
-        let mut n = 0;
-        if c.x() < self.dstc.x() {
-            productive[n] = Direction::East;
-            n += 1;
-        } else if c.x() > self.dstc.x() {
-            productive[n] = Direction::West;
-            n += 1;
-        }
-        if c.y() < self.dstc.y() {
-            productive[n] = Direction::South;
-            n += 1;
-        } else if c.y() > self.dstc.y() {
-            productive[n] = Direction::North;
-            n += 1;
-        }
-        let dir = match n {
-            0 => return None,
-            1 => productive[0],
-            _ => *self.rng.pick(&productive[..n]),
+        // The productive directions, at most one per axis, x before y.
+        let (c, dstc, cur) = (self.c, self.dstc, self.cur);
+        let along_x = toward(c.x(), dstc.x(), Direction::East, Direction::West);
+        let along_y = || toward(c.y(), dstc.y(), Direction::South, Direction::North);
+        let dir = match &mut self.adaptive {
+            None => along_x.or_else(along_y)?,
+            Some((rng, down)) => {
+                let up = |dir: &Direction| {
+                    down.is_none_or(|down| !down[LinkId::new(cur, *dir).dense_index()])
+                };
+                match (along_x.filter(up), along_y().filter(up)) {
+                    (Some(x), Some(y)) => *rng.pick(&[x, y]),
+                    (one, other) => one.or(other)?,
+                }
+            }
         };
-        let link = LinkId {
-            from: self.cur,
-            dir,
+        // Constant arms compile to a table, not a branch: adaptive routes
+        // turn unpredictably, and a mispredicted four-way branch here cost
+        // more than the rest of the hop. A productive direction cannot lead
+        // off the mesh (the destination, inside it, lies that way).
+        let (dx, dy) = match dir {
+            Direction::East => (1, 0),
+            Direction::West => (-1, 0),
+            Direction::South => (0, 1),
+            Direction::North => (0, -1),
         };
-        self.cur = self
-            .topo
-            .neighbor(self.cur, dir)
-            .expect("route stepped off the mesh");
-        Some(link)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining();
-        (n, Some(n))
+        let (x, y) = (i32::from(c.x()) + dx, i32::from(c.y()) + dy);
+        self.c = Coord::new(x as u16, y as u16);
+        self.cur = RouterId((y * i32::from(self.width) + x) as u16);
+        Some(LinkId::new(cur, dir))
     }
 }
-
-impl ExactSizeIterator for AdaptiveRoute<'_, '_> {}
 
 #[cfg(test)]
 mod tests {
@@ -449,7 +412,7 @@ mod tests {
         for a in 0..16 {
             for b in 0..16 {
                 let (ra, rb) = (RouterId::new(a), RouterId::new(b));
-                assert_eq!(t.route_xy(ra, rb).len() as u32, t.hops(ra, rb));
+                assert_eq!(t.route_xy_iter(ra, rb).count() as u32, t.hops(ra, rb));
             }
         }
     }
@@ -458,8 +421,10 @@ mod tests {
     fn xy_route_goes_x_first() {
         let t = topo();
         // 0 (0,0) -> 15 (3,3): 3 easts then 3 souths.
-        let path = t.route_xy(RouterId::new(0), RouterId::new(15));
-        let dirs: Vec<Direction> = path.iter().map(|l| l.dir()).collect();
+        let dirs: Vec<Direction> = t
+            .route_xy_iter(RouterId::new(0), RouterId::new(15))
+            .map(LinkId::dir)
+            .collect();
         assert_eq!(
             dirs,
             vec![
@@ -476,15 +441,18 @@ mod tests {
     #[test]
     fn self_route_is_empty() {
         let t = topo();
-        assert!(t.route_xy(RouterId::new(7), RouterId::new(7)).is_empty());
+        assert_eq!(
+            t.route_xy_iter(RouterId::new(7), RouterId::new(7)).count(),
+            0
+        );
     }
 
     #[test]
     fn xy_route_is_deterministic() {
         let t = topo();
-        let a = t.route_xy(RouterId::new(2), RouterId::new(13));
-        let b = t.route_xy(RouterId::new(2), RouterId::new(13));
-        assert_eq!(a, b);
+        let a = t.route_xy_iter(RouterId::new(2), RouterId::new(13));
+        let b = t.route_xy_iter(RouterId::new(2), RouterId::new(13));
+        assert!(a.eq(b));
     }
 
     #[test]
@@ -494,8 +462,8 @@ mod tests {
         for a in 0..16 {
             for b in 0..16 {
                 let (ra, rb) = (RouterId::new(a), RouterId::new(b));
-                let path = t.route_adaptive(ra, rb, &mut rng);
-                assert_eq!(path.len() as u32, t.hops(ra, rb));
+                let path = t.route_adaptive_iter(ra, rb, &mut rng, None);
+                assert_eq!(path.count() as u32, t.hops(ra, rb));
             }
         }
     }
@@ -507,9 +475,8 @@ mod tests {
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..32 {
             let path: Vec<usize> = t
-                .route_adaptive(RouterId::new(0), RouterId::new(15), &mut rng)
-                .iter()
-                .map(|l| l.dense_index())
+                .route_adaptive_iter(RouterId::new(0), RouterId::new(15), &mut rng, None)
+                .map(LinkId::dense_index)
                 .collect();
             distinct.insert(path);
         }
@@ -524,7 +491,7 @@ mod tests {
         let t = topo();
         for a in 0..16 {
             for b in 0..16 {
-                for l in t.route_xy(RouterId::new(a), RouterId::new(b)) {
+                for l in t.route_xy_iter(RouterId::new(a), RouterId::new(b)) {
                     assert!(l.dense_index() < t.link_slots());
                 }
             }
@@ -551,7 +518,10 @@ mod tests {
     #[test]
     fn link_constructor_matches_walker_links() {
         let t = topo();
-        let walked = t.route_xy(RouterId::new(0), RouterId::new(1))[0];
+        let walked = t
+            .route_xy_iter(RouterId::new(0), RouterId::new(1))
+            .next()
+            .expect("one hop");
         let built = LinkId::new(RouterId::new(0), Direction::East);
         assert_eq!(walked, built);
         assert_eq!(built.dense_index(), walked.dense_index());
@@ -577,7 +547,7 @@ mod proptests {
             let t = Topology::new(w, h);
             let n = t.router_count() as u16;
             let (src, dst) = (RouterId::new(a % n), RouterId::new(b % n));
-            let path = t.route_xy(src, dst);
+            let path: Vec<LinkId> = t.route_xy_iter(src, dst).collect();
             prop_assert_eq!(path.len() as u32, t.hops(src, dst));
             let mut cur = src;
             for link in &path {
@@ -587,7 +557,10 @@ mod proptests {
             prop_assert_eq!(cur, dst);
         }
 
-        /// Adaptive routes are also valid minimal walks.
+        /// Adaptive routes are also valid minimal walks, and under a
+        /// down-mask they never cross a down link: they either still reach
+        /// the destination in the Manhattan distance or stop where every
+        /// productive link is down.
         #[test]
         fn adaptive_routes_are_valid_walks(
             w in 1u16..9,
@@ -595,19 +568,38 @@ mod proptests {
             a in 0u16..64,
             b in 0u16..64,
             seed in 0u64..1000,
+            down_per_mille in 0u64..300,
         ) {
             let t = Topology::new(w, h);
             let n = t.router_count() as u16;
             let (src, dst) = (RouterId::new(a % n), RouterId::new(b % n));
             let mut rng = DetRng::from_seed(seed);
-            let path = t.route_adaptive(src, dst, &mut rng);
-            prop_assert_eq!(path.len() as u32, t.hops(src, dst));
+            let down: Vec<bool> = (0..t.link_slots())
+                .map(|_| rng.below(1000) < down_per_mille)
+                .collect();
+            let mask = (down_per_mille > 0).then_some(&down[..]);
+            let mut route = t.route_adaptive_iter(src, dst, &mut rng, mask);
+            let path: Vec<LinkId> = route.by_ref().collect();
+            let stranded = route.stranded();
             let mut cur = src;
             for link in &path {
                 prop_assert_eq!(link.from(), cur);
+                prop_assert!(mask.is_none() || !down[link.dense_index()]);
                 cur = t.neighbor(cur, link.dir()).expect("link exists");
             }
-            prop_assert_eq!(cur, dst);
+            prop_assert_eq!(stranded, cur != dst);
+            if stranded {
+                prop_assert!(mask.is_some());
+                let every_productive_link_is_down = Direction::ALL.into_iter().all(|d| {
+                    let closer = t
+                        .neighbor(cur, d)
+                        .is_some_and(|nb| t.hops(nb, dst) < t.hops(cur, dst));
+                    !closer || down[LinkId::new(cur, d).dense_index()]
+                });
+                prop_assert!(every_productive_link_is_down);
+            } else {
+                prop_assert_eq!(path.len() as u32, t.hops(src, dst));
+            }
         }
     }
 }

@@ -236,17 +236,20 @@ fn parse_protocol(name: &str) -> Result<ProtocolVariant, String> {
 }
 
 impl ConfigSpec {
-    /// Builds the effective [`SystemConfig`].
+    /// Builds the effective [`SystemConfig`] and validates it, so that bad
+    /// fault input (a negative or oversized rate, bad probabilities, empty
+    /// windows, routers or links the mesh does not have) is a client error
+    /// at submission time, not a worker crash or a silently fault-free run.
     ///
     /// # Errors
     ///
-    /// Rejects unknown protocol names.
+    /// Rejects unknown protocol names and invalid configurations.
     pub fn to_config(&self) -> Result<SystemConfig, String> {
         let mut cfg = match parse_protocol(&self.protocol)? {
             ProtocolVariant::DirCmp => SystemConfig::dircmp(),
             ProtocolVariant::FtDirCmp => SystemConfig::ftdircmp(),
         };
-        if self.fault_rate > 0.0 {
+        if self.fault_rate != 0.0 {
             cfg = cfg.with_fault_rate(self.fault_rate);
         }
         if let Some(w) = self.watchdog_cycles {
@@ -264,11 +267,8 @@ impl ConfigSpec {
                 domains = domains.with_seed(seed);
             }
             cfg = cfg.with_fault_domains(domains);
-            // Surface bad probabilities / empty windows / out-of-mesh
-            // routers as client errors at submission time, not worker
-            // crashes at run time.
-            cfg.validate()?;
         }
+        cfg.validate()?;
         Ok(cfg)
     }
 
@@ -696,6 +696,15 @@ mod tests {
                 r#"{"kind":"fault-search","specs":["fft"],"schedule_seeds":["x"]}"#,
                 "expected integers",
             ),
+            // A bad rate is refused, not clamped or run fault-free.
+            (
+                r#"{"kind":"campaign","specs":["fft"],"configs":[{"protocol":"ftdircmp","fault_rate":-5}]}"#,
+                "loss_per_million = -5",
+            ),
+            (
+                r#"{"kind":"campaign","specs":["fft"],"configs":[{"protocol":"ftdircmp","fault_rate":2000000}]}"#,
+                "loss_per_million = 2000000",
+            ),
         ] {
             let e = JobSpec::from_json(&Json::parse(patch).unwrap()).unwrap_err();
             assert!(e.contains(needle), "{patch}: {e}");
@@ -771,6 +780,11 @@ mod tests {
             (
                 r#"[{"kind":"link-flap","router":5,"start":0,"end":1}]"#,
                 "\"dir\"",
+            ),
+            // r3-east points off the 4x4 mesh: the flap could never fire.
+            (
+                r#"[{"kind":"link-flap","router":3,"dir":"east","start":0,"end":1}]"#,
+                "off the mesh edge",
             ),
         ] {
             let json = format!(
