@@ -42,7 +42,17 @@ struct Way<V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<V> {
-    sets: Vec<Vec<Way<V>>>,
+    /// The `sets × assoc` way slots in one block, each the index in `ways`
+    /// of the line it holds: set `i` owns slots `i * assoc..(i + 1) * assoc`,
+    /// of which the first `occupied[i]` are in use, in insertion order.
+    /// Free slots hold stale values.
+    way_of: Vec<u32>,
+    /// Occupied way slots per set.
+    occupied: Vec<u32>,
+    /// The resident lines of the array, packed in no particular order, so
+    /// that building and cloning a cache costs what it holds, not what it
+    /// could hold.
+    ways: Vec<Way<V>>,
     assoc: usize,
     clock: u64,
     overflow: FxHashMap<LineAddr, V>,
@@ -55,13 +65,18 @@ impl<V> SetAssocCache<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `assoc` is zero.
+    /// Panics if `sets` or `assoc` is zero, or if there are more than
+    /// `u32::MAX` way slots.
     pub fn new(sets: u64, assoc: u32) -> Self {
         assert!(sets > 0 && assoc > 0, "cache dimensions must be positive");
+        let slots = sets
+            .checked_mul(u64::from(assoc))
+            .and_then(|n| u32::try_from(n).ok())
+            .expect("cache has at most u32::MAX ways") as usize;
         SetAssocCache {
-            sets: (0..sets)
-                .map(|_| Vec::with_capacity(assoc as usize))
-                .collect(),
+            way_of: vec![0; slots],
+            occupied: vec![0; sets as usize],
+            ways: Vec::new(),
             assoc: assoc as usize,
             clock: 0,
             overflow: FxHashMap::default(),
@@ -71,29 +86,55 @@ impl<V> SetAssocCache<V> {
     }
 
     fn set_index(&self, addr: LineAddr) -> usize {
-        (addr.0 % self.sets.len() as u64) as usize
+        (addr.0 % self.occupied.len() as u64) as usize
+    }
+
+    /// The occupied way slots of set `idx`.
+    fn set_slots(&self, idx: usize) -> std::ops::Range<usize> {
+        let base = idx * self.assoc;
+        base..base + self.occupied[idx] as usize
+    }
+
+    /// The line held by an occupied way slot.
+    fn way(&self, slot: usize) -> &Way<V> {
+        &self.ways[self.way_of[slot] as usize]
+    }
+
+    /// The way slot holding `addr`, if the line is in the array.
+    fn slot_of(&self, addr: LineAddr) -> Option<usize> {
+        self.set_slots(self.set_index(addr))
+            .find(|&slot| self.way(slot).addr == addr)
+    }
+
+    /// Appends `way` to set `idx`, which must have a free way slot.
+    fn push_way(&mut self, idx: usize, way: Way<V>) {
+        let slot = self.set_slots(idx).end;
+        self.way_of[slot] = self.ways.len() as u32;
+        self.ways.push(way);
+        self.occupied[idx] += 1;
     }
 
     /// Looks up a line without touching LRU state.
     pub fn get(&self, addr: LineAddr) -> Option<&V> {
-        let set = &self.sets[self.set_index(addr)];
-        set.iter()
-            .find(|w| w.addr == addr)
-            .map(|w| &w.value)
-            .or_else(|| self.overflow.get(&addr))
+        match self.slot_of(addr) {
+            Some(slot) => Some(&self.way(slot).value),
+            None if self.overflow.is_empty() => None,
+            None => self.overflow.get(&addr),
+        }
     }
 
     /// Looks up a line mutably and refreshes its LRU position.
     pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut V> {
         self.clock += 1;
-        let clock = self.clock;
-        let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        if let Some(w) = set.iter_mut().find(|w| w.addr == addr) {
-            w.stamp = clock;
-            return Some(&mut w.value);
+        match self.slot_of(addr) {
+            Some(slot) => {
+                let way = &mut self.ways[self.way_of[slot] as usize];
+                way.stamp = self.clock;
+                Some(&mut way.value)
+            }
+            None if self.overflow.is_empty() => None,
+            None => self.overflow.get_mut(&addr),
         }
-        self.overflow.get_mut(&addr)
     }
 
     /// Whether the line is present (in the array or overflow buffer).
@@ -116,43 +157,34 @@ impl<V> SetAssocCache<V> {
     ) -> InsertOutcome<V> {
         assert!(!self.contains(addr), "line {addr} inserted twice");
         self.clock += 1;
-        let clock = self.clock;
+        let way = Way {
+            addr,
+            value,
+            stamp: self.clock,
+        };
         let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        if set.len() < self.assoc {
-            set.push(Way {
-                addr,
-                value,
-                stamp: clock,
-            });
+        if (self.occupied[idx] as usize) < self.assoc {
+            self.push_way(idx, way);
             return InsertOutcome {
                 evicted: None,
                 overflowed: false,
             };
         }
         // Evict the least-recently-used evictable way.
-        let victim = set
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| evictable(w.addr, &w.value))
-            .min_by_key(|(_, w)| w.stamp)
-            .map(|(i, _)| i);
-        if let Some(i) = victim {
-            let old = std::mem::replace(
-                &mut set[i],
-                Way {
-                    addr,
-                    value,
-                    stamp: clock,
-                },
-            );
+        let victim = self
+            .set_slots(idx)
+            .filter(|&slot| evictable(self.way(slot).addr, &self.way(slot).value))
+            .min_by_key(|&slot| self.way(slot).stamp);
+        if let Some(slot) = victim {
+            // The newcomer takes over the victim's way slot.
+            let old = std::mem::replace(&mut self.ways[self.way_of[slot] as usize], way);
             self.evictions += 1;
             InsertOutcome {
                 evicted: Some((old.addr, old.value)),
                 overflowed: false,
             }
         } else {
-            self.overflow.insert(addr, value);
+            self.overflow.insert(addr, way.value);
             self.overflow_peak = self.overflow_peak.max(self.overflow.len());
             InsertOutcome {
                 evicted: None,
@@ -164,13 +196,30 @@ impl<V> SetAssocCache<V> {
     /// Removes a line, returning its value. Overflowed lines mapping to the
     /// freed set are promoted back into the array opportunistically.
     pub fn remove(&mut self, addr: LineAddr) -> Option<V> {
-        if let Some(v) = self.overflow.remove(&addr) {
-            return Some(v);
+        if !self.overflow.is_empty() {
+            if let Some(v) = self.overflow.remove(&addr) {
+                return Some(v);
+            }
         }
+        let slot = self.slot_of(addr)?;
         let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        let pos = set.iter().position(|w| w.addr == addr)?;
-        let way = set.remove(pos);
+        // Close the gap so the set's remaining ways keep their insertion
+        // order.
+        let rest = slot..self.set_slots(idx).end;
+        let freed = self.way_of[slot] as usize;
+        self.way_of[rest].rotate_left(1);
+        self.occupied[idx] -= 1;
+        // Keep `ways` packed: the last line moves into the hole, and the
+        // one way slot that pointed at it follows.
+        let way = self.ways.swap_remove(freed);
+        let last = self.ways.len();
+        if freed != last {
+            let moved_slot = self
+                .set_slots(self.set_index(self.ways[freed].addr))
+                .find(|&slot| self.way_of[slot] as usize == last)
+                .expect("resident line has a way slot");
+            self.way_of[moved_slot] = freed as u32;
+        }
         self.promote_overflow(idx);
         Some(way.value)
     }
@@ -179,38 +228,34 @@ impl<V> SetAssocCache<V> {
         if self.overflow.is_empty() {
             return;
         }
-        let sets_len = self.sets.len() as u64;
+        let sets_len = self.occupied.len() as u64;
         let candidate = self
             .overflow
             .keys()
             .find(|a| (a.0 % sets_len) as usize == set_idx)
             .copied();
         if let Some(addr) = candidate {
-            if self.sets[set_idx].len() < self.assoc {
+            if (self.occupied[set_idx] as usize) < self.assoc {
                 let value = self.overflow.remove(&addr).expect("candidate present");
                 self.clock += 1;
-                let clock = self.clock;
-                self.sets[set_idx].push(Way {
-                    addr,
-                    value,
-                    stamp: clock,
-                });
+                let stamp = self.clock;
+                self.push_way(set_idx, Way { addr, value, stamp });
             }
         }
     }
 
-    /// Iterates over all resident lines (array + overflow).
+    /// Iterates over all resident lines (array + overflow): sets ascending,
+    /// the ways of a set in insertion order, then the overflow buffer.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &V)> {
-        self.sets
-            .iter()
-            .flatten()
-            .map(|w| (w.addr, &w.value))
+        (0..self.occupied.len())
+            .flat_map(|idx| self.set_slots(idx))
+            .map(|slot| (self.way(slot).addr, &self.way(slot).value))
             .chain(self.overflow.iter().map(|(a, v)| (*a, v)))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum::<usize>() + self.overflow.len()
+        self.ways.len() + self.overflow.len()
     }
 
     /// Whether the cache holds no lines.

@@ -613,40 +613,41 @@ impl L1Controller {
     /// the reified transition table ([`crate::transitions::l1_table`]).
     /// The first entry is always the mandatory `Cache` facet.
     pub fn table_facets(&self, addr: LineAddr) -> Facets {
+        let ids = &crate::transitions::l1().1;
         let mut f = Facets::new();
         let cached = self.cache.get(addr);
         f.push(match cached {
-            None => "I",
+            None => ids.i,
             Some(e) => match (e.perm, e.blocked) {
-                (L1Perm::S, _) => "S",
-                (L1Perm::O, _) => "O",
-                (L1Perm::E, false) => "E",
-                (L1Perm::E, true) => "Eb",
-                (L1Perm::M, false) => "M",
-                (L1Perm::M, true) => "Mb",
+                (L1Perm::S, _) => ids.s,
+                (L1Perm::O, _) => ids.o,
+                (L1Perm::E, false) => ids.e,
+                (L1Perm::E, true) => ids.eb,
+                (L1Perm::M, false) => ids.m,
+                (L1Perm::M, true) => ids.mb,
             },
         });
         let st = self.lines.get(addr);
         if let Some(m) = st.and_then(|s| s.miss.as_ref()) {
             f.push(match (m.kind, cached.map(|e| e.perm)) {
-                (MissKind::Load, _) => "IS",
-                (MissKind::Store, Some(L1Perm::S)) => "SM",
-                (MissKind::Store, Some(L1Perm::O)) => "OM",
-                (MissKind::Store, _) => "IM",
+                (MissKind::Load, _) => ids.is,
+                (MissKind::Store, Some(L1Perm::S)) => ids.sm,
+                (MissKind::Store, Some(L1Perm::O)) => ids.om,
+                (MissKind::Store, _) => ids.im,
             });
         }
         if let Some(w) = st.and_then(|s| s.wb.as_ref()) {
             f.push(match (w.data.is_some(), w.was_exclusive, w.dirty) {
-                (false, _, _) => "II",
-                (true, true, true) => "MI",
-                (true, true, false) => "EI",
-                (true, false, _) => "OI",
+                (false, _, _) => ids.ii,
+                (true, true, true) => ids.mi,
+                (true, true, false) => ids.ei,
+                (true, false, _) => ids.oi,
             });
         }
         if let Some(b) = st.and_then(|s| s.backup.as_ref()) {
             f.push(match b.kind {
-                BackupKind::ForwardedData { .. } => "B",
-                BackupKind::Writeback => "Bw",
+                BackupKind::ForwardedData { .. } => ids.b,
+                BackupKind::Writeback => ids.bw,
             });
         }
         f
@@ -654,18 +655,25 @@ impl L1Controller {
 
     /// Cross-checks an incoming message against the reified transition
     /// table (guards are not evaluated — this is an over-approximation).
-    /// Only active while the invariant checker is enabled, keeping the
-    /// campaign hot path untouched.
+    /// Runs on every delivered message in every build (`System` always
+    /// enables the checker): the facet ids are tested against the table's
+    /// per-state legality bitsets, so the check costs a few loads and bit
+    /// tests and allocates only when it reports a violation.
     fn table_check(&self, msg: &Message, ctx: &mut Ctx<'_>) {
         if !ctx.checker.is_enabled() {
             return;
         }
         let facets = self.table_facets(msg.addr);
-        if !crate::transitions::l1_table().legal_message(&facets, msg.mtype) {
+        let table = crate::transitions::l1_table();
+        if !table.legal_message(&facets, msg.mtype) {
             ctx.checker.protocol_error(
                 self.me,
                 msg.addr,
-                &format!("unexpected {} in state {}", msg.mtype, facets.join("+")),
+                &format!(
+                    "unexpected {} in state {}",
+                    msg.mtype,
+                    table.facet_names(&facets)
+                ),
                 ctx.now,
             );
         }

@@ -956,3 +956,29 @@ fn is_idle_reflects_open_backups() {
     );
     assert!(c.is_idle());
 }
+
+// ---------------------------------------------------------------------
+// Runtime table cross-check
+// ---------------------------------------------------------------------
+
+#[test]
+fn misrouted_getx_is_reported_by_the_table_cross_check() {
+    let mut h = Harness::ft();
+    let mut c = l1(&h);
+    // An L1 never receives requests: the table declares GetX impossible.
+    c.handle_message(Message::new(MsgType::GetX, L, HOME, ME), &mut h.ctx());
+    assert_eq!(
+        h.checker.violations(),
+        ["[0c] PROTOCOL: L1-0 on line:0x3: unexpected GetX in state I"]
+    );
+    // With a miss outstanding both facets are named, mandatory one first.
+    assert_eq!(c.cpu_access(load(L), &mut h.ctx()), CpuOutcome::Miss);
+    c.handle_message(Message::new(MsgType::GetX, L, HOME, ME), &mut h.ctx());
+    assert_eq!(
+        h.checker.violations()[1],
+        "[0c] PROTOCOL: L1-0 on line:0x3: unexpected GetX in state I+IS"
+    );
+    // A legal message leaves the checker alone.
+    c.handle_message(Message::new(MsgType::Inv, L, HOME, ME), &mut h.ctx());
+    assert_eq!(h.checker.violations().len(), 2);
+}

@@ -341,29 +341,30 @@ impl L2Controller {
     /// the reified transition table ([`crate::transitions::l2_table`]).
     /// The first entry is always the mandatory `Line` facet.
     pub fn table_facets(&self, addr: LineAddr) -> Facets {
+        let ids = &crate::transitions::l2().1;
         let mut f = Facets::new();
         f.push(match self.cache.get(addr) {
-            None => "NP",
-            Some(line) if line.owner.is_some() => "MT",
-            Some(_) => "RO",
+            None => ids.np,
+            Some(line) if line.owner.is_some() => ids.mt,
+            Some(_) => ids.ro,
         });
         if let Some(st) = self.lines.get(addr) {
             if let Some(tbe) = &st.tbe {
                 f.push(match tbe.stage {
-                    Stage::WaitMem => "WaitMem",
-                    Stage::WaitUnblock => "WaitUnblock",
-                    Stage::WaitWbData => "WaitWbData",
-                    Stage::WaitWbAckBd => "WaitWbAckBd",
-                    Stage::WaitRecall => "WaitRecall",
-                    Stage::WaitRecallAckBd => "WaitRecallAckBd",
-                    Stage::WaitMemWbAck => "WaitMemWbAck",
+                    Stage::WaitMem => ids.wait_mem,
+                    Stage::WaitUnblock => ids.wait_unblock,
+                    Stage::WaitWbData => ids.wait_wb_data,
+                    Stage::WaitWbAckBd => ids.wait_wb_ack_bd,
+                    Stage::WaitRecall => ids.wait_recall,
+                    Stage::WaitRecallAckBd => ids.wait_recall_ack_bd,
+                    Stage::WaitMemWbAck => ids.wait_mem_wb_ack,
                 });
             }
             if st.ext_pending.is_some() {
-                f.push("EXT");
+                f.push(ids.ext);
             }
             if st.mem_backup.is_some() {
-                f.push("MB");
+                f.push(ids.mb);
             }
         }
         f
@@ -371,18 +372,25 @@ impl L2Controller {
 
     /// Cross-checks an incoming message against the reified transition
     /// table (guards are not evaluated — this is an over-approximation).
-    /// Only active while the invariant checker is enabled, keeping the
-    /// campaign hot path untouched.
+    /// Runs on every delivered message in every build (`System` always
+    /// enables the checker): the facet ids are tested against the table's
+    /// per-state legality bitsets, so the check costs a few loads and bit
+    /// tests and allocates only when it reports a violation.
     fn table_check(&self, msg: &Message, ctx: &mut Ctx<'_>) {
         if !ctx.checker.is_enabled() {
             return;
         }
         let facets = self.table_facets(msg.addr);
-        if !crate::transitions::l2_table().legal_message(&facets, msg.mtype) {
+        let table = crate::transitions::l2_table();
+        if !table.legal_message(&facets, msg.mtype) {
             ctx.checker.protocol_error(
                 self.me,
                 msg.addr,
-                &format!("unexpected {} in state {}", msg.mtype, facets.join("+")),
+                &format!(
+                    "unexpected {} in state {}",
+                    msg.mtype,
+                    table.facet_names(&facets)
+                ),
                 ctx.now,
             );
         }

@@ -947,3 +947,21 @@ fn tbe_occupancy_is_sampled() {
     assert!(h.stats.l2_tbe_occupancy.count() > 0);
     assert_eq!(h.stats.l2_tbe_occupancy.max(), Some(1));
 }
+
+#[test]
+fn misrouted_inv_is_reported_by_the_table_cross_check() {
+    let mut h = Harness::ft();
+    let mut c = l2(&h);
+    // Invalidations only travel L2 -> L1: the table declares Inv impossible.
+    c.handle_message(
+        Message::new(MsgType::Inv, L, NodeId::L1(1), ME),
+        &mut h.ctx(),
+    );
+    assert_eq!(
+        h.checker.violations(),
+        ["[0c] PROTOCOL: L2-3 on line:0x3: unexpected Inv in state NP"]
+    );
+    // A legal request leaves the checker alone.
+    c.handle_message(gets(1, 10), &mut h.ctx());
+    assert_eq!(h.checker.violations().len(), 1);
+}

@@ -115,17 +115,18 @@ impl MemController {
     /// the reified transition table ([`crate::transitions::mem_table`]).
     /// The first entry is always the mandatory `Line` facet.
     pub fn table_facets(&self, addr: LineAddr) -> Facets {
+        let ids = &crate::transitions::mem().1;
         let mut f = Facets::new();
         f.push(if self.l2_owned.contains(&addr) {
-            "C"
+            ids.c
         } else {
-            "U"
+            ids.u
         });
         if let Some(tbe) = self.tbes.get(&addr) {
             f.push(match tbe.stage {
-                MemStage::WaitUnblock => "WaitUnblock",
-                MemStage::WaitWbData => "WaitWbData",
-                MemStage::WaitAckBd => "WaitAckBd",
+                MemStage::WaitUnblock => ids.wait_unblock,
+                MemStage::WaitWbData => ids.wait_wb_data,
+                MemStage::WaitAckBd => ids.wait_ack_bd,
             });
         }
         f
@@ -133,18 +134,25 @@ impl MemController {
 
     /// Cross-checks an incoming message against the reified transition
     /// table (guards are not evaluated — this is an over-approximation).
-    /// Only active while the invariant checker is enabled, keeping the
-    /// campaign hot path untouched.
+    /// Runs on every delivered message in every build (`System` always
+    /// enables the checker): the facet ids are tested against the table's
+    /// per-state legality bitsets, so the check costs a few loads and bit
+    /// tests and allocates only when it reports a violation.
     fn table_check(&self, msg: &Message, ctx: &mut Ctx<'_>) {
         if !ctx.checker.is_enabled() {
             return;
         }
         let facets = self.table_facets(msg.addr);
-        if !crate::transitions::mem_table().legal_message(&facets, msg.mtype) {
+        let table = crate::transitions::mem_table();
+        if !table.legal_message(&facets, msg.mtype) {
             ctx.checker.protocol_error(
                 self.me,
                 msg.addr,
-                &format!("unexpected {} in state {}", msg.mtype, facets.join("+")),
+                &format!(
+                    "unexpected {} in state {}",
+                    msg.mtype,
+                    table.facet_names(&facets)
+                ),
                 ctx.now,
             );
         }

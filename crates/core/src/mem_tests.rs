@@ -347,3 +347,26 @@ fn dircmp_memory_uses_no_timers_or_handshakes() {
     h.sent_none(MsgType::AckO);
     assert!(c.is_idle());
 }
+
+#[test]
+fn misrouted_gets_is_reported_by_the_table_cross_check() {
+    let mut h = Harness::ft();
+    let mut c = mem(true);
+    // The L2 always fetches exclusively: the table declares GetS impossible.
+    c.handle_message(
+        Message::new(MsgType::GetS, L, BANK, ME).serial(sn(10)),
+        &mut h.ctx(),
+    );
+    assert_eq!(
+        h.checker.violations(),
+        ["[0c] PROTOCOL: Mem-3 on line:0x3: unexpected GetS in state U"]
+    );
+    // A legal fill leaves the checker alone.
+    let mut h = Harness::ft();
+    let mut c = mem(true);
+    c.handle_message(
+        Message::new(MsgType::GetX, L, BANK, ME).serial(sn(10)),
+        &mut h.ctx(),
+    );
+    assert!(h.checker.violations().is_empty());
+}

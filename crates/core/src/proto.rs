@@ -71,13 +71,13 @@ impl std::fmt::Display for TimeoutKind {
 }
 
 /// The set of transition-table facets a controller currently holds for a
-/// line (e.g. `"Mb"`, `"miss:GetX"`). At most four facets can coexist on one
-/// line, so the set lives on the stack — `table_facets` is called once per
-/// delivered message when transition checking is enabled and must not
-/// allocate.
+/// line (`Mb`, `IM`, … at the L1), each as its state id: the state's index in
+/// [`crate::transitions::ControllerTable::states`]. At most four facets can
+/// coexist on one line, so the set lives on the stack — `table_facets` is
+/// called once per delivered message and must not allocate.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Facets {
-    buf: [&'static str; 4],
+    buf: [u8; 4],
     len: u8,
 }
 
@@ -85,7 +85,7 @@ impl Facets {
     /// An empty facet set.
     pub const fn new() -> Self {
         Facets {
-            buf: [""; 4],
+            buf: [0; 4],
             len: 0,
         }
     }
@@ -95,16 +95,16 @@ impl Facets {
     /// # Panics
     ///
     /// Panics if more than four facets are pushed.
-    pub fn push(&mut self, facet: &'static str) {
+    pub fn push(&mut self, facet: u8) {
         self.buf[self.len as usize] = facet;
         self.len += 1;
     }
 }
 
 impl std::ops::Deref for Facets {
-    type Target = [&'static str];
+    type Target = [u8];
 
-    fn deref(&self) -> &[&'static str] {
+    fn deref(&self) -> &[u8] {
         &self.buf[..self.len as usize]
     }
 }

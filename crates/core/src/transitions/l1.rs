@@ -489,6 +489,31 @@ fn exceptions() -> Vec<Exception> {
     ex
 }
 
-pub(super) fn build() -> Result<ControllerTable, String> {
-    ControllerTable::new(Controller::L1, states(), rows(), exceptions())
+super::state_ids! {
+    /// Ids of the states `L1Controller::table_facets` reports.
+    L1Ids {
+        i => "I",
+        s => "S",
+        e => "E",
+        o => "O",
+        m => "M",
+        mb => "Mb",
+        eb => "Eb",
+        is => "IS",
+        im => "IM",
+        sm => "SM",
+        om => "OM",
+        mi => "MI",
+        oi => "OI",
+        ei => "EI",
+        ii => "II",
+        b => "B",
+        bw => "Bw",
+    }
+}
+
+pub(super) fn build() -> Result<(ControllerTable, L1Ids), String> {
+    let table = ControllerTable::new(Controller::L1, states(), rows(), exceptions())?;
+    let ids = L1Ids::resolve(&table)?;
+    Ok((table, ids))
 }

@@ -340,6 +340,26 @@ fn exceptions() -> Vec<Exception> {
     ex
 }
 
-pub(super) fn build() -> Result<ControllerTable, String> {
-    ControllerTable::new(Controller::L2, states(), rows(), exceptions())
+super::state_ids! {
+    /// Ids of the states `L2Controller::table_facets` reports.
+    L2Ids {
+        np => "NP",
+        ro => "RO",
+        mt => "MT",
+        wait_mem => "WaitMem",
+        wait_unblock => "WaitUnblock",
+        wait_wb_data => "WaitWbData",
+        wait_wb_ack_bd => "WaitWbAckBd",
+        wait_recall => "WaitRecall",
+        wait_recall_ack_bd => "WaitRecallAckBd",
+        wait_mem_wb_ack => "WaitMemWbAck",
+        ext => "EXT",
+        mb => "MB",
+    }
+}
+
+pub(super) fn build() -> Result<(ControllerTable, L2Ids), String> {
+    let table = ControllerTable::new(Controller::L2, states(), rows(), exceptions())?;
+    let ids = L2Ids::resolve(&table)?;
+    Ok((table, ids))
 }

@@ -166,6 +166,19 @@ fn exceptions() -> Vec<Exception> {
     ex
 }
 
-pub(super) fn build() -> Result<ControllerTable, String> {
-    ControllerTable::new(Controller::Mem, states(), rows(), exceptions())
+super::state_ids! {
+    /// Ids of the states `MemController::table_facets` reports.
+    MemIds {
+        u => "U",
+        c => "C",
+        wait_unblock => "WaitUnblock",
+        wait_wb_data => "WaitWbData",
+        wait_ack_bd => "WaitAckBd",
+    }
+}
+
+pub(super) fn build() -> Result<(ControllerTable, MemIds), String> {
+    let table = ControllerTable::new(Controller::Mem, states(), rows(), exceptions())?;
+    let ids = MemIds::resolve(&table)?;
+    Ok((table, ids))
 }

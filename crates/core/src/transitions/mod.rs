@@ -21,9 +21,12 @@
 //! reachability claims (lint 3), and that FT-only machinery is unreachable
 //! with fault tolerance disabled (lint 5).
 //!
-//! The simulator cross-checks incoming messages against these tables at
-//! runtime when the invariant checker is enabled (see `handle_message` in
-//! `l1.rs` / `l2.rs` / `mem.rs`).
+//! The simulator cross-checks every delivered message against these tables
+//! at runtime, in every build (see `table_check` in `l1.rs` / `l2.rs` /
+//! `mem.rs`).  For that check each table is compiled, when it is built, into
+//! one bitset of legal message types per state, so the per-message cost is a
+//! handful of bit tests on small state ids and the rows and exceptions stay
+//! the single source of truth.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -32,9 +35,16 @@ use std::sync::OnceLock;
 use crate::msg::MsgType;
 use crate::proto::TimeoutKind;
 
+// One legality bit per message type in a `u32` (`ControllerTable::legal`).
+const _: () = assert!(MsgType::ALL.len() <= u32::BITS as usize);
+
 mod l1;
 mod l2;
 mod mem;
+
+pub(crate) use l1::L1Ids;
+pub(crate) use l2::L2Ids;
+pub(crate) use mem::MemIds;
 
 /// Which controller a table describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -427,6 +437,10 @@ pub struct ControllerTable {
     /// Declared family order; `families[0]` is the mandatory family.
     pub families: Vec<&'static str>,
     state_index: HashMap<&'static str, usize>,
+    /// `legal[state id]`: bit [`MsgType::index`] is set iff the state has a
+    /// row for the message or declares it ignored / deferred.  Derived from
+    /// [`ControllerTable::coverage`] once, in [`ControllerTable::new`].
+    legal: Vec<u32>,
 }
 
 impl ControllerTable {
@@ -492,14 +506,52 @@ impl ControllerTable {
                 ));
             }
         }
-        Ok(ControllerTable {
+        if states.len() > usize::from(u8::MAX) {
+            return Err(format!(
+                "{}: more than {} states",
+                controller.name(),
+                u8::MAX
+            ));
+        }
+        let mut table = ControllerTable {
             controller,
             states,
             rows,
             exceptions,
             families,
             state_index,
-        })
+            legal: Vec::new(),
+        };
+        table.legal = table
+            .states
+            .iter()
+            .map(|s| {
+                MsgType::ALL
+                    .iter()
+                    .filter(|&&mt| {
+                        !matches!(
+                            table.coverage(s.name, Event::Msg(mt)),
+                            Coverage::Impossible | Coverage::Uncovered
+                        )
+                    })
+                    .fold(0u32, |mask, mt| mask | 1 << mt.index())
+            })
+            .collect();
+        Ok(table)
+    }
+
+    /// Dense id of a state: its index in [`ControllerTable::states`].
+    fn state_id(&self, name: &str) -> Option<u8> {
+        self.state_index.get(name).map(|&i| i as u8)
+    }
+
+    /// The facet set `facets` spelt out as `A+B+C` (violation reports).
+    pub(crate) fn facet_names(&self, facets: &[u8]) -> String {
+        let names: Vec<&str> = facets
+            .iter()
+            .map(|&id| self.states[usize::from(id)].name)
+            .collect();
+        names.join("+")
     }
 
     #[must_use]
@@ -529,8 +581,11 @@ impl ControllerTable {
         evs
     }
 
-    pub fn rows_for(&self, state: &str, event: Event) -> impl Iterator<Item = &Transition> {
-        let state = state.to_owned();
+    pub fn rows_for<'a>(
+        &'a self,
+        state: &'a str,
+        event: Event,
+    ) -> impl Iterator<Item = &'a Transition> {
         self.rows
             .iter()
             .filter(move |r| r.src == state && r.event == event)
@@ -563,20 +618,43 @@ impl ControllerTable {
     }
 
     /// Runtime legality of a message arriving while the line's facets are
-    /// `facets` (one state name per populated family, mandatory family
+    /// `facets` (one state id per populated family, mandatory family
     /// always present).  Legal iff any facet has a row for the message or
     /// declares it ignored.  Guards are *not* evaluated: this is an
     /// over-approximation suitable for a cheap runtime cross-check.
     #[must_use]
-    pub fn legal_message(&self, facets: &[&str], mt: MsgType) -> bool {
-        facets.iter().any(|f| {
-            !matches!(
-                self.coverage(f, Event::Msg(mt)),
-                Coverage::Impossible | Coverage::Uncovered
-            )
-        })
+    pub fn legal_message(&self, facets: &[u8], mt: MsgType) -> bool {
+        let bit = 1u32 << mt.index();
+        facets
+            .iter()
+            .any(|&id| self.legal[usize::from(id)] & bit != 0)
     }
 }
+
+/// Declares a controller's state-id struct: one `u8` field per state the
+/// controller's `table_facets` can report, resolved by name against the
+/// table, so a misspelt state fails the table build instead of silently
+/// never matching.
+macro_rules! state_ids {
+    ($(#[$meta:meta])* $name:ident { $($field:ident => $state:literal),+ $(,)? }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy)]
+        pub(crate) struct $name {
+            $(pub(crate) $field: u8,)+
+        }
+
+        impl $name {
+            fn resolve(table: &$crate::transitions::ControllerTable) -> Result<Self, String> {
+                Ok($name {
+                    $($field: table.state_id($state).ok_or_else(|| {
+                        format!("{}: no state named {}", table.controller.name(), $state)
+                    })?,)+
+                })
+            }
+        }
+    };
+}
+pub(crate) use state_ids;
 
 /// Builds one or more `Transition`s from a compact row grammar:
 ///
@@ -671,23 +749,39 @@ macro_rules! transitions {
     }};
 }
 
-static L1_TABLE: OnceLock<ControllerTable> = OnceLock::new();
-static L2_TABLE: OnceLock<ControllerTable> = OnceLock::new();
-static MEM_TABLE: OnceLock<ControllerTable> = OnceLock::new();
+static L1: OnceLock<(ControllerTable, L1Ids)> = OnceLock::new();
+static L2: OnceLock<(ControllerTable, L2Ids)> = OnceLock::new();
+static MEM: OnceLock<(ControllerTable, MemIds)> = OnceLock::new();
+
+/// The L1 table with the state ids `L1Controller::table_facets` reports.
+pub(crate) fn l1() -> &'static (ControllerTable, L1Ids) {
+    L1.get_or_init(|| l1::build().expect("L1 transition table is malformed"))
+}
+
+/// The L2 table with the state ids `L2Controller::table_facets` reports.
+pub(crate) fn l2() -> &'static (ControllerTable, L2Ids) {
+    L2.get_or_init(|| l2::build().expect("L2 transition table is malformed"))
+}
+
+/// The memory table with the state ids `MemController::table_facets`
+/// reports.
+pub(crate) fn mem() -> &'static (ControllerTable, MemIds) {
+    MEM.get_or_init(|| mem::build().expect("Mem transition table is malformed"))
+}
 
 /// The reified L1 controller table.
 pub fn l1_table() -> &'static ControllerTable {
-    L1_TABLE.get_or_init(|| l1::build().expect("L1 transition table is malformed"))
+    &l1().0
 }
 
 /// The reified L2 bank controller table.
 pub fn l2_table() -> &'static ControllerTable {
-    L2_TABLE.get_or_init(|| l2::build().expect("L2 transition table is malformed"))
+    &l2().0
 }
 
 /// The reified memory controller table.
 pub fn mem_table() -> &'static ControllerTable {
-    MEM_TABLE.get_or_init(|| mem::build().expect("Mem transition table is malformed"))
+    &mem().0
 }
 
 /// Table for a controller by id.
@@ -740,9 +834,110 @@ mod tests {
     #[test]
     fn legality_over_facets() {
         use crate::msg::MsgType as T;
+        let (table, ids) = l1();
         // A blocked line with a pending backup still accepts Inv.
-        assert!(l1_table().legal_message(&["Mb"], T::Inv));
+        assert!(table.legal_message(&[ids.mb], T::Inv));
         // GetX is never legal at an L1, whatever the facets.
-        assert!(!l1_table().legal_message(&["I", "IS"], T::GetX));
+        assert!(!table.legal_message(&[ids.i, ids.is], T::GetX));
+    }
+
+    #[test]
+    fn dense_legality_equals_coverage_for_every_state_and_message() {
+        for c in Controller::ALL {
+            let t = table(c);
+            for s in &t.states {
+                let id = t.state_id(s.name).expect("declared state has an id");
+                assert_eq!(t.states[usize::from(id)].name, s.name);
+                for mt in MsgType::ALL {
+                    let covered = !matches!(
+                        t.coverage(s.name, Event::Msg(mt)),
+                        Coverage::Impossible | Coverage::Uncovered
+                    );
+                    assert_eq!(
+                        t.legal_message(&[id], mt),
+                        covered,
+                        "{}: {mt} in state {}",
+                        c.name(),
+                        s.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_ids_round_trip_to_the_names_the_controllers_report() {
+        fn check(table: &ControllerTable, pairs: &[(u8, &str)]) {
+            // Every state of the table is reportable by its controller.
+            assert_eq!(pairs.len(), table.states.len(), "{:?}", table.controller);
+            for &(id, name) in pairs {
+                assert_eq!(table.facet_names(&[id]), name, "{:?}", table.controller);
+                assert_eq!(table.state_id(name), Some(id));
+            }
+        }
+        let (t, i) = l1();
+        check(
+            t,
+            &[
+                (i.i, "I"),
+                (i.s, "S"),
+                (i.e, "E"),
+                (i.o, "O"),
+                (i.m, "M"),
+                (i.mb, "Mb"),
+                (i.eb, "Eb"),
+                (i.is, "IS"),
+                (i.im, "IM"),
+                (i.sm, "SM"),
+                (i.om, "OM"),
+                (i.mi, "MI"),
+                (i.oi, "OI"),
+                (i.ei, "EI"),
+                (i.ii, "II"),
+                (i.b, "B"),
+                (i.bw, "Bw"),
+            ],
+        );
+        let (t, i) = l2();
+        check(
+            t,
+            &[
+                (i.np, "NP"),
+                (i.ro, "RO"),
+                (i.mt, "MT"),
+                (i.wait_mem, "WaitMem"),
+                (i.wait_unblock, "WaitUnblock"),
+                (i.wait_wb_data, "WaitWbData"),
+                (i.wait_wb_ack_bd, "WaitWbAckBd"),
+                (i.wait_recall, "WaitRecall"),
+                (i.wait_recall_ack_bd, "WaitRecallAckBd"),
+                (i.wait_mem_wb_ack, "WaitMemWbAck"),
+                (i.ext, "EXT"),
+                (i.mb, "MB"),
+            ],
+        );
+        let (t, i) = mem();
+        check(
+            t,
+            &[
+                (i.u, "U"),
+                (i.c, "C"),
+                (i.wait_unblock, "WaitUnblock"),
+                (i.wait_wb_data, "WaitWbData"),
+                (i.wait_ack_bd, "WaitAckBd"),
+            ],
+        );
+        assert_eq!(l1().0.facet_names(&[l1().1.mb, l1().1.im]), "Mb+IM");
+    }
+
+    #[test]
+    fn misspelt_state_name_fails_id_resolution() {
+        state_ids! {
+            /// An id struct naming a state the L1 table does not declare.
+            #[allow(dead_code)]
+            Typo { mb => "MB" }
+        }
+        let err = Typo::resolve(l1_table()).expect_err("L1 has Mb, not MB");
+        assert_eq!(err, "L1: no state named MB");
     }
 }

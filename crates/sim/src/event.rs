@@ -1,15 +1,29 @@
 //! Time-ordered event queue.
 //!
 //! Implemented as a *calendar queue*: a power-of-two ring of per-cycle
-//! buckets covering the next [`RING_CYCLES`] cycles, plus a spill-over
+//! slots covering the next [`RING_CYCLES`] cycles, plus a spill-over
 //! binary heap for the rare event scheduled further out (timeout backoff
 //! can exceed the ring window; ordinary protocol delays — link hops,
-//! cache lookups, memory latency, first-shot timeouts — all fit). The
-//! simulator's event density is roughly one event per cycle, so bucket
-//! operations are O(1) pushes/pops and the scan to the next occupied
-//! cycle is short; the criterion microbenches (`queue_*` in
-//! `crates/bench/benches/simulator.rs`) compare this against the old
-//! `BinaryHeap` on recorded same-cycle churn distributions.
+//! cache lookups, memory latency, first-shot timeouts — all fit).
+//!
+//! A ring slot is not a container of its own: it is the head and tail
+//! index of a singly linked list threaded through one shared slab of
+//! nodes, and popped nodes go onto an intrusive free list inside the same
+//! slab. The whole queue is therefore two flat vectors (128 KiB of ring,
+//! plus a slab as large as the peak number of pending events), a
+//! steady-state `schedule`/`pop` pair touches no allocator, and cloning the
+//! queue for a checkpoint copies those two vectors.
+//!
+//! Each list is kept in pop order from the head, so `pop` unlinks the head
+//! node. Under FIFO tie-breaking, appending at the tail *is* pop order
+//! (keys are the ascending sequence numbers), so entering a cycle costs
+//! nothing; a cycle's list is sorted once, on entry, only when a schedule
+//! seed permutes the keys or when overflow events migrated into it.
+//!
+//! The simulator's event density is roughly one event per cycle, so the
+//! scan to the next occupied cycle is short; the criterion microbenches
+//! (`queue_*` in `crates/bench/benches/simulator.rs`) compare this against
+//! a `BinaryHeap` on recorded same-cycle churn distributions.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -23,6 +37,9 @@ use crate::Cycle;
 /// timeouts with backoff (base 2 000–8 000 cycles). Only deep backoff
 /// retries spill to the overflow heap.
 const RING_CYCLES: u64 = 16_384;
+
+/// "No node": the empty list head/tail and the end-of-list link.
+const NIL: u32 = u32::MAX;
 
 /// A deterministic, time-ordered event queue.
 ///
@@ -61,35 +78,46 @@ const RING_CYCLES: u64 = 16_384;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Per-cycle buckets; slot `c & (RING_CYCLES - 1)` holds cycle `c`.
-    /// All resident timestamps lie in `[now, now + RING_CYCLES)`, so no
-    /// two distinct cycles ever share a slot.
-    ring: Vec<Vec<Slot<E>>>,
-    /// Events currently stored in `ring` (across all buckets).
+    /// `(head, tail)` node index of each cycle's list, `(NIL, NIL)` when
+    /// empty; slot `c & (RING_CYCLES - 1)` holds cycle `c`. All resident
+    /// timestamps lie in `[now, now + RING_CYCLES)`, so no two distinct
+    /// cycles ever share a slot.
+    ring: Vec<(u32, u32)>,
+    /// Slab holding every ring-resident event and every free node.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list threaded through `nodes` (`NIL` when empty).
+    free: u32,
+    /// Events currently stored in the ring (across all slots).
     ring_events: usize,
     /// Events scheduled `>= RING_CYCLES` cycles out, ordered like the
-    /// classic heap; migrated into the ring bucket when their cycle is
+    /// classic heap; migrated into the ring slot when their cycle is
     /// entered.
     overflow: BinaryHeap<Scheduled<E>>,
     /// Timestamp of the next event, kept exact across all operations.
     next_at: Option<Cycle>,
-    /// Whether the bucket for `now` has been entered (migrated + sorted
-    /// descending) and is being drained from the back.
+    /// Whether the list for `now` has been entered (migrated + in pop
+    /// order from the head) and is being drained.
     entered: bool,
+    /// Node indices of the list being sorted in `enter_cycle`; kept so a
+    /// seeded run does not allocate per cycle.
+    sort_scratch: Vec<u32>,
     seq: u64,
     now: Cycle,
     scheduled_total: u64,
     schedule_seed: u64,
 }
 
-/// A ring-bucket entry. The cycle is implicit in the bucket.
+/// A slab node: a ring-resident event, or a free node (`event` is `None`).
+/// The cycle is implicit in the ring slot whose list the node is on.
 #[derive(Debug, Clone)]
-struct Slot<E> {
+struct Node<E> {
     /// Tie-break key: equals `seq` under FIFO, a seeded hash of `seq` under
     /// schedule perturbation.
     key: u64,
     seq: u64,
-    event: E,
+    /// Next node of the same list (cycle list or free list), or `NIL`.
+    next: u32,
+    event: Option<E>,
 }
 
 #[derive(Debug, Clone)]
@@ -137,11 +165,14 @@ impl<E> EventQueue<E> {
     /// permutation. Seed `0` is plain FIFO (identical to [`EventQueue::new`]).
     pub fn with_schedule_seed(schedule_seed: u64) -> Self {
         EventQueue {
-            ring: (0..RING_CYCLES).map(|_| Vec::new()).collect(),
+            ring: vec![(NIL, NIL); RING_CYCLES as usize],
+            nodes: Vec::new(),
+            free: NIL,
             ring_events: 0,
             overflow: BinaryHeap::new(),
             next_at: None,
             entered: false,
+            sort_scratch: Vec::new(),
             seq: 0,
             now: Cycle::ZERO,
             scheduled_total: 0,
@@ -159,8 +190,64 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    fn slot_of(&self, at: Cycle) -> usize {
+    fn slot_of(at: Cycle) -> usize {
         (at.as_u64() & (RING_CYCLES - 1)) as usize
+    }
+
+    /// Takes a node off the free list (or grows the slab) and fills it.
+    fn alloc_node(&mut self, key: u64, seq: u64, event: E) -> u32 {
+        let node = Node {
+            key,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free == NIL {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("fewer than u32::MAX pending events");
+            self.nodes.push(node);
+            idx
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        }
+    }
+
+    /// Appends node `idx` at the tail of `slot`'s list.
+    fn link_tail(&mut self, slot: usize, idx: u32) {
+        let (head, tail) = self.ring[slot];
+        if head == NIL {
+            self.ring[slot] = (idx, idx);
+        } else {
+            self.nodes[tail as usize].next = idx;
+            self.ring[slot].1 = idx;
+        }
+    }
+
+    /// Links node `idx` into `slot`'s list, which is ascending by
+    /// `(key, seq)`, at its sorted position.
+    fn link_sorted(&mut self, slot: usize, idx: u32) {
+        let rank = |n: &Node<E>| (n.key, n.seq);
+        let mine = rank(&self.nodes[idx as usize]);
+        let mut prev = NIL;
+        let mut cur = self.ring[slot].0;
+        while cur != NIL && rank(&self.nodes[cur as usize]) < mine {
+            prev = cur;
+            cur = self.nodes[cur as usize].next;
+        }
+        self.nodes[idx as usize].next = cur;
+        if prev == NIL {
+            self.ring[slot].0 = idx;
+        } else {
+            self.nodes[prev as usize].next = idx;
+        }
+        if cur == NIL {
+            self.ring[slot].1 = idx;
+        }
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -184,17 +271,16 @@ impl<E> EventQueue<E> {
             crate::rng::splitmix64(self.schedule_seed ^ crate::rng::splitmix64(seq))
         };
         if at.as_u64() - self.now.as_u64() < RING_CYCLES {
-            let slot = self.slot_of(at);
-            let bucket = &mut self.ring[slot];
-            if self.entered && at == self.now {
-                // The bucket for `now` is mid-drain and sorted descending
-                // by (key, seq); keep it that way so the remaining pops
-                // still follow heap order. Under FIFO the new event has
-                // the largest key, i.e. it goes to the very front.
-                let pos = bucket.partition_point(|s| (s.key, s.seq) > (key, seq));
-                bucket.insert(pos, Slot { key, seq, event });
+            let slot = Self::slot_of(at);
+            let idx = self.alloc_node(key, seq, event);
+            if self.schedule_seed != 0 && self.entered && at == self.now {
+                // The list for `now` is mid-drain and already in pop order;
+                // a seeded key can land anywhere in it.
+                self.link_sorted(slot, idx);
             } else {
-                bucket.push(Slot { key, seq, event });
+                // Not entered yet (sorted on entry if need be), or FIFO,
+                // where the new event has the largest key of its cycle.
+                self.link_tail(slot, idx);
             }
             self.ring_events += 1;
         } else {
@@ -213,31 +299,48 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, event);
     }
 
-    /// Prepares the bucket for cycle `at` for draining: migrates any
-    /// overflow events that landed on this cycle and sorts the bucket
-    /// descending by `(key, seq)` so pops come off the back in heap order.
+    /// Prepares the list for cycle `at` for draining: migrates any overflow
+    /// events that landed on this cycle and, if tail appends are not already
+    /// pop order, relinks the list ascending by `(key, seq)`.
     fn enter_cycle(&mut self, at: Cycle) {
-        let slot = self.slot_of(at);
+        let slot = Self::slot_of(at);
         let mut migrated = false;
         while self.overflow.peek().is_some_and(|s| s.at == at) {
             let s = self.overflow.pop().expect("peeked");
-            self.ring[slot].push(Slot {
-                key: s.key,
-                seq: s.seq,
-                event: s.event,
-            });
+            let idx = self.alloc_node(s.key, s.seq, s.event);
+            self.link_tail(slot, idx);
             self.ring_events += 1;
             migrated = true;
         }
-        let bucket = &mut self.ring[slot];
+        // FIFO appends arrive in ascending (key == seq) order already and
+        // pops come off the head, so the common case does nothing here.
         if self.schedule_seed != 0 || migrated {
-            bucket.sort_unstable_by_key(|s| std::cmp::Reverse((s.key, s.seq)));
-        } else {
-            // FIFO appends arrive in ascending (key == seq) order already;
-            // just flip for back-to-front draining.
-            bucket.reverse();
+            self.sort_list(slot);
         }
         self.entered = true;
+    }
+
+    /// Relinks `slot`'s list ascending by `(key, seq)`.
+    fn sort_list(&mut self, slot: usize) {
+        let mut order = std::mem::take(&mut self.sort_scratch);
+        order.clear();
+        let mut cur = self.ring[slot].0;
+        while cur != NIL {
+            order.push(cur);
+            cur = self.nodes[cur as usize].next;
+        }
+        order.sort_unstable_by_key(|&i| {
+            let n = &self.nodes[i as usize];
+            (n.key, n.seq)
+        });
+        for pair in order.windows(2) {
+            self.nodes[pair[0] as usize].next = pair[1];
+        }
+        if let (Some(&head), Some(&tail)) = (order.first(), order.last()) {
+            self.nodes[tail as usize].next = NIL;
+            self.ring[slot] = (head, tail);
+        }
+        self.sort_scratch = order;
     }
 
     /// Earliest event time strictly after `t`, across ring and overflow.
@@ -250,11 +353,11 @@ impl<E> EventQueue<E> {
                 if over.is_some_and(|o| o.as_u64() < at) {
                     return over;
                 }
-                if !self.ring[(at & (RING_CYCLES - 1)) as usize].is_empty() {
+                if self.ring[(at & (RING_CYCLES - 1)) as usize].0 != NIL {
                     return Some(Cycle::new(at));
                 }
             }
-            debug_assert!(false, "ring_events > 0 but no occupied bucket in window");
+            debug_assert!(false, "ring_events > 0 but no occupied slot in window");
         }
         over
     }
@@ -267,14 +370,21 @@ impl<E> EventQueue<E> {
         if !self.entered || at != self.now {
             self.enter_cycle(at);
         }
-        let slot = self.slot_of(at);
-        let s = self.ring[slot].pop().expect("bucket holds the next event");
+        let slot = Self::slot_of(at);
+        let idx = self.ring[slot].0;
+        let node = &mut self.nodes[idx as usize];
+        let event = node.event.take().expect("slot holds the next event");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = idx;
         self.ring_events -= 1;
         self.now = at;
-        if self.ring[slot].is_empty() {
+        if next == NIL {
+            self.ring[slot] = (NIL, NIL);
             self.next_at = self.find_next_after(at);
+        } else {
+            self.ring[slot].0 = next;
         }
-        Some((at, s.event))
+        Some((at, event))
     }
 
     /// Timestamp of the next event without removing it.
