@@ -140,7 +140,17 @@ impl Json {
     /// Returns a description of the first malformed construct, with its
     /// byte offset.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
+        Json::parse_bytes(text.as_bytes())
+    }
+
+    /// [`Json::parse`] for bytes not yet known to be UTF-8 (a journal line
+    /// read back after a crash): string contents are validated as they are
+    /// copied, and a stray byte anywhere else is not JSON to begin with.
+    ///
+    /// # Errors
+    ///
+    /// As [`Json::parse`]; invalid UTF-8 is reported with its byte offset.
+    pub fn parse_bytes(bytes: &[u8]) -> Result<Json, String> {
         let mut pos = 0;
         let value = parse_value(bytes, &mut pos)?;
         skip_ws(bytes, &mut pos);
@@ -318,11 +328,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Everything up to the next quote or backslash is literal
+                // text: validate the run once and copy it in one piece
+                // (neither byte can occur inside a multi-byte character).
+                let run = &bytes[*pos..];
+                let len = run
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .ok_or("unterminated string")?;
+                let text = std::str::from_utf8(&run[..len]).map_err(|e| {
+                    format!("invalid UTF-8 in string at byte {}", *pos + e.valid_up_to())
+                })?;
+                out.push_str(text);
+                *pos += len;
             }
         }
     }
@@ -397,5 +415,69 @@ mod tests {
         let v = Json::str("a\u{1}b\"c\\d");
         let text = v.to_string();
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_text_roundtrips_between_escapes() {
+        let v = Json::str("naïve \"λ→∞\" 日本語\t🦀\\end");
+        let text = v.to_string();
+        assert_eq!(text, "\"naïve \\\"λ→∞\\\" 日本語\\t🦀\\\\end\"");
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        // Raw multi-byte characters need no escaping on the way in either.
+        assert_eq!(Json::parse("\"é\"").unwrap(), Json::str("é"));
+    }
+
+    #[test]
+    fn every_escape_decodes() {
+        let v = Json::parse(r#""q\" b\\ s\/ n\n r\r t\t b\b f\f u\u00e9\u0041\u20ac z""#).unwrap();
+        assert_eq!(
+            v,
+            Json::str("q\" b\\ s/ n\n r\r t\t b\u{8} f\u{c} ué\u{41}€ z")
+        );
+        // An unpaired surrogate maps to the replacement character.
+        assert_eq!(Json::parse(r#""\ud800""#).unwrap(), Json::str("\u{fffd}"));
+        for bad in [r#""\x""#, r#""\u12""#, r#""\u12g4""#, r#""\"#] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_is_an_error_naming_the_byte() {
+        let mut bytes = br#"{"label":"ab"#.to_vec();
+        bytes.push(0xff);
+        bytes.extend_from_slice(br#"cd"}"#);
+        let err = Json::parse_bytes(&bytes).unwrap_err();
+        assert_eq!(err, "invalid UTF-8 in string at byte 12");
+        // A truncated multi-byte character is caught the same way.
+        let err = Json::parse_bytes(b"\"a\xe2\x82\"").unwrap_err();
+        assert_eq!(err, "invalid UTF-8 in string at byte 2");
+        // Outside a string a stray byte is simply not JSON.
+        assert!(Json::parse_bytes(b"[\xff]").is_err());
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for bad in ["\"", "\"abc", "\"abc\\\"", "{\"key", "[\"a\",\"b"] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.contains("unterminated"), "{bad:?}: {err}");
+        }
+    }
+
+    /// A structural bound, not a benchmark: the parser used to revalidate
+    /// the whole remaining buffer for every character, which on this
+    /// document is 2^43 byte visits.
+    #[test]
+    fn a_four_mebibyte_string_parses_in_linear_time() {
+        let body = "0123456789abcdeλ".repeat(4 << 16);
+        assert!(body.len() >= 4 << 20);
+        let text = format!("{{\"s\":\"{body}\"}}");
+        let t = std::time::Instant::now();
+        let v = Json::parse(&text).unwrap();
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(1),
+            "{:?}",
+            t.elapsed()
+        );
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(body.as_str()));
     }
 }

@@ -8,13 +8,26 @@
 //! jobs with a submit but no done record (and no summary on disk — the
 //! summary rename is the real commit point, the done record a fast-path
 //! hint) are re-enqueued, so a `kill -9` mid-campaign costs at most the
-//! units whose records never reached disk.
+//! units whose records never reached disk. Because it is only a hint the
+//! done record is appended *without* a sync of its own: the next submit's
+//! sync carries it to disk, and a crash that loses it costs one
+//! `is_done` check of the summary on boot, which also supplies the
+//! outcome.
 //!
 //! Scheduling is (priority descending, submission order ascending).
 //! Backpressure: once `max_pending` jobs are queued, further submissions
 //! are rejected with a typed error instead of growing without bound.
+//!
+//! Memory: the queue holds a [`JobSpec`] only while its job is pending or
+//! running. A finished job shrinks to a four-byte outcome code in a paged
+//! table — no allocation of its own — and `submit`, `take_next`,
+//! `mark_done` and `status` never walk the history, however many jobs the
+//! daemon has run; its label lives on in the stored summary, its priority
+//! is not kept.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
 use std::io::Write as _;
 use std::sync::{Condvar, Mutex};
 
@@ -53,18 +66,156 @@ pub struct QueuedJob {
     pub spec: JobSpec,
 }
 
+/// What `status`/`list` report about one job.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobStatus {
+    /// Where the job is in its lifecycle.
+    pub state: JobState,
+    /// The submission's label; the queue keeps it while the job is open
+    /// (a finished job's label is in its stored summary).
+    pub label: Option<String>,
+    /// The submission's priority, kept while the job is open.
+    pub priority: Option<i64>,
+}
+
+/// The number in a job id: ids are the daemon's own `j%06d` (more digits
+/// past 999999, never a redundant leading zero, at most fifteen so that
+/// arithmetic on numbers cannot overflow), so the number names the job
+/// and orders submissions. `None` for anything else — in particular for
+/// every string that would name a path outside `results/` once the store
+/// has joined it into a file name.
+pub fn job_number(id: &str) -> Option<u64> {
+    let digits = id.strip_prefix('j')?;
+    let canonical = match digits.len() {
+        6 => true,
+        7..=15 => !digits.starts_with('0'),
+        _ => false,
+    };
+    if !canonical || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+fn job_id(number: u64) -> String {
+    format!("j{number:06}")
+}
+
 #[derive(Debug)]
-struct JobInfo {
+struct OpenJob {
     spec: JobSpec,
-    seq: u64,
-    state: JobState,
+    running: bool,
 }
 
 #[derive(Debug)]
 struct QueueState {
-    jobs: BTreeMap<String, JobInfo>,
-    next_seq: u64,
+    /// The journal, held open for appending.
+    journal: File,
+    /// Pending and running jobs by number.
+    open: BTreeMap<u64, OpenJob>,
+    /// The pending ones in scheduling order; numbers rise with submission.
+    pending: BTreeSet<(Reverse<i64>, u64)>,
+    finished: Finished,
+    next_number: u64,
     shutdown: bool,
+}
+
+impl QueueState {
+    fn enqueue(&mut self, number: u64, spec: JobSpec) {
+        // A journal that submits one id twice: the later record wins.
+        if let Some(old) = self.open.remove(&number) {
+            self.pending.remove(&(Reverse(old.spec.priority), number));
+        }
+        self.pending.insert((Reverse(spec.priority), number));
+        let job = OpenJob {
+            spec,
+            running: false,
+        };
+        self.open.insert(number, job);
+    }
+
+    /// Moves a job from the open set to the finished table.
+    fn finish(&mut self, number: u64, outcome: &str) {
+        let Some(job) = self.open.remove(&number) else {
+            return;
+        };
+        self.pending.remove(&(Reverse(job.spec.priority), number));
+        self.finished.set(number, outcome);
+    }
+
+    fn status(&self, number: u64) -> Option<JobStatus> {
+        match self.open.get(&number) {
+            Some(job) => Some(job.status()),
+            None => self.finished.get(number).map(done_status),
+        }
+    }
+}
+
+impl OpenJob {
+    fn status(&self) -> JobStatus {
+        JobStatus {
+            state: if self.running {
+                JobState::Running
+            } else {
+                JobState::Pending
+            },
+            label: Some(self.spec.label.clone()),
+            priority: Some(self.spec.priority),
+        }
+    }
+}
+
+fn done_status(outcome: &str) -> JobStatus {
+    JobStatus {
+        state: JobState::Done(outcome.to_string()),
+        label: None,
+        priority: None,
+    }
+}
+
+/// Job numbers per page of the finished table.
+const PAGE: u64 = 256;
+
+/// Outcomes of finished jobs at four bytes a job: the daemon numbers its
+/// jobs densely and an outcome is one of a handful of strings, so a page
+/// of `PAGE` consecutive numbers holds, per job, an index into `names`
+/// plus one (0: not finished). A stray number in a hand-edited journal
+/// costs one page, not a table as long as the number is large.
+#[derive(Debug, Default)]
+struct Finished {
+    pages: BTreeMap<u64, Box<[u32; PAGE as usize]>>,
+    names: Vec<String>,
+}
+
+impl Finished {
+    fn set(&mut self, number: u64, outcome: &str) {
+        let name = self.names.iter().position(|n| n == outcome);
+        let name = name.unwrap_or_else(|| {
+            self.names.push(outcome.to_string());
+            self.names.len() - 1
+        });
+        let page = self
+            .pages
+            .entry(number / PAGE)
+            .or_insert_with(|| Box::new([0; _]));
+        page[(number % PAGE) as usize] = name as u32 + 1;
+    }
+
+    fn get(&self, number: u64) -> Option<&str> {
+        self.name(self.pages.get(&(number / PAGE))?[(number % PAGE) as usize])
+    }
+
+    fn name(&self, code: u32) -> Option<&str> {
+        Some(&self.names[code.checked_sub(1)? as usize])
+    }
+
+    /// Every finished job, in number order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.pages.iter().flat_map(move |(&p, page)| {
+            let slots = (p * PAGE..).zip(page.iter());
+            slots.filter_map(|(number, &code)| Some((number, self.name(code)?)))
+        })
+    }
 }
 
 /// The queue: journal + in-memory scheduling state.
@@ -78,7 +229,9 @@ pub struct Queue {
 
 impl Queue {
     /// Opens the queue, replaying the journal and re-enqueueing every job
-    /// that was submitted but never durably finished.
+    /// that was submitted but never durably finished. Records that do not
+    /// parse, do not validate or carry an id [`job_number`] rejects are
+    /// skipped rather than wedging the queue.
     ///
     /// # Errors
     ///
@@ -88,72 +241,61 @@ impl Queue {
     ///
     /// Panics if the state mutex is poisoned (never: no panics under it).
     pub fn open(store: Store, max_pending: usize) -> std::io::Result<Queue> {
-        let journal = store.journal_path();
-        let loaded = crate::store::load_prefix(&journal)?;
+        let path = store.journal_path();
+        let loaded = crate::store::load_prefix(&path)?;
         // Cut a torn tail so our own appends start on a line boundary.
-        crate::store::truncate_to(&journal, loaded.valid_len)?;
+        crate::store::truncate_to(&path, loaded.valid_len)?;
+        let journal = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)?;
 
-        let mut jobs: BTreeMap<String, JobInfo> = BTreeMap::new();
-        let mut next_seq = 1u64;
+        let mut st = QueueState {
+            journal,
+            open: BTreeMap::new(),
+            pending: BTreeSet::new(),
+            finished: Finished::default(),
+            next_number: 1,
+            shutdown: false,
+        };
         for rec in &loaded.records {
-            let (Some(op), Some(id)) = (
+            let (Some(op), Some(number)) = (
                 rec.get("op").and_then(Json::as_str),
-                rec.get("id").and_then(Json::as_str),
+                rec.get("id").and_then(Json::as_str).and_then(job_number),
             ) else {
                 continue;
             };
             match op {
                 "submit" => {
-                    let Some(job) = rec.get("job") else { continue };
-                    let Ok(spec) = JobSpec::from_json(job) else {
-                        // A journaled job that no longer validates (e.g. a
-                        // workload renamed between versions) is dropped
-                        // rather than wedging the queue.
+                    // A journaled job that no longer validates (e.g. a
+                    // workload renamed between versions) is dropped.
+                    let Some(Ok(spec)) = rec.get("job").map(JobSpec::from_json) else {
                         continue;
                     };
-                    if let Some(seq) = id.strip_prefix('j').and_then(|n| n.parse::<u64>().ok()) {
-                        next_seq = next_seq.max(seq + 1);
-                    }
-                    let seq = jobs.len() as u64;
-                    jobs.insert(
-                        id.to_string(),
-                        JobInfo {
-                            spec,
-                            seq,
-                            state: JobState::Pending,
-                        },
-                    );
+                    st.next_number = st.next_number.max(number + 1);
+                    st.enqueue(number, spec);
                 }
                 "done" => {
-                    if let Some(info) = jobs.get_mut(id) {
-                        let outcome = rec
-                            .get("outcome")
-                            .and_then(Json::as_str)
-                            .unwrap_or("ok")
-                            .to_string();
-                        info.state = JobState::Done(outcome);
-                    }
+                    let outcome = rec.get("outcome").and_then(Json::as_str);
+                    st.finish(number, outcome.unwrap_or("ok"));
                 }
                 _ => {}
             }
         }
         // The summary rename is the true commit point: a job whose summary
-        // landed but whose done record was lost to the crash is still done.
-        for (id, info) in &mut jobs {
-            if info.state != JobState::Pending {
-                continue;
-            }
-            if store.is_done(id) {
-                info.state = JobState::Done("ok".to_string());
+        // landed but whose done hint was lost to the crash is still done,
+        // with the outcome its summary records.
+        let unhinted: Vec<u64> = st.open.keys().copied().collect();
+        for number in unhinted {
+            let id = job_id(number);
+            if store.is_done(&id) {
+                let outcome = store.summary_field(&id, "outcome");
+                st.finish(number, outcome.as_deref().unwrap_or("ok"));
             }
         }
         Ok(Queue {
             store,
-            state: Mutex::new(QueueState {
-                jobs,
-                next_seq,
-                shutdown: false,
-            }),
+            state: Mutex::new(st),
             cond: Condvar::new(),
             max_pending,
         })
@@ -176,35 +318,27 @@ impl Queue {
     /// Panics if the state mutex is poisoned (never: no panics under it).
     pub fn submit(&self, spec: JobSpec) -> Result<String, String> {
         let mut st = self.state.lock().unwrap();
-        let backlog = st
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Pending)
-            .count();
+        let backlog = st.pending.len();
         if backlog >= self.max_pending {
             return Err(format!(
                 "queue full: {backlog} pending jobs (max {})",
                 self.max_pending
             ));
         }
-        let id = format!("j{:06}", st.next_seq);
-        st.next_seq += 1;
+        let number = st.next_number;
+        st.next_number += 1;
+        let id = job_id(number);
         let rec = Json::obj(vec![
             ("op", Json::str("submit")),
             ("id", Json::str(&id)),
             ("job", spec.to_json()),
         ]);
-        self.append_journal(&rec)
+        // Durable before the id is acknowledged; this sync also carries
+        // any done hints appended since the last one.
+        append_line(&mut st.journal, &rec)
+            .and_then(|()| st.journal.sync_data())
             .map_err(|e| format!("journal append failed: {e}"))?;
-        let seq = st.jobs.len() as u64;
-        st.jobs.insert(
-            id.clone(),
-            JobInfo {
-                spec,
-                seq,
-                state: JobState::Pending,
-            },
-        );
+        st.enqueue(number, spec);
         drop(st);
         self.cond.notify_all();
         Ok(id)
@@ -222,72 +356,67 @@ impl Queue {
             if st.shutdown {
                 return None;
             }
-            let best = st
-                .jobs
-                .iter()
-                .filter(|(_, info)| info.state == JobState::Pending)
-                .max_by_key(|(_, info)| (info.spec.priority, std::cmp::Reverse(info.seq)))
-                .map(|(id, _)| id.clone());
-            if let Some(id) = best {
-                let info = st.jobs.get_mut(&id).expect("job exists");
-                info.state = JobState::Running;
+            if let Some((_, number)) = st.pending.pop_first() {
+                let job = st.open.get_mut(&number).expect("pending jobs are open");
+                job.running = true;
                 return Some(QueuedJob {
-                    id,
-                    spec: info.spec.clone(),
+                    id: job_id(number),
+                    spec: job.spec.clone(),
                 });
             }
             st = self.cond.wait(st).unwrap();
         }
     }
 
-    /// Records a job's outcome durably and updates its visible state.
+    /// Records a job's outcome and forgets everything else about it. The
+    /// caller has already committed the summary, so the journal record is
+    /// a hint and is not synced here (module doc).
     ///
     /// # Panics
     ///
     /// Panics if the state mutex is poisoned (never: no panics under it).
     pub fn mark_done(&self, id: &str, outcome: &str) {
+        let Some(number) = job_number(id) else { return };
         let rec = Json::obj(vec![
             ("op", Json::str("done")),
             ("id", Json::str(id)),
             ("outcome", Json::str(outcome)),
         ]);
-        // The summary rename already committed the result; a failed hint
-        // append only costs a redundant (idempotent) re-run check on boot.
-        let _ = self.append_journal(&rec);
         let mut st = self.state.lock().unwrap();
-        if let Some(info) = st.jobs.get_mut(id) {
-            info.state = JobState::Done(outcome.to_string());
-        }
+        // A failed hint append only costs a summary check on boot.
+        let _ = append_line(&mut st.journal, &rec);
+        st.finish(number, outcome);
         drop(st);
         self.cond.notify_all();
     }
 
-    /// Snapshot of one job: `(state, label, priority)`.
+    /// Snapshot of one job, `None` for an id the queue never issued.
     ///
     /// # Panics
     ///
     /// Panics if the state mutex is poisoned (never: no panics under it).
-    pub fn status(&self, id: &str) -> Option<(JobState, String, i64)> {
-        let st = self.state.lock().unwrap();
-        st.jobs.get(id).map(|info| {
-            (
-                info.state.clone(),
-                info.spec.label.clone(),
-                info.spec.priority,
-            )
-        })
+    pub fn status(&self, id: &str) -> Option<JobStatus> {
+        let number = job_number(id)?;
+        self.state.lock().unwrap().status(number)
     }
 
-    /// Snapshot of every job in id order: `(id, state, label)`.
+    /// Snapshot of every job the journal knows, finished ones included,
+    /// in id order.
     ///
     /// # Panics
     ///
     /// Panics if the state mutex is poisoned (never: no panics under it).
-    pub fn list(&self) -> Vec<(String, JobState, String)> {
+    pub fn list(&self) -> Vec<(String, JobStatus)> {
         let st = self.state.lock().unwrap();
-        st.jobs
+        let mut all: Vec<(u64, JobStatus)> = st
+            .finished
             .iter()
-            .map(|(id, info)| (id.clone(), info.state.clone(), info.spec.label.clone()))
+            .map(|(number, outcome)| (number, done_status(outcome)))
+            .collect();
+        all.extend(st.open.iter().map(|(&number, job)| (number, job.status())));
+        all.sort_by_key(|&(number, _)| number);
+        all.into_iter()
+            .map(|(number, status)| (job_id(number), status))
             .collect()
     }
 
@@ -297,11 +426,7 @@ impl Queue {
     ///
     /// Panics if the state mutex is poisoned (never: no panics under it).
     pub fn open_jobs(&self) -> usize {
-        let st = self.state.lock().unwrap();
-        st.jobs
-            .values()
-            .filter(|j| !matches!(j.state, JobState::Done(_)))
-            .count()
+        self.state.lock().unwrap().open.len()
     }
 
     /// Wakes the executor and makes `take_next` return `None`.
@@ -313,16 +438,13 @@ impl Queue {
         self.state.lock().unwrap().shutdown = true;
         self.cond.notify_all();
     }
+}
 
-    fn append_journal(&self, rec: &Json) -> std::io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.store.journal_path())?;
-        f.write_all(rec.to_string().as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_data()
-    }
+/// One journal line in one `write`, so a crash tears at most the tail.
+fn append_line(journal: &mut File, rec: &Json) -> std::io::Result<()> {
+    let mut line = rec.to_string();
+    line.push('\n');
+    journal.write_all(line.as_bytes())
 }
 
 #[cfg(test)]
@@ -395,6 +517,142 @@ mod tests {
         let q2 = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
         assert_eq!(q2.open_jobs(), 0);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The write diet's first crash case: the journal ends with a submit,
+    /// the unsynced done hint never reached disk, the summary did. The job
+    /// boots as done with the outcome its summary records, not a guess.
+    #[test]
+    fn a_lost_done_hint_is_recovered_from_the_summary() {
+        let store = tmp_store("lost-hint");
+        let root = store.root().to_path_buf();
+        {
+            let q = Queue::open(store, 16).unwrap();
+            let a = q.submit(job("boom", 0)).unwrap();
+            let taken = q.take_next().unwrap();
+            crate::runner::execute_job(q.store(), &a, &taken.spec, 1, &|_, _| {}).unwrap();
+        }
+        let journal = std::fs::read_to_string(root.join("journal.jsonl")).unwrap();
+        assert_eq!(journal.lines().count(), 1, "{journal}");
+        let q2 = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
+        assert_eq!(q2.open_jobs(), 0, "nothing re-runs");
+        let status = q2.status("j000001").unwrap();
+        assert_eq!(status.state, JobState::Done("quarantined".to_string()));
+        let summary = q2.store().read_summary("j000001").unwrap().unwrap();
+        assert!(summary.contains("poison job executed"), "{summary}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn finished_jobs_keep_their_outcome_and_place_in_the_list() {
+        let store = tmp_store("list");
+        let root = store.root().to_path_buf();
+        let check = |q: &Queue| {
+            let list = q.list();
+            let ids: Vec<&str> = list.iter().map(|(id, _)| id.as_str()).collect();
+            assert_eq!(ids, ["j000001", "j000002", "j000003", "j000004"]);
+            let states: Vec<&JobState> = list.iter().map(|(_, s)| &s.state).collect();
+            assert_eq!(
+                states,
+                [
+                    &JobState::Pending,
+                    &JobState::Done("failed".to_string()),
+                    &JobState::Done("ok".to_string()),
+                    &JobState::Pending,
+                ]
+            );
+            // A finished job is down to its outcome; an open one still has
+            // its submission.
+            assert_eq!(list[1].1.label, None);
+            assert_eq!(list[1].1.priority, None);
+            assert_eq!(list[3].1.label.as_deref(), Some("d"));
+            assert_eq!(list[3].1.priority, Some(-1));
+            assert_eq!(q.status("j000002"), Some(list[1].1.clone()));
+            assert_eq!(q.status("j000005"), None);
+            assert_eq!(q.open_jobs(), 2);
+        };
+        {
+            let q = Queue::open(store, 16).unwrap();
+            for (label, priority) in [("a", 0), ("b", 9), ("c", 5), ("d", -1)] {
+                q.submit(job(label, priority)).unwrap();
+            }
+            // Out of id order, as priorities make them finish.
+            assert_eq!(q.take_next().unwrap().id, "j000002");
+            assert_eq!(q.take_next().unwrap().id, "j000003");
+            q.mark_done("j000003", "ok");
+            q.mark_done("j000002", "failed");
+            check(&q);
+        }
+        // No summaries on disk: the journal alone remembers them.
+        let q2 = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
+        check(&q2);
+        assert_eq!(q2.take_next().unwrap().id, "j000001");
+        assert_eq!(q2.take_next().unwrap().id, "j000004");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Nothing the daemon writes itself, but nothing a journal line may
+    /// panic or balloon on either: one id submitted twice, an id far from
+    /// the others, a foreign id, an outcome the runner does not know.
+    #[test]
+    fn a_hand_edited_journal_replays_without_surprises() {
+        let store = tmp_store("hand-edited");
+        let root = store.root().to_path_buf();
+        let submit = |id: &str, priority: i64| {
+            Json::obj(vec![
+                ("op", Json::str("submit")),
+                ("id", Json::str(id)),
+                ("job", job(id, priority).to_json()),
+            ])
+            .to_string()
+        };
+        let done = r#"{"op":"done","id":"j900000000000000","outcome":"odd"}"#;
+        let lines = [
+            submit("j000001", 0),
+            submit("j000001", 7),
+            submit("../../etc/passwd", 0),
+            submit("j900000000000000", 0),
+            done.to_string(),
+            submit("j000002", 3),
+        ];
+        std::fs::write(store.journal_path(), lines.join("\n") + "\n").unwrap();
+        let q = Queue::open(store, 16).unwrap();
+        let ids: Vec<String> = q.list().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, ["j000001", "j000002", "j900000000000000"]);
+        let far = q.status("j900000000000000").unwrap();
+        assert_eq!(far.state, JobState::Done("odd".to_string()));
+        assert_eq!(q.status("j000001").unwrap().priority, Some(7));
+        assert_eq!(q.take_next().unwrap().id, "j000001");
+        assert_eq!(q.take_next().unwrap().id, "j000002");
+        assert_eq!(q.submit(job("next", 0)).unwrap(), "j900000000000001");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn only_the_daemons_own_id_shape_has_a_number() {
+        assert_eq!(job_number("j000001"), Some(1));
+        assert_eq!(job_number("j999999"), Some(999_999));
+        assert_eq!(job_number("j1000000"), Some(1_000_000));
+        assert_eq!(job_id(1_000_000), "j1000000");
+        assert_eq!(job_number("j999999999999999"), Some(999_999_999_999_999));
+        for bad in [
+            "",
+            "j",
+            "j00001",
+            "j0000001",
+            "j00000a",
+            "j-00001",
+            "j+00001",
+            "J000001",
+            "000001",
+            "../j000001",
+            "j000001/..",
+            "/j000001",
+            "j1000000000000000",
+            "j99999999999999999999999",
+        ] {
+            assert_eq!(job_number(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! Campaign resume: before running anything the executor loads the job's
 //! unit-record journal and skips every unit whose record already reached
-//! disk. Checkpoint-fork results depend only on the unit itself (proven
+//! disk (records are synced once per batch of `--jobs` units; the last
+//! batch rides on the summary's sync, see `store.rs`). Checkpoint-fork results depend only on the unit itself (proven
 //! by `sparse_unit_list_matches_full_campaign` in `ftdircmp-bench`), so
 //! re-running the sparse remainder reproduces exactly what an
 //! uninterrupted run would have written.
@@ -136,13 +137,21 @@ fn run_campaign_job(
     let pending: Vec<usize> = (0..total)
         .filter(|i| !done.contains_key(&(*i as u64)))
         .collect();
-    let batch_size = opts.jobs;
-    for batch in pending.chunks(batch_size) {
+    let batches = pending.chunks(opts.jobs);
+    let last = batches.len().saturating_sub(1);
+    for (b, batch) in batches.enumerate() {
         let batch_units: Vec<Unit> = batch.iter().map(|&i| units[i].clone()).collect();
         let results = run_units_caught(&batch_units, &opts);
-        for (&i, result) in batch.iter().zip(&results) {
-            let rec = unit_record(i as u64, &units[i], result);
-            store.append_unit_record(id, &rec)?;
+        let records: Vec<Json> = batch
+            .iter()
+            .zip(&results)
+            .map(|(&i, result)| unit_record(i as u64, &units[i], result))
+            .collect();
+        // One sync per batch, and none for the last: the summary written
+        // right after it commits the whole job, and a crash before that
+        // rename re-runs just this batch, byte-identically.
+        store.append_unit_records(id, &records, b < last)?;
+        for (&i, rec) in batch.iter().zip(records) {
             done.insert(i as u64, rec);
         }
         progress(done.len(), total);
@@ -394,30 +403,59 @@ mod tests {
         let reference = fresh.read_summary("j1").unwrap().unwrap();
 
         // Second store: pre-run, keep only the first two unit records
-        // (simulating a crash), then resume.
-        let partial = tmp_store("resume-partial");
-        execute_job(&partial, "j1", &job, 1, &|_, _| {}).unwrap();
-        let recs = partial.load_unit_records("j1").unwrap();
-        let keep: Vec<&Json> = recs.records.iter().take(2).collect();
-        let mut text = String::new();
-        for r in &keep {
-            text.push_str(&r.to_string());
-            text.push('\n');
-        }
-        std::fs::write(partial.records_path("j1"), &text).unwrap();
-        std::fs::remove_file(partial.summary_path("j1")).unwrap();
+        // (simulating a crash), then resume. The unsynced last batch can
+        // be lost whole or torn mid-line; either way only it re-runs.
+        for (tail, jobs) in [("", 1), ("{\"unit\":2,\"label\":\"bar", 2)] {
+            let partial = tmp_store("resume-partial");
+            execute_job(&partial, "j1", &job, jobs, &|_, _| {}).unwrap();
+            let recs = partial.load_unit_records("j1").unwrap();
+            let keep: Vec<&Json> = recs.records.iter().take(2).collect();
+            let mut text = String::new();
+            for r in &keep {
+                text.push_str(&r.to_string());
+                text.push('\n');
+            }
+            text.push_str(tail);
+            std::fs::write(partial.records_path("j1"), &text).unwrap();
+            std::fs::remove_file(partial.summary_path("j1")).unwrap();
 
-        let ran = std::sync::Mutex::new(Vec::new());
-        execute_job(&partial, "j1", &job, 1, &|d, t| {
-            ran.lock().unwrap().push((d, t));
-        })
-        .unwrap();
-        // Resume started from 2/4, not 0/4.
-        assert_eq!(ran.into_inner().unwrap().first(), Some(&(2, 4)));
-        let resumed = partial.read_summary("j1").unwrap().unwrap();
-        assert_eq!(resumed, reference, "resume must be byte-identical");
+            let ran = std::sync::Mutex::new(Vec::new());
+            execute_job(&partial, "j1", &job, jobs, &|d, t| {
+                ran.lock().unwrap().push((d, t));
+            })
+            .unwrap();
+            // Resume started from 2/4, not 0/4.
+            assert_eq!(ran.into_inner().unwrap().first(), Some(&(2, 4)));
+            let resumed = partial.read_summary("j1").unwrap().unwrap();
+            assert_eq!(resumed, reference, "resume must be byte-identical");
+            let units: Vec<u64> = partial
+                .load_unit_records("j1")
+                .unwrap()
+                .records
+                .iter()
+                .map(|r| r.get("unit").and_then(Json::as_u64).unwrap())
+                .collect();
+            assert_eq!(units, [0, 1, 2, 3], "each unit recorded exactly once");
+            let _ = std::fs::remove_dir_all(partial.root());
+        }
         let _ = std::fs::remove_dir_all(fresh.root());
-        let _ = std::fs::remove_dir_all(partial.root());
+    }
+
+    #[test]
+    fn unit_records_sync_once_per_batch_and_not_for_the_last() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let mut job = tiny_campaign();
+        let JobKind::Campaign(c) = &mut job.kind else {
+            unreachable!("tiny_campaign is a campaign")
+        };
+        c.seeds = 3; // 6 units
+        for (jobs, syncs) in [(1, 5), (2, 2), (4, 1), (8, 0)] {
+            let store = tmp_store("syncs");
+            execute_job(&store, "j1", &job, jobs, &|_, _| {}).unwrap();
+            assert_eq!(store.record_syncs.load(Relaxed), syncs, "--jobs {jobs}");
+            assert_eq!(store.load_unit_records("j1").unwrap().records.len(), 6);
+            let _ = std::fs::remove_dir_all(store.root());
+        }
     }
 
     #[test]

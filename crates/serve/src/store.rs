@@ -12,9 +12,12 @@
 //! repros/<id>/         minimized repro files from fault-search jobs
 //! ```
 //!
-//! Crash-safety contract: unit records are appended with `sync_data`, so a
-//! record that made it to disk names a unit that never needs re-running.
-//! A crash can leave a torn final line (no trailing newline, or garbage);
+//! Crash-safety contract: a unit record that made it to disk names a unit
+//! that never needs re-running. The executor appends a batch of records
+//! with one write and one `sync_data`; the last batch of a job is not
+//! synced on its own, because the summary that commits the whole job is
+//! synced and renamed into place right after it, and until that rename the
+//! worst a crash can do is re-run that one batch. A crash can leave a torn final line (no trailing newline, or garbage);
 //! [`Store::load_unit_records`] parses the longest valid prefix and
 //! [`Store::truncate_unit_records`] cuts the file back to it before the
 //! daemon appends again, so a torn tail can never corrupt later records.
@@ -31,6 +34,10 @@ use crate::json::Json;
 #[derive(Debug, Clone)]
 pub struct Store {
     root: PathBuf,
+    /// `sync_data` calls on unit-record files, so a test can count the
+    /// syncs a job costs instead of timing them.
+    #[cfg(test)]
+    pub(crate) record_syncs: std::sync::Arc<std::sync::atomic::AtomicUsize>,
 }
 
 /// One persisted unit record plus where its line started, so callers can
@@ -54,6 +61,8 @@ impl Store {
         fs::create_dir_all(root.join("repros"))?;
         Ok(Store {
             root: root.to_path_buf(),
+            #[cfg(test)]
+            record_syncs: std::sync::Arc::default(),
         })
     }
 
@@ -94,13 +103,39 @@ impl Store {
     /// Propagates I/O failures; the caller treats them as fatal for the
     /// job (a record we cannot persist must not be reported as done).
     pub fn append_unit_record(&self, id: &str, record: &Json) -> std::io::Result<()> {
+        self.append_unit_records(id, std::slice::from_ref(record), true)
+    }
+
+    /// Appends a batch of unit record lines with one write, and with one
+    /// `sync_data` when `sync` is set. Only the executor's last batch goes
+    /// unsynced: the summary's own sync and rename commit it (module doc).
+    ///
+    /// # Errors
+    ///
+    /// As [`Store::append_unit_record`].
+    pub fn append_unit_records(
+        &self,
+        id: &str,
+        records: &[Json],
+        sync: bool,
+    ) -> std::io::Result<()> {
+        let mut lines = String::new();
+        for record in records {
+            lines.push_str(&record.to_string());
+            lines.push('\n');
+        }
         let mut f = OpenOptions::new()
             .create(true)
             .append(true)
             .open(self.records_path(id))?;
-        f.write_all(record.to_string().as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_data()
+        f.write_all(lines.as_bytes())?;
+        if sync {
+            #[cfg(test)]
+            self.record_syncs
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            f.sync_data()?;
+        }
+        Ok(())
     }
 
     /// Loads the valid prefix of a job's unit records.
@@ -146,6 +181,14 @@ impl Store {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
+    }
+
+    /// A string field of a job's stored summary, if both exist (`label`
+    /// and `outcome` are in every summary `runner::execute_job` writes).
+    pub fn summary_field(&self, id: &str, field: &str) -> Option<String> {
+        let summary = self.read_summary(id).ok()??;
+        let value = Json::parse(summary.trim_end()).ok()?;
+        value.get(field)?.as_str().map(str::to_string)
     }
 
     /// Publishes the daemon's bound port for local clients and tests.
@@ -207,11 +250,9 @@ pub fn load_prefix(path: &Path) -> std::io::Result<UnitRecords> {
     let mut start = 0usize;
     while let Some(rel) = bytes[start..].iter().position(|&b| b == b'\n') {
         let end = start + rel;
-        let line = &bytes[start..end];
-        let Ok(text) = std::str::from_utf8(line) else {
+        let Ok(v) = Json::parse_bytes(&bytes[start..end]) else {
             break;
         };
-        let Ok(v) = Json::parse(text) else { break };
         records.push(v);
         valid_len = (end + 1) as u64;
         start = end + 1;

@@ -1,5 +1,6 @@
 //! End-to-end tests against the real `ftdircmp-serve` daemon binary:
-//! concurrent clients, kill -9 crash-resume, and poison-job quarantine.
+//! concurrent clients, kill -9 crash-resume, poison-job quarantine, and
+//! what a request costs and a finished job leaves behind.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
@@ -10,6 +11,7 @@ use std::time::{Duration, Instant};
 use ftdircmp_serve::job::JobSpec;
 use ftdircmp_serve::json::Json;
 use ftdircmp_serve::runner::execute_job;
+use ftdircmp_serve::server::{serve, ServeOptions};
 use ftdircmp_serve::store::Store;
 
 const STARTUP_TIMEOUT: Duration = Duration::from_secs(30);
@@ -119,8 +121,11 @@ impl Conn {
     }
 
     fn send(&mut self, request: &str) {
-        self.writer.write_all(request.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send");
+        // One write per request: a line split across two segments would
+        // add the client's own Nagle delay to every round trip.
+        self.writer
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send");
     }
 
     fn recv_line(&mut self) -> String {
@@ -159,6 +164,17 @@ impl Conn {
         let v = Json::parse(&reply).expect("reply parses");
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{reply}");
         v.get("id").and_then(Json::as_str).expect("id").to_string()
+    }
+
+    /// `submit` → `watch` until `done` → `result`, as a closed-loop client
+    /// does it; returns the id and the stored summary.
+    fn run_job(&mut self, job: &str) -> (String, String) {
+        let id = self.submit(job);
+        let watch = self.call(&format!(r#"{{"cmd":"watch","id":"{id}"}}"#));
+        assert!(watch.contains("\"watching\":true"), "{watch}");
+        assert_eq!(self.wait_done(&id), "ok");
+        let summary = self.result(&id);
+        (id, summary)
     }
 
     fn result(&mut self, id: &str) -> String {
@@ -319,6 +335,107 @@ fn poisoned_job_is_quarantined_while_queue_keeps_serving() {
     );
     let status = conn.call(&format!(r#"{{"cmd":"status","id":"{poison_id}"}}"#));
     assert!(status.contains("\"outcome\":\"quarantined\""), "{status}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The smallest job there is: one unit of one operation per core.
+const ONE_UNIT_JOB: &str = r#"{"kind":"campaign","label":"tiny","specs":["barnes:ops=1"],"configs":[{"protocol":"ftdircmp"}],"seeds":1}"#;
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// A request costs what its work costs. The bounds are loose on purpose:
+/// a `ping` is tens of microseconds and a one-unit job a few milliseconds,
+/// and all these have to catch is a 40 ms Nagle/delayed-ACK stall per
+/// reply coming back (44 ms and 132 ms before `TCP_NODELAY` and
+/// one-segment replies).
+#[test]
+fn loopback_round_trips_pay_no_delayed_ack() {
+    let root = tmp_root("latency");
+    let server = {
+        let root = root.clone();
+        std::thread::spawn(move || serve(&root, &ServeOptions::default()))
+    };
+    let port_file = root.join("port");
+    let deadline = Instant::now() + STARTUP_TIMEOUT;
+    let addr = loop {
+        if let Ok(text) = std::fs::read_to_string(&port_file) {
+            break format!("127.0.0.1:{}", text.trim());
+        }
+        assert!(Instant::now() < deadline, "serve() never published a port");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    let mut conn = Conn::connect(&addr);
+
+    let pings: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t = Instant::now();
+            let reply = conn.call(r#"{"cmd":"ping"}"#);
+            assert!(reply.contains("\"pong\":true"), "{reply}");
+            t.elapsed()
+        })
+        .collect();
+    let jobs: Vec<Duration> = (0..25)
+        .map(|_| {
+            let t = Instant::now();
+            conn.run_job(ONE_UNIT_JOB);
+            t.elapsed()
+        })
+        .collect();
+
+    let reply = conn.call(r#"{"cmd":"shutdown"}"#);
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    server.join().unwrap().unwrap();
+    let (ping, job) = (median(pings), median(jobs));
+    assert!(ping < Duration::from_millis(10), "median ping {ping:?}");
+    assert!(
+        job < Duration::from_millis(25),
+        "median one-unit job {job:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Resident set of a live process, KiB.
+#[cfg(target_os = "linux")]
+fn vm_rss_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .expect("VmRSS line");
+    line.trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .expect("VmRSS is a number")
+}
+
+/// A finished job costs the daemon nothing: one long-lived client, 2 500
+/// jobs, each watched by id. Before finished jobs were evicted from the
+/// queue and their subscriptions from the notifier, the daemon grew about
+/// 1.3 KiB per job (2.6 MiB over this stretch).
+#[cfg(target_os = "linux")]
+#[test]
+fn daemon_memory_does_not_grow_with_finished_jobs() {
+    let root = tmp_root("rss");
+    let daemon = Daemon::start(&root, 1);
+    let mut conn = Conn::connect(&daemon.addr());
+    let mut run = |jobs: usize| {
+        for _ in 0..jobs {
+            conn.run_job(ONE_UNIT_JOB);
+        }
+        vm_rss_kib(daemon.child.id())
+    };
+    let warm = run(500);
+    let after = run(2000);
+    assert!(
+        after < warm + 512,
+        "VmRSS {warm} KiB after 500 jobs, {after} KiB after 2500"
+    );
+    drop(conn);
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

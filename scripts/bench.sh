@@ -6,7 +6,10 @@
 #      results/BENCH_campaign.json with wall time and throughput;
 #   3. a correlated-fault campaign (link flaps + region bursts, the
 #      fault_domains bin) emitting results/BENCH_faults.json;
-#   4. trajectory datapoints (fig3 + fault-domain cells) appended to
+#   4. the repo benchmark's daemon workload (BENCHMARK.json command,
+#      serve-small-jobs, 5 s): one-unit jobs per second through
+#      ftdircmp-serve;
+#   5. trajectory datapoints (fig3, fault-domain and daemon) appended to
 #      results/BENCH_trajectory.jsonl.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -83,6 +86,12 @@ cargo build --release -q -p ftdircmp-bench --bin fault_domains
 echo "throughput summary (correlated-fault run):"
 cat results/BENCH_faults.json
 
+echo
+echo "== daemon: one-unit jobs through ftdircmp-serve (repo benchmark, serve-small-jobs, 5 s) =="
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload serve-small-jobs --seed 0 --seconds 5 --trace 0 > results/BENCH_serve.txt
+grep '^metric ' results/BENCH_serve.txt
+
 # Append trajectory datapoints (one per campaign cell) so perf over time is
 # greppable from the repo. Each line is validated as JSON first (an empty
 # sed extraction would otherwise poison the file), and the append goes
@@ -97,11 +106,19 @@ traj_line() { # $1 = campaign label, $2 = bench json file
     printf '{"git_sha": "%s", "date": "%s", "campaign": "%s", "jobs": %s, "events_per_second": %s, "cycles_per_second": %s}' \
         "$git_sha" "$date_iso" "$1" "$JOBS" "$eps" "$cps"
 }
+serve_line() { # $1 = output of the benchmark's serve-small-jobs run
+    local ups wall
+    ups=$(awk '$1 == "metric" && $2 == "units_per_s" {print $3}' "$1")
+    wall=$(awk '$1 == "metric" && $2 == "wall_s" {print $3}' "$1")
+    printf '{"git_sha": "%s", "date": "%s", "campaign": "serve_small_jobs", "units_per_second": %s, "wall_s": %s}' \
+        "$git_sha" "$date_iso" "$ups" "$wall"
+}
 traj=results/BENCH_trajectory.jsonl
 tmp=$(mktemp results/.BENCH_trajectory.XXXXXX)
 if [ -f "$traj" ]; then cat "$traj" > "$tmp"; fi
-for cell in "fig3:results/BENCH_campaign.json" "fault_domains:results/BENCH_faults.json"; do
-    line=$(traj_line "${cell%%:*}" "${cell#*:}")
+for line in "$(traj_line fig3 results/BENCH_campaign.json)" \
+            "$(traj_line fault_domains results/BENCH_faults.json)" \
+            "$(serve_line results/BENCH_serve.txt)"; do
     if ! printf '%s\n' "$line" | ./target/release/ftdircmp-serve json-check; then
         echo "ERROR: refusing to append malformed trajectory line: $line" >&2
         rm -f "$tmp"
@@ -110,4 +127,4 @@ for cell in "fig3:results/BENCH_campaign.json" "fault_domains:results/BENCH_faul
     printf '%s\n' "$line" >> "$tmp"
 done
 mv "$tmp" "$traj"
-echo "appended fig3 + fault_domains datapoints to results/BENCH_trajectory.jsonl"
+echo "appended fig3, fault_domains and serve_small_jobs datapoints to results/BENCH_trajectory.jsonl"
