@@ -6,8 +6,8 @@
 //! cargo run --release -p ftdircmp-bench --bin ablation_fault_targets [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
-use ftdircmp_bench::{geomean_ratio, mean, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{geomean_ratio, mean, BenchArgs};
 use ftdircmp_core::{SystemConfig, TimeoutKind};
 use ftdircmp_noc::{FaultConfig, VcClass};
 use ftdircmp_stats::table::{times, Table};
@@ -15,7 +15,7 @@ use ftdircmp_workloads::WorkloadSpec;
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     let rate = 5000.0;
     let spec = WorkloadSpec::named("barnes").expect("in suite");
     println!(
@@ -42,7 +42,7 @@ fn main() {
             seeds,
         ));
     }
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
     let baseline = &results[0];
 
     let mut t = Table::with_columns(&[

@@ -6,8 +6,8 @@
 //! cargo run --release -p ftdircmp-bench --bin ablation_mesh_scaling [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
-use ftdircmp_bench::{geomean_ratio, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{geomean_ratio, BenchArgs};
 use ftdircmp_core::SystemConfig;
 use ftdircmp_stats::table::{signed_percent, times, Table};
 use ftdircmp_workloads::WorkloadSpec;
@@ -16,7 +16,7 @@ const MESHES: [(u16, u16); 4] = [(2, 2), (4, 2), (4, 4), (8, 4)];
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     let spec = WorkloadSpec::named("ocean").expect("in suite");
     println!(
         "Scalability ablation: FtDirCMP overhead vs. mesh size\n\
@@ -40,7 +40,7 @@ fn main() {
             seeds,
         ));
     }
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
 
     let mut t = Table::with_columns(&[
         "mesh",

@@ -7,14 +7,14 @@
 //! cargo run --release -p ftdircmp-bench --bin ablation_migratory [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
-use ftdircmp_bench::{benchmarks, geomean_ratio, mean, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{benchmarks, geomean_ratio, mean, BenchArgs};
 use ftdircmp_core::SystemConfig;
 use ftdircmp_stats::table::{times, Table};
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     println!(
         "Migratory-sharing ablation ({seeds} seeds): execution time without the\n\
          optimization relative to with it (values > 1.0 = the optimization helps).\n"
@@ -44,7 +44,7 @@ fn main() {
             ));
         }
     }
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
 
     let mut t = Table::with_columns(&[
         "benchmark",

@@ -8,8 +8,8 @@
 //! cargo run --release -p ftdircmp-bench --bin ablation_mlp [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
-use ftdircmp_bench::{geomean_ratio, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{geomean_ratio, BenchArgs};
 use ftdircmp_core::SystemConfig;
 use ftdircmp_stats::table::{times, Table};
 use ftdircmp_workloads::WorkloadSpec;
@@ -19,7 +19,7 @@ const NAMES: [&str; 4] = ["fft", "radix", "barnes", "apache"];
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     println!(
         "MLP ablation ({seeds} seeds): execution time with a miss window of N\n\
          relative to the blocking core (window 1), plus the FtDirCMP/DirCMP\n\
@@ -56,7 +56,7 @@ fn main() {
             ));
         }
     }
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
 
     for (ni, name) in NAMES.iter().enumerate() {
         let mut row = vec![name.to_string()];

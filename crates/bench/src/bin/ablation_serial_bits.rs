@@ -10,8 +10,8 @@
 //! cargo run --release -p ftdircmp-bench --bin ablation_serial_bits [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
-use ftdircmp_bench::{mean, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{mean, BenchArgs};
 use ftdircmp_core::SystemConfig;
 use ftdircmp_stats::table::Table;
 use ftdircmp_workloads::WorkloadSpec;
@@ -20,7 +20,7 @@ const BITS: [u8; 6] = [2, 3, 4, 6, 8, 12];
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     let rate = 2000.0;
     let spec = WorkloadSpec::named("barnes").expect("in suite");
     println!(
@@ -43,7 +43,7 @@ fn main() {
             )
         })
         .collect();
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
 
     let mut t = Table::with_columns(&[
         "serial bits",

@@ -11,8 +11,8 @@
 //! cargo run --release -p ftdircmp-bench --bin ablation_timeouts [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
-use ftdircmp_bench::{geomean_ratio, mean, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{geomean_ratio, mean, BenchArgs};
 use ftdircmp_core::{SimReport, SystemConfig};
 use ftdircmp_stats::table::{times, Table};
 use ftdircmp_workloads::WorkloadSpec;
@@ -61,7 +61,7 @@ fn render(spec: &WorkloadSpec, rate: f64, baseline: &[SimReport], sweeps: &[Vec<
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     println!(
         "Ablation E9: fault-detection timeout length vs. performance and false\n\
          positives (relative to the default-timeout fault-free run).\n"
@@ -86,7 +86,7 @@ fn main() {
             ));
         }
     }
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
 
     let cols = 1 + TIMEOUTS.len();
     for (ri, rate) in RATES.iter().enumerate() {

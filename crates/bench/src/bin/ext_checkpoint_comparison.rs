@@ -11,9 +11,9 @@
 //! cargo run --release -p ftdircmp-bench --bin ext_checkpoint_comparison [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
 use ftdircmp_bench::checkpoint::{rate_per_cycle, CheckpointModel};
-use ftdircmp_bench::{geomean_ratio, mean, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::{geomean_ratio, mean, BenchArgs};
 use ftdircmp_core::SystemConfig;
 use ftdircmp_stats::table::{times, Table};
 use ftdircmp_workloads::WorkloadSpec;
@@ -22,7 +22,7 @@ const RATES: [f64; 5] = [0.0, 125.0, 500.0, 1000.0, 2000.0];
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     let spec = WorkloadSpec::named("ocean").expect("in suite");
     let model = CheckpointModel::default();
     println!(
@@ -49,7 +49,7 @@ fn main() {
             seeds,
         ));
     }
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
 
     let base = &results[0];
     let base_cycles = mean(base, |r| r.cycles as f64) as u64;

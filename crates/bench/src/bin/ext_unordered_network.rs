@@ -7,14 +7,14 @@
 //! cargo run --release -p ftdircmp-bench --bin ext_unordered_network [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
-use ftdircmp_bench::{benchmarks, geomean_ratio, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{benchmarks, geomean_ratio, BenchArgs};
 use ftdircmp_core::SystemConfig;
 use ftdircmp_stats::table::{times, Table};
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     println!(
         "Extension E11: FtDirCMP on an unordered network (randomized minimal\n\
          adaptive routing), fault-free and at 1000 lost msgs/million.\n"
@@ -47,7 +47,7 @@ fn main() {
             seeds,
         ));
     }
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
 
     let mut t = Table::with_columns(&[
         "benchmark",

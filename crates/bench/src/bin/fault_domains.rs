@@ -16,11 +16,11 @@
 //!
 //! ```text
 //! cargo run --release -p ftdircmp-bench --bin fault_domains \
-//!     [-- --seeds N --jobs N --csv FILE --bench-json FILE]
+//!     [-- --seeds N --jobs N --csv FILE]
 //! ```
 
-use ftdircmp_bench::campaign::{Campaign, CampaignTiming, Cell};
-use ftdircmp_bench::{benchmarks, geomean_ratio, mean, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{benchmarks, geomean_ratio, mean, BenchArgs};
 use ftdircmp_core::{SimReport, SystemConfig};
 use ftdircmp_noc::{Direction, FaultDomainConfig, FaultEvent, RouterId};
 use ftdircmp_stats::table::{times, Table};
@@ -69,8 +69,7 @@ fn recovery_stats(reports: &[SimReport]) -> (Option<f64>, usize) {
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
-    let opts = Campaign::from_args(&args);
+    let (seeds, opts) = args.sweep();
     println!(
         "Correlated fault domains: FtDirCMP under link flaps (r5-east, growing\n\
          duration) and region bursts (epicenter r5, growing radius), relative to\n\
@@ -110,7 +109,7 @@ fn main() {
             ));
         }
     }
-    let (results, timing) = CampaignTiming::measure(&cells, &opts);
+    let results = run_campaign(&cells, &opts);
 
     let mut header: Vec<String> = vec!["benchmark".into()];
     header.extend(FLAP_DURATIONS.iter().map(|d| format!("flap-{d}")));
@@ -164,7 +163,7 @@ fn main() {
          control in `crates/core/tests/fault_domains.rs`.)"
     );
 
-    if let Some(path) = args.csv() {
+    if let Some(path) = args.value_of("--csv") {
         let mut header: Vec<String> = vec!["benchmark".into()];
         for d in FLAP_DURATIONS {
             header.push(format!("flap_{d}"));
@@ -175,24 +174,7 @@ fn main() {
             header.push(format!("burst_r{r}_ttr"));
         }
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        ftdircmp_bench::write_csv(&path, &header_refs, &csv_rows).expect("write csv");
-        println!("(wrote {path})");
-    }
-
-    if let Some(path) = args.value_of("--bench-json") {
-        let json = format!(
-            "{{\n  \"campaign\": \"fault_domains\",\n  \"jobs\": {},\n  \
-             \"wall_seconds\": {:.3},\n  \"simulated_cycles\": {},\n  \
-             \"simulated_cycles_per_second\": {:.0},\n  \"events\": {},\n  \
-             \"events_per_second\": {:.0}\n}}\n",
-            timing.jobs,
-            timing.wall_seconds,
-            timing.simulated_cycles,
-            timing.cycles_per_second(),
-            timing.events,
-            timing.events_per_second(),
-        );
-        std::fs::write(path, json).expect("write bench json");
+        ftdircmp_bench::write_csv(path, &header_refs, &csv_rows).expect("write csv");
         println!("(wrote {path})");
     }
 }

@@ -10,11 +10,11 @@
 //!
 //! ```text
 //! cargo run --release -p ftdircmp-bench --bin fig3_execution_time \
-//!     [-- --seeds N --jobs N --csv FILE --bench-json FILE]
+//!     [-- --seeds N --jobs N --csv FILE]
 //! ```
 
-use ftdircmp_bench::campaign::{Campaign, CampaignTiming, Cell};
-use ftdircmp_bench::{benchmarks, geomean_ratio, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{benchmarks, geomean_ratio, BenchArgs};
 use ftdircmp_core::SystemConfig;
 use ftdircmp_stats::table::{times, Table};
 
@@ -22,8 +22,7 @@ const RATES: [f64; 6] = [0.0, 125.0, 250.0, 500.0, 1000.0, 2000.0];
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
-    let opts = Campaign::from_args(&args);
+    let (seeds, opts) = args.sweep();
     println!(
         "Figure 3. Execution time of FtDirCMP relative to DirCMP (fault-free),\n\
          for fault rates of 0..2000 messages lost per million. {seeds} seeds per cell.\n"
@@ -51,7 +50,7 @@ fn main() {
             ));
         }
     }
-    let (results, timing) = CampaignTiming::measure(&cells, &opts);
+    let results = run_campaign(&cells, &opts);
 
     let mut header: Vec<String> = vec!["benchmark".into(), "DirCMP".into()];
     header.extend(RATES.iter().map(|r| format!("Ft-{r:.0}")));
@@ -74,12 +73,12 @@ fn main() {
         t.row(row);
         csv_rows.push(csv_row);
     }
-    if let Some(path) = args.csv() {
+    if let Some(path) = args.value_of("--csv") {
         let header: Vec<String> = std::iter::once("benchmark".to_string())
             .chain(RATES.iter().map(|r| format!("ft_{r:.0}")))
             .collect();
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        ftdircmp_bench::write_csv(&path, &header_refs, &csv_rows).expect("write csv");
+        ftdircmp_bench::write_csv(path, &header_refs, &csv_rows).expect("write csv");
         println!("(wrote {path})\n");
     }
     let mut avg_row = vec!["GEOMEAN".to_string(), times(1.0)];
@@ -94,21 +93,4 @@ fn main() {
          rate — see `cargo test --test dircmp_deadlock` — so only its fault-free\n\
          bar exists, exactly as in the paper.)"
     );
-
-    if let Some(path) = args.value_of("--bench-json") {
-        let json = format!(
-            "{{\n  \"campaign\": \"fig3_execution_time\",\n  \"jobs\": {},\n  \
-             \"wall_seconds\": {:.3},\n  \"simulated_cycles\": {},\n  \
-             \"simulated_cycles_per_second\": {:.0},\n  \"events\": {},\n  \
-             \"events_per_second\": {:.0}\n}}\n",
-            timing.jobs,
-            timing.wall_seconds,
-            timing.simulated_cycles,
-            timing.cycles_per_second(),
-            timing.events,
-            timing.events_per_second(),
-        );
-        std::fs::write(path, json).expect("write bench json");
-        println!("(wrote {path})");
-    }
 }

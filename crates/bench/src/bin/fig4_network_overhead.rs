@@ -10,15 +10,15 @@
 //! cargo run --release -p ftdircmp-bench --bin fig4_network_overhead [-- --seeds N --jobs N]
 //! ```
 
-use ftdircmp_bench::campaign::{run_campaign, Campaign, Cell};
-use ftdircmp_bench::{benchmarks, mean, BenchArgs, DEFAULT_SEEDS};
+use ftdircmp_bench::campaign::{run_campaign, Cell};
+use ftdircmp_bench::{benchmarks, mean, BenchArgs};
 use ftdircmp_core::SystemConfig;
 use ftdircmp_noc::VcClass;
 use ftdircmp_stats::table::{signed_percent, Table};
 
 fn main() {
     let args = BenchArgs::parse();
-    let seeds = args.u64_flag("--seeds", DEFAULT_SEEDS);
+    let (seeds, opts) = args.sweep();
     println!(
         "Figure 4. Network overhead of FtDirCMP compared to DirCMP without faults\n\
          ({seeds} seeds per benchmark; overhead = FtDirCMP/DirCMP - 1).\n"
@@ -41,7 +41,7 @@ fn main() {
             seeds,
         ));
     }
-    let results = run_campaign(&cells, &Campaign::from_args(&args));
+    let results = run_campaign(&cells, &opts);
 
     let mut t = Table::with_columns(&[
         "benchmark",

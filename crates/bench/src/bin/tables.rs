@@ -165,7 +165,9 @@ fn table4() {
 }
 
 fn main() {
-    let which = ftdircmp_bench::BenchArgs::parse().u64_flag("--table", 0);
+    let which = ftdircmp_bench::BenchArgs::parse()
+        .u64_flag("--table", 0)
+        .unwrap_or_else(|e| e.exit());
     match which {
         1 => table1(),
         2 => table2(),

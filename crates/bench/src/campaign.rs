@@ -176,18 +176,6 @@ pub struct Campaign {
     pub warmup_checkpoint: Option<f64>,
 }
 
-impl Campaign {
-    /// Options from argv/environment: worker count per [`crate::BenchArgs::jobs`],
-    /// checkpoint mode per [`crate::BenchArgs::warmup_checkpoint`], progress on.
-    pub fn from_args(args: &crate::BenchArgs) -> Self {
-        Campaign {
-            jobs: args.jobs(),
-            progress: true,
-            warmup_checkpoint: args.warmup_checkpoint(),
-        }
-    }
-}
-
 /// Runs every cell of the campaign, panicking (like [`crate::run_spec`]) on
 /// any failed or incoherent run.
 ///
@@ -244,7 +232,7 @@ pub fn run_campaign_fallible(
 /// and returned as [`CellError::Panicked`] instead of aborting the
 /// process. This is the entry point the `ftdircmp-serve` daemon uses: a
 /// poisoned cell is quarantined, the rest of the campaign completes.
-pub fn run_campaign_caught(
+pub(crate) fn run_campaign_caught(
     cells: &[Cell],
     opts: &Campaign,
 ) -> Vec<Vec<Result<SimReport, CellError>>> {
@@ -494,49 +482,6 @@ fn group_units(units: &[Unit]) -> Vec<Vec<usize>> {
         }
     }
     groups
-}
-
-/// Wall-time and throughput summary of a campaign, for `BENCH_*.json`
-/// emission by `scripts/bench.sh`.
-#[derive(Debug, Clone)]
-pub struct CampaignTiming {
-    /// Wall-clock seconds for the whole campaign.
-    pub wall_seconds: f64,
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Total simulated cycles across all reports.
-    pub simulated_cycles: u64,
-    /// Total simulation events processed across all reports.
-    pub events: u64,
-}
-
-impl CampaignTiming {
-    /// Measures `run_campaign` over `cells`.
-    pub fn measure(cells: &[Cell], opts: &Campaign) -> (Vec<Vec<SimReport>>, CampaignTiming) {
-        let t = Instant::now();
-        let results = run_campaign(cells, opts);
-        let wall_seconds = t.elapsed().as_secs_f64();
-        let flat = results.iter().flatten();
-        let timing = CampaignTiming {
-            wall_seconds,
-            jobs: opts
-                .jobs
-                .clamp(1, results.iter().map(Vec::len).sum::<usize>().max(1)),
-            simulated_cycles: flat.clone().map(|r| r.cycles).sum(),
-            events: flat.map(|r| r.events).sum(),
-        };
-        (results, timing)
-    }
-
-    /// Simulated cycles per wall second.
-    pub fn cycles_per_second(&self) -> f64 {
-        self.simulated_cycles as f64 / self.wall_seconds.max(1e-9)
-    }
-
-    /// Simulation events per wall second.
-    pub fn events_per_second(&self) -> f64 {
-        self.events as f64 / self.wall_seconds.max(1e-9)
-    }
 }
 
 #[cfg(test)]

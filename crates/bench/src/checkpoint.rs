@@ -54,7 +54,7 @@ impl CheckpointModel {
     /// # Panics
     ///
     /// Panics if `interval` is not positive.
-    pub fn relative_time(&self, interval: f64, fault_rate: f64) -> f64 {
+    pub(crate) fn relative_time(&self, interval: f64, fault_rate: f64) -> f64 {
         assert!(interval > 0.0, "interval must be positive");
         1.0 + self.checkpoint_cost / interval
             + fault_rate * (interval / 2.0 + self.detection_latency + self.restore_cost)
@@ -62,7 +62,7 @@ impl CheckpointModel {
 
     /// The Young-optimal checkpoint interval for `fault_rate` (faults per
     /// cycle); unbounded (no checkpoints pay off) when the rate is zero.
-    pub fn optimal_interval(&self, fault_rate: f64) -> f64 {
+    pub(crate) fn optimal_interval(&self, fault_rate: f64) -> f64 {
         if fault_rate <= 0.0 {
             f64::INFINITY
         } else {

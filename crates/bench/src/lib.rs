@@ -38,7 +38,7 @@ pub fn run_seed_fallible(
 ///
 /// Panics with the workload name and seed if the run failed or the checker
 /// reported violations.
-pub fn expect_coherent(name: &str, seed: u64, r: Result<SimReport, RunError>) -> SimReport {
+pub(crate) fn expect_coherent(name: &str, seed: u64, r: Result<SimReport, RunError>) -> SimReport {
     let r = r.unwrap_or_else(|e| panic!("{name} (seed {seed}): {e}"));
     assert!(
         r.violations.is_empty(),
@@ -121,6 +121,36 @@ pub fn write_csv(
     std::fs::write(path, out)
 }
 
+/// A malformed command-line flag or environment variable. Bins exit with
+/// status 2 on one ([`ArgError::exit`]) instead of running with a default
+/// the user did not ask for.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ArgError {
+    /// The flag (`--jobs`) or environment variable (`FTDIRCMP_JOBS`).
+    name: &'static str,
+    /// The value as given; `None` when the flag was the last argument.
+    value: Option<String>,
+    /// What the value should have been.
+    expected: &'static str,
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.value {
+            Some(v) => write!(f, "{}: expected {}, got {v:?}", self.name, self.expected),
+            None => write!(f, "{}: expected {}, got nothing", self.name, self.expected),
+        }
+    }
+}
+
+impl ArgError {
+    /// Prints the error and exits with status 2 (a usage error).
+    pub fn exit(&self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(2)
+    }
+}
+
 /// Command-line arguments, collected once and shared by all flag lookups
 /// (the bins previously re-collected `std::env::args()` per flag).
 #[derive(Debug, Clone)]
@@ -143,58 +173,99 @@ impl BenchArgs {
 
     /// Value following `name`, if present.
     pub fn value_of(&self, name: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+        self.flag(name).flatten()
     }
 
-    /// Parses `--seeds N` style overrides.
-    pub fn u64_flag(&self, name: &str, default: u64) -> u64 {
-        self.value_of(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// `None` if `name` is absent, `Some(None)` if it is the last argument.
+    fn flag(&self, name: &str) -> Option<Option<&str>> {
+        let i = self.args.iter().position(|a| a == name)?;
+        Some(self.args.get(i + 1).map(String::as_str))
     }
 
-    /// Optional `--csv FILE` destination.
-    pub fn csv(&self) -> Option<String> {
-        self.value_of("--csv").map(str::to_string)
+    /// Parses `--seeds N` style overrides; `default` when the flag is absent.
+    pub fn u64_flag(&self, name: &'static str, default: u64) -> Result<u64, ArgError> {
+        self.flag(name).map_or(Ok(default), |v| {
+            parse_value(name, v, "a non-negative integer", |_| true)
+        })
+    }
+
+    /// `--seeds N` (default [`DEFAULT_SEEDS`]) and the campaign options
+    /// every sweep bin takes (workers per [`BenchArgs::jobs`], checkpoint
+    /// mode per [`BenchArgs::warmup_checkpoint`], progress on); prints the
+    /// error and exits with status 2 on a malformed value.
+    pub fn sweep(&self) -> (u64, campaign::Campaign) {
+        let seeds = self
+            .u64_flag("--seeds", DEFAULT_SEEDS)
+            .unwrap_or_else(|e| e.exit());
+        let jobs = self.jobs().unwrap_or_else(|e| e.exit());
+        let warmup_checkpoint = self.warmup_checkpoint().unwrap_or_else(|e| e.exit());
+        let campaign = campaign::Campaign {
+            jobs,
+            progress: true,
+            warmup_checkpoint,
+        };
+        (seeds, campaign)
     }
 
     /// Campaign worker count: `--jobs N`, then the `FTDIRCMP_JOBS`
-    /// environment variable, then [`std::thread::available_parallelism`].
-    pub fn jobs(&self) -> usize {
-        self.value_of("--jobs")
-            .and_then(|v| v.parse().ok())
-            .or_else(|| {
-                std::env::var("FTDIRCMP_JOBS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    /// environment variable (ignored when empty), then
+    /// [`std::thread::available_parallelism`].
+    pub fn jobs(&self) -> Result<usize, ArgError> {
+        self.jobs_with(std::env::var("FTDIRCMP_JOBS").ok())
     }
 
-    /// Checkpoint-fork warmup threshold: `--warmup-checkpoint [PCT]` (flag
-    /// without a value defaults to 60% of each workload's memory
-    /// operations), then the `FTDIRCMP_WARMUP_CHECKPOINT` environment
-    /// variable, else `None` (classic full simulation per cell).
-    pub fn warmup_checkpoint(&self) -> Option<f64> {
-        const DEFAULT_PCT: f64 = 60.0;
-        if let Some(i) = self.args.iter().position(|a| a == "--warmup-checkpoint") {
-            let pct = self
-                .args
-                .get(i + 1)
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|p| (0.0..=100.0).contains(p));
-            return Some(pct.unwrap_or(DEFAULT_PCT));
+    fn jobs_with(&self, env: Option<String>) -> Result<usize, ArgError> {
+        const JOBS: &str = "a worker count of at least 1";
+        let at_least_one = |n: &usize| *n >= 1;
+        match (self.flag("--jobs"), env.filter(|v| !v.is_empty())) {
+            (Some(v), _) => parse_value("--jobs", v, JOBS, at_least_one),
+            (None, Some(v)) => parse_value("FTDIRCMP_JOBS", Some(&v), JOBS, at_least_one),
+            (None, None) => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
         }
-        std::env::var("FTDIRCMP_WARMUP_CHECKPOINT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|p| (0.0..=100.0).contains(p))
     }
+
+    /// Checkpoint-fork warmup threshold: `--warmup-checkpoint [PCT]` (the
+    /// flag with no value, or followed by another `--flag`, means 60% of
+    /// each workload's memory operations), then the
+    /// `FTDIRCMP_WARMUP_CHECKPOINT` environment variable (ignored when
+    /// empty), else `None` (classic full simulation per cell).
+    pub(crate) fn warmup_checkpoint(&self) -> Result<Option<f64>, ArgError> {
+        self.warmup_checkpoint_with(std::env::var("FTDIRCMP_WARMUP_CHECKPOINT").ok())
+    }
+
+    fn warmup_checkpoint_with(&self, env: Option<String>) -> Result<Option<f64>, ArgError> {
+        const DEFAULT_PCT: f64 = 60.0;
+        const PCT: &str = "a percentage in 0..=100";
+        let in_range = |p: &f64| (0.0..=100.0).contains(p);
+        let pct = match (
+            self.flag("--warmup-checkpoint"),
+            env.filter(|v| !v.is_empty()),
+        ) {
+            (Some(None), _) => DEFAULT_PCT,
+            (Some(Some(v)), _) if v.starts_with("--") => DEFAULT_PCT,
+            (Some(v), _) => parse_value("--warmup-checkpoint", v, PCT, in_range)?,
+            (None, Some(v)) => parse_value("FTDIRCMP_WARMUP_CHECKPOINT", Some(&v), PCT, in_range)?,
+            (None, None) => return Ok(None),
+        };
+        Ok(Some(pct))
+    }
+}
+
+/// Parses the `value` given for `name` as a `T` that `valid` accepts.
+fn parse_value<T: std::str::FromStr>(
+    name: &'static str,
+    value: Option<&str>,
+    expected: &'static str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, ArgError> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|t| valid(t))
+        .ok_or_else(|| ArgError {
+            name,
+            value: value.map(str::to_string),
+            expected,
+        })
 }
 
 #[cfg(test)]
@@ -219,11 +290,108 @@ mod tests {
         assert!((g - 1.0).abs() < 1e-9);
     }
 
+    fn args(list: &[&str]) -> BenchArgs {
+        BenchArgs::from_vec(
+            std::iter::once("bin")
+                .chain(list.iter().copied())
+                .map(str::to_string)
+                .collect(),
+        )
+    }
+
     #[test]
     fn arg_parser_defaults() {
-        let args = BenchArgs::parse();
-        assert_eq!(args.u64_flag("--definitely-not-passed", 7), 7);
-        assert_eq!(args.csv(), None);
+        let parsed = BenchArgs::parse();
+        assert_eq!(parsed.u64_flag("--definitely-not-passed", 7), Ok(7));
+        assert_eq!(parsed.value_of("--csv"), None);
+        let none = args(&[]);
+        assert_eq!(none.jobs_with(Some("3".into())), Ok(3));
+        assert_eq!(none.jobs_with(Some(String::new())), none.jobs_with(None));
+        assert!(none.jobs_with(None).unwrap() >= 1);
+        let warm = |env: Option<&str>| none.warmup_checkpoint_with(env.map(str::to_string));
+        assert_eq!(warm(None), Ok(None));
+        assert_eq!(warm(Some("")), Ok(None));
+        assert_eq!(warm(Some("25")), Ok(Some(25.0)));
+    }
+
+    #[test]
+    fn forms_the_scripts_and_the_benchmark_pass_parse() {
+        // CI, scripts/reproduce.sh and the benchmark's fig3 reference check.
+        let a = args(&["--seeds", "3", "--jobs", "2"]);
+        assert_eq!(a.u64_flag("--seeds", DEFAULT_SEEDS), Ok(3));
+        assert_eq!(a.jobs_with(Some("garbage".into())), Ok(2), "the flag wins");
+        assert_eq!(a.warmup_checkpoint_with(None), Ok(None));
+        // A garbage environment value loses to the flag here too.
+        let warm = |argv: &[&str]| args(argv).warmup_checkpoint_with(Some("x".into()));
+        assert_eq!(
+            warm(&["--seeds", "1", "--warmup-checkpoint"]),
+            Ok(Some(60.0))
+        );
+        assert_eq!(
+            warm(&["--warmup-checkpoint", "--jobs", "2"]),
+            Ok(Some(60.0))
+        );
+        assert_eq!(warm(&["--warmup-checkpoint", "30"]), Ok(Some(30.0)));
+        assert_eq!(warm(&["--warmup-checkpoint", "0"]), Ok(Some(0.0)));
+        assert_eq!(warm(&["--warmup-checkpoint", "100"]), Ok(Some(100.0)));
+        let c = args(&["--warmup-checkpoint", "--jobs", "2", "--csv", "out.csv"]);
+        assert_eq!(
+            (c.jobs_with(None), c.value_of("--csv")),
+            (Ok(2), Some("out.csv"))
+        );
+    }
+
+    #[test]
+    fn malformed_flags_name_the_flag_and_the_value() {
+        const INT: &str = "expected a non-negative integer";
+        const JOBS: &str = "expected a worker count of at least 1";
+        const PCT: &str = "expected a percentage in 0..=100";
+        let seeds = |argv: &[&str]| args(argv).u64_flag("--seeds", 3).unwrap_err().to_string();
+        let jobs = |argv: &[&str], env: Option<&str>| {
+            let parsed = args(argv).jobs_with(env.map(str::to_string));
+            parsed.unwrap_err().to_string()
+        };
+        let warm = |argv: &[&str], env: Option<&str>| {
+            let parsed = args(argv).warmup_checkpoint_with(env.map(str::to_string));
+            parsed.unwrap_err().to_string()
+        };
+        assert_eq!(
+            seeds(&["--seeds", "abc"]),
+            format!("--seeds: {INT}, got \"abc\"")
+        );
+        assert_eq!(
+            seeds(&["--seeds", "-1"]),
+            format!("--seeds: {INT}, got \"-1\"")
+        );
+        assert_eq!(
+            seeds(&["--seeds", "--jobs", "2"]),
+            format!("--seeds: {INT}, got \"--jobs\"")
+        );
+        assert_eq!(seeds(&["--seeds"]), format!("--seeds: {INT}, got nothing"));
+        assert_eq!(
+            jobs(&["--jobs", "0"], None),
+            format!("--jobs: {JOBS}, got \"0\"")
+        );
+        assert_eq!(
+            jobs(&["--jobs", "x"], None),
+            format!("--jobs: {JOBS}, got \"x\"")
+        );
+        assert_eq!(
+            jobs(&["--jobs"], None),
+            format!("--jobs: {JOBS}, got nothing")
+        );
+        for bad in ["0", "x", "-2", "1.5"] {
+            assert_eq!(
+                jobs(&[], Some(bad)),
+                format!("FTDIRCMP_JOBS: {JOBS}, got \"{bad}\"")
+            );
+        }
+        for bad in ["150", "-5", "x", "NaN", "inf"] {
+            let flag = format!("--warmup-checkpoint: {PCT}, got \"{bad}\"");
+            assert_eq!(warm(&["--warmup-checkpoint", bad], None), flag);
+            let env = format!("FTDIRCMP_WARMUP_CHECKPOINT: {PCT}, got \"{bad}\"");
+            assert_eq!(warm(&[], Some(bad)), env);
+        }
     }
 
     #[test]

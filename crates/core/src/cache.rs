@@ -138,7 +138,7 @@ impl<V> SetAssocCache<V> {
     }
 
     /// Whether the line is present (in the array or overflow buffer).
-    pub fn contains(&self, addr: LineAddr) -> bool {
+    pub(crate) fn contains(&self, addr: LineAddr) -> bool {
         self.get(addr).is_some()
     }
 
@@ -244,15 +244,6 @@ impl<V> SetAssocCache<V> {
         }
     }
 
-    /// Iterates over all resident lines (array + overflow): sets ascending,
-    /// the ways of a set in insertion order, then the overflow buffer.
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &V)> {
-        (0..self.occupied.len())
-            .flat_map(|idx| self.set_slots(idx))
-            .map(|slot| (self.way(slot).addr, &self.way(slot).value))
-            .chain(self.overflow.iter().map(|(a, v)| (*a, v)))
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.ways.len() + self.overflow.len()
@@ -263,19 +254,9 @@ impl<V> SetAssocCache<V> {
         self.len() == 0
     }
 
-    /// Lines currently parked in the overflow buffer.
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
-    }
-
     /// High-water mark of the overflow buffer.
     pub fn overflow_peak(&self) -> usize {
         self.overflow_peak
-    }
-
-    /// Total LRU evictions performed.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -305,7 +286,7 @@ mod tests {
         assert_eq!(out.evicted, Some((LineAddr(1), 1)));
         assert!(c.contains(LineAddr(0)));
         assert!(c.contains(LineAddr(2)));
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.evictions, 1);
     }
 
     #[test]
@@ -327,7 +308,7 @@ mod tests {
         assert!(out.overflowed);
         assert_eq!(out.evicted, None);
         assert_eq!(c.get(LineAddr(2)), Some(&2));
-        assert_eq!(c.overflow_len(), 1);
+        assert_eq!(c.overflow.len(), 1);
         assert_eq!(c.overflow_peak(), 1);
     }
 
@@ -336,9 +317,9 @@ mod tests {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(1, 1);
         c.insert(LineAddr(0), 0, |_, _| true);
         c.insert(LineAddr(1), 1, |_, _| false);
-        assert_eq!(c.overflow_len(), 1);
+        assert_eq!(c.overflow.len(), 1);
         c.remove(LineAddr(0));
-        assert_eq!(c.overflow_len(), 0, "overflowed line should be promoted");
+        assert_eq!(c.overflow.len(), 0, "overflowed line should be promoted");
         assert_eq!(c.get(LineAddr(1)), Some(&1));
     }
 
@@ -357,16 +338,6 @@ mod tests {
         let out = c.insert(LineAddr(1), 1, |_, _| true);
         assert_eq!(out.evicted, None);
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn iter_covers_array_and_overflow() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(1, 1);
-        c.insert(LineAddr(0), 0, |_, _| true);
-        c.insert(LineAddr(1), 1, |_, _| false);
-        let mut addrs: Vec<u64> = c.iter().map(|(a, _)| a.0).collect();
-        addrs.sort_unstable();
-        assert_eq!(addrs, vec![0, 1]);
     }
 
     #[test]

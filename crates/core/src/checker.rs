@@ -77,7 +77,7 @@ impl Checker {
     }
 
     /// Whether checking is active.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -96,7 +96,7 @@ impl Checker {
     /// transition tables declare impossible for the controller's current
     /// state, or one that no handler accepts.  Surfaced as a `PROTOCOL:`
     /// violation instead of panicking a campaign worker mid-sweep.
-    pub fn protocol_error(&mut self, node: NodeId, addr: LineAddr, what: &str, at: Cycle) {
+    pub(crate) fn protocol_error(&mut self, node: NodeId, addr: LineAddr, what: &str, at: Cycle) {
         if !self.enabled {
             return;
         }
@@ -180,7 +180,7 @@ impl Checker {
     }
 
     /// Records creation of a backup copy at `node`.
-    pub fn backup_created(&mut self, node: NodeId, addr: LineAddr, at: Cycle) {
+    pub(crate) fn backup_created(&mut self, node: NodeId, addr: LineAddr, at: Cycle) {
         if !self.enabled {
             return;
         }
@@ -200,23 +200,13 @@ impl Checker {
     }
 
     /// Records deletion of the backup copy at `node`.
-    pub fn backup_deleted(&mut self, node: NodeId, addr: LineAddr, _at: Cycle) {
+    pub(crate) fn backup_deleted(&mut self, node: NodeId, addr: LineAddr, _at: Cycle) {
         if !self.enabled {
             return;
         }
         let t = self.lines.entry(addr).or_default();
         t.readers.len(); // keep borrowck simple
         t.backups.retain(|n| *n != node);
-    }
-
-    /// Last committed version of a line (0 if never written).
-    pub fn committed_version(&self, addr: LineAddr) -> u64 {
-        self.lines.get(&addr).map_or(0, |t| t.version)
-    }
-
-    /// Number of lines ever tracked.
-    pub fn tracked_lines(&self) -> usize {
-        self.lines.len()
     }
 }
 
@@ -289,7 +279,7 @@ mod tests {
         c.store_committed(l1(0), A, 2, Cycle::ZERO);
         c.load_observed(l1(1), A, 2, Cycle::ZERO);
         assert!(c.violations().is_empty());
-        assert_eq!(c.committed_version(A), 2);
+        assert_eq!(c.lines[&A].version, 2);
     }
 
     #[test]
@@ -363,7 +353,7 @@ mod tests {
             c.backup_created(NodeId::Mem(0), LineAddr(line), Cycle::ZERO);
         }
         assert!(c.violations().is_empty());
-        assert_eq!(c.tracked_lines(), 8);
+        assert_eq!(c.lines.len(), 8);
     }
 
     #[test]
@@ -393,7 +383,7 @@ mod tests {
         c.store_committed(l1(0), A, 99, Cycle::ZERO);
         assert!(c.violations().is_empty());
         assert!(!c.is_enabled());
-        assert_eq!(c.tracked_lines(), 0);
+        assert_eq!(c.lines.len(), 0);
     }
 
     #[test]

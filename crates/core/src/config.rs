@@ -17,7 +17,7 @@ pub enum ProtocolVariant {
 
 impl ProtocolVariant {
     /// Whether the fault-tolerance machinery is active.
-    pub fn is_fault_tolerant(self) -> bool {
+    pub(crate) fn is_fault_tolerant(self) -> bool {
         matches!(self, ProtocolVariant::FtDirCmp)
     }
 
@@ -232,12 +232,12 @@ impl SystemConfig {
     }
 
     /// Number of L1 sets.
-    pub fn l1_sets(&self) -> u64 {
+    pub(crate) fn l1_sets(&self) -> u64 {
         self.l1_bytes / (self.line_bytes * u64::from(self.l1_assoc))
     }
 
     /// Number of L2-bank sets.
-    pub fn l2_sets(&self) -> u64 {
+    pub(crate) fn l2_sets(&self) -> u64 {
         self.l2_bank_bytes / (self.line_bytes * u64::from(self.l2_assoc))
     }
 

@@ -15,7 +15,7 @@ use crate::trace::{CoreTrace, TraceOp};
 
 /// Why the core cannot issue right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IssueBlock {
+pub(crate) enum IssueBlock {
     /// Ready to issue the next operation.
     Ready,
     /// The next operation touches a line with a miss already in flight.
@@ -28,7 +28,7 @@ pub enum IssueBlock {
 
 /// A trace-driven core with a bounded miss window.
 #[derive(Debug, Clone)]
-pub struct Cpu {
+pub(crate) struct Cpu {
     core: u8,
     trace: CoreTrace,
     pc: usize,
@@ -41,7 +41,7 @@ pub struct Cpu {
 impl Cpu {
     /// Creates core `core` running `trace` with a miss window of `window`
     /// (≥ 1; 1 = blocking core).
-    pub fn new(core: u8, trace: CoreTrace, window: u8) -> Self {
+    pub(crate) fn new(core: u8, trace: CoreTrace, window: u8) -> Self {
         Cpu {
             core,
             trace,
@@ -54,45 +54,40 @@ impl Cpu {
     }
 
     /// Core index.
-    pub fn core(&self) -> u8 {
+    pub(crate) fn core(&self) -> u8 {
         self.core
     }
 
     /// Whether the trace is exhausted **and** all misses have drained.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.pc >= self.trace.len() && self.outstanding.is_empty()
     }
 
     /// Operations retired.
-    pub fn ops_done(&self) -> u64 {
+    pub(crate) fn ops_done(&self) -> u64 {
         self.ops_done
     }
 
     /// Memory operations retired.
-    pub fn mem_ops_done(&self) -> u64 {
+    pub(crate) fn mem_ops_done(&self) -> u64 {
         self.mem_ops_done
-    }
-
-    /// Misses currently in flight.
-    pub fn outstanding_misses(&self) -> usize {
-        self.outstanding.len()
     }
 
     /// Line addresses of the misses currently in flight (issue order).
     /// Watchdog diagnostics use this to name the lines a stalled core is
     /// blocked on.
-    pub fn outstanding_lines(&self) -> &[LineAddr] {
+    pub(crate) fn outstanding_lines(&self) -> &[LineAddr] {
         &self.outstanding
     }
 
     /// The operation at the program counter, if any.
-    pub fn current_op(&self) -> Option<TraceOp> {
+    pub(crate) fn current_op(&self) -> Option<TraceOp> {
         self.trace.ops().get(self.pc).copied()
     }
 
     /// Whether the next operation may issue now (and if not, why), given
     /// the line it would touch.
-    pub fn issue_state(&self, line_of: impl Fn(TraceOp) -> Option<LineAddr>) -> IssueBlock {
+    pub(crate) fn issue_state(&self, line_of: impl Fn(TraceOp) -> Option<LineAddr>) -> IssueBlock {
         let Some(op) = self.current_op() else {
             return IssueBlock::Drained;
         };
@@ -115,7 +110,7 @@ impl Cpu {
     /// # Panics
     ///
     /// Panics if the trace is exhausted.
-    pub fn retire_now(&mut self) {
+    pub(crate) fn retire_now(&mut self) {
         let op = self.trace.ops()[self.pc];
         self.pc += 1;
         self.ops_done += 1;
@@ -131,7 +126,7 @@ impl Cpu {
     ///
     /// Panics if the line already has a miss in flight or the window is
     /// full.
-    pub fn issue_miss(&mut self, line: LineAddr) {
+    pub(crate) fn issue_miss(&mut self, line: LineAddr) {
         assert!(
             !self.outstanding.contains(&line),
             "core {}: second miss on {line}",
@@ -151,7 +146,7 @@ impl Cpu {
     /// # Panics
     ///
     /// Panics if no miss on `line` is in flight.
-    pub fn complete(&mut self, line: LineAddr) {
+    pub(crate) fn complete(&mut self, line: LineAddr) {
         let pos = self
             .outstanding
             .iter()
@@ -211,7 +206,7 @@ mod tests {
         assert_eq!(c.issue_state(line_of), IssueBlock::Ready);
         c.issue_miss(LineAddr(1));
         assert_eq!(c.issue_state(line_of), IssueBlock::WindowFull);
-        assert_eq!(c.outstanding_misses(), 2);
+        assert_eq!(c.outstanding.len(), 2);
         c.complete(LineAddr(0));
         assert_eq!(c.issue_state(line_of), IssueBlock::Ready);
         c.issue_miss(LineAddr(2));

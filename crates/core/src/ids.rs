@@ -17,24 +17,14 @@ pub enum NodeId {
 
 impl NodeId {
     /// Tile or controller index.
-    pub fn index(self) -> u8 {
+    pub(crate) fn index(self) -> u8 {
         match self {
             NodeId::L1(i) | NodeId::L2(i) | NodeId::Mem(i) => i,
         }
     }
 
-    /// Whether this node is an L1 cache.
-    pub fn is_l1(self) -> bool {
-        matches!(self, NodeId::L1(_))
-    }
-
-    /// Whether this node is an L2 bank.
-    pub fn is_l2(self) -> bool {
-        matches!(self, NodeId::L2(_))
-    }
-
     /// Whether this node is a memory controller.
-    pub fn is_mem(self) -> bool {
+    pub(crate) fn is_mem(self) -> bool {
         matches!(self, NodeId::Mem(_))
     }
 }
@@ -56,7 +46,7 @@ pub struct Addr(pub u64);
 impl Addr {
     /// The cache line containing this address, for a line size of
     /// `line_bytes` (must be a power of two).
-    pub fn line(self, line_bytes: u64) -> LineAddr {
+    pub(crate) fn line(self, line_bytes: u64) -> LineAddr {
         debug_assert!(line_bytes.is_power_of_two());
         LineAddr(self.0 / line_bytes)
     }
@@ -77,17 +67,17 @@ pub struct LineAddr(pub u64);
 
 impl LineAddr {
     /// Home L2 bank for this line (line-interleaved across banks).
-    pub fn home_bank(self, n_banks: u8) -> u8 {
+    pub(crate) fn home_bank(self, n_banks: u8) -> u8 {
         (self.0 % u64::from(n_banks)) as u8
     }
 
     /// Home memory controller for this line (line-interleaved).
-    pub fn home_mem(self, n_mems: u8) -> u8 {
+    pub(crate) fn home_mem(self, n_mems: u8) -> u8 {
         (self.0 % u64::from(n_mems)) as u8
     }
 
     /// First byte address of the line.
-    pub fn base_addr(self, line_bytes: u64) -> Addr {
+    pub(crate) fn base_addr(self, line_bytes: u64) -> Addr {
         Addr(self.0 * line_bytes)
     }
 }
@@ -104,42 +94,37 @@ pub struct SharerSet(u64);
 
 impl SharerSet {
     /// Creates an empty set.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         SharerSet(0)
     }
 
     /// Adds tile `i`.
-    pub fn insert(&mut self, i: u8) {
+    pub(crate) fn insert(&mut self, i: u8) {
         self.0 |= 1 << i;
     }
 
     /// Removes tile `i`.
-    pub fn remove(&mut self, i: u8) {
+    pub(crate) fn remove(&mut self, i: u8) {
         self.0 &= !(1 << i);
     }
 
     /// Whether tile `i` is present.
-    pub fn contains(self, i: u8) -> bool {
+    pub(crate) fn contains(self, i: u8) -> bool {
         self.0 & (1 << i) != 0
     }
 
-    /// Number of tiles present.
-    pub fn len(self) -> u32 {
-        self.0.count_ones()
-    }
-
     /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.0 == 0
     }
 
     /// Removes all tiles.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.0 = 0;
     }
 
     /// Iterates over the tile indices present.
-    pub fn iter(self) -> impl Iterator<Item = u8> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = u8> {
         (0..64u8).filter(move |i| self.contains(*i))
     }
 }
@@ -175,10 +160,8 @@ mod tests {
 
     #[test]
     fn node_kind_predicates() {
-        assert!(NodeId::L1(3).is_l1());
-        assert!(NodeId::L2(3).is_l2());
         assert!(NodeId::Mem(0).is_mem());
-        assert!(!NodeId::L1(3).is_l2());
+        assert!(!NodeId::L1(3).is_mem());
         assert_eq!(NodeId::L2(7).index(), 7);
     }
 
@@ -211,12 +194,12 @@ mod tests {
         s.insert(3);
         s.insert(10);
         s.insert(3);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.0.count_ones(), 2);
         assert!(s.contains(3));
         assert!(!s.contains(4));
         s.remove(3);
         assert!(!s.contains(3));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.0.count_ones(), 1);
         s.clear();
         assert!(s.is_empty());
     }

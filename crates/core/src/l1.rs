@@ -31,7 +31,7 @@ use crate::serial::{SerialAllocator, SerialNum};
 
 /// Stable L1 permission states (MOESI; `I` is represented by absence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum L1Perm {
+pub(crate) enum L1Perm {
     /// Shared, clean, read-only.
     S,
     /// Exclusive, clean (silent upgrade to `M` on store).
@@ -71,16 +71,16 @@ struct L1Entry {
 
 /// A CPU memory operation presented to the L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuOp {
+pub(crate) struct CpuOp {
     /// Line touched.
-    pub addr: LineAddr,
+    pub(crate) addr: LineAddr,
     /// True for stores.
-    pub is_store: bool,
+    pub(crate) is_store: bool,
 }
 
 /// Outcome of presenting a CPU operation to the L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpuOutcome {
+pub(crate) enum CpuOutcome {
     /// Completed locally; the core may continue after the hit latency.
     Hit,
     /// A miss was issued; the L1 will signal completion later.
@@ -179,7 +179,7 @@ struct L1LineState {
 
 /// The L1 cache controller for one tile.
 #[derive(Debug, Clone)]
-pub struct L1Controller {
+pub(crate) struct L1Controller {
     tile: u8,
     me: NodeId,
     ft: bool,
@@ -198,7 +198,7 @@ pub struct L1Controller {
 
 impl L1Controller {
     /// Creates the controller for `tile`.
-    pub fn new(tile: u8, config: &SystemConfig, rng: &mut DetRng) -> Self {
+    pub(crate) fn new(tile: u8, config: &SystemConfig, rng: &mut DetRng) -> Self {
         L1Controller {
             tile,
             me: NodeId::L1(tile),
@@ -214,13 +214,8 @@ impl L1Controller {
         }
     }
 
-    /// This controller's node id.
-    pub fn node(&self) -> NodeId {
-        self.me
-    }
-
     /// Whether a miss or writeback is in flight for any line.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         debug_assert_eq!(
             self.miss_count,
             self.lines.iter().filter(|(_, s)| s.miss.is_some()).count(),
@@ -231,18 +226,8 @@ impl L1Controller {
         })
     }
 
-    /// Resident-line count (diagnostics).
-    pub fn resident_lines(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Peak overflow-buffer occupancy (diagnostics).
-    pub fn overflow_peak(&self) -> usize {
-        self.cache.overflow_peak()
-    }
-
     /// Human-readable summary of in-flight state (deadlock diagnostics).
-    pub fn pending_summary(&self) -> String {
+    pub(crate) fn pending_summary(&self) -> String {
         let mut out = String::new();
         for (a, s) in self.lines.iter() {
             if let Some(m) = &s.miss {
@@ -315,7 +300,7 @@ impl L1Controller {
     // ------------------------------------------------------------------
 
     /// Presents a CPU memory operation.
-    pub fn cpu_access(&mut self, op: CpuOp, ctx: &mut Ctx<'_>) -> CpuOutcome {
+    pub(crate) fn cpu_access(&mut self, op: CpuOp, ctx: &mut Ctx<'_>) -> CpuOutcome {
         debug_assert!(
             self.lines.get(op.addr).is_none_or(|s| s.miss.is_none()),
             "core issued a second op to a line with a miss in flight"
@@ -612,7 +597,7 @@ impl L1Controller {
     /// The line's current facet configuration, in the state vocabulary of
     /// the reified transition table ([`crate::transitions::l1_table`]).
     /// The first entry is always the mandatory `Cache` facet.
-    pub fn table_facets(&self, addr: LineAddr) -> Facets {
+    pub(crate) fn table_facets(&self, addr: LineAddr) -> Facets {
         let ids = &crate::transitions::l1().1;
         let mut f = Facets::new();
         let cached = self.cache.get(addr);
@@ -680,7 +665,7 @@ impl L1Controller {
     }
 
     /// Handles an incoming network message.
-    pub fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
+    pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         self.table_check(&msg, ctx);
         match msg.mtype {
             MsgType::Data => self.on_data(msg, false, ctx),
@@ -1182,7 +1167,7 @@ impl L1Controller {
     // ------------------------------------------------------------------
 
     /// Handles a fired timeout; stale generations are ignored.
-    pub fn handle_timeout(
+    pub(crate) fn handle_timeout(
         &mut self,
         kind: TimeoutKind,
         addr: LineAddr,

@@ -260,7 +260,8 @@ fn stale_serial_responses_are_discarded() {
     // The slow original response arrives with the old serial: discarded.
     let old = Message::new(MsgType::DataEx, L, HOME, ME)
         .requester(ME)
-        .serial(SerialNum::new(reissued.serial.value().wrapping_sub(1), 8))
+        // 2^8 - 1 steps forward wraps to the serial just before the reissue's.
+        .serial((0..255).fold(reissued.serial, |s, _| s.next(8)))
         .data(LineData::pristine());
     c.handle_message(old, &mut h.ctx());
     assert!(h.completions.is_empty());
@@ -817,8 +818,8 @@ fn controller_reports_idle_after_full_transaction() {
     assert!(c.is_idle());
     fill_modified(&mut c, &mut h, L);
     assert!(c.is_idle());
-    assert_eq!(c.resident_lines(), 1);
-    assert_eq!(c.overflow_peak(), 0);
+    assert_eq!(c.cache.len(), 1);
+    assert_eq!(c.cache.overflow_peak(), 0);
 }
 
 // ---------------------------------------------------------------------

@@ -206,8 +206,7 @@ struct L2LineState {
 
 /// The L2 bank controller for one tile.
 #[derive(Debug, Clone)]
-pub struct L2Controller {
-    tile: u8,
+pub(crate) struct L2Controller {
     me: NodeId,
     ft: bool,
     cache: SetAssocCache<L2Line>,
@@ -220,9 +219,8 @@ pub struct L2Controller {
 
 impl L2Controller {
     /// Creates the bank controller for `tile`.
-    pub fn new(tile: u8, config: &SystemConfig, rng: &mut DetRng) -> Self {
+    pub(crate) fn new(tile: u8, config: &SystemConfig, rng: &mut DetRng) -> Self {
         L2Controller {
-            tile,
             me: NodeId::L2(tile),
             ft: config.protocol.is_fault_tolerant(),
             cache: SetAssocCache::new(config.l2_sets(), config.l2_assoc),
@@ -233,18 +231,8 @@ impl L2Controller {
         }
     }
 
-    /// This controller's node id.
-    pub fn node(&self) -> NodeId {
-        self.me
-    }
-
-    /// Tile index of this bank.
-    pub fn tile(&self) -> u8 {
-        self.tile
-    }
-
     /// Whether no transactions or handshakes are in flight.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         debug_assert_eq!(
             self.tbe_count,
             self.lines.iter().filter(|(_, st)| st.tbe.is_some()).count()
@@ -257,13 +245,8 @@ impl L2Controller {
         })
     }
 
-    /// Peak overflow-buffer occupancy (diagnostics).
-    pub fn overflow_peak(&self) -> usize {
-        self.cache.overflow_peak()
-    }
-
     /// Human-readable summary of in-flight state (deadlock diagnostics).
-    pub fn pending_summary(&self) -> String {
+    pub(crate) fn pending_summary(&self) -> String {
         let mut out = String::new();
         for (a, st) in self.lines.iter() {
             if let Some(t) = &st.tbe {
@@ -340,7 +323,7 @@ impl L2Controller {
     /// The line's current facet configuration, in the state vocabulary of
     /// the reified transition table ([`crate::transitions::l2_table`]).
     /// The first entry is always the mandatory `Line` facet.
-    pub fn table_facets(&self, addr: LineAddr) -> Facets {
+    pub(crate) fn table_facets(&self, addr: LineAddr) -> Facets {
         let ids = &crate::transitions::l2().1;
         let mut f = Facets::new();
         f.push(match self.cache.get(addr) {
@@ -397,7 +380,7 @@ impl L2Controller {
     }
 
     /// Handles an incoming network message.
-    pub fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
+    pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         self.table_check(&msg, ctx);
         match msg.mtype {
             MsgType::GetS | MsgType::GetX | MsgType::Put => self.on_request(msg, ctx),
@@ -420,7 +403,7 @@ impl L2Controller {
     }
 
     /// Handles a fired timeout; stale generations are ignored.
-    pub fn handle_timeout(
+    pub(crate) fn handle_timeout(
         &mut self,
         kind: TimeoutKind,
         addr: LineAddr,

@@ -34,14 +34,14 @@
 pub mod cache;
 pub mod checker;
 pub mod config;
-pub mod cpu;
+pub(crate) mod cpu;
 mod data;
 pub mod hardware;
 pub mod ids;
-pub mod l1;
-pub mod l2;
+pub(crate) mod l1;
+pub(crate) mod l2;
 mod linetab;
-pub mod mem;
+pub(crate) mod mem;
 pub mod msc;
 pub mod msg;
 pub mod proto;
@@ -62,6 +62,5 @@ pub use ids::{Addr, LineAddr, NodeId, SharerSet};
 pub use msg::{Message, MsgType};
 pub use proto::TimeoutKind;
 pub use serial::{SerialAllocator, SerialNum};
-pub use stats::ProtocolStats;
 pub use system::{FaultEpochReport, RunError, SimReport, StalledCore, System, SystemSnapshot};
 pub use trace::{CoreTrace, TraceOp, Workload};

@@ -38,7 +38,7 @@ pub(crate) struct LineTable<T> {
 }
 
 impl<T: Default> LineTable<T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LineTable {
             index: FxHashMap::default(),
             slots: Vec::new(),
@@ -47,13 +47,13 @@ impl<T: Default> LineTable<T> {
 
     /// The line's state, if it was ever touched.
     #[inline]
-    pub fn get(&self, addr: LineAddr) -> Option<&T> {
+    pub(crate) fn get(&self, addr: LineAddr) -> Option<&T> {
         self.index.get(&addr).map(|&i| &self.slots[i as usize].1)
     }
 
     /// Mutable access to the line's state, if it was ever touched.
     #[inline]
-    pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
         let slots = &mut self.slots;
         self.index.get(&addr).map(|&i| &mut slots[i as usize].1)
     }
@@ -61,7 +61,7 @@ impl<T: Default> LineTable<T> {
     /// Mutable access to the line's state, allocating a default slot on
     /// first touch.
     #[inline]
-    pub fn entry(&mut self, addr: LineAddr) -> &mut T {
+    pub(crate) fn entry(&mut self, addr: LineAddr) -> &mut T {
         let slots = &mut self.slots;
         let i = *self.index.entry(addr).or_insert_with(|| {
             let i = u32::try_from(slots.len()).expect("line table exceeds u32 handles");
@@ -73,7 +73,7 @@ impl<T: Default> LineTable<T> {
 
     /// All touched lines in first-touch order (diagnostics only; see the
     /// module docs for the iteration-order contract).
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
         self.slots.iter().map(|(a, t)| (*a, t))
     }
 }

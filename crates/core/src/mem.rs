@@ -41,7 +41,7 @@ struct MemTbe {
 
 /// One memory controller.
 #[derive(Debug, Clone)]
-pub struct MemController {
+pub(crate) struct MemController {
     me: NodeId,
     ft: bool,
     store: FxHashMap<LineAddr, LineData>,
@@ -53,7 +53,7 @@ pub struct MemController {
 
 impl MemController {
     /// Creates memory controller `index`.
-    pub fn new(index: u8, fault_tolerant: bool) -> Self {
+    pub(crate) fn new(index: u8, fault_tolerant: bool) -> Self {
         MemController {
             me: NodeId::Mem(index),
             ft: fault_tolerant,
@@ -65,18 +65,13 @@ impl MemController {
         }
     }
 
-    /// This controller's node id.
-    pub fn node(&self) -> NodeId {
-        self.me
-    }
-
     /// Whether no transactions are in flight.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.tbes.is_empty() && self.waiting.values().all(VecDeque::is_empty)
     }
 
     /// Human-readable summary of in-flight state (deadlock diagnostics).
-    pub fn pending_summary(&self) -> String {
+    pub(crate) fn pending_summary(&self) -> String {
         let mut out = String::new();
         for (a, t) in &self.tbes {
             out.push_str(&format!(
@@ -92,16 +87,6 @@ impl MemController {
         out
     }
 
-    /// The stored version of a line (0 if never written back).
-    pub fn stored_version(&self, addr: LineAddr) -> u64 {
-        self.store.get(&addr).map_or(0, |d| d.version())
-    }
-
-    /// Whether the chip (L2) currently owns the line.
-    pub fn is_chip_owned(&self, addr: LineAddr) -> bool {
-        self.l2_owned.contains(&addr)
-    }
-
     fn data_of(&self, addr: LineAddr) -> LineData {
         self.store.get(&addr).copied().unwrap_or_default()
     }
@@ -114,7 +99,7 @@ impl MemController {
     /// The line's current facet configuration, in the state vocabulary of
     /// the reified transition table ([`crate::transitions::mem_table`]).
     /// The first entry is always the mandatory `Line` facet.
-    pub fn table_facets(&self, addr: LineAddr) -> Facets {
+    pub(crate) fn table_facets(&self, addr: LineAddr) -> Facets {
         let ids = &crate::transitions::mem().1;
         let mut f = Facets::new();
         f.push(if self.l2_owned.contains(&addr) {
@@ -159,7 +144,7 @@ impl MemController {
     }
 
     /// Handles an incoming network message.
-    pub fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
+    pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         self.table_check(&msg, ctx);
         match msg.mtype {
             MsgType::GetX | MsgType::GetS | MsgType::Put => self.on_request(msg, ctx),
@@ -193,7 +178,7 @@ impl MemController {
     }
 
     /// Handles a fired timeout.
-    pub fn handle_timeout(
+    pub(crate) fn handle_timeout(
         &mut self,
         kind: TimeoutKind,
         addr: LineAddr,

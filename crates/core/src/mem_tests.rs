@@ -49,7 +49,7 @@ fn fill_grants_pristine_data_exclusively() {
     assert_eq!(grant.data.unwrap().version(), 0);
     assert!(!grant.data_dirty, "memory data is clean by definition");
     assert!(h.armed(ME, TimeoutKind::LostUnblock).is_some());
-    assert!(!c.is_chip_owned(L), "ownership moves at the unblock");
+    assert!(!c.l2_owned.contains(&L), "ownership moves at the unblock");
 }
 
 #[test]
@@ -68,7 +68,7 @@ fn unblock_with_acko_marks_chip_owned_and_answers_ackbd() {
         &mut h.ctx(),
     );
     assert_eq!(h.sent_one(MsgType::AckBD).dst, BANK);
-    assert!(c.is_chip_owned(L));
+    assert!(c.l2_owned.contains(&L));
     assert!(c.is_idle());
 }
 
@@ -111,8 +111,8 @@ fn writeback_roundtrip_updates_the_store() {
             .dirty(true),
         &mut h.ctx(),
     );
-    assert_eq!(c.stored_version(L), 2);
-    assert!(!c.is_chip_owned(L));
+    assert_eq!(c.store[&L].version(), 2);
+    assert!(!c.l2_owned.contains(&L));
     // FT: ownership handshake.
     let acko = h.sent_one(MsgType::AckO);
     c.handle_message(
@@ -330,7 +330,7 @@ fn dircmp_memory_uses_no_timers_or_handshakes() {
         &mut h.ctx(),
     );
     h.sent_none(MsgType::AckBD);
-    assert!(c.is_chip_owned(L));
+    assert!(c.l2_owned.contains(&L));
     // Writeback without the FT handshake.
     c.handle_message(
         Message::new(MsgType::Put, L, BANK, ME).serial(SerialNum::ZERO),

@@ -105,12 +105,12 @@ impl MsgType {
     }
 
     /// Whether messages of this type may carry line data.
-    pub fn may_carry_data(self) -> bool {
+    pub(crate) fn may_carry_data(self) -> bool {
         matches!(self, MsgType::Data | MsgType::DataEx | MsgType::WbData)
     }
 
     /// Virtual-channel class this type travels on.
-    pub fn vc_class(self) -> VcClass {
+    pub(crate) fn vc_class(self) -> VcClass {
         match self {
             MsgType::GetX | MsgType::GetS | MsgType::Put => VcClass::Request,
             MsgType::Inv | MsgType::FwdGetS | MsgType::FwdGetX => VcClass::Forward,
@@ -191,7 +191,7 @@ impl MsgType {
 
     /// Dense index into [`MsgType::ALL`], which lists the variants in
     /// declaration order (a unit test pins that).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 }
@@ -210,41 +210,41 @@ impl std::fmt::Display for MsgType {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Message type.
-    pub mtype: MsgType,
+    pub(crate) mtype: MsgType,
     /// Cache line the message concerns.
-    pub addr: LineAddr,
+    pub(crate) addr: LineAddr,
     /// Sending node.
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Destination node.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// The original requester of the transaction this message belongs to
     /// (meaningful on forwards, invalidations, and responses).
-    pub requester: NodeId,
+    pub(crate) requester: NodeId,
     /// Request serial number (always `SerialNum::ZERO` under DirCMP).
-    pub serial: SerialNum,
+    pub(crate) serial: SerialNum,
     /// Number of invalidation acknowledgments the requester must collect
     /// before the miss is complete (carried by `DataEx` and `FwdGetX`).
-    pub ack_count: u8,
+    pub(crate) ack_count: u8,
     /// Line data, if this message carries any.
-    pub data: Option<LineData>,
+    pub(crate) data: Option<LineData>,
     /// FtDirCMP: an ownership acknowledgment is piggybacked on this message
     /// (only meaningful on `Unblock`/`UnblockEx`, §3.1).
-    pub piggy_acko: bool,
+    pub(crate) piggy_acko: bool,
     /// The write-back acknowledgment tells the evicting cache its Put is
     /// stale: ownership already moved (race with a forwarded request).
-    pub wb_stale: bool,
+    pub(crate) wb_stale: bool,
     /// The write-back acknowledgment asks the evicting cache to include the
     /// line data in its `WbData` (as opposed to a clean `WbNoData`).
-    pub wb_wants_data: bool,
+    pub(crate) wb_wants_data: bool,
     /// The carried data is dirty with respect to memory. An exclusive grant
     /// of dirty data must install as `M`, never `E` (a silent-clean `E`
     /// eviction would otherwise lose the only up-to-date copy).
-    pub data_dirty: bool,
+    pub(crate) data_dirty: bool,
     /// `UnblockPing` only: the directory's open transaction is a GetX. The
     /// pinged cache disambiguates *which* transaction the ping refers to by
     /// kind — per-line serialization makes (line, requester, kind) unique,
     /// whereas small serial numbers may collide across transactions.
-    pub ping_for_store: bool,
+    pub(crate) ping_for_store: bool,
 }
 
 impl Message {
@@ -268,13 +268,13 @@ impl Message {
     }
 
     /// Builder-style: sets the original requester.
-    pub fn requester(mut self, requester: NodeId) -> Self {
+    pub(crate) fn requester(mut self, requester: NodeId) -> Self {
         self.requester = requester;
         self
     }
 
     /// Builder-style: sets the serial number.
-    pub fn serial(mut self, serial: SerialNum) -> Self {
+    pub(crate) fn serial(mut self, serial: SerialNum) -> Self {
         self.serial = serial;
         self
     }
@@ -284,7 +284,7 @@ impl Message {
     /// # Panics
     ///
     /// Panics if this message type cannot carry data.
-    pub fn data(mut self, data: LineData) -> Self {
+    pub(crate) fn data(mut self, data: LineData) -> Self {
         assert!(
             self.mtype.may_carry_data(),
             "{} cannot carry data",
@@ -295,25 +295,25 @@ impl Message {
     }
 
     /// Builder-style: sets the invalidation-ack count.
-    pub fn acks(mut self, n: u8) -> Self {
+    pub(crate) fn acks(mut self, n: u8) -> Self {
         self.ack_count = n;
         self
     }
 
     /// Builder-style: piggybacks an ownership acknowledgment.
-    pub fn with_acko(mut self) -> Self {
+    pub(crate) fn with_acko(mut self) -> Self {
         self.piggy_acko = true;
         self
     }
 
     /// Builder-style: marks the carried data dirty with respect to memory.
-    pub fn dirty(mut self, dirty: bool) -> Self {
+    pub(crate) fn dirty(mut self, dirty: bool) -> Self {
         self.data_dirty = dirty;
         self
     }
 
     /// Size on the wire in bytes given the configured control/data sizes.
-    pub fn size_bytes(&self, control_bytes: u32, data_bytes: u32) -> u32 {
+    pub(crate) fn size_bytes(&self, control_bytes: u32, data_bytes: u32) -> u32 {
         if self.data.is_some() {
             data_bytes
         } else {
@@ -322,7 +322,7 @@ impl Message {
     }
 
     /// Virtual-channel class.
-    pub fn vc_class(&self) -> VcClass {
+    pub(crate) fn vc_class(&self) -> VcClass {
         self.mtype.vc_class()
     }
 }
@@ -400,7 +400,7 @@ mod tests {
             .data(LineData::pristine())
             .acks(3);
         assert_eq!(m.requester, NodeId::L1(5));
-        assert_eq!(m.serial.value(), 9);
+        assert_eq!(m.serial, SerialNum::new(9, 8));
         assert_eq!(m.ack_count, 3);
         assert!(m.data.is_some());
         let u = msg(MsgType::UnblockEx).with_acko();

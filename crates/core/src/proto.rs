@@ -44,7 +44,7 @@ impl TimeoutKind {
     ];
 
     /// Dense index for array-backed counters.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             TimeoutKind::LostRequest => 0,
             TimeoutKind::LostUnblock => 1,
@@ -76,14 +76,14 @@ impl std::fmt::Display for TimeoutKind {
 /// coexist on one line, so the set lives on the stack — `table_facets` is
 /// called once per delivered message and must not allocate.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Facets {
+pub(crate) struct Facets {
     buf: [u8; 4],
     len: u8,
 }
 
 impl Facets {
     /// An empty facet set.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Facets {
             buf: [0; 4],
             len: 0,
@@ -95,7 +95,7 @@ impl Facets {
     /// # Panics
     ///
     /// Panics if more than four facets are pushed.
-    pub fn push(&mut self, facet: u8) {
+    pub(crate) fn push(&mut self, facet: u8) {
         self.buf[self.len as usize] = facet;
         self.len += 1;
     }
@@ -116,7 +116,7 @@ impl std::ops::Deref for Facets {
 /// stale. Backoff guarantees the window eventually exceeds any finite
 /// latency, making recovery convergent for *any* positive base timeout
 /// (DESIGN.md §6.4).
-pub fn backoff_delay(base: u64, attempt: u32) -> u64 {
+pub(crate) fn backoff_delay(base: u64, attempt: u32) -> u64 {
     base.saturating_mul(1u64 << attempt.min(6))
 }
 
@@ -127,69 +127,69 @@ pub fn backoff_delay(base: u64, attempt: u32) -> u64 {
 /// whenever the timer is re-armed or becomes irrelevant; a firing with a
 /// stale `gen` is ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimeoutReq {
+pub(crate) struct TimeoutReq {
     /// Node that owns the timer.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Line the timer guards.
-    pub addr: LineAddr,
+    pub(crate) addr: LineAddr,
     /// Which timer.
-    pub kind: TimeoutKind,
+    pub(crate) kind: TimeoutKind,
     /// Generation at arm time.
-    pub gen: u64,
+    pub(crate) gen: u64,
     /// Cycles from now until it fires.
-    pub delay: u64,
+    pub(crate) delay: u64,
 }
 
 /// An outgoing message plus the local processing latency before it enters
 /// the network.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Outgoing {
+pub(crate) struct Outgoing {
     /// The message to send.
-    pub msg: Message,
+    pub(crate) msg: Message,
     /// Cycles of local processing before injection.
-    pub delay: u64,
+    pub(crate) delay: u64,
 }
 
 /// Notification that a core's pending memory operation finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoreCompletion {
+pub(crate) struct CoreCompletion {
     /// Core whose operation completed.
-    pub core: u8,
+    pub(crate) core: u8,
     /// Line the completed operation touched.
-    pub addr: LineAddr,
+    pub(crate) addr: LineAddr,
     /// Whether the completed operation was a store.
-    pub was_store: bool,
+    pub(crate) was_store: bool,
     /// Extra cycles before the core may proceed.
-    pub delay: u64,
+    pub(crate) delay: u64,
 }
 
 /// Effect sink handed to controllers.
 #[derive(Debug)]
-pub struct Ctx<'a> {
+pub(crate) struct Ctx<'a> {
     /// Current simulated time.
-    pub now: Cycle,
+    pub(crate) now: Cycle,
     /// Messages to inject into the network.
-    pub out: &'a mut Vec<Outgoing>,
+    pub(crate) out: &'a mut Vec<Outgoing>,
     /// Timeouts to arm.
-    pub timeouts: &'a mut Vec<TimeoutReq>,
+    pub(crate) timeouts: &'a mut Vec<TimeoutReq>,
     /// Core completions to deliver.
-    pub completions: &'a mut Vec<CoreCompletion>,
+    pub(crate) completions: &'a mut Vec<CoreCompletion>,
     /// Protocol statistics.
-    pub stats: &'a mut ProtocolStats,
+    pub(crate) stats: &'a mut ProtocolStats,
     /// Global invariant checker.
-    pub checker: &'a mut Checker,
+    pub(crate) checker: &'a mut Checker,
     /// System configuration.
-    pub config: &'a SystemConfig,
+    pub(crate) config: &'a SystemConfig,
 }
 
 impl Ctx<'_> {
     /// Queues `msg` for injection after `delay` cycles of local processing.
-    pub fn send(&mut self, msg: Message, delay: u64) {
+    pub(crate) fn send(&mut self, msg: Message, delay: u64) {
         self.out.push(Outgoing { msg, delay });
     }
 
     /// Arms a timeout.
-    pub fn arm_timeout(
+    pub(crate) fn arm_timeout(
         &mut self,
         node: NodeId,
         addr: LineAddr,
@@ -207,7 +207,7 @@ impl Ctx<'_> {
     }
 
     /// Notifies that `core`'s pending memory operation on `addr` completed.
-    pub fn complete(&mut self, core: u8, addr: LineAddr, was_store: bool, delay: u64) {
+    pub(crate) fn complete(&mut self, core: u8, addr: LineAddr, was_store: bool, delay: u64) {
         self.completions.push(CoreCompletion {
             core,
             addr,

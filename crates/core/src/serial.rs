@@ -40,12 +40,7 @@ impl SerialNum {
 
     /// The serial used by the non-fault-tolerant DirCMP protocol, which
     /// ignores serials entirely.
-    pub const ZERO: SerialNum = SerialNum(0);
-
-    /// Raw value.
-    pub fn value(self) -> u16 {
-        self.0
-    }
+    pub(crate) const ZERO: SerialNum = SerialNum(0);
 
     /// The sequentially next serial (used when reissuing a request),
     /// wrapping modulo `2^bits` (paper §3.5).
@@ -81,7 +76,7 @@ pub struct SerialAllocator {
 
 impl SerialAllocator {
     /// Creates an allocator with a random starting point.
-    pub fn new(bits: u8, rng: &mut DetRng) -> Self {
+    pub(crate) fn new(bits: u8, rng: &mut DetRng) -> Self {
         let start = (rng.next_u64() & 0xFFFF) as u16;
         SerialAllocator {
             counter: start,
@@ -90,15 +85,10 @@ impl SerialAllocator {
     }
 
     /// Serial number for a brand-new request.
-    pub fn fresh(&mut self) -> SerialNum {
+    pub(crate) fn fresh(&mut self) -> SerialNum {
         let s = SerialNum::new(self.counter, self.bits);
         self.counter = self.counter.wrapping_add(1);
         s
-    }
-
-    /// Width in bits.
-    pub fn bits(&self) -> u8 {
-        self.bits
     }
 }
 
@@ -108,16 +98,16 @@ mod tests {
 
     #[test]
     fn truncates_to_width() {
-        assert_eq!(SerialNum::new(0x1FF, 8).value(), 0xFF);
-        assert_eq!(SerialNum::new(0x1FF, 4).value(), 0xF);
-        assert_eq!(SerialNum::new(7, 3).value(), 7);
+        assert_eq!(SerialNum::new(0x1FF, 8).0, 0xFF);
+        assert_eq!(SerialNum::new(0x1FF, 4).0, 0xF);
+        assert_eq!(SerialNum::new(7, 3).0, 7);
     }
 
     #[test]
     fn next_wraps_at_width() {
-        assert_eq!(SerialNum::new(3, 2).next(2).value(), 0);
-        assert_eq!(SerialNum::new(254, 8).next(8).value(), 255);
-        assert_eq!(SerialNum::new(255, 8).next(8).value(), 0);
+        assert_eq!(SerialNum::new(3, 2).next(2).0, 0);
+        assert_eq!(SerialNum::new(254, 8).next(8).0, 255);
+        assert_eq!(SerialNum::new(255, 8).next(8).0, 0);
     }
 
     #[test]
@@ -144,7 +134,7 @@ mod tests {
         let s1 = a.fresh();
         let s2 = a.fresh();
         assert_eq!(s1.next(8), s2);
-        assert_eq!(a.bits(), 8);
+        assert_eq!(a.bits, 8);
 
         let mut rng2 = DetRng::from_seed(1);
         let mut b = SerialAllocator::new(8, &mut rng2);

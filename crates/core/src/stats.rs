@@ -13,13 +13,13 @@ pub struct ProtocolStats {
     msg_sent: Vec<Counter>,
     msg_bytes: Vec<Counter>,
     /// L1 load hits.
-    pub l1_load_hits: Counter,
+    pub(crate) l1_load_hits: Counter,
     /// L1 store hits.
-    pub l1_store_hits: Counter,
+    pub(crate) l1_store_hits: Counter,
     /// L1 load misses.
-    pub l1_load_misses: Counter,
+    pub(crate) l1_load_misses: Counter,
     /// L1 store misses (including upgrades).
-    pub l1_store_misses: Counter,
+    pub(crate) l1_store_misses: Counter,
     /// L2 hits (request satisfied without going to memory).
     pub l2_hits: Counter,
     /// L2 misses (fills from memory).
@@ -29,9 +29,9 @@ pub struct ProtocolStats {
     /// L1 writebacks initiated.
     pub l1_writebacks: Counter,
     /// L2-to-memory writebacks initiated.
-    pub l2_writebacks: Counter,
+    pub(crate) l2_writebacks: Counter,
     /// Directory-initiated recalls (L2 evicting a line with L1 copies).
-    pub recalls: Counter,
+    pub(crate) recalls: Counter,
     /// GetS requests converted to exclusive grants by the migratory
     /// optimization.
     pub migratory_grants: Counter,
@@ -44,18 +44,18 @@ pub struct ProtocolStats {
     /// stale-serial message later arrives): false positives (§3.5).
     pub false_positives: Counter,
     /// Forwards deferred because the owner was in a blocked-ownership state.
-    pub deferred_forwards: Counter,
+    pub(crate) deferred_forwards: Counter,
     /// Requests deferred at a busy directory line.
-    pub deferred_requests: Counter,
+    pub(crate) deferred_requests: Counter,
     /// L1 MSHR occupancy sampled at each miss issue.
-    pub l1_mshr_occupancy: Histogram,
+    pub(crate) l1_mshr_occupancy: Histogram,
     /// L2 TBE occupancy sampled at each transaction start.
-    pub l2_tbe_occupancy: Histogram,
+    pub(crate) l2_tbe_occupancy: Histogram,
 }
 
 impl ProtocolStats {
     /// Creates zeroed statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ProtocolStats {
             msg_sent: vec![Counter::new(); MsgType::ALL.len()],
             msg_bytes: vec![Counter::new(); MsgType::ALL.len()],
@@ -82,13 +82,13 @@ impl ProtocolStats {
     }
 
     /// Records an injected message of `bytes` bytes.
-    pub fn record_msg(&mut self, mtype: MsgType, bytes: u32) {
+    pub(crate) fn record_msg(&mut self, mtype: MsgType, bytes: u32) {
         self.msg_sent[mtype.index()].incr();
         self.msg_bytes[mtype.index()].add(u64::from(bytes));
     }
 
     /// Records a fired timeout.
-    pub fn record_timeout(&mut self, kind: TimeoutKind) {
+    pub(crate) fn record_timeout(&mut self, kind: TimeoutKind) {
         self.timeouts_fired[kind.index()].incr();
     }
 
@@ -98,7 +98,7 @@ impl ProtocolStats {
     }
 
     /// Bytes sent of a given type.
-    pub fn bytes(&self, mtype: MsgType) -> u64 {
+    pub(crate) fn bytes(&self, mtype: MsgType) -> u64 {
         self.msg_bytes[mtype.index()].get()
     }
 
@@ -149,12 +149,6 @@ impl ProtocolStats {
     /// Total L1 accesses.
     pub fn l1_accesses(&self) -> u64 {
         self.l1_misses() + self.l1_load_hits.get() + self.l1_store_hits.get()
-    }
-}
-
-impl Default for ProtocolStats {
-    fn default() -> Self {
-        ProtocolStats::new()
     }
 }
 

@@ -169,18 +169,18 @@ pub struct FaultEpochReport {
     /// Protocol timeouts fired during the epoch (all kinds).
     pub timeouts_fired: u64,
     /// Requests reissued during the epoch.
-    pub reissues: u64,
+    pub(crate) reissues: u64,
     /// Recovery pings sent during the epoch.
-    pub pings_sent: u64,
+    pub(crate) pings_sent: u64,
     /// Messages the network lost during the epoch (all causes).
     pub messages_lost: u64,
     /// Memory operations retired during the epoch (forward progress under
     /// degradation).
-    pub mem_ops_retired: u64,
+    pub(crate) mem_ops_retired: u64,
     /// Cycle of the first operation retired at or after `end` — the moment
     /// the system demonstrably recovered. `None` if the run finished (or
     /// gave up) without retiring anything after the event cleared.
-    pub recovered_at: Option<u64>,
+    pub(crate) recovered_at: Option<u64>,
 }
 
 impl FaultEpochReport {
@@ -439,7 +439,7 @@ impl System {
     }
 
     /// In-flight state of every controller (deadlock diagnostics).
-    pub fn diagnostics(&self) -> String {
+    pub(crate) fn diagnostics(&self) -> String {
         let mut out = String::new();
         for c in &self.l1s {
             out.push_str(&c.pending_summary());

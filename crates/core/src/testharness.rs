@@ -12,17 +12,17 @@ use crate::proto::{CoreCompletion, Ctx, Outgoing, TimeoutReq};
 use crate::stats::ProtocolStats;
 
 pub(crate) struct Harness {
-    pub out: Vec<Outgoing>,
-    pub timeouts: Vec<TimeoutReq>,
-    pub completions: Vec<CoreCompletion>,
-    pub stats: ProtocolStats,
-    pub checker: Checker,
-    pub config: SystemConfig,
-    pub now: Cycle,
+    pub(crate) out: Vec<Outgoing>,
+    pub(crate) timeouts: Vec<TimeoutReq>,
+    pub(crate) completions: Vec<CoreCompletion>,
+    pub(crate) stats: ProtocolStats,
+    pub(crate) checker: Checker,
+    pub(crate) config: SystemConfig,
+    pub(crate) now: Cycle,
 }
 
 impl Harness {
-    pub fn new(config: SystemConfig) -> Self {
+    pub(crate) fn new(config: SystemConfig) -> Self {
         Harness {
             out: Vec::new(),
             timeouts: Vec::new(),
@@ -34,19 +34,19 @@ impl Harness {
         }
     }
 
-    pub fn ft() -> Self {
+    pub(crate) fn ft() -> Self {
         Harness::new(SystemConfig::ftdircmp())
     }
 
-    pub fn dircmp() -> Self {
+    pub(crate) fn dircmp() -> Self {
         Harness::new(SystemConfig::dircmp())
     }
 
-    pub fn rng(&self) -> DetRng {
+    pub(crate) fn rng(&self) -> DetRng {
         DetRng::from_seed(self.config.seed)
     }
 
-    pub fn ctx(&mut self) -> Ctx<'_> {
+    pub(crate) fn ctx(&mut self) -> Ctx<'_> {
         Ctx {
             now: self.now,
             out: &mut self.out,
@@ -59,7 +59,7 @@ impl Harness {
     }
 
     /// All messages of `mtype` emitted so far (without draining).
-    pub fn sent(&self, mtype: MsgType) -> Vec<&Message> {
+    pub(crate) fn sent(&self, mtype: MsgType) -> Vec<&Message> {
         self.out
             .iter()
             .filter(|o| o.msg.mtype == mtype)
@@ -72,14 +72,14 @@ impl Harness {
     /// # Panics
     ///
     /// Panics unless exactly one exists.
-    pub fn sent_one(&self, mtype: MsgType) -> Message {
+    pub(crate) fn sent_one(&self, mtype: MsgType) -> Message {
         let v = self.sent(mtype);
         assert_eq!(v.len(), 1, "expected exactly one {mtype}, got {}", v.len());
         v[0].clone()
     }
 
     /// Asserts nothing of `mtype` was sent.
-    pub fn sent_none(&self, mtype: MsgType) {
+    pub(crate) fn sent_none(&self, mtype: MsgType) {
         assert!(
             self.sent(mtype).is_empty(),
             "unexpected {mtype}: {:?}",
@@ -88,14 +88,18 @@ impl Harness {
     }
 
     /// Clears emitted messages and timeouts (keeps stats/checker).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.out.clear();
         self.timeouts.clear();
         self.completions.clear();
     }
 
     /// Most recently armed timeout of the given kind for `addr`, if any.
-    pub fn armed(&self, node: NodeId, kind: crate::proto::TimeoutKind) -> Option<TimeoutReq> {
+    pub(crate) fn armed(
+        &self,
+        node: NodeId,
+        kind: crate::proto::TimeoutKind,
+    ) -> Option<TimeoutReq> {
         self.timeouts
             .iter()
             .rev()

@@ -89,24 +89,14 @@ pub trait TraceSink {
 
 /// Prints events to stderr, optionally filtered to a set of line addresses.
 #[derive(Debug, Default)]
-pub struct StderrSink {
+pub(crate) struct StderrSink {
     lines: Option<Vec<u64>>,
 }
 
 impl StderrSink {
-    /// Prints every event.
-    pub fn all() -> Self {
-        StderrSink { lines: None }
-    }
-
-    /// Prints only events touching the given line addresses.
-    pub fn for_lines(lines: Vec<u64>) -> Self {
-        StderrSink { lines: Some(lines) }
-    }
-
     /// Builds a sink from the `FTDIRCMP_TRACE_LINE` environment variable
     /// (comma-separated hex line addresses), if set.
-    pub fn from_env() -> Option<Self> {
+    pub(crate) fn from_env() -> Option<Self> {
         let raw = std::env::var("FTDIRCMP_TRACE_LINE").ok()?;
         let lines: Vec<u64> = raw
             .split(',')
@@ -166,16 +156,6 @@ impl CollectHandle {
     pub fn take(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events.borrow_mut())
     }
-
-    /// Number of events collected so far.
-    pub fn len(&self) -> usize {
-        self.events.borrow().len()
-    }
-
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.events.borrow().is_empty()
-    }
 }
 
 /// Collects events into a bounded in-memory buffer.
@@ -231,19 +211,21 @@ mod tests {
         for i in 0..5 {
             sink.record(event(i));
         }
-        assert_eq!(handle.len(), 2);
+        assert_eq!(handle.events.borrow().len(), 2);
         let taken = handle.take();
         assert_eq!(taken.len(), 2);
-        assert!(handle.is_empty());
+        assert!(handle.events.borrow().is_empty());
         assert_eq!(taken[0].line(), Some(LineAddr(0)));
     }
 
     #[test]
     fn stderr_sink_filters_by_line() {
-        let sink = StderrSink::for_lines(vec![7]);
+        let sink = StderrSink {
+            lines: Some(vec![7]),
+        };
         assert!(sink.wants(&event(7)));
         assert!(!sink.wants(&event(8)));
-        assert!(StderrSink::all().wants(&event(8)));
+        assert!(StderrSink { lines: None }.wants(&event(8)));
     }
 
     #[test]
@@ -256,7 +238,10 @@ mod tests {
             },
         };
         assert_eq!(e.line(), None);
-        assert!(!StderrSink::for_lines(vec![1]).wants(&e));
+        assert!(!StderrSink {
+            lines: Some(vec![1])
+        }
+        .wants(&e));
     }
 
     #[test]

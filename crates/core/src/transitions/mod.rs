@@ -116,11 +116,11 @@ pub fn msg(t: MsgType) -> Event {
     Event::Msg(t)
 }
 #[must_use]
-pub fn cpu(op: CpuOp) -> Event {
+pub(crate) fn cpu(op: CpuOp) -> Event {
     Event::Cpu(op)
 }
 #[must_use]
-pub fn tmo(k: TimeoutKind) -> Event {
+pub(crate) fn tmo(k: TimeoutKind) -> Event {
     Event::Timeout(k)
 }
 
@@ -223,20 +223,6 @@ pub enum Resource {
 }
 
 impl Resource {
-    pub const ALL: [Resource; 11] = [
-        Resource::Mshr,
-        Resource::WbMshr,
-        Resource::Tbe,
-        Resource::Backup,
-        Resource::MemBackup,
-        Resource::ExtPending,
-        Resource::AckBdPend,
-        Resource::TimerLostRequest,
-        Resource::TimerLostUnblock,
-        Resource::TimerLostAckBd,
-        Resource::TimerLostData,
-    ];
-
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -252,11 +238,6 @@ impl Resource {
             Resource::TimerLostAckBd => "t-lost-ackbd",
             Resource::TimerLostData => "t-lost-data",
         }
-    }
-
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Resource> {
-        Resource::ALL.into_iter().find(|r| r.name() == s)
     }
 }
 
@@ -278,7 +259,7 @@ pub struct StateDecl {
 
 impl StateDecl {
     #[must_use]
-    pub fn new(name: &'static str, family: &'static str, desc: &'static str) -> Self {
+    pub(crate) fn new(name: &'static str, family: &'static str, desc: &'static str) -> Self {
         StateDecl {
             name,
             family,
@@ -290,19 +271,19 @@ impl StateDecl {
     }
 
     #[must_use]
-    pub fn ft(mut self) -> Self {
+    pub(crate) fn ft(mut self) -> Self {
         self.ft_only = true;
         self
     }
 
     #[must_use]
-    pub fn implies(mut self, rs: &[Resource]) -> Self {
+    pub(crate) fn implies(mut self, rs: &[Resource]) -> Self {
         self.implies = rs.to_vec();
         self
     }
 
     #[must_use]
-    pub fn ft_implies(mut self, rs: &[Resource]) -> Self {
+    pub(crate) fn ft_implies(mut self, rs: &[Resource]) -> Self {
         self.ft_implies = rs.to_vec();
         self
     }
@@ -398,7 +379,7 @@ pub fn impossible(state: &'static str, event: Event, reason: &'static str) -> Ex
 }
 
 #[must_use]
-pub fn ignore(state: &'static str, event: Event, reason: &'static str) -> Exception {
+pub(crate) fn ignore(state: &'static str, event: Event, reason: &'static str) -> Exception {
     Exception {
         state,
         event,
@@ -408,7 +389,7 @@ pub fn ignore(state: &'static str, event: Event, reason: &'static str) -> Except
 }
 
 #[must_use]
-pub fn defer(state: &'static str, event: Event, reason: &'static str) -> Exception {
+pub(crate) fn defer(state: &'static str, event: Event, reason: &'static str) -> Exception {
     Exception {
         state,
         event,
@@ -623,7 +604,7 @@ impl ControllerTable {
     /// declares it ignored.  Guards are *not* evaluated: this is an
     /// over-approximation suitable for a cheap runtime cross-check.
     #[must_use]
-    pub fn legal_message(&self, facets: &[u8], mt: MsgType) -> bool {
+    pub(crate) fn legal_message(&self, facets: &[u8], mt: MsgType) -> bool {
         let bit = 1u32 << mt.index();
         facets
             .iter()

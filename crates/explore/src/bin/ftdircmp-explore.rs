@@ -50,7 +50,7 @@ fn cmd_explore(argv: &[String]) -> ExitCode {
     };
 
     let mut opts = ExploreOptions::new(protocol);
-    opts.jobs = args.jobs();
+    opts.jobs = args.jobs().unwrap_or_else(|e| e.exit());
     opts.progress = true;
     if let Some(names) = args.value_of("--workloads") {
         let mut specs = Vec::new();
@@ -71,10 +71,14 @@ fn cmd_explore(argv: &[String]) -> ExitCode {
         }
         opts.specs = specs;
     }
-    let seeds = args.u64_flag("--schedule-seeds", opts.schedule_seeds.len() as u64);
-    opts.schedule_seeds = (0..seeds.max(1)).collect();
-    opts.drop_budget = args.u64_flag("--budget", opts.drop_budget as u64) as usize;
-    opts.shrink_runs = args.u64_flag("--shrink-runs", opts.shrink_runs as u64) as usize;
+    let count = |name, default: usize| {
+        args.u64_flag(name, default as u64)
+            .unwrap_or_else(|e| e.exit())
+    };
+    opts.schedule_seeds =
+        (0..count("--schedule-seeds", opts.schedule_seeds.len()).max(1)).collect();
+    opts.drop_budget = count("--budget", opts.drop_budget) as usize;
+    opts.shrink_runs = count("--shrink-runs", opts.shrink_runs) as usize;
     opts.out_dir = Some(
         args.value_of("--out")
             .map_or_else(|| PathBuf::from("results/repros"), PathBuf::from),

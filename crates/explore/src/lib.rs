@@ -64,7 +64,7 @@ impl FailureKind {
     }
 
     /// Inverse of [`FailureKind::label`].
-    pub fn from_label(label: &str) -> Option<FailureKind> {
+    pub(crate) fn from_label(label: &str) -> Option<FailureKind> {
         match label {
             "deadlock" => Some(FailureKind::Deadlock),
             "violation" => Some(FailureKind::Violation),
@@ -93,7 +93,10 @@ pub struct Failure {
 ///
 /// Returns `None` for a clean run: completed, zero checker violations, and
 /// every memory operation of `workload` retired.
-pub fn classify(workload: &Workload, result: &Result<SimReport, RunError>) -> Option<Failure> {
+pub(crate) fn classify(
+    workload: &Workload,
+    result: &Result<SimReport, RunError>,
+) -> Option<Failure> {
     match result {
         Err(RunError::Deadlock {
             at,
@@ -154,7 +157,7 @@ pub fn classify(workload: &Workload, result: &Result<SimReport, RunError>) -> Op
 /// to its class quota; the bulk `Response`/`Request` traffic is sampled at
 /// an even stride so coverage still spans the whole run. The result is
 /// sorted and deduplicated, and deterministic in the input.
-pub fn guided_drop_candidates(classes: &[VcClass], budget: usize) -> Vec<u64> {
+pub(crate) fn guided_drop_candidates(classes: &[VcClass], budget: usize) -> Vec<u64> {
     const PRIORITY: [VcClass; 6] = [
         VcClass::OwnershipAck,
         VcClass::Ping,

@@ -21,19 +21,19 @@ pub struct Repro {
     /// Protocol under test.
     pub protocol: ProtocolVariant,
     /// Master seed (drives fault RNG, adaptive routes, initial serials).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Event-queue schedule seed (0 = FIFO).
     pub schedule_seed: u64,
     /// Deadlock watchdog window, cycles.
-    pub watchdog_cycles: u64,
+    pub(crate) watchdog_cycles: u64,
     /// Lost-request timeout, cycles.
-    pub lost_request_timeout: u64,
+    pub(crate) lost_request_timeout: u64,
     /// Lost-unblock timeout, cycles.
-    pub lost_unblock_timeout: u64,
+    pub(crate) lost_unblock_timeout: u64,
     /// Lost-AckBD timeout, cycles.
-    pub lost_ackbd_timeout: u64,
+    pub(crate) lost_ackbd_timeout: u64,
     /// Lost-data (backup) timeout, cycles.
-    pub lost_data_timeout: u64,
+    pub(crate) lost_data_timeout: u64,
     /// Deterministic drop schedule: 0-based injection indices to lose.
     pub drops: Vec<u64>,
     /// The failure this repro reproduces.
@@ -93,7 +93,7 @@ impl Repro {
     }
 
     /// Serializes to the RON-style repro format.
-    pub fn to_ron(&self) -> String {
+    pub(crate) fn to_ron(&self) -> String {
         let mut out = String::from("// ftdircmp repro v1\n(\n");
         out.push_str(&format!("    protocol: {:?},\n", self.protocol.name()));
         out.push_str(&format!("    seed: {},\n", self.seed));
@@ -190,7 +190,7 @@ impl Repro {
 
     /// Suggested file name for this repro (stable across reruns of the same
     /// cell: derived from content, not wall time).
-    pub fn file_name(&self) -> String {
+    pub(crate) fn file_name(&self) -> String {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in self.to_ron().bytes() {
             h ^= u64::from(b);

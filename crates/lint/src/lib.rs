@@ -38,15 +38,19 @@ pub enum Severity {
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    pub lint: &'static str,
+    pub(crate) lint: &'static str,
     pub severity: Severity,
-    pub controller: Option<Controller>,
+    pub(crate) controller: Option<Controller>,
     pub message: String,
 }
 
 impl Finding {
     #[must_use]
-    pub fn error(lint: &'static str, controller: Option<Controller>, message: String) -> Self {
+    pub(crate) fn error(
+        lint: &'static str,
+        controller: Option<Controller>,
+        message: String,
+    ) -> Self {
         Finding {
             lint,
             severity: Severity::Error,
@@ -56,7 +60,11 @@ impl Finding {
     }
 
     #[must_use]
-    pub fn note(lint: &'static str, controller: Option<Controller>, message: String) -> Self {
+    pub(crate) fn note(
+        lint: &'static str,
+        controller: Option<Controller>,
+        message: String,
+    ) -> Self {
         Finding {
             lint,
             severity: Severity::Note,

@@ -35,7 +35,7 @@ use crate::{Finding, Severity};
 
 /// The four nodes of the abstract system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Node {
+pub(crate) enum Node {
     L1A,
     L1B,
     L2H,
@@ -157,9 +157,9 @@ const MODEL_LIMITS: &[(Controller, &str, &str, &str)] = &[];
 
 /// Exploration outcome of one mode.
 pub struct Exploration {
-    pub ft: bool,
-    pub states: usize,
-    pub truncated: bool,
+    pub(crate) ft: bool,
+    pub(crate) states: usize,
+    pub(crate) truncated: bool,
     /// (controller, row index) pairs that fired at least once.
     pub fired: HashSet<(Controller, usize)>,
     /// `facets @ event` strings for reached impossible/uncovered pairs.
@@ -491,7 +491,7 @@ fn timer_of(k: TimeoutKind) -> Resource {
 
 /// The compiled-in tables in the order the model expects.
 #[must_use]
-pub fn default_tables() -> [&'static ControllerTable; 3] {
+pub(crate) fn default_tables() -> [&'static ControllerTable; 3] {
     [
         table(Controller::L1),
         table(Controller::L2),
@@ -675,7 +675,7 @@ pub fn explore_with(
 
 /// Lint 3 (+ the dynamic half of lint 5) entry point.
 #[must_use]
-pub fn reachability(max_states: usize, max_inflight: usize) -> Vec<Finding> {
+pub(crate) fn reachability(max_states: usize, max_inflight: usize) -> Vec<Finding> {
     // Split the state budget between the two modes; the FT run is the
     // larger machine.
     let non_ft = explore(false, max_states / 4, max_inflight);

@@ -178,29 +178,6 @@ pub fn render_section(t: &ControllerTable, section: Section) -> String {
     out
 }
 
-/// Renders the full §5 body: all nine sections with small subheadings.
-#[must_use]
-pub fn render_spec_body() -> String {
-    let mut out = String::new();
-    for c in Controller::ALL {
-        let t = table(c);
-        out.push_str(&format!("### {} controller\n\n", c.name()));
-        out.push_str(&format!(
-            "{} facet families: {}.  The first family is mandatory \
-             (default `{}`); the others are optional.\n\n",
-            t.families.len(),
-            t.families.join(", "),
-            t.default_state().name
-        ));
-        for section in Section::ALL {
-            out.push_str(&render_section(t, section));
-            out.push('\n');
-        }
-    }
-    out.pop();
-    out
-}
-
 /// Extracts the body lines of a marked section from `text`, or `None` if
 /// the markers are absent.
 #[must_use]

@@ -121,7 +121,7 @@ impl FaultEvent {
 
     /// The router the event is anchored at: a flap's source router, the
     /// browned-out router, a burst's epicenter.
-    pub fn router(&self) -> RouterId {
+    pub(crate) fn router(&self) -> RouterId {
         match *self {
             FaultEvent::LinkFlap { from: router, .. }
             | FaultEvent::RouterBrownout { router, .. }
@@ -132,15 +132,9 @@ impl FaultEvent {
     }
 
     /// Whether the event is active at `now`.
-    pub fn active_at(&self, now: u64) -> bool {
+    pub(crate) fn active_at(&self, now: u64) -> bool {
         let (start, end) = self.window();
         start <= now && now < end
-    }
-
-    /// Whether this event takes links hard-down (affects routing), as
-    /// opposed to merely degrading them (affects loss probability only).
-    pub fn is_hard_down(&self) -> bool {
-        matches!(self, FaultEvent::LinkFlap { .. })
     }
 
     /// Short label used in recovery telemetry
@@ -234,7 +228,7 @@ impl FaultDomainConfig {
     /// The channel parameters actually applied per link: the configured
     /// channel, or a passthrough that only loses messages inside
     /// event-degraded windows (at [`DEFAULT_DEGRADED_DROP`]).
-    pub fn effective_channel(&self) -> LinkChannelConfig {
+    pub(crate) fn effective_channel(&self) -> LinkChannelConfig {
         self.channel
             .clone()
             .unwrap_or_else(|| LinkChannelConfig::passthrough(DEFAULT_DEGRADED_DROP))
@@ -359,20 +353,10 @@ pub struct LinkChannel {
 }
 
 impl LinkChannel {
-    /// Whether the channel is currently in the bad state.
-    pub fn is_bad(self) -> bool {
-        self.bad
-    }
-
-    /// Messages this link has carried (decisions consumed).
-    pub fn count(self) -> u64 {
-        self.count
-    }
-
     /// Steps the channel for one message on link `link` and decides whether
     /// the message is lost. `forced_bad` applies an event-degraded window:
     /// the drop draw uses `drop_bad` regardless of channel state.
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         cfg: &LinkChannelConfig,
         domain_seed: u64,
@@ -546,13 +530,6 @@ mod tests {
         assert!(ev.active_at(199));
         assert!(!ev.active_at(200));
         assert_eq!(ev.window(), (100, 200));
-        assert!(ev.is_hard_down());
-        assert!(!FaultEvent::RouterBrownout {
-            router: RouterId::new(0),
-            start: 0,
-            end: 1,
-        }
-        .is_hard_down());
     }
 
     #[test]
@@ -631,8 +608,8 @@ mod tests {
         for _ in 0..100 {
             assert!(ch.step(&cfg, 1, 0, true));
         }
-        assert_eq!(ch.count(), 200);
-        assert!(!ch.is_bad(), "passthrough channel never transitions");
+        assert_eq!(ch.count, 200);
+        assert!(!ch.bad, "passthrough channel never transitions");
     }
 
     #[test]
@@ -648,7 +625,7 @@ mod tests {
         let mut ch = LinkChannel::default();
         // First step transitions good->bad and then drops at drop_bad.
         assert!(ch.step(&cfg, 9, 3, false));
-        assert!(ch.is_bad());
+        assert!(ch.bad);
         for _ in 0..50 {
             assert!(ch.step(&cfg, 9, 3, false));
         }

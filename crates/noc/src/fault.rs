@@ -43,13 +43,13 @@ pub struct FaultConfig {
     pub loss_per_million: f64,
     /// Probability that a loss extends to the next message as well
     /// (geometric burst length). `0.0` means isolated single-message losses.
-    pub burst_continue: f64,
+    pub(crate) burst_continue: f64,
     /// Hard cap on burst length.
-    pub burst_cap: u64,
+    pub(crate) burst_cap: u64,
     /// Restrict losses to these virtual-channel classes (`None` = any).
     /// Targeted injection isolates which message kinds each recovery
     /// mechanism covers (the per-class vulnerability study).
-    pub only_classes: Option<Vec<VcClass>>,
+    pub(crate) only_classes: Option<Vec<VcClass>>,
     /// Deterministic schedule: drop exactly the messages with these 0-based
     /// injection indices (message order is deterministic given the seed).
     /// Mutually exclusive with a probabilistic rate
@@ -130,7 +130,7 @@ impl FaultConfig {
     }
 
     /// Whether messages of `class` are eligible for injection.
-    pub fn targets(&self, class: VcClass) -> bool {
+    pub(crate) fn targets(&self, class: VcClass) -> bool {
         self.only_classes
             .as_ref()
             .is_none_or(|cs| cs.contains(&class))
@@ -275,7 +275,7 @@ impl FaultInjector {
     /// Starts recording the virtual-channel class of every message examined
     /// (index-aligned with the deterministic drop schedule). Used by the
     /// exploration harness to aim drops at protocol-dense message classes.
-    pub fn enable_injection_log(&mut self) {
+    pub(crate) fn enable_injection_log(&mut self) {
         self.injection_log = Some(Vec::new());
     }
 
@@ -301,7 +301,7 @@ impl FaultInjector {
     /// lost to a message-level source. Every non-local message is examined
     /// exactly once, whatever happened to it on its links: the injection log
     /// and the drop-schedule indices count examined messages.
-    pub fn should_drop_class(&mut self, class: VcClass) -> bool {
+    pub(crate) fn should_drop_class(&mut self, class: VcClass) -> bool {
         if let Some(log) = &mut self.injection_log {
             log.push(class);
         }
@@ -365,7 +365,7 @@ impl FaultInjector {
     /// Deterministic drop indices keep counting from the run's first
     /// message: indices below [`FaultInjector::messages_seen`] can no
     /// longer fire.
-    pub fn set_config(&mut self, config: FaultConfig) {
+    pub(crate) fn set_config(&mut self, config: FaultConfig) {
         self.sorted_drops.clear();
         self.sorted_drops
             .extend_from_slice(config.drop_indices.as_deref().unwrap_or_default());
@@ -389,11 +389,6 @@ impl FaultInjector {
     /// Messages examined so far.
     pub fn messages_seen(&self) -> u64 {
         self.messages_seen
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
     }
 }
 

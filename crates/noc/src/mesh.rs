@@ -93,11 +93,6 @@ impl SendOutcome {
             SendOutcome::Dropped => None,
         }
     }
-
-    /// Whether the message was lost.
-    pub fn is_dropped(self) -> bool {
-        matches!(self, SendOutcome::Dropped)
-    }
 }
 
 /// The on-chip network: a timing-and-fault oracle for message delivery.
@@ -146,18 +141,8 @@ impl Mesh {
             fault,
             route_rng,
             jitter_rng,
-            stats: NocStats::new(),
+            stats: NocStats::default(),
         }
-    }
-
-    /// The mesh topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MeshConfig {
-        &self.config
     }
 
     /// Traffic statistics collected so far.
@@ -235,7 +220,6 @@ impl Mesh {
             RoutingMode::Adaptive => topology.route_adaptive_iter(src, dst, route_rng, down),
         };
         let mut arrive = now;
-        let mut hops = 0u32;
         let lost = loop {
             let Some(link) = route.next() else {
                 // Arrived, or stranded with every productive link down.
@@ -257,7 +241,6 @@ impl Mesh {
             if config.hop_jitter_cycles > 0 {
                 arrive += jitter_rng.below(config.hop_jitter_cycles + 1);
             }
-            hops += 1;
             // A loss ends the walk: later links are neither reserved nor
             // asked.
             if decision.is_some() {
@@ -280,8 +263,7 @@ impl Mesh {
             arrive += self.jitter_rng.below(self.config.jitter_cycles + 1);
         }
 
-        let latency = arrive - now;
-        self.stats.record_sent(class, size_bytes, hops, latency);
+        self.stats.record_sent(class, size_bytes);
         SendOutcome::Delivered { at: arrive }
     }
 
@@ -311,20 +293,6 @@ impl Mesh {
         let sum: u64 = used.iter().sum();
         (sum as f64 / used.len() as f64 / elapsed as f64).min(1.0)
     }
-
-    /// Zero-load latency for a message of `size_bytes` over `hops` hops
-    /// (useful for calibrating protocol timeouts against the network).
-    pub fn zero_load_latency(&self, hops: u32, size_bytes: u32) -> u64 {
-        let ser = serialization_cycles(size_bytes, self.config.link_bytes_per_cycle);
-        u64::from(hops) * (ser + self.config.router_latency)
-    }
-
-    /// Worst-case zero-load latency across the mesh for a message of
-    /// `size_bytes` (corner to corner).
-    pub fn max_zero_load_latency(&self, size_bytes: u32) -> u64 {
-        let hops = u32::from(self.config.width - 1) + u32::from(self.config.height - 1);
-        self.zero_load_latency(hops, size_bytes)
-    }
 }
 
 fn serialization_cycles(size_bytes: u32, bytes_per_cycle: u32) -> u64 {
@@ -349,11 +317,21 @@ mod tests {
 
     #[test]
     fn zero_load_latency_matches_formula() {
-        let m = mesh();
+        let send = |dst, size| {
+            mesh()
+                .send(
+                    Cycle::ZERO,
+                    RouterId::new(0),
+                    RouterId::new(dst),
+                    size,
+                    VcClass::Request,
+                )
+                .delivered_at()
+        };
         // 8 bytes over 16 B/cycle = 1 cycle serialization + 4 router cycles per hop.
-        assert_eq!(m.zero_load_latency(3, 8), 3 * (1 + 4));
+        assert_eq!(send(3, 8), Some(Cycle::new(3 * (1 + 4))));
         // 72 bytes = 5 cycles serialization.
-        assert_eq!(m.zero_load_latency(1, 72), 5 + 4);
+        assert_eq!(send(1, 72), Some(Cycle::new(5 + 4)));
     }
 
     #[test]
@@ -442,7 +420,7 @@ mod tests {
             8,
             VcClass::Request,
         );
-        assert!(out.is_dropped());
+        assert_eq!(out, SendOutcome::Dropped);
         assert_eq!(m.stats().total_dropped(), 1);
         assert_eq!(m.stats().messages(VcClass::Request), 0);
     }
@@ -459,7 +437,7 @@ mod tests {
                 8,
                 VcClass::Request,
             );
-            if out.is_dropped() {
+            if out == SendOutcome::Dropped {
                 dropped += 1;
             }
         }
@@ -594,7 +572,7 @@ mod tests {
         assert!(distinct.len() > 5, "hop jitter should spread latencies");
         // 6 hops of up to 40 extra cycles each can exceed one delivery's
         // worth of end-to-end jitter.
-        assert!(max_latency > m.zero_load_latency(6, 8));
+        assert!(max_latency > 6 * (1 + 4));
     }
 
     #[test]
@@ -655,8 +633,15 @@ mod tests {
 
     #[test]
     fn max_zero_load_latency_covers_corner_to_corner() {
-        let m = mesh();
-        assert_eq!(m.max_zero_load_latency(8), m.zero_load_latency(6, 8));
+        // Corner to corner is the longest route of the 4x4 mesh: 6 hops.
+        let out = mesh().send(
+            Cycle::ZERO,
+            RouterId::new(0),
+            RouterId::new(15),
+            8,
+            VcClass::Request,
+        );
+        assert_eq!(out.delivered_at(), Some(Cycle::new(6 * (1 + 4))));
     }
 
     mod domains {
@@ -698,8 +683,8 @@ mod tests {
             let cfg = FaultDomainConfig::events(vec![flap(100, 200)]);
             let mut m = domain_mesh(cfg, RoutingMode::DimensionOrdered);
             assert!(probe(&mut m, 50).delivered_at().is_some());
-            assert!(probe(&mut m, 100).is_dropped());
-            assert!(probe(&mut m, 199).is_dropped());
+            assert_eq!(probe(&mut m, 100), SendOutcome::Dropped);
+            assert_eq!(probe(&mut m, 199), SendOutcome::Dropped);
             assert!(probe(&mut m, 200).delivered_at().is_some());
             assert_eq!(m.stats().link_down_drops(), 2);
             assert_eq!(m.stats().total_dropped(), 2);
@@ -731,7 +716,7 @@ mod tests {
             // at r0 is east, so a down east link strands the message.
             let cfg = FaultDomainConfig::events(vec![flap(0, 1000)]);
             let mut m = domain_mesh(cfg, RoutingMode::Adaptive);
-            assert!(probe(&mut m, 10).is_dropped());
+            assert_eq!(probe(&mut m, 10), SendOutcome::Dropped);
             assert_eq!(m.stats().unroutable_drops(), 1);
             assert_eq!(m.stats().link_down_drops(), 0);
         }
@@ -751,7 +736,7 @@ mod tests {
             let mut m = domain_mesh(cfg, RoutingMode::DimensionOrdered);
             let mut dropped = 0u32;
             for i in 0..4000u64 {
-                if probe(&mut m, i * 100).is_dropped() {
+                if probe(&mut m, i * 100) == SendOutcome::Dropped {
                     dropped += 1;
                 }
             }
@@ -775,7 +760,7 @@ mod tests {
             let mut m = domain_mesh(cfg, RoutingMode::DimensionOrdered);
             // Route 0->3 crosses r1: its first hop (r0 east, an inbound link
             // of r1) is degraded with certain loss.
-            assert!(probe(&mut m, 0).is_dropped());
+            assert_eq!(probe(&mut m, 0), SendOutcome::Dropped);
             // Route 8->11 stays two rows away from r1 and survives.
             let far = m.send(
                 Cycle::ZERO,
@@ -817,8 +802,8 @@ mod tests {
             let mut m = Mesh::new(config, DetRng::from_seed(7));
             // Messages 0/1 cross the down link (domain drops), message 2 is
             // unaffected by the flap but hits the schedule.
-            assert!(probe(&mut m, 0).is_dropped());
-            assert!(probe(&mut m, 1).is_dropped());
+            assert_eq!(probe(&mut m, 0), SendOutcome::Dropped);
+            assert_eq!(probe(&mut m, 1), SendOutcome::Dropped);
             let south = m.send(
                 Cycle::new(2),
                 RouterId::new(0),
@@ -826,7 +811,11 @@ mod tests {
                 8,
                 VcClass::Request,
             );
-            assert!(south.is_dropped(), "schedule index 2 must still fire");
+            assert_eq!(
+                south,
+                SendOutcome::Dropped,
+                "schedule index 2 must still fire"
+            );
             assert_eq!(m.stats().link_down_drops(), 2);
             assert_eq!(m.stats().dropped_by(DropCause::Injector), 1);
             assert_eq!(m.fault_injector().injection_log().len(), 3);
@@ -839,7 +828,7 @@ mod tests {
             m.set_fault_config(
                 FaultConfig::none().with_domains(FaultDomainConfig::events(vec![flap(0, 1000)])),
             );
-            assert!(probe(&mut m, 10).is_dropped());
+            assert_eq!(probe(&mut m, 10), SendOutcome::Dropped);
             m.set_fault_config(FaultConfig::none());
             assert!(probe(&mut m, 20).delivered_at().is_some());
         }

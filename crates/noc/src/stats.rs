@@ -1,6 +1,6 @@
 //! Network traffic statistics.
 
-use ftdircmp_stats::{Counter, Histogram};
+use ftdircmp_stats::Counter;
 
 use crate::VcClass;
 
@@ -13,8 +13,6 @@ pub struct NocStats {
     bytes_sent: [Counter; 6],
     messages_dropped: [Counter; 6],
     bytes_dropped: [Counter; 6],
-    hop_histogram: Histogram,
-    latency_histogram: Histogram,
     local_deliveries: Counter,
     /// Dropped messages by [`DropCause`] (declaration order).
     dropped_by_cause: [Counter; 4],
@@ -36,16 +34,9 @@ pub enum DropCause {
 }
 
 impl NocStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        NocStats::default()
-    }
-
-    pub(crate) fn record_sent(&mut self, class: VcClass, bytes: u32, hops: u32, latency: u64) {
+    pub(crate) fn record_sent(&mut self, class: VcClass, bytes: u32) {
         self.messages_sent[class.index()].incr();
         self.bytes_sent[class.index()].add(u64::from(bytes));
-        self.hop_histogram.record(u64::from(hops));
-        self.latency_histogram.record(latency);
     }
 
     pub(crate) fn record_dropped(&mut self, class: VcClass, bytes: u32, cause: DropCause) {
@@ -101,7 +92,7 @@ impl NocStats {
     }
 
     /// Messages lost to `cause`.
-    pub fn dropped_by(&self, cause: DropCause) -> u64 {
+    pub(crate) fn dropped_by(&self, cause: DropCause) -> u64 {
         self.dropped_by_cause[cause as usize].get()
     }
 
@@ -119,16 +110,6 @@ impl NocStats {
     pub fn unroutable_drops(&self) -> u64 {
         self.dropped_by(DropCause::Unroutable)
     }
-
-    /// Distribution of hop counts.
-    pub fn hops(&self) -> &Histogram {
-        &self.hop_histogram
-    }
-
-    /// Distribution of end-to-end network latencies (cycles).
-    pub fn latency(&self) -> &Histogram {
-        &self.latency_histogram
-    }
 }
 
 #[cfg(test)]
@@ -137,10 +118,10 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_class() {
-        let mut s = NocStats::new();
-        s.record_sent(VcClass::Request, 8, 3, 12);
-        s.record_sent(VcClass::Request, 8, 1, 4);
-        s.record_sent(VcClass::Response, 72, 2, 20);
+        let mut s = NocStats::default();
+        s.record_sent(VcClass::Request, 8);
+        s.record_sent(VcClass::Request, 8);
+        s.record_sent(VcClass::Response, 72);
         assert_eq!(s.messages(VcClass::Request), 2);
         assert_eq!(s.bytes(VcClass::Request), 16);
         assert_eq!(s.messages(VcClass::Response), 1);
@@ -151,8 +132,8 @@ mod tests {
 
     #[test]
     fn drops_are_counted_separately_but_in_totals() {
-        let mut s = NocStats::new();
-        s.record_sent(VcClass::Unblock, 8, 2, 10);
+        let mut s = NocStats::default();
+        s.record_sent(VcClass::Unblock, 8);
         s.record_dropped(VcClass::Unblock, 8, DropCause::Injector);
         assert_eq!(s.messages(VcClass::Unblock), 1);
         assert_eq!(s.dropped(VcClass::Unblock), 1);
@@ -162,16 +143,8 @@ mod tests {
     }
 
     #[test]
-    fn histograms_track_hops_and_latency() {
-        let mut s = NocStats::new();
-        s.record_sent(VcClass::Forward, 8, 5, 33);
-        assert_eq!(s.hops().max(), Some(5));
-        assert_eq!(s.latency().max(), Some(33));
-    }
-
-    #[test]
     fn local_deliveries_tracked() {
-        let mut s = NocStats::new();
+        let mut s = NocStats::default();
         s.record_local();
         s.record_local();
         assert_eq!(s.local_deliveries(), 2);
@@ -179,7 +152,7 @@ mod tests {
 
     #[test]
     fn domain_drop_causes_tracked_separately() {
-        let mut s = NocStats::new();
+        let mut s = NocStats::default();
         for cause in [
             DropCause::LinkDown,
             DropCause::LinkDown,

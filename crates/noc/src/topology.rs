@@ -46,7 +46,7 @@ pub struct Coord {
 
 impl Coord {
     /// Creates a coordinate.
-    pub const fn new(x: u16, y: u16) -> Self {
+    pub(crate) const fn new(x: u16, y: u16) -> Self {
         Coord { x, y }
     }
 
@@ -76,7 +76,7 @@ pub enum Direction {
 
 impl Direction {
     /// All directions, in index order.
-    pub const ALL: [Direction; 4] = [
+    pub(crate) const ALL: [Direction; 4] = [
         Direction::East,
         Direction::West,
         Direction::South,
@@ -84,7 +84,7 @@ impl Direction {
     ];
 
     /// Dense index for array-backed per-direction state.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Direction::East => 0,
             Direction::West => 1,
@@ -94,7 +94,7 @@ impl Direction {
     }
 
     /// The opposite direction (the one a neighbor uses to point back).
-    pub fn opposite(self) -> Direction {
+    pub(crate) fn opposite(self) -> Direction {
         match self {
             Direction::East => Direction::West,
             Direction::West => Direction::East,
@@ -137,18 +137,8 @@ impl LinkId {
     /// Creates a link id from its source router and direction. Used by the
     /// fault-domain layer to map scheduled events onto link mask slots; the
     /// route walkers build their own links internally.
-    pub const fn new(from: RouterId, dir: Direction) -> Self {
+    pub(crate) const fn new(from: RouterId, dir: Direction) -> Self {
         LinkId { from, dir }
-    }
-
-    /// Source router of the link.
-    pub fn from(self) -> RouterId {
-        self.from
-    }
-
-    /// Direction the link points.
-    pub fn dir(self) -> Direction {
-        self.dir
     }
 
     /// Dense index into a per-link array of `4 * router_count` slots.
@@ -175,23 +165,13 @@ impl Topology {
         Topology { width, height }
     }
 
-    /// Mesh width (columns).
-    pub fn width(&self) -> u16 {
-        self.width
-    }
-
-    /// Mesh height (rows).
-    pub fn height(&self) -> u16 {
-        self.height
-    }
-
     /// Number of routers.
-    pub fn router_count(&self) -> usize {
+    pub(crate) fn router_count(&self) -> usize {
         self.width as usize * self.height as usize
     }
 
     /// Number of dense link slots (including nonexistent edge links).
-    pub fn link_slots(&self) -> usize {
+    pub(crate) fn link_slots(&self) -> usize {
         self.router_count() * 4
     }
 
@@ -210,7 +190,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the coordinate is outside the mesh.
-    pub fn router_at(&self, c: Coord) -> RouterId {
+    pub(crate) fn router_at(&self, c: Coord) -> RouterId {
         assert!(
             c.x() < self.width && c.y() < self.height,
             "coord outside mesh"
@@ -220,7 +200,7 @@ impl Topology {
 
     /// Neighbor of `r` in direction `d`, if it exists.
     #[allow(clippy::many_single_char_names)] // x/y grid arithmetic
-    pub fn neighbor(&self, r: RouterId, d: Direction) -> Option<RouterId> {
+    pub(crate) fn neighbor(&self, r: RouterId, d: Direction) -> Option<RouterId> {
         let c = self.coord(r);
         let (x, y) = (i32::from(c.x()), i32::from(c.y()));
         let (nx, ny) = match d {
@@ -237,7 +217,7 @@ impl Topology {
     }
 
     /// Manhattan distance in hops between two routers.
-    pub fn hops(&self, a: RouterId, b: RouterId) -> u32 {
+    pub(crate) fn hops(&self, a: RouterId, b: RouterId) -> u32 {
         let (ca, cb) = (self.coord(a), self.coord(b));
         u32::from(ca.x().abs_diff(cb.x()) + ca.y().abs_diff(cb.y()))
     }
@@ -260,7 +240,7 @@ impl Topology {
     /// taken out of the productive set before the pick, so the route steers
     /// around them where a minimal alternative survives and otherwise stops
     /// short ([`Route::stranded`]).
-    pub fn route_adaptive_iter<'r>(
+    pub(crate) fn route_adaptive_iter<'r>(
         &self,
         src: RouterId,
         dst: RouterId,
@@ -312,7 +292,7 @@ impl<'r> Route<'r> {
     /// every productive link out of the router it reached is down (minimal
     /// routing only: no detour is attempted). Meaningful once `next` has
     /// returned `None`.
-    pub fn stranded(&self) -> bool {
+    pub(crate) fn stranded(&self) -> bool {
         self.c != self.dstc
     }
 }
@@ -423,7 +403,7 @@ mod tests {
         // 0 (0,0) -> 15 (3,3): 3 easts then 3 souths.
         let dirs: Vec<Direction> = t
             .route_xy_iter(RouterId::new(0), RouterId::new(15))
-            .map(LinkId::dir)
+            .map(|l| l.dir)
             .collect();
         assert_eq!(
             dirs,
@@ -551,8 +531,8 @@ mod proptests {
             prop_assert_eq!(path.len() as u32, t.hops(src, dst));
             let mut cur = src;
             for link in &path {
-                prop_assert_eq!(link.from(), cur);
-                cur = t.neighbor(cur, link.dir()).expect("link exists");
+                prop_assert_eq!(link.from, cur);
+                cur = t.neighbor(cur, link.dir).expect("link exists");
             }
             prop_assert_eq!(cur, dst);
         }
@@ -583,9 +563,9 @@ mod proptests {
             let stranded = route.stranded();
             let mut cur = src;
             for link in &path {
-                prop_assert_eq!(link.from(), cur);
+                prop_assert_eq!(link.from, cur);
                 prop_assert!(mask.is_none() || !down[link.dense_index()]);
-                cur = t.neighbor(cur, link.dir()).expect("link exists");
+                cur = t.neighbor(cur, link.dir).expect("link exists");
             }
             prop_assert_eq!(stranded, cur != dst);
             if stranded {

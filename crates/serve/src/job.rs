@@ -26,22 +26,22 @@ use crate::json::Json;
 
 /// Default cap on `seeds` per cell (guards against typo'd grids hogging
 /// the queue).
-pub const MAX_SEEDS: u64 = 64;
+pub(crate) const MAX_SEEDS: u64 = 64;
 
 /// A validated job submission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Client-supplied display label.
-    pub label: String,
+    pub(crate) label: String,
     /// Scheduling priority: higher runs first; FIFO within a priority.
-    pub priority: i64,
+    pub(crate) priority: i64,
     /// What to run.
-    pub kind: JobKind,
+    pub(crate) kind: JobKind,
 }
 
 /// The job payload.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JobKind {
+pub(crate) enum JobKind {
     /// A campaign grid.
     Campaign(CampaignSpec),
     /// A guided fault-schedule exploration.
@@ -57,37 +57,37 @@ pub enum JobKind {
 
 /// A campaign grid: every workload request under every configuration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CampaignSpec {
+pub(crate) struct CampaignSpec {
     /// Workload requests (`"name"` or `"name:ops=N"`, see
     /// [`WorkloadSpec::parse`]).
-    pub specs: Vec<String>,
+    pub(crate) specs: Vec<String>,
     /// Configuration axis.
-    pub configs: Vec<ConfigSpec>,
+    pub(crate) configs: Vec<ConfigSpec>,
     /// Seeds per cell.
-    pub seeds: u64,
+    pub(crate) seeds: u64,
     /// Checkpoint-fork warmup threshold (percent), if requested.
-    pub warmup_checkpoint: Option<f64>,
+    pub(crate) warmup_checkpoint: Option<f64>,
 }
 
 /// One point on a campaign's configuration axis.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ConfigSpec {
+pub(crate) struct ConfigSpec {
     /// `"dircmp"` or `"ftdircmp"`.
-    pub protocol: String,
+    pub(crate) protocol: String,
     /// Messages lost per million (0 = fault-free).
-    pub fault_rate: f64,
+    pub(crate) fault_rate: f64,
     /// Deadlock watchdog override, cycles.
-    pub watchdog_cycles: Option<u64>,
+    pub(crate) watchdog_cycles: Option<u64>,
     /// Event-queue schedule seed override.
-    pub schedule_seed: Option<u64>,
+    pub(crate) schedule_seed: Option<u64>,
     /// Scheduled correlated-fault events (link flaps, brown-outs, region
     /// bursts). Empty means no fault domains.
-    pub fault_events: Vec<FaultEvent>,
+    pub(crate) fault_events: Vec<FaultEvent>,
     /// Ambient per-link Gilbert–Elliott channel.
-    pub link_channel: Option<LinkChannelConfig>,
+    pub(crate) link_channel: Option<LinkChannelConfig>,
     /// Seed of the per-link decision hash (defaults inside
     /// `FaultDomainConfig` when unset).
-    pub domain_seed: Option<u64>,
+    pub(crate) domain_seed: Option<u64>,
 }
 
 /// Parses one fault-event object: `{"kind":"link-flap","router":5,
@@ -210,19 +210,19 @@ fn link_channel_json(ch: &LinkChannelConfig) -> Json {
 
 /// A guided fault-schedule exploration request.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultSearchSpec {
+pub(crate) struct FaultSearchSpec {
     /// `"dircmp"` or `"ftdircmp"`.
-    pub protocol: String,
+    pub(crate) protocol: String,
     /// Workload requests.
-    pub specs: Vec<String>,
+    pub(crate) specs: Vec<String>,
     /// Schedule seeds to sweep.
-    pub schedule_seeds: Vec<u64>,
+    pub(crate) schedule_seeds: Vec<u64>,
     /// Drop candidates per (workload, schedule seed) cell.
-    pub drop_budget: usize,
+    pub(crate) drop_budget: usize,
     /// Probe budget for the shrinker.
-    pub shrink_runs: usize,
+    pub(crate) shrink_runs: usize,
     /// Repro cap per cell.
-    pub max_repros_per_cell: usize,
+    pub(crate) max_repros_per_cell: usize,
 }
 
 fn parse_protocol(name: &str) -> Result<ProtocolVariant, String> {
@@ -244,7 +244,7 @@ impl ConfigSpec {
     /// # Errors
     ///
     /// Rejects unknown protocol names and invalid configurations.
-    pub fn to_config(&self) -> Result<SystemConfig, String> {
+    pub(crate) fn to_config(&self) -> Result<SystemConfig, String> {
         let mut cfg = match parse_protocol(&self.protocol)? {
             ProtocolVariant::DirCmp => SystemConfig::dircmp(),
             ProtocolVariant::FtDirCmp => SystemConfig::ftdircmp(),
@@ -273,7 +273,7 @@ impl ConfigSpec {
     }
 
     /// Deterministic display label for cells under this configuration.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let mut l = self.protocol.clone();
         if self.fault_rate > 0.0 {
             l.push_str(&format!("-{:.0}", self.fault_rate));
@@ -299,7 +299,7 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Rejects unknown workloads/protocols and empty or oversized grids.
-    pub fn units(&self) -> Result<Vec<Unit>, String> {
+    pub(crate) fn units(&self) -> Result<Vec<Unit>, String> {
         if self.specs.is_empty() {
             return Err("campaign has no workloads".to_string());
         }
@@ -345,7 +345,7 @@ impl FaultSearchSpec {
     /// # Errors
     ///
     /// Rejects unknown workloads/protocols and empty sweeps.
-    pub fn resolve(&self) -> Result<(ProtocolVariant, Vec<WorkloadSpec>), String> {
+    pub(crate) fn resolve(&self) -> Result<(ProtocolVariant, Vec<WorkloadSpec>), String> {
         let protocol = parse_protocol(&self.protocol)?;
         if self.specs.is_empty() {
             return Err("fault-search has no workloads".to_string());
@@ -624,15 +624,6 @@ impl JobSpec {
         }
         Json::obj(pairs)
     }
-
-    /// Number of simulation units this job expands to (1 for non-campaign
-    /// kinds: they progress as a single unit).
-    pub fn total_units(&self) -> usize {
-        match &self.kind {
-            JobKind::Campaign(c) => c.units().map_or(0, |u| u.len()),
-            _ => 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -654,11 +645,11 @@ mod tests {
     fn campaign_roundtrips_and_expands_deterministically() {
         let job = JobSpec::from_json(&tiny_campaign_json()).unwrap();
         assert_eq!(job.priority, 3);
-        assert_eq!(job.total_units(), 4);
         let JobKind::Campaign(c) = &job.kind else {
             panic!("expected campaign")
         };
         let units = c.units().unwrap();
+        assert_eq!(units.len(), 4);
         assert_eq!(units[0].label, "barnes/dircmp");
         assert_eq!(units[0].seed, 0);
         assert_eq!(units[1].seed, 1);
@@ -721,7 +712,6 @@ mod tests {
         let job = JobSpec::from_json(&v).unwrap();
         let back = JobSpec::from_json(&job.to_json()).unwrap();
         assert_eq!(back, job);
-        assert_eq!(job.total_units(), 1);
     }
 
     #[test]

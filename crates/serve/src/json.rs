@@ -64,14 +64,6 @@ impl Json {
         }
     }
 
-    /// Boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -150,7 +142,7 @@ impl Json {
     /// # Errors
     ///
     /// As [`Json::parse`]; invalid UTF-8 is reported with its byte offset.
-    pub fn parse_bytes(bytes: &[u8]) -> Result<Json, String> {
+    pub(crate) fn parse_bytes(bytes: &[u8]) -> Result<Json, String> {
         let mut pos = 0;
         let value = parse_value(bytes, &mut pos)?;
         skip_ws(bytes, &mut pos);
@@ -383,7 +375,7 @@ mod tests {
         assert_eq!(v.get("n").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("f").unwrap().as_u64(), None);
         assert_eq!(v.get("f").unwrap().as_f64(), Some(1.25));
-        assert_eq!(v.get("b").unwrap().as_bool(), Some(false));
+        assert_eq!(v.get("b"), Some(&Json::Bool(false)));
         assert!(v.get("missing").is_none());
     }
 

@@ -25,7 +25,7 @@
 
 pub mod job;
 pub mod json;
-pub mod notifier;
+pub(crate) mod notifier;
 pub mod queue;
 pub mod runner;
 pub mod server;

@@ -24,13 +24,13 @@ struct Sub {
 
 /// Subscription registry shared by the server and the executor.
 #[derive(Default)]
-pub struct Notifier {
+pub(crate) struct Notifier {
     subs: Mutex<Vec<Sub>>,
 }
 
 impl Notifier {
     /// Creates an empty registry.
-    pub fn new() -> Notifier {
+    pub(crate) fn new() -> Notifier {
         Notifier::default()
     }
 
@@ -40,7 +40,7 @@ impl Notifier {
     ///
     /// Panics if the subscription mutex is poisoned (never: no panics
     /// under it).
-    pub fn subscribe_all(&self, tx: Sender<String>) {
+    pub(crate) fn subscribe_all(&self, tx: Sender<String>) {
         self.subs.lock().unwrap().push(Sub { job: None, tx });
     }
 
@@ -57,7 +57,7 @@ impl Notifier {
     ///
     /// Panics if the subscription mutex is poisoned (never: no panics
     /// under it).
-    pub fn subscribe_job(
+    pub(crate) fn subscribe_job(
         &self,
         job_id: &str,
         tx: &Sender<String>,
@@ -82,7 +82,7 @@ impl Notifier {
     ///
     /// Panics if the subscription mutex is poisoned (never: no panics
     /// under it).
-    pub fn publish(&self, job_id: &str, event: &Json) {
+    pub(crate) fn publish(&self, job_id: &str, event: &Json) {
         self.fan_out(job_id, &event.to_string(), false);
     }
 
@@ -93,7 +93,7 @@ impl Notifier {
     ///
     /// Panics if the subscription mutex is poisoned (never: no panics
     /// under it).
-    pub fn publish_done(&self, job_id: &str, outcome: &str) {
+    pub(crate) fn publish_done(&self, job_id: &str, outcome: &str) {
         self.fan_out(job_id, &done_event(job_id, outcome).to_string(), true);
     }
 
@@ -114,7 +114,7 @@ impl Notifier {
 }
 
 /// Builds a progress event line.
-pub fn progress_event(job_id: &str, done_units: usize, total_units: usize) -> Json {
+pub(crate) fn progress_event(job_id: &str, done_units: usize, total_units: usize) -> Json {
     Json::obj(vec![
         ("event", Json::str("progress")),
         ("id", Json::str(job_id)),
@@ -124,7 +124,7 @@ pub fn progress_event(job_id: &str, done_units: usize, total_units: usize) -> Js
 }
 
 /// Builds a job-completion event line.
-pub fn done_event(job_id: &str, outcome: &str) -> Json {
+pub(crate) fn done_event(job_id: &str, outcome: &str) -> Json {
     Json::obj(vec![
         ("event", Json::str("done")),
         ("id", Json::str(job_id)),

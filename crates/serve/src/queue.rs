@@ -37,7 +37,7 @@ use crate::store::Store;
 
 /// Lifecycle of a job as seen by `status`/`list`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobState {
+pub(crate) enum JobState {
     /// Accepted, waiting for the executor.
     Pending,
     /// Currently executing.
@@ -48,7 +48,7 @@ pub enum JobState {
 
 impl JobState {
     /// Wire name of the state.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             JobState::Pending => "pending",
             JobState::Running => "running",
@@ -63,19 +63,19 @@ pub struct QueuedJob {
     /// Stable job id (`j000001`, ...).
     pub id: String,
     /// The validated submission.
-    pub spec: JobSpec,
+    pub(crate) spec: JobSpec,
 }
 
 /// What `status`/`list` report about one job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobStatus {
     /// Where the job is in its lifecycle.
-    pub state: JobState,
+    pub(crate) state: JobState,
     /// The submission's label; the queue keeps it while the job is open
     /// (a finished job's label is in its stored summary).
-    pub label: Option<String>,
+    pub(crate) label: Option<String>,
     /// The submission's priority, kept while the job is open.
-    pub priority: Option<i64>,
+    pub(crate) priority: Option<i64>,
 }
 
 /// The number in a job id: ids are the daemon's own `j%06d` (more digits
@@ -84,7 +84,7 @@ pub struct JobStatus {
 /// and orders submissions. `None` for anything else — in particular for
 /// every string that would name a path outside `results/` once the store
 /// has joined it into a file name.
-pub fn job_number(id: &str) -> Option<u64> {
+pub(crate) fn job_number(id: &str) -> Option<u64> {
     let digits = id.strip_prefix('j')?;
     let canonical = match digits.len() {
         6 => true,
@@ -302,7 +302,7 @@ impl Queue {
     }
 
     /// The store this queue journals into.
-    pub fn store(&self) -> &Store {
+    pub(crate) fn store(&self) -> &Store {
         &self.store
     }
 
@@ -395,7 +395,7 @@ impl Queue {
     /// # Panics
     ///
     /// Panics if the state mutex is poisoned (never: no panics under it).
-    pub fn status(&self, id: &str) -> Option<JobStatus> {
+    pub(crate) fn status(&self, id: &str) -> Option<JobStatus> {
         let number = job_number(id)?;
         self.state.lock().unwrap().status(number)
     }
@@ -420,21 +420,12 @@ impl Queue {
             .collect()
     }
 
-    /// Count of jobs not yet done — the executor drains until this is 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state mutex is poisoned (never: no panics under it).
-    pub fn open_jobs(&self) -> usize {
-        self.state.lock().unwrap().open.len()
-    }
-
     /// Wakes the executor and makes `take_next` return `None`.
     ///
     /// # Panics
     ///
     /// Panics if the state mutex is poisoned (never: no panics under it).
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.state.lock().unwrap().shutdown = true;
         self.cond.notify_all();
     }
@@ -477,13 +468,13 @@ mod tests {
         assert_eq!(q.take_next().unwrap().id, b);
         assert_eq!(q.take_next().unwrap().id, c);
         assert_eq!(q.take_next().unwrap().id, a);
-        let _ = std::fs::remove_dir_all(q.store().root());
+        let _ = std::fs::remove_dir_all(&q.store().root);
     }
 
     #[test]
     fn replay_reenqueues_unfinished_jobs_only() {
         let store = tmp_store("replay");
-        let root = store.root().to_path_buf();
+        let root = store.root.clone();
         {
             let q = Queue::open(store, 16).unwrap();
             let a = q.submit(job("a", 0)).unwrap();
@@ -494,7 +485,7 @@ mod tests {
             q.mark_done(&a, "ok");
         }
         let q2 = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
-        assert_eq!(q2.open_jobs(), 1);
+        assert_eq!(q2.state.lock().unwrap().open.len(), 1);
         let next = q2.take_next().unwrap();
         assert_eq!(next.id, "j000002");
         // Fresh ids continue after the replayed ones.
@@ -506,7 +497,7 @@ mod tests {
     #[test]
     fn summary_presence_counts_as_done_without_done_record() {
         let store = tmp_store("summary-done");
-        let root = store.root().to_path_buf();
+        let root = store.root.clone();
         {
             let q = Queue::open(store, 16).unwrap();
             let a = q.submit(job("a", 0)).unwrap();
@@ -515,7 +506,7 @@ mod tests {
             q.store().write_summary(&a, "{}\n").unwrap();
         }
         let q2 = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
-        assert_eq!(q2.open_jobs(), 0);
+        assert_eq!(q2.state.lock().unwrap().open.len(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -525,7 +516,7 @@ mod tests {
     #[test]
     fn a_lost_done_hint_is_recovered_from_the_summary() {
         let store = tmp_store("lost-hint");
-        let root = store.root().to_path_buf();
+        let root = store.root.clone();
         {
             let q = Queue::open(store, 16).unwrap();
             let a = q.submit(job("boom", 0)).unwrap();
@@ -535,7 +526,7 @@ mod tests {
         let journal = std::fs::read_to_string(root.join("journal.jsonl")).unwrap();
         assert_eq!(journal.lines().count(), 1, "{journal}");
         let q2 = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
-        assert_eq!(q2.open_jobs(), 0, "nothing re-runs");
+        assert_eq!(q2.state.lock().unwrap().open.len(), 0, "nothing re-runs");
         let status = q2.status("j000001").unwrap();
         assert_eq!(status.state, JobState::Done("quarantined".to_string()));
         let summary = q2.store().read_summary("j000001").unwrap().unwrap();
@@ -546,7 +537,7 @@ mod tests {
     #[test]
     fn finished_jobs_keep_their_outcome_and_place_in_the_list() {
         let store = tmp_store("list");
-        let root = store.root().to_path_buf();
+        let root = store.root.clone();
         let check = |q: &Queue| {
             let list = q.list();
             let ids: Vec<&str> = list.iter().map(|(id, _)| id.as_str()).collect();
@@ -569,7 +560,7 @@ mod tests {
             assert_eq!(list[3].1.priority, Some(-1));
             assert_eq!(q.status("j000002"), Some(list[1].1.clone()));
             assert_eq!(q.status("j000005"), None);
-            assert_eq!(q.open_jobs(), 2);
+            assert_eq!(q.state.lock().unwrap().open.len(), 2);
         };
         {
             let q = Queue::open(store, 16).unwrap();
@@ -597,7 +588,7 @@ mod tests {
     #[test]
     fn a_hand_edited_journal_replays_without_surprises() {
         let store = tmp_store("hand-edited");
-        let root = store.root().to_path_buf();
+        let root = store.root.clone();
         let submit = |id: &str, priority: i64| {
             Json::obj(vec![
                 ("op", Json::str("submit")),
@@ -667,13 +658,13 @@ mod tests {
         let a = q.take_next().unwrap();
         q.mark_done(&a.id, "ok");
         q.submit(job("c", 0)).unwrap();
-        let _ = std::fs::remove_dir_all(q.store().root());
+        let _ = std::fs::remove_dir_all(&q.store().root);
     }
 
     #[test]
     fn torn_journal_tail_is_ignored_and_overwritten() {
         let store = tmp_store("torn");
-        let root = store.root().to_path_buf();
+        let root = store.root.clone();
         {
             let q = Queue::open(store, 16).unwrap();
             q.submit(job("a", 0)).unwrap();
@@ -687,12 +678,12 @@ mod tests {
             std::io::Write::write_all(&mut f, b"{\"op\":\"sub").unwrap();
         }
         let q2 = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
-        assert_eq!(q2.open_jobs(), 1);
+        assert_eq!(q2.state.lock().unwrap().open.len(), 1);
         let b = q2.submit(job("b", 0)).unwrap();
         assert_eq!(b, "j000002");
         // The journal is valid line-by-line again after the new append.
         let reloaded = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
-        assert_eq!(reloaded.open_jobs(), 2);
+        assert_eq!(reloaded.state.lock().unwrap().open.len(), 2);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -705,6 +696,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.shutdown();
         assert!(h.join().unwrap().is_none());
-        let _ = std::fs::remove_dir_all(q.store().root());
+        let _ = std::fs::remove_dir_all(&q.store().root);
     }
 }

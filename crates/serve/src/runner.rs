@@ -39,10 +39,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Per-job execution outcome, stored in the summary and the journal.
 pub const OUTCOME_OK: &str = "ok";
 /// The job ran but produced an error (bad config, unreadable repro, ...).
-pub const OUTCOME_FAILED: &str = "failed";
+pub(crate) const OUTCOME_FAILED: &str = "failed";
 /// The job panicked in the worker; it is quarantined — marked done so the
 /// queue keeps serving, with the panic preserved in its summary.
-pub const OUTCOME_QUARANTINED: &str = "quarantined";
+pub(crate) const OUTCOME_QUARANTINED: &str = "quarantined";
 
 /// Runs `spec` to completion (resuming from any units already on disk),
 /// writes the durable summary, and returns the outcome string.
@@ -392,7 +392,7 @@ mod tests {
         let units = v.get("units").and_then(Json::as_arr).unwrap();
         assert_eq!(units.len(), 4);
         assert_eq!(units[0].get("status").and_then(Json::as_str), Some("ok"),);
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 
     #[test]
@@ -436,9 +436,9 @@ mod tests {
                 .map(|r| r.get("unit").and_then(Json::as_u64).unwrap())
                 .collect();
             assert_eq!(units, [0, 1, 2, 3], "each unit recorded exactly once");
-            let _ = std::fs::remove_dir_all(partial.root());
+            let _ = std::fs::remove_dir_all(&partial.root);
         }
-        let _ = std::fs::remove_dir_all(fresh.root());
+        let _ = std::fs::remove_dir_all(&fresh.root);
     }
 
     #[test]
@@ -454,7 +454,7 @@ mod tests {
             execute_job(&store, "j1", &job, jobs, &|_, _| {}).unwrap();
             assert_eq!(store.record_syncs.load(Relaxed), syncs, "--jobs {jobs}");
             assert_eq!(store.load_unit_records("j1").unwrap().records.len(), 6);
-            let _ = std::fs::remove_dir_all(store.root());
+            let _ = std::fs::remove_dir_all(&store.root);
         }
     }
 
@@ -470,7 +470,7 @@ mod tests {
         assert_eq!(outcome, OUTCOME_QUARANTINED);
         let summary = store.read_summary("j9").unwrap().unwrap();
         assert!(summary.contains("poison job executed"), "{summary}");
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 
     #[test]
@@ -485,6 +485,6 @@ mod tests {
         };
         let outcome = execute_job(&store, "j2", &job, 1, &|_, _| {}).unwrap();
         assert_eq!(outcome, OUTCOME_FAILED);
-        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(&store.root);
     }
 }

@@ -366,7 +366,7 @@ mod tests {
 
         let (_, shutdown) = call(&queue, &notifier, r#"{"cmd":"shutdown"}"#);
         assert!(shutdown);
-        let _ = std::fs::remove_dir_all(queue.store().root());
+        let _ = std::fs::remove_dir_all(&queue.store().root);
     }
 
     #[test]
@@ -394,7 +394,7 @@ mod tests {
         let event = rx.try_recv().unwrap();
         assert!(event.contains("\"event\":\"done\""), "{event}");
         assert!(event.contains("quarantined"), "{event}");
-        let _ = std::fs::remove_dir_all(queue.store().root());
+        let _ = std::fs::remove_dir_all(&queue.store().root);
     }
 
     #[test]
@@ -419,22 +419,24 @@ mod tests {
             .unwrap();
         let (tx, rx) = mpsc::channel();
         notifier.subscribe_all(tx);
+        let mut events: Vec<String> = Vec::new();
         {
             let q = std::sync::Arc::clone(&queue);
             let n = std::sync::Arc::clone(&notifier);
             let h = std::thread::spawn(move || run_executor(&q, &n, 1));
-            while queue.open_jobs() > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
+            // Each job ends with one `done` event.
+            while events.iter().filter(|e| e.contains("\"done\"")).count() < 2 {
+                events.push(rx.recv().unwrap());
             }
             queue.shutdown();
             h.join().unwrap();
         }
-        let events: Vec<String> = rx.try_iter().collect();
+        events.extend(rx.try_iter());
         let done: Vec<&String> = events.iter().filter(|e| e.contains("\"done\"")).collect();
         assert_eq!(done.len(), 2, "{events:?}");
         assert!(done[0].contains("quarantined"), "{events:?}");
         assert!(done[1].contains("\"outcome\":\"ok\""), "{events:?}");
-        let _ = std::fs::remove_dir_all(queue.store().root());
+        let _ = std::fs::remove_dir_all(&queue.store().root);
     }
 
     #[test]
@@ -443,7 +445,7 @@ mod tests {
         let notifier = Notifier::new();
         // What `result` would have served for `../../leak` or the absolute
         // path before ids were checked at the boundary.
-        let root = queue.store().root().to_path_buf();
+        let root = queue.store().root.clone();
         std::fs::write(root.join("leak.json"), "{\"secret\":1}\n").unwrap();
         let absolute = root.join("leak").display().to_string();
         let long = format!("j{}", "9".repeat(4096));
@@ -517,7 +519,6 @@ mod tests {
         assert!(rx.try_recv().is_err(), "a done event was sent twice");
 
         assert_eq!(notifier.subscriptions(), 0);
-        assert_eq!(queue.open_jobs(), 0);
         let list = queue.list();
         assert_eq!(list.len(), JOBS);
         for (i, (id, status)) in list.iter().enumerate() {
@@ -534,7 +535,7 @@ mod tests {
         );
         assert_eq!(st.get("label").and_then(Json::as_str), Some("p6"));
         assert_eq!(st.get("priority"), Some(&Json::Null));
-        let _ = std::fs::remove_dir_all(queue.store().root());
+        let _ = std::fs::remove_dir_all(&queue.store().root);
     }
 
     /// The race `subscribe_job` closes: a watch issued while the job is
@@ -579,7 +580,7 @@ mod tests {
                 "watch at step {watch_at}"
             );
             assert_eq!(notifier.subscriptions(), 0, "watch at step {watch_at}");
-            let _ = std::fs::remove_dir_all(queue.store().root());
+            let _ = std::fs::remove_dir_all(&queue.store().root);
         }
     }
 

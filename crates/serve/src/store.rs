@@ -33,7 +33,7 @@ use crate::json::Json;
 /// Handle to the on-disk queue root.
 #[derive(Debug, Clone)]
 pub struct Store {
-    root: PathBuf,
+    pub(crate) root: PathBuf,
     /// `sync_data` calls on unit-record files, so a test can count the
     /// syncs a job costs instead of timing them.
     #[cfg(test)]
@@ -47,7 +47,7 @@ pub struct UnitRecords {
     /// Parsed records in file order (unit indices are stored inside).
     pub records: Vec<Json>,
     /// Byte length of the valid newline-terminated prefix.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
 }
 
 impl Store {
@@ -66,28 +66,23 @@ impl Store {
         })
     }
 
-    /// The queue root itself.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Path of the append-only submit/done journal.
     pub fn journal_path(&self) -> PathBuf {
         self.root.join("journal.jsonl")
     }
 
     /// Path of a job's unit-record journal.
-    pub fn records_path(&self, id: &str) -> PathBuf {
+    pub(crate) fn records_path(&self, id: &str) -> PathBuf {
         self.root.join("results").join(format!("{id}.jsonl"))
     }
 
     /// Path of a job's final summary.
-    pub fn summary_path(&self, id: &str) -> PathBuf {
+    pub(crate) fn summary_path(&self, id: &str) -> PathBuf {
         self.root.join("results").join(format!("{id}.json"))
     }
 
     /// Directory fault-search repros for a job land in.
-    pub fn repro_dir(&self, id: &str) -> PathBuf {
+    pub(crate) fn repro_dir(&self, id: &str) -> PathBuf {
         self.root.join("repros").join(id)
     }
 
@@ -113,7 +108,7 @@ impl Store {
     /// # Errors
     ///
     /// As [`Store::append_unit_record`].
-    pub fn append_unit_records(
+    pub(crate) fn append_unit_records(
         &self,
         id: &str,
         records: &[Json],
@@ -156,7 +151,7 @@ impl Store {
     /// # Errors
     ///
     /// Propagates truncation failures.
-    pub fn truncate_unit_records(&self, id: &str, valid_len: u64) -> std::io::Result<()> {
+    pub(crate) fn truncate_unit_records(&self, id: &str, valid_len: u64) -> std::io::Result<()> {
         truncate_to(&self.records_path(id), valid_len)
     }
 
@@ -185,7 +180,7 @@ impl Store {
 
     /// A string field of a job's stored summary, if both exist (`label`
     /// and `outcome` are in every summary `runner::execute_job` writes).
-    pub fn summary_field(&self, id: &str, field: &str) -> Option<String> {
+    pub(crate) fn summary_field(&self, id: &str, field: &str) -> Option<String> {
         let summary = self.read_summary(id).ok()??;
         let value = Json::parse(summary.trim_end()).ok()?;
         value.get(field)?.as_str().map(str::to_string)
@@ -196,7 +191,7 @@ impl Store {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn write_port(&self, port: u16) -> std::io::Result<()> {
+    pub(crate) fn write_port(&self, port: u16) -> std::io::Result<()> {
         write_atomic(&self.root.join("port"), format!("{port}\n").as_bytes())
     }
 }
@@ -218,7 +213,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Propagates truncation failures.
-pub fn truncate_to(path: &Path, valid_len: u64) -> std::io::Result<()> {
+pub(crate) fn truncate_to(path: &Path, valid_len: u64) -> std::io::Result<()> {
     if !path.is_file() {
         return Ok(());
     }
@@ -236,7 +231,7 @@ pub fn truncate_to(path: &Path, valid_len: u64) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Propagates read failures other than absence (absent → empty).
-pub fn load_prefix(path: &Path) -> std::io::Result<UnitRecords> {
+pub(crate) fn load_prefix(path: &Path) -> std::io::Result<UnitRecords> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {

@@ -70,9 +70,9 @@ const NIL: u32 = u32::MAX;
 /// use ftdircmp_sim::{Cycle, EventQueue};
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule_in(3, 'b');
-/// q.schedule_in(3, 'c'); // same time: FIFO order preserved
-/// q.schedule_in(1, 'a');
+/// q.schedule(Cycle::new(3), 'b');
+/// q.schedule(Cycle::new(3), 'c'); // same time: FIFO order preserved
+/// q.schedule(Cycle::new(1), 'a');
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
@@ -178,11 +178,6 @@ impl<E> EventQueue<E> {
             scheduled_total: 0,
             schedule_seed,
         }
-    }
-
-    /// The active schedule seed (`0` = FIFO tie-breaking).
-    pub fn schedule_seed(&self) -> u64 {
-        self.schedule_seed
     }
 
     /// Current simulated time: the timestamp of the last popped event.
@@ -294,11 +289,6 @@ impl<E> EventQueue<E> {
         self.next_at = Some(self.next_at.map_or(at, |n| n.min(at)));
     }
 
-    /// Schedules `event` `delay` cycles after the current time.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Prepares the list for cycle `at` for draining: migrates any overflow
     /// events that landed on this cycle and, if tail appends are not already
     /// pop order, relinks the list ascending by `(key, seq)`.
@@ -387,11 +377,6 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.next_at
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.ring_events + self.overflow.len()
@@ -454,15 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle::new(10), "first");
-        q.pop();
-        q.schedule_in(5, "second");
-        assert_eq!(q.pop(), Some((Cycle::new(15), "second")));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule event in the past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
@@ -475,11 +451,11 @@ mod tests {
     fn peek_and_len_track_contents() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.next_at, None);
         q.schedule(Cycle::new(4), 0);
         q.schedule(Cycle::new(2), 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Cycle::new(2)));
+        assert_eq!(q.next_at, Some(Cycle::new(2)));
         assert_eq!(q.scheduled_total(), 2);
     }
 
@@ -545,7 +521,7 @@ mod tests {
     #[test]
     fn schedule_seed_zero_is_fifo() {
         assert_eq!(same_cycle_order(0, 64), (0..64).collect::<Vec<u64>>());
-        assert_eq!(EventQueue::<u8>::new().schedule_seed(), 0);
+        assert_eq!(EventQueue::<u8>::new().schedule_seed, 0);
     }
 
     #[test]
@@ -709,7 +685,7 @@ mod proptests {
         fn pops_are_globally_ordered(delays in proptest::collection::vec(0u64..1000, 1..200)) {
             let mut q = EventQueue::new();
             for (i, d) in delays.iter().enumerate() {
-                q.schedule_in(*d, i);
+                q.schedule(Cycle::new(*d), i);
             }
             let mut last: Option<(Cycle, usize)> = None;
             let mut seen = 0;
@@ -742,7 +718,7 @@ mod proptests {
                         popped += 1;
                     }
                 } else {
-                    q.schedule_in(delay, scheduled);
+                    q.schedule(q.now() + delay, scheduled);
                     scheduled += 1;
                 }
             }

@@ -37,11 +37,6 @@ impl Cycle {
         self.0
     }
 
-    /// Returns the later of two timestamps.
-    pub fn max(self, other: Cycle) -> Cycle {
-        Cycle(self.0.max(other.0))
-    }
-
     /// Returns the duration since `earlier`, or zero if `earlier` is in the
     /// future.
     pub fn saturating_since(self, earlier: Cycle) -> u64 {
@@ -109,8 +104,6 @@ mod tests {
     #[test]
     fn ordering_follows_cycle_count() {
         assert!(Cycle::new(1) < Cycle::new(2));
-        assert_eq!(Cycle::new(5).max(Cycle::new(9)), Cycle::new(9));
-        assert_eq!(Cycle::new(9).max(Cycle::new(5)), Cycle::new(9));
     }
 
     #[test]

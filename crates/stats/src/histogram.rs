@@ -15,7 +15,6 @@
 ///     h.record(v);
 /// }
 /// assert_eq!(h.count(), 100);
-/// assert_eq!(h.min(), Some(1));
 /// assert_eq!(h.max(), Some(100));
 /// assert!(h.percentile(50.0).unwrap() >= 50);
 /// ```
@@ -69,11 +68,6 @@ impl Histogram {
         }
     }
 
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<u64> {
-        self.min
-    }
-
     /// Largest sample, if any.
     pub fn max(&self) -> Option<u64> {
         self.max
@@ -95,23 +89,6 @@ impl Histogram {
             }
         }
         self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
@@ -144,7 +121,7 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), None);
+        assert_eq!(h.min, None);
         assert_eq!(h.max(), None);
         assert_eq!(h.percentile(50.0), None);
     }
@@ -158,7 +135,7 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 30);
         assert_eq!(h.mean(), 10.0);
-        assert_eq!(h.min(), Some(5));
+        assert_eq!(h.min, Some(5));
         assert_eq!(h.max(), Some(15));
     }
 
@@ -166,7 +143,7 @@ mod tests {
     fn zero_sample_goes_to_bucket_zero() {
         let mut h = Histogram::new();
         h.record(0);
-        assert_eq!(h.min(), Some(0));
+        assert_eq!(h.min, Some(0));
         assert_eq!(h.percentile(100.0), Some(0));
     }
 
@@ -188,29 +165,6 @@ mod tests {
         let mut h = Histogram::new();
         h.record(3);
         assert_eq!(h.percentile(99.0), Some(3));
-    }
-
-    #[test]
-    fn merge_combines_everything() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1);
-        a.record(2);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 103);
-        assert_eq!(a.min(), Some(1));
-        assert_eq!(a.max(), Some(100));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Histogram::new();
-        a.record(7);
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
     }
 
     #[test]
@@ -236,7 +190,7 @@ mod proptests {
             }
             prop_assert_eq!(h.count(), values.len() as u64);
             prop_assert_eq!(h.sum(), values.iter().sum::<u64>());
-            prop_assert_eq!(h.min(), values.iter().min().copied());
+            prop_assert_eq!(h.min, values.iter().min().copied());
             prop_assert_eq!(h.max(), values.iter().max().copied());
         }
 
@@ -258,26 +212,6 @@ mod proptests {
                 prop_assert!(q <= h.max().unwrap());
                 last = q;
             }
-        }
-
-        #[test]
-        fn merge_equals_recording_everything(
-            a in proptest::collection::vec(0u64..100_000, 0..100),
-            b in proptest::collection::vec(0u64..100_000, 0..100),
-        ) {
-            let mut ha = Histogram::new();
-            let mut hb = Histogram::new();
-            let mut hall = Histogram::new();
-            for &v in &a {
-                ha.record(v);
-                hall.record(v);
-            }
-            for &v in &b {
-                hb.record(v);
-                hall.record(v);
-            }
-            ha.merge(&hb);
-            prop_assert_eq!(ha, hall);
         }
     }
 }

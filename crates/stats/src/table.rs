@@ -42,16 +42,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as an aligned monospace string.
     pub fn render(&self) -> String {
         let ncols = self
@@ -134,8 +124,7 @@ mod tests {
     #[test]
     fn empty_table_has_header_and_rule() {
         let t = Table::with_columns(&["x"]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
+        assert!(t.rows.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 

@@ -13,7 +13,7 @@ use ftdircmp_sim::DetRng;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Regions {
     /// Cache line size in bytes (addresses are `line * line_bytes`).
-    pub line_bytes: u64,
+    pub(crate) line_bytes: u64,
 }
 
 impl Regions {
@@ -29,32 +29,32 @@ impl Regions {
     }
 
     /// A contended lock line (one of a few).
-    pub fn lock_line(&self, lock: u64) -> Addr {
+    pub(crate) fn lock_line(&self, lock: u64) -> Addr {
         self.addr(Self::LOCK_BASE + lock)
     }
 
     /// A migratory read-modify-write line.
-    pub fn migratory_line(&self, i: u64) -> Addr {
+    pub(crate) fn migratory_line(&self, i: u64) -> Addr {
         self.addr(Self::MIGRATORY_BASE + i)
     }
 
     /// A line in the read-mostly shared region.
-    pub fn shared_line(&self, i: u64) -> Addr {
+    pub(crate) fn shared_line(&self, i: u64) -> Addr {
         self.addr(Self::SHARED_BASE + i)
     }
 
     /// A line in core `c`'s producer chunk.
-    pub fn producer_line(&self, core: u8, chunk_lines: u64, i: u64) -> Addr {
+    pub(crate) fn producer_line(&self, core: u8, chunk_lines: u64, i: u64) -> Addr {
         self.addr(Self::PRODUCER_BASE + u64::from(core) * chunk_lines + i)
     }
 
     /// A line in core `c`'s private region.
-    pub fn private_line(&self, core: u8, region_lines: u64, i: u64) -> Addr {
+    pub(crate) fn private_line(&self, core: u8, region_lines: u64, i: u64) -> Addr {
         self.addr(Self::PRIVATE_BASE + u64::from(core) * region_lines + i)
     }
 
     /// A line in the streaming region (shared cursor space).
-    pub fn stream_line(&self, i: u64) -> Addr {
+    pub(crate) fn stream_line(&self, i: u64) -> Addr {
         self.addr(Self::STREAM_BASE + i)
     }
 }
@@ -62,9 +62,9 @@ impl Regions {
 /// Per-core generator state (streaming cursors etc.).
 #[derive(Debug, Clone)]
 pub(crate) struct PatternState {
-    pub core: u8,
-    pub cores: u8,
-    pub stream_cursor: u64,
+    pub(crate) core: u8,
+    pub(crate) cores: u8,
+    pub(crate) stream_cursor: u64,
 }
 
 /// Emits a private-region access.

@@ -44,26 +44,17 @@
 
 pub use ftdircmp_core as core_protocol;
 
-pub use ftdircmp_core::cache;
-pub use ftdircmp_core::checker;
-pub use ftdircmp_core::config::{FtConfig, ProtocolVariant, SystemConfig};
-pub use ftdircmp_core::hardware;
-pub use ftdircmp_core::ids::{Addr, LineAddr, NodeId, SharerSet};
-pub use ftdircmp_core::msc;
-pub use ftdircmp_core::msg::{Message, MsgType};
+pub use ftdircmp_core::config::{ProtocolVariant, SystemConfig};
+pub use ftdircmp_core::ids::{Addr, LineAddr};
+pub use ftdircmp_core::msg::MsgType;
 pub use ftdircmp_core::proto::TimeoutKind;
-pub use ftdircmp_core::stats::ProtocolStats;
 pub use ftdircmp_core::system::{RunError, SimReport, System};
 pub use ftdircmp_core::trace::{CoreTrace, TraceOp, Workload};
-pub use ftdircmp_core::trace_io;
-pub use ftdircmp_core::tracelog;
-pub use ftdircmp_core::{LineData, SerialNum};
-pub use ftdircmp_noc::{FaultConfig, MeshConfig, NocStats, RoutingMode, VcClass};
-pub use ftdircmp_sim::{Cycle, DetRng};
+pub use ftdircmp_noc::{FaultConfig, VcClass};
 
 /// Synthetic benchmark suite (re-export of [`ftdircmp_workloads`]).
 pub mod workloads {
-    pub use ftdircmp_workloads::{suite, SharingPattern, WorkloadSpec};
+    pub use ftdircmp_workloads::{suite, WorkloadSpec};
 }
 
 /// Runs one workload under both protocols and returns
