@@ -1,8 +1,9 @@
 //! Parallel deterministic campaign runner.
 //!
-//! Every figure/table binary sweeps a grid of *(workload spec, system
-//! configuration, seed)* cells, and every cell is an independent,
-//! fully-deterministic simulation — an embarrassingly parallel campaign.
+//! Every experiment of [`crate::experiments`] sweeps a grid of *(workload
+//! spec, system configuration, seed)* cells, and every cell is an
+//! independent, fully-deterministic simulation — an embarrassingly parallel
+//! campaign.
 //! This module fans the cells across a scoped worker pool while keeping the
 //! output **byte-identical** to a sequential sweep:
 //!

@@ -18,8 +18,8 @@
 //! ```
 //!
 //! minimized at the Young interval `sqrt(2 * cost / rate)`. The
-//! `ext_checkpoint_comparison` binary evaluates this at the optimum for the
-//! fault rates of Figure 3 and puts it next to FtDirCMP's *measured*
+//! `ext_checkpoint_comparison` experiment evaluates this at the optimum for
+//! the fault rates of Figure 3 and puts it next to FtDirCMP's *measured*
 //! overhead.
 
 /// Parameters of the checkpoint/rollback machine.

@@ -1,37 +1,21 @@
 #!/usr/bin/env bash
 # Regenerates every table, figure, ablation and extension of the paper's
-# evaluation into results/ (see EXPERIMENTS.md for the expected shapes).
+# evaluation into results/NAME.txt (see EXPERIMENTS.md for the shapes).
+# With --check, regenerates into a temporary directory instead and exits
+# non-zero, naming each stale file, if any differs from results/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SEEDS="${SEEDS:-3}"
-mkdir -p results
-
-run() {
-    local bin="$1"
-    echo "== $bin (seeds=$SEEDS) =="
-    cargo run --release -q -p ftdircmp-bench --bin "$bin" -- --seeds "$SEEDS" \
-        | tee "results/$bin.txt"
-    echo
-}
-
-echo "== tables (paper Tables 1-4) =="
-cargo run --release -q -p ftdircmp-bench --bin tables | tee results/tables.txt
-echo
-
-run fig3_execution_time
-run fig4_network_overhead
-run ablation_timeouts
-run ablation_serial_bits
-run ablation_mesh_scaling
-run ablation_fault_targets
-run ablation_migratory
-run ablation_mlp
-run ext_unordered_network
-run ext_checkpoint_comparison
-
-echo "== hw_overhead (paper §3.6) =="
-cargo run --release -q -p ftdircmp-bench --bin hw_overhead | tee results/hw_overhead.txt
-
-echo
-echo "All results written to results/."
+case "${1:-}" in
+    "") out=results ;;
+    --check) out=$(mktemp -d) && trap 'rm -rf "$out"' EXIT ;;
+    *) echo "usage: $0 [--check]" >&2 && exit 2 ;;
+esac
+cargo run --release -q -p ftdircmp-bench -- all --out "$out"
+[ "$out" = results ] && exit 0
+stale=0
+for file in "$out"/*.txt; do
+    committed=results/$(basename "$file")
+    diff -u "$committed" "$file" || { echo "stale: $committed" >&2 && stale=1; }
+done
+exit "$stale"
