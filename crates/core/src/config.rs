@@ -30,6 +30,22 @@ impl ProtocolVariant {
     }
 }
 
+/// The one protocol-name parser: CLI flags, daemon jobs and repro files
+/// all accept `dircmp`/`dir` and `ftdircmp`/`ft`.
+impl std::str::FromStr for ProtocolVariant {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<ProtocolVariant, String> {
+        match name {
+            "dircmp" | "dir" => Ok(ProtocolVariant::DirCmp),
+            "ftdircmp" | "ft" => Ok(ProtocolVariant::FtDirCmp),
+            other => Err(format!(
+                "unknown protocol {other:?} (expected dircmp, dir, ftdircmp or ft)"
+            )),
+        }
+    }
+}
+
 impl std::fmt::Display for ProtocolVariant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -334,6 +350,20 @@ mod tests {
         assert!(!ProtocolVariant::DirCmp.is_fault_tolerant());
         assert!(ProtocolVariant::FtDirCmp.is_fault_tolerant());
         assert_eq!(ProtocolVariant::DirCmp.to_string(), "DirCMP");
+    }
+
+    #[test]
+    fn protocol_names_parse_in_every_spelling() {
+        for (name, want) in [
+            ("dircmp", ProtocolVariant::DirCmp),
+            ("dir", ProtocolVariant::DirCmp),
+            ("ftdircmp", ProtocolVariant::FtDirCmp),
+            ("ft", ProtocolVariant::FtDirCmp),
+        ] {
+            assert_eq!(name.parse(), Ok(want), "{name}");
+        }
+        let err = "DirCMP".parse::<ProtocolVariant>().unwrap_err();
+        assert!(err.contains("dircmp, dir, ftdircmp or ft"), "{err}");
     }
 
     #[test]

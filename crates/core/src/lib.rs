@@ -38,6 +38,7 @@ pub(crate) mod cpu;
 mod data;
 pub mod hardware;
 pub mod ids;
+pub mod json;
 pub(crate) mod l1;
 pub(crate) mod l2;
 mod linetab;

@@ -6,18 +6,18 @@
 //!                          [--workloads a,b,c] [--schedule-seeds N]
 //!                          [--budget N] [--shrink-runs N] [--jobs N]
 //!                          [--out DIR]
-//! ftdircmp-explore replay FILE.ron
+//! ftdircmp-explore replay FILE.json
 //! ```
 //!
 //! `explore` exits nonzero if any failure was found (CI runs `--smoke`
 //! against FtDirCMP and asserts a clean sweep); `replay` exits zero only
-//! if the repro file still reproduces its recorded failure kind.
+//! if the repro file (one JSON object, see `repro.rs`) still reproduces
+//! its recorded failure kind.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ftdircmp_bench::BenchArgs;
-use ftdircmp_core::ProtocolVariant;
 use ftdircmp_explore::repro::read_repro;
 use ftdircmp_explore::{explore, ExploreOptions};
 use ftdircmp_workloads::{suite, WorkloadSpec};
@@ -28,7 +28,7 @@ fn main() -> ExitCode {
         Some("explore") => cmd_explore(&argv[2..]),
         Some("replay") => cmd_replay(&argv[2..]),
         _ => {
-            eprintln!("usage: ftdircmp-explore explore [flags] | replay FILE.ron");
+            eprintln!("usage: ftdircmp-explore explore [flags] | replay FILE.json");
             eprintln!("flags: --smoke --protocol ft|dircmp --workloads a,b,c");
             eprintln!("       --schedule-seeds N --budget N --shrink-runs N");
             eprintln!("       --jobs N --out DIR");
@@ -40,11 +40,10 @@ fn main() -> ExitCode {
 fn cmd_explore(argv: &[String]) -> ExitCode {
     let args = BenchArgs::from_vec(argv.to_vec());
     let smoke = argv.iter().any(|a| a == "--smoke");
-    let protocol = match args.value_of("--protocol") {
-        Some("dircmp") => ProtocolVariant::DirCmp,
-        Some("ft") | None => ProtocolVariant::FtDirCmp,
-        Some(other) => {
-            eprintln!("unknown --protocol {other:?} (expected ft or dircmp)");
+    let protocol = match args.value_of("--protocol").unwrap_or("ft").parse() {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("--protocol: {e}");
             return ExitCode::from(2);
         }
     };
@@ -134,7 +133,7 @@ fn cmd_explore(argv: &[String]) -> ExitCode {
 
 fn cmd_replay(argv: &[String]) -> ExitCode {
     let Some(path) = argv.first() else {
-        eprintln!("usage: ftdircmp-explore replay FILE.ron");
+        eprintln!("usage: ftdircmp-explore replay FILE.json");
         return ExitCode::from(2);
     };
     let repro = match read_repro(std::path::Path::new(path)) {

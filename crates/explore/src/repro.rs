@@ -4,11 +4,13 @@
 //! cell on a machine with nothing but this repository: the concrete
 //! workload trace, the configuration knobs that matter (protocol variant,
 //! master seed, schedule seed, timeout values, watchdog), the deterministic
-//! drop schedule, and the failure kind observed. Repros serialize to a
-//! small RON-style text format written under `results/repros/` and replayed
-//! by the `ftdircmp-explore` binary.
+//! drop schedule, and the failure kind observed. A repro is one canonical
+//! JSON object ([`Repro::to_json`]), written as a `*.json` file under
+//! `results/repros/`, replayed by the `ftdircmp-explore` binary and carried
+//! as-is by the daemon's `replay` job.
 
 use ftdircmp_core::config::{ProtocolVariant, SystemConfig};
+use ftdircmp_core::json::Json;
 use ftdircmp_core::trace::Workload;
 use ftdircmp_core::trace_io;
 use ftdircmp_noc::FaultConfig;
@@ -92,89 +94,47 @@ impl Repro {
         crate::classify(&self.workload, &result)
     }
 
-    /// Serializes to the RON-style repro format.
-    pub(crate) fn to_ron(&self) -> String {
-        let mut out = String::from("// ftdircmp repro v1\n(\n");
-        out.push_str(&format!("    protocol: {:?},\n", self.protocol.name()));
-        out.push_str(&format!("    seed: {},\n", self.seed));
-        out.push_str(&format!("    schedule_seed: {},\n", self.schedule_seed));
-        out.push_str(&format!("    watchdog_cycles: {},\n", self.watchdog_cycles));
-        out.push_str(&format!(
-            "    lost_request_timeout: {},\n",
-            self.lost_request_timeout
-        ));
-        out.push_str(&format!(
-            "    lost_unblock_timeout: {},\n",
-            self.lost_unblock_timeout
-        ));
-        out.push_str(&format!(
-            "    lost_ackbd_timeout: {},\n",
-            self.lost_ackbd_timeout
-        ));
-        out.push_str(&format!(
-            "    lost_data_timeout: {},\n",
-            self.lost_data_timeout
-        ));
-        out.push_str(&format!(
-            "    drops: [{}],\n",
-            self.drops
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("    failure: {:?},\n", self.failure.label()));
-        out.push_str(&format!(
-            "    trace: {:?},\n",
-            trace_io::to_string(&self.workload)
-        ));
-        out.push_str(")\n");
-        out
+    /// The repro as one canonical JSON object. `trace` embeds the
+    /// `trace_io` text as a string; integers must stay below 2^53, which
+    /// captured seeds, timeouts and drop indices do by orders of magnitude.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("protocol", Json::str(self.protocol.name().to_lowercase())),
+            ("seed", Json::num_u64(self.seed)),
+            ("schedule_seed", Json::num_u64(self.schedule_seed)),
+            ("watchdog_cycles", Json::num_u64(self.watchdog_cycles)),
+            (
+                "lost_request_timeout",
+                Json::num_u64(self.lost_request_timeout),
+            ),
+            (
+                "lost_unblock_timeout",
+                Json::num_u64(self.lost_unblock_timeout),
+            ),
+            ("lost_ackbd_timeout", Json::num_u64(self.lost_ackbd_timeout)),
+            ("lost_data_timeout", Json::num_u64(self.lost_data_timeout)),
+            (
+                "drops",
+                Json::Arr(self.drops.iter().map(|&d| Json::num_u64(d)).collect()),
+            ),
+            ("failure", Json::str(self.failure.label())),
+            ("trace", Json::str(trace_io::to_string(&self.workload))),
+        ])
     }
 
-    /// Parses the RON-style repro format.
+    /// Reads a repro object. Every field is required: the error names the
+    /// first one missing or of the wrong type.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first malformed
-    /// construct found.
-    pub fn from_ron(text: &str) -> Result<Repro, String> {
-        let fields = parse_fields(text)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {key:?}"))
-        };
-        let uint = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                Value::Uint(n) => Ok(*n),
-                other => Err(format!("field {key:?}: expected integer, got {other:?}")),
-            }
-        };
-        let string = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                Value::Str(s) => Ok(s.clone()),
-                other => Err(format!("field {key:?}: expected string, got {other:?}")),
-            }
-        };
-        let protocol = match string("protocol")?.as_str() {
-            "DirCMP" => ProtocolVariant::DirCmp,
-            "FtDirCMP" => ProtocolVariant::FtDirCmp,
-            other => return Err(format!("unknown protocol {other:?}")),
-        };
-        let failure_label = string("failure")?;
-        let failure = FailureKind::from_label(&failure_label)
-            .ok_or_else(|| format!("unknown failure kind {failure_label:?}"))?;
-        let drops = match get("drops")? {
-            Value::List(items) => items.clone(),
-            other => return Err(format!("field \"drops\": expected list, got {other:?}")),
-        };
-        let workload =
-            trace_io::from_str(&string("trace")?).map_err(|e| format!("embedded trace: {e}"))?;
+    /// Returns a human-readable description of the first problem found.
+    pub fn from_json(v: &Json) -> Result<Repro, String> {
+        if !matches!(v, Json::Obj(_)) {
+            return Err("a repro must be a JSON object".to_string());
+        }
+        let uint = |key: &str| v.req::<u64>("repro", key);
         Ok(Repro {
-            protocol,
+            protocol: v.req::<&str>("repro", "protocol")?.parse()?,
             seed: uint("seed")?,
             schedule_seed: uint("schedule_seed")?,
             watchdog_cycles: uint("watchdog_cycles")?,
@@ -182,9 +142,14 @@ impl Repro {
             lost_unblock_timeout: uint("lost_unblock_timeout")?,
             lost_ackbd_timeout: uint("lost_ackbd_timeout")?,
             lost_data_timeout: uint("lost_data_timeout")?,
-            drops,
-            failure,
-            workload,
+            drops: v.req("repro", "drops")?,
+            failure: {
+                let label = v.req::<&str>("repro", "failure")?;
+                FailureKind::from_label(label)
+                    .ok_or_else(|| format!("unknown failure kind {label:?}"))?
+            },
+            workload: trace_io::from_str(v.req("repro", "trace")?)
+                .map_err(|e| format!("embedded trace: {e}"))?,
         })
     }
 
@@ -192,141 +157,18 @@ impl Repro {
     /// cell: derived from content, not wall time).
     pub(crate) fn file_name(&self) -> String {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_ron().bytes() {
+        for b in self.to_json().to_string().bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x100_0000_01b3);
         }
         format!(
-            "{}-{}-s{}-{:016x}.ron",
+            "{}-{}-s{}-{:016x}.json",
             self.failure.label(),
             self.workload.name.replace(['/', ' '], "_"),
             self.schedule_seed,
             h
         )
     }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Uint(u64),
-    Str(String),
-    List(Vec<u64>),
-}
-
-/// Parses the outer `( key: value, ... )` body into key/value pairs.
-/// Only the constructs the repro format uses are supported: unsigned
-/// integers, double-quoted strings with `\n`/`\"`/`\\` escapes, and lists
-/// of unsigned integers.
-fn parse_fields(text: &str) -> Result<Vec<(String, Value)>, String> {
-    // Strip // comments (only outside strings; comments in this format are
-    // always on their own line, before the opening paren).
-    let body: String = text
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("//"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let body = body.trim();
-    let body = body
-        .strip_prefix('(')
-        .and_then(|b| b.trim_end().strip_suffix(')'))
-        .ok_or("repro must be wrapped in ( ... )")?;
-
-    let mut fields = Vec::new();
-    let mut chars = body.chars().peekable();
-    loop {
-        // Skip whitespace and separators.
-        while chars.peek().is_some_and(|c| c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        if chars.peek().is_none() {
-            break;
-        }
-        // Key.
-        let mut key = String::new();
-        while chars
-            .peek()
-            .is_some_and(|c| c.is_alphanumeric() || *c == '_')
-        {
-            key.push(chars.next().unwrap());
-        }
-        if key.is_empty() {
-            return Err(format!("expected a field name, found {:?}", chars.peek()));
-        }
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.next() != Some(':') {
-            return Err(format!("field {key:?}: expected ':'"));
-        }
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-        // Value.
-        let value = match chars.peek() {
-            Some('"') => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('\\') => match chars.next() {
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            other => return Err(format!("bad escape {other:?} in {key:?}")),
-                        },
-                        Some('"') => break,
-                        Some(c) => s.push(c),
-                        None => return Err(format!("unterminated string in {key:?}")),
-                    }
-                }
-                Value::Str(s)
-            }
-            Some('[') => {
-                chars.next();
-                let mut items = Vec::new();
-                let mut num = String::new();
-                loop {
-                    match chars.next() {
-                        Some(']') => {
-                            if !num.trim().is_empty() {
-                                items.push(parse_u64(num.trim(), &key)?);
-                            }
-                            break;
-                        }
-                        Some(',') => {
-                            if !num.trim().is_empty() {
-                                items.push(parse_u64(num.trim(), &key)?);
-                            }
-                            num.clear();
-                        }
-                        Some(c) => num.push(c),
-                        None => return Err(format!("unterminated list in {key:?}")),
-                    }
-                }
-                Value::List(items)
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let mut num = String::new();
-                while chars
-                    .peek()
-                    .is_some_and(|c| c.is_ascii_digit() || *c == '_')
-                {
-                    num.push(chars.next().unwrap());
-                }
-                Value::Uint(parse_u64(&num, &key)?)
-            }
-            other => return Err(format!("field {key:?}: unexpected value start {other:?}")),
-        };
-        fields.push((key, value));
-    }
-    Ok(fields)
-}
-
-fn parse_u64(s: &str, key: &str) -> Result<u64, String> {
-    s.replace('_', "")
-        .parse()
-        .map_err(|_| format!("field {key:?}: bad integer {s:?}"))
 }
 
 /// Writes a repro under `dir`, creating the directory if needed, and
@@ -338,7 +180,7 @@ fn parse_u64(s: &str, key: &str) -> Result<u64, String> {
 pub fn write_repro(dir: &std::path::Path, repro: &Repro) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(repro.file_name());
-    std::fs::write(&path, repro.to_ron())?;
+    std::fs::write(&path, format!("{}\n", repro.to_json()))?;
     Ok(path)
 }
 
@@ -350,12 +192,14 @@ pub fn write_repro(dir: &std::path::Path, repro: &Repro) -> std::io::Result<std:
 /// [`std::io::ErrorKind::InvalidData`].
 pub fn read_repro(path: &std::path::Path) -> std::io::Result<Repro> {
     let text = std::fs::read_to_string(path)?;
-    Repro::from_ron(&text).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.display()),
-        )
-    })
+    Json::parse(&text)
+        .and_then(|v| Repro::from_json(&v))
+        .map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{}: {e}", path.display()),
+            )
+        })
 }
 
 #[cfg(test)]
@@ -382,12 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn ron_roundtrip_preserves_everything() {
+    fn json_roundtrip_preserves_everything() {
         let r = sample();
-        let text = r.to_ron();
-        assert!(text.starts_with("// ftdircmp repro v1"));
-        let back = Repro::from_ron(&text).unwrap();
+        let text = r.to_json().to_string();
+        assert!(text.starts_with(r#"{"protocol":"dircmp","seed":1003,"schedule_seed":7,"#));
+        assert!(text.contains(r#""drops":[3,1,4],"failure":"deadlock","trace":""#));
+        let back = Repro::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
+        assert_eq!(back.to_json().to_string(), text, "canonical");
     }
 
     #[test]
@@ -403,16 +249,55 @@ mod tests {
 
     #[test]
     fn parse_errors_are_descriptive() {
-        assert!(Repro::from_ron("not ron").unwrap_err().contains("( ... )"));
-        assert!(Repro::from_ron("( seed: 1 )")
-            .unwrap_err()
-            .contains("missing field"));
-        assert!(
-            Repro::from_ron("( seed: \"x\" )")
-                .unwrap_err()
-                .contains("missing field \"protocol\"")
-                || !Repro::from_ron("( seed: \"x\" )").unwrap_err().is_empty()
+        let from = |text: &str| Repro::from_json(&Json::parse(text).unwrap()).unwrap_err();
+        assert_eq!(from(r#""(seed: 1)""#), "a repro must be a JSON object");
+        assert_eq!(from("{}"), "repro missing string field \"protocol\"");
+        // A foreign document fails on the first field it lacks.
+        assert_eq!(
+            from(r#"{"protocol":"ft","seed":1}"#),
+            "repro missing integer field \"schedule_seed\""
         );
+        assert_eq!(
+            from(r#"{"protocol":"ft","seed":"1"}"#),
+            "field \"seed\": expected integer"
+        );
+        assert!(from(r#"{"protocol":"zesty"}"#).contains("unknown protocol \"zesty\""));
+        let edit = |key: &str, value: Json| {
+            let Json::Obj(mut pairs) = sample().to_json() else {
+                unreachable!("repros are objects")
+            };
+            pairs.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+            Repro::from_json(&Json::Obj(pairs)).unwrap_err()
+        };
+        assert_eq!(
+            edit("failure", Json::str("meltdown")),
+            "unknown failure kind \"meltdown\""
+        );
+        assert_eq!(
+            edit("drops", Json::Arr(vec![Json::Num(-1.0)])),
+            "field \"drops\": expected integers"
+        );
+        assert!(edit("trace", Json::str("garbage")).starts_with("embedded trace: "));
+    }
+
+    /// Every truncation and every single-bit flip of a valid document is an
+    /// error or a repro, never a panic.
+    #[test]
+    fn damaged_documents_never_panic() {
+        let text = sample().to_json().to_string().into_bytes();
+        let read = |bytes: &[u8]| Json::parse_bytes(bytes).and_then(|v| Repro::from_json(&v));
+        for len in 0..text.len() {
+            assert!(read(&text[..len]).is_err(), "prefix of {len} bytes");
+        }
+        let mut flipped = text.clone();
+        for i in 0..text.len() {
+            for bit in 0..8 {
+                flipped[i] ^= 1 << bit;
+                let _ = read(&flipped);
+                flipped[i] = text[i];
+            }
+        }
+        assert_eq!(read(&text), Ok(sample()));
     }
 
     #[test]
@@ -422,8 +307,11 @@ mod tests {
         assert_eq!(a, b);
         assert!(std::path::Path::new(&a)
             .extension()
-            .is_some_and(|x| x == "ron"));
-        assert!(a.contains("deadlock"));
+            .is_some_and(|x| x == "json"));
+        assert!(a.starts_with("deadlock-sample-s7-"), "{a}");
+        let mut other = sample();
+        other.drops.push(9);
+        assert_ne!(other.file_name(), a, "the hash covers the content");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   parallel checkpoint-fork campaign runner;
 //! * `fault-search` — a guided fault-schedule exploration
 //!   (`ftdircmp-explore`) whose minimized repros land in the result store;
-//! * `replay` — replays an embedded self-contained repro file;
+//! * `replay` — replays a self-contained repro, the same JSON object an
+//!   `ftdircmp-explore` repro file holds;
 //! * `poison` — a test fixture that panics inside the worker, used by the
 //!   quarantine integration tests (harmless: the daemon catches it).
 //!
@@ -17,6 +18,7 @@
 
 use ftdircmp_bench::campaign::Unit;
 use ftdircmp_core::{ProtocolVariant, SystemConfig};
+use ftdircmp_explore::repro::Repro;
 use ftdircmp_noc::{
     Direction, FaultDomainConfig, FaultEvent, LinkChannelConfig, RouterId, DEFAULT_DEGRADED_DROP,
 };
@@ -46,10 +48,10 @@ pub(crate) enum JobKind {
     Campaign(CampaignSpec),
     /// A guided fault-schedule exploration.
     FaultSearch(FaultSearchSpec),
-    /// Replay an embedded repro (RON text, see `ftdircmp-explore`).
+    /// Replay a repro (see `ftdircmp-explore`).
     Replay {
-        /// The repro file content.
-        repro: String,
+        /// The repro, parsed and validated at submit.
+        repro: Repro,
     },
     /// Test fixture: panics in the worker; the daemon must quarantine it.
     Poison,
@@ -72,7 +74,7 @@ pub(crate) struct CampaignSpec {
 /// One point on a campaign's configuration axis.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ConfigSpec {
-    /// `"dircmp"` or `"ftdircmp"`.
+    /// A [`ProtocolVariant`] name, kept as given: cell labels echo it.
     pub(crate) protocol: String,
     /// Messages lost per million (0 = fault-free).
     pub(crate) fault_rate: f64,
@@ -94,15 +96,8 @@ pub(crate) struct ConfigSpec {
 /// "dir":"east","start":1000,"end":2000}`, `{"kind":"brownout","router":5,
 /// ...}` or `{"kind":"region-burst","epicenter":5,"radius":1,...}`.
 fn parse_fault_event(v: &Json) -> Result<FaultEvent, String> {
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("fault event missing string field \"kind\"")?;
-    let num = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("fault event missing integer field {key:?}"))
-    };
+    let kind = v.req::<&str>("fault event", "kind")?;
+    let num = |key: &str| v.req::<u64>("fault event", key);
     let router = |key: &str| -> Result<RouterId, String> {
         let raw = num(key)?;
         u16::try_from(raw)
@@ -112,10 +107,7 @@ fn parse_fault_event(v: &Json) -> Result<FaultEvent, String> {
     let (start, end) = (num("start")?, num("end")?);
     match kind {
         "link-flap" => {
-            let label = v
-                .get("dir")
-                .and_then(Json::as_str)
-                .ok_or("link-flap event missing string field \"dir\"")?;
+            let label = v.req::<&str>("link-flap event", "dir")?;
             let dir = Direction::from_label(label).ok_or_else(|| {
                 format!("unknown direction {label:?} (expected east, west, south or north)")
             })?;
@@ -183,19 +175,11 @@ fn fault_event_json(ev: &FaultEvent) -> Json {
 /// channel (no ambient noise, [`DEFAULT_DEGRADED_DROP`] inside degraded
 /// windows).
 fn parse_link_channel(v: &Json) -> Result<LinkChannelConfig, String> {
-    let p = |key: &str| -> Result<Option<f64>, String> {
-        v.get(key)
-            .map(|x| {
-                x.as_f64()
-                    .ok_or_else(|| format!("link_channel field {key:?}: expected number"))
-            })
-            .transpose()
-    };
     Ok(LinkChannelConfig {
-        p_enter_bad: p("p_enter_bad")?.unwrap_or(0.0),
-        p_exit_bad: p("p_exit_bad")?.unwrap_or(1.0),
-        drop_good: p("drop_good")?.unwrap_or(0.0),
-        drop_bad: p("drop_bad")?.unwrap_or(DEFAULT_DEGRADED_DROP),
+        p_enter_bad: v.opt("p_enter_bad")?.unwrap_or(0.0),
+        p_exit_bad: v.opt("p_exit_bad")?.unwrap_or(1.0),
+        drop_good: v.opt("drop_good")?.unwrap_or(0.0),
+        drop_bad: v.opt("drop_bad")?.unwrap_or(DEFAULT_DEGRADED_DROP),
     })
 }
 
@@ -211,7 +195,7 @@ fn link_channel_json(ch: &LinkChannelConfig) -> Json {
 /// A guided fault-schedule exploration request.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FaultSearchSpec {
-    /// `"dircmp"` or `"ftdircmp"`.
+    /// A [`ProtocolVariant`] name, kept as given.
     pub(crate) protocol: String,
     /// Workload requests.
     pub(crate) specs: Vec<String>,
@@ -225,16 +209,6 @@ pub(crate) struct FaultSearchSpec {
     pub(crate) max_repros_per_cell: usize,
 }
 
-fn parse_protocol(name: &str) -> Result<ProtocolVariant, String> {
-    match name {
-        "dircmp" => Ok(ProtocolVariant::DirCmp),
-        "ftdircmp" => Ok(ProtocolVariant::FtDirCmp),
-        other => Err(format!(
-            "unknown protocol {other:?} (expected \"dircmp\" or \"ftdircmp\")"
-        )),
-    }
-}
-
 impl ConfigSpec {
     /// Builds the effective [`SystemConfig`] and validates it, so that bad
     /// fault input (a negative or oversized rate, bad probabilities, empty
@@ -245,9 +219,9 @@ impl ConfigSpec {
     ///
     /// Rejects unknown protocol names and invalid configurations.
     pub(crate) fn to_config(&self) -> Result<SystemConfig, String> {
-        let mut cfg = match parse_protocol(&self.protocol)? {
-            ProtocolVariant::DirCmp => SystemConfig::dircmp(),
-            ProtocolVariant::FtDirCmp => SystemConfig::ftdircmp(),
+        let mut cfg = SystemConfig {
+            protocol: self.protocol.parse()?,
+            ..SystemConfig::default()
         };
         if self.fault_rate != 0.0 {
             cfg = cfg.with_fault_rate(self.fault_rate);
@@ -346,7 +320,7 @@ impl FaultSearchSpec {
     ///
     /// Rejects unknown workloads/protocols and empty sweeps.
     pub(crate) fn resolve(&self) -> Result<(ProtocolVariant, Vec<WorkloadSpec>), String> {
-        let protocol = parse_protocol(&self.protocol)?;
+        let protocol = self.protocol.parse()?;
         if self.specs.is_empty() {
             return Err("fault-search has no workloads".to_string());
         }
@@ -369,165 +343,74 @@ impl JobSpec {
     ///
     /// Returns a client-facing description of the first problem found.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        let kind_name = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("job missing string field \"kind\"")?;
-        let label = v
-            .get("label")
-            .and_then(Json::as_str)
-            .unwrap_or(kind_name)
-            .to_string();
-        let priority = v
-            .get("priority")
-            .map(|p| {
-                p.as_f64()
-                    .filter(|f| f.fract() == 0.0 && f.abs() <= 1e9)
-                    .map(|f| f as i64)
-                    .ok_or("field \"priority\": expected a small integer")
-            })
-            .transpose()?
-            .unwrap_or(0);
-        let strings = |key: &str| -> Result<Vec<String>, String> {
-            v.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("job missing array field {key:?}"))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("field {key:?}: expected strings"))
-                })
-                .collect()
+        let kind_name = v.req::<&str>("job", "kind")?;
+        let label = v.opt::<&str>("label")?.unwrap_or(kind_name).to_string();
+        let priority = match v.opt::<f64>("priority")? {
+            None => 0,
+            Some(p) if p.fract() == 0.0 && p.abs() <= 1e9 => p as i64,
+            Some(_) => return Err("field \"priority\": expected a small integer".to_string()),
         };
         let kind = match kind_name {
             "campaign" => {
                 let configs = v
-                    .get("configs")
-                    .and_then(Json::as_arr)
-                    .ok_or("job missing array field \"configs\"")?
+                    .req::<&[Json]>("job", "configs")?
                     .iter()
                     .map(|c| {
                         Ok(ConfigSpec {
-                            protocol: c
-                                .get("protocol")
-                                .and_then(Json::as_str)
-                                .ok_or("config missing string field \"protocol\"")?
-                                .to_string(),
-                            fault_rate: c
-                                .get("fault_rate")
-                                .map(|f| f.as_f64().ok_or("field \"fault_rate\": expected number"))
-                                .transpose()?
-                                .unwrap_or(0.0),
-                            watchdog_cycles: c
-                                .get("watchdog_cycles")
-                                .map(|w| {
-                                    w.as_u64()
-                                        .ok_or("field \"watchdog_cycles\": expected integer")
-                                })
-                                .transpose()?,
-                            schedule_seed: c
-                                .get("schedule_seed")
-                                .map(|s| {
-                                    s.as_u64()
-                                        .ok_or("field \"schedule_seed\": expected integer")
-                                })
-                                .transpose()?,
+                            protocol: c.req::<&str>("config", "protocol")?.to_string(),
+                            fault_rate: c.opt("fault_rate")?.unwrap_or(0.0),
+                            watchdog_cycles: c.opt("watchdog_cycles")?,
+                            schedule_seed: c.opt("schedule_seed")?,
                             fault_events: c
-                                .get("fault_events")
-                                .map(|evs| {
-                                    evs.as_arr()
-                                        .ok_or("field \"fault_events\": expected array")?
-                                        .iter()
-                                        .map(parse_fault_event)
-                                        .collect::<Result<Vec<_>, String>>()
-                                })
-                                .transpose()?
-                                .unwrap_or_default(),
+                                .opt::<&[Json]>("fault_events")?
+                                .unwrap_or_default()
+                                .iter()
+                                .map(parse_fault_event)
+                                .collect::<Result<_, _>>()?,
                             link_channel: c
                                 .get("link_channel")
                                 .map(parse_link_channel)
                                 .transpose()?,
-                            domain_seed: c
-                                .get("domain_seed")
-                                .map(|s| {
-                                    s.as_u64().ok_or("field \"domain_seed\": expected integer")
-                                })
-                                .transpose()?,
+                            domain_seed: c.opt("domain_seed")?,
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;
+                let warmup = match v.get("warmup_checkpoint") {
+                    Some(Json::Null) => None,
+                    _ => v.opt::<f64>("warmup_checkpoint")?,
+                };
+                if warmup.is_some_and(|p| !(0.0..=100.0).contains(&p)) {
+                    return Err("field \"warmup_checkpoint\": expected 0..=100".to_string());
+                }
                 let spec = CampaignSpec {
-                    specs: strings("specs")?,
+                    specs: v.req("job", "specs")?,
                     configs,
-                    seeds: v
-                        .get("seeds")
-                        .map(|s| s.as_u64().ok_or("field \"seeds\": expected integer"))
-                        .transpose()?
-                        .unwrap_or(1),
-                    warmup_checkpoint: v
-                        .get("warmup_checkpoint")
-                        .filter(|w| **w != Json::Null)
-                        .map(|w| {
-                            w.as_f64()
-                                .filter(|p| (0.0..=100.0).contains(p))
-                                .ok_or("field \"warmup_checkpoint\": expected 0..=100")
-                        })
-                        .transpose()?,
+                    seeds: v.opt("seeds")?.unwrap_or(1),
+                    warmup_checkpoint: warmup,
                 };
                 spec.units()?; // validate the whole grid up front
                 JobKind::Campaign(spec)
             }
             "fault-search" => {
+                let count = |key: &str, default: u64| -> Result<usize, String> {
+                    Ok(v.opt(key)?.unwrap_or(default) as usize)
+                };
                 let spec = FaultSearchSpec {
-                    protocol: v
-                        .get("protocol")
-                        .and_then(Json::as_str)
-                        .unwrap_or("ftdircmp")
-                        .to_string(),
-                    specs: strings("specs")?,
-                    schedule_seeds: v
-                        .get("schedule_seeds")
-                        .and_then(Json::as_arr)
-                        .map(|seeds| {
-                            seeds
-                                .iter()
-                                .map(|s| {
-                                    s.as_u64()
-                                        .ok_or("field \"schedule_seeds\": expected integers")
-                                })
-                                .collect::<Result<Vec<_>, _>>()
-                        })
-                        .transpose()?
-                        .unwrap_or_else(|| vec![0]),
-                    drop_budget: v
-                        .get("drop_budget")
-                        .map(|d| d.as_u64().ok_or("field \"drop_budget\": expected integer"))
-                        .transpose()?
-                        .unwrap_or(8) as usize,
-                    shrink_runs: v
-                        .get("shrink_runs")
-                        .map(|d| d.as_u64().ok_or("field \"shrink_runs\": expected integer"))
-                        .transpose()?
-                        .unwrap_or(100) as usize,
-                    max_repros_per_cell: v
-                        .get("max_repros_per_cell")
-                        .map(|d| {
-                            d.as_u64()
-                                .ok_or("field \"max_repros_per_cell\": expected integer")
-                        })
-                        .transpose()?
-                        .unwrap_or(1) as usize,
+                    protocol: v.opt::<&str>("protocol")?.unwrap_or("ftdircmp").to_string(),
+                    specs: v.req("job", "specs")?,
+                    schedule_seeds: v.opt("schedule_seeds")?.unwrap_or_else(|| vec![0]),
+                    drop_budget: count("drop_budget", 8)?,
+                    shrink_runs: count("shrink_runs", 100)?,
+                    max_repros_per_cell: count("max_repros_per_cell", 1)?,
                 };
                 spec.resolve()?;
                 JobKind::FaultSearch(spec)
             }
             "replay" => JobKind::Replay {
-                repro: v
-                    .get("repro")
-                    .and_then(Json::as_str)
-                    .ok_or("replay job missing string field \"repro\"")?
-                    .to_string(),
+                repro: Repro::from_json(
+                    v.get("repro")
+                        .ok_or("replay job missing object field \"repro\"")?,
+                )?,
             },
             "poison" => JobKind::Poison,
             other => {
@@ -614,7 +497,7 @@ impl JobSpec {
                 pairs.push(("kind", Json::str("replay")));
                 pairs.push(("label", Json::str(&self.label)));
                 pairs.push(("priority", Json::Num(self.priority as f64)));
-                pairs.push(("repro", Json::str(repro)));
+                pairs.push(("repro", repro.to_json()));
             }
             JobKind::Poison => {
                 pairs.push(("kind", Json::str("poison")));
@@ -682,7 +565,24 @@ mod tests {
             ),
             (r#"{"kind":"sideways"}"#, "unknown job kind"),
             (r#"{"specs":[]}"#, "missing string field"),
-            (r#"{"kind":"replay"}"#, "missing string field \"repro\""),
+            (r#"{"kind":"replay"}"#, "missing object field \"repro\""),
+            (
+                r#"{"kind":"replay","repro":"( seed: 1 )"}"#,
+                "a repro must be a JSON object",
+            ),
+            // A wrong-typed optional field is an error, not its default.
+            (
+                r#"{"kind":"poison","label":5}"#,
+                "field \"label\": expected string",
+            ),
+            (
+                r#"{"kind":"fault-search","specs":["fft"],"protocol":5}"#,
+                "field \"protocol\": expected string",
+            ),
+            (
+                r#"{"kind":"fault-search","specs":["fft"],"schedule_seeds":5}"#,
+                "field \"schedule_seeds\": expected integers",
+            ),
             (
                 r#"{"kind":"fault-search","specs":["fft"],"schedule_seeds":["x"]}"#,
                 "expected integers",

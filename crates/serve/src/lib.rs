@@ -6,8 +6,9 @@
 //! runner (`ftdircmp-bench`), and records every result durably under a
 //! queue root so a killed daemon resumes exactly where it stopped:
 //!
-//! * [`json`] — minimal std-only JSON parser/serializer (the container has
-//!   no serde; canonical output keeps stored results byte-comparable);
+//! * [`json`] — the workspace's one JSON codec, re-exported from
+//!   `ftdircmp-core` (canonical output keeps stored results
+//!   byte-comparable);
 //! * [`job`] — submission types, validation, and the deterministic
 //!   expansion of a campaign grid into simulation units;
 //! * [`store`] — the durable result store: per-job unit-record journals
@@ -24,9 +25,10 @@
 //! contract.
 
 pub mod job;
-pub mod json;
 pub(crate) mod notifier;
 pub mod queue;
 pub mod runner;
 pub mod server;
 pub mod store;
+
+pub use ftdircmp_core::json;

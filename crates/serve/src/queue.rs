@@ -267,12 +267,15 @@ impl Queue {
             };
             match op {
                 "submit" => {
+                    // The number is spent even if the job is dropped below:
+                    // a reused id would inherit the dropped job's stored
+                    // unit records and report units it never ran.
+                    st.next_number = st.next_number.max(number + 1);
                     // A journaled job that no longer validates (e.g. a
                     // workload renamed between versions) is dropped.
                     let Some(Ok(spec)) = rec.get("job").map(JobSpec::from_json) else {
                         continue;
                     };
-                    st.next_number = st.next_number.max(number + 1);
                     st.enqueue(number, spec);
                 }
                 "done" => {
@@ -598,6 +601,9 @@ mod tests {
             .to_string()
         };
         let done = r#"{"op":"done","id":"j900000000000000","outcome":"odd"}"#;
+        // An older version's replay job (its repro a string): dropped, but
+        // its number stays spent.
+        let stale = r#"{"op":"submit","id":"j950000000000000","job":{"kind":"replay","repro":"( seed: 1 )"}}"#;
         let lines = [
             submit("j000001", 0),
             submit("j000001", 7),
@@ -605,6 +611,7 @@ mod tests {
             submit("j900000000000000", 0),
             done.to_string(),
             submit("j000002", 3),
+            stale.to_string(),
         ];
         std::fs::write(store.journal_path(), lines.join("\n") + "\n").unwrap();
         let q = Queue::open(store, 16).unwrap();
@@ -615,7 +622,8 @@ mod tests {
         assert_eq!(q.status("j000001").unwrap().priority, Some(7));
         assert_eq!(q.take_next().unwrap().id, "j000001");
         assert_eq!(q.take_next().unwrap().id, "j000002");
-        assert_eq!(q.submit(job("next", 0)).unwrap(), "j900000000000001");
+        assert!(q.status("j950000000000000").is_none());
+        assert_eq!(q.submit(job("next", 0)).unwrap(), "j950000000000001");
         let _ = std::fs::remove_dir_all(&root);
     }
 

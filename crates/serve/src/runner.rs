@@ -38,7 +38,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Per-job execution outcome, stored in the summary and the journal.
 pub const OUTCOME_OK: &str = "ok";
-/// The job ran but produced an error (bad config, unreadable repro, ...).
+/// The job ran but produced an error (a grid or sweep that fails to resolve).
 pub(crate) const OUTCOME_FAILED: &str = "failed";
 /// The job panicked in the worker; it is quarantined — marked done so the
 /// queue keeps serving, with the panic preserved in its summary.
@@ -317,16 +317,7 @@ fn run_fault_search_job(
     }
 }
 
-fn run_replay_job(repro_text: &str) -> (String, SummaryBody) {
-    let repro = match Repro::from_ron(repro_text) {
-        Ok(r) => r,
-        Err(e) => {
-            return (
-                OUTCOME_FAILED.to_string(),
-                vec![("message".to_string(), Json::str(&e))],
-            )
-        }
-    };
+fn run_replay_job(repro: &Repro) -> (String, SummaryBody) {
     let caught = catch_unwind(AssertUnwindSafe(|| repro.replay()));
     match caught {
         Ok(Some(failure)) => (
@@ -473,18 +464,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(&store.root);
     }
 
+    /// Garbage never reaches the runner: a replay job is refused at
+    /// submit unless its repro parses.
     #[test]
     fn replay_of_garbage_fails_cleanly() {
+        for repro in [r#""not a repro""#, "{}", r#"{"protocol":"dircmp"}"#] {
+            let v = Json::parse(&format!(r#"{{"kind":"replay","repro":{repro}}}"#)).unwrap();
+            let e = JobSpec::from_json(&v).unwrap_err();
+            assert!(e.contains("repro"), "{repro}: {e}");
+        }
+    }
+
+    /// A DirCMP single-drop deadlock, captured the way exploration does,
+    /// replays through the daemon's `replay` job kind.
+    #[test]
+    fn replay_of_a_captured_deadlock_reproduces_it() {
+        use ftdircmp_core::SystemConfig;
+        use ftdircmp_explore::FailureKind;
+        use ftdircmp_noc::FaultConfig;
+
+        let wl = ftdircmp_workloads::WorkloadSpec::parse("water-nsq:ops=150")
+            .unwrap()
+            .generate(16, 1000);
+        let mut cfg = SystemConfig::dircmp().with_seed(1000);
+        cfg.watchdog_cycles = 100_000;
+        cfg.mesh.faults = FaultConfig::drop_exactly(vec![40]);
+        let repro = Repro::capture(&cfg, &wl, vec![40], FailureKind::Deadlock);
+        let v = Json::obj(vec![
+            ("kind", Json::str("replay")),
+            ("repro", repro.to_json()),
+        ]);
+        let job = JobSpec::from_json(&v).unwrap();
+        assert_eq!(JobSpec::from_json(&job.to_json()).unwrap(), job);
+
         let store = tmp_store("replay");
-        let job = JobSpec {
-            label: "r".to_string(),
-            priority: 0,
-            kind: JobKind::Replay {
-                repro: "not a repro".to_string(),
-            },
-        };
         let outcome = execute_job(&store, "j2", &job, 1, &|_, _| {}).unwrap();
-        assert_eq!(outcome, OUTCOME_FAILED);
+        assert_eq!(outcome, OUTCOME_OK);
+        let summary = Json::parse(store.read_summary("j2").unwrap().unwrap().trim_end()).unwrap();
+        assert_eq!(summary.get("reproduced"), Some(&Json::Bool(true)));
+        assert_eq!(
+            summary.get("failure_kind").and_then(Json::as_str),
+            Some("deadlock")
+        );
         let _ = std::fs::remove_dir_all(&store.root);
     }
 }

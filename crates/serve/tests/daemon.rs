@@ -1,6 +1,7 @@
 //! End-to-end tests against the real `ftdircmp-serve` daemon binary:
-//! concurrent clients, kill -9 crash-resume, poison-job quarantine, and
-//! what a request costs and a finished job leaves behind.
+//! concurrent clients, kill -9 crash-resume, poison-job quarantine, a
+//! hostile deeply nested request, and what a request costs and a finished
+//! job leaves behind.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
@@ -335,6 +336,21 @@ fn poisoned_job_is_quarantined_while_queue_keeps_serving() {
     );
     let status = conn.call(&format!(r#"{{"cmd":"status","id":"{poison_id}"}}"#));
     assert!(status.contains("\"outcome\":\"quarantined\""), "{status}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One request line nested 100 000 deep used to overflow the stack of its
+/// connection thread, which aborts the whole daemon and every running job.
+#[test]
+fn a_deeply_nested_request_is_refused_and_the_daemon_keeps_serving() {
+    let root = tmp_root("deep");
+    let daemon = Daemon::start(&root, 1);
+    let mut conn = Conn::connect(&daemon.addr());
+    let reply = conn.call(&"[".repeat(100_000));
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    let pong = conn.call(r#"{"cmd":"ping"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -75,10 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
     let seed: u64 = args.parsed("--seed", 42)?;
-    let mut config = match args.value("--protocol").unwrap_or("ft") {
-        "ft" | "ftdircmp" => SystemConfig::ftdircmp(),
-        "dir" | "dircmp" => SystemConfig::dircmp(),
-        other => return Err(format!("unknown protocol {other:?} (ft|dir)").into()),
+    let mut config = SystemConfig {
+        protocol: args.value("--protocol").unwrap_or("ft").parse()?,
+        ..SystemConfig::default()
     }
     .with_seed(seed);
 
