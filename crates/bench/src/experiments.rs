@@ -245,17 +245,9 @@ fn select(args: &BenchArgs) -> Result<Vec<&'static Experiment>, ArgError> {
         let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
         format!("all or one of {}", names.join(", "))
     };
-    let mut tokens = args.args.iter().map(String::as_str).peekable();
     let mut selected = Vec::new();
-    while let Some(token) = tokens.next() {
-        if token.starts_with("--") {
-            if !FLAGS.contains(&token) {
-                let expected = format!("one of {}", FLAGS.join(", "));
-                return Err(ArgError::new("flag", Some(token), expected));
-            }
-            // The flag's own parser validates its value.
-            tokens.next_if(|value| !value.starts_with("--"));
-        } else if token == "all" {
+    for token in args.positionals(&FLAGS)? {
+        if token == "all" {
             selected.extend(REGISTRY.iter());
         } else {
             let exp = REGISTRY.iter().find(|e| e.name == token);
@@ -1083,6 +1075,26 @@ mod tests {
             .collect();
         files.sort_unstable();
         assert_eq!(names, files, "registry names vs results/*.txt");
+    }
+
+    /// Every cell's config survives the config document unchanged, so a
+    /// repro captured from any experiment replays under its exact config.
+    #[test]
+    fn every_registry_column_round_trips_through_its_config_document() {
+        let mut columns = 0;
+        for exp in &REGISTRY {
+            for (label, config) in (exp.columns)() {
+                let doc = config.to_json();
+                assert_eq!(
+                    SystemConfig::from_json(&doc).as_ref(),
+                    Ok(&config),
+                    "{}/{label}: {doc}",
+                    exp.name
+                );
+                columns += 1;
+            }
+        }
+        assert!(columns > 50, "{columns} columns");
     }
 
     #[test]

@@ -150,10 +150,34 @@ impl BenchArgs {
         self.flag(name).flatten()
     }
 
+    /// Whether switch `name` is present.
+    pub fn has(&self, name: &str) -> bool {
+        self.flag(name).is_some()
+    }
+
     /// `None` if `name` is absent, `Some(None)` if it is the last argument.
     fn flag(&self, name: &str) -> Option<Option<&str>> {
         let i = self.args.iter().position(|a| a == name)?;
         Some(self.args.get(i + 1).map(String::as_str))
+    }
+
+    /// The arguments that are neither flags nor flag values, or an error
+    /// naming the first `--flag` not in `known`. A flag's value is the
+    /// argument after it unless that is another `--flag`.
+    pub fn positionals(&self, known: &[&str]) -> Result<Vec<&str>, ArgError> {
+        let mut tokens = self.args.iter().map(String::as_str).peekable();
+        let mut positionals = Vec::new();
+        while let Some(token) = tokens.next() {
+            if !token.starts_with("--") {
+                positionals.push(token);
+            } else if known.contains(&token) {
+                tokens.next_if(|value| !value.starts_with("--"));
+            } else {
+                let expected = format!("one of {}", known.join(", "));
+                return Err(ArgError::new("flag", Some(token), expected));
+            }
+        }
+        Ok(positionals)
     }
 
     /// Parses `--seeds N` style overrides; `default` when the flag is absent.

@@ -1,6 +1,11 @@
 //! System configuration (paper Table 4).
 
-use ftdircmp_noc::{FaultConfig, FaultDomainConfig, MeshConfig, RoutingMode, Topology};
+use ftdircmp_noc::{
+    Direction, FaultConfig, FaultDomainConfig, FaultEvent, LinkChannelConfig, MeshConfig, RouterId,
+    RoutingMode, Topology, VcClass, DEFAULT_DEGRADED_DROP,
+};
+
+use crate::json::Json;
 
 /// Which coherence protocol the system runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -225,21 +230,16 @@ impl SystemConfig {
 
     /// Reshapes the system to a `width x height` mesh (tiles, memory
     /// controllers at the corners, and the network change together). Used
-    /// by the scalability ablation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero or the mesh exceeds 64 tiles
-    /// (the sharer-vector width).
+    /// by the scalability ablation. Any shape is accepted here;
+    /// [`SystemConfig::validate`] rejects zero dimensions and meshes over
+    /// 64 tiles (the sharer-vector width).
     pub fn with_mesh(mut self, width: u16, height: u16) -> Self {
-        assert!(width > 0 && height > 0, "mesh dimensions must be positive");
-        let tiles = u32::from(width) * u32::from(height);
-        assert!(tiles <= 64, "at most 64 tiles (sharer vector width)");
         self.mesh.width = width;
         self.mesh.height = height;
-        self.tiles = tiles as u8;
+        let (w, h) = (u32::from(width.max(1)), u32::from(height.max(1)));
+        self.tiles = (u32::from(width) * u32::from(height)).min(255) as u8;
         // Memory controllers at the distinct mesh corners.
-        let mut corners: Vec<u16> = vec![0, width - 1, (height - 1) * width, height * width - 1];
+        let mut corners: Vec<u16> = [0, w - 1, (h - 1) * w, h * w - 1].map(|c| c as u16).into();
         corners.sort_unstable();
         corners.dedup();
         self.mem_controllers = corners.len() as u8;
@@ -262,12 +262,19 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency
-    /// found (tile/mesh mismatch, non-power-of-two sizes, missing memory
-    /// routers, zero timeouts under FtDirCMP).
+    /// found (an empty or over-64-tile mesh, tile/mesh mismatch,
+    /// non-power-of-two sizes, missing memory routers, serial widths outside
+    /// 1..=16, zero timeouts under FtDirCMP, bad fault input).
     pub fn validate(&self) -> Result<(), String> {
         let mesh_nodes = u32::from(self.mesh.width) * u32::from(self.mesh.height);
         if mesh_nodes == 0 {
             return Err("mesh dimensions must be positive".to_string());
+        }
+        if mesh_nodes > 64 {
+            return Err(format!(
+                "mesh {}x{} has {mesh_nodes} tiles; at most 64 tiles (sharer vector width)",
+                self.mesh.width, self.mesh.height
+            ));
         }
         if u32::from(self.tiles) != mesh_nodes {
             return Err(format!(
@@ -294,6 +301,10 @@ impl SystemConfig {
         if self.l1_sets() == 0 || self.l2_sets() == 0 {
             return Err("cache has zero sets".to_string());
         }
+        let bits = self.ft.serial_bits;
+        if !(1..=16).contains(&bits) {
+            return Err(format!("serial_bits = {bits} must be in 1..=16"));
+        }
         if self.max_outstanding_misses == 0 {
             return Err("max_outstanding_misses must be at least 1".to_string());
         }
@@ -311,6 +322,260 @@ impl SystemConfig {
             .validate_for(&Topology::new(self.mesh.width, self.mesh.height))
             .map_err(|e| e.to_string())
     }
+}
+
+/// A config document's keys, in the order [`SystemConfig::to_json`] writes.
+pub const CONFIG_KEYS: &str = "protocol, seed, schedule_seed, watchdog_cycles, \
+    migratory_sharing, max_outstanding_misses, lost_request_timeout, lost_unblock_timeout, \
+    lost_ackbd_timeout, lost_data_timeout, serial_bits, mesh, routing, fault_rate, \
+    burst_continue, burst_cap, fault_classes, drops, fault_events, link_channel, domain_seed";
+
+/// The one text form of a run's configuration, shared by the daemon's
+/// campaign `configs`, repro files and `ftdircmp-cli` flags: a flat JSON
+/// object of [`CONFIG_KEYS`], each named after the field it sets. `mesh` is
+/// `"WxH"` (through [`SystemConfig::with_mesh`]), `routing` `xy` or
+/// `adaptive`, `fault_rate` messages lost per million, `fault_classes`
+/// [`VcClass`] labels, `drops` a deterministic drop schedule; any of
+/// `fault_events`, `link_channel` and `domain_seed` installs a fault domain
+/// (DESIGN.md §12). Cache geometry, latencies, jitter and
+/// `record_injections` stay Table 4 constants, off the wire: only tests
+/// change them.
+impl SystemConfig {
+    /// Reads a config document: Table 4 ([`SystemConfig::default`]) with
+    /// each key applied in turn, then [`SystemConfig::validate`]. An error
+    /// names the first unknown key or wrong-typed value, else the first
+    /// inconsistency `validate` finds.
+    pub fn from_json(v: &Json) -> Result<SystemConfig, String> {
+        let Json::Obj(pairs) = v else {
+            return Err("a config must be a JSON object".to_string());
+        };
+        let mut c = SystemConfig::default();
+        for (key, _) in pairs {
+            c.set(v, key)?;
+        }
+        c.validate()?;
+        Ok(c)
+    }
+
+    /// Applies key `key` of document `v`.
+    fn set(&mut self, v: &Json, key: &str) -> Result<(), String> {
+        let int = || v.req::<u64>("config", key);
+        let byte = || {
+            let n = int()?;
+            u8::try_from(n).map_err(|_| format!("field {key:?}: {n} exceeds 255"))
+        };
+        let num = || v.req::<f64>("config", key);
+        let text = || v.req::<&str>("config", key);
+        let expected =
+            |what: &str, got: &str| format!("field {key:?}: expected {what}, got {got:?}");
+        match key {
+            "protocol" => self.protocol = text()?.parse()?,
+            "seed" => self.seed = int()?,
+            "schedule_seed" => self.schedule_seed = int()?,
+            "watchdog_cycles" => self.watchdog_cycles = int()?,
+            "migratory_sharing" => self.migratory_sharing = v.req("config", key)?,
+            "max_outstanding_misses" => self.max_outstanding_misses = byte()?,
+            "lost_request_timeout" => self.ft.lost_request_timeout = int()?,
+            "lost_unblock_timeout" => self.ft.lost_unblock_timeout = int()?,
+            "lost_ackbd_timeout" => self.ft.lost_ackbd_timeout = int()?,
+            "lost_data_timeout" => self.ft.lost_data_timeout = int()?,
+            "serial_bits" => self.ft.serial_bits = byte()?,
+            "mesh" => {
+                let shape = text()?;
+                let (w, h) = shape
+                    .split_once('x')
+                    .and_then(|(w, h)| Some((w.parse().ok()?, h.parse().ok()?)))
+                    .ok_or_else(|| expected("\"WxH\", e.g. \"4x4\"", shape))?;
+                *self = std::mem::take(self).with_mesh(w, h);
+            }
+            "routing" => {
+                self.mesh.routing = match text()? {
+                    "xy" => RoutingMode::DimensionOrdered,
+                    "adaptive" => RoutingMode::Adaptive,
+                    other => return Err(expected("xy or adaptive", other)),
+                }
+            }
+            "fault_rate" => self.mesh.faults.loss_per_million = num()?,
+            "burst_continue" => self.mesh.faults.burst_continue = num()?,
+            "burst_cap" => self.mesh.faults.burst_cap = int()?,
+            "fault_classes" => {
+                let labels: Vec<String> = v.req("config", key)?;
+                let class = |label: &String| {
+                    VcClass::ALL
+                        .into_iter()
+                        .find(|c| c.label() == label)
+                        .ok_or_else(|| expected("virtual-channel class labels", label))
+                };
+                self.mesh.faults.only_classes =
+                    Some(labels.iter().map(class).collect::<Result<_, _>>()?);
+            }
+            "drops" => self.mesh.faults.drop_indices = Some(v.req("config", key)?),
+            "fault_events" => {
+                let events = v.req::<&[Json]>("config", key)?;
+                self.domain().events = events
+                    .iter()
+                    .map(parse_fault_event)
+                    .collect::<Result<_, _>>()?;
+            }
+            "link_channel" => {
+                self.domain().channel =
+                    Some(parse_link_channel(v.get(key).unwrap_or(&Json::Null))?);
+            }
+            "domain_seed" => self.domain().domain_seed = int()?,
+            _ => {
+                return Err(format!(
+                    "unknown config key {key:?} (expected one of {CONFIG_KEYS})"
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    /// The fault domain, installed empty if there is none yet.
+    fn domain(&mut self) -> &mut FaultDomainConfig {
+        let domains = &mut self.mesh.faults.domains;
+        domains.get_or_insert_with(|| FaultDomainConfig::events(Vec::new()))
+    }
+
+    /// The config as a document [`SystemConfig::from_json`] reads back to
+    /// an equal config: every key in [`CONFIG_KEYS`] order, so it never
+    /// depends on a later version's defaults, but for `None` options.
+    pub fn to_json(&self) -> Json {
+        let (f, ft, n) = (&self.mesh.faults, &self.ft, Json::num_u64);
+        let mlp = self.max_outstanding_misses;
+        let mesh = format!("{}x{}", self.mesh.width, self.mesh.height);
+        let routing = match self.mesh.routing {
+            RoutingMode::DimensionOrdered => "xy",
+            RoutingMode::Adaptive => "adaptive",
+        };
+        let mut pairs = vec![
+            ("protocol", Json::str(self.protocol.name().to_lowercase())),
+            ("seed", n(self.seed)),
+            ("schedule_seed", n(self.schedule_seed)),
+            ("watchdog_cycles", n(self.watchdog_cycles)),
+            ("migratory_sharing", Json::Bool(self.migratory_sharing)),
+            ("max_outstanding_misses", n(mlp.into())),
+            ("lost_request_timeout", n(ft.lost_request_timeout)),
+            ("lost_unblock_timeout", n(ft.lost_unblock_timeout)),
+            ("lost_ackbd_timeout", n(ft.lost_ackbd_timeout)),
+            ("lost_data_timeout", n(ft.lost_data_timeout)),
+            ("serial_bits", n(ft.serial_bits.into())),
+            ("mesh", Json::str(mesh)),
+            ("routing", Json::str(routing)),
+            ("fault_rate", Json::Num(f.loss_per_million)),
+            ("burst_continue", Json::Num(f.burst_continue)),
+            ("burst_cap", n(f.burst_cap)),
+        ];
+        if let Some(classes) = &f.only_classes {
+            let labels = classes.iter().map(|c| Json::str(c.label())).collect();
+            pairs.push(("fault_classes", Json::Arr(labels)));
+        }
+        if let Some(drops) = &f.drop_indices {
+            pairs.push(("drops", Json::Arr(drops.iter().map(|&d| n(d)).collect())));
+        }
+        if let Some(d) = &f.domains {
+            let events = d.events.iter().map(fault_event_json).collect();
+            pairs.push(("fault_events", Json::Arr(events)));
+            if let Some(ch) = &d.channel {
+                pairs.push(("link_channel", link_channel_json(ch)));
+            }
+            pairs.push(("domain_seed", n(d.domain_seed)));
+        }
+        Json::obj(pairs)
+    }
+}
+
+/// Parses one fault-event object: `{"kind":"link-flap","router":5,
+/// "dir":"east","start":1000,"end":2000}`, `{"kind":"brownout","router":5,
+/// ...}` or `{"kind":"region-burst","epicenter":5,"radius":1,...}`.
+fn parse_fault_event(v: &Json) -> Result<FaultEvent, String> {
+    let kind = v.req::<&str>("fault event", "kind")?;
+    let num = |key: &str| v.req::<u64>("fault event", key);
+    let router = |key: &str| -> Result<RouterId, String> {
+        let raw = num(key)?;
+        u16::try_from(raw)
+            .map(RouterId::new)
+            .map_err(|_| format!("fault event field {key:?}: router index {raw} too large"))
+    };
+    let (start, end) = (num("start")?, num("end")?);
+    match kind {
+        "link-flap" => {
+            let label = v.req::<&str>("link-flap event", "dir")?;
+            let dir = Direction::from_label(label).ok_or_else(|| {
+                format!("unknown direction {label:?} (expected east, west, south or north)")
+            })?;
+            Ok(FaultEvent::LinkFlap {
+                from: router("router")?,
+                dir,
+                start,
+                end,
+            })
+        }
+        "brownout" => Ok(FaultEvent::RouterBrownout {
+            router: router("router")?,
+            start,
+            end,
+        }),
+        "region-burst" => Ok(FaultEvent::RegionBurst {
+            epicenter: router("epicenter")?,
+            radius: u32::try_from(num("radius")?)
+                .map_err(|_| "fault event field \"radius\": too large".to_string())?,
+            start,
+            end,
+        }),
+        other => Err(format!(
+            "unknown fault event kind {other:?} (expected link-flap, brownout, region-burst)"
+        )),
+    }
+}
+
+fn fault_event_json(ev: &FaultEvent) -> Json {
+    let (n, router) = (Json::num_u64, |r: RouterId| Json::num_u64(r.index() as u64));
+    let mut pairs = match *ev {
+        FaultEvent::LinkFlap { from, dir, .. } => {
+            vec![
+                ("kind", Json::str("link-flap")),
+                ("router", router(from)),
+                ("dir", Json::str(dir.label())),
+            ]
+        }
+        FaultEvent::RouterBrownout { router: r, .. } => {
+            vec![("kind", Json::str("brownout")), ("router", router(r))]
+        }
+        FaultEvent::RegionBurst {
+            epicenter, radius, ..
+        } => {
+            vec![
+                ("kind", Json::str("region-burst")),
+                ("epicenter", router(epicenter)),
+                ("radius", n(radius.into())),
+            ]
+        }
+    };
+    let (start, end) = ev.window();
+    pairs.extend([("start", n(start)), ("end", n(end))]);
+    Json::obj(pairs)
+}
+
+/// The link-channel object's keys, in the order they are written.
+const LINK_CHANNEL_KEYS: [&str; 4] = ["p_enter_bad", "p_exit_bad", "drop_good", "drop_bad"];
+
+/// Parses a link-channel object; omitted fields default to the passthrough
+/// channel (no ambient noise, [`DEFAULT_DEGRADED_DROP`] inside degraded
+/// windows).
+fn parse_link_channel(v: &Json) -> Result<LinkChannelConfig, String> {
+    v.only_keys("link channel", &LINK_CHANNEL_KEYS)?;
+    Ok(LinkChannelConfig {
+        p_enter_bad: v.opt("p_enter_bad")?.unwrap_or(0.0),
+        p_exit_bad: v.opt("p_exit_bad")?.unwrap_or(1.0),
+        drop_good: v.opt("drop_good")?.unwrap_or(0.0),
+        drop_bad: v.opt("drop_bad")?.unwrap_or(DEFAULT_DEGRADED_DROP),
+    })
+}
+
+fn link_channel_json(ch: &LinkChannelConfig) -> Json {
+    let values = [ch.p_enter_bad, ch.p_exit_bad, ch.drop_good, ch.drop_bad].map(Json::Num);
+    Json::obj(LINK_CHANNEL_KEYS.into_iter().zip(values).collect())
 }
 
 #[cfg(test)]
@@ -429,10 +694,180 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
+    /// `with_mesh` takes any shape, user input included; `validate` is
+    /// what refuses the ones the system cannot build.
     #[test]
-    #[should_panic(expected = "at most 64 tiles")]
     fn with_mesh_rejects_oversized_meshes() {
-        let _ = SystemConfig::default().with_mesh(9, 8);
+        for (w, h, needle) in [
+            (9, 8, "at most 64 tiles"),
+            (0, 4, "must be positive"),
+            (4, 0, "must be positive"),
+            (0, 0, "must be positive"),
+            (u16::MAX, u16::MAX, "at most 64 tiles"),
+        ] {
+            let err = SystemConfig::default()
+                .with_mesh(w, h)
+                .validate()
+                .unwrap_err();
+            assert!(err.contains(needle), "{w}x{h}: {err}");
+        }
+    }
+
+    /// A config with every wire key off its default, so a key the writer
+    /// or the reader forgets shows up as a round-trip difference.
+    fn every_key_set() -> SystemConfig {
+        use ftdircmp_noc::{Direction, FaultEvent, LinkChannelConfig, RouterId};
+        let mut c = SystemConfig::dircmp()
+            .with_seed(7)
+            .with_schedule_seed(3)
+            .with_mesh(8, 2)
+            .with_adaptive_routing()
+            .with_fault_domains(
+                FaultDomainConfig::events(vec![FaultEvent::LinkFlap {
+                    from: RouterId::new(3),
+                    dir: Direction::East,
+                    start: 10,
+                    end: 20,
+                }])
+                .with_channel(LinkChannelConfig::passthrough(0.25))
+                .with_seed(11),
+            );
+        c.watchdog_cycles = 123;
+        c.migratory_sharing = false;
+        c.max_outstanding_misses = 4;
+        c.ft = FtConfig {
+            lost_request_timeout: 1,
+            lost_unblock_timeout: 2,
+            lost_ackbd_timeout: 3,
+            lost_data_timeout: 4,
+            serial_bits: 5,
+        };
+        c.mesh.faults.loss_per_million = 125.5;
+        c.mesh.faults.burst_continue = 0.5;
+        c.mesh.faults.burst_cap = 16;
+        c.mesh.faults.only_classes = Some(vec![VcClass::Ping, VcClass::Request]);
+        c
+    }
+
+    #[test]
+    fn config_documents_round_trip_every_key() {
+        for c in [
+            SystemConfig::default(),
+            SystemConfig::dircmp().with_mesh(1, 1),
+            every_key_set(),
+            {
+                let mut d = SystemConfig::ftdircmp();
+                d.mesh.faults = FaultConfig::drop_exactly(vec![4, 1]);
+                d
+            },
+        ] {
+            let doc = c.to_json();
+            assert_eq!(SystemConfig::from_json(&doc), Ok(c.clone()), "{doc}");
+            let text = doc.to_string();
+            assert_eq!(
+                SystemConfig::from_json(&Json::parse(&text).unwrap())
+                    .unwrap()
+                    .to_json()
+                    .to_string(),
+                text
+            );
+        }
+        let keys = |c: &SystemConfig| {
+            let Json::Obj(pairs) = c.to_json() else {
+                unreachable!("configs are objects")
+            };
+            pairs.into_iter().map(|(k, _)| k).collect::<Vec<_>>()
+        };
+        let all: Vec<&str> = CONFIG_KEYS.split(", ").collect();
+        let mut written = keys(&every_key_set());
+        written.insert(17, "drops".to_string());
+        assert_eq!(written, all, "every key but drops, in order");
+        assert_eq!(keys(&SystemConfig::default()), all[..16]);
+    }
+
+    #[test]
+    fn config_documents_default_to_table4_and_patch_what_they_name() {
+        let read = |text: &str| SystemConfig::from_json(&Json::parse(text).unwrap());
+        assert_eq!(read("{}"), Ok(SystemConfig::default()));
+        assert_eq!(
+            read(r#"{"protocol":"dir","fault_rate":250,"seed":7}"#),
+            Ok(SystemConfig::dircmp().with_fault_rate(250.0).with_seed(7))
+        );
+        assert_eq!(
+            read(r#"{"mesh":"2x2","routing":"adaptive"}"#),
+            Ok(SystemConfig::default()
+                .with_mesh(2, 2)
+                .with_adaptive_routing())
+        );
+        // A domain key alone installs an (inactive) fault domain.
+        let seeded = read(r#"{"domain_seed":9}"#).unwrap();
+        assert_eq!(seeded.mesh.faults.domains.map(|d| d.domain_seed), Some(9));
+    }
+
+    #[test]
+    fn config_document_errors_name_the_key() {
+        let read = |text: &str| SystemConfig::from_json(&Json::parse(text).unwrap()).unwrap_err();
+        for (text, needle) in [
+            ("[]", "a config must be a JSON object"),
+            (
+                r#"{"fualt_rate":2000}"#,
+                "unknown config key \"fualt_rate\" (expected one of protocol, seed,",
+            ),
+            (r#"{"seed":"1"}"#, "field \"seed\": expected integer"),
+            (r#"{"seed":-1}"#, "field \"seed\": expected integer"),
+            (
+                r#"{"migratory_sharing":0}"#,
+                "field \"migratory_sharing\": expected boolean",
+            ),
+            (
+                r#"{"serial_bits":300}"#,
+                "field \"serial_bits\": 300 exceeds 255",
+            ),
+            (r#"{"serial_bits":0}"#, "serial_bits = 0 must be in 1..=16"),
+            (
+                r#"{"serial_bits":17}"#,
+                "serial_bits = 17 must be in 1..=16",
+            ),
+            (r#"{"max_outstanding_misses":0}"#, "at least 1"),
+            (r#"{"mesh":"9x8"}"#, "at most 64 tiles"),
+            (r#"{"mesh":"0x4"}"#, "must be positive"),
+            (
+                r#"{"mesh":"4by4"}"#,
+                "field \"mesh\": expected \"WxH\", e.g. \"4x4\", got \"4by4\"",
+            ),
+            (r#"{"mesh":"70000x1"}"#, "field \"mesh\": expected"),
+            (
+                r#"{"routing":"west-first"}"#,
+                "field \"routing\": expected xy or adaptive",
+            ),
+            (r#"{"protocol":"zesty"}"#, "unknown protocol \"zesty\""),
+            (r#"{"fault_rate":-5}"#, "loss_per_million = -5"),
+            (r#"{"burst_continue":1.5}"#, "burst_continue = 1.5"),
+            (
+                r#"{"fault_classes":["pong"]}"#,
+                "expected virtual-channel class labels, got \"pong\"",
+            ),
+            (
+                r#"{"fault_classes":"ping"}"#,
+                "field \"fault_classes\": expected strings",
+            ),
+            (r#"{"drops":[1],"fault_rate":5}"#, "mutually exclusive"),
+            (
+                r#"{"link_channel":{"drop_bda":0.5}}"#,
+                "unknown link channel key \"drop_bda\"",
+            ),
+            (
+                r#"{"link_channel":5}"#,
+                "a link channel must be a JSON object",
+            ),
+            (
+                r#"{"fault_events":[{"kind":"brownout","router":16,"start":0,"end":1}]}"#,
+                "outside",
+            ),
+        ] {
+            let err = read(text);
+            assert!(err.contains(needle), "{text}: {err}");
+        }
     }
 
     #[test]

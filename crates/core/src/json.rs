@@ -87,6 +87,21 @@ impl Json {
             .ok_or_else(|| format!("{what} missing {} field {key:?}", T::NAME))
     }
 
+    /// Checks that this is an object with no key outside `known`: the error
+    /// names the first stray key and lists the known ones.
+    pub fn only_keys(&self, what: &str, known: &[&str]) -> Result<(), String> {
+        let Json::Obj(pairs) = self else {
+            return Err(format!("a {what} must be a JSON object"));
+        };
+        let Some((key, _)) = pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) else {
+            return Ok(());
+        };
+        let known = known.join(", ");
+        Err(format!(
+            "unknown {what} key {key:?} (expected one of {known})"
+        ))
+    }
+
     /// Builds an object from pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -180,6 +195,16 @@ impl FieldType<'_> for u64 {
     const NAME: &'static str = "integer";
     fn read(v: &Json) -> Option<u64> {
         v.as_u64()
+    }
+}
+
+impl FieldType<'_> for bool {
+    const NAME: &'static str = "boolean";
+    fn read(v: &Json) -> Option<bool> {
+        match v {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
     }
 }
 

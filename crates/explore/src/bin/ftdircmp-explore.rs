@@ -9,7 +9,8 @@
 //! ftdircmp-explore replay FILE.json
 //! ```
 //!
-//! `explore` exits nonzero if any failure was found (CI runs `--smoke`
+//! A flag `explore` does not take exits with status 2. `explore` exits
+//! nonzero if any failure was found (CI runs `--smoke`
 //! against FtDirCMP and asserts a clean sweep); `replay` exits zero only
 //! if the repro file (one JSON object, see `repro.rs`) still reproduces
 //! its recorded failure kind.
@@ -37,9 +38,22 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags `explore` takes.
+const FLAGS: [&str; 8] = [
+    "--smoke",
+    "--protocol",
+    "--workloads",
+    "--schedule-seeds",
+    "--budget",
+    "--shrink-runs",
+    "--jobs",
+    "--out",
+];
+
 fn cmd_explore(argv: &[String]) -> ExitCode {
     let args = BenchArgs::from_vec(argv.to_vec());
-    let smoke = argv.iter().any(|a| a == "--smoke");
+    args.positionals(&FLAGS).unwrap_or_else(|e| e.exit());
+    let smoke = args.has("--smoke");
     let protocol = match args.value_of("--protocol").unwrap_or("ft").parse() {
         Ok(p) => p,
         Err(e) => {
@@ -114,7 +128,7 @@ fn cmd_explore(argv: &[String]) -> ExitCode {
             f.workload,
             f.schedule_seed,
             f.original_drops,
-            f.repro.drops,
+            f.repro.drops(),
             f.shrink.probe_runs,
             f.shrink.ops_before,
             f.shrink.ops_after,
@@ -145,10 +159,10 @@ fn cmd_replay(argv: &[String]) -> ExitCode {
     };
     println!(
         "replaying {path}: {} workload {:?}, schedule seed {}, drops {:?}, expecting {}",
-        repro.protocol.name(),
+        repro.config.protocol.name(),
         repro.workload.name,
-        repro.schedule_seed,
-        repro.drops,
+        repro.config.schedule_seed,
+        repro.drops(),
         repro.failure
     );
     match repro.replay() {

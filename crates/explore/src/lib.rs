@@ -420,9 +420,7 @@ fn minimize_and_record(
             max_runs: opts.shrink_runs,
         },
     );
-    let mut repro_cfg = cfg.clone();
-    repro_cfg.mesh.faults = FaultConfig::drop_exactly(min_drops.clone());
-    let repro = Repro::capture(&repro_cfg, &min_workload, min_drops, failure.kind);
+    let repro = Repro::capture(&cfg, &min_workload, min_drops, failure.kind);
     if let Some(dir) = &opts.out_dir {
         let path = repro::write_repro(dir, &repro).expect("write repro");
         if opts.progress {

@@ -2,42 +2,26 @@
 //!
 //! A [`Repro`] captures everything needed to replay a failing exploration
 //! cell on a machine with nothing but this repository: the concrete
-//! workload trace, the configuration knobs that matter (protocol variant,
-//! master seed, schedule seed, timeout values, watchdog), the deterministic
-//! drop schedule, and the failure kind observed. A repro is one canonical
-//! JSON object ([`Repro::to_json`]), written as a `*.json` file under
-//! `results/repros/`, replayed by the `ftdircmp-explore` binary and carried
-//! as-is by the daemon's `replay` job.
+//! workload trace, the full run configuration with its deterministic drop
+//! schedule, and the failure kind observed. It is one canonical JSON object
+//! ([`Repro::to_json`]): [`SystemConfig::to_json`]'s keys plus `failure`
+//! and `trace`, written as a `*.json` file under `results/repros/`,
+//! replayed by `ftdircmp-explore` and carried as-is by the daemon's
+//! `replay` job.
 
-use ftdircmp_core::config::{ProtocolVariant, SystemConfig};
+use ftdircmp_core::config::SystemConfig;
 use ftdircmp_core::json::Json;
 use ftdircmp_core::trace::Workload;
 use ftdircmp_core::trace_io;
-use ftdircmp_noc::FaultConfig;
 
 use crate::FailureKind;
 
 /// A minimal, self-contained description of a failing run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Repro {
-    /// Protocol under test.
-    pub protocol: ProtocolVariant,
-    /// Master seed (drives fault RNG, adaptive routes, initial serials).
-    pub(crate) seed: u64,
-    /// Event-queue schedule seed (0 = FIFO).
-    pub schedule_seed: u64,
-    /// Deadlock watchdog window, cycles.
-    pub(crate) watchdog_cycles: u64,
-    /// Lost-request timeout, cycles.
-    pub(crate) lost_request_timeout: u64,
-    /// Lost-unblock timeout, cycles.
-    pub(crate) lost_unblock_timeout: u64,
-    /// Lost-AckBD timeout, cycles.
-    pub(crate) lost_ackbd_timeout: u64,
-    /// Lost-data (backup) timeout, cycles.
-    pub(crate) lost_data_timeout: u64,
-    /// Deterministic drop schedule: 0-based injection indices to lose.
-    pub drops: Vec<u64>,
+    /// The run configuration, with the drop schedule installed as its
+    /// `drop_indices`.
+    pub config: SystemConfig,
     /// The failure this repro reproduces.
     pub failure: FailureKind,
     /// Concrete workload (not a generator spec: repros must be immune to
@@ -46,110 +30,75 @@ pub struct Repro {
 }
 
 impl Repro {
-    /// Captures a repro from a failing cell. The mesh geometry and cache
-    /// parameters are assumed to be the Table 4 defaults; everything the
-    /// exploration harness varies is recorded explicitly.
+    /// Captures a repro from a failing cell: `config` with the
+    /// deterministic schedule `drops` (0-based injection indices to lose)
+    /// standing in for its loss rate. Every other setting, fault domains
+    /// included, is kept as the cell ran it.
     pub fn capture(
         config: &SystemConfig,
         workload: &Workload,
         drops: Vec<u64>,
         failure: FailureKind,
     ) -> Repro {
+        let mut config = config.clone();
+        config.mesh.faults.loss_per_million = 0.0;
+        config.mesh.faults.drop_indices = Some(drops);
         Repro {
-            protocol: config.protocol,
-            seed: config.seed,
-            schedule_seed: config.schedule_seed,
-            watchdog_cycles: config.watchdog_cycles,
-            lost_request_timeout: config.ft.lost_request_timeout,
-            lost_unblock_timeout: config.ft.lost_unblock_timeout,
-            lost_ackbd_timeout: config.ft.lost_ackbd_timeout,
-            lost_data_timeout: config.ft.lost_data_timeout,
-            drops,
+            config,
             failure,
             workload: workload.clone(),
         }
     }
 
-    /// Reconstructs the run configuration: Table 4 defaults plus the
-    /// recorded overrides.
-    pub fn config(&self) -> SystemConfig {
-        let mut cfg = SystemConfig {
-            protocol: self.protocol,
-            ..SystemConfig::default()
-        };
-        cfg.seed = self.seed;
-        cfg.schedule_seed = self.schedule_seed;
-        cfg.watchdog_cycles = self.watchdog_cycles;
-        cfg.ft.lost_request_timeout = self.lost_request_timeout;
-        cfg.ft.lost_unblock_timeout = self.lost_unblock_timeout;
-        cfg.ft.lost_ackbd_timeout = self.lost_ackbd_timeout;
-        cfg.ft.lost_data_timeout = self.lost_data_timeout;
-        cfg.mesh.faults = FaultConfig::drop_exactly(self.drops.clone());
-        cfg
+    /// The deterministic drop schedule.
+    pub fn drops(&self) -> &[u64] {
+        let drops = &self.config.mesh.faults.drop_indices;
+        drops.as_deref().unwrap_or_default()
     }
 
     /// Replays the repro, returning the failure observed now (if any).
     pub fn replay(&self) -> Option<crate::Failure> {
-        let result = ftdircmp_core::System::run_workload(self.config(), &self.workload);
+        let result = ftdircmp_core::System::run_workload(self.config.clone(), &self.workload);
         crate::classify(&self.workload, &result)
     }
 
-    /// The repro as one canonical JSON object. `trace` embeds the
-    /// `trace_io` text as a string; integers must stay below 2^53, which
-    /// captured seeds, timeouts and drop indices do by orders of magnitude.
+    /// The repro as one canonical JSON object: the config's keys, then
+    /// `failure` and `trace` (the `trace_io` text as a string). Integers
+    /// must stay below 2^53, which captured seeds, timeouts and drop
+    /// indices do by orders of magnitude.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("protocol", Json::str(self.protocol.name().to_lowercase())),
-            ("seed", Json::num_u64(self.seed)),
-            ("schedule_seed", Json::num_u64(self.schedule_seed)),
-            ("watchdog_cycles", Json::num_u64(self.watchdog_cycles)),
-            (
-                "lost_request_timeout",
-                Json::num_u64(self.lost_request_timeout),
-            ),
-            (
-                "lost_unblock_timeout",
-                Json::num_u64(self.lost_unblock_timeout),
-            ),
-            ("lost_ackbd_timeout", Json::num_u64(self.lost_ackbd_timeout)),
-            ("lost_data_timeout", Json::num_u64(self.lost_data_timeout)),
-            (
-                "drops",
-                Json::Arr(self.drops.iter().map(|&d| Json::num_u64(d)).collect()),
-            ),
-            ("failure", Json::str(self.failure.label())),
-            ("trace", Json::str(trace_io::to_string(&self.workload))),
-        ])
+        let Json::Obj(mut pairs) = self.config.to_json() else {
+            unreachable!("a config document is an object")
+        };
+        pairs.push(("failure".into(), Json::str(self.failure.label())));
+        pairs.push((
+            "trace".into(),
+            Json::str(trace_io::to_string(&self.workload)),
+        ));
+        Json::Obj(pairs)
     }
 
-    /// Reads a repro object. Every field is required: the error names the
-    /// first one missing or of the wrong type.
+    /// Reads a repro object: `failure` and `trace` are required, and every
+    /// other key is read by [`SystemConfig::from_json`], so a config key
+    /// left out takes its Table 4 value.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first problem found.
     pub fn from_json(v: &Json) -> Result<Repro, String> {
-        if !matches!(v, Json::Obj(_)) {
+        let Json::Obj(pairs) = v else {
             return Err("a repro must be a JSON object".to_string());
-        }
-        let uint = |key: &str| v.req::<u64>("repro", key);
+        };
+        let label = v.req::<&str>("repro", "failure")?;
+        let failure = FailureKind::from_label(label)
+            .ok_or_else(|| format!("unknown failure kind {label:?}"))?;
+        let workload = trace_io::from_str(v.req("repro", "trace")?)
+            .map_err(|e| format!("embedded trace: {e}"))?;
+        let config = pairs.iter().filter(|(k, _)| k != "failure" && k != "trace");
         Ok(Repro {
-            protocol: v.req::<&str>("repro", "protocol")?.parse()?,
-            seed: uint("seed")?,
-            schedule_seed: uint("schedule_seed")?,
-            watchdog_cycles: uint("watchdog_cycles")?,
-            lost_request_timeout: uint("lost_request_timeout")?,
-            lost_unblock_timeout: uint("lost_unblock_timeout")?,
-            lost_ackbd_timeout: uint("lost_ackbd_timeout")?,
-            lost_data_timeout: uint("lost_data_timeout")?,
-            drops: v.req("repro", "drops")?,
-            failure: {
-                let label = v.req::<&str>("repro", "failure")?;
-                FailureKind::from_label(label)
-                    .ok_or_else(|| format!("unknown failure kind {label:?}"))?
-            },
-            workload: trace_io::from_str(v.req("repro", "trace")?)
-                .map_err(|e| format!("embedded trace: {e}"))?,
+            config: SystemConfig::from_json(&Json::Obj(config.cloned().collect()))?,
+            failure,
+            workload,
         })
     }
 
@@ -165,7 +114,7 @@ impl Repro {
             "{}-{}-s{}-{:016x}.json",
             self.failure.label(),
             self.workload.name.replace(['/', ' '], "_"),
-            self.schedule_seed,
+            self.config.schedule_seed,
             h
         )
     }
@@ -205,24 +154,45 @@ pub fn read_repro(path: &std::path::Path) -> std::io::Result<Repro> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftdircmp_core::config::ProtocolVariant;
     use ftdircmp_core::ids::Addr;
     use ftdircmp_core::trace::{CoreTrace, TraceOp};
+    use ftdircmp_noc::{Direction, FaultDomainConfig, FaultEvent, RouterId};
 
-    fn sample() -> Repro {
-        let wl = Workload::new(
+    fn workload() -> Workload {
+        Workload::new(
             "sample",
             vec![CoreTrace::new(vec![
                 TraceOp::Load(Addr(0x40)),
                 TraceOp::Store(Addr(0x80)),
                 TraceOp::Think(9),
             ])],
-        );
+        )
+    }
+
+    fn sample() -> Repro {
         Repro::capture(
             &SystemConfig::dircmp().with_seed(1003).with_schedule_seed(7),
-            &wl,
+            &workload(),
             vec![3, 1, 4],
             FailureKind::Deadlock,
         )
+    }
+
+    /// A repro whose config is far from Table 4: another mesh, a fault
+    /// domain and a narrow serial width.
+    fn unusual() -> Repro {
+        let flap = FaultEvent::LinkFlap {
+            from: RouterId::new(3),
+            dir: Direction::East,
+            start: 100,
+            end: 900,
+        };
+        let mut cfg = SystemConfig::ftdircmp()
+            .with_mesh(8, 2)
+            .with_fault_domains(FaultDomainConfig::events(vec![flap]));
+        cfg.ft.serial_bits = 3;
+        Repro::capture(&cfg, &workload(), vec![2], FailureKind::LostOps)
     }
 
     #[test]
@@ -234,41 +204,60 @@ mod tests {
         let back = Repro::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.to_json().to_string(), text, "canonical");
+        let u = unusual();
+        assert_eq!(Repro::from_json(&u.to_json()), Ok(u));
     }
 
     #[test]
     fn config_reconstruction_carries_overrides() {
-        let r = sample();
-        let cfg = r.config();
+        let cfg = sample().config;
         assert_eq!(cfg.protocol, ProtocolVariant::DirCmp);
         assert_eq!(cfg.seed, 1003);
         assert_eq!(cfg.schedule_seed, 7);
         assert_eq!(cfg.mesh.faults.drop_indices, Some(vec![3, 1, 4]));
         assert!(cfg.validate().is_ok());
+        let cfg = unusual().config;
+        assert_eq!((cfg.tiles, cfg.ft.serial_bits), (16, 3));
+        assert_eq!(cfg.mesh.faults.domains.map(|d| d.events.len()), Some(1));
+    }
+
+    /// A repro file written before repros carried the whole config (eleven
+    /// keys, no mesh, routing or fault settings) reads to the same run.
+    #[test]
+    fn eleven_key_documents_read_to_the_same_run() {
+        let text = format!(
+            r#"{{"protocol":"dircmp","seed":1003,"schedule_seed":7,"watchdog_cycles":400000,"lost_request_timeout":3000,"lost_unblock_timeout":3000,"lost_ackbd_timeout":2000,"lost_data_timeout":8000,"drops":[3,1,4],"failure":"deadlock","trace":{}}}"#,
+            Json::str(trace_io::to_string(&workload()))
+        );
+        assert_eq!(Repro::from_json(&Json::parse(&text).unwrap()), Ok(sample()));
     }
 
     #[test]
     fn parse_errors_are_descriptive() {
         let from = |text: &str| Repro::from_json(&Json::parse(text).unwrap()).unwrap_err();
         assert_eq!(from(r#""(seed: 1)""#), "a repro must be a JSON object");
-        assert_eq!(from("{}"), "repro missing string field \"protocol\"");
-        // A foreign document fails on the first field it lacks.
+        // Config keys default; `failure` and `trace` do not.
+        assert_eq!(from("{}"), "repro missing string field \"failure\"");
         assert_eq!(
             from(r#"{"protocol":"ft","seed":1}"#),
-            "repro missing integer field \"schedule_seed\""
+            "repro missing string field \"failure\""
         );
-        assert_eq!(
-            from(r#"{"protocol":"ft","seed":"1"}"#),
-            "field \"seed\": expected integer"
-        );
-        assert!(from(r#"{"protocol":"zesty"}"#).contains("unknown protocol \"zesty\""));
         let edit = |key: &str, value: Json| {
             let Json::Obj(mut pairs) = sample().to_json() else {
                 unreachable!("repros are objects")
             };
-            pairs.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+            match pairs.iter_mut().find(|(k, _)| k == key) {
+                Some(pair) => pair.1 = value,
+                None => pairs.push((key.to_string(), value)),
+            }
             Repro::from_json(&Json::Obj(pairs)).unwrap_err()
         };
+        assert_eq!(
+            edit("seed", Json::str("1")),
+            "field \"seed\": expected integer"
+        );
+        assert!(edit("protocol", Json::str("zesty")).contains("unknown protocol \"zesty\""));
+        assert!(edit("seedz", Json::Num(1.0)).starts_with("unknown config key \"seedz\""));
         assert_eq!(
             edit("failure", Json::str("meltdown")),
             "unknown failure kind \"meltdown\""
@@ -281,23 +270,26 @@ mod tests {
     }
 
     /// Every truncation and every single-bit flip of a valid document is an
-    /// error or a repro, never a panic.
+    /// error or a repro, never a panic: the repro fields and, through the
+    /// unusual config, every part of the config codec.
     #[test]
     fn damaged_documents_never_panic() {
-        let text = sample().to_json().to_string().into_bytes();
         let read = |bytes: &[u8]| Json::parse_bytes(bytes).and_then(|v| Repro::from_json(&v));
-        for len in 0..text.len() {
-            assert!(read(&text[..len]).is_err(), "prefix of {len} bytes");
-        }
-        let mut flipped = text.clone();
-        for i in 0..text.len() {
-            for bit in 0..8 {
-                flipped[i] ^= 1 << bit;
-                let _ = read(&flipped);
-                flipped[i] = text[i];
+        for repro in [sample(), unusual()] {
+            let text = repro.to_json().to_string().into_bytes();
+            for len in 0..text.len() {
+                assert!(read(&text[..len]).is_err(), "prefix of {len} bytes");
             }
+            let mut flipped = text.clone();
+            for i in 0..text.len() {
+                for bit in 0..8 {
+                    flipped[i] ^= 1 << bit;
+                    let _ = read(&flipped);
+                    flipped[i] = text[i];
+                }
+            }
+            assert_eq!(read(&text), Ok(repro));
         }
-        assert_eq!(read(&text), Ok(sample()));
     }
 
     #[test]
@@ -310,7 +302,7 @@ mod tests {
             .is_some_and(|x| x == "json"));
         assert!(a.starts_with("deadlock-sample-s7-"), "{a}");
         let mut other = sample();
-        other.drops.push(9);
+        other.config.mesh.faults.drop_indices = Some(vec![3, 1, 4, 9]);
         assert_ne!(other.file_name(), a, "the hash covers the content");
     }
 

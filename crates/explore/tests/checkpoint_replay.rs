@@ -57,16 +57,16 @@ fn repro_drop_schedule_replays_identically_from_checkpoint() {
     );
 
     // Direct replay: the full from-scratch run `Repro::replay` performs.
-    let direct = System::run_workload(repro.config(), &wl).unwrap();
+    let direct = System::run_workload(repro.config.clone(), &wl).unwrap();
 
     // Forked replay: resume the warmup snapshot with the schedule active.
     let mut forked = System::restore(&sys.snapshot());
-    forked.set_fault_config(FaultConfig::drop_exactly(repro.drops.clone()));
+    forked.set_fault_config(FaultConfig::drop_exactly(repro.drops().to_vec()));
     let forked = forked.run().unwrap();
 
     assert_eq!(
         forked.messages_lost,
-        repro.drops.len() as u64,
+        repro.drops().len() as u64,
         "drop schedule must fire in full after the fork"
     );
     assert_eq!(

@@ -150,7 +150,7 @@ fn guided_exploration_finds_minimizes_and_replays_dircmp_failures() {
 
     let found = &report.failures[0];
     assert_eq!(found.failure.kind, FailureKind::Deadlock);
-    assert_eq!(found.repro.drops.len(), 1, "minimized to a single drop");
+    assert_eq!(found.repro.drops().len(), 1, "minimized to a single drop");
     assert!(found.shrink.ops_after < found.shrink.ops_before);
 
     // The written file round-trips and replays.
@@ -207,7 +207,21 @@ fn repro_files_round_trip_real_workloads() {
     let path = write_repro(&dir, &repro).expect("write");
     let loaded = read_repro(&path).expect("read");
     assert_eq!(loaded, repro);
-    assert_eq!(loaded.config().schedule_seed, 9);
+    assert_eq!(loaded.config.schedule_seed, 9);
     assert_eq!(loaded.workload.traces.len(), 16);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag `explore` does not take is a usage error that names it, not a
+/// silently default sweep.
+#[test]
+fn explore_rejects_an_unknown_flag_naming_it() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ftdircmp-explore"))
+        .args(["explore", "--budjet", "3"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("got \"--budjet\""), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing ran");
 }

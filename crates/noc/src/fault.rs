@@ -43,13 +43,13 @@ pub struct FaultConfig {
     pub loss_per_million: f64,
     /// Probability that a loss extends to the next message as well
     /// (geometric burst length). `0.0` means isolated single-message losses.
-    pub(crate) burst_continue: f64,
+    pub burst_continue: f64,
     /// Hard cap on burst length.
-    pub(crate) burst_cap: u64,
+    pub burst_cap: u64,
     /// Restrict losses to these virtual-channel classes (`None` = any).
     /// Targeted injection isolates which message kinds each recovery
     /// mechanism covers (the per-class vulnerability study).
-    pub(crate) only_classes: Option<Vec<VcClass>>,
+    pub only_classes: Option<Vec<VcClass>>,
     /// Deterministic schedule: drop exactly the messages with these 0-based
     /// injection indices (message order is deterministic given the seed).
     /// Mutually exclusive with a probabilistic rate

@@ -14,18 +14,23 @@
 //! `run-local` executes the same job synchronously through the identical
 //! code path the daemon uses, so its stored summary is byte-comparable.
 //! `json-check` validates stdin as line-delimited JSON (used by
-//! `scripts/bench.sh` to guard trajectory appends).
+//! `scripts/bench.sh` to guard trajectory appends). A flag the subcommand
+//! does not take, or a malformed count, exits with status 2.
 
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use ftdircmp_bench::BenchArgs;
 use ftdircmp_serve::job::JobSpec;
 use ftdircmp_serve::json::Json;
 use ftdircmp_serve::runner::{execute_job, OUTCOME_OK};
 use ftdircmp_serve::server::{serve, ServeOptions};
 use ftdircmp_serve::store::Store;
+
+/// A subcommand: its arguments and their positionals in, exit code out.
+type Command = fn(&BenchArgs, &[&str]) -> Result<ExitCode, String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,19 +38,24 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "serve" => cmd_serve(rest),
-        "submit" => cmd_submit(rest),
-        "ctl" => cmd_ctl(rest),
-        "run-local" => cmd_run_local(rest),
-        "json-check" => cmd_json_check(),
+    let (run, flags): (Command, &[&str]) = match cmd.as_str() {
+        "serve" => (cmd_serve, &["--root", "--addr", "--jobs", "--max-pending"]),
+        "submit" => (cmd_submit, &["--addr", "--root", "--file", "--wait"]),
+        "ctl" => (cmd_ctl, &["--addr", "--root"]),
+        "run-local" => (cmd_run_local, &["--root", "--file", "--id", "--jobs"]),
+        "json-check" => (|_, _| cmd_json_check(), &[]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
+        other => {
+            eprintln!("ftdircmp-serve: unknown subcommand {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
-    match result {
+    let args = BenchArgs::from_vec(rest.to_vec());
+    let positionals = args.positionals(flags).unwrap_or_else(|e| e.exit());
+    match run(&args, &positionals) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("ftdircmp-serve: {e}");
@@ -62,75 +72,29 @@ usage:
   ftdircmp-serve run-local --root DIR --file JOB.json [--id ID] [--jobs N]
   ftdircmp-serve json-check";
 
-/// Minimal flag scanner: `--key value` pairs plus positionals.
-struct Flags {
-    pairs: Vec<(String, String)>,
-    positionals: Vec<String>,
-    switches: Vec<String>,
+/// Count flag `name`, `default` when absent; a malformed one exits with 2.
+fn count(f: &BenchArgs, name: &'static str, default: u64) -> usize {
+    f.u64_flag(name, default).unwrap_or_else(|e| e.exit()) as usize
 }
 
-impl Flags {
-    fn parse(args: &[String], switches: &[&str]) -> Result<Flags, String> {
-        let mut f = Flags {
-            pairs: Vec::new(),
-            positionals: Vec::new(),
-            switches: Vec::new(),
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if switches.contains(&key) {
-                    f.switches.push(key.to_string());
-                } else {
-                    let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                    f.pairs.push((key.to_string(), v.clone()));
-                }
-            } else {
-                f.positionals.push(a.clone());
-            }
-        }
-        Ok(f)
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.switches.iter().any(|s| s == key)
-    }
-
-    fn get_num(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad number {v:?}")),
-        }
-    }
-}
-
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let f = Flags::parse(args, &[])?;
-    let root = f.get("root").ok_or("serve needs --root DIR")?;
+fn cmd_serve(f: &BenchArgs, _: &[&str]) -> Result<ExitCode, String> {
+    let root = f.value_of("--root").ok_or("serve needs --root DIR")?;
     let options = ServeOptions {
-        addr: f.get("addr").unwrap_or("127.0.0.1:0").to_string(),
-        jobs: f.get_num("jobs", 1)?,
-        max_pending: f.get_num("max-pending", 64)?,
+        addr: f.value_of("--addr").unwrap_or("127.0.0.1:0").to_string(),
+        jobs: count(f, "--jobs", 1),
+        max_pending: count(f, "--max-pending", 64),
     };
     serve(Path::new(root), &options).map_err(|e| format!("serve: {e}"))?;
     Ok(ExitCode::SUCCESS)
 }
 
 /// Resolves a daemon address from `--addr` or a queue root's `port` file.
-fn resolve_addr(f: &Flags) -> Result<String, String> {
-    if let Some(addr) = f.get("addr") {
+fn resolve_addr(f: &BenchArgs) -> Result<String, String> {
+    if let Some(addr) = f.value_of("--addr") {
         return Ok(addr.to_string());
     }
     let root = f
-        .get("root")
+        .value_of("--root")
         .ok_or("need --addr HOST:PORT or --root DIR (with a running daemon)")?;
     let port_file = PathBuf::from(root).join("port");
     let text = std::fs::read_to_string(&port_file)
@@ -138,8 +102,8 @@ fn resolve_addr(f: &Flags) -> Result<String, String> {
     Ok(format!("127.0.0.1:{}", text.trim()))
 }
 
-fn read_job_text(f: &Flags) -> Result<String, String> {
-    if let Some(path) = f.get("file") {
+fn read_job_text(f: &BenchArgs) -> Result<String, String> {
+    if let Some(path) = f.value_of("--file") {
         std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
     } else {
         let mut text = String::new();
@@ -205,16 +169,15 @@ fn expect_ok(reply: &Json) -> Result<(), String> {
     }
 }
 
-fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
-    let f = Flags::parse(args, &["wait"])?;
-    let addr = resolve_addr(&f)?;
-    let text = read_job_text(&f)?;
+fn cmd_submit(f: &BenchArgs, _: &[&str]) -> Result<ExitCode, String> {
+    let addr = resolve_addr(f)?;
+    let text = read_job_text(f)?;
     let job_json = Json::parse(text.trim()).map_err(|e| format!("job spec: {e}"))?;
     // Validate locally so the error names the field, then send verbatim.
     JobSpec::from_json(&job_json)?;
 
     let mut client = Client::connect(&addr)?;
-    if f.has("wait") {
+    if f.has("--wait") {
         // Subscribe before submitting so no event can be missed.
         let watch = client.call(&Json::obj(vec![("cmd", Json::str("watch"))]))?;
         expect_ok(&watch)?;
@@ -230,7 +193,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
         .ok_or("daemon reply missing id")?
         .to_string();
     println!("{id}");
-    if !f.has("wait") {
+    if !f.has("--wait") {
         return Ok(ExitCode::SUCCESS);
     }
     loop {
@@ -261,11 +224,9 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_ctl(args: &[String]) -> Result<ExitCode, String> {
-    let f = Flags::parse(args, &[])?;
-    let addr = resolve_addr(&f)?;
-    let request_text = f
-        .positionals
+fn cmd_ctl(f: &BenchArgs, positionals: &[&str]) -> Result<ExitCode, String> {
+    let addr = resolve_addr(f)?;
+    let request_text = positionals
         .first()
         .ok_or("ctl needs a request, e.g. '{\"cmd\":\"list\"}'")?;
     let request = Json::parse(request_text).map_err(|e| format!("request: {e}"))?;
@@ -279,18 +240,17 @@ fn cmd_ctl(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_run_local(args: &[String]) -> Result<ExitCode, String> {
-    let f = Flags::parse(args, &[])?;
-    let root = f.get("root").ok_or("run-local needs --root DIR")?;
-    let text = read_job_text(&f)?;
+fn cmd_run_local(f: &BenchArgs, _: &[&str]) -> Result<ExitCode, String> {
+    let root = f.value_of("--root").ok_or("run-local needs --root DIR")?;
+    let text = read_job_text(f)?;
     let job_json = Json::parse(text.trim()).map_err(|e| format!("job spec: {e}"))?;
     let spec = JobSpec::from_json(&job_json)?;
-    let jobs = f.get_num("jobs", 1)?;
+    let jobs = count(f, "--jobs", 1);
     let store = Store::open(Path::new(root)).map_err(|e| format!("opening {root}: {e}"))?;
     // Default id "local": run-local roots are single-job scratch
     // directories. `--id j000001` makes the stored summary byte-comparable
     // with a daemon-produced result for the same spec (CI smoke test).
-    let id = f.get("id").unwrap_or("local");
+    let id = f.value_of("--id").unwrap_or("local");
     let outcome = execute_job(&store, id, &spec, jobs, &|done, total| {
         eprintln!("{id}: {done}/{total} units");
     })

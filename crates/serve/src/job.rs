@@ -4,7 +4,8 @@
 //! A submission is one JSON object with a `kind` discriminator:
 //!
 //! * `campaign` — a (workload × config × seed) grid run through the
-//!   parallel checkpoint-fork campaign runner;
+//!   parallel checkpoint-fork campaign runner; each config is a
+//!   [`SystemConfig::from_json`] document;
 //! * `fault-search` — a guided fault-schedule exploration
 //!   (`ftdircmp-explore`) whose minimized repros land in the result store;
 //! * `replay` — replays a self-contained repro, the same JSON object an
@@ -12,16 +13,13 @@
 //! * `poison` — a test fixture that panics inside the worker, used by the
 //!   quarantine integration tests (harmless: the daemon catches it).
 //!
-//! [`JobSpec::from_json`] validates everything up front (unknown
-//! benchmarks, bad protocols, empty grids) so a malformed submission is a
-//! typed client error, never a worker crash.
+//! [`JobSpec::from_json`] validates everything up front (unknown keys and
+//! benchmarks, bad protocols and configs, empty grids) so a malformed
+//! submission is a typed client error, never a worker crash.
 
 use ftdircmp_bench::campaign::Unit;
 use ftdircmp_core::{ProtocolVariant, SystemConfig};
 use ftdircmp_explore::repro::Repro;
-use ftdircmp_noc::{
-    Direction, FaultDomainConfig, FaultEvent, LinkChannelConfig, RouterId, DEFAULT_DEGRADED_DROP,
-};
 use ftdircmp_workloads::WorkloadSpec;
 
 use crate::json::Json;
@@ -51,10 +49,22 @@ pub(crate) enum JobKind {
     /// Replay a repro (see `ftdircmp-explore`).
     Replay {
         /// The repro, parsed and validated at submit.
-        repro: Repro,
+        repro: Box<Repro>,
     },
     /// Test fixture: panics in the worker; the daemon must quarantine it.
     Poison,
+}
+
+impl JobKind {
+    /// The `kind` a submission names this payload by.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            JobKind::Campaign(_) => "campaign",
+            JobKind::FaultSearch(_) => "fault-search",
+            JobKind::Replay { .. } => "replay",
+            JobKind::Poison => "poison",
+        }
+    }
 }
 
 /// A campaign grid: every workload request under every configuration.
@@ -63,133 +73,13 @@ pub(crate) struct CampaignSpec {
     /// Workload requests (`"name"` or `"name:ops=N"`, see
     /// [`WorkloadSpec::parse`]).
     pub(crate) specs: Vec<String>,
-    /// Configuration axis.
-    pub(crate) configs: Vec<ConfigSpec>,
+    /// Configuration axis: each config document as submitted (the journal
+    /// echoes it and cell labels come from it) with the config it reads to.
+    pub(crate) configs: Vec<(Json, SystemConfig)>,
     /// Seeds per cell.
     pub(crate) seeds: u64,
     /// Checkpoint-fork warmup threshold (percent), if requested.
     pub(crate) warmup_checkpoint: Option<f64>,
-}
-
-/// One point on a campaign's configuration axis.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ConfigSpec {
-    /// A [`ProtocolVariant`] name, kept as given: cell labels echo it.
-    pub(crate) protocol: String,
-    /// Messages lost per million (0 = fault-free).
-    pub(crate) fault_rate: f64,
-    /// Deadlock watchdog override, cycles.
-    pub(crate) watchdog_cycles: Option<u64>,
-    /// Event-queue schedule seed override.
-    pub(crate) schedule_seed: Option<u64>,
-    /// Scheduled correlated-fault events (link flaps, brown-outs, region
-    /// bursts). Empty means no fault domains.
-    pub(crate) fault_events: Vec<FaultEvent>,
-    /// Ambient per-link Gilbert–Elliott channel.
-    pub(crate) link_channel: Option<LinkChannelConfig>,
-    /// Seed of the per-link decision hash (defaults inside
-    /// `FaultDomainConfig` when unset).
-    pub(crate) domain_seed: Option<u64>,
-}
-
-/// Parses one fault-event object: `{"kind":"link-flap","router":5,
-/// "dir":"east","start":1000,"end":2000}`, `{"kind":"brownout","router":5,
-/// ...}` or `{"kind":"region-burst","epicenter":5,"radius":1,...}`.
-fn parse_fault_event(v: &Json) -> Result<FaultEvent, String> {
-    let kind = v.req::<&str>("fault event", "kind")?;
-    let num = |key: &str| v.req::<u64>("fault event", key);
-    let router = |key: &str| -> Result<RouterId, String> {
-        let raw = num(key)?;
-        u16::try_from(raw)
-            .map(RouterId::new)
-            .map_err(|_| format!("fault event field {key:?}: router index {raw} too large"))
-    };
-    let (start, end) = (num("start")?, num("end")?);
-    match kind {
-        "link-flap" => {
-            let label = v.req::<&str>("link-flap event", "dir")?;
-            let dir = Direction::from_label(label).ok_or_else(|| {
-                format!("unknown direction {label:?} (expected east, west, south or north)")
-            })?;
-            Ok(FaultEvent::LinkFlap {
-                from: router("router")?,
-                dir,
-                start,
-                end,
-            })
-        }
-        "brownout" => Ok(FaultEvent::RouterBrownout {
-            router: router("router")?,
-            start,
-            end,
-        }),
-        "region-burst" => Ok(FaultEvent::RegionBurst {
-            epicenter: router("epicenter")?,
-            radius: u32::try_from(num("radius")?)
-                .map_err(|_| "fault event field \"radius\": too large".to_string())?,
-            start,
-            end,
-        }),
-        other => Err(format!(
-            "unknown fault event kind {other:?} (expected link-flap, brownout, region-burst)"
-        )),
-    }
-}
-
-fn fault_event_json(ev: &FaultEvent) -> Json {
-    match *ev {
-        FaultEvent::LinkFlap {
-            from,
-            dir,
-            start,
-            end,
-        } => Json::obj(vec![
-            ("kind", Json::str("link-flap")),
-            ("router", Json::num_u64(from.index() as u64)),
-            ("dir", Json::str(dir.label())),
-            ("start", Json::num_u64(start)),
-            ("end", Json::num_u64(end)),
-        ]),
-        FaultEvent::RouterBrownout { router, start, end } => Json::obj(vec![
-            ("kind", Json::str("brownout")),
-            ("router", Json::num_u64(router.index() as u64)),
-            ("start", Json::num_u64(start)),
-            ("end", Json::num_u64(end)),
-        ]),
-        FaultEvent::RegionBurst {
-            epicenter,
-            radius,
-            start,
-            end,
-        } => Json::obj(vec![
-            ("kind", Json::str("region-burst")),
-            ("epicenter", Json::num_u64(epicenter.index() as u64)),
-            ("radius", Json::num_u64(u64::from(radius))),
-            ("start", Json::num_u64(start)),
-            ("end", Json::num_u64(end)),
-        ]),
-    }
-}
-
-/// Parses a link-channel object; omitted fields default to the passthrough
-/// channel (no ambient noise, [`DEFAULT_DEGRADED_DROP`] inside degraded
-/// windows).
-fn parse_link_channel(v: &Json) -> Result<LinkChannelConfig, String> {
-    Ok(LinkChannelConfig {
-        p_enter_bad: v.opt("p_enter_bad")?.unwrap_or(0.0),
-        p_exit_bad: v.opt("p_exit_bad")?.unwrap_or(1.0),
-        drop_good: v.opt("drop_good")?.unwrap_or(0.0),
-        drop_bad: v.opt("drop_bad")?.unwrap_or(DEFAULT_DEGRADED_DROP),
-    })
-}
-
-fn link_channel_json(ch: &LinkChannelConfig) -> Json {
-    Json::obj(vec![
-        ("p_enter_bad", Json::Num(ch.p_enter_bad)),
-        ("p_exit_bad", Json::Num(ch.p_exit_bad)),
-        ("drop_good", Json::Num(ch.drop_good)),
-        ("drop_bad", Json::Num(ch.drop_bad)),
-    ])
 }
 
 /// A guided fault-schedule exploration request.
@@ -209,60 +99,30 @@ pub(crate) struct FaultSearchSpec {
     pub(crate) max_repros_per_cell: usize,
 }
 
-impl ConfigSpec {
-    /// Builds the effective [`SystemConfig`] and validates it, so that bad
-    /// fault input (a negative or oversized rate, bad probabilities, empty
-    /// windows, routers or links the mesh does not have) is a client error
-    /// at submission time, not a worker crash or a silently fault-free run.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown protocol names and invalid configurations.
-    pub(crate) fn to_config(&self) -> Result<SystemConfig, String> {
-        let mut cfg = SystemConfig {
-            protocol: self.protocol.parse()?,
-            ..SystemConfig::default()
-        };
-        if self.fault_rate != 0.0 {
-            cfg = cfg.with_fault_rate(self.fault_rate);
-        }
-        if let Some(w) = self.watchdog_cycles {
-            cfg.watchdog_cycles = w;
-        }
-        if let Some(ss) = self.schedule_seed {
-            cfg = cfg.with_schedule_seed(ss);
-        }
-        if !self.fault_events.is_empty() || self.link_channel.is_some() {
-            let mut domains = FaultDomainConfig::events(self.fault_events.clone());
-            if let Some(ch) = &self.link_channel {
-                domains = domains.with_channel(ch.clone());
-            }
-            if let Some(seed) = self.domain_seed {
-                domains = domains.with_seed(seed);
-            }
-            cfg = cfg.with_fault_domains(domains);
-        }
-        cfg.validate()?;
-        Ok(cfg)
+/// Deterministic display label for cells under config document `doc`:
+/// the protocol as given, then the fault rate, schedule seed, fault-event
+/// count and link channel when present.
+fn config_label(doc: &Json) -> String {
+    let protocol = doc.get("protocol").and_then(Json::as_str);
+    let mut l = protocol.unwrap_or("ftdircmp").to_string();
+    let rate = doc.get("fault_rate").and_then(Json::as_f64).unwrap_or(0.0);
+    if rate > 0.0 {
+        l.push_str(&format!("-{rate:.0}"));
     }
-
-    /// Deterministic display label for cells under this configuration.
-    pub(crate) fn label(&self) -> String {
-        let mut l = self.protocol.clone();
-        if self.fault_rate > 0.0 {
-            l.push_str(&format!("-{:.0}", self.fault_rate));
-        }
-        if let Some(ss) = self.schedule_seed {
-            l.push_str(&format!("-ss{ss}"));
-        }
-        if !self.fault_events.is_empty() {
-            l.push_str(&format!("-fd{}", self.fault_events.len()));
-        }
-        if self.link_channel.is_some() {
-            l.push_str("-ge");
-        }
-        l
+    if let Some(ss) = doc.get("schedule_seed").and_then(Json::as_u64) {
+        l.push_str(&format!("-ss{ss}"));
     }
+    let events = doc
+        .get("fault_events")
+        .and_then(Json::as_arr)
+        .map_or(0, <[Json]>::len);
+    if events > 0 {
+        l.push_str(&format!("-fd{events}"));
+    }
+    if doc.get("link_channel").is_some() {
+        l.push_str("-ge");
+    }
+    l
 }
 
 impl CampaignSpec {
@@ -272,7 +132,7 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Rejects unknown workloads/protocols and empty or oversized grids.
+    /// Rejects unknown workloads and empty or oversized grids.
     pub(crate) fn units(&self) -> Result<Vec<Unit>, String> {
         if self.specs.is_empty() {
             return Err("campaign has no workloads".to_string());
@@ -291,17 +151,12 @@ impl CampaignSpec {
             .iter()
             .map(|r| WorkloadSpec::parse(r))
             .collect::<Result<_, _>>()?;
-        let configs: Vec<SystemConfig> = self
-            .configs
-            .iter()
-            .map(ConfigSpec::to_config)
-            .collect::<Result<_, _>>()?;
-        let mut units = Vec::with_capacity(specs.len() * configs.len() * self.seeds as usize);
+        let mut units = Vec::with_capacity(specs.len() * self.configs.len() * self.seeds as usize);
         for spec in &specs {
-            for (config, cspec) in configs.iter().zip(&self.configs) {
+            for (doc, config) in &self.configs {
                 for seed in 0..self.seeds {
                     units.push(Unit {
-                        label: format!("{}/{}", spec.name, cspec.label()),
+                        label: format!("{}/{}", spec.name, config_label(doc)),
                         spec: spec.clone(),
                         config: config.clone(),
                         seed,
@@ -336,6 +191,9 @@ impl FaultSearchSpec {
     }
 }
 
+/// The keys every job kind takes.
+const COMMON_KEYS: [&str; 3] = ["kind", "label", "priority"];
+
 impl JobSpec {
     /// Parses and validates a submission.
     ///
@@ -344,6 +202,25 @@ impl JobSpec {
     /// Returns a client-facing description of the first problem found.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
         let kind_name = v.req::<&str>("job", "kind")?;
+        let keys: &[&str] = match kind_name {
+            "campaign" => &["specs", "configs", "seeds", "warmup_checkpoint"],
+            "fault-search" => &[
+                "protocol",
+                "specs",
+                "schedule_seeds",
+                "drop_budget",
+                "shrink_runs",
+                "max_repros_per_cell",
+            ],
+            "replay" => &["repro"],
+            "poison" => &[],
+            other => {
+                return Err(format!(
+                    "unknown job kind {other:?} (expected campaign, fault-search, replay)"
+                ))
+            }
+        };
+        v.only_keys("job", &[&COMMON_KEYS[..], keys].concat())?;
         let label = v.opt::<&str>("label")?.unwrap_or(kind_name).to_string();
         let priority = match v.opt::<f64>("priority")? {
             None => 0,
@@ -355,25 +232,7 @@ impl JobSpec {
                 let configs = v
                     .req::<&[Json]>("job", "configs")?
                     .iter()
-                    .map(|c| {
-                        Ok(ConfigSpec {
-                            protocol: c.req::<&str>("config", "protocol")?.to_string(),
-                            fault_rate: c.opt("fault_rate")?.unwrap_or(0.0),
-                            watchdog_cycles: c.opt("watchdog_cycles")?,
-                            schedule_seed: c.opt("schedule_seed")?,
-                            fault_events: c
-                                .opt::<&[Json]>("fault_events")?
-                                .unwrap_or_default()
-                                .iter()
-                                .map(parse_fault_event)
-                                .collect::<Result<_, _>>()?,
-                            link_channel: c
-                                .get("link_channel")
-                                .map(parse_link_channel)
-                                .transpose()?,
-                            domain_seed: c.opt("domain_seed")?,
-                        })
-                    })
+                    .map(|doc| Ok((doc.clone(), SystemConfig::from_json(doc)?)))
                     .collect::<Result<Vec<_>, String>>()?;
                 let warmup = match v.get("warmup_checkpoint") {
                     Some(Json::Null) => None,
@@ -407,17 +266,12 @@ impl JobSpec {
                 JobKind::FaultSearch(spec)
             }
             "replay" => JobKind::Replay {
-                repro: Repro::from_json(
+                repro: Box::new(Repro::from_json(
                     v.get("repro")
                         .ok_or("replay job missing object field \"repro\"")?,
-                )?,
+                )?),
             },
-            "poison" => JobKind::Poison,
-            other => {
-                return Err(format!(
-                    "unknown job kind {other:?} (expected campaign, fault-search, replay)"
-                ))
-            }
+            _ => JobKind::Poison, // the key match above refused other kinds
         };
         Ok(JobSpec {
             label,
@@ -429,57 +283,22 @@ impl JobSpec {
     /// Canonical JSON for the journal (round-trips through
     /// [`JobSpec::from_json`]).
     pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(&str, Json)> = Vec::new();
+        let mut pairs: Vec<(&str, Json)> = vec![
+            ("kind", Json::str(self.kind.name())),
+            ("label", Json::str(&self.label)),
+            ("priority", Json::Num(self.priority as f64)),
+        ];
         match &self.kind {
             JobKind::Campaign(c) => {
-                pairs.push(("kind", Json::str("campaign")));
-                pairs.push(("label", Json::str(&self.label)));
-                pairs.push(("priority", Json::Num(self.priority as f64)));
                 pairs.push(("specs", Json::Arr(c.specs.iter().map(Json::str).collect())));
-                pairs.push((
-                    "configs",
-                    Json::Arr(
-                        c.configs
-                            .iter()
-                            .map(|cfg| {
-                                let mut p = vec![
-                                    ("protocol".to_string(), Json::str(&cfg.protocol)),
-                                    ("fault_rate".to_string(), Json::Num(cfg.fault_rate)),
-                                ];
-                                if let Some(w) = cfg.watchdog_cycles {
-                                    p.push(("watchdog_cycles".to_string(), Json::num_u64(w)));
-                                }
-                                if let Some(ss) = cfg.schedule_seed {
-                                    p.push(("schedule_seed".to_string(), Json::num_u64(ss)));
-                                }
-                                if !cfg.fault_events.is_empty() {
-                                    p.push((
-                                        "fault_events".to_string(),
-                                        Json::Arr(
-                                            cfg.fault_events.iter().map(fault_event_json).collect(),
-                                        ),
-                                    ));
-                                }
-                                if let Some(ch) = &cfg.link_channel {
-                                    p.push(("link_channel".to_string(), link_channel_json(ch)));
-                                }
-                                if let Some(ds) = cfg.domain_seed {
-                                    p.push(("domain_seed".to_string(), Json::num_u64(ds)));
-                                }
-                                Json::Obj(p)
-                            })
-                            .collect(),
-                    ),
-                ));
+                let docs = c.configs.iter().map(|(doc, _)| doc.clone()).collect();
+                pairs.push(("configs", Json::Arr(docs)));
                 pairs.push(("seeds", Json::num_u64(c.seeds)));
                 if let Some(w) = c.warmup_checkpoint {
                     pairs.push(("warmup_checkpoint", Json::Num(w)));
                 }
             }
             JobKind::FaultSearch(f) => {
-                pairs.push(("kind", Json::str("fault-search")));
-                pairs.push(("label", Json::str(&self.label)));
-                pairs.push(("priority", Json::Num(self.priority as f64)));
                 pairs.push(("protocol", Json::str(&f.protocol)));
                 pairs.push(("specs", Json::Arr(f.specs.iter().map(Json::str).collect())));
                 pairs.push((
@@ -493,17 +312,8 @@ impl JobSpec {
                     Json::num_u64(f.max_repros_per_cell as u64),
                 ));
             }
-            JobKind::Replay { repro } => {
-                pairs.push(("kind", Json::str("replay")));
-                pairs.push(("label", Json::str(&self.label)));
-                pairs.push(("priority", Json::Num(self.priority as f64)));
-                pairs.push(("repro", repro.to_json()));
-            }
-            JobKind::Poison => {
-                pairs.push(("kind", Json::str("poison")));
-                pairs.push(("label", Json::str(&self.label)));
-                pairs.push(("priority", Json::Num(self.priority as f64)));
-            }
+            JobKind::Replay { repro } => pairs.push(("repro", repro.to_json())),
+            JobKind::Poison => {}
         }
         Json::obj(pairs)
     }
@@ -596,6 +406,23 @@ mod tests {
                 r#"{"kind":"campaign","specs":["fft"],"configs":[{"protocol":"ftdircmp","fault_rate":2000000}]}"#,
                 "loss_per_million = 2000000",
             ),
+            // Unknown keys are refused, at the top level and in a config.
+            (
+                r#"{"kind":"campaign","specs":["fft"],"configs":[{"protocol":"dircmp"}],"seedz":4}"#,
+                "unknown job key \"seedz\"",
+            ),
+            (
+                r#"{"kind":"poison","specs":["fft"]}"#,
+                "unknown job key \"specs\"",
+            ),
+            (
+                r#"{"kind":"campaign","specs":["fft"],"configs":[{"protocol":"ftdircmp","fualt_rate":2000}]}"#,
+                "unknown config key \"fualt_rate\"",
+            ),
+            (
+                r#"{"kind":"campaign","specs":["fft"],"configs":[{"protocol":"ftdircmp","mesh":"9x8"}]}"#,
+                "at most 64 tiles",
+            ),
         ] {
             let e = JobSpec::from_json(&Json::parse(patch).unwrap()).unwrap_err();
             assert!(e.contains(needle), "{patch}: {e}");
@@ -632,9 +459,8 @@ mod tests {
         let JobKind::Campaign(c) = &job.kind else {
             panic!("expected campaign")
         };
-        assert_eq!(c.configs[0].fault_events.len(), 3);
-        assert_eq!(c.configs[0].label(), "ftdircmp-fd3-ge");
-        let cfg = c.configs[0].to_config().unwrap();
+        assert_eq!(config_label(&c.configs[0].0), "ftdircmp-fd3-ge");
+        let cfg = &c.configs[0].1;
         let domains = cfg.mesh.faults.domains.as_ref().expect("domains installed");
         assert_eq!(domains.domain_seed, 7);
         assert_eq!(domains.events.len(), 3);
@@ -684,6 +510,31 @@ mod tests {
             let e = JobSpec::from_json(&Json::parse(&json).unwrap()).unwrap_err();
             assert!(e.contains(needle), "{events}: {e}");
         }
+    }
+
+    /// A replay job journaled before repros carried the whole config (its
+    /// repro has eleven keys) still validates, so boot keeps it.
+    #[test]
+    fn an_eleven_key_replay_submission_still_validates() {
+        let trace = Json::str("# ftdircmp trace v1\nworkload one\ncore 0\nL 40\n");
+        let job = Json::parse(&format!(
+            r#"{{"kind":"replay","label":"old","priority":0,"repro":{{"protocol":"dircmp",
+                "seed":1003,"schedule_seed":0,"watchdog_cycles":20000,
+                "lost_request_timeout":3000,"lost_unblock_timeout":3000,
+                "lost_ackbd_timeout":2000,"lost_data_timeout":8000,
+                "drops":[40],"failure":"deadlock","trace":{trace}}}}}"#
+        ))
+        .unwrap();
+        let spec = JobSpec::from_json(&job).unwrap();
+        let JobKind::Replay { repro } = &spec.kind else {
+            panic!("expected replay")
+        };
+        assert_eq!(repro.config.protocol, ProtocolVariant::DirCmp);
+        assert_eq!(
+            (repro.config.watchdog_cycles, repro.drops()),
+            (20_000, &[40][..])
+        );
+        assert_eq!(JobSpec::from_json(&spec.to_json()), Ok(spec));
     }
 
     #[test]

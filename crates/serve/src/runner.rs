@@ -69,34 +69,26 @@ pub fn execute_job(
             let caught = catch_unwind(|| panic!("poison job executed"));
             let msg = caught.expect_err("poison always panics");
             (
-                OUTCOME_QUARANTINED.to_string(),
-                vec![("message".to_string(), Json::str(panic_text(&*msg)))],
+                OUTCOME_QUARANTINED,
+                vec![("message", Json::str(panic_text(&*msg)))],
             )
         }
     };
     let mut pairs = vec![
-        ("id".to_string(), Json::str(id)),
-        ("kind".to_string(), Json::str(kind_name(&spec.kind))),
-        ("label".to_string(), Json::str(&spec.label)),
-        ("outcome".to_string(), Json::str(&outcome)),
+        ("id", Json::str(id)),
+        ("kind", Json::str(spec.kind.name())),
+        ("label", Json::str(&spec.label)),
+        ("outcome", Json::str(outcome)),
     ];
     pairs.extend(body);
-    let mut summary = Json::Obj(pairs).to_string();
+    let mut summary = Json::obj(pairs).to_string();
     summary.push('\n');
     store.write_summary(id, &summary)?;
-    Ok(outcome)
+    Ok(outcome.to_string())
 }
 
-fn kind_name(kind: &JobKind) -> &'static str {
-    match kind {
-        JobKind::Campaign(_) => "campaign",
-        JobKind::FaultSearch(_) => "fault-search",
-        JobKind::Replay { .. } => "replay",
-        JobKind::Poison => "poison",
-    }
-}
-
-type SummaryBody = Vec<(String, Json)>;
+/// A job kind's outcome and the summary fields after the common ones.
+type Outcome = (&'static str, Vec<(&'static str, Json)>);
 
 fn run_campaign_job(
     store: &Store,
@@ -104,15 +96,10 @@ fn run_campaign_job(
     c: &crate::job::CampaignSpec,
     jobs: usize,
     progress: &dyn Fn(usize, usize),
-) -> std::io::Result<(String, SummaryBody)> {
+) -> std::io::Result<Outcome> {
     let units = match c.units() {
         Ok(u) => u,
-        Err(e) => {
-            return Ok((
-                OUTCOME_FAILED.to_string(),
-                vec![("message".to_string(), Json::str(&e))],
-            ))
-        }
+        Err(e) => return Ok((OUTCOME_FAILED, vec![("message", Json::str(&e))])),
     };
     let total = units.len();
 
@@ -176,36 +163,27 @@ fn run_campaign_job(
         OUTCOME_OK
     };
     let body = vec![
-        ("total_units".to_string(), Json::num_u64(total as u64)),
-        ("units".to_string(), Json::Arr(done.into_values().collect())),
+        ("total_units", Json::num_u64(total as u64)),
+        ("units", Json::Arr(done.into_values().collect())),
     ];
-    Ok((outcome.to_string(), body))
+    Ok((outcome, body))
 }
 
 /// Builds the durable record for one finished unit.
 fn unit_record(index: u64, unit: &Unit, result: &Result<SimReport, CellError>) -> Json {
     let mut pairs = vec![
-        ("unit".to_string(), Json::num_u64(index)),
-        ("label".to_string(), Json::str(&unit.label)),
-        ("seed".to_string(), Json::num_u64(unit.seed)),
+        ("unit", Json::num_u64(index)),
+        ("label", Json::str(&unit.label)),
+        ("seed", Json::num_u64(unit.seed)),
     ];
     match result {
         Ok(report) => {
-            pairs.push(("status".to_string(), Json::str("ok")));
-            pairs.push(("cycles".to_string(), Json::num_u64(report.cycles)));
-            pairs.push(("events".to_string(), Json::num_u64(report.events)));
-            pairs.push((
-                "total_mem_ops".to_string(),
-                Json::num_u64(report.total_mem_ops),
-            ));
-            pairs.push((
-                "violations".to_string(),
-                Json::num_u64(report.violations.len() as u64),
-            ));
-            pairs.push((
-                "messages_lost".to_string(),
-                Json::num_u64(report.messages_lost),
-            ));
+            pairs.push(("status", Json::str("ok")));
+            pairs.push(("cycles", Json::num_u64(report.cycles)));
+            pairs.push(("events", Json::num_u64(report.events)));
+            pairs.push(("total_mem_ops", Json::num_u64(report.total_mem_ops)));
+            pairs.push(("violations", Json::num_u64(report.violations.len() as u64)));
+            pairs.push(("messages_lost", Json::num_u64(report.messages_lost)));
         }
         Err(CellError::Run(RunError::Deadlock {
             at,
@@ -214,35 +192,29 @@ fn unit_record(index: u64, unit: &Unit, result: &Result<SimReport, CellError>) -
             stalled,
             ..
         })) => {
-            pairs.push(("status".to_string(), Json::str("deadlock")));
-            pairs.push(("at".to_string(), Json::num_u64(*at)));
-            pairs.push((
-                "blocked_cores".to_string(),
-                Json::num_u64(blocked_cores.len() as u64),
-            ));
-            pairs.push(("last_progress".to_string(), Json::num_u64(*last_progress)));
+            pairs.push(("status", Json::str("deadlock")));
+            pairs.push(("at", Json::num_u64(*at)));
+            pairs.push(("blocked_cores", Json::num_u64(blocked_cores.len() as u64)));
+            pairs.push(("last_progress", Json::num_u64(*last_progress)));
             // Name the first stuck line so quarantine triage starts from
             // the record itself, not a rerun.
             if let Some((core, line)) = stalled
                 .iter()
                 .find_map(|s| s.pending_lines.first().map(|l| (s.core, *l)))
             {
-                pairs.push((
-                    "stuck".to_string(),
-                    Json::str(format!("core {core} on {line}")),
-                ));
+                pairs.push(("stuck", Json::str(format!("core {core} on {line}"))));
             }
         }
         Err(CellError::Run(RunError::InvalidConfig(msg))) => {
-            pairs.push(("status".to_string(), Json::str("error")));
-            pairs.push(("message".to_string(), Json::str(msg)));
+            pairs.push(("status", Json::str("error")));
+            pairs.push(("message", Json::str(msg)));
         }
         Err(p @ CellError::Panicked { .. }) => {
-            pairs.push(("status".to_string(), Json::str("panicked")));
-            pairs.push(("message".to_string(), Json::str(p.to_string())));
+            pairs.push(("status", Json::str("panicked")));
+            pairs.push(("message", Json::str(p.to_string())));
         }
     }
-    Json::Obj(pairs)
+    Json::obj(pairs)
 }
 
 fn run_fault_search_job(
@@ -250,15 +222,10 @@ fn run_fault_search_job(
     id: &str,
     f: &crate::job::FaultSearchSpec,
     jobs: usize,
-) -> (String, SummaryBody) {
+) -> Outcome {
     let (protocol, specs) = match f.resolve() {
         Ok(r) => r,
-        Err(e) => {
-            return (
-                OUTCOME_FAILED.to_string(),
-                vec![("message".to_string(), Json::str(&e))],
-            )
-        }
+        Err(e) => return (OUTCOME_FAILED, vec![("message", Json::str(&e))]),
     };
     let mut opts = ExploreOptions::new(protocol);
     opts.specs = specs;
@@ -291,50 +258,41 @@ fn run_fault_search_job(
                 .map(|p| Json::str(p.display().to_string()))
                 .collect();
             (
-                OUTCOME_OK.to_string(),
+                OUTCOME_OK,
                 vec![
                     (
-                        "reference_runs".to_string(),
+                        "reference_runs",
                         Json::num_u64(report.reference_runs as u64),
                     ),
-                    (
-                        "fault_runs".to_string(),
-                        Json::num_u64(report.fault_runs as u64),
-                    ),
-                    (
-                        "failing_cells".to_string(),
-                        Json::num_u64(report.failing_cells as u64),
-                    ),
-                    ("failures".to_string(), Json::Arr(failures)),
-                    ("repros".to_string(), Json::Arr(repros)),
+                    ("fault_runs", Json::num_u64(report.fault_runs as u64)),
+                    ("failing_cells", Json::num_u64(report.failing_cells as u64)),
+                    ("failures", Json::Arr(failures)),
+                    ("repros", Json::Arr(repros)),
                 ],
             )
         }
         Err(panic) => (
-            OUTCOME_QUARANTINED.to_string(),
-            vec![("message".to_string(), Json::str(panic_text(&*panic)))],
+            OUTCOME_QUARANTINED,
+            vec![("message", Json::str(panic_text(&*panic)))],
         ),
     }
 }
 
-fn run_replay_job(repro: &Repro) -> (String, SummaryBody) {
+fn run_replay_job(repro: &Repro) -> Outcome {
     let caught = catch_unwind(AssertUnwindSafe(|| repro.replay()));
     match caught {
         Ok(Some(failure)) => (
-            OUTCOME_OK.to_string(),
+            OUTCOME_OK,
             vec![
-                ("reproduced".to_string(), Json::Bool(true)),
-                ("failure_kind".to_string(), Json::str(failure.kind.label())),
-                ("detail".to_string(), Json::str(&failure.detail)),
+                ("reproduced", Json::Bool(true)),
+                ("failure_kind", Json::str(failure.kind.label())),
+                ("detail", Json::str(&failure.detail)),
             ],
         ),
-        Ok(None) => (
-            OUTCOME_OK.to_string(),
-            vec![("reproduced".to_string(), Json::Bool(false))],
-        ),
+        Ok(None) => (OUTCOME_OK, vec![("reproduced", Json::Bool(false))]),
         Err(panic) => (
-            OUTCOME_QUARANTINED.to_string(),
-            vec![("message".to_string(), Json::str(panic_text(&*panic)))],
+            OUTCOME_QUARANTINED,
+            vec![("message", Json::str(panic_text(&*panic)))],
         ),
     }
 }

@@ -455,3 +455,21 @@ fn daemon_memory_does_not_grow_with_finished_jobs() {
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A flag a subcommand does not take is a usage error that names it, before
+/// any job is read or run.
+#[test]
+fn subcommands_reject_an_unknown_flag_naming_it() {
+    let root = tmp_root("unknown-flag");
+    let out = Command::new(env!("CARGO_BIN_EXE_ftdircmp-serve"))
+        .args(["run-local", "--root"])
+        .arg(&root)
+        .args(["--jbos", "2"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("got \"--jbos\""), "{stderr}");
+    assert!(!root.join("results").exists(), "nothing ran");
+}

@@ -1,72 +1,75 @@
 //! `ftdircmp-cli` — command-line front end to the simulator.
 //!
 //! ```text
-//! ftdircmp-cli [OPTIONS]
-//!
-//! Options:
-//!   --bench NAME          benchmark from the suite (default: barnes; `list` to enumerate)
-//!   --protocol ft|dir     protocol variant (default: ft)
-//!   --fault-rate R        lost messages per million (default: 0)
-//!   --burst P             burst-continue probability for losses (default: 0 = isolated)
-//!   --seed N              master seed (default: 42)
-//!   --adaptive            use randomized adaptive routing (unordered network)
-//!   --no-migratory        disable the migratory-sharing optimization
-//!   --timeout N           base for all detection timeouts, cycles
-//!   --serial-bits N       request serial number width
-//!   --mesh WxH            mesh dimensions (default 4x4; tiles scale along)
-//!   --mlp N               outstanding misses per core (default 1 = blocking)
-//!   --ops N               operations per core (default: benchmark-specific)
-//!   --trace-line HEX      print every event touching the given line(s)
-//!   --dump-trace FILE     write the generated workload trace to FILE and exit
-//!   --trace-file FILE     run a workload from a trace file instead of --bench
-//!   --summary-only        print only the one-line result
+//! ftdircmp-cli [--bench NAME|list] [--ops N] [--trace-line HEX] [--dump-trace FILE]
+//!              [--trace-file FILE] [--summary-only] [--KEY VALUE ...]
 //! ```
 //!
-//! Example:
+//! `--bench` picks a suite benchmark (default barnes), `--ops` its operations
+//! per core; `--trace-line` prints every event touching the given line(s);
+//! `--dump-trace` writes the generated trace and exits; `--trace-file` runs a
+//! trace file instead. Every other `--key value` sets key `key`, `-` read as
+//! `_`, of the run's config document (`SystemConfig::from_json`): e.g.
+//! `--protocol dir`, `--fault-rate 2000`, `--mesh 8x4`, `--routing adaptive`
+//! or `--fault-classes '["ping"]'`. A value is JSON if it parses as JSON,
+//! else a string. The document starts as `{"seed":42}`; a faulty run without
+//! `--watchdog-cycles` gets a 5 000 000-cycle watchdog. A config the flags
+//! cannot make exits with status 2, naming the flag.
 //!
 //! ```text
 //! cargo run --release --bin ftdircmp-cli -- --bench ocean --fault-rate 2000
 //! ```
 
-use ftdircmp::{workloads, FaultConfig, System, SystemConfig};
+use ftdircmp::core_protocol::{json::Json, trace_io};
+use ftdircmp::{workloads, System, SystemConfig};
 
-struct Args {
-    flags: Vec<String>,
+/// The CLI's own flags; every other `--key value` patches the config.
+const RUN_FLAGS: &str = "--bench --ops --trace-line --dump-trace --trace-file";
+
+/// Prints a usage error naming `flag` and exits with status 2.
+fn usage_error(flag: &str, message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {flag}: {message}");
+    std::process::exit(2)
 }
 
-impl Args {
-    fn new() -> Self {
-        Args {
-            flags: std::env::args().skip(1).collect(),
-        }
-    }
-
-    fn value(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.flags.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.value(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value {v:?} for {name}")),
-        }
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|a| a == name)
-    }
+/// The config `(flag, key, value)` patches make; an error names the first
+/// flag the document cannot take.
+fn config(patches: &[(String, String, Json)]) -> SystemConfig {
+    let read = |n: usize| {
+        let pairs = patches[..n].iter().map(|(_, k, v)| (k.clone(), v.clone()));
+        SystemConfig::from_json(&Json::Obj(pairs.collect()))
+    };
+    read(patches.len()).unwrap_or_else(|e| {
+        let bad = (1..patches.len()).find(|&n| read(n).is_err());
+        usage_error(&patches[bad.unwrap_or(patches.len()) - 1].0, e)
+    })
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = Args::new();
+    let mut run = std::collections::HashMap::new();
+    let mut patches = vec![("--seed".into(), "seed".into(), Json::num_u64(42))];
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        if flag == "--summary-only" {
+            run.insert(flag, String::new());
+            continue;
+        }
+        let Some(key) = flag.strip_prefix("--") else {
+            usage_error(&flag, "expected a --flag")
+        };
+        let value = args
+            .next()
+            .unwrap_or_else(|| usage_error(&flag, "expected a value"));
+        if RUN_FLAGS.split(' ').any(|f| f == flag) {
+            run.insert(flag, value);
+        } else {
+            let key = key.replace('-', "_");
+            patches.push((flag, key, Json::parse(&value).unwrap_or(Json::Str(value))));
+        }
+    }
+    let value = |name: &str| run.get(name).map(String::as_str);
 
-    let bench = args.value("--bench").unwrap_or("barnes").to_string();
+    let bench = value("--bench").unwrap_or("barnes");
     if bench == "list" {
         println!("available benchmarks:");
         for s in workloads::suite() {
@@ -74,75 +77,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         return Ok(());
     }
-    let seed: u64 = args.parsed("--seed", 42)?;
-    let mut config = SystemConfig {
-        protocol: args.value("--protocol").unwrap_or("ft").parse()?,
-        ..SystemConfig::default()
-    }
-    .with_seed(seed);
-
-    let rate: f64 = args.parsed("--fault-rate", 0.0)?;
-    let burst: f64 = args.parsed("--burst", 0.0)?;
-    if rate > 0.0 {
-        config.mesh.faults = if burst > 0.0 {
-            FaultConfig::bursts(rate, burst, 16)
-        } else {
-            FaultConfig::per_million(rate)
-        };
+    let mut config = config(&patches);
+    if config.mesh.faults.is_faulty() && !patches.iter().any(|(_, k, _)| k == "watchdog_cycles") {
         config.watchdog_cycles = 5_000_000;
     }
-    if args.has("--adaptive") {
-        config = config.with_adaptive_routing();
-    }
-    if args.has("--no-migratory") {
-        config.migratory_sharing = false;
-    }
-    if let Some(t) = args.value("--timeout") {
-        let t: u64 = t.parse()?;
-        config.ft.lost_request_timeout = t;
-        config.ft.lost_unblock_timeout = t;
-        config.ft.lost_ackbd_timeout = t * 2 / 3;
-        config.ft.lost_data_timeout = t * 2;
-    }
-    if let Some(b) = args.value("--serial-bits") {
-        config.ft.serial_bits = b.parse()?;
-    }
-    if let Some(mlp) = args.value("--mlp") {
-        config.max_outstanding_misses = mlp.parse()?;
-    }
-    if let Some(mesh) = args.value("--mesh") {
-        let (w, h) = mesh
-            .split_once('x')
-            .ok_or("expected --mesh WxH, e.g. 4x4")?;
-        config = config.with_mesh(w.parse()?, h.parse()?);
-    }
-    if let Some(lines) = args.value("--trace-line") {
+    if let Some(lines) = value("--trace-line") {
         std::env::set_var("FTDIRCMP_TRACE_LINE", lines);
     }
 
-    let wl = if let Some(path) = args.value("--trace-file") {
-        ftdircmp::core_protocol::trace_io::read_file(path)?
+    let wl = if let Some(path) = value("--trace-file") {
+        trace_io::read_file(path)?
     } else {
-        let mut spec = workloads::WorkloadSpec::named(&bench)
+        let mut spec = workloads::WorkloadSpec::named(bench)
             .ok_or_else(|| format!("unknown benchmark {bench:?} (try --bench list)"))?;
-        if let Some(ops) = args.value("--ops") {
+        if let Some(ops) = value("--ops") {
             spec.ops_per_core = ops.parse()?;
         }
-        spec.generate(config.tiles, seed)
+        spec.generate(config.tiles, config.seed)
     };
-    if let Some(path) = args.value("--dump-trace") {
-        ftdircmp::core_protocol::trace_io::write_file(&wl, path)?;
-        println!(
-            "wrote {} ({} cores, {} memory ops)",
-            path,
-            wl.traces.len(),
-            wl.total_mem_ops()
-        );
+    if let Some(path) = value("--dump-trace") {
+        trace_io::write_file(&wl, path)?;
+        let (cores, ops) = (wl.traces.len(), wl.total_mem_ops());
+        println!("wrote {path} ({cores} cores, {ops} memory ops)");
         return Ok(());
     }
     let report = System::run_workload(config, &wl)?;
 
-    if args.has("--summary-only") {
+    if value("--summary-only").is_some() {
         println!(
             "{} {} cycles={} msgs={} bytes={} lost={} violations={}",
             report.workload,
