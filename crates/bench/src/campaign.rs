@@ -14,8 +14,7 @@
 //!   [`crate::run_spec`] (shared helper), so a campaign at `--jobs 1` and at
 //!   `--jobs N` produce identical reports.
 //!
-//! Worker count comes from `--jobs N` on the command line, then the
-//! `FTDIRCMP_JOBS` environment variable, then
+//! Worker count comes from `--jobs N` on the command line, else
 //! [`std::thread::available_parallelism`].
 //!
 //! # Checkpoint-fork mode

@@ -94,12 +94,11 @@ pub fn benchmarks() -> Vec<WorkloadSpec> {
     suite()
 }
 
-/// A malformed command-line flag or environment variable. Bins exit with
-/// status 2 on one ([`ArgError::exit`]) instead of running with a default
+/// A malformed command-line flag. Bins exit with status 2 on one ([`ArgError::exit`]) instead of running with a default
 /// the user did not ask for.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ArgError {
-    /// The flag (`--jobs`) or environment variable (`FTDIRCMP_JOBS`).
+    /// The flag (`--jobs`).
     name: &'static str,
     /// The value as given; `None` when the flag was the last argument.
     value: Option<String>,
@@ -211,45 +210,28 @@ impl BenchArgs {
         })
     }
 
-    /// Campaign worker count: `--jobs N`, then the `FTDIRCMP_JOBS`
-    /// environment variable (ignored when empty), then
+    /// Campaign worker count: `--jobs N`, else
     /// [`std::thread::available_parallelism`].
     pub fn jobs(&self) -> Result<usize, ArgError> {
-        self.jobs_with(std::env::var("FTDIRCMP_JOBS").ok())
-    }
-
-    fn jobs_with(&self, env: Option<String>) -> Result<usize, ArgError> {
-        const JOBS: &str = "a worker count of at least 1";
-        let at_least_one = |n: &usize| *n >= 1;
-        match (self.flag("--jobs"), env.filter(|v| !v.is_empty())) {
-            (Some(v), _) => parse_value("--jobs", v, JOBS, at_least_one),
-            (None, Some(v)) => parse_value("FTDIRCMP_JOBS", Some(&v), JOBS, at_least_one),
-            (None, None) => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
-        }
+        self.flag("--jobs").map_or_else(
+            || Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+            |v| parse_value("--jobs", v, "a worker count of at least 1", |n| *n >= 1),
+        )
     }
 
     /// Checkpoint-fork warmup threshold: `--warmup-checkpoint [PCT]` (the
     /// flag with no value, or followed by another `--flag`, means 60% of
-    /// each workload's memory operations), then the
-    /// `FTDIRCMP_WARMUP_CHECKPOINT` environment variable (ignored when
-    /// empty), else `None` (classic full simulation per cell).
+    /// each workload's memory operations), else `None` (classic full
+    /// simulation per cell).
     pub(crate) fn warmup_checkpoint(&self) -> Result<Option<f64>, ArgError> {
-        self.warmup_checkpoint_with(std::env::var("FTDIRCMP_WARMUP_CHECKPOINT").ok())
-    }
-
-    fn warmup_checkpoint_with(&self, env: Option<String>) -> Result<Option<f64>, ArgError> {
         const DEFAULT_PCT: f64 = 60.0;
-        const PCT: &str = "a percentage in 0..=100";
-        let in_range = |p: &f64| (0.0..=100.0).contains(p);
-        let pct = match (
-            self.flag("--warmup-checkpoint"),
-            env.filter(|v| !v.is_empty()),
-        ) {
-            (Some(None), _) => DEFAULT_PCT,
-            (Some(Some(v)), _) if v.starts_with("--") => DEFAULT_PCT,
-            (Some(v), _) => parse_value("--warmup-checkpoint", v, PCT, in_range)?,
-            (None, Some(v)) => parse_value("FTDIRCMP_WARMUP_CHECKPOINT", Some(&v), PCT, in_range)?,
-            (None, None) => return Ok(None),
+        let pct = match self.flag("--warmup-checkpoint") {
+            None => return Ok(None),
+            Some(None) => DEFAULT_PCT,
+            Some(Some(v)) if v.starts_with("--") => DEFAULT_PCT,
+            Some(v) => parse_value("--warmup-checkpoint", v, "a percentage in 0..=100", |p| {
+                (0.0..=100.0).contains(p)
+            })?,
         };
         Ok(Some(pct))
     }
@@ -305,13 +287,8 @@ mod tests {
         assert_eq!(none.u64_flag("--definitely-not-passed", 7), Ok(7));
         assert_eq!(none.value_of("--out"), None);
         assert_eq!(none.seeds(), Ok(DEFAULT_SEEDS));
-        assert_eq!(none.jobs_with(Some("3".into())), Ok(3));
-        assert_eq!(none.jobs_with(Some(String::new())), none.jobs_with(None));
-        assert!(none.jobs_with(None).unwrap() >= 1);
-        let warm = |env: Option<&str>| none.warmup_checkpoint_with(env.map(str::to_string));
-        assert_eq!(warm(None), Ok(None));
-        assert_eq!(warm(Some("")), Ok(None));
-        assert_eq!(warm(Some("25")), Ok(Some(25.0)));
+        assert!(none.jobs().unwrap() >= 1);
+        assert_eq!(none.warmup_checkpoint(), Ok(None));
     }
 
     #[test]
@@ -319,10 +296,9 @@ mod tests {
         // CI, scripts/reproduce.sh and the benchmark's fig3 reference check.
         let a = args(&["--seeds", "3", "--jobs", "2"]);
         assert_eq!(a.seeds(), Ok(3));
-        assert_eq!(a.jobs_with(Some("garbage".into())), Ok(2), "the flag wins");
-        assert_eq!(a.warmup_checkpoint_with(None), Ok(None));
-        // A garbage environment value loses to the flag here too.
-        let warm = |argv: &[&str]| args(argv).warmup_checkpoint_with(Some("x".into()));
+        assert_eq!(a.jobs(), Ok(2));
+        assert_eq!(a.warmup_checkpoint(), Ok(None));
+        let warm = |argv: &[&str]| args(argv).warmup_checkpoint();
         assert_eq!(
             warm(&["--seeds", "1", "--warmup-checkpoint"]),
             Ok(Some(60.0))
@@ -335,10 +311,7 @@ mod tests {
         assert_eq!(warm(&["--warmup-checkpoint", "0"]), Ok(Some(0.0)));
         assert_eq!(warm(&["--warmup-checkpoint", "100"]), Ok(Some(100.0)));
         let c = args(&["--warmup-checkpoint", "--jobs", "2", "--out", "results"]);
-        assert_eq!(
-            (c.jobs_with(None), c.value_of("--out")),
-            (Ok(2), Some("results"))
-        );
+        assert_eq!((c.jobs(), c.value_of("--out")), (Ok(2), Some("results")));
     }
 
     #[test]
@@ -347,14 +320,8 @@ mod tests {
         const JOBS: &str = "expected a worker count of at least 1";
         const PCT: &str = "expected a percentage in 0..=100";
         let seeds = |argv: &[&str]| args(argv).seeds().unwrap_err().to_string();
-        let jobs = |argv: &[&str], env: Option<&str>| {
-            let parsed = args(argv).jobs_with(env.map(str::to_string));
-            parsed.unwrap_err().to_string()
-        };
-        let warm = |argv: &[&str], env: Option<&str>| {
-            let parsed = args(argv).warmup_checkpoint_with(env.map(str::to_string));
-            parsed.unwrap_err().to_string()
-        };
+        let jobs = |argv: &[&str]| args(argv).jobs().unwrap_err().to_string();
+        let warm = |argv: &[&str]| args(argv).warmup_checkpoint().unwrap_err().to_string();
         // Zero seeds would leave every aggregate with nothing to average.
         assert_eq!(
             seeds(&["--seeds", "0"]),
@@ -376,29 +343,14 @@ mod tests {
             seeds(&["--seeds"]),
             format!("--seeds: {SEEDS}, got nothing")
         );
-        assert_eq!(
-            jobs(&["--jobs", "0"], None),
-            format!("--jobs: {JOBS}, got \"0\"")
-        );
-        assert_eq!(
-            jobs(&["--jobs", "x"], None),
-            format!("--jobs: {JOBS}, got \"x\"")
-        );
-        assert_eq!(
-            jobs(&["--jobs"], None),
-            format!("--jobs: {JOBS}, got nothing")
-        );
         for bad in ["0", "x", "-2", "1.5"] {
-            assert_eq!(
-                jobs(&[], Some(bad)),
-                format!("FTDIRCMP_JOBS: {JOBS}, got \"{bad}\"")
-            );
+            let flag = format!("--jobs: {JOBS}, got \"{bad}\"");
+            assert_eq!(jobs(&["--jobs", bad]), flag);
         }
+        assert_eq!(jobs(&["--jobs"]), format!("--jobs: {JOBS}, got nothing"));
         for bad in ["150", "-5", "x", "NaN", "inf"] {
             let flag = format!("--warmup-checkpoint: {PCT}, got \"{bad}\"");
-            assert_eq!(warm(&["--warmup-checkpoint", bad], None), flag);
-            let env = format!("FTDIRCMP_WARMUP_CHECKPOINT: {PCT}, got \"{bad}\"");
-            assert_eq!(warm(&[], Some(bad)), env);
+            assert_eq!(warm(&["--warmup-checkpoint", bad]), flag);
         }
     }
 }

@@ -6,6 +6,7 @@ use ftdircmp_noc::{
 };
 
 use crate::json::Json;
+use crate::proto::TimeoutKind;
 
 /// Which coherence protocol the system runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,6 +87,19 @@ impl Default for FtConfig {
             lost_ackbd_timeout: 2000,
             lost_data_timeout: 8000,
             serial_bits: 8,
+        }
+    }
+}
+
+impl FtConfig {
+    /// Base delay of `kind`'s timer, cycles: the first attempt waits this
+    /// long, and each retry backs off from it.
+    pub(crate) fn timeout(&self, kind: TimeoutKind) -> u64 {
+        match kind {
+            TimeoutKind::LostRequest => self.lost_request_timeout,
+            TimeoutKind::LostUnblock => self.lost_unblock_timeout,
+            TimeoutKind::LostAckBd => self.lost_ackbd_timeout,
+            TimeoutKind::LostData => self.lost_data_timeout,
         }
     }
 }

@@ -26,7 +26,7 @@ use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId};
 use crate::linetab::LineTable;
 use crate::msg::{Message, MsgType};
-use crate::proto::{backoff_delay, Ctx, Facets, TimeoutKind};
+use crate::proto::{table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::{SerialAllocator, SerialNum};
 
 /// Stable L1 permission states (MOESI; `I` is represented by absence).
@@ -108,8 +108,7 @@ struct MissMshr {
     acks_got: u8,
     supplier: Option<NodeId>,
     issued_at: Cycle,
-    retries: u32,
-    gen: u64,
+    timer: Timer,
 }
 
 #[derive(Debug, Clone)]
@@ -118,8 +117,7 @@ struct WbMshr {
     was_exclusive: bool,
     dirty: bool,
     serial: SerialNum,
-    retries: u32,
-    gen: u64,
+    timer: Timer,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +138,7 @@ struct Backup {
     dest: NodeId,
     serial: SerialNum,
     kind: BackupKind,
-    retries: u32,
-    gen: u64,
+    timer: Timer,
 }
 
 /// Record of the most recent unblock this L1 sent for a line, so an
@@ -160,8 +157,7 @@ struct CompletedTx {
 struct AckBdPending {
     peer: NodeId,
     serial: SerialNum,
-    retries: u32,
-    gen: u64,
+    timer: Timer,
 }
 
 /// All transient per-line state of one L1, held together in one slab slot.
@@ -189,7 +185,7 @@ pub(crate) struct L1Controller {
     miss_count: usize,
     stalled_ops: Vec<CpuOp>,
     serials: SerialAllocator,
-    gen_counter: u64,
+    timers: Timers,
     /// Reused buffer for draining deferred forwards without allocating.
     deferred_scratch: Vec<Message>,
     /// Reused buffer for replaying stalled CPU ops without allocating.
@@ -208,7 +204,7 @@ impl L1Controller {
             miss_count: 0,
             stalled_ops: Vec::new(),
             serials: SerialAllocator::new(config.ft.serial_bits, rng),
-            gen_counter: 0,
+            timers: Timers::new(NodeId::L1(tile)),
             deferred_scratch: Vec::new(),
             stalled_scratch: Vec::new(),
         }
@@ -231,9 +227,10 @@ impl L1Controller {
         let mut out = String::new();
         for (a, s) in self.lines.iter() {
             if let Some(m) = &s.miss {
+                let retries = m.timer.retries();
                 out.push_str(&format!(
-                    "{} miss {a} kind={:?} serial={} responded={} acks={}/{} retries={}\n",
-                    self.me, m.kind, m.serial, m.responded, m.acks_got, m.acks_needed, m.retries
+                    "{} miss {a} kind={:?} serial={} responded={} acks={}/{} retries={retries}\n",
+                    self.me, m.kind, m.serial, m.responded, m.acks_got, m.acks_needed
                 ));
             }
         }
@@ -276,11 +273,6 @@ impl L1Controller {
             out.push_str(&format!("{} stalled-op {:?}\n", self.me, op));
         }
         out
-    }
-
-    fn next_gen(&mut self) -> u64 {
-        self.gen_counter += 1;
-        self.gen_counter
     }
 
     fn home(&self, addr: LineAddr, config: &SystemConfig) -> NodeId {
@@ -356,7 +348,10 @@ impl L1Controller {
             ctx.stats.l1_load_misses.incr();
         }
         let serial = self.fresh_serial();
-        let gen = self.next_gen();
+        let mut timer = Timer::default();
+        if self.ft {
+            timer.arm(&mut self.timers, op.addr, TimeoutKind::LostRequest, ctx);
+        }
         ctx.stats
             .l1_mshr_occupancy
             .record(self.miss_count as u64 + 1);
@@ -372,8 +367,7 @@ impl L1Controller {
             acks_got: 0,
             supplier: None,
             issued_at: ctx.now,
-            retries: 0,
-            gen,
+            timer,
         });
         let mtype = if op.is_store {
             MsgType::GetX
@@ -385,15 +379,6 @@ impl L1Controller {
             Message::new(mtype, op.addr, self.me, home).serial(serial),
             1,
         );
-        if self.ft {
-            ctx.arm_timeout(
-                self.me,
-                op.addr,
-                TimeoutKind::LostRequest,
-                gen,
-                ctx.config.ft.lost_request_timeout,
-            );
-        }
     }
 
     fn try_complete(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
@@ -486,20 +471,13 @@ impl L1Controller {
                     1,
                 );
             }
-            let gen = self.next_gen();
+            let mut timer = Timer::default();
+            timer.arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
             self.lines.entry(addr).ackbd = Some(AckBdPending {
                 peer: supplier,
                 serial: m.serial,
-                retries: 0,
-                gen,
+                timer,
             });
-            ctx.arm_timeout(
-                self.me,
-                addr,
-                TimeoutKind::LostAckBd,
-                gen,
-                ctx.config.ft.lost_ackbd_timeout,
-            );
         }
         self.lines.entry(addr).unblocked = Some(CompletedTx {
             was_store: m.kind == MissKind::Store,
@@ -534,14 +512,16 @@ impl L1Controller {
 
     fn start_writeback(&mut self, vaddr: LineAddr, ventry: L1Entry, ctx: &mut Ctx<'_>) {
         let serial = self.fresh_serial();
-        let gen = self.next_gen();
+        let mut timer = Timer::default();
+        if self.ft {
+            timer.arm(&mut self.timers, vaddr, TimeoutKind::LostRequest, ctx);
+        }
         self.lines.entry(vaddr).wb = Some(WbMshr {
             data: Some(ventry.data),
             was_exclusive: ventry.perm.is_exclusive(),
             dirty: matches!(ventry.perm, L1Perm::M | L1Perm::O),
             serial,
-            retries: 0,
-            gen,
+            timer,
         });
         ctx.checker.set_perm(self.me, vaddr, Perm::None, ctx.now);
         ctx.stats.l1_writebacks.incr();
@@ -550,15 +530,6 @@ impl L1Controller {
             Message::new(MsgType::Put, vaddr, self.me, home).serial(serial),
             1,
         );
-        if self.ft {
-            ctx.arm_timeout(
-                self.me,
-                vaddr,
-                TimeoutKind::LostRequest,
-                gen,
-                ctx.config.ft.lost_request_timeout,
-            );
-        }
     }
 
     fn retry_stalled(&mut self, ctx: &mut Ctx<'_>) {
@@ -638,35 +609,10 @@ impl L1Controller {
         f
     }
 
-    /// Cross-checks an incoming message against the reified transition
-    /// table (guards are not evaluated — this is an over-approximation).
-    /// Runs on every delivered message in every build (`System` always
-    /// enables the checker): the facet ids are tested against the table's
-    /// per-state legality bitsets, so the check costs a few loads and bit
-    /// tests and allocates only when it reports a violation.
-    fn table_check(&self, msg: &Message, ctx: &mut Ctx<'_>) {
-        if !ctx.checker.is_enabled() {
-            return;
-        }
-        let facets = self.table_facets(msg.addr);
-        let table = crate::transitions::l1_table();
-        if !table.legal_message(&facets, msg.mtype) {
-            ctx.checker.protocol_error(
-                self.me,
-                msg.addr,
-                &format!(
-                    "unexpected {} in state {}",
-                    msg.mtype,
-                    table.facet_names(&facets)
-                ),
-                ctx.now,
-            );
-        }
-    }
-
     /// Handles an incoming network message.
     pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        self.table_check(&msg, ctx);
+        let facets = || self.table_facets(msg.addr);
+        table_check(crate::transitions::l1_table(), facets, self.me, &msg, ctx);
         match msg.mtype {
             MsgType::Data => self.on_data(msg, false, ctx),
             MsgType::DataEx => self.on_data(msg, true, ctx),
@@ -871,7 +817,8 @@ impl L1Controller {
             1,
         );
         if self.ft {
-            let gen = self.next_gen();
+            let mut timer = Timer::default();
+            timer.arm(&mut self.timers, addr, TimeoutKind::LostData, ctx);
             self.lines.entry(addr).backup = Some(Backup {
                 data,
                 dirty,
@@ -880,17 +827,9 @@ impl L1Controller {
                 kind: BackupKind::ForwardedData {
                     acks: msg.ack_count,
                 },
-                retries: 0,
-                gen,
+                timer,
             });
             ctx.checker.backup_created(self.me, addr, ctx.now);
-            ctx.arm_timeout(
-                self.me,
-                addr,
-                TimeoutKind::LostData,
-                gen,
-                ctx.config.ft.lost_data_timeout,
-            );
         }
     }
 
@@ -943,24 +882,17 @@ impl L1Controller {
                     1,
                 );
                 if self.ft {
-                    let gen = self.next_gen();
+                    let mut timer = Timer::default();
+                    timer.arm(&mut self.timers, msg.addr, TimeoutKind::LostData, ctx);
                     self.lines.entry(msg.addr).backup = Some(Backup {
                         data,
                         dirty: wbm.dirty,
                         dest: msg.src,
                         serial: msg.serial,
                         kind: BackupKind::Writeback,
-                        retries: 0,
-                        gen,
+                        timer,
                     });
                     ctx.checker.backup_created(self.me, msg.addr, ctx.now);
-                    ctx.arm_timeout(
-                        self.me,
-                        msg.addr,
-                        TimeoutKind::LostData,
-                        gen,
-                        ctx.config.ft.lost_data_timeout,
-                    );
                 }
             }
             _ => {
@@ -1198,17 +1130,16 @@ impl L1Controller {
         // stream wraps — a chain of `.next()` bumps could alias the serial
         // the allocator hands to the node's next request.
         let fresh = self.serials.fresh();
+        let kind = TimeoutKind::LostRequest;
         let Some(st) = self.lines.get_mut(addr) else {
             return;
         };
         if let Some(m) = st.miss.as_mut() {
-            if m.gen != gen {
+            if !m.timer.fire(gen, &mut self.timers, kind, ctx) {
                 return;
             }
-            ctx.stats.record_timeout(TimeoutKind::LostRequest);
             ctx.stats.reissues.incr();
             m.serial = fresh;
-            m.retries += 1;
             m.responded = false;
             m.granted_ex = false;
             m.granted_dirty = false;
@@ -1216,104 +1147,60 @@ impl L1Controller {
             m.acks_needed = 0;
             m.acks_got = 0;
             m.supplier = None;
-            self.gen_counter += 1;
-            m.gen = self.gen_counter;
-            let new_gen = m.gen;
             let mtype = match m.kind {
                 MissKind::Load => MsgType::GetS,
                 MissKind::Store => MsgType::GetX,
             };
-            let serial = m.serial;
-            let retries = m.retries;
             let home = NodeId::L2(addr.home_bank(ctx.config.tiles));
-            ctx.send(Message::new(mtype, addr, self.me, home).serial(serial), 1);
-            ctx.arm_timeout(
-                self.me,
-                addr,
-                TimeoutKind::LostRequest,
-                new_gen,
-                backoff_delay(ctx.config.ft.lost_request_timeout, retries),
-            );
+            ctx.send(Message::new(mtype, addr, self.me, home).serial(fresh), 1);
+            m.timer.rearm(&self.timers, addr, kind, ctx);
             return;
         }
         if let Some(w) = st.wb.as_mut() {
-            if w.gen != gen {
+            if !w.timer.fire(gen, &mut self.timers, kind, ctx) {
                 return;
             }
-            ctx.stats.record_timeout(TimeoutKind::LostRequest);
             ctx.stats.reissues.incr();
             w.serial = fresh;
-            w.retries += 1;
-            self.gen_counter += 1;
-            w.gen = self.gen_counter;
-            let new_gen = w.gen;
-            let serial = w.serial;
-            let retries = w.retries;
             let home = NodeId::L2(addr.home_bank(ctx.config.tiles));
             ctx.send(
-                Message::new(MsgType::Put, addr, self.me, home).serial(serial),
+                Message::new(MsgType::Put, addr, self.me, home).serial(fresh),
                 1,
             );
-            ctx.arm_timeout(
-                self.me,
-                addr,
-                TimeoutKind::LostRequest,
-                new_gen,
-                backoff_delay(ctx.config.ft.lost_request_timeout, retries),
-            );
+            w.timer.rearm(&self.timers, addr, kind, ctx);
         }
     }
 
     fn on_lost_ackbd(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
         let fresh = self.serials.fresh();
+        let kind = TimeoutKind::LostAckBd;
         let Some(p) = self.lines.get_mut(addr).and_then(|s| s.ackbd.as_mut()) else {
             return;
         };
-        if p.gen != gen {
+        if !p.timer.fire(gen, &mut self.timers, kind, ctx) {
             return;
         }
-        ctx.stats.record_timeout(TimeoutKind::LostAckBd);
         p.serial = fresh;
-        p.retries += 1;
-        self.gen_counter += 1;
-        p.gen = self.gen_counter;
-        let (peer, serial, new_gen, retries) = (p.peer, p.serial, p.gen, p.retries);
         ctx.send(
-            Message::new(MsgType::AckO, addr, self.me, peer).serial(serial),
+            Message::new(MsgType::AckO, addr, self.me, p.peer).serial(fresh),
             1,
         );
-        ctx.arm_timeout(
-            self.me,
-            addr,
-            TimeoutKind::LostAckBd,
-            new_gen,
-            backoff_delay(ctx.config.ft.lost_ackbd_timeout, retries),
-        );
+        p.timer.rearm(&self.timers, addr, kind, ctx);
     }
 
     fn on_lost_data(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
+        let kind = TimeoutKind::LostData;
         let Some(b) = self.lines.get_mut(addr).and_then(|s| s.backup.as_mut()) else {
             return;
         };
-        if b.gen != gen {
+        if !b.timer.fire(gen, &mut self.timers, kind, ctx) {
             return;
         }
-        ctx.stats.record_timeout(TimeoutKind::LostData);
-        b.retries += 1;
-        self.gen_counter += 1;
-        b.gen = self.gen_counter;
-        let (dest, serial, new_gen, retries) = (b.dest, b.serial, b.gen, b.retries);
         ctx.send(
-            Message::new(MsgType::OwnershipPing, addr, self.me, dest).serial(serial),
+            Message::new(MsgType::OwnershipPing, addr, self.me, b.dest).serial(b.serial),
             1,
         );
-        ctx.arm_timeout(
-            self.me,
-            addr,
-            TimeoutKind::LostData,
-            new_gen,
-            backoff_delay(ctx.config.ft.lost_data_timeout, retries),
-        );
+        b.timer.rearm(&self.timers, addr, kind, ctx);
     }
 }
 

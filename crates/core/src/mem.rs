@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId};
 use crate::msg::{Message, MsgType};
-use crate::proto::{backoff_delay, Ctx, Facets, TimeoutKind};
+use crate::proto::{table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::SerialNum;
 
 #[allow(clippy::enum_variant_names)] // Wait* mirrors the protocol's terminology
@@ -32,10 +32,8 @@ struct MemTbe {
     blocker: NodeId,
     serial: SerialNum,
     stage: MemStage,
-    unblock_gen: u64,
-    unblock_retries: u32,
-    ackbd_gen: u64,
-    ackbd_retries: u32,
+    unblock: Timer,
+    ackbd: Timer,
     acko_serial: SerialNum,
 }
 
@@ -48,7 +46,7 @@ pub(crate) struct MemController {
     l2_owned: FxHashSet<LineAddr>,
     tbes: FxHashMap<LineAddr, MemTbe>,
     waiting: FxHashMap<LineAddr, VecDeque<Message>>,
-    gen_counter: u64,
+    timers: Timers,
 }
 
 impl MemController {
@@ -61,7 +59,7 @@ impl MemController {
             l2_owned: FxHashSet::default(),
             tbes: FxHashMap::default(),
             waiting: FxHashMap::default(),
-            gen_counter: 0,
+            timers: Timers::new(NodeId::Mem(index)),
         }
     }
 
@@ -91,11 +89,6 @@ impl MemController {
         self.store.get(&addr).copied().unwrap_or_default()
     }
 
-    fn next_gen(&mut self) -> u64 {
-        self.gen_counter += 1;
-        self.gen_counter
-    }
-
     /// The line's current facet configuration, in the state vocabulary of
     /// the reified transition table ([`crate::transitions::mem_table`]).
     /// The first entry is always the mandatory `Line` facet.
@@ -117,35 +110,10 @@ impl MemController {
         f
     }
 
-    /// Cross-checks an incoming message against the reified transition
-    /// table (guards are not evaluated — this is an over-approximation).
-    /// Runs on every delivered message in every build (`System` always
-    /// enables the checker): the facet ids are tested against the table's
-    /// per-state legality bitsets, so the check costs a few loads and bit
-    /// tests and allocates only when it reports a violation.
-    fn table_check(&self, msg: &Message, ctx: &mut Ctx<'_>) {
-        if !ctx.checker.is_enabled() {
-            return;
-        }
-        let facets = self.table_facets(msg.addr);
-        let table = crate::transitions::mem_table();
-        if !table.legal_message(&facets, msg.mtype) {
-            ctx.checker.protocol_error(
-                self.me,
-                msg.addr,
-                &format!(
-                    "unexpected {} in state {}",
-                    msg.mtype,
-                    table.facet_names(&facets)
-                ),
-                ctx.now,
-            );
-        }
-    }
-
     /// Handles an incoming network message.
     pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        self.table_check(&msg, ctx);
+        let facets = || self.table_facets(msg.addr);
+        table_check(crate::transitions::mem_table(), facets, self.me, &msg, ctx);
         match msg.mtype {
             MsgType::GetX | MsgType::GetS | MsgType::Put => self.on_request(msg, ctx),
             MsgType::Unblock | MsgType::UnblockEx => self.on_unblock(msg, ctx),
@@ -257,21 +225,13 @@ impl MemController {
                     blocker: msg.src,
                     serial: msg.serial,
                     stage: MemStage::WaitUnblock,
-                    unblock_gen: 0,
-                    unblock_retries: 0,
-                    ackbd_gen: 0,
-                    ackbd_retries: 0,
+                    unblock: Timer::default(),
+                    ackbd: Timer::default(),
                     acko_serial: SerialNum::ZERO,
                 };
                 if self.ft {
-                    tbe.unblock_gen = self.next_gen();
-                    ctx.arm_timeout(
-                        self.me,
-                        msg.addr,
-                        TimeoutKind::LostUnblock,
-                        tbe.unblock_gen,
-                        ctx.config.ft.lost_unblock_timeout,
-                    );
+                    tbe.unblock
+                        .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
                 }
                 self.tbes.insert(msg.addr, tbe);
                 let data = self.data_of(msg.addr);
@@ -298,21 +258,13 @@ impl MemController {
                     blocker: msg.src,
                     serial: msg.serial,
                     stage: MemStage::WaitWbData,
-                    unblock_gen: 0,
-                    unblock_retries: 0,
-                    ackbd_gen: 0,
-                    ackbd_retries: 0,
+                    unblock: Timer::default(),
+                    ackbd: Timer::default(),
                     acko_serial: SerialNum::ZERO,
                 };
                 if self.ft {
-                    tbe.unblock_gen = self.next_gen();
-                    ctx.arm_timeout(
-                        self.me,
-                        msg.addr,
-                        TimeoutKind::LostUnblock,
-                        tbe.unblock_gen,
-                        ctx.config.ft.lost_unblock_timeout,
-                    );
+                    tbe.unblock
+                        .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
                 }
                 self.tbes.insert(msg.addr, tbe);
                 let mut wback =
@@ -387,22 +339,12 @@ impl MemController {
                 if self.ft {
                     tbe.stage = MemStage::WaitAckBd;
                     tbe.acko_serial = msg.serial;
-                    tbe.ackbd_gen = {
-                        self.gen_counter += 1;
-                        self.gen_counter
-                    };
-                    let gen = tbe.ackbd_gen;
                     ctx.send(
                         Message::new(MsgType::AckO, msg.addr, self.me, msg.src).serial(msg.serial),
                         2,
                     );
-                    ctx.arm_timeout(
-                        self.me,
-                        msg.addr,
-                        TimeoutKind::LostAckBd,
-                        gen,
-                        ctx.config.ft.lost_ackbd_timeout,
-                    );
+                    tbe.ackbd
+                        .arm(&mut self.timers, msg.addr, TimeoutKind::LostAckBd, ctx);
                     return;
                 }
                 self.tbes.remove(&msg.addr);
@@ -473,18 +415,13 @@ impl MemController {
     }
 
     fn on_lost_unblock(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
+        let kind = TimeoutKind::LostUnblock;
         let Some(tbe) = self.tbes.get_mut(&addr) else {
             return;
         };
-        if tbe.unblock_gen != gen {
+        if !tbe.unblock.fire(gen, &mut self.timers, kind, ctx) {
             return;
         }
-        ctx.stats.record_timeout(TimeoutKind::LostUnblock);
-        tbe.unblock_retries += 1;
-        self.gen_counter += 1;
-        tbe.unblock_gen = self.gen_counter;
-        let new_gen = tbe.unblock_gen;
-        let retries = tbe.unblock_retries;
         let (blocker, serial, stage) = (tbe.blocker, tbe.serial, tbe.stage);
         match stage {
             MemStage::WaitUnblock => {
@@ -500,41 +437,23 @@ impl MemController {
             }
             MemStage::WaitAckBd => return,
         }
-        ctx.arm_timeout(
-            self.me,
-            addr,
-            TimeoutKind::LostUnblock,
-            new_gen,
-            backoff_delay(ctx.config.ft.lost_unblock_timeout, retries),
-        );
+        tbe.unblock.rearm(&self.timers, addr, kind, ctx);
     }
 
     fn on_lost_ackbd(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        let bits = ctx.config.ft.serial_bits;
+        let kind = TimeoutKind::LostAckBd;
         let Some(tbe) = self.tbes.get_mut(&addr) else {
             return;
         };
-        if tbe.ackbd_gen != gen || tbe.stage != MemStage::WaitAckBd {
+        if tbe.stage != MemStage::WaitAckBd || !tbe.ackbd.fire(gen, &mut self.timers, kind, ctx) {
             return;
         }
-        ctx.stats.record_timeout(TimeoutKind::LostAckBd);
-        tbe.acko_serial = tbe.acko_serial.next(bits);
-        tbe.ackbd_retries += 1;
-        self.gen_counter += 1;
-        tbe.ackbd_gen = self.gen_counter;
-        let retries = tbe.ackbd_retries;
-        let (blocker, serial, new_gen) = (tbe.blocker, tbe.acko_serial, tbe.ackbd_gen);
+        tbe.acko_serial = tbe.acko_serial.next(ctx.config.ft.serial_bits);
         ctx.send(
-            Message::new(MsgType::AckO, addr, self.me, blocker).serial(serial),
+            Message::new(MsgType::AckO, addr, self.me, tbe.blocker).serial(tbe.acko_serial),
             2,
         );
-        ctx.arm_timeout(
-            self.me,
-            addr,
-            TimeoutKind::LostAckBd,
-            new_gen,
-            backoff_delay(ctx.config.ft.lost_ackbd_timeout, retries),
-        );
+        tbe.ackbd.rearm(&self.timers, addr, kind, ctx);
     }
 }
 

@@ -22,11 +22,11 @@
 //! with fault tolerance disabled (lint 5).
 //!
 //! The simulator cross-checks every delivered message against these tables
-//! at runtime, in every build (see `table_check` in `l1.rs` / `l2.rs` /
-//! `mem.rs`).  For that check each table is compiled, when it is built, into
-//! one bitset of legal message types per state, so the per-message cost is a
-//! handful of bit tests on small state ids and the rows and exceptions stay
-//! the single source of truth.
+//! at runtime, in every build (see `proto::table_check`).  For that check
+//! each table is compiled, when it is built, into one bitset of legal
+//! message types per state, so the per-message cost is a handful of bit
+//! tests on small state ids and the rows and exceptions stay the single
+//! source of truth.
 
 use std::collections::HashMap;
 use std::fmt;

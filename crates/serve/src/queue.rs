@@ -231,7 +231,8 @@ impl Queue {
     /// Opens the queue, replaying the journal and re-enqueueing every job
     /// that was submitted but never durably finished. Records that do not
     /// parse, do not validate or carry an id [`job_number`] rejects are
-    /// skipped rather than wedging the queue.
+    /// skipped rather than wedging the queue; a line that does not parse is
+    /// reported on stderr by its number. Only a torn tail is truncated.
     ///
     /// # Errors
     ///
@@ -242,7 +243,10 @@ impl Queue {
     /// Panics if the state mutex is poisoned (never: no panics under it).
     pub fn open(store: Store, max_pending: usize) -> std::io::Result<Queue> {
         let path = store.journal_path();
-        let loaded = crate::store::load_prefix(&path)?;
+        let loaded = crate::store::load_lines(&path)?;
+        for line in &loaded.skipped {
+            eprintln!("{}: line {line} is damaged; skipped", path.display());
+        }
         // Cut a torn tail so our own appends start on a line boundary.
         crate::store::truncate_to(&path, loaded.valid_len)?;
         let journal = std::fs::OpenOptions::new()
@@ -692,6 +696,47 @@ mod tests {
         // The journal is valid line-by-line again after the new append.
         let reloaded = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
         assert_eq!(reloaded.state.lock().unwrap().open.len(), 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Damage to one line in the middle of the journal used to end the
+    /// replay there: `Queue::open` truncated the journal to the lines
+    /// before it, so every later acknowledged submit vanished and its id
+    /// was handed out again. The damaged line is now skipped, the lines
+    /// after it replay, and only a torn tail is cut.
+    #[test]
+    fn a_damaged_middle_journal_line_skips_that_line_only() {
+        let store = tmp_store("damaged-middle");
+        let root = store.root.clone();
+        {
+            let q = Queue::open(store, 16).unwrap();
+            for label in ["a", "b", "c", "d", "e"] {
+                q.submit(job(label, 0)).unwrap();
+            }
+        }
+        let path = root.join("journal.jsonl");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let line2 = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[line2] = b'#';
+        bytes.extend_from_slice(b"{\"op\":\"sub");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let loaded = crate::store::load_lines(&path).unwrap();
+        assert_eq!(
+            loaded.skipped,
+            [2],
+            "line 2 is reported, the torn tail is not"
+        );
+        let q = Queue::open(Store::open(&root).unwrap(), 16).unwrap();
+        let ids: Vec<String> = q.list().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, ["j000001", "j000003", "j000004", "j000005"]);
+        assert_eq!(q.submit(job("f", 0)).unwrap(), "j000006");
+        let kept = std::fs::read(&path).unwrap();
+        assert_eq!(
+            kept[..bytes.len() - 10],
+            bytes[..bytes.len() - 10],
+            "only the torn tail was cut"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -105,6 +105,9 @@ fn run_campaign_job(
 
     // Resume: records already on disk name units that never re-run.
     let loaded = store.load_unit_records(id)?;
+    for line in &loaded.skipped {
+        eprintln!("job {id}: unit record line {line} is damaged; skipped");
+    }
     store.truncate_unit_records(id, loaded.valid_len)?;
     let mut done: BTreeMap<u64, Json> = BTreeMap::new();
     for rec in loaded.records {

@@ -17,10 +17,12 @@
 //! with one write and one `sync_data`; the last batch of a job is not
 //! synced on its own, because the summary that commits the whole job is
 //! synced and renamed into place right after it, and until that rename the
-//! worst a crash can do is re-run that one batch. A crash can leave a torn final line (no trailing newline, or garbage);
-//! [`Store::load_unit_records`] parses the longest valid prefix and
-//! [`Store::truncate_unit_records`] cuts the file back to it before the
-//! daemon appends again, so a torn tail can never corrupt later records.
+//! worst a crash can do is re-run that one batch. A crash can leave a torn
+//! final line (no trailing newline, or garbage); [`Store::load_unit_records`]
+//! parses every line that parses and [`Store::truncate_unit_records`] cuts
+//! the file back to the end of the last one before the daemon appends
+//! again, so a torn tail can never corrupt later records. A damaged line in
+//! the middle is skipped, never cut: the records after it stay.
 //! The summary rename is atomic on POSIX, so a job is either visibly done
 //! (summary present, byte-complete) or still pending — never half-done.
 
@@ -40,12 +42,15 @@ pub struct Store {
     pub(crate) record_syncs: std::sync::Arc<std::sync::atomic::AtomicUsize>,
 }
 
-/// One persisted unit record plus where its line started, so callers can
-/// truncate away a torn tail.
+/// The parsed lines of a JSONL file plus where its valid part ends, so
+/// callers can truncate away a torn tail.
 #[derive(Debug)]
 pub struct UnitRecords {
     /// Parsed records in file order (unit indices are stored inside).
     pub records: Vec<Json>,
+    /// 1-based numbers of damaged lines that a parsed line follows: they
+    /// were skipped and stay in the file.
+    pub(crate) skipped: Vec<usize>,
     /// Byte length of the valid newline-terminated prefix.
     pub(crate) valid_len: u64,
 }
@@ -133,16 +138,17 @@ impl Store {
         Ok(())
     }
 
-    /// Loads the valid prefix of a job's unit records.
+    /// Loads a job's unit records.
     ///
     /// Unparseable or unterminated trailing bytes (a torn write from a
-    /// crash) are excluded; `valid_len` says where the good prefix ends.
+    /// crash) are excluded and `valid_len` says where the good part ends;
+    /// a damaged line before a good one is skipped, and its unit re-runs.
     ///
     /// # Errors
     ///
     /// Propagates read failures other than the file not existing yet.
     pub fn load_unit_records(&self, id: &str) -> std::io::Result<UnitRecords> {
-        load_prefix(&self.records_path(id))
+        load_lines(&self.records_path(id))
     }
 
     /// Truncates a job's record file to its valid prefix so subsequent
@@ -226,12 +232,15 @@ pub(crate) fn truncate_to(path: &Path, valid_len: u64) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Parses the longest valid newline-terminated JSONL prefix of `path`.
+/// Parses every newline-terminated JSONL line of `path`. A line that does
+/// not parse but is followed by one that does is damage in the middle: it
+/// is skipped and listed in `skipped`, never cut. Only the tail after the
+/// last line that parses (a torn or garbage write) lies past `valid_len`.
 ///
 /// # Errors
 ///
 /// Propagates read failures other than absence (absent → empty).
-pub(crate) fn load_prefix(path: &Path) -> std::io::Result<UnitRecords> {
+pub(crate) fn load_lines(path: &Path) -> std::io::Result<UnitRecords> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
@@ -241,18 +250,29 @@ pub(crate) fn load_prefix(path: &Path) -> std::io::Result<UnitRecords> {
         Err(e) => return Err(e),
     }
     let mut records = Vec::new();
+    let mut skipped = Vec::new();
+    let mut damaged = Vec::new(); // since the last line that parsed
     let mut valid_len = 0u64;
     let mut start = 0usize;
-    while let Some(rel) = bytes[start..].iter().position(|&b| b == b'\n') {
-        let end = start + rel;
-        let Ok(v) = Json::parse_bytes(&bytes[start..end]) else {
+    for line in 1.. {
+        let Some(rel) = bytes[start..].iter().position(|&b| b == b'\n') else {
             break;
         };
-        records.push(v);
-        valid_len = (end + 1) as u64;
+        let end = start + rel;
+        if let Ok(v) = Json::parse_bytes(&bytes[start..end]) {
+            records.push(v);
+            skipped.append(&mut damaged);
+            valid_len = (end + 1) as u64;
+        } else {
+            damaged.push(line);
+        }
         start = end + 1;
     }
-    Ok(UnitRecords { records, valid_len })
+    Ok(UnitRecords {
+        records,
+        skipped,
+        valid_len,
+    })
 }
 
 #[cfg(test)]

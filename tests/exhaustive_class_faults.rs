@@ -1,11 +1,19 @@
-//! Exhaustive per-class fault sweep: for every virtual-channel class, drop
-//! individual messages of exactly that class (located via the injection
-//! log) and assert the *matching* Table 3 detection mechanism fires —
-//! lost requests/forwards trip the lost-request timer, lost unblocks the
-//! unblock timer, lost ownership acks the AckBD timer, and lost responses
-//! are reissued. `Ping` messages only exist during recovery, so they are
-//! reached with a layered two-fault schedule: drop an unblock to force
-//! `UnblockPing` traffic, then drop the ping itself.
+//! Exhaustive single-fault sweep: the paper's core claim — *any* single
+//! lost message is recovered — checked at every message index, together
+//! with which Table 3 detection mechanism noticed the loss.
+//!
+//! A reference run records every message the network carries and its
+//! virtual-channel class (the injection log). Then, for each index, the
+//! identical run is repeated with **exactly that one message dropped**. It
+//! must complete coherently, retire every operation, and detect the loss by
+//! the mechanism matching the message's class: lost requests/forwards trip
+//! the lost-request timer, lost unblocks the unblock timer, lost ownership
+//! acks the AckBD timer, and lost responses are reissued. (Messages are
+//! injected in a deterministic order given the seed, so index `n` names the
+//! same message in every repetition up to the drop point.) `Ping` messages
+//! only exist during recovery, so they are reached with a layered two-fault
+//! schedule: drop an unblock to force `UnblockPing` traffic, then drop the
+//! ping itself.
 
 use ftdircmp::{
     Addr, CoreTrace, FaultConfig, System, SystemConfig, TimeoutKind, TraceOp, VcClass, Workload,
@@ -68,10 +76,8 @@ fn run_with_drops(drops: Vec<u64>) -> ftdircmp::SimReport {
     r
 }
 
-/// The detection mechanism Table 3 assigns to a lost message of `class`.
-/// Returns whether the observed report shows that mechanism (benign late
-/// drops — nothing ever waited on the message — count zero detections and
-/// are accepted separately).
+/// The detection mechanism Table 3 assigns to a lost message of `class`:
+/// whether the report shows that mechanism fired.
 fn expected_mechanism_fired(class: VcClass, r: &ftdircmp::SimReport) -> bool {
     match class {
         // A lost request (or a lost forward of it) starves the requester:
@@ -93,55 +99,52 @@ fn expected_mechanism_fired(class: VcClass, r: &ftdircmp::SimReport) -> bool {
 
 #[test]
 fn every_class_is_detected_by_its_own_mechanism() {
+    let fault_free = run_with_drops(Vec::new());
     let classes = injection_classes(Vec::new());
     assert!(classes.len() > 100, "workload too small: {}", classes.len());
     // Fault-free traffic contains no recovery pings.
     assert!(!classes.contains(&VcClass::Ping));
 
-    for class in [
+    let swept = [
         VcClass::Request,
         VcClass::Forward,
         VcClass::Response,
         VcClass::Unblock,
         VcClass::OwnershipAck,
-    ] {
-        let indices: Vec<u64> = classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c == class)
-            .map(|(i, _)| i as u64)
-            .collect();
+    ];
+    let mut engaged = [0usize; 5];
+    let mut slowest = (0u64, 0usize);
+    for (idx, &class) in classes.iter().enumerate() {
+        let r = run_with_drops(vec![idx as u64]);
+        assert_eq!(r.messages_lost, 1, "{class:?} index {idx} was not dropped");
+        // Every drop is detected, and by its own class's mechanism.
         assert!(
-            !indices.is_empty(),
-            "{class:?}: workload exercises every class"
+            expected_mechanism_fired(class, &r),
+            "{class:?} index {idx}: the loss was not detected by the expected \
+             mechanism (timeouts {:?}, reissues {})",
+            TimeoutKind::ALL
+                .iter()
+                .map(|&k| (k, r.stats.timeouts(k)))
+                .collect::<Vec<_>>(),
+            r.stats.reissues.get()
         );
-        // Stride so each class gets at most ~12 sweep points.
-        let stride = indices.len().div_ceil(12).max(1);
-        let mut engaged = 0;
-        for &idx in indices.iter().step_by(stride) {
-            let r = run_with_drops(vec![idx]);
-            assert!(r.messages_lost > 0, "{class:?} index {idx} was not dropped");
-            if r.stats.total_timeouts() == 0 && r.stats.reissues.get() == 0 {
-                // Benign: the drop was so late nothing ever waited on it.
-                continue;
-            }
-            assert!(
-                expected_mechanism_fired(class, &r),
-                "{class:?} index {idx}: a loss was detected, but not by the \
-                 expected mechanism (timeouts {:?}, reissues {})",
-                TimeoutKind::ALL
-                    .iter()
-                    .map(|&k| (k, r.stats.timeouts(k)))
-                    .collect::<Vec<_>>(),
-                r.stats.reissues.get()
-            );
-            engaged += 1;
+        let at = swept.iter().position(|&c| c == class).expect("swept class");
+        engaged[at] += 1;
+        let slowdown = r.cycles.saturating_sub(fault_free.cycles);
+        if slowdown > slowest.0 {
+            slowest = (slowdown, idx);
         }
-        assert!(
-            engaged > 0,
-            "{class:?}: no sweep point engaged the expected mechanism"
-        );
     }
+    for (class, n) in swept.iter().zip(engaged) {
+        assert!(n > 0, "{class:?}: the workload never carries this class");
+    }
+    println!(
+        "{n} of {n} positions recovered; largest slowdown over the fault-free run {} cycles \
+         at index {}",
+        slowest.0,
+        slowest.1,
+        n = classes.len()
+    );
 }
 
 #[test]
