@@ -68,7 +68,7 @@ use crate::{expect_coherent, run_seed_fallible};
 
 /// How one campaign unit failed.
 ///
-/// [`run_units_caught`] and [`run_campaign_caught`] catch worker panics and
+/// [`run_units_caught`] and `run_campaign_caught` catch worker panics and
 /// turn them into [`CellError::Panicked`] values identifying the exact
 /// (spec, seed, fault config) that blew up, so a long-lived caller (the
 /// `ftdircmp-serve` daemon) can log and quarantine the cell instead of
@@ -207,7 +207,7 @@ pub fn run_campaign(cells: &[Cell], opts: &Campaign) -> Vec<Vec<SimReport>> {
 ///
 /// Propagates a worker panic (identifying the failing cell, seed, and
 /// fault configuration) — callers that must survive poisoned cells use
-/// [`run_campaign_caught`] instead.
+/// `run_campaign_caught` instead.
 pub fn run_campaign_fallible(
     cells: &[Cell],
     opts: &Campaign,
@@ -259,7 +259,7 @@ pub(crate) fn run_campaign_caught(
 }
 
 /// One executable simulation unit: a workload under a configuration at one
-/// explicit seed. [`run_campaign_caught`] expands every [`Cell`] into its
+/// explicit seed. `run_campaign_caught` expands every [`Cell`] into its
 /// per-seed units; the `ftdircmp-serve` daemon builds sparse unit lists
 /// directly when resuming a half-finished campaign (only the units whose
 /// results never landed are re-run).

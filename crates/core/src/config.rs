@@ -5,7 +5,9 @@ use ftdircmp_noc::{
     RoutingMode, Topology, VcClass, DEFAULT_DEGRADED_DROP,
 };
 
+use crate::ids::NodeId;
 use crate::json::Json;
+use crate::msg::MsgType;
 use crate::proto::TimeoutKind;
 
 /// Which coherence protocol the system runs.
@@ -103,6 +105,13 @@ impl FtConfig {
         }
     }
 }
+
+/// Cycles an L1 takes to emit any message (see [`SystemConfig::send_cycles`]).
+pub(crate) const L1_SEND_CYCLES: u64 = 1;
+
+/// Cycles a memory controller takes to emit a message that carries no data
+/// (see [`SystemConfig::send_cycles`]).
+pub(crate) const MEM_CONTROL_CYCLES: u64 = 2;
 
 /// Full system configuration, defaulting to the paper's Table 4 16-way
 /// tiled CMP.
@@ -269,6 +278,22 @@ impl SystemConfig {
     /// Number of L2-bank sets.
     pub(crate) fn l2_sets(&self) -> u64 {
         self.l2_bank_bytes / (self.line_bytes * u64::from(self.l2_assoc))
+    }
+
+    /// The send latency: cycles of local processing between a controller
+    /// emitting a message of type `mtype` and its injection into the
+    /// network. It depends only on the sender and the type: an L1 takes
+    /// [`L1_SEND_CYCLES`]; an L2 bank reads its data array for `Data` and
+    /// `DataEx` and only its tags for the rest; memory reads its array for
+    /// `DataEx` and takes [`MEM_CONTROL_CYCLES`] for control messages.
+    pub(crate) fn send_cycles(&self, src: NodeId, mtype: MsgType) -> u64 {
+        match (src, mtype) {
+            (NodeId::L1(_), _) => L1_SEND_CYCLES,
+            (NodeId::L2(_), MsgType::Data | MsgType::DataEx) => self.l2_hit_cycles,
+            (NodeId::L2(_), _) => self.l2_tag_cycles,
+            (NodeId::Mem(_), MsgType::DataEx) => self.mem_cycles,
+            (NodeId::Mem(_), _) => MEM_CONTROL_CYCLES,
+        }
     }
 
     /// Validates internal consistency.
@@ -620,6 +645,26 @@ mod tests {
         assert_eq!(c.l1_sets(), 128);
         // 256 KB / (64 B * 8 ways) = 512 sets.
         assert_eq!(c.l2_sets(), 512);
+    }
+
+    #[test]
+    fn send_latency_depends_on_the_sender_and_the_type_only() {
+        let c = SystemConfig::default();
+        let l1 = NodeId::L1(2);
+        let (l2, mem) = (NodeId::L2(5), NodeId::Mem(1));
+        for t in MsgType::ALL {
+            assert_eq!(c.send_cycles(l1, t), 1, "{t}");
+            let l2_cycles = match t {
+                MsgType::Data | MsgType::DataEx => c.l2_hit_cycles,
+                _ => c.l2_tag_cycles,
+            };
+            assert_eq!(c.send_cycles(l2, t), l2_cycles, "{t}");
+            let mem_cycles = match t {
+                MsgType::DataEx => c.mem_cycles,
+                _ => 2,
+            };
+            assert_eq!(c.send_cycles(mem, t), mem_cycles, "{t}");
+        }
     }
 
     #[test]

@@ -111,6 +111,17 @@ struct MissMshr {
     timer: Timer,
 }
 
+impl MissMshr {
+    /// The request this miss issues, and reissues, to the line's home bank.
+    fn request(&self, addr: LineAddr, me: NodeId, home: NodeId) -> Message {
+        let mtype = match self.kind {
+            MissKind::Load => MsgType::GetS,
+            MissKind::Store => MsgType::GetX,
+        };
+        Message::new(mtype, addr, me, home).serial(self.serial)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct WbMshr {
     data: Option<LineData>,
@@ -118,6 +129,13 @@ struct WbMshr {
     dirty: bool,
     serial: SerialNum,
     timer: Timer,
+}
+
+impl WbMshr {
+    /// The `Put` this writeback issues, and reissues, to the line's home bank.
+    fn put(&self, addr: LineAddr, me: NodeId, home: NodeId) -> Message {
+        Message::new(MsgType::Put, addr, me, home).serial(self.serial)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,6 +159,23 @@ struct Backup {
     timer: Timer,
 }
 
+impl Backup {
+    /// The owned data this backup sends, and re-sends, to its destination
+    /// under its serial: the `DataEx` answering a forward, or the `WbData`
+    /// of a writeback.
+    fn message(&self, addr: LineAddr, me: NodeId) -> Message {
+        let msg = match self.kind {
+            BackupKind::ForwardedData { acks } => {
+                Message::new(MsgType::DataEx, addr, me, self.dest)
+                    .requester(self.dest)
+                    .acks(acks)
+            }
+            BackupKind::Writeback => Message::new(MsgType::WbData, addr, me, self.dest),
+        };
+        msg.serial(self.serial).data(self.data).dirty(self.dirty)
+    }
+}
+
 /// Record of the most recent unblock this L1 sent for a line, so an
 /// `UnblockPing` for that (completed) transaction can be answered exactly.
 /// Overwriting per line is safe: the directory serializes transactions, so a
@@ -158,6 +193,13 @@ struct AckBdPending {
     peer: NodeId,
     serial: SerialNum,
     timer: Timer,
+}
+
+impl AckBdPending {
+    /// The `AckO` this handshake sends, and re-sends, to the data's supplier.
+    fn acko(&self, addr: LineAddr, me: NodeId) -> Message {
+        Message::new(MsgType::AckO, addr, me, self.peer).serial(self.serial)
+    }
 }
 
 /// All transient per-line state of one L1, held together in one slab slot.
@@ -356,7 +398,7 @@ impl L1Controller {
             .l1_mshr_occupancy
             .record(self.miss_count as u64 + 1);
         self.miss_count += 1;
-        self.lines.entry(op.addr).miss = Some(MissMshr {
+        let miss = MissMshr {
             kind,
             serial,
             data: None,
@@ -368,17 +410,10 @@ impl L1Controller {
             supplier: None,
             issued_at: ctx.now,
             timer,
-        });
-        let mtype = if op.is_store {
-            MsgType::GetX
-        } else {
-            MsgType::GetS
         };
         let home = self.home(op.addr, ctx.config);
-        ctx.send(
-            Message::new(mtype, op.addr, self.me, home).serial(serial),
-            1,
-        );
+        ctx.send(miss.request(op.addr, self.me, home));
+        self.lines.entry(op.addr).miss = Some(miss);
     }
 
     fn try_complete(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
@@ -461,30 +496,28 @@ impl L1Controller {
         };
         let mut unblock = Message::new(unblock_type, addr, self.me, home).serial(m.serial);
         if blocked {
-            let supplier = supplier.expect("exclusive data has a supplier");
-            if supplier == home {
+            let mut pending = AckBdPending {
+                peer: supplier.expect("exclusive data has a supplier"),
+                serial: m.serial,
+                timer: Timer::default(),
+            };
+            if pending.peer == home {
                 // AckO piggybacks on the UnblockEx (§3.1).
                 unblock = unblock.with_acko();
             } else {
-                ctx.send(
-                    Message::new(MsgType::AckO, addr, self.me, supplier).serial(m.serial),
-                    1,
-                );
+                ctx.send(pending.acko(addr, self.me));
             }
-            let mut timer = Timer::default();
-            timer.arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
-            self.lines.entry(addr).ackbd = Some(AckBdPending {
-                peer: supplier,
-                serial: m.serial,
-                timer,
-            });
+            pending
+                .timer
+                .arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
+            self.lines.entry(addr).ackbd = Some(pending);
         }
         self.lines.entry(addr).unblocked = Some(CompletedTx {
             was_store: m.kind == MissKind::Store,
             exclusive: m.granted_ex,
             acko: unblock.piggy_acko,
         });
-        ctx.send(unblock, 1);
+        ctx.send(unblock);
 
         ctx.stats.miss_latency.record(ctx.now - m.issued_at);
         ctx.complete(self.tile, addr, m.kind == MissKind::Store, 1);
@@ -516,20 +549,18 @@ impl L1Controller {
         if self.ft {
             timer.arm(&mut self.timers, vaddr, TimeoutKind::LostRequest, ctx);
         }
-        self.lines.entry(vaddr).wb = Some(WbMshr {
+        let wb = WbMshr {
             data: Some(ventry.data),
             was_exclusive: ventry.perm.is_exclusive(),
             dirty: matches!(ventry.perm, L1Perm::M | L1Perm::O),
             serial,
             timer,
-        });
+        };
         ctx.checker.set_perm(self.me, vaddr, Perm::None, ctx.now);
         ctx.stats.l1_writebacks.incr();
         let home = self.home(vaddr, ctx.config);
-        ctx.send(
-            Message::new(MsgType::Put, vaddr, self.me, home).serial(serial),
-            1,
-        );
+        ctx.send(wb.put(vaddr, self.me, home));
+        self.lines.entry(vaddr).wb = Some(wb);
     }
 
     fn retry_stalled(&mut self, ctx: &mut Ctx<'_>) {
@@ -688,7 +719,6 @@ impl L1Controller {
             Message::new(MsgType::Ack, msg.addr, self.me, msg.requester)
                 .requester(msg.requester)
                 .serial(msg.serial),
-            1,
         );
         if let Some(entry) = self.cache.get(msg.addr) {
             if entry.perm.is_exclusive() || entry.blocked {
@@ -707,6 +737,7 @@ impl L1Controller {
     }
 
     fn on_fwd_gets(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
+        let mut data = None;
         if let Some(entry) = self.cache.get_mut(msg.addr) {
             if entry.blocked {
                 self.lines.entry(msg.addr).deferred.push(msg);
@@ -714,33 +745,23 @@ impl L1Controller {
                 return;
             }
             if entry.perm.is_owner() {
-                let data = entry.data;
+                data = Some(entry.data);
                 entry.perm = L1Perm::O;
                 ctx.checker.set_perm(self.me, msg.addr, Perm::Read, ctx.now);
-                ctx.send(
-                    Message::new(MsgType::Data, msg.addr, self.me, msg.requester)
-                        .requester(msg.requester)
-                        .serial(msg.serial)
-                        .data(data),
-                    1,
-                );
-                return;
             }
         }
-        if let Some(wbm) = self.lines.get(msg.addr).and_then(|s| s.wb.as_ref()) {
-            if let Some(data) = wbm.data {
-                // Owner with a writeback in flight still supplies data.
-                ctx.send(
-                    Message::new(MsgType::Data, msg.addr, self.me, msg.requester)
-                        .requester(msg.requester)
-                        .serial(msg.serial)
-                        .data(data),
-                    1,
-                );
-                return;
-            }
-        }
-        ctx.stats.stale_discards.incr();
+        // An owner with a writeback in flight still supplies data.
+        let wb_data = || self.lines.get(msg.addr)?.wb.as_ref()?.data;
+        let Some(data) = data.or_else(wb_data) else {
+            ctx.stats.stale_discards.incr();
+            return;
+        };
+        ctx.send(
+            Message::new(MsgType::Data, msg.addr, self.me, msg.requester)
+                .requester(msg.requester)
+                .serial(msg.serial)
+                .data(data),
+        );
     }
 
     fn on_fwd_getx(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -781,16 +802,7 @@ impl L1Controller {
             b.kind = BackupKind::ForwardedData {
                 acks: msg.ack_count,
             };
-            let (data, dirty) = (b.data, b.dirty);
-            ctx.send(
-                Message::new(MsgType::DataEx, msg.addr, self.me, msg.requester)
-                    .requester(msg.requester)
-                    .serial(msg.serial)
-                    .acks(msg.ack_count)
-                    .data(data)
-                    .dirty(dirty),
-                1,
-            );
+            ctx.send(b.message(msg.addr, self.me));
             return;
         }
         ctx.stats.stale_discards.incr();
@@ -807,28 +819,29 @@ impl L1Controller {
         msg: &Message,
         ctx: &mut Ctx<'_>,
     ) {
-        ctx.send(
-            Message::new(MsgType::DataEx, addr, self.me, msg.requester)
-                .requester(msg.requester)
-                .serial(msg.serial)
-                .acks(msg.ack_count)
-                .data(data)
-                .dirty(dirty),
-            1,
-        );
+        let backup = Backup {
+            data,
+            dirty,
+            dest: msg.requester,
+            serial: msg.serial,
+            kind: BackupKind::ForwardedData {
+                acks: msg.ack_count,
+            },
+            timer: Timer::default(),
+        };
+        self.send_and_keep(addr, backup, ctx);
+    }
+
+    /// Sends `backup`'s owned data; under FtDirCMP the data is kept as a
+    /// backup, with its lost-data timer armed, until the ownership
+    /// acknowledgment arrives.
+    fn send_and_keep(&mut self, addr: LineAddr, mut backup: Backup, ctx: &mut Ctx<'_>) {
+        ctx.send(backup.message(addr, self.me));
         if self.ft {
-            let mut timer = Timer::default();
-            timer.arm(&mut self.timers, addr, TimeoutKind::LostData, ctx);
-            self.lines.entry(addr).backup = Some(Backup {
-                data,
-                dirty,
-                dest: msg.requester,
-                serial: msg.serial,
-                kind: BackupKind::ForwardedData {
-                    acks: msg.ack_count,
-                },
-                timer,
-            });
+            backup
+                .timer
+                .arm(&mut self.timers, addr, TimeoutKind::LostData, ctx);
+            self.lines.entry(addr).backup = Some(backup);
             ctx.checker.backup_created(self.me, addr, ctx.now);
         }
     }
@@ -872,36 +885,20 @@ impl L1Controller {
             self.retry_stalled(ctx);
             return;
         }
-        match wbm.data {
-            Some(data) if wbm.dirty || msg.wb_wants_data => {
-                ctx.send(
-                    Message::new(MsgType::WbData, msg.addr, self.me, msg.src)
-                        .serial(msg.serial)
-                        .data(data)
-                        .dirty(wbm.dirty),
-                    1,
-                );
-                if self.ft {
-                    let mut timer = Timer::default();
-                    timer.arm(&mut self.timers, msg.addr, TimeoutKind::LostData, ctx);
-                    self.lines.entry(msg.addr).backup = Some(Backup {
-                        data,
-                        dirty: wbm.dirty,
-                        dest: msg.src,
-                        serial: msg.serial,
-                        kind: BackupKind::Writeback,
-                        timer,
-                    });
-                    ctx.checker.backup_created(self.me, msg.addr, ctx.now);
-                }
-            }
-            _ => {
-                // Clean (E) line, or data already surrendered to a forward.
-                ctx.send(
-                    Message::new(MsgType::WbNoData, msg.addr, self.me, msg.src).serial(msg.serial),
-                    1,
-                );
-            }
+        if let Some(data) = wbm.data {
+            // Clean (E) lines send their data too, marked clean.
+            let backup = Backup {
+                data,
+                dirty: wbm.dirty,
+                dest: msg.src,
+                serial: msg.serial,
+                kind: BackupKind::Writeback,
+                timer: Timer::default(),
+            };
+            self.send_and_keep(msg.addr, backup, ctx);
+        } else {
+            // The data was already surrendered to a forward.
+            ctx.send(msg.reply(MsgType::WbNoData));
         }
         self.retry_stalled(ctx);
     }
@@ -916,10 +913,7 @@ impl L1Controller {
         }
         // Respond even without a backup: a reissued AckO after the original
         // round trip completed must still be answered (§3.4).
-        ctx.send(
-            Message::new(MsgType::AckBD, msg.addr, self.me, msg.src).serial(msg.serial),
-            1,
-        );
+        ctx.send(msg.reply(MsgType::AckBD));
     }
 
     fn on_ackbd(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -976,11 +970,11 @@ impl L1Controller {
                 } else {
                     MsgType::Unblock
                 };
-                let mut reply = Message::new(mtype, msg.addr, self.me, msg.src).serial(msg.serial);
+                let mut reply = msg.reply(mtype);
                 if c.acko {
                     reply = reply.with_acko();
                 }
-                ctx.send(reply, 1);
+                ctx.send(reply);
                 return;
             }
         }
@@ -1001,7 +995,7 @@ impl L1Controller {
         } else {
             MsgType::Unblock
         };
-        let mut reply = Message::new(reply_type, msg.addr, self.me, msg.src).serial(msg.serial);
+        let mut reply = msg.reply(reply_type);
         if reply_type == MsgType::UnblockEx {
             if let Some(p) = st.and_then(|s| s.ackbd.as_ref()) {
                 if p.peer == msg.src {
@@ -1009,38 +1003,26 @@ impl L1Controller {
                 }
             }
         }
-        ctx.send(reply, 1);
+        ctx.send(reply);
     }
 
     fn on_wb_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         if let Some(wbm) = self.lines.get(msg.addr).and_then(|s| s.wb.as_ref()) {
             // Our WbAck was lost: the ping substitutes for it (it carries
             // the same serial the L2's transaction expects).
-            let serial = wbm.serial;
-            let mut as_wback =
-                Message::new(MsgType::WbAck, msg.addr, msg.src, self.me).serial(serial);
-            as_wback.wb_wants_data = msg.wb_wants_data;
+            let as_wback =
+                Message::new(MsgType::WbAck, msg.addr, msg.src, self.me).serial(wbm.serial);
             self.on_wback(as_wback, ctx);
             return;
         }
         if let Some(b) = self.lines.get_mut(msg.addr).and_then(|s| s.backup.as_mut()) {
             if b.kind == BackupKind::Writeback && b.dest == msg.src {
                 b.serial = msg.serial;
-                let (data, dirty) = (b.data, b.dirty);
-                ctx.send(
-                    Message::new(MsgType::WbData, msg.addr, self.me, msg.src)
-                        .serial(msg.serial)
-                        .data(data)
-                        .dirty(dirty),
-                    1,
-                );
+                ctx.send(b.message(msg.addr, self.me));
                 return;
             }
         }
-        ctx.send(
-            Message::new(MsgType::WbCancel, msg.addr, self.me, msg.src).serial(msg.serial),
-            1,
-        );
+        ctx.send(msg.reply(MsgType::WbCancel));
     }
 
     fn on_ownership_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -1053,10 +1035,7 @@ impl L1Controller {
         } else {
             MsgType::NackO
         };
-        ctx.send(
-            Message::new(reply, msg.addr, self.me, msg.src).serial(msg.serial),
-            1,
-        );
+        ctx.send(msg.reply(reply));
     }
 
     fn on_nacko(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -1069,29 +1048,7 @@ impl L1Controller {
             return;
         }
         // The destination never received the owned data: resend it.
-        let (data, dirty, dest, serial, kind) = (b.data, b.dirty, b.dest, b.serial, b.kind);
-        match kind {
-            BackupKind::ForwardedData { acks } => {
-                ctx.send(
-                    Message::new(MsgType::DataEx, msg.addr, self.me, dest)
-                        .requester(dest)
-                        .serial(serial)
-                        .acks(acks)
-                        .data(data)
-                        .dirty(dirty),
-                    1,
-                );
-            }
-            BackupKind::Writeback => {
-                ctx.send(
-                    Message::new(MsgType::WbData, msg.addr, self.me, dest)
-                        .serial(serial)
-                        .data(data)
-                        .dirty(dirty),
-                    1,
-                );
-            }
-        }
+        ctx.send(b.message(msg.addr, self.me));
     }
 
     // ------------------------------------------------------------------
@@ -1147,12 +1104,8 @@ impl L1Controller {
             m.acks_needed = 0;
             m.acks_got = 0;
             m.supplier = None;
-            let mtype = match m.kind {
-                MissKind::Load => MsgType::GetS,
-                MissKind::Store => MsgType::GetX,
-            };
             let home = NodeId::L2(addr.home_bank(ctx.config.tiles));
-            ctx.send(Message::new(mtype, addr, self.me, home).serial(fresh), 1);
+            ctx.send(m.request(addr, self.me, home));
             m.timer.rearm(&self.timers, addr, kind, ctx);
             return;
         }
@@ -1163,10 +1116,7 @@ impl L1Controller {
             ctx.stats.reissues.incr();
             w.serial = fresh;
             let home = NodeId::L2(addr.home_bank(ctx.config.tiles));
-            ctx.send(
-                Message::new(MsgType::Put, addr, self.me, home).serial(fresh),
-                1,
-            );
+            ctx.send(w.put(addr, self.me, home));
             w.timer.rearm(&self.timers, addr, kind, ctx);
         }
     }
@@ -1181,10 +1131,7 @@ impl L1Controller {
             return;
         }
         p.serial = fresh;
-        ctx.send(
-            Message::new(MsgType::AckO, addr, self.me, p.peer).serial(fresh),
-            1,
-        );
+        ctx.send(p.acko(addr, self.me));
         p.timer.rearm(&self.timers, addr, kind, ctx);
     }
 
@@ -1196,10 +1143,7 @@ impl L1Controller {
         if !b.timer.fire(gen, &mut self.timers, kind, ctx) {
             return;
         }
-        ctx.send(
-            Message::new(MsgType::OwnershipPing, addr, self.me, b.dest).serial(b.serial),
-            1,
-        );
+        ctx.send(Message::new(MsgType::OwnershipPing, addr, self.me, b.dest).serial(b.serial));
         b.timer.rearm(&self.timers, addr, kind, ctx);
     }
 }

@@ -498,8 +498,7 @@ fn eviction_of_modified_line_starts_three_phase_writeback() {
     h.clear();
     // WbAck: send the data, keep a backup.
     let home = NodeId::L2(victim.home_bank(16));
-    let mut wback = Message::new(MsgType::WbAck, victim, home, ME).serial(put.serial);
-    wback.wb_wants_data = true;
+    let wback = Message::new(MsgType::WbAck, victim, home, ME).serial(put.serial);
     c.handle_message(wback, &mut h.ctx());
     let wbdata = h.sent_one(MsgType::WbData);
     assert!(wbdata.data.is_some());
@@ -531,8 +530,7 @@ fn cpu_op_on_line_with_writeback_in_flight_is_stalled_then_retried() {
     h.sent_none(MsgType::GetS);
     // The WbAck resolves the writeback; the stalled op is retried (miss).
     let home = NodeId::L2(victim.home_bank(16));
-    let mut wback = Message::new(MsgType::WbAck, victim, home, ME).serial(put.serial);
-    wback.wb_wants_data = true;
+    let wback = Message::new(MsgType::WbAck, victim, home, ME).serial(put.serial);
     c.handle_message(wback, &mut h.ctx());
     h.sent_one(MsgType::GetS);
 }
@@ -656,8 +654,7 @@ fn wb_ping_substitutes_for_a_lost_wback() {
     h.clear();
     // The WbAck was lost; the home's lost-unblock timer pings instead.
     let home = NodeId::L2(victim.home_bank(16));
-    let mut ping = Message::new(MsgType::WbPing, victim, home, ME).serial(put.serial);
-    ping.wb_wants_data = true;
+    let ping = Message::new(MsgType::WbPing, victim, home, ME).serial(put.serial);
     c.handle_message(ping, &mut h.ctx());
     h.sent_one(MsgType::WbData);
 }
@@ -868,7 +865,7 @@ fn o_upgrade_completes_with_dataex_without_data() {
 }
 
 #[test]
-fn clean_exclusive_eviction_sends_wbnodata() {
+fn clean_exclusive_eviction_sends_clean_wbdata() {
     let mut h = Harness::ft();
     let mut c = l1(&h);
     // Install E (load, exclusive clean grant).
@@ -894,12 +891,14 @@ fn clean_exclusive_eviction_sends_wbnodata() {
     fill_modified(&mut c, &mut h, LineAddr(3 + 4 * sets));
     // L was evicted: the Put for it is in flight.
     // (fill_modified clears the harness, so re-derive via WbPing.)
-    let mut ping = Message::new(MsgType::WbPing, L, HOME, ME).serial(SerialNum::new(9, 8));
-    ping.wb_wants_data = false;
+    let ping = Message::new(MsgType::WbPing, L, HOME, ME).serial(SerialNum::new(9, 8));
     c.handle_message(ping, &mut h.ctx());
-    // Clean E line: WbNoData (memory's copy is current), never WbData.
-    h.sent_none(MsgType::WbData);
-    h.sent_one(MsgType::WbNoData);
+    // Clean E line: the data goes back too, marked clean (every WbAck and
+    // WbPing asks for it); WbNoData is only for data a forward took.
+    h.sent_none(MsgType::WbNoData);
+    let wbdata = h.sent_one(MsgType::WbData);
+    assert_eq!(wbdata.data, Some(LineData::pristine()));
+    assert!(!wbdata.data_dirty);
 }
 
 #[test]

@@ -23,7 +23,7 @@ use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId, SharerSet};
 use crate::linetab::LineTable;
 use crate::msg::{Message, MsgType};
-use crate::proto::{table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
+use crate::proto::{defer_request, table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::{SerialAllocator, SerialNum};
 
 /// Directory + data state of one line resident in this bank.
@@ -79,6 +79,24 @@ enum Resp {
         dirty: bool,
         acks: u8,
     },
+}
+
+impl Resp {
+    /// The response granting this to `requester` under `serial`.
+    fn message(&self, addr: LineAddr, me: NodeId, requester: NodeId, serial: SerialNum) -> Message {
+        let (mtype, data, dirty, acks) = match *self {
+            Resp::Data { data } => (MsgType::Data, Some(data), false, 0),
+            Resp::DataEx { data, dirty, acks } => (MsgType::DataEx, data, dirty, acks),
+        };
+        let msg = Message::new(mtype, addr, me, requester)
+            .requester(requester)
+            .serial(serial)
+            .acks(acks);
+        match data {
+            Some(d) => msg.data(d).dirty(dirty),
+            None => msg,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,6 +185,49 @@ impl Tbe {
             acko_serial: SerialNum::ZERO,
         }
     }
+
+    /// The forward this transaction sends, and re-sends, to the owning L1,
+    /// if it has one: on behalf of its blocker (the bank itself for a
+    /// recall), under its serial, counting its invalidations.
+    fn fwd(&self, addr: LineAddr, me: NodeId) -> Option<Message> {
+        let mtype = if self.fwd_gets {
+            MsgType::FwdGetS
+        } else {
+            MsgType::FwdGetX
+        };
+        let owner = NodeId::L1(self.fwd_to?);
+        let msg = Message::new(mtype, addr, me, owner).requester(self.blocker);
+        Some(msg.serial(self.serial).acks(self.inv_targets.len() as u8))
+    }
+
+    /// Sends this transaction's invalidations to `targets`, to be
+    /// acknowledged to its blocker under its serial.
+    fn send_invs(
+        &self,
+        addr: LineAddr,
+        me: NodeId,
+        targets: impl IntoIterator<Item = u8>,
+        ctx: &mut Ctx<'_>,
+    ) {
+        for t in targets {
+            ctx.send(
+                Message::new(MsgType::Inv, addr, me, NodeId::L1(t))
+                    .requester(self.blocker)
+                    .serial(self.serial),
+            );
+        }
+    }
+
+    /// The request to memory this transaction issues, and reissues: the
+    /// fill's `GetX`, or the bank eviction's `Put`.
+    fn mem_request(&self, addr: LineAddr, me: NodeId, mem: NodeId) -> Message {
+        let mtype = if self.stage == Stage::WaitMemWbAck {
+            MsgType::Put
+        } else {
+            MsgType::GetX
+        };
+        Message::new(mtype, addr, me, mem).serial(self.own_serial)
+    }
 }
 
 /// FT: memory-facing ownership handshake pending after a fill (§3.1.1).
@@ -176,12 +237,32 @@ struct ExtPending {
     timer: Timer,
 }
 
+impl ExtPending {
+    /// The `UnblockEx` with piggybacked `AckO` this handshake sends, and
+    /// re-sends with the same serial, to memory.
+    fn unblock(&self, addr: LineAddr, me: NodeId, mem: NodeId) -> Message {
+        Message::new(MsgType::UnblockEx, addr, me, mem)
+            .serial(self.serial)
+            .with_acko()
+    }
+}
+
 /// FT: backup of data written back to memory, held until memory's AckO.
 #[derive(Debug, Clone)]
 struct MemBackup {
     data: LineData,
     serial: SerialNum,
     timer: Timer,
+}
+
+impl MemBackup {
+    /// The `WbData` this backup sends, and re-sends, to memory.
+    fn wb_data(&self, addr: LineAddr, me: NodeId, mem: NodeId) -> Message {
+        Message::new(MsgType::WbData, addr, me, mem)
+            .serial(self.serial)
+            .data(self.data)
+            .dirty(true)
+    }
 }
 
 /// Every in-flight facet of one line at this bank, held together in one
@@ -274,7 +355,7 @@ impl L2Controller {
         out
     }
 
-    fn mem_of(&self, addr: LineAddr, config: &SystemConfig) -> NodeId {
+    fn mem_of(addr: LineAddr, config: &SystemConfig) -> NodeId {
         NodeId::Mem(addr.home_mem(config.mem_controllers))
     }
 
@@ -410,17 +491,7 @@ impl L2Controller {
                     return;
                 }
                 // Busy with another requester: defer (per-line busy states, §2).
-                if let Some(existing) = st
-                    .waiting
-                    .iter_mut()
-                    .find(|m| m.src == msg.src && m.mtype == msg.mtype)
-                {
-                    // Reissue of a queued request: refresh its serial.
-                    existing.serial = msg.serial;
-                } else {
-                    st.waiting.push_back(msg);
-                    ctx.stats.deferred_requests.incr();
-                }
+                defer_request(&mut st.waiting, msg, ctx);
                 return;
             }
         }
@@ -432,10 +503,10 @@ impl L2Controller {
         let Some(tbe) = self.lines.get_mut(msg.addr).and_then(|s| s.tbe.as_mut()) else {
             return;
         };
+        // The reissue comes from the blocker, so the TBE's blocker and
+        // (now) serial are the request's.
         tbe.serial = msg.serial;
-        let serial = msg.serial;
         let addr = msg.addr;
-        let requester = msg.src;
         match tbe.stage {
             Stage::WaitMem => {
                 // The response will be generated when memory answers; it
@@ -444,69 +515,15 @@ impl L2Controller {
             Stage::WaitUnblock => {
                 // Resend invalidations (sharers will re-ack with the new
                 // serial; the requester discards old-serial acks).
-                for t in &tbe.inv_targets {
-                    ctx.send(
-                        Message::new(MsgType::Inv, addr, self.me, NodeId::L1(*t))
-                            .requester(requester)
-                            .serial(serial),
-                        ctx.config.l2_tag_cycles,
-                    );
-                }
-                if let Some(owner) = tbe.fwd_to {
-                    let fwd = if tbe.fwd_gets {
-                        MsgType::FwdGetS
-                    } else {
-                        MsgType::FwdGetX
-                    };
-                    ctx.send(
-                        Message::new(fwd, addr, self.me, NodeId::L1(owner))
-                            .requester(requester)
-                            .serial(serial)
-                            .acks(tbe.inv_targets.len() as u8),
-                        ctx.config.l2_tag_cycles,
-                    );
+                tbe.send_invs(addr, self.me, tbe.inv_targets.iter().copied(), ctx);
+                if let Some(fwd) = tbe.fwd(addr, self.me) {
+                    ctx.send(fwd);
                 } else if let Some(resp) = &tbe.resp {
-                    Self::send_resp(self.me, addr, requester, serial, resp, ctx);
+                    ctx.send(resp.message(addr, self.me, msg.src, msg.serial));
                 }
             }
-            Stage::WaitWbData => {
-                let mut wback =
-                    Message::new(MsgType::WbAck, addr, self.me, requester).serial(serial);
-                wback.wb_wants_data = true;
-                ctx.send(wback, ctx.config.l2_tag_cycles);
-            }
+            Stage::WaitWbData => ctx.send(msg.reply(MsgType::WbAck)),
             _ => {}
-        }
-    }
-
-    fn send_resp(
-        me: NodeId,
-        addr: LineAddr,
-        requester: NodeId,
-        serial: SerialNum,
-        resp: &Resp,
-        ctx: &mut Ctx<'_>,
-    ) {
-        match resp {
-            Resp::Data { data } => {
-                ctx.send(
-                    Message::new(MsgType::Data, addr, me, requester)
-                        .requester(requester)
-                        .serial(serial)
-                        .data(*data),
-                    ctx.config.l2_hit_cycles,
-                );
-            }
-            Resp::DataEx { data, dirty, acks } => {
-                let mut m = Message::new(MsgType::DataEx, addr, me, requester)
-                    .requester(requester)
-                    .serial(serial)
-                    .acks(*acks);
-                if let Some(d) = data {
-                    m = m.data(*d).dirty(*dirty);
-                }
-                ctx.send(m, ctx.config.l2_hit_cycles);
-            }
         }
     }
 
@@ -542,17 +559,12 @@ impl L2Controller {
             let mut tbe = Tbe::new(TbeKind::Miss { store }, msg.src, msg.serial);
             tbe.stage = Stage::WaitMem;
             tbe.own_serial = self.fresh_serial();
-            let own_serial = tbe.own_serial;
             if self.ft {
                 tbe.req
                     .arm(&mut self.timers, addr, TimeoutKind::LostRequest, ctx);
             }
+            ctx.send(tbe.mem_request(addr, self.me, Self::mem_of(addr, ctx.config)));
             self.set_tbe(addr, tbe);
-            let mem = self.mem_of(addr, ctx.config);
-            ctx.send(
-                Message::new(MsgType::GetX, addr, self.me, mem).serial(own_serial),
-                ctx.config.l2_tag_cycles,
-            );
             return;
         };
 
@@ -600,8 +612,8 @@ impl L2Controller {
                     dirty: false,
                     acks: invs.len() as u8,
                 };
-                Self::send_resp(self.me, addr, msg.src, msg.serial, &resp, ctx);
-                self.send_invs(addr, &invs, msg.src, msg.serial, ctx);
+                ctx.send(resp.message(addr, self.me, msg.src, msg.serial));
+                tbe.send_invs(addr, self.me, invs.iter().copied(), ctx);
                 tbe.resp = Some(resp);
                 tbe.inv_targets = invs;
             } else {
@@ -614,22 +626,11 @@ impl L2Controller {
                 } else {
                     Vec::new()
                 };
-                let fwd = if exclusive {
-                    MsgType::FwdGetX
-                } else {
-                    MsgType::FwdGetS
-                };
-                ctx.send(
-                    Message::new(fwd, addr, self.me, NodeId::L1(owner))
-                        .requester(msg.src)
-                        .serial(msg.serial)
-                        .acks(invs.len() as u8),
-                    ctx.config.l2_tag_cycles,
-                );
-                self.send_invs(addr, &invs, msg.src, msg.serial, ctx);
                 tbe.fwd_to = Some(owner);
                 tbe.fwd_gets = !exclusive;
                 tbe.inv_targets = invs;
+                ctx.send(tbe.fwd(addr, self.me).expect("forwarding to the owner"));
+                tbe.send_invs(addr, self.me, tbe.inv_targets.iter().copied(), ctx);
             }
         } else {
             // The bank itself owns the data.
@@ -650,14 +651,14 @@ impl L2Controller {
                     dirty,
                     acks: invs.len() as u8,
                 };
-                Self::send_resp(self.me, addr, msg.src, msg.serial, &resp, ctx);
-                self.send_invs(addr, &invs, msg.src, msg.serial, ctx);
+                ctx.send(resp.message(addr, self.me, msg.src, msg.serial));
+                tbe.send_invs(addr, self.me, invs.iter().copied(), ctx);
                 tbe.resp = Some(resp);
                 tbe.inv_targets = invs;
                 tbe.sent_data_backup = true;
             } else {
                 let resp = Resp::Data { data };
-                Self::send_resp(self.me, addr, msg.src, msg.serial, &resp, ctx);
+                ctx.send(resp.message(addr, self.me, msg.src, msg.serial));
                 tbe.resp = Some(resp);
             }
         }
@@ -665,24 +666,6 @@ impl L2Controller {
         tbe.stage = Stage::WaitUnblock;
         self.arm_unblock(&mut tbe, addr, ctx);
         self.set_tbe(addr, tbe);
-    }
-
-    fn send_invs(
-        &self,
-        addr: LineAddr,
-        targets: &[u8],
-        requester: NodeId,
-        serial: SerialNum,
-        ctx: &mut Ctx<'_>,
-    ) {
-        for t in targets {
-            ctx.send(
-                Message::new(MsgType::Inv, addr, self.me, NodeId::L1(*t))
-                    .requester(requester)
-                    .serial(serial),
-                ctx.config.l2_tag_cycles,
-            );
-        }
     }
 
     fn arm_unblock(&mut self, tbe: &mut Tbe, addr: LineAddr, ctx: &mut Ctx<'_>) {
@@ -702,18 +685,16 @@ impl L2Controller {
             .is_some_and(|l| l.owner == Some(requester_tile));
         if !is_owner {
             // Stale Put: ownership already moved (raced with a forward).
-            let mut wback = Message::new(MsgType::WbAck, addr, self.me, msg.src).serial(msg.serial);
+            let mut wback = msg.reply(MsgType::WbAck);
             wback.wb_stale = true;
-            ctx.send(wback, ctx.config.l2_tag_cycles);
+            ctx.send(wback);
             return;
         }
         let mut tbe = Tbe::new(TbeKind::Wb, msg.src, msg.serial);
         tbe.stage = Stage::WaitWbData;
         self.arm_unblock(&mut tbe, addr, ctx);
         self.set_tbe(addr, tbe);
-        let mut wback = Message::new(MsgType::WbAck, addr, self.me, msg.src).serial(msg.serial);
-        wback.wb_wants_data = true;
-        ctx.send(wback, ctx.config.l2_tag_cycles);
+        ctx.send(msg.reply(MsgType::WbAck));
     }
 
     // ------------------------------------------------------------------
@@ -740,10 +721,7 @@ impl L2Controller {
             // transaction (it would record a sharer where an owner is
             // required) — only a crossing stale ping-reply can produce one.
             if msg.piggy_acko {
-                ctx.send(
-                    Message::new(MsgType::AckBD, addr, self.me, msg.src).serial(msg.serial),
-                    ctx.config.l2_tag_cycles,
-                );
+                ctx.send(msg.reply(MsgType::AckBD));
             }
             ctx.stats.stale_discards.incr();
             return;
@@ -770,37 +748,28 @@ impl L2Controller {
 
         // FT: L1-facing ownership handshake (AckO piggybacked, §3.1).
         if self.ft && msg.piggy_acko {
-            ctx.send(
-                Message::new(MsgType::AckBD, addr, self.me, msg.src).serial(msg.serial),
-                ctx.config.l2_tag_cycles,
-            );
+            ctx.send(msg.reply(MsgType::AckBD));
             if tbe.sent_data_backup {
                 ctx.checker.backup_deleted(self.me, addr, ctx.now);
             }
         }
 
         // FT §3.1.1: the fill's memory-facing handshake starts now.
-        if tbe.from_mem {
-            let mem = self.mem_of(addr, ctx.config);
-            if self.ft {
-                let mut timer = Timer::default();
-                timer.arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
-                self.lines.entry(addr).ext_pending = Some(ExtPending {
-                    serial: tbe.own_serial,
-                    timer,
-                });
-                if let Some(line) = self.cache.get_mut(addr) {
-                    line.ext_blocked = true;
-                }
-                ctx.send(
-                    Message::new(MsgType::UnblockEx, addr, self.me, mem)
-                        .serial(tbe.own_serial)
-                        .with_acko(),
-                    ctx.config.l2_tag_cycles,
-                );
+        // (DirCMP sends its unblock to memory as soon as the data arrives;
+        // see on_data.)
+        if tbe.from_mem && self.ft {
+            let mut pending = ExtPending {
+                serial: tbe.own_serial,
+                timer: Timer::default(),
+            };
+            pending
+                .timer
+                .arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
+            if let Some(line) = self.cache.get_mut(addr) {
+                line.ext_blocked = true;
             }
-            // (DirCMP sends its unblock to memory as soon as the data
-            // arrives; see on_data.)
+            ctx.send(pending.unblock(addr, self.me, Self::mem_of(addr, ctx.config)));
+            self.lines.entry(addr).ext_pending = Some(pending);
         }
 
         self.pump_waiting(addr, ctx);
@@ -838,10 +807,7 @@ impl L2Controller {
                     // stay blocked until the backup is deleted (§3.1).
                     tbe.stage = Stage::WaitWbAckBd;
                     tbe.acko_serial = msg.serial;
-                    ctx.send(
-                        Message::new(MsgType::AckO, addr, self.me, msg.src).serial(msg.serial),
-                        ctx.config.l2_tag_cycles,
-                    );
+                    ctx.send(msg.reply(MsgType::AckO));
                     tbe.ackbd
                         .arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
                     self.set_tbe(addr, tbe);
@@ -913,15 +879,14 @@ impl L2Controller {
                 // Install the line (may evict a victim).
                 self.install_line(addr, data, ctx);
                 // §3.1.1: answer the L1 immediately, keeping a backup.
-                Self::send_resp(self.me, addr, blocker, serial, &resp, ctx);
+                ctx.send(resp.message(addr, self.me, blocker, serial));
                 if self.ft {
                     ctx.checker.backup_created(self.me, addr, ctx.now);
                 } else {
                     // DirCMP: unblock memory right away.
-                    let mem = self.mem_of(addr, ctx.config);
+                    let mem = Self::mem_of(addr, ctx.config);
                     ctx.send(
                         Message::new(MsgType::UnblockEx, addr, self.me, mem).serial(msg.serial),
-                        ctx.config.l2_tag_cycles,
                     );
                 }
                 if self.ft {
@@ -943,10 +908,7 @@ impl L2Controller {
                     // Acknowledge ownership to the old owner; wait for the
                     // backup deletion before moving the data off-chip.
                     tbe.acko_serial = msg.serial;
-                    ctx.send(
-                        Message::new(MsgType::AckO, addr, self.me, msg.src).serial(msg.serial),
-                        ctx.config.l2_tag_cycles,
-                    );
+                    ctx.send(msg.reply(MsgType::AckO));
                     tbe.ackbd
                         .arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
                     tbe.stage = Stage::WaitRecallAckBd;
@@ -998,22 +960,17 @@ impl L2Controller {
             self.pump_waiting(addr, ctx);
             return;
         }
-        let data = tbe.data.expect("bank eviction holds data");
-        ctx.send(
-            Message::new(MsgType::WbData, addr, self.me, msg.src)
-                .serial(msg.serial)
-                .data(data)
-                .dirty(true),
-            ctx.config.l2_tag_cycles,
-        );
+        let mut backup = MemBackup {
+            data: tbe.data.expect("bank eviction holds data"),
+            serial: msg.serial,
+            timer: Timer::default(),
+        };
+        ctx.send(backup.wb_data(addr, self.me, msg.src));
         if self.ft {
-            let mut timer = Timer::default();
-            timer.arm(&mut self.timers, addr, TimeoutKind::LostData, ctx);
-            self.lines.entry(addr).mem_backup = Some(MemBackup {
-                data,
-                serial: msg.serial,
-                timer,
-            });
+            backup
+                .timer
+                .arm(&mut self.timers, addr, TimeoutKind::LostData, ctx);
+            self.lines.entry(addr).mem_backup = Some(backup);
             ctx.checker.backup_created(self.me, addr, ctx.now);
         }
         self.pump_waiting(addr, ctx);
@@ -1030,10 +987,7 @@ impl L2Controller {
             {
                 ctx.checker.backup_deleted(self.me, addr, ctx.now);
             }
-            ctx.send(
-                Message::new(MsgType::AckBD, addr, self.me, msg.src).serial(msg.serial),
-                ctx.config.l2_tag_cycles,
-            );
+            ctx.send(msg.reply(MsgType::AckBD));
             return;
         }
         // Standalone AckO from an L1 (its UnblockEx with the piggyback was
@@ -1043,10 +997,7 @@ impl L2Controller {
                 ctx.checker.backup_deleted(self.me, addr, ctx.now);
             }
         }
-        ctx.send(
-            Message::new(MsgType::AckBD, addr, self.me, msg.src).serial(msg.serial),
-            ctx.config.l2_tag_cycles,
-        );
+        ctx.send(msg.reply(MsgType::AckBD));
     }
 
     fn on_ackbd(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -1128,28 +1079,13 @@ impl L2Controller {
         tbe.stage = Stage::WaitRecall;
         tbe.data = vline.data;
         tbe.data_dirty = vline.dirty;
-        let own_serial = tbe.own_serial;
-        let sharers: Vec<u8> = vline.sharers.iter().collect();
         tbe.recall_acks = vline.sharers;
-        if let Some(owner) = vline.owner {
-            tbe.recall_needs_data = true;
-            tbe.fwd_to = Some(owner);
-            ctx.send(
-                Message::new(MsgType::FwdGetX, vaddr, self.me, NodeId::L1(owner))
-                    .requester(self.me)
-                    .serial(own_serial)
-                    .acks(0),
-                ctx.config.l2_tag_cycles,
-            );
+        tbe.recall_needs_data = vline.owner.is_some();
+        tbe.fwd_to = vline.owner;
+        if let Some(fwd) = tbe.fwd(vaddr, self.me) {
+            ctx.send(fwd);
         }
-        for t in &sharers {
-            ctx.send(
-                Message::new(MsgType::Inv, vaddr, self.me, NodeId::L1(*t))
-                    .requester(self.me)
-                    .serial(own_serial),
-                ctx.config.l2_tag_cycles,
-            );
-        }
+        tbe.send_invs(vaddr, self.me, tbe.recall_acks.iter(), ctx);
         if self.ft {
             tbe.unblock
                 .arm(&mut self.timers, vaddr, TimeoutKind::LostUnblock, ctx);
@@ -1181,17 +1117,12 @@ impl L2Controller {
         tbe.serial = tbe.own_serial;
         tbe.data = Some(data);
         tbe.data_dirty = true;
-        let own_serial = tbe.own_serial;
         if self.ft {
             tbe.req
                 .arm(&mut self.timers, addr, TimeoutKind::LostRequest, ctx);
         }
+        ctx.send(tbe.mem_request(addr, self.me, Self::mem_of(addr, ctx.config)));
         self.set_tbe(addr, tbe);
-        let mem = self.mem_of(addr, ctx.config);
-        ctx.send(
-            Message::new(MsgType::Put, addr, self.me, mem).serial(own_serial),
-            ctx.config.l2_tag_cycles,
-        );
     }
 
     /// After a transaction completes, service deferred requests for the
@@ -1224,23 +1155,12 @@ impl L2Controller {
                 return; // fill unresolved: nothing was lost (§3.3)
             }
             if let Some(p) = &st.ext_pending {
-                let serial = p.serial;
-                ctx.send(
-                    Message::new(MsgType::UnblockEx, addr, self.me, msg.src)
-                        .serial(serial)
-                        .with_acko(),
-                    ctx.config.l2_tag_cycles,
-                );
+                ctx.send(p.unblock(addr, self.me, msg.src));
                 return;
             }
         }
         // Handshake fully complete (or never ours): answer idempotently.
-        ctx.send(
-            Message::new(MsgType::UnblockEx, addr, self.me, msg.src)
-                .serial(msg.serial)
-                .with_acko(),
-            ctx.config.l2_tag_cycles,
-        );
+        ctx.send(msg.reply(MsgType::UnblockEx).with_acko());
     }
 
     fn on_wb_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -1250,30 +1170,19 @@ impl L2Controller {
                 if tbe.stage == Stage::WaitMemWbAck {
                     // Our Put is in flight and memory answered it (the WbAck was
                     // lost): the ping substitutes for the WbAck.
-                    let mut as_wback =
+                    let as_wback =
                         Message::new(MsgType::WbAck, addr, msg.src, self.me).serial(tbe.own_serial);
-                    as_wback.wb_wants_data = true;
                     self.on_mem_wback(as_wback, ctx);
                     return;
                 }
             }
             if let Some(b) = st.mem_backup.as_mut() {
                 b.serial = msg.serial;
-                let data = b.data;
-                ctx.send(
-                    Message::new(MsgType::WbData, addr, self.me, msg.src)
-                        .serial(msg.serial)
-                        .data(data)
-                        .dirty(true),
-                    ctx.config.l2_tag_cycles,
-                );
+                ctx.send(b.wb_data(addr, self.me, msg.src));
                 return;
             }
         }
-        ctx.send(
-            Message::new(MsgType::WbCancel, addr, self.me, msg.src).serial(msg.serial),
-            ctx.config.l2_tag_cycles,
-        );
+        ctx.send(msg.reply(MsgType::WbCancel));
     }
 
     fn on_ownership_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -1290,10 +1199,7 @@ impl L2Controller {
         } else {
             MsgType::AckO
         };
-        ctx.send(
-            Message::new(reply, addr, self.me, msg.src).serial(msg.serial),
-            ctx.config.l2_tag_cycles,
-        );
+        ctx.send(msg.reply(reply));
     }
 
     fn on_nacko(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -1306,14 +1212,7 @@ impl L2Controller {
             ctx.stats.stale_discards.incr();
             return;
         }
-        let data = b.data;
-        ctx.send(
-            Message::new(MsgType::WbData, msg.addr, self.me, msg.src)
-                .serial(msg.serial)
-                .data(data)
-                .dirty(true),
-            ctx.config.l2_tag_cycles,
-        );
+        ctx.send(b.wb_data(msg.addr, self.me, msg.src));
     }
 
     // ------------------------------------------------------------------
@@ -1328,50 +1227,25 @@ impl L2Controller {
         if !tbe.unblock.fire(gen, &mut self.timers, kind, ctx) {
             return;
         }
-        let blocker = tbe.blocker;
-        let serial = tbe.serial;
-        let stage = tbe.stage;
-        let tbe_kind = tbe.kind;
-        match stage {
+        let ping = |mtype| Message::new(mtype, addr, self.me, tbe.blocker).serial(tbe.serial);
+        match tbe.stage {
             Stage::WaitUnblock => {
-                let mut ping =
-                    Message::new(MsgType::UnblockPing, addr, self.me, blocker).serial(serial);
-                ping.ping_for_store = matches!(tbe_kind, TbeKind::Miss { store: true });
-                ctx.send(ping, ctx.config.l2_tag_cycles);
+                let mut ping = ping(MsgType::UnblockPing);
+                ping.ping_for_store = matches!(tbe.kind, TbeKind::Miss { store: true });
+                ctx.send(ping);
             }
-            Stage::WaitWbData => {
-                let mut ping = Message::new(MsgType::WbPing, addr, self.me, blocker).serial(serial);
-                ping.wb_wants_data = true;
-                ctx.send(ping, ctx.config.l2_tag_cycles);
-            }
-            Stage::WaitRecall | Stage::WaitRecallAckBd => {
+            Stage::WaitWbData => ctx.send(ping(MsgType::WbPing)),
+            stage @ (Stage::WaitRecall | Stage::WaitRecallAckBd) => {
                 // Re-prod the recall participants: the owner if its data is
                 // still outstanding, and every sharer whose ack is missing
                 // (re-invalidation is idempotent; duplicate acks are no-ops
                 // thanks to set-based tracking).
-                let own_serial = tbe.own_serial;
-                let fwd_to = tbe.fwd_to;
-                let needs_data = tbe.recall_needs_data;
-                let remaining = tbe.recall_acks;
-                if needs_data && stage == Stage::WaitRecall {
-                    if let Some(owner) = fwd_to {
-                        ctx.send(
-                            Message::new(MsgType::FwdGetX, addr, self.me, NodeId::L1(owner))
-                                .requester(self.me)
-                                .serial(own_serial)
-                                .acks(0),
-                            ctx.config.l2_tag_cycles,
-                        );
+                if tbe.recall_needs_data && stage == Stage::WaitRecall {
+                    if let Some(fwd) = tbe.fwd(addr, self.me) {
+                        ctx.send(fwd);
                     }
                 }
-                for t in remaining.iter() {
-                    ctx.send(
-                        Message::new(MsgType::Inv, addr, self.me, NodeId::L1(t))
-                            .requester(self.me)
-                            .serial(own_serial),
-                        ctx.config.l2_tag_cycles,
-                    );
-                }
+                tbe.send_invs(addr, self.me, tbe.recall_acks.iter(), ctx);
             }
             _ => {}
         }
@@ -1391,18 +1265,11 @@ impl L2Controller {
         }
         ctx.stats.reissues.incr();
         tbe.own_serial = fresh;
-        let mtype = match tbe.stage {
-            Stage::WaitMem => MsgType::GetX,
-            Stage::WaitMemWbAck => MsgType::Put,
-            _ => return,
-        };
-        let timer = tbe.req;
-        let mem = self.mem_of(addr, ctx.config);
-        ctx.send(
-            Message::new(mtype, addr, self.me, mem).serial(fresh),
-            ctx.config.l2_tag_cycles,
-        );
-        timer.rearm(&self.timers, addr, kind, ctx);
+        if !matches!(tbe.stage, Stage::WaitMem | Stage::WaitMemWbAck) {
+            return;
+        }
+        ctx.send(tbe.mem_request(addr, self.me, Self::mem_of(addr, ctx.config)));
+        tbe.req.rearm(&self.timers, addr, kind, ctx);
     }
 
     fn on_lost_ackbd(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
@@ -1418,10 +1285,7 @@ impl L2Controller {
                 } else {
                     NodeId::L1(tbe.fwd_to.expect("recall has an owner"))
                 };
-                ctx.send(
-                    Message::new(MsgType::AckO, addr, self.me, peer).serial(fresh),
-                    ctx.config.l2_tag_cycles,
-                );
+                ctx.send(Message::new(MsgType::AckO, addr, self.me, peer).serial(fresh));
                 tbe.ackbd.rearm(&self.timers, addr, kind, ctx);
                 return;
             }
@@ -1435,15 +1299,8 @@ impl L2Controller {
                 return;
             }
             // Resend with the same serial: memory matches its TBE by it.
-            let (serial, timer) = (p.serial, p.timer);
-            let mem = self.mem_of(addr, ctx.config);
-            ctx.send(
-                Message::new(MsgType::UnblockEx, addr, self.me, mem)
-                    .serial(serial)
-                    .with_acko(),
-                ctx.config.l2_tag_cycles,
-            );
-            timer.rearm(&self.timers, addr, kind, ctx);
+            ctx.send(p.unblock(addr, self.me, Self::mem_of(addr, ctx.config)));
+            p.timer.rearm(&self.timers, addr, kind, ctx);
         }
     }
 
@@ -1455,13 +1312,9 @@ impl L2Controller {
         if !b.timer.fire(gen, &mut self.timers, kind, ctx) {
             return;
         }
-        let (serial, timer) = (b.serial, b.timer);
-        let mem = self.mem_of(addr, ctx.config);
-        ctx.send(
-            Message::new(MsgType::OwnershipPing, addr, self.me, mem).serial(serial),
-            ctx.config.l2_tag_cycles,
-        );
-        timer.rearm(&self.timers, addr, kind, ctx);
+        let mem = Self::mem_of(addr, ctx.config);
+        ctx.send(Message::new(MsgType::OwnershipPing, addr, self.me, mem).serial(b.serial));
+        b.timer.rearm(&self.timers, addr, kind, ctx);
     }
 }
 

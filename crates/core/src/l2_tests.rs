@@ -137,7 +137,7 @@ fn writeback(c: &mut L2Controller, h: &mut Harness, src: u8, serial: u16) {
         &mut h.ctx(),
     );
     let wback = h.sent_one(MsgType::WbAck);
-    assert!(wback.wb_wants_data && !wback.wb_stale);
+    assert!(!wback.wb_stale);
     h.clear();
     let mut dirty = LineData::pristine();
     dirty.write(NodeId::L1(src));
@@ -444,7 +444,6 @@ fn lost_wbdata_timeout_sends_wbping() {
     c.handle_timeout(TimeoutKind::LostUnblock, L, t.gen, &mut h.ctx());
     let ping = h.sent_one(MsgType::WbPing);
     assert_eq!(ping.dst, NodeId::L1(5));
-    assert!(ping.wb_wants_data);
 }
 
 #[test]
@@ -655,8 +654,7 @@ fn overfull_set_evicts_dirty_victim_to_memory() {
     assert_eq!(h.stats.l2_writebacks.get(), 1);
     h.clear();
     // Complete the eviction: WbAck → WbData (+ backup) → AckO → AckBD.
-    let mut wback = Message::new(MsgType::WbAck, put.addr, put.dst, ME).serial(put.serial);
-    wback.wb_wants_data = true;
+    let wback = Message::new(MsgType::WbAck, put.addr, put.dst, ME).serial(put.serial);
     c.handle_message(wback, &mut h.ctx());
     let wbdata = h.sent_one(MsgType::WbData);
     assert!(wbdata.data.is_some());

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId};
 use crate::msg::{Message, MsgType};
-use crate::proto::{table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
+use crate::proto::{defer_request, table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::SerialNum;
 
 #[allow(clippy::enum_variant_names)] // Wait* mirrors the protocol's terminology
@@ -89,6 +89,17 @@ impl MemController {
         self.store.get(&addr).copied().unwrap_or_default()
     }
 
+    /// The exclusive grant of the stored line that answers `request`, and
+    /// answers its reissues. Memory always grants exclusively: the home bank
+    /// is the only L2-level requester for its slice. Memory's retained copy
+    /// is the implicit backup (FT).
+    fn data_ex(&self, request: &Message) -> Message {
+        request
+            .reply(MsgType::DataEx)
+            .requester(request.src)
+            .data(self.data_of(request.addr))
+    }
+
     /// The line's current facet configuration, in the state vocabulary of
     /// the reified transition table ([`crate::transitions::mem_table`]).
     /// The first entry is always the mandatory `Line` facet.
@@ -122,10 +133,7 @@ impl MemController {
             MsgType::AckO => {
                 // Not part of any expected flow (memory's backups are
                 // implicit), but answer idempotently.
-                ctx.send(
-                    Message::new(MsgType::AckBD, msg.addr, self.me, msg.src).serial(msg.serial),
-                    2,
-                );
+                ctx.send(msg.reply(MsgType::AckBD));
             }
             MsgType::OwnershipPing => self.on_ownership_ping(msg, ctx),
             MsgType::WbAck
@@ -175,16 +183,7 @@ impl MemController {
                 }
                 return;
             }
-            let q = self.waiting.entry(msg.addr).or_default();
-            if let Some(existing) = q
-                .iter_mut()
-                .find(|m| m.src == msg.src && m.mtype == msg.mtype)
-            {
-                existing.serial = msg.serial;
-            } else {
-                q.push_back(msg);
-                ctx.stats.deferred_requests.incr();
-            }
+            defer_request(self.waiting.entry(msg.addr).or_default(), msg, ctx);
             return;
         }
         self.service_request(msg, ctx);
@@ -196,24 +195,9 @@ impl MemController {
             return;
         };
         tbe.serial = msg.serial;
-        let stage = tbe.stage;
-        match stage {
-            MemStage::WaitUnblock => {
-                let data = self.data_of(msg.addr);
-                ctx.send(
-                    Message::new(MsgType::DataEx, msg.addr, self.me, msg.src)
-                        .requester(msg.src)
-                        .serial(msg.serial)
-                        .data(data),
-                    ctx.config.mem_cycles,
-                );
-            }
-            MemStage::WaitWbData => {
-                let mut wback =
-                    Message::new(MsgType::WbAck, msg.addr, self.me, msg.src).serial(msg.serial);
-                wback.wb_wants_data = true;
-                ctx.send(wback, 2);
-            }
+        match tbe.stage {
+            MemStage::WaitUnblock => ctx.send(self.data_ex(&msg)),
+            MemStage::WaitWbData => ctx.send(msg.reply(MsgType::WbAck)),
             MemStage::WaitAckBd => {}
         }
     }
@@ -234,24 +218,13 @@ impl MemController {
                         .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
                 }
                 self.tbes.insert(msg.addr, tbe);
-                let data = self.data_of(msg.addr);
-                // Memory always grants exclusively: the home bank is the
-                // only L2-level requester for its slice. Memory's retained
-                // copy is the implicit backup (FT).
-                ctx.send(
-                    Message::new(MsgType::DataEx, msg.addr, self.me, msg.src)
-                        .requester(msg.src)
-                        .serial(msg.serial)
-                        .data(data),
-                    ctx.config.mem_cycles,
-                );
+                ctx.send(self.data_ex(&msg));
             }
             MsgType::Put => {
                 if !self.l2_owned.contains(&msg.addr) {
-                    let mut wback =
-                        Message::new(MsgType::WbAck, msg.addr, self.me, msg.src).serial(msg.serial);
+                    let mut wback = msg.reply(MsgType::WbAck);
                     wback.wb_stale = true;
-                    ctx.send(wback, 2);
+                    ctx.send(wback);
                     return;
                 }
                 let mut tbe = MemTbe {
@@ -267,10 +240,7 @@ impl MemController {
                         .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
                 }
                 self.tbes.insert(msg.addr, tbe);
-                let mut wback =
-                    Message::new(MsgType::WbAck, msg.addr, self.me, msg.src).serial(msg.serial);
-                wback.wb_wants_data = true;
-                ctx.send(wback, 2);
+                ctx.send(msg.reply(MsgType::WbAck));
             }
             other => {
                 ctx.checker.protocol_error(
@@ -296,10 +266,7 @@ impl MemController {
             // Stale or duplicate unblock: still acknowledge a piggybacked
             // AckO so the L2's external-blocked state can always drain.
             if msg.piggy_acko {
-                ctx.send(
-                    Message::new(MsgType::AckBD, msg.addr, self.me, msg.src).serial(msg.serial),
-                    2,
-                );
+                ctx.send(msg.reply(MsgType::AckBD));
             }
             ctx.stats.stale_discards.incr();
             return;
@@ -307,10 +274,7 @@ impl MemController {
         self.tbes.remove(&msg.addr);
         self.l2_owned.insert(msg.addr);
         if self.ft && msg.piggy_acko {
-            ctx.send(
-                Message::new(MsgType::AckBD, msg.addr, self.me, msg.src).serial(msg.serial),
-                2,
-            );
+            ctx.send(msg.reply(MsgType::AckBD));
         }
         self.pump_waiting(msg.addr, ctx);
     }
@@ -339,10 +303,7 @@ impl MemController {
                 if self.ft {
                     tbe.stage = MemStage::WaitAckBd;
                     tbe.acko_serial = msg.serial;
-                    ctx.send(
-                        Message::new(MsgType::AckO, msg.addr, self.me, msg.src).serial(msg.serial),
-                        2,
-                    );
+                    ctx.send(msg.reply(MsgType::AckO));
                     tbe.ackbd
                         .arm(&mut self.timers, msg.addr, TimeoutKind::LostAckBd, ctx);
                     return;
@@ -391,10 +352,7 @@ impl MemController {
         } else {
             MsgType::AckO
         };
-        ctx.send(
-            Message::new(reply, msg.addr, self.me, msg.src).serial(msg.serial),
-            2,
-        );
+        ctx.send(msg.reply(reply));
     }
 
     fn pump_waiting(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
@@ -422,19 +380,14 @@ impl MemController {
         if !tbe.unblock.fire(gen, &mut self.timers, kind, ctx) {
             return;
         }
-        let (blocker, serial, stage) = (tbe.blocker, tbe.serial, tbe.stage);
-        match stage {
+        let ping = |mtype| Message::new(mtype, addr, self.me, tbe.blocker).serial(tbe.serial);
+        match tbe.stage {
             MemStage::WaitUnblock => {
-                let mut ping =
-                    Message::new(MsgType::UnblockPing, addr, self.me, blocker).serial(serial);
+                let mut ping = ping(MsgType::UnblockPing);
                 ping.ping_for_store = true;
-                ctx.send(ping, 2);
+                ctx.send(ping);
             }
-            MemStage::WaitWbData => {
-                let mut ping = Message::new(MsgType::WbPing, addr, self.me, blocker).serial(serial);
-                ping.wb_wants_data = true;
-                ctx.send(ping, 2);
-            }
+            MemStage::WaitWbData => ctx.send(ping(MsgType::WbPing)),
             MemStage::WaitAckBd => return,
         }
         tbe.unblock.rearm(&self.timers, addr, kind, ctx);
@@ -449,10 +402,7 @@ impl MemController {
             return;
         }
         tbe.acko_serial = tbe.acko_serial.next(ctx.config.ft.serial_bits);
-        ctx.send(
-            Message::new(MsgType::AckO, addr, self.me, tbe.blocker).serial(tbe.acko_serial),
-            2,
-        );
+        ctx.send(Message::new(MsgType::AckO, addr, self.me, tbe.blocker).serial(tbe.acko_serial));
         tbe.ackbd.rearm(&self.timers, addr, kind, ctx);
     }
 }

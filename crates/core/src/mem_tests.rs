@@ -99,7 +99,7 @@ fn writeback_roundtrip_updates_the_store() {
         &mut h.ctx(),
     );
     let wback = h.sent_one(MsgType::WbAck);
-    assert!(wback.wb_wants_data && !wback.wb_stale);
+    assert!(!wback.wb_stale);
     h.clear();
     let mut dirty = LineData::pristine();
     dirty.write(NodeId::L1(5));
@@ -203,14 +203,22 @@ fn put_while_fill_unblock_pending_queues() {
     );
     h.sent_none(MsgType::WbAck);
     assert_eq!(h.stats.deferred_requests.get(), 1);
-    // The unblock closes the fill; the queued Put is then serviced.
+    // A reissue of the queued Put only refreshes its serial (§3.5).
+    c.handle_message(
+        Message::new(MsgType::Put, L, BANK, ME).serial(sn(21)),
+        &mut h.ctx(),
+    );
+    h.sent_none(MsgType::WbAck);
+    assert_eq!(h.stats.deferred_requests.get(), 1, "merged, not queued");
+    // The unblock closes the fill; the queued Put is then serviced, once,
+    // under the reissue's serial.
     c.handle_message(
         Message::new(MsgType::UnblockEx, L, BANK, ME)
             .serial(sn(10))
             .with_acko(),
         &mut h.ctx(),
     );
-    h.sent_one(MsgType::WbAck);
+    assert_eq!(h.sent_one(MsgType::WbAck).serial, sn(21));
 }
 
 #[test]
@@ -244,8 +252,7 @@ fn lost_wbdata_timeout_sends_wbping() {
     let t = h.armed(ME, TimeoutKind::LostUnblock).unwrap();
     h.clear();
     c.handle_timeout(TimeoutKind::LostUnblock, L, t.gen, &mut h.ctx());
-    let ping = h.sent_one(MsgType::WbPing);
-    assert!(ping.wb_wants_data);
+    h.sent_one(MsgType::WbPing);
 }
 
 #[test]

@@ -233,9 +233,6 @@ pub struct Message {
     /// The write-back acknowledgment tells the evicting cache its Put is
     /// stale: ownership already moved (race with a forwarded request).
     pub(crate) wb_stale: bool,
-    /// The write-back acknowledgment asks the evicting cache to include the
-    /// line data in its `WbData` (as opposed to a clean `WbNoData`).
-    pub(crate) wb_wants_data: bool,
     /// The carried data is dirty with respect to memory. An exclusive grant
     /// of dirty data must install as `M`, never `E` (a silent-clean `E`
     /// eviction would otherwise lose the only up-to-date copy).
@@ -261,10 +258,15 @@ impl Message {
             data: None,
             piggy_acko: false,
             wb_stale: false,
-            wb_wants_data: false,
             data_dirty: false,
             ping_for_store: false,
         }
+    }
+
+    /// A reply of type `mtype` to this message: same line and serial, sent
+    /// from this message's destination back to its sender.
+    pub(crate) fn reply(&self, mtype: MsgType) -> Message {
+        Message::new(mtype, self.addr, self.dst, self.src).serial(self.serial)
     }
 
     /// Builder-style: sets the original requester.
@@ -405,6 +407,25 @@ mod tests {
         assert!(m.data.is_some());
         let u = msg(MsgType::UnblockEx).with_acko();
         assert!(u.piggy_acko);
+    }
+
+    #[test]
+    fn a_reply_goes_back_to_the_sender_on_the_same_line_and_serial() {
+        let m = msg(MsgType::Put)
+            .requester(NodeId::L1(5))
+            .serial(SerialNum::new(9, 8));
+        let r = m.reply(MsgType::WbAck);
+        assert_eq!(
+            (r.mtype, r.addr, r.src, r.dst, r.requester, r.serial),
+            (
+                MsgType::WbAck,
+                m.addr,
+                m.dst,
+                m.src,
+                m.dst,
+                SerialNum::new(9, 8)
+            )
+        );
     }
 
     #[test]

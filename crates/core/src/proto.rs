@@ -2,10 +2,12 @@
 //!
 //! Controllers are passive state machines: they receive a message, a CPU
 //! operation, or a timeout, mutate their local state, and emit effects into
-//! a [`Ctx`] — outgoing messages, timeout (re)arms, and core completions.
+//! a `Ctx` — outgoing messages, timeout (re)arms, and core completions.
 //! The system driver turns those effects into network sends and scheduled
 //! events. This keeps every controller single-threaded, deterministic and
 //! unit-testable in isolation.
+
+use std::collections::VecDeque;
 
 use ftdircmp_sim::Cycle;
 
@@ -135,6 +137,20 @@ pub(crate) fn table_check(
             table.facet_names(&facets)
         );
         ctx.checker.protocol_error(node, msg.addr, &what, ctx.now);
+    }
+}
+
+/// Defers a request that found its line busy with another transaction. A
+/// request from a node whose request of the same type is already queued is
+/// a reissue of it (§3.5) and only refreshes the queued request's serial;
+/// any other request is queued, and counted.
+pub(crate) fn defer_request(queue: &mut VecDeque<Message>, msg: Message, ctx: &mut Ctx<'_>) {
+    let same = |m: &&mut Message| m.src == msg.src && m.mtype == msg.mtype;
+    if let Some(queued) = queue.iter_mut().find(same) {
+        queued.serial = msg.serial;
+    } else {
+        queue.push_back(msg);
+        ctx.stats.deferred_requests.incr();
     }
 }
 
@@ -286,16 +302,6 @@ impl Timer {
     }
 }
 
-/// An outgoing message plus the local processing latency before it enters
-/// the network.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Outgoing {
-    /// The message to send.
-    pub(crate) msg: Message,
-    /// Cycles of local processing before injection.
-    pub(crate) delay: u64,
-}
-
 /// Notification that a core's pending memory operation finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CoreCompletion {
@@ -315,7 +321,7 @@ pub(crate) struct Ctx<'a> {
     /// Current simulated time.
     pub(crate) now: Cycle,
     /// Messages to inject into the network.
-    pub(crate) out: &'a mut Vec<Outgoing>,
+    pub(crate) out: &'a mut Vec<Message>,
     /// Timeouts to arm.
     pub(crate) timeouts: &'a mut Vec<TimeoutReq>,
     /// Core completions to deliver.
@@ -329,9 +335,10 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Queues `msg` for injection after `delay` cycles of local processing.
-    pub(crate) fn send(&mut self, msg: Message, delay: u64) {
-        self.out.push(Outgoing { msg, delay });
+    /// Queues `msg` for injection; the system charges its sender's send
+    /// latency ([`SystemConfig::send_cycles`]) at injection.
+    pub(crate) fn send(&mut self, msg: Message) {
+        self.out.push(msg);
     }
 
     /// Notifies that `core`'s pending memory operation on `addr` completed.

@@ -16,10 +16,10 @@ use crate::l1::{CpuOp, CpuOutcome, L1Controller};
 use crate::l2::L2Controller;
 use crate::mem::MemController;
 use crate::msg::Message;
-use crate::proto::{CoreCompletion, Ctx, Outgoing, TimeoutKind, TimeoutReq};
+use crate::proto::{CoreCompletion, Ctx, TimeoutKind, TimeoutReq};
 use crate::stats::ProtocolStats;
 use crate::trace::{TraceOp, Workload};
-use crate::tracelog::{StderrSink, TraceEvent, TraceEventKind, TraceSink};
+use crate::tracelog::{TraceEvent, TraceEventKind, TraceSink};
 
 #[derive(Debug, Clone)]
 enum Event {
@@ -277,7 +277,7 @@ pub struct System {
     epochs_awaiting: usize,
     /// Scratch buffers reused across `dispatch` calls so the hot loop does
     /// not allocate three `Vec`s per event.
-    scratch_out: Vec<Outgoing>,
+    scratch_out: Vec<Message>,
     scratch_timeouts: Vec<TimeoutReq>,
     scratch_completions: Vec<CoreCompletion>,
 }
@@ -403,7 +403,7 @@ impl System {
             workload_name: workload.name.clone(),
             last_progress: Cycle::ZERO,
             finished_at: Cycle::ZERO,
-            trace_sink: StderrSink::from_env().map(|s| Box::new(s) as Box<dyn TraceSink>),
+            trace_sink: None,
             core_done,
             cores_done,
             started: false,
@@ -760,8 +760,9 @@ impl System {
     }
 
     /// Attaches a trace sink observing every delivered message, fired
-    /// timeout and retired operation. By default a stderr sink is installed
-    /// when the `FTDIRCMP_TRACE_LINE` environment variable is set.
+    /// timeout and retired operation. A new system has none: tracing is on
+    /// only where a caller installs a sink (`ftdircmp-cli --trace-line`
+    /// installs a [`crate::tracelog::StderrSink`]).
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace_sink = Some(sink);
     }
@@ -859,7 +860,7 @@ impl System {
         &mut self,
         now: Cycle,
         core: u8,
-        out: &mut Vec<Outgoing>,
+        out: &mut Vec<Message>,
         timeouts: &mut Vec<TimeoutReq>,
         completions: &mut Vec<CoreCompletion>,
     ) {
@@ -949,12 +950,12 @@ impl System {
     fn apply_effects(
         &mut self,
         now: Cycle,
-        out: &mut Vec<Outgoing>,
+        out: &mut Vec<Message>,
         timeouts: &mut Vec<TimeoutReq>,
         completions: &mut Vec<CoreCompletion>,
     ) {
-        for Outgoing { msg, delay } in out.drain(..) {
-            let send_at = now + delay;
+        for msg in out.drain(..) {
+            let send_at = now + self.config.send_cycles(msg.src, msg.mtype);
             let src = self.node_router(msg.src);
             let dst = self.node_router(msg.dst);
             let bytes = msg.size_bytes(self.config.control_msg_bytes, self.config.data_msg_bytes);

@@ -8,11 +8,11 @@ use crate::checker::Checker;
 use crate::config::SystemConfig;
 use crate::ids::NodeId;
 use crate::msg::{Message, MsgType};
-use crate::proto::{CoreCompletion, Ctx, Outgoing, TimeoutReq};
+use crate::proto::{CoreCompletion, Ctx, TimeoutReq};
 use crate::stats::ProtocolStats;
 
 pub(crate) struct Harness {
-    pub(crate) out: Vec<Outgoing>,
+    pub(crate) out: Vec<Message>,
     pub(crate) timeouts: Vec<TimeoutReq>,
     pub(crate) completions: Vec<CoreCompletion>,
     pub(crate) stats: ProtocolStats,
@@ -60,11 +60,7 @@ impl Harness {
 
     /// All messages of `mtype` emitted so far (without draining).
     pub(crate) fn sent(&self, mtype: MsgType) -> Vec<&Message> {
-        self.out
-            .iter()
-            .filter(|o| o.msg.mtype == mtype)
-            .map(|o| &o.msg)
-            .collect()
+        self.out.iter().filter(|m| m.mtype == mtype).collect()
     }
 
     /// The single message of `mtype` emitted so far.

@@ -5,8 +5,8 @@
 //! paper's figures narrate. Two sinks are provided:
 //!
 //! * [`StderrSink`] — prints events (optionally filtered to a set of lines)
-//!   as they happen; also installable via the `FTDIRCMP_TRACE_LINE`
-//!   environment variable (comma-separated hex line addresses).
+//!   as they happen; `ftdircmp-cli --trace-line` installs one for the lines
+//!   it names ([`StderrSink::parse_lines`]).
 //! * [`CollectSink`] — records events into a shared buffer for programmatic
 //!   inspection (used by tests and the walkthrough example).
 //!
@@ -88,21 +88,32 @@ pub trait TraceSink {
 }
 
 /// Prints events to stderr, optionally filtered to a set of line addresses.
+/// `Default` prints every event.
 #[derive(Debug, Default)]
-pub(crate) struct StderrSink {
+pub struct StderrSink {
     lines: Option<Vec<u64>>,
 }
 
 impl StderrSink {
-    /// Builds a sink from the `FTDIRCMP_TRACE_LINE` environment variable
-    /// (comma-separated hex line addresses), if set.
-    pub(crate) fn from_env() -> Option<Self> {
-        let raw = std::env::var("FTDIRCMP_TRACE_LINE").ok()?;
-        let lines: Vec<u64> = raw
-            .split(',')
-            .filter_map(|t| u64::from_str_radix(t.trim().trim_start_matches("0x"), 16).ok())
-            .collect();
-        Some(StderrSink { lines: Some(lines) })
+    /// A sink printing only the events on `lines` (line addresses).
+    pub fn for_lines(lines: Vec<u64>) -> Self {
+        StderrSink { lines: Some(lines) }
+    }
+
+    /// Parses a comma-separated list of hex line addresses, each with or
+    /// without a `0x` prefix (`"0x6, 1d"`).
+    ///
+    /// # Errors
+    ///
+    /// Names the first token that is not a hex line address.
+    pub fn parse_lines(raw: &str) -> Result<Vec<u64>, String> {
+        raw.split(',')
+            .map(|token| {
+                let t = token.trim();
+                u64::from_str_radix(t.strip_prefix("0x").unwrap_or(t), 16)
+                    .map_err(|_| format!("{t:?} is not a hex line address"))
+            })
+            .collect()
     }
 
     fn wants(&self, event: &TraceEvent) -> bool {
@@ -245,12 +256,14 @@ mod tests {
     }
 
     #[test]
-    fn from_env_parses_hex_lists() {
-        std::env::set_var("FTDIRCMP_TRACE_LINE", "0x6, 1d");
-        let sink = StderrSink::from_env().unwrap();
+    fn line_lists_parse_hex_and_name_a_bad_token() {
+        let sink = StderrSink::for_lines(StderrSink::parse_lines("0x6, 1d").unwrap());
         assert!(sink.wants(&event(0x6)));
         assert!(sink.wants(&event(0x1d)));
         assert!(!sink.wants(&event(0x7)));
-        std::env::remove_var("FTDIRCMP_TRACE_LINE");
+        for (raw, bad) in [("zz", "\"zz\""), ("6,", "\"\""), ("6, 0x0x7", "\"0x0x7\"")] {
+            let err = StderrSink::parse_lines(raw).unwrap_err();
+            assert_eq!(err, format!("{bad} is not a hex line address"), "{raw}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!    exhibits.
 //! 2. **Guided fault-schedule search** — a fault-free reference run records
 //!    the virtual-channel class of every message the injector examines
-//!    ([`SimReport::injection_classes`]); [`guided_drop_candidates`] then
+//!    ([`SimReport::injection_classes`]); `guided_drop_candidates` then
 //!    spends the drop budget on the protocol-dense classes first
 //!    (`OwnershipAck`, `Ping`, `Unblock`, `Forward`) and strides through
 //!    the bulk `Request`/`Response` traffic, instead of sampling the

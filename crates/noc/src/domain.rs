@@ -65,7 +65,7 @@ impl LinkChannelConfig {
 }
 
 /// Loss probability applied inside degraded windows when no explicit
-/// channel is configured (see [`FaultDomainConfig::effective_channel`]).
+/// channel is configured (see `FaultDomainConfig::effective_channel`).
 pub const DEFAULT_DEGRADED_DROP: f64 = 0.25;
 
 /// One scheduled correlated-fault event. All windows are half-open cycle

@@ -156,7 +156,7 @@ impl Mesh {
     }
 
     /// Replaces the fault configuration mid-run (the fork point of
-    /// checkpoint-fork campaigns; see [`FaultInjector::set_config`] for what
+    /// checkpoint-fork campaigns; see `FaultInjector::set_config` for what
     /// starts over and what carries on).
     pub fn set_fault_config(&mut self, faults: FaultConfig) {
         self.config.faults = faults.clone();

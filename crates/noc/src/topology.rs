@@ -252,7 +252,7 @@ impl Topology {
 }
 
 /// Allocation-free minimal route walker, created by
-/// [`Topology::route_xy_iter`] or [`Topology::route_adaptive_iter`].
+/// [`Topology::route_xy_iter`] or `Topology::route_adaptive_iter`.
 ///
 /// With every link up it yields exactly `Topology::hops(src, dst)` links. An
 /// adaptive route consumes one RNG draw per hop where two productive links

@@ -17,7 +17,7 @@
 //!   journal replayed on boot to re-enqueue half-finished jobs;
 //! * [`runner`] — executes one job (shared by the daemon worker and the
 //!   synchronous `run-local` subcommand, so both produce identical bytes);
-//! * [`notifier`] — fan-out of streamed progress events to subscribed
+//! * `notifier` — fan-out of streamed progress events to subscribed
 //!   connections;
 //! * [`server`] — the TCP listener, wire protocol, and executor thread.
 //!

@@ -230,7 +230,7 @@ pub struct Queue {
 impl Queue {
     /// Opens the queue, replaying the journal and re-enqueueing every job
     /// that was submitted but never durably finished. Records that do not
-    /// parse, do not validate or carry an id [`job_number`] rejects are
+    /// parse, do not validate or carry an id `job_number` rejects are
     /// skipped rather than wedging the queue; a line that does not parse is
     /// reported on stderr by its number. Only a torn tail is truncated.
     ///

@@ -1,7 +1,9 @@
 //! TCP front end: line-delimited JSON over a local socket.
 //!
 //! Every request is one JSON object on one line; every response is one
-//! JSON object on one line with an `"ok"` field. A connection that issued
+//! JSON object on one line with an `"ok"` field. A request line longer than
+//! [`MAX_REQUEST_BYTES`] is refused with an error naming the limit, and its
+//! connection closes. A connection that issued
 //! `watch` additionally receives streamed event lines (`"event"` field)
 //! interleaved between responses; responses and events are serialized
 //! through one per-connection writer thread so lines never interleave.
@@ -28,7 +30,7 @@
 //! delivers its `done` event *before* the `{"ok":true,"watching":true}`
 //! reply; otherwise the reply comes first and `done` exactly once later.
 
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -143,6 +145,13 @@ fn run_executor(queue: &Queue, notifier: &Notifier, jobs: usize) {
     }
 }
 
+/// The longest request line the daemon reads, its newline included. The
+/// largest legitimate request, a replay job embedding a suite trace (under
+/// 100 KB as text), fits many times over; a client that never sends a
+/// newline cannot grow the daemon's memory past it. A longer line is
+/// refused and its connection closed.
+pub const MAX_REQUEST_BYTES: u64 = 16 << 20;
+
 #[derive(Debug, PartialEq, Eq)]
 enum ConnOutcome {
     Closed,
@@ -170,14 +179,25 @@ fn handle_connection(socket: &TcpStream, queue: &Queue, notifier: &Notifier) -> 
 
     let mut outcome = ConnOutcome::Closed;
     let mut reader = BufReader::new(socket);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader)
+            .take(MAX_REQUEST_BYTES)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        let text = line.trim();
+        if line.len() as u64 == MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            let limit = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+            let _ = tx.send(error_reply(&limit).to_string());
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
+        let text = text.trim();
         if text.is_empty() {
             continue;
         }

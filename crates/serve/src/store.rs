@@ -19,7 +19,7 @@
 //! synced and renamed into place right after it, and until that rename the
 //! worst a crash can do is re-run that one batch. A crash can leave a torn
 //! final line (no trailing newline, or garbage); [`Store::load_unit_records`]
-//! parses every line that parses and [`Store::truncate_unit_records`] cuts
+//! parses every line that parses and `Store::truncate_unit_records` cuts
 //! the file back to the end of the last one before the daemon appends
 //! again, so a torn tail can never corrupt later records. A damaged line in
 //! the middle is skipped, never cut: the records after it stay.

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use ftdircmp_serve::job::JobSpec;
 use ftdircmp_serve::json::Json;
 use ftdircmp_serve::runner::execute_job;
-use ftdircmp_serve::server::{serve, ServeOptions};
+use ftdircmp_serve::server::{serve, ServeOptions, MAX_REQUEST_BYTES};
 use ftdircmp_serve::store::Store;
 
 const STARTUP_TIMEOUT: Duration = Duration::from_secs(30);
@@ -472,4 +472,37 @@ fn subcommands_reject_an_unknown_flag_naming_it() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("got \"--jbos\""), "{stderr}");
     assert!(!root.join("results").exists(), "nothing ran");
+}
+
+/// A request line that never ends used to be read into one growing buffer:
+/// a client could grow the daemon's memory without limit by never sending a
+/// newline. The line is now refused at `MAX_REQUEST_BYTES`, naming the
+/// limit, and only that connection closes.
+#[test]
+fn an_oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let root = tmp_root("long-line");
+    let daemon = Daemon::start(&root, 1);
+    let addr = daemon.addr();
+    let mut conn = Conn::connect(&addr);
+    let timeout = Some(Duration::from_secs(30));
+    conn.reader.get_ref().set_read_timeout(timeout).unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..=MAX_REQUEST_BYTES >> 20 {
+        // The daemon stops reading at the limit and may close first.
+        if conn.writer.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let reply = conn.recv_line();
+    let limit = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+    assert!(
+        reply.contains("\"ok\":false") && reply.contains(&limit),
+        "{reply}"
+    );
+    let mut rest = String::new();
+    assert_eq!(conn.reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+    let pong = Conn::connect(&addr).call(r#"{"cmd":"ping"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -20,6 +20,7 @@
 //! cargo run --release --bin ftdircmp-cli -- --bench ocean --fault-rate 2000
 //! ```
 
+use ftdircmp::core_protocol::tracelog::StderrSink;
 use ftdircmp::core_protocol::{json::Json, trace_io};
 use ftdircmp::{workloads, System, SystemConfig};
 
@@ -81,9 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if config.mesh.faults.is_faulty() && !patches.iter().any(|(_, k, _)| k == "watchdog_cycles") {
         config.watchdog_cycles = 5_000_000;
     }
-    if let Some(lines) = value("--trace-line") {
-        std::env::set_var("FTDIRCMP_TRACE_LINE", lines);
-    }
+    let trace_lines = value("--trace-line")
+        .map(|raw| StderrSink::parse_lines(raw).unwrap_or_else(|e| usage_error("--trace-line", e)));
 
     let wl = if let Some(path) = value("--trace-file") {
         trace_io::read_file(path)?
@@ -101,7 +101,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("wrote {path} ({cores} cores, {ops} memory ops)");
         return Ok(());
     }
-    let report = System::run_workload(config, &wl)?;
+    let mut system = System::new(config, &wl)?;
+    if let Some(lines) = trace_lines {
+        system.set_trace_sink(Box::new(StderrSink::for_lines(lines)));
+    }
+    let report = system.run()?;
 
     if value("--summary-only").is_some() {
         println!(

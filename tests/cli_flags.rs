@@ -35,6 +35,10 @@ fn bad_config_flags_exit_2_naming_the_flag() {
             &["--seed", "7", "--routing", "west"],
             "error: --routing: field \"routing\"",
         ),
+        (
+            &["--trace-line", "6,zz"],
+            "error: --trace-line: \"zz\" is not a hex line address",
+        ),
     ] {
         let (code, stdout, stderr) = cli(flags);
         assert_eq!(code, Some(2), "{flags:?}: {stderr}");
@@ -56,4 +60,14 @@ fn config_flags_set_the_keys_they_name() {
         cli(&["--protocol", "dir"]).1,
         "the mesh changed the run"
     );
+}
+
+#[test]
+fn trace_line_prints_the_events_of_the_lines_it_names() {
+    let (code, _, traced) = cli(&["--trace-line", "0x100"]);
+    assert_eq!(code, Some(0));
+    assert!(traced.lines().count() > 10, "{traced}");
+    assert!(traced.lines().all(|l| l.starts_with('[')), "{traced}");
+    let (_, _, quiet) = cli(&[]);
+    assert!(quiet.is_empty(), "{quiet}");
 }
