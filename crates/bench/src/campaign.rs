@@ -121,7 +121,7 @@ impl From<RunError> for CellError {
 
 /// Renders a caught panic payload (strings pass through, everything else
 /// gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

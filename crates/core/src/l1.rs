@@ -391,9 +391,7 @@ impl L1Controller {
         }
         let serial = self.fresh_serial();
         let mut timer = Timer::default();
-        if self.ft {
-            timer.arm(&mut self.timers, op.addr, TimeoutKind::LostRequest, ctx);
-        }
+        timer.arm(&mut self.timers, op.addr, TimeoutKind::LostRequest, ctx);
         ctx.stats
             .l1_mshr_occupancy
             .record(self.miss_count as u64 + 1);
@@ -546,9 +544,7 @@ impl L1Controller {
     fn start_writeback(&mut self, vaddr: LineAddr, ventry: L1Entry, ctx: &mut Ctx<'_>) {
         let serial = self.fresh_serial();
         let mut timer = Timer::default();
-        if self.ft {
-            timer.arm(&mut self.timers, vaddr, TimeoutKind::LostRequest, ctx);
-        }
+        timer.arm(&mut self.timers, vaddr, TimeoutKind::LostRequest, ctx);
         let wb = WbMshr {
             data: Some(ventry.data),
             was_exclusive: ventry.perm.is_exclusive(),
@@ -649,6 +645,14 @@ impl L1Controller {
             MsgType::DataEx => self.on_data(msg, true, ctx),
             MsgType::Ack => self.on_ack(msg, ctx),
             MsgType::Inv => self.on_inv(msg, ctx),
+            MsgType::FwdGetS | MsgType::FwdGetX
+                if self.cache.get(msg.addr).is_some_and(|e| e.blocked) =>
+            {
+                // Ownership is blocked until the AckBD (§3.1 step 2): the
+                // forward waits, and replays once the AckBD arrives.
+                self.lines.entry(msg.addr).deferred.push(msg);
+                ctx.stats.deferred_forwards.incr();
+            }
             MsgType::FwdGetS => self.on_fwd_gets(msg, ctx),
             MsgType::FwdGetX => self.on_fwd_getx(msg, ctx),
             MsgType::WbAck => self.on_wback(msg, ctx),
@@ -672,19 +676,22 @@ impl L1Controller {
         }
     }
 
+    /// The miss `msg` answers: the line's miss MSHR, if `msg` carries its
+    /// serial.
+    fn live_miss(&mut self, msg: &Message) -> Option<&mut MissMshr> {
+        let m = self.lines.get_mut(msg.addr)?.miss.as_mut()?;
+        (m.serial == msg.serial).then_some(m)
+    }
+
     fn on_data(&mut self, msg: Message, exclusive: bool, ctx: &mut Ctx<'_>) {
-        let Some(m) = self.lines.get_mut(msg.addr).and_then(|s| s.miss.as_mut()) else {
-            // The transaction already finished: this is a duplicate from a
-            // reissue whose original was merely slow, i.e. a false positive.
-            ctx.stats.stale_discards.incr();
+        let Some(m) = self.live_miss(&msg) else {
+            // The miss already finished or was reissued: this is a duplicate
+            // from a reissue whose original was merely slow, i.e. a false
+            // positive.
+            ctx.stale();
             ctx.stats.false_positives.incr();
             return;
         };
-        if self.ft && m.serial != msg.serial {
-            ctx.stats.stale_discards.incr();
-            ctx.stats.false_positives.incr();
-            return;
-        }
         m.responded = true;
         m.granted_ex = exclusive;
         m.granted_dirty = msg.data_dirty;
@@ -697,17 +704,12 @@ impl L1Controller {
     }
 
     fn on_ack(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let Some(m) = self.lines.get_mut(msg.addr).and_then(|s| s.miss.as_mut()) else {
-            ctx.stats.stale_discards.incr();
-            return;
+        // An acknowledgment under an older serial is the stale one of the
+        // paper's Figure 2: it must be discarded or it could be mis-counted
+        // towards the reissued request.
+        let Some(m) = self.live_miss(&msg) else {
+            return ctx.stale();
         };
-        if self.ft && m.serial != msg.serial {
-            // The stale acknowledgment of the paper's Figure 2: must be
-            // discarded or it could be mis-counted towards the reissued
-            // request.
-            ctx.stats.stale_discards.incr();
-            return;
-        }
         m.acks_got += 1;
         self.try_complete(msg.addr, ctx);
     }
@@ -739,11 +741,6 @@ impl L1Controller {
     fn on_fwd_gets(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         let mut data = None;
         if let Some(entry) = self.cache.get_mut(msg.addr) {
-            if entry.blocked {
-                self.lines.entry(msg.addr).deferred.push(msg);
-                ctx.stats.deferred_forwards.incr();
-                return;
-            }
             if entry.perm.is_owner() {
                 data = Some(entry.data);
                 entry.perm = L1Perm::O;
@@ -753,8 +750,7 @@ impl L1Controller {
         // An owner with a writeback in flight still supplies data.
         let wb_data = || self.lines.get(msg.addr)?.wb.as_ref()?.data;
         let Some(data) = data.or_else(wb_data) else {
-            ctx.stats.stale_discards.incr();
-            return;
+            return ctx.stale();
         };
         ctx.send(
             Message::new(MsgType::Data, msg.addr, self.me, msg.requester)
@@ -766,11 +762,6 @@ impl L1Controller {
 
     fn on_fwd_getx(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         if let Some(entry) = self.cache.get(msg.addr) {
-            if entry.blocked {
-                self.lines.entry(msg.addr).deferred.push(msg);
-                ctx.stats.deferred_forwards.incr();
-                return;
-            }
             if entry.perm.is_owner() {
                 let dirty = matches!(entry.perm, L1Perm::M | L1Perm::O);
                 let entry = self.cache.remove(msg.addr).expect("just found");
@@ -782,8 +773,7 @@ impl L1Controller {
             // defensively and fall through to the stale path.
             self.cache.remove(msg.addr);
             ctx.checker.set_perm(self.me, msg.addr, Perm::None, ctx.now);
-            ctx.stats.stale_discards.incr();
-            return;
+            return ctx.stale();
         }
         if let Some(wbm) = self.lines.get_mut(msg.addr).and_then(|s| s.wb.as_mut()) {
             let dirty = wbm.dirty;
@@ -805,7 +795,7 @@ impl L1Controller {
             ctx.send(b.message(msg.addr, self.me));
             return;
         }
-        ctx.stats.stale_discards.incr();
+        ctx.stale();
     }
 
     /// Sends owned data in response to a forwarded request; under FtDirCMP
@@ -847,19 +837,14 @@ impl L1Controller {
     }
 
     fn on_wback(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let Some(st) = self.lines.get_mut(msg.addr) else {
-            ctx.stats.stale_discards.incr();
-            return;
+        let live = |w: &mut WbMshr| w.serial == msg.serial;
+        let wb = self
+            .lines
+            .get_mut(msg.addr)
+            .and_then(|s| s.wb.take_if(live));
+        let Some(wbm) = wb else {
+            return ctx.stale();
         };
-        let Some(wbm) = st.wb.as_ref() else {
-            ctx.stats.stale_discards.incr();
-            return;
-        };
-        if self.ft && wbm.serial != msg.serial {
-            ctx.stats.stale_discards.incr();
-            return;
-        }
-        let wbm = st.wb.take().expect("just checked");
         if msg.wb_stale {
             // Ownership moved while the Put was queued. If the forward has
             // not reached us yet (possible on an unordered network), we
@@ -917,18 +902,10 @@ impl L1Controller {
     }
 
     fn on_ackbd(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let Some(st) = self.lines.get_mut(msg.addr) else {
-            ctx.stats.stale_discards.incr();
-            return;
+        let live = |s: &&mut L1LineState| s.ackbd.as_ref().is_some_and(|p| p.serial == msg.serial);
+        let Some(st) = self.lines.get_mut(msg.addr).filter(live) else {
+            return ctx.stale();
         };
-        let Some(p) = st.ackbd.as_ref() else {
-            ctx.stats.stale_discards.incr();
-            return;
-        };
-        if p.serial != msg.serial {
-            ctx.stats.stale_discards.incr();
-            return;
-        }
         st.ackbd = None;
         // Drain forwards deferred while in the blocked-ownership state,
         // in place: swap the queue into a reused scratch buffer instead of
@@ -1039,14 +1016,10 @@ impl L1Controller {
     }
 
     fn on_nacko(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let Some(b) = self.lines.get(msg.addr).and_then(|s| s.backup.as_ref()) else {
-            ctx.stats.stale_discards.incr();
-            return;
+        let backup = self.lines.get(msg.addr).and_then(|s| s.backup.as_ref());
+        let Some(b) = backup.filter(|b| b.serial == msg.serial) else {
+            return ctx.stale();
         };
-        if b.serial != msg.serial {
-            ctx.stats.stale_discards.incr();
-            return;
-        }
         // The destination never received the owned data: resend it.
         ctx.send(b.message(msg.addr, self.me));
     }

@@ -23,7 +23,7 @@ use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId, SharerSet};
 use crate::linetab::LineTable;
 use crate::msg::{Message, MsgType};
-use crate::proto::{defer_request, table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
+use crate::proto::{admit_busy, table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::{SerialAllocator, SerialNum};
 
 /// Directory + data state of one line resident in this bank.
@@ -184,6 +184,12 @@ impl Tbe {
             ackbd: Timer::default(),
             acko_serial: SerialNum::ZERO,
         }
+    }
+
+    /// Whether `msg` answers this transaction in `stage`: it comes from the
+    /// blocker and carries the transaction's serial (§3.5).
+    fn expects(&self, msg: &Message, stage: Stage) -> bool {
+        self.stage == stage && self.blocker == msg.src && self.serial == msg.serial
     }
 
     /// The forward this transaction sends, and re-sends, to the owning L1,
@@ -375,6 +381,11 @@ impl L2Controller {
         self.tbe_count += 1;
     }
 
+    /// The line's TBE, if any.
+    fn tbe(&self, addr: LineAddr) -> Option<&Tbe> {
+        self.lines.get(addr)?.tbe.as_ref()
+    }
+
     /// Removes and returns the line's TBE, if any.
     fn take_tbe(&mut self, addr: LineAddr) -> Option<Tbe> {
         let t = self.lines.get_mut(addr).and_then(|s| s.tbe.take());
@@ -482,22 +493,20 @@ impl L2Controller {
                     TbeKind::Wb => msg.mtype == MsgType::Put,
                     TbeKind::Recall | TbeKind::L2Evict => false,
                 };
-                if tbe.blocker == msg.src && same_kind {
-                    if self.ft && tbe.serial != msg.serial {
-                        // A reissued request from the current blocker (§3.2):
-                        // adopt the new serial and repeat the service action.
-                        self.on_reissue(msg, ctx);
-                    } // else: duplicate of the in-service request; ignore.
-                    return;
+                let reissue = admit_busy(tbe.blocker, tbe.serial, same_kind, msg, ctx, || {
+                    &mut st.waiting
+                });
+                if let Some(reissue) = reissue {
+                    self.on_reissue(reissue, ctx);
                 }
-                // Busy with another requester: defer (per-line busy states, §2).
-                defer_request(&mut st.waiting, msg, ctx);
                 return;
             }
         }
         self.service_request(msg, ctx);
     }
 
+    /// Answers a reissued request from the current blocker (§3.2): adopts
+    /// its serial and repeats the service action.
     fn on_reissue(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         ctx.stats.false_positives.incr();
         let Some(tbe) = self.lines.get_mut(msg.addr).and_then(|s| s.tbe.as_mut()) else {
@@ -559,10 +568,8 @@ impl L2Controller {
             let mut tbe = Tbe::new(TbeKind::Miss { store }, msg.src, msg.serial);
             tbe.stage = Stage::WaitMem;
             tbe.own_serial = self.fresh_serial();
-            if self.ft {
-                tbe.req
-                    .arm(&mut self.timers, addr, TimeoutKind::LostRequest, ctx);
-            }
+            tbe.req
+                .arm(&mut self.timers, addr, TimeoutKind::LostRequest, ctx);
             ctx.send(tbe.mem_request(addr, self.me, Self::mem_of(addr, ctx.config)));
             self.set_tbe(addr, tbe);
             return;
@@ -664,16 +671,9 @@ impl L2Controller {
         }
 
         tbe.stage = Stage::WaitUnblock;
-        self.arm_unblock(&mut tbe, addr, ctx);
-        self.set_tbe(addr, tbe);
-    }
-
-    fn arm_unblock(&mut self, tbe: &mut Tbe, addr: LineAddr, ctx: &mut Ctx<'_>) {
-        if !self.ft {
-            return;
-        }
         tbe.unblock
             .arm(&mut self.timers, addr, TimeoutKind::LostUnblock, ctx);
+        self.set_tbe(addr, tbe);
     }
 
     fn service_put(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
@@ -692,7 +692,8 @@ impl L2Controller {
         }
         let mut tbe = Tbe::new(TbeKind::Wb, msg.src, msg.serial);
         tbe.stage = Stage::WaitWbData;
-        self.arm_unblock(&mut tbe, addr, ctx);
+        tbe.unblock
+            .arm(&mut self.timers, addr, TimeoutKind::LostUnblock, ctx);
         self.set_tbe(addr, tbe);
         ctx.send(msg.reply(MsgType::WbAck));
     }
@@ -703,28 +704,21 @@ impl L2Controller {
 
     fn on_unblock(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         let addr = msg.addr;
-        let tbe_ref = self.lines.get(addr).and_then(|s| s.tbe.as_ref());
-        let stale = match tbe_ref {
-            None => true,
-            Some(tbe) => {
-                tbe.stage != Stage::WaitUnblock
-                    || tbe.blocker != msg.src
-                    || (self.ft && tbe.serial != msg.serial)
-            }
-        };
-        let wrong_kind = matches!(tbe_ref.map(|t| t.kind), Some(TbeKind::Miss { store: true }))
-            && msg.mtype == MsgType::Unblock;
-        if stale || wrong_kind {
-            // A duplicate/stale unblock; still answer a piggybacked AckO so
-            // the sender's blocked-ownership state can always drain (§3.4
-            // idempotence). A plain Unblock can also never complete a GetX
-            // transaction (it would record a sharer where an owner is
-            // required) — only a crossing stale ping-reply can produce one.
-            if msg.piggy_acko {
-                ctx.send(msg.reply(MsgType::AckBD));
-            }
-            ctx.stats.stale_discards.incr();
-            return;
+        // A piggybacked AckO is answered even on a duplicate or stale
+        // unblock, so the sender's blocked-ownership state can always drain
+        // (§3.1, §3.4 idempotence).
+        if msg.piggy_acko {
+            ctx.send(msg.reply(MsgType::AckBD));
+        }
+        // A plain Unblock can never complete a GetX transaction (it would
+        // record a sharer where an owner is required): only a crossing stale
+        // ping-reply can produce one.
+        let live = self.tbe(addr).is_some_and(|t| {
+            t.expects(&msg, Stage::WaitUnblock)
+                && (msg.mtype == MsgType::UnblockEx || t.kind != TbeKind::Miss { store: true })
+        });
+        if !live {
+            return ctx.stale();
         }
         let tbe = self.take_tbe(addr).expect("checked above");
         let requester_tile = msg.src.index();
@@ -746,12 +740,9 @@ impl L2Controller {
             }
         }
 
-        // FT: L1-facing ownership handshake (AckO piggybacked, §3.1).
-        if self.ft && msg.piggy_acko {
-            ctx.send(msg.reply(MsgType::AckBD));
-            if tbe.sent_data_backup {
-                ctx.checker.backup_deleted(self.me, addr, ctx.now);
-            }
+        // The piggybacked AckO, answered above, deletes the grant's backup.
+        if msg.piggy_acko && tbe.sent_data_backup {
+            ctx.checker.backup_deleted(self.me, addr, ctx.now);
         }
 
         // FT §3.1.1: the fill's memory-facing handshake starts now.
@@ -777,17 +768,11 @@ impl L2Controller {
 
     fn on_wb_data(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         let addr = msg.addr;
-        let Some(tbe) = self.lines.get(addr).and_then(|s| s.tbe.as_ref()) else {
-            ctx.stats.stale_discards.incr();
-            return;
-        };
-        if tbe.kind != TbeKind::Wb
-            || tbe.stage != Stage::WaitWbData
-            || tbe.blocker != msg.src
-            || (self.ft && tbe.serial != msg.serial)
+        if !self
+            .tbe(addr)
+            .is_some_and(|t| t.expects(&msg, Stage::WaitWbData))
         {
-            ctx.stats.stale_discards.incr();
-            return;
+            return ctx.stale();
         }
         let mut tbe = self.take_tbe(addr).expect("checked above");
 
@@ -853,16 +838,13 @@ impl L2Controller {
         // DataEx from memory (fill) or from an L1 owner (recall).
         let addr = msg.addr;
         let Some(tbe) = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut()) else {
-            ctx.stats.stale_discards.incr();
+            ctx.stale();
             ctx.stats.false_positives.incr();
             return;
         };
+        let live = tbe.own_serial == msg.serial;
         match tbe.stage {
-            Stage::WaitMem => {
-                if self.ft && tbe.own_serial != msg.serial {
-                    ctx.stats.stale_discards.incr();
-                    return;
-                }
+            Stage::WaitMem if live => {
                 let data = msg.data.expect("memory fill carries data");
                 tbe.stage = Stage::WaitUnblock;
                 tbe.from_mem = true;
@@ -889,18 +871,12 @@ impl L2Controller {
                         Message::new(MsgType::UnblockEx, addr, self.me, mem).serial(msg.serial),
                     );
                 }
-                if self.ft {
-                    let tbe = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut());
-                    let tbe = tbe.expect("still present");
-                    tbe.unblock
-                        .arm(&mut self.timers, addr, TimeoutKind::LostUnblock, ctx);
-                }
+                let tbe = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut());
+                let tbe = tbe.expect("still present");
+                tbe.unblock
+                    .arm(&mut self.timers, addr, TimeoutKind::LostUnblock, ctx);
             }
-            Stage::WaitRecall => {
-                if self.ft && tbe.own_serial != msg.serial {
-                    ctx.stats.stale_discards.incr();
-                    return;
-                }
+            Stage::WaitRecall if live => {
                 tbe.data = msg.data;
                 tbe.data_dirty = msg.data_dirty;
                 tbe.recall_needs_data = false;
@@ -916,25 +892,20 @@ impl L2Controller {
                 }
                 self.try_finish_recall(addr, ctx);
             }
-            _ => {
-                ctx.stats.stale_discards.incr();
-            }
+            _ => ctx.stale(),
         }
     }
 
     fn on_ack(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         // Invalidation acks for a recall (the bank is the requester).
         let addr = msg.addr;
-        let Some(tbe) = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut()) else {
-            ctx.stats.stale_discards.incr();
-            return;
+        let tbe = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut());
+        let Some(tbe) = tbe.filter(|t| {
+            matches!(t.stage, Stage::WaitRecall | Stage::WaitRecallAckBd)
+                && t.own_serial == msg.serial
+        }) else {
+            return ctx.stale();
         };
-        if !matches!(tbe.stage, Stage::WaitRecall | Stage::WaitRecallAckBd)
-            || (self.ft && tbe.own_serial != msg.serial)
-        {
-            ctx.stats.stale_discards.incr();
-            return;
-        }
         // Set-based removal: duplicate acks (possible after Inv resends) are
         // no-ops.
         tbe.recall_acks.remove(msg.src.index());
@@ -946,13 +917,9 @@ impl L2Controller {
     fn on_mem_wback(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         // WbAck from memory for a bank eviction.
         let addr = msg.addr;
-        let Some(tbe) = self.lines.get(addr).and_then(|s| s.tbe.as_ref()) else {
-            ctx.stats.stale_discards.incr();
-            return;
-        };
-        if tbe.stage != Stage::WaitMemWbAck || (self.ft && tbe.own_serial != msg.serial) {
-            ctx.stats.stale_discards.incr();
-            return;
+        let live = |t: &Tbe| t.stage == Stage::WaitMemWbAck && t.own_serial == msg.serial;
+        if !self.tbe(addr).is_some_and(live) {
+            return ctx.stale();
         }
         let tbe = self.take_tbe(addr).expect("checked above");
         if msg.wb_stale {
@@ -992,7 +959,7 @@ impl L2Controller {
         }
         // Standalone AckO from an L1 (its UnblockEx with the piggyback was
         // lost, or a reissued AckO): delete our grant backup and reply.
-        if let Some(tbe) = self.lines.get(addr).and_then(|s| s.tbe.as_ref()) {
+        if let Some(tbe) = self.tbe(addr) {
             if tbe.sent_data_backup && tbe.blocker == msg.src {
                 ctx.checker.backup_deleted(self.me, addr, ctx.now);
             }
@@ -1006,7 +973,7 @@ impl L2Controller {
             // Memory-facing §3.1.1 handshake complete.
             if let Some(st) = self.lines.get_mut(addr) {
                 if let Some(p) = &st.ext_pending {
-                    if p.serial == msg.serial || !self.ft {
+                    if p.serial == msg.serial {
                         st.ext_pending = None;
                         if let Some(line) = self.cache.get_mut(addr) {
                             line.ext_blocked = false;
@@ -1017,28 +984,19 @@ impl L2Controller {
             return;
         }
         // AckBD from an L1: completes a writeback or recall handshake.
-        let Some(tbe) = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut()) else {
-            ctx.stats.stale_discards.incr();
-            return;
-        };
-        if tbe.acko_serial != msg.serial {
-            ctx.stats.stale_discards.incr();
-            return;
-        }
-        match tbe.stage {
-            Stage::WaitWbAckBd => {
+        let tbe = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut());
+        match tbe.filter(|t| t.acko_serial == msg.serial) {
+            Some(tbe) if tbe.stage == Stage::WaitWbAckBd => {
                 self.take_tbe(addr);
                 self.pump_waiting(addr, ctx);
             }
-            Stage::WaitRecallAckBd => {
+            Some(tbe) if tbe.stage == Stage::WaitRecallAckBd => {
                 tbe.ackbd.disarm(); // handshake done
                 tbe.stage = Stage::WaitRecall;
                 tbe.recall_needs_data = false;
                 self.try_finish_recall(addr, ctx);
             }
-            _ => {
-                ctx.stats.stale_discards.incr();
-            }
+            _ => ctx.stale(),
         }
     }
 
@@ -1086,15 +1044,13 @@ impl L2Controller {
             ctx.send(fwd);
         }
         tbe.send_invs(vaddr, self.me, tbe.recall_acks.iter(), ctx);
-        if self.ft {
-            tbe.unblock
-                .arm(&mut self.timers, vaddr, TimeoutKind::LostUnblock, ctx);
-        }
+        tbe.unblock
+            .arm(&mut self.timers, vaddr, TimeoutKind::LostUnblock, ctx);
         self.set_tbe(vaddr, tbe);
     }
 
     fn try_finish_recall(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
-        let Some(tbe) = self.lines.get(addr).and_then(|s| s.tbe.as_ref()) else {
+        let Some(tbe) = self.tbe(addr) else {
             return;
         };
         if tbe.stage != Stage::WaitRecall || tbe.recall_needs_data || !tbe.recall_acks.is_empty() {
@@ -1117,10 +1073,8 @@ impl L2Controller {
         tbe.serial = tbe.own_serial;
         tbe.data = Some(data);
         tbe.data_dirty = true;
-        if self.ft {
-            tbe.req
-                .arm(&mut self.timers, addr, TimeoutKind::LostRequest, ctx);
-        }
+        tbe.req
+            .arm(&mut self.timers, addr, TimeoutKind::LostRequest, ctx);
         ctx.send(tbe.mem_request(addr, self.me, Self::mem_of(addr, ctx.config)));
         self.set_tbe(addr, tbe);
     }
@@ -1190,9 +1144,7 @@ impl L2Controller {
         // WbData.
         let addr = msg.addr;
         let still_waiting = self
-            .lines
-            .get(addr)
-            .and_then(|s| s.tbe.as_ref())
+            .tbe(addr)
             .is_some_and(|t| t.kind == TbeKind::Wb && t.stage == Stage::WaitWbData);
         let reply = if still_waiting {
             MsgType::NackO
@@ -1204,14 +1156,10 @@ impl L2Controller {
 
     fn on_nacko(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         // Memory never received our WbData: resend it from the backup.
-        let Some(b) = self.lines.get(msg.addr).and_then(|s| s.mem_backup.as_ref()) else {
-            ctx.stats.stale_discards.incr();
-            return;
+        let backup = self.lines.get(msg.addr).and_then(|s| s.mem_backup.as_ref());
+        let Some(b) = backup.filter(|b| b.serial == msg.serial) else {
+            return ctx.stale();
         };
-        if b.serial != msg.serial {
-            ctx.stats.stale_discards.incr();
-            return;
-        }
         ctx.send(b.wb_data(msg.addr, self.me, msg.src));
     }
 

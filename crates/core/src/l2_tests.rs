@@ -297,6 +297,15 @@ fn reissued_request_from_blocker_repeats_the_response() {
     let resent = h.sent_one(MsgType::DataEx);
     assert_eq!(resent.serial, SerialNum::new(31, 8));
     assert!(h.stats.false_positives.get() > 0);
+    // The same request under the same serial again is a duplicate: dropped.
+    let deferred = h.stats.deferred_requests.get();
+    let false_positives = h.stats.false_positives.get();
+    h.clear();
+    c.handle_message(gets(6, 31), &mut h.ctx());
+    assert!(h.out.is_empty(), "{:?}", h.out);
+    assert!(c.lines.get(L).is_some_and(|s| s.waiting.is_empty()));
+    assert_eq!(h.stats.deferred_requests.get(), deferred);
+    assert_eq!(h.stats.false_positives.get(), false_positives);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId};
 use crate::msg::{Message, MsgType};
-use crate::proto::{defer_request, table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
+use crate::proto::{admit_busy, table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::SerialNum;
 
 #[allow(clippy::enum_variant_names)] // Wait* mirrors the protocol's terminology
@@ -35,6 +35,14 @@ struct MemTbe {
     unblock: Timer,
     ackbd: Timer,
     acko_serial: SerialNum,
+}
+
+impl MemTbe {
+    /// Whether `msg` answers this transaction in `stage`: it comes from the
+    /// blocker and carries the transaction's serial (§3.5).
+    fn expects(&self, msg: &Message, stage: MemStage) -> bool {
+        self.stage == stage && self.blocker == msg.src && self.serial == msg.serial
+    }
 }
 
 /// One memory controller.
@@ -177,18 +185,20 @@ impl MemController {
                 MemStage::WaitUnblock => msg.mtype == MsgType::GetX || msg.mtype == MsgType::GetS,
                 MemStage::WaitWbData | MemStage::WaitAckBd => msg.mtype == MsgType::Put,
             };
-            if tbe.blocker == msg.src && same_kind {
-                if self.ft && tbe.serial != msg.serial {
-                    self.on_reissue(msg, ctx);
-                }
-                return;
+            let addr = msg.addr;
+            let reissue = admit_busy(tbe.blocker, tbe.serial, same_kind, msg, ctx, || {
+                self.waiting.entry(addr).or_default()
+            });
+            if let Some(reissue) = reissue {
+                self.on_reissue(reissue, ctx);
             }
-            defer_request(self.waiting.entry(msg.addr).or_default(), msg, ctx);
             return;
         }
         self.service_request(msg, ctx);
     }
 
+    /// Answers a reissued request from the current blocker (§3.2): adopts
+    /// its serial and repeats the service action.
     fn on_reissue(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
         ctx.stats.false_positives.incr();
         let Some(tbe) = self.tbes.get_mut(&msg.addr) else {
@@ -213,10 +223,8 @@ impl MemController {
                     ackbd: Timer::default(),
                     acko_serial: SerialNum::ZERO,
                 };
-                if self.ft {
-                    tbe.unblock
-                        .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
-                }
+                tbe.unblock
+                    .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
                 self.tbes.insert(msg.addr, tbe);
                 ctx.send(self.data_ex(&msg));
             }
@@ -235,10 +243,8 @@ impl MemController {
                     ackbd: Timer::default(),
                     acko_serial: SerialNum::ZERO,
                 };
-                if self.ft {
-                    tbe.unblock
-                        .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
-                }
+                tbe.unblock
+                    .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
                 self.tbes.insert(msg.addr, tbe);
                 ctx.send(msg.reply(MsgType::WbAck));
             }
@@ -254,43 +260,25 @@ impl MemController {
     }
 
     fn on_unblock(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let stale = match self.tbes.get(&msg.addr) {
-            None => true,
-            Some(tbe) => {
-                tbe.stage != MemStage::WaitUnblock
-                    || tbe.blocker != msg.src
-                    || (self.ft && tbe.serial != msg.serial)
-            }
-        };
-        if stale {
-            // Stale or duplicate unblock: still acknowledge a piggybacked
-            // AckO so the L2's external-blocked state can always drain.
-            if msg.piggy_acko {
-                ctx.send(msg.reply(MsgType::AckBD));
-            }
-            ctx.stats.stale_discards.incr();
-            return;
+        // A piggybacked AckO is acknowledged even on a stale or duplicate
+        // unblock, so the L2's external-blocked state can always drain.
+        if msg.piggy_acko {
+            ctx.send(msg.reply(MsgType::AckBD));
+        }
+        let tbe = self.tbes.get(&msg.addr);
+        if !tbe.is_some_and(|t| t.expects(&msg, MemStage::WaitUnblock)) {
+            return ctx.stale();
         }
         self.tbes.remove(&msg.addr);
         self.l2_owned.insert(msg.addr);
-        if self.ft && msg.piggy_acko {
-            ctx.send(msg.reply(MsgType::AckBD));
-        }
         self.pump_waiting(msg.addr, ctx);
     }
 
     fn on_wb_data(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let Some(tbe) = self.tbes.get_mut(&msg.addr) else {
-            ctx.stats.stale_discards.incr();
-            return;
+        let tbe = self.tbes.get_mut(&msg.addr);
+        let Some(tbe) = tbe.filter(|t| t.expects(&msg, MemStage::WaitWbData)) else {
+            return ctx.stale();
         };
-        if tbe.stage != MemStage::WaitWbData
-            || tbe.blocker != msg.src
-            || (self.ft && tbe.serial != msg.serial)
-        {
-            ctx.stats.stale_discards.incr();
-            return;
-        }
         match msg.mtype {
             MsgType::WbData => {
                 let data = msg.data.expect("WbData carries data");
@@ -328,13 +316,9 @@ impl MemController {
     }
 
     fn on_ackbd(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let Some(tbe) = self.tbes.get(&msg.addr) else {
-            ctx.stats.stale_discards.incr();
-            return;
-        };
-        if tbe.stage != MemStage::WaitAckBd || tbe.acko_serial != msg.serial {
-            ctx.stats.stale_discards.incr();
-            return;
+        let tbe = self.tbes.get(&msg.addr);
+        if !tbe.is_some_and(|t| t.stage == MemStage::WaitAckBd && t.acko_serial == msg.serial) {
+            return ctx.stale();
         }
         self.tbes.remove(&msg.addr);
         self.pump_waiting(msg.addr, ctx);

@@ -184,6 +184,18 @@ fn reissued_fill_resends_data_with_new_serial() {
     );
     assert_eq!(h.sent_one(MsgType::DataEx).serial, sn(11));
     assert!(h.stats.false_positives.get() > 0);
+    // The same request under the same serial again is a duplicate: dropped.
+    let deferred = h.stats.deferred_requests.get();
+    let false_positives = h.stats.false_positives.get();
+    h.clear();
+    c.handle_message(
+        Message::new(MsgType::GetX, L, BANK, ME).serial(sn(11)),
+        &mut h.ctx(),
+    );
+    assert!(h.out.is_empty(), "{:?}", h.out);
+    assert!(c.waiting.get(&L).is_none_or(|q| q.is_empty()));
+    assert_eq!(h.stats.deferred_requests.get(), deferred);
+    assert_eq!(h.stats.false_positives.get(), false_positives);
 }
 
 #[test]

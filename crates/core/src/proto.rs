@@ -15,6 +15,7 @@ use crate::checker::Checker;
 use crate::config::SystemConfig;
 use crate::ids::{LineAddr, NodeId};
 use crate::msg::Message;
+use crate::serial::SerialNum;
 use crate::stats::ProtocolStats;
 use crate::transitions::ControllerTable;
 
@@ -140,11 +141,32 @@ pub(crate) fn table_check(
     }
 }
 
+/// Admits a request that found its home busy with the transaction of
+/// `blocker` under `serial`. A request of the transaction's own kind
+/// (`same_kind`, each controller's own test) from its blocker belongs to
+/// it: under a new serial it is a reissue (§3.2), returned for the caller
+/// to answer again; under the same serial it is a duplicate and dropped.
+/// Any other request is deferred to the line's `queue`.
+pub(crate) fn admit_busy<'q>(
+    blocker: NodeId,
+    serial: SerialNum,
+    same_kind: bool,
+    msg: Message,
+    ctx: &mut Ctx<'_>,
+    queue: impl FnOnce() -> &'q mut VecDeque<Message>,
+) -> Option<Message> {
+    if msg.src == blocker && same_kind {
+        return (msg.serial != serial).then_some(msg);
+    }
+    defer_request(queue(), msg, ctx);
+    None
+}
+
 /// Defers a request that found its line busy with another transaction. A
 /// request from a node whose request of the same type is already queued is
 /// a reissue of it (§3.5) and only refreshes the queued request's serial;
 /// any other request is queued, and counted.
-pub(crate) fn defer_request(queue: &mut VecDeque<Message>, msg: Message, ctx: &mut Ctx<'_>) {
+fn defer_request(queue: &mut VecDeque<Message>, msg: Message, ctx: &mut Ctx<'_>) {
     let same = |m: &&mut Message| m.src == msg.src && m.mtype == msg.mtype;
     if let Some(queued) = queue.iter_mut().find(same) {
         queued.serial = msg.serial;
@@ -205,7 +227,9 @@ impl Timers {
     }
 
     /// Schedules a firing of `kind` for `addr` carrying `gen`, at the
-    /// kind's base delay backed off `attempt` times.
+    /// kind's base delay backed off `attempt` times. Under DirCMP it
+    /// schedules nothing: its timers exist only with fault tolerance on
+    /// (the tables' `ft_alloc [Timer…]`).
     fn schedule(
         &self,
         addr: LineAddr,
@@ -214,6 +238,9 @@ impl Timers {
         attempt: u32,
         ctx: &mut Ctx<'_>,
     ) {
+        if !ctx.config.protocol.is_fault_tolerant() {
+            return;
+        }
         ctx.timeouts.push(TimeoutReq {
             node: self.node,
             addr,
@@ -339,6 +366,13 @@ impl Ctx<'_> {
     /// latency ([`SystemConfig::send_cycles`]) at injection.
     pub(crate) fn send(&mut self, msg: Message) {
         self.out.push(msg);
+    }
+
+    /// Discards a message that answers no live record of its controller,
+    /// or answers one under another serial (§3.5): it is counted and
+    /// changes nothing.
+    pub(crate) fn stale(&mut self) {
+        self.stats.stale_discards.incr();
     }
 
     /// Notifies that `core`'s pending memory operation on `addr` completed.

@@ -2,6 +2,7 @@
 
 use crate::config::SystemConfig;
 use crate::ids::Addr;
+use crate::serial::SerialNum;
 use crate::system::{RunError, System};
 use crate::trace::{CoreTrace, TraceOp, Workload};
 use crate::tracelog::{CollectSink, TraceEventKind};
@@ -87,6 +88,60 @@ fn trace_sink_observes_messages_and_retirements() {
     for w in events.windows(2) {
         assert!(w[0].at <= w[1].at);
     }
+}
+
+/// The suite workload `name` for `cores` cores. The generator crate builds
+/// the traces of this crate's library build, whose types differ from this
+/// test build's, so each op is carried over through its `Debug` form
+/// (`Load(Addr(64))`, `Store(Addr(64))`, `Think(5)`).
+fn suite_workload(name: &str, cores: u8, seed: u64) -> Workload {
+    let spec = ftdircmp_workloads::WorkloadSpec::named(name).expect("suite workload");
+    let op = |text: String| {
+        let (kind, arg) = text.split_once('(').expect("an op with an argument");
+        let n = arg.trim_matches(|c: char| !c.is_ascii_digit());
+        let n: u64 = n.parse().expect("a number");
+        match kind {
+            "Load" => TraceOp::Load(Addr(n)),
+            "Store" => TraceOp::Store(Addr(n)),
+            "Think" => TraceOp::Think(n),
+            other => panic!("unknown trace op {other}"),
+        }
+    };
+    let generated = spec.generate(cores, seed);
+    let traces = generated.traces.iter();
+    let traces = traces.map(|t| t.ops().iter().map(|o| op(format!("{o:?}"))).collect());
+    Workload::new(name, traces.collect())
+}
+
+/// DirCMP has no serial numbers, no ownership handshake and no timers: every
+/// message carries `SerialNum::ZERO`, none piggybacks an AckO, and no
+/// timeout fires. The controllers rely on this to test serials, piggybacked
+/// AckOs and timers without asking which protocol runs.
+#[test]
+fn dircmp_sends_no_serial_no_piggybacked_acko_and_fires_no_timer() {
+    let config = SystemConfig::dircmp();
+    let wl = suite_workload("ocean", config.tiles, 7);
+    let cap = 10_000_000;
+    let (sink, handle) = CollectSink::new(cap);
+    let mut sys = System::new(config, &wl).unwrap();
+    sys.set_trace_sink(Box::new(sink));
+    let r = sys.run().unwrap();
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    let events = handle.take();
+    assert!(events.len() < cap, "every event collected");
+    let mut delivered = 0;
+    for e in &events {
+        match &e.kind {
+            TraceEventKind::Delivered(m) => {
+                assert_eq!(m.serial, SerialNum::ZERO, "{m:?}");
+                assert!(!m.piggy_acko, "{m:?}");
+                delivered += 1;
+            }
+            TraceEventKind::TimeoutFired { .. } => panic!("a timer fired: {e:?}"),
+            TraceEventKind::OpRetired { .. } => {}
+        }
+    }
+    assert!(delivered > 10_000, "{delivered} messages");
 }
 
 #[test]

@@ -80,7 +80,7 @@ fn states() -> Vec<StateDecl> {
 
 #[allow(clippy::too_many_lines)]
 fn rows() -> Vec<super::Transition> {
-    crate::transitions![
+    super::transitions![
         // ---- CPU operations -------------------------------------------
         { [I] @ cpu(CpuOp::Load) => [IS];
           sends [GetS -> Home]; alloc [Mshr]; ft_alloc [TimerLostRequest];
@@ -88,12 +88,8 @@ fn rows() -> Vec<super::Transition> {
         { [I] @ cpu(CpuOp::Store) => [IM];
           sends [GetX -> Home]; alloc [Mshr]; ft_alloc [TimerLostRequest];
           paper "write miss" },
-        { [S] @ cpu(CpuOp::Load) => [S] },
-        { [E] @ cpu(CpuOp::Load) => [E] },
-        { [O] @ cpu(CpuOp::Load) => [O] },
-        { [M] @ cpu(CpuOp::Load) => [M] },
-        { [Mb] @ cpu(CpuOp::Load) => [Mb]; gate FtOnly },
-        { [Eb] @ cpu(CpuOp::Load) => [Eb]; gate FtOnly },
+        { [S, E, O, M] @ cpu(CpuOp::Load) => same },
+        { [Mb, Eb] @ cpu(CpuOp::Load) => same; gate FtOnly },
         { [M] @ cpu(CpuOp::Store) => [M] },
         { [E] @ cpu(CpuOp::Store), if "silent upgrade" => [M] },
         { [Mb] @ cpu(CpuOp::Store) => [Mb]; gate FtOnly },
@@ -102,14 +98,8 @@ fn rows() -> Vec<super::Transition> {
           sends [GetX -> Home]; alloc [Mshr]; ft_alloc [TimerLostRequest] },
         { [O] @ cpu(CpuOp::Store), if "upgrade miss" => [O, OM];
           sends [GetX -> Home]; alloc [Mshr]; ft_alloc [TimerLostRequest] },
-        { [MI] @ cpu(CpuOp::Load), if "stalled behind writeback" => [MI] },
-        { [OI] @ cpu(CpuOp::Load), if "stalled behind writeback" => [OI] },
-        { [EI] @ cpu(CpuOp::Load), if "stalled behind writeback" => [EI] },
-        { [II] @ cpu(CpuOp::Load), if "stalled behind writeback" => [II] },
-        { [MI] @ cpu(CpuOp::Store), if "stalled behind writeback" => [MI] },
-        { [OI] @ cpu(CpuOp::Store), if "stalled behind writeback" => [OI] },
-        { [EI] @ cpu(CpuOp::Store), if "stalled behind writeback" => [EI] },
-        { [II] @ cpu(CpuOp::Store), if "stalled behind writeback" => [II] },
+        { [MI, OI, EI, II] @ cpu(CpuOp::Load), if "stalled behind writeback" => same },
+        { [MI, OI, EI, II] @ cpu(CpuOp::Store), if "stalled behind writeback" => same },
         { [S] @ cpu(CpuOp::Evict), if "silent eviction" => [] },
         { [E] @ cpu(CpuOp::Evict) => [EI];
           sends [Put -> Home]; alloc [WbMshr]; ft_alloc [TimerLostRequest];
@@ -133,8 +123,7 @@ fn rows() -> Vec<super::Transition> {
           gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
           free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd];
           paper "§3.1 ownership handshake" },
-        { [IS] @ msg(MsgType::DataEx), if "invalidation acks outstanding" => [IS] },
-        { [IM] @ msg(MsgType::DataEx), if "invalidation acks outstanding" => [IM] },
+        { [IS, IM] @ msg(MsgType::DataEx), if "invalidation acks outstanding" => same },
         { [IM] @ msg(MsgType::DataEx), if "acks complete" => [M];
           gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
         { [IM] @ msg(MsgType::DataEx), if "acks complete" => [Mb];
@@ -152,10 +141,7 @@ fn rows() -> Vec<super::Transition> {
         { [OM] @ msg(MsgType::DataEx), if "upgrade grant, acks complete" => [M];
           sends [UnblockEx -> Home]; free [Mshr]; ft_free [TimerLostRequest] },
         { [OM] @ msg(MsgType::DataEx), if "invalidation acks outstanding" => [OM] },
-        { [IS] @ msg(MsgType::Ack), if "acks outstanding" => [IS] },
-        { [IM] @ msg(MsgType::Ack), if "acks outstanding" => [IM] },
-        { [SM] @ msg(MsgType::Ack), if "acks outstanding" => [SM] },
-        { [OM] @ msg(MsgType::Ack), if "acks outstanding" => [OM] },
+        { [IS, IM, SM, OM] @ msg(MsgType::Ack), if "acks outstanding" => same },
         { [IS] @ msg(MsgType::Ack), if "final ack, clean exclusive grant" => [E];
           gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
         { [IS] @ msg(MsgType::Ack), if "final ack, dirty exclusive grant" => [M];
@@ -183,69 +169,41 @@ fn rows() -> Vec<super::Transition> {
         // ---- Invalidations --------------------------------------------
         { [I] @ msg(MsgType::Inv), if "stale: no line" => [I];
           sends [Ack -> Requester] },
-        { [S] @ msg(MsgType::Inv) => []; sends [Ack -> Requester] },
-        { [O] @ msg(MsgType::Inv) => []; sends [Ack -> Requester] },
+        { [S, O] @ msg(MsgType::Inv) => []; sends [Ack -> Requester] },
         // A delayed Inv can reach a (re-acquired) exclusive owner even
         // under plain DirCMP when the network reorders it past a complete
         // later transaction; the ack it triggers is stale and discarded.
-        { [E] @ msg(MsgType::Inv), if "stale: exclusive line kept" => [E];
+        { [E, M] @ msg(MsgType::Inv), if "stale: exclusive line kept" => same;
           sends [Ack -> Requester] },
-        { [M] @ msg(MsgType::Inv), if "stale: exclusive line kept" => [M];
-          sends [Ack -> Requester] },
-        { [Mb] @ msg(MsgType::Inv), if "blocked line kept" => [Mb];
+        { [Mb, Eb] @ msg(MsgType::Inv), if "blocked line kept" => same;
           gate FtOnly; sends [Ack -> Requester] },
-        { [Eb] @ msg(MsgType::Inv), if "blocked line kept" => [Eb];
-          gate FtOnly; sends [Ack -> Requester] },
-        { [IS] @ msg(MsgType::Inv), if "no line yet" => [IS]; sends [Ack -> Requester] },
-        { [IM] @ msg(MsgType::Inv), if "no line yet" => [IM]; sends [Ack -> Requester] },
-        { [SM] @ msg(MsgType::Inv), if "upgrade loses the line" => [I, IM];
-          sends [Ack -> Requester] },
-        { [OM] @ msg(MsgType::Inv), if "upgrade loses the line" => [I, IM];
+        { [IS, IM] @ msg(MsgType::Inv), if "no line yet" => same; sends [Ack -> Requester] },
+        { [SM, OM] @ msg(MsgType::Inv), if "upgrade loses the line" => [I, IM];
           sends [Ack -> Requester] },
         // ---- Forwards -------------------------------------------------
         { [M] @ msg(MsgType::FwdGetS) => [O]; sends [Data -> Requester];
           paper "owner downgrades" },
         { [E] @ msg(MsgType::FwdGetS) => [O]; sends [Data -> Requester] },
         { [O] @ msg(MsgType::FwdGetS) => [O]; sends [Data -> Requester] },
-        { [Mb] @ msg(MsgType::FwdGetS), if "deferred until AckBD" => [Mb]; gate FtOnly },
-        { [Eb] @ msg(MsgType::FwdGetS), if "deferred until AckBD" => [Eb]; gate FtOnly },
-        { [MI] @ msg(MsgType::FwdGetS), if "writeback in flight supplies data" => [MI];
+        { [Mb, Eb] @ msg(MsgType::FwdGetS), if "deferred until AckBD" => same; gate FtOnly },
+        { [MI, OI, EI] @ msg(MsgType::FwdGetS), if "writeback in flight supplies data" => same;
           sends [Data -> Requester] },
-        { [OI] @ msg(MsgType::FwdGetS), if "writeback in flight supplies data" => [OI];
-          sends [Data -> Requester] },
-        { [EI] @ msg(MsgType::FwdGetS), if "writeback in flight supplies data" => [EI];
-          sends [Data -> Requester] },
-        { [M] @ msg(MsgType::FwdGetX) => []; gate NonFtOnly; sends [DataEx -> Requester] },
-        { [E] @ msg(MsgType::FwdGetX) => []; gate NonFtOnly; sends [DataEx -> Requester] },
-        { [O] @ msg(MsgType::FwdGetX) => []; gate NonFtOnly; sends [DataEx -> Requester] },
+        { [M, E, O] @ msg(MsgType::FwdGetX) => []; gate NonFtOnly; sends [DataEx -> Requester] },
         { [M] @ msg(MsgType::FwdGetX) => [B]; gate FtOnly;
           sends [DataEx -> Requester]; alloc [Backup, TimerLostData];
           paper "§3.1 backup creation" },
-        { [E] @ msg(MsgType::FwdGetX) => [B]; gate FtOnly;
-          sends [DataEx -> Requester]; alloc [Backup, TimerLostData] },
-        { [O] @ msg(MsgType::FwdGetX) => [B]; gate FtOnly;
+        { [E, O] @ msg(MsgType::FwdGetX) => [B]; gate FtOnly;
           sends [DataEx -> Requester]; alloc [Backup, TimerLostData] },
         { [S] @ msg(MsgType::FwdGetX), if "non-owner copy dropped" => [] },
-        { [Mb] @ msg(MsgType::FwdGetX), if "deferred until AckBD" => [Mb]; gate FtOnly },
-        { [Eb] @ msg(MsgType::FwdGetX), if "deferred until AckBD" => [Eb]; gate FtOnly },
-        { [MI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II];
+        { [Mb, Eb] @ msg(MsgType::FwdGetX), if "deferred until AckBD" => same; gate FtOnly },
+        { [MI, OI, EI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II];
           gate NonFtOnly; sends [DataEx -> Requester] },
-        { [OI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II];
-          gate NonFtOnly; sends [DataEx -> Requester] },
-        { [EI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II];
-          gate NonFtOnly; sends [DataEx -> Requester] },
-        { [MI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II, B];
-          gate FtOnly; sends [DataEx -> Requester]; alloc [Backup, TimerLostData] },
-        { [OI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II, B];
-          gate FtOnly; sends [DataEx -> Requester]; alloc [Backup, TimerLostData] },
-        { [EI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II, B];
+        { [MI, OI, EI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II, B];
           gate FtOnly; sends [DataEx -> Requester]; alloc [Backup, TimerLostData] },
         { [B] @ msg(MsgType::FwdGetX), if "backup re-targets the new requester" => [B];
           gate FtOnly; sends [DataEx -> Requester]; paper "§3.3" },
         // ---- Writeback acknowledgements -------------------------------
-        { [MI] @ msg(MsgType::WbAck), if "writeback proceeds" => [];
-          gate NonFtOnly; sends [WbData -> Sender]; free [WbMshr] },
-        { [OI] @ msg(MsgType::WbAck), if "writeback proceeds" => [];
+        { [MI, OI] @ msg(MsgType::WbAck), if "writeback proceeds" => [];
           gate NonFtOnly; sends [WbData -> Sender]; free [WbMshr] },
         { [EI] @ msg(MsgType::WbAck), if "writeback proceeds (home always wants data)" => [];
           gate NonFtOnly; sends [WbData -> Sender]; free [WbMshr] },
@@ -261,18 +219,14 @@ fn rows() -> Vec<super::Transition> {
           free [WbMshr, TimerLostRequest]; alloc [Backup, TimerLostData] },
         { [II] @ msg(MsgType::WbAck), if "data surrendered: cancel" => [];
           sends [WbNoData -> Sender]; free [WbMshr]; ft_free [TimerLostRequest] },
-        { [MI] @ msg(MsgType::WbAck), if "stale put: line reinstated" => [M];
-          free [WbMshr]; ft_free [TimerLostRequest] },
-        { [EI] @ msg(MsgType::WbAck), if "stale put: line reinstated" => [M];
+        { [MI, EI] @ msg(MsgType::WbAck), if "stale put: line reinstated" => [M];
           free [WbMshr]; ft_free [TimerLostRequest] },
         { [OI] @ msg(MsgType::WbAck), if "stale put: line reinstated" => [O];
           free [WbMshr]; ft_free [TimerLostRequest] },
         { [II] @ msg(MsgType::WbAck), if "stale put, no data left" => [];
           free [WbMshr]; ft_free [TimerLostRequest] },
         // ---- Ownership handshake (§3.1) -------------------------------
-        { [B] @ msg(MsgType::AckO) => []; gate FtOnly;
-          sends [AckBD -> Sender]; free [Backup, TimerLostData]; paper "§3.1" },
-        { [Bw] @ msg(MsgType::AckO) => []; gate FtOnly;
+        { [B, Bw] @ msg(MsgType::AckO) => []; gate FtOnly;
           sends [AckBD -> Sender]; free [Backup, TimerLostData]; paper "§3.1" },
         { [I] @ msg(MsgType::AckO), if "no backup: idempotent re-ack" => [I];
           gate FtOnly; sends [AckBD -> Sender]; paper "§3.4" },
@@ -281,45 +235,23 @@ fn rows() -> Vec<super::Transition> {
         { [Eb] @ msg(MsgType::AckBD) => [E]; gate FtOnly;
           free [AckBdPend, TimerLostAckBd]; paper "§3.1 unblock" },
         // ---- Recovery pings -------------------------------------------
-        { [IS] @ msg(MsgType::UnblockPing), if "miss still pending: ignored" => [IS];
-          gate FtOnly },
-        { [IM] @ msg(MsgType::UnblockPing), if "miss still pending: ignored" => [IM];
-          gate FtOnly },
-        { [SM] @ msg(MsgType::UnblockPing), if "miss still pending: ignored" => [SM];
-          gate FtOnly },
-        { [OM] @ msg(MsgType::UnblockPing), if "miss still pending: ignored" => [OM];
+        { [IS, IM, SM, OM] @ msg(MsgType::UnblockPing), if "miss still pending: ignored" => same;
           gate FtOnly },
         { [M] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [M];
           gate FtOnly; sends [UnblockEx -> Sender]; paper "§3.4" },
-        { [E] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [E];
+        { [E, Mb, Eb] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => same;
           gate FtOnly; sends [UnblockEx -> Sender] },
-        { [Mb] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [Mb];
-          gate FtOnly; sends [UnblockEx -> Sender] },
-        { [Eb] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [Eb];
-          gate FtOnly; sends [UnblockEx -> Sender] },
-        { [S] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [S];
-          gate FtOnly; sends [Unblock -> Sender] },
-        { [O] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [O];
+        { [S, O] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => same;
           gate FtOnly; sends [Unblock -> Sender] },
         { [I] @ msg(MsgType::UnblockPing), if "replayed from completion record (shared)" => [I];
           gate FtOnly; sends [Unblock -> Sender] },
         { [I] @ msg(MsgType::UnblockPing), if "replayed from completion record (exclusive)" => [I];
           gate FtOnly; sends [UnblockEx -> Sender] },
-        { [MI] @ msg(MsgType::UnblockPing), if "conservative re-unblock from wb" => [MI];
-          gate FtOnly; sends [UnblockEx -> Sender] },
-        { [EI] @ msg(MsgType::UnblockPing), if "conservative re-unblock from wb" => [EI];
-          gate FtOnly; sends [UnblockEx -> Sender] },
-        { [II] @ msg(MsgType::UnblockPing), if "conservative re-unblock from wb" => [II];
+        { [MI, EI, II] @ msg(MsgType::UnblockPing), if "conservative re-unblock from wb" => same;
           gate FtOnly; sends [UnblockEx -> Sender] },
         { [OI] @ msg(MsgType::UnblockPing), if "conservative re-unblock from wb" => [OI];
           gate FtOnly; sends [Unblock -> Sender] },
-        { [MI] @ msg(MsgType::WbPing), if "ping completes writeback" => [Bw];
-          gate FtOnly; sends [WbData -> Sender];
-          free [WbMshr, TimerLostRequest]; alloc [Backup, TimerLostData] },
-        { [OI] @ msg(MsgType::WbPing), if "ping completes writeback" => [Bw];
-          gate FtOnly; sends [WbData -> Sender];
-          free [WbMshr, TimerLostRequest]; alloc [Backup, TimerLostData] },
-        { [EI] @ msg(MsgType::WbPing), if "ping completes writeback" => [Bw];
+        { [MI, OI, EI] @ msg(MsgType::WbPing), if "ping completes writeback" => [Bw];
           gate FtOnly; sends [WbData -> Sender];
           free [WbMshr, TimerLostRequest]; alloc [Backup, TimerLostData] },
         { [II] @ msg(MsgType::WbPing), if "data surrendered: cancel" => [];
@@ -328,28 +260,14 @@ fn rows() -> Vec<super::Transition> {
           gate FtOnly; sends [WbData -> Sender]; paper "§3.3" },
         { [I] @ msg(MsgType::WbPing), if "no writeback in flight" => [I];
           gate FtOnly; sends [WbCancel -> Sender] },
-        { [S] @ msg(MsgType::OwnershipPing) => [S]; gate FtOnly; sends [AckO -> Sender] },
-        { [E] @ msg(MsgType::OwnershipPing) => [E]; gate FtOnly; sends [AckO -> Sender] },
-        { [O] @ msg(MsgType::OwnershipPing) => [O]; gate FtOnly; sends [AckO -> Sender] },
-        { [M] @ msg(MsgType::OwnershipPing) => [M]; gate FtOnly; sends [AckO -> Sender] },
-        { [Mb] @ msg(MsgType::OwnershipPing) => [Mb]; gate FtOnly; sends [AckO -> Sender] },
-        { [Eb] @ msg(MsgType::OwnershipPing) => [Eb]; gate FtOnly; sends [AckO -> Sender] },
-        { [MI] @ msg(MsgType::OwnershipPing) => [MI]; gate FtOnly; sends [AckO -> Sender] },
-        { [OI] @ msg(MsgType::OwnershipPing) => [OI]; gate FtOnly; sends [AckO -> Sender] },
-        { [EI] @ msg(MsgType::OwnershipPing) => [EI]; gate FtOnly; sends [AckO -> Sender] },
-        { [II] @ msg(MsgType::OwnershipPing) => [II]; gate FtOnly; sends [AckO -> Sender] },
-        { [B] @ msg(MsgType::OwnershipPing), if "holder acknowledges ownership" => [B];
+        { [S, E, O, M, Mb, Eb, MI, OI, EI, II] @ msg(MsgType::OwnershipPing) => same;
           gate FtOnly; sends [AckO -> Sender] },
-        { [Bw] @ msg(MsgType::OwnershipPing), if "holder acknowledges ownership" => [Bw];
+        { [B, Bw] @ msg(MsgType::OwnershipPing), if "holder acknowledges ownership" => same;
           gate FtOnly; sends [AckO -> Sender] },
         { [IS] @ msg(MsgType::OwnershipPing), if "miss in flight: ownership refused" => [IS];
           gate FtOnly; sends [NackO -> Sender]; paper "§3.3" },
-        { [IM] @ msg(MsgType::OwnershipPing), if "miss in flight: ownership refused" => [IM];
-          gate FtOnly; sends [NackO -> Sender] },
-        { [SM] @ msg(MsgType::OwnershipPing), if "miss in flight: ownership refused" => [SM];
-          gate FtOnly; sends [NackO -> Sender] },
-        { [OM] @ msg(MsgType::OwnershipPing), if "miss in flight: ownership refused" => [OM];
-          gate FtOnly; sends [NackO -> Sender] },
+        { [IM, SM, OM] @ msg(MsgType::OwnershipPing),
+          if "miss in flight: ownership refused" => same; gate FtOnly; sends [NackO -> Sender] },
         { [I] @ msg(MsgType::OwnershipPing), if "no copy" => [I];
           gate FtOnly; sends [NackO -> Sender] },
         { [B] @ msg(MsgType::NackO), if "backup re-supplies data" => [B];
@@ -359,19 +277,9 @@ fn rows() -> Vec<super::Transition> {
         // ---- Timeouts (§3.2 / §3.5) -----------------------------------
         { [IS] @ tmo(TimeoutKind::LostRequest), if "reissue with fresh serial" => [IS];
           gate FtOnly; sends [GetS -> Home]; paper "§3.2" },
-        { [IM] @ tmo(TimeoutKind::LostRequest), if "reissue with fresh serial" => [IM];
+        { [IM, SM, OM] @ tmo(TimeoutKind::LostRequest), if "reissue with fresh serial" => same;
           gate FtOnly; sends [GetX -> Home] },
-        { [SM] @ tmo(TimeoutKind::LostRequest), if "reissue with fresh serial" => [SM];
-          gate FtOnly; sends [GetX -> Home] },
-        { [OM] @ tmo(TimeoutKind::LostRequest), if "reissue with fresh serial" => [OM];
-          gate FtOnly; sends [GetX -> Home] },
-        { [MI] @ tmo(TimeoutKind::LostRequest), if "reissue writeback" => [MI];
-          gate FtOnly; sends [Put -> Home] },
-        { [OI] @ tmo(TimeoutKind::LostRequest), if "reissue writeback" => [OI];
-          gate FtOnly; sends [Put -> Home] },
-        { [EI] @ tmo(TimeoutKind::LostRequest), if "reissue writeback" => [EI];
-          gate FtOnly; sends [Put -> Home] },
-        { [II] @ tmo(TimeoutKind::LostRequest), if "reissue writeback" => [II];
+        { [MI, OI, EI, II] @ tmo(TimeoutKind::LostRequest), if "reissue writeback" => same;
           gate FtOnly; sends [Put -> Home] },
         { [Mb] @ tmo(TimeoutKind::LostAckBd), if "re-send AckO with fresh serial" => [Mb];
           gate FtOnly; sends [AckO -> AckPeer]; paper "§3.4" },

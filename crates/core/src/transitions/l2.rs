@@ -86,7 +86,7 @@ fn states() -> Vec<StateDecl> {
 
 #[allow(clippy::too_many_lines)]
 fn rows() -> Vec<super::Transition> {
-    crate::transitions![
+    super::transitions![
         // ---- Request admission & service ------------------------------
         { [NP] @ msg(MsgType::GetS), if "miss: fill from memory" => [WaitMem];
           sends [GetX -> MemCtl]; alloc [Tbe]; ft_alloc [TimerLostRequest];
@@ -116,9 +116,7 @@ fn rows() -> Vec<super::Transition> {
           paper "three-phase writeback" },
         { [MT] @ msg(MsgType::Put), if "not the owner: stale put acknowledged" => [MT];
           sends [WbAck -> Sender] },
-        { [NP] @ msg(MsgType::Put), if "stale put acknowledged" => [NP];
-          sends [WbAck -> Sender] },
-        { [RO] @ msg(MsgType::Put), if "stale put acknowledged" => [RO];
+        { [NP, RO] @ msg(MsgType::Put), if "stale put acknowledged" => same;
           sends [WbAck -> Sender] },
         // ---- Unblocks -------------------------------------------------
         { [WaitUnblock] @ msg(MsgType::UnblockEx), if "exclusive grant acknowledged" => [MT];
@@ -215,26 +213,18 @@ fn rows() -> Vec<super::Transition> {
           gate FtOnly; sends [UnblockEx -> Sender, AckO -> Sender] },
         { [NP] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [NP];
           gate FtOnly; sends [UnblockEx -> Sender, AckO -> Sender]; paper "§3.4" },
-        { [RO] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [RO];
-          gate FtOnly; sends [UnblockEx -> Sender, AckO -> Sender] },
-        { [MT] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [MT];
+        { [RO, MT] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => same;
           gate FtOnly; sends [UnblockEx -> Sender, AckO -> Sender] },
         { [WaitMemWbAck] @ msg(MsgType::WbPing), if "ping completes memory writeback" => [MB];
           gate FtOnly; sends [WbData -> Sender];
           free [Tbe, TimerLostRequest]; alloc [MemBackup, TimerLostData] },
         { [MB] @ msg(MsgType::WbPing), if "backup re-sends data" => [MB];
           gate FtOnly; sends [WbData -> Sender]; paper "§3.3" },
-        { [NP] @ msg(MsgType::WbPing), if "no writeback in flight" => [NP];
-          gate FtOnly; sends [WbCancel -> Sender] },
-        { [RO] @ msg(MsgType::WbPing), if "no writeback in flight" => [RO];
-          gate FtOnly; sends [WbCancel -> Sender] },
-        { [MT] @ msg(MsgType::WbPing), if "no writeback in flight" => [MT];
+        { [NP, RO, MT] @ msg(MsgType::WbPing), if "no writeback in flight" => same;
           gate FtOnly; sends [WbCancel -> Sender] },
         { [WaitWbData] @ msg(MsgType::OwnershipPing), if "writeback in flight: refused" => [WaitWbData];
           gate FtOnly; sends [NackO -> Sender]; paper "§3.3" },
-        { [NP] @ msg(MsgType::OwnershipPing) => [NP]; gate FtOnly; sends [AckO -> Sender] },
-        { [RO] @ msg(MsgType::OwnershipPing) => [RO]; gate FtOnly; sends [AckO -> Sender] },
-        { [MT] @ msg(MsgType::OwnershipPing) => [MT]; gate FtOnly; sends [AckO -> Sender] },
+        { [NP, RO, MT] @ msg(MsgType::OwnershipPing) => same; gate FtOnly; sends [AckO -> Sender] },
         { [MB] @ msg(MsgType::NackO), if "memory refused: re-send data" => [MB];
           gate FtOnly; sends [WbData -> MemCtl]; paper "§3.3" },
         // ---- Timeouts -------------------------------------------------

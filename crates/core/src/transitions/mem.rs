@@ -40,7 +40,7 @@ fn states() -> Vec<StateDecl> {
 }
 
 fn rows() -> Vec<super::Transition> {
-    crate::transitions![
+    super::transitions![
         // ---- Requests -------------------------------------------------
         { [U] @ msg(MsgType::GetX), if "fill: memory always grants exclusively" => [U, WaitUnblock];
           sends [DataEx -> Requester]; alloc [Tbe]; ft_alloc [TimerLostUnblock];
@@ -75,12 +75,8 @@ fn rows() -> Vec<super::Transition> {
         // ---- Ownership probes -----------------------------------------
         { [WaitWbData] @ msg(MsgType::OwnershipPing), if "writeback in flight: refused" => [WaitWbData];
           gate FtOnly; sends [NackO -> Sender]; paper "§3.3" },
-        { [WaitUnblock] @ msg(MsgType::OwnershipPing) => [WaitUnblock];
+        { [WaitUnblock, WaitAckBd, U, C] @ msg(MsgType::OwnershipPing) => same;
           gate FtOnly; sends [AckO -> Sender] },
-        { [WaitAckBd] @ msg(MsgType::OwnershipPing) => [WaitAckBd];
-          gate FtOnly; sends [AckO -> Sender] },
-        { [U] @ msg(MsgType::OwnershipPing) => [U]; gate FtOnly; sends [AckO -> Sender] },
-        { [C] @ msg(MsgType::OwnershipPing) => [C]; gate FtOnly; sends [AckO -> Sender] },
         { [U] @ msg(MsgType::AckO), if "idempotent re-ack" => [U];
           gate FtOnly; sends [AckBD -> Sender]; paper "§3.4" },
         { [C] @ msg(MsgType::AckO), if "idempotent re-ack" => [C];

@@ -12,6 +12,9 @@
 //! states across several families — applying a row sets every family that is
 //! mentioned, and clears the source's family if it is not (mandatory
 //! families fall back to their default).  `next = []` means the facet ends.
+//! A row may name several source states, one `Transition` each: it is how
+//! one rule is written once for every state it covers, and its `next` may
+//! be `same`, which keeps each source in its own state.
 //!
 //! Each state declares the resources (MSHRs, TBEs, backups, armed timers)
 //! its presence *implies*; each row declares the resource deltas the handler
@@ -645,90 +648,104 @@ pub(crate) use state_ids;
 ///      paper "§2")
 /// ```
 ///
+/// A row names one or more source states and expands to one `Transition`
+/// per source, in the order listed, each with every other field equal. The
+/// `next` after `=>` is either a list of states (see the module docs; `[]`
+/// ends the facet) or `same`: each source keeps its own state.
+///
 /// Optional clauses, in order: `if "guard"` (after the event), `gate G`,
 /// `sends [..]`, `alloc [..]`, `free [..]`, `ft_alloc [..]`, `ft_free [..]`,
 /// `paper ".."`.
-#[macro_export]
 macro_rules! row {
-    ( [$($src:ident),+] @ $ev:expr $(, if $guard:literal)? => [$($next:ident),*]
+    ( [$($src:ident),+] @ $ev:expr $(, if $guard:literal)? => $next:tt
       $(; $($rest:tt)*)?
     ) => {{
+        let (next, same) = $crate::transitions::row_next!($next);
         #[allow(unused_mut)]
-        let mut proto = $crate::transitions::Transition::new(
-            "",
-            $ev,
-            &[$(stringify!($next)),*],
-        );
+        let mut proto = $crate::transitions::Transition::new("", $ev, next);
         $( proto.guard = $guard; )?
-        $( $crate::row_clauses!(proto; $($rest)*); )?
+        $( $crate::transitions::row_clauses!(proto; $($rest)*); )?
         let mut out: Vec<$crate::transitions::Transition> = Vec::new();
         $(
             let mut t = proto.clone();
             t.src = stringify!($src);
+            if same {
+                t.next.push(t.src);
+            }
             out.push(t);
         )+
         out
     }};
 }
+pub(crate) use row;
 
-/// Internal helper of [`row!`]: applies `; clause` items in any order.
-#[doc(hidden)]
-#[macro_export]
+/// Helper of [`row!`]: the `next` states a row names (none for `same`,
+/// where each source adds its own) and whether it is `same`.
+macro_rules! row_next {
+    (same) => {
+        (&[], true)
+    };
+    ([$($next:ident),*]) => {
+        (&[$(stringify!($next)),*], false)
+    };
+}
+pub(crate) use row_next;
+
+/// Helper of [`row!`]: applies `; clause` items in any order.
 macro_rules! row_clauses {
     ($p:ident; ) => {};
     ($p:ident; gate $gate:ident $(; $($rest:tt)*)? ) => {
         $p.gate = $crate::transitions::Gate::$gate;
-        $( $crate::row_clauses!($p; $($rest)*); )?
+        $( $crate::transitions::row_clauses!($p; $($rest)*); )?
     };
     ($p:ident; sends [$($mt:ident -> $role:ident),* $(,)?] $(; $($rest:tt)*)? ) => {
         $p.sends = vec![$((
             $crate::msg::MsgType::$mt,
             $crate::transitions::Role::$role
         )),*];
-        $( $crate::row_clauses!($p; $($rest)*); )?
+        $( $crate::transitions::row_clauses!($p; $($rest)*); )?
     };
     ($p:ident; alloc [$($r:ident),* $(,)?] $(; $($rest:tt)*)? ) => {
         $p.alloc = vec![$($crate::transitions::Resource::$r),*];
-        $( $crate::row_clauses!($p; $($rest)*); )?
+        $( $crate::transitions::row_clauses!($p; $($rest)*); )?
     };
     ($p:ident; free [$($r:ident),* $(,)?] $(; $($rest:tt)*)? ) => {
         $p.free = vec![$($crate::transitions::Resource::$r),*];
-        $( $crate::row_clauses!($p; $($rest)*); )?
+        $( $crate::transitions::row_clauses!($p; $($rest)*); )?
     };
     ($p:ident; ft_alloc [$($r:ident),* $(,)?] $(; $($rest:tt)*)? ) => {
         $p.ft_alloc = vec![$($crate::transitions::Resource::$r),*];
-        $( $crate::row_clauses!($p; $($rest)*); )?
+        $( $crate::transitions::row_clauses!($p; $($rest)*); )?
     };
     ($p:ident; ft_free [$($r:ident),* $(,)?] $(; $($rest:tt)*)? ) => {
         $p.ft_free = vec![$($crate::transitions::Resource::$r),*];
-        $( $crate::row_clauses!($p; $($rest)*); )?
+        $( $crate::transitions::row_clauses!($p; $($rest)*); )?
     };
     ($p:ident; paper $paper:literal $(; $($rest:tt)*)? ) => {
         $p.paper = $paper;
-        $( $crate::row_clauses!($p; $($rest)*); )?
+        $( $crate::transitions::row_clauses!($p; $($rest)*); )?
     };
 }
+pub(crate) use row_clauses;
 
 /// Collects `row!` invocations into a flat `Vec<Transition>`:
 ///
 /// ```ignore
 /// transitions![
 ///     { [I] @ cpu(CpuOp::Load) => [IS]; sends [GetS -> Home]; alloc [Mshr] },
-///     { [S, E, O, M] @ cpu(CpuOp::Load) => [] },
+///     { [S, E, O, M] @ cpu(CpuOp::Load) => same },
 /// ]
 /// ```
 ///
-/// A `next` of `[]` in a multi-source row means "facet unchanged" is *not*
-/// implied — it means the facet ends; rows that keep the facet name it
-/// explicitly.
-#[macro_export]
+/// `same` keeps each source in its own state; `[]` ends the facet.
 macro_rules! transitions {
     ( $( { $($row:tt)* } ),* $(,)? ) => {{
         let mut v: Vec<$crate::transitions::Transition> = Vec::new();
-        $( v.extend($crate::row!( $($row)* )); )*
+        $( v.extend($crate::transitions::row!( $($row)* )); )*
         v
     }};
 }
+pub(crate) use transitions;
 
 static L1: OnceLock<(ControllerTable, L1Ids)> = OnceLock::new();
 static L2: OnceLock<(ControllerTable, L2Ids)> = OnceLock::new();
@@ -909,6 +926,24 @@ mod tests {
             ],
         );
         assert_eq!(l1().0.facet_names(&[l1().1.mb, l1().1.im]), "Mb+IM");
+    }
+
+    #[test]
+    fn a_same_row_expands_to_one_row_per_source_each_keeping_its_state() {
+        let rows = row!([IS, IM, SM] @ msg(MsgType::Ack), if "acks outstanding" => same;
+                        gate FtOnly; sends [UnblockEx -> Home]);
+        let got: Vec<(&str, Vec<&str>)> = rows.iter().map(|r| (r.src, r.next.clone())).collect();
+        assert_eq!(
+            got,
+            [("IS", vec!["IS"]), ("IM", vec!["IM"]), ("SM", vec!["SM"])]
+        );
+        for r in &rows {
+            assert_eq!(
+                (r.event, r.guard, r.gate),
+                (msg(MsgType::Ack), "acks outstanding", Gate::FtOnly)
+            );
+            assert_eq!(r.sends, [(MsgType::UnblockEx, Role::Home)]);
+        }
     }
 
     #[test]

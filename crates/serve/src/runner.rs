@@ -16,25 +16,13 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ftdircmp_bench::campaign::{run_units_caught, Campaign, CellError, Unit};
+use ftdircmp_bench::campaign::{panic_message, run_units_caught, Campaign, CellError, Unit};
 use ftdircmp_core::{RunError, SimReport};
 use ftdircmp_explore::{explore, repro::Repro, ExploreOptions};
 
 use crate::job::{JobKind, JobSpec};
 use crate::json::Json;
 use crate::store::Store;
-
-/// Best-effort text of a panic payload (`&str`/`String` payloads cover
-/// every `panic!` in this workspace).
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// Per-job execution outcome, stored in the summary and the journal.
 pub const OUTCOME_OK: &str = "ok";
@@ -70,7 +58,7 @@ pub fn execute_job(
             let msg = caught.expect_err("poison always panics");
             (
                 OUTCOME_QUARANTINED,
-                vec![("message", Json::str(panic_text(&*msg)))],
+                vec![("message", Json::str(panic_message(&*msg)))],
             )
         }
     };
@@ -276,7 +264,7 @@ fn run_fault_search_job(
         }
         Err(panic) => (
             OUTCOME_QUARANTINED,
-            vec![("message", Json::str(panic_text(&*panic)))],
+            vec![("message", Json::str(panic_message(&*panic)))],
         ),
     }
 }
@@ -295,7 +283,7 @@ fn run_replay_job(repro: &Repro) -> Outcome {
         Ok(None) => (OUTCOME_OK, vec![("reproduced", Json::Bool(false))]),
         Err(panic) => (
             OUTCOME_QUARANTINED,
-            vec![("message", Json::str(panic_text(&*panic)))],
+            vec![("message", Json::str(panic_message(&*panic)))],
         ),
     }
 }

@@ -195,7 +195,13 @@ fn handle_connection(socket: &TcpStream, queue: &Queue, notifier: &Notifier) -> 
             break;
         }
         let Ok(text) = std::str::from_utf8(&line) else {
-            break;
+            if tx
+                .send(error_reply("request line is not UTF-8").to_string())
+                .is_err()
+            {
+                break;
+            }
+            continue;
         };
         let text = text.trim();
         if text.is_empty() {

@@ -474,6 +474,29 @@ fn subcommands_reject_an_unknown_flag_naming_it() {
     assert!(!root.join("results").exists(), "nothing ran");
 }
 
+/// A request line that is not UTF-8 gets a typed error naming the encoding,
+/// as malformed JSON does, and the connection keeps serving.
+#[test]
+fn a_request_line_that_is_not_utf8_is_refused_and_the_connection_keeps_serving() {
+    let root = tmp_root("not-utf8");
+    let daemon = Daemon::start(&root, 1);
+    let mut conn = Conn::connect(&daemon.addr());
+    conn.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    conn.writer.write_all(b"\xff\n").unwrap();
+    let reply = conn.recv_line();
+    assert!(
+        reply.contains("\"ok\":false") && reply.contains("UTF-8"),
+        "{reply}"
+    );
+    let pong = conn.call(r#"{"cmd":"ping"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A request line that never ends used to be read into one growing buffer:
 /// a client could grow the daemon's memory without limit by never sending a
 /// newline. The line is now refused at `MAX_REQUEST_BYTES`, naming the

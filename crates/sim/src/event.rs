@@ -21,9 +21,10 @@
 //! seed permutes the keys or when overflow events migrated into it.
 //!
 //! The simulator's event density is roughly one event per cycle, so the
-//! scan to the next occupied cycle is short; the criterion microbenches
-//! (`queue_*` in `crates/bench/benches/simulator.rs`) compare this against
-//! a `BinaryHeap` on recorded same-cycle churn distributions.
+//! scan to the next occupied cycle is short. The repo benchmark's
+//! `sim.queue_ns_per_op` probe (`--trace 1`) times schedule + pop on a
+//! recorded fig3 delay mix; DESIGN.md §8.4 gives its numbers and the
+//! comparison against the `BinaryHeap` this queue replaced.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
