@@ -6,6 +6,12 @@
 //! coordinates L2 writebacks with the same three-phase scheme, and — under
 //! FtDirCMP — participates in the ownership handshakes. Its resident copy
 //! doubles as the backup for outgoing data, so fills need no extra storage.
+//!
+//! The controller runs from its reified table
+//! ([`crate::transitions::mem_table`]): every message and timeout is
+//! dispatched to a row, which runs if its event's guard holds. Only what a
+//! row cannot say is written here: message contents, the written-back
+//! data, and the admission of a request that finds its line busy.
 
 use ftdircmp_sim::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
@@ -13,35 +19,28 @@ use std::collections::VecDeque;
 use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId};
 use crate::msg::{Message, MsgType};
-use crate::proto::{admit_busy, table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
+use crate::proto::{admit_busy, unexpected, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::SerialNum;
+use crate::transitions::{mem, Dispatch, Event, Resource, Role};
 
-#[allow(clippy::enum_variant_names)] // Wait* mirrors the protocol's terminology
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemStage {
-    /// DataEx sent; waiting for the L2's UnblockEx (+AckO under FT).
-    WaitUnblock,
-    /// WbAck sent; waiting for WbData/WbNoData.
-    WaitWbData,
-    /// FT: AckO sent for received WbData; waiting for AckBD.
-    WaitAckBd,
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct MemTbe {
     blocker: NodeId,
     serial: SerialNum,
-    stage: MemStage,
+    /// The TBE facet's state id: `WaitUnblock`, `WaitWbData` or `WaitAckBd`.
+    stage: u8,
     unblock: Timer,
     ackbd: Timer,
     acko_serial: SerialNum,
 }
 
 impl MemTbe {
-    /// Whether `msg` answers this transaction in `stage`: it comes from the
-    /// blocker and carries the transaction's serial (§3.5).
-    fn expects(&self, msg: &Message, stage: MemStage) -> bool {
-        self.stage == stage && self.blocker == msg.src && self.serial == msg.serial
+    /// The timer slot of `kind`.
+    fn timer(&mut self, kind: TimeoutKind) -> &mut Timer {
+        match kind {
+            TimeoutKind::LostAckBd => &mut self.ackbd,
+            _ => &mut self.unblock,
+        }
     }
 }
 
@@ -81,8 +80,11 @@ impl MemController {
         let mut out = String::new();
         for (a, t) in &self.tbes {
             out.push_str(&format!(
-                "{} tbe {a} stage={:?} blocker={} serial={}\n",
-                self.me, t.stage, t.blocker, t.serial
+                "{} tbe {a} stage={} blocker={} serial={}\n",
+                self.me,
+                mem().0.facet_names(&[t.stage]),
+                t.blocker,
+                t.serial
             ));
         }
         for (a, q) in &self.waiting {
@@ -108,60 +110,84 @@ impl MemController {
             .data(self.data_of(request.addr))
     }
 
-    /// The line's current facet configuration, in the state vocabulary of
-    /// the reified transition table ([`crate::transitions::mem_table`]).
-    /// The first entry is always the mandatory `Line` facet.
-    pub(crate) fn table_facets(&self, addr: LineAddr) -> Facets {
-        let ids = &crate::transitions::mem().1;
+    /// The line's facets in dispatch order, in the state vocabulary of the
+    /// memory table ([`crate::transitions::mem_table`]): the stage of `tbe`,
+    /// the line's open transaction if any, then the mandatory `Line` facet.
+    fn facets(&self, addr: LineAddr, tbe: Option<&MemTbe>) -> Facets {
+        let ids = &mem().1;
         let mut f = Facets::new();
+        if let Some(tbe) = tbe {
+            f.push(tbe.stage);
+        }
         f.push(if self.l2_owned.contains(&addr) {
             ids.c
         } else {
             ids.u
         });
-        if let Some(tbe) = self.tbes.get(&addr) {
-            f.push(match tbe.stage {
-                MemStage::WaitUnblock => ids.wait_unblock,
-                MemStage::WaitWbData => ids.wait_wb_data,
-                MemStage::WaitAckBd => ids.wait_ack_bd,
-            });
-        }
         f
     }
 
-    /// Handles an incoming network message.
+    /// Handles an incoming network message. A piggybacked `AckO` is
+    /// delivered as an `AckO` event before its unblock, even a stale one,
+    /// so the L2's external-blocked state can always drain.
     pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let facets = || self.table_facets(msg.addr);
-        table_check(crate::transitions::mem_table(), facets, self.me, &msg, ctx);
-        match msg.mtype {
-            MsgType::GetX | MsgType::GetS | MsgType::Put => self.on_request(msg, ctx),
-            MsgType::Unblock | MsgType::UnblockEx => self.on_unblock(msg, ctx),
-            MsgType::WbData | MsgType::WbNoData | MsgType::WbCancel => self.on_wb_data(msg, ctx),
-            MsgType::AckBD => self.on_ackbd(msg, ctx),
-            MsgType::AckO => {
-                // Not part of any expected flow (memory's backups are
-                // implicit), but answer idempotently.
-                ctx.send(msg.reply(MsgType::AckBD));
+        if msg.piggy_acko {
+            self.run(MsgType::AckO, msg.clone(), ctx);
+        }
+        self.run(msg.mtype, msg, ctx);
+    }
+
+    /// Runs event `mtype`, carried by `msg`, from the memory table: the row
+    /// [`crate::transitions::ControllerTable::dispatch`] picks, if the
+    /// event's guard holds. A request that finds a transaction open is
+    /// admitted first ([`admit_busy`]): one the table answers with rows is
+    /// of the transaction's kind (a reissue, or a duplicate to drop), one
+    /// the busy facet ignores is queued.
+    fn run(&mut self, mtype: MsgType, mut msg: Message, ctx: &mut Ctx<'_>) {
+        let addr = msg.addr;
+        let tbe = self.tbes.get(&addr).copied();
+        let facets = self.facets(addr, tbe.as_ref());
+        let dispatch = mem().0.dispatch(&facets, Event::Msg(mtype), self.ft);
+        if unexpected(dispatch, &mem().0, &facets, self.me, addr, mtype, ctx) {
+            return;
+        }
+        if let (MsgType::GetX | MsgType::Put, Some(tbe)) = (mtype, tbe) {
+            let same_kind = matches!(dispatch, Dispatch::Rows(_));
+            let reissue = admit_busy(tbe.blocker, tbe.serial, same_kind, msg, ctx, || {
+                self.waiting.entry(addr).or_default()
+            });
+            let Some(reissue) = reissue else {
+                return;
+            };
+            ctx.stats.false_positives.incr();
+            msg = reissue;
+            self.tbes.get_mut(&addr).expect("busy").serial = msg.serial;
+        }
+        // The §3.5 stale rule: a response answers the TBE's transaction.
+        let ids = &mem().1;
+        let in_stage = |stage| tbe.filter(|t| t.stage == stage);
+        let from_blocker = |t: MemTbe| t.blocker == msg.src && t.serial == msg.serial;
+        let guard = match mtype {
+            MsgType::UnblockEx => in_stage(ids.wait_unblock).is_some_and(from_blocker),
+            MsgType::WbData | MsgType::WbNoData | MsgType::WbCancel => {
+                in_stage(ids.wait_wb_data).is_some_and(from_blocker)
             }
-            MsgType::OwnershipPing => self.on_ownership_ping(msg, ctx),
-            MsgType::WbAck
-            | MsgType::Inv
-            | MsgType::Ack
-            | MsgType::Data
-            | MsgType::DataEx
-            | MsgType::FwdGetS
-            | MsgType::FwdGetX
-            | MsgType::UnblockPing
-            | MsgType::WbPing
-            | MsgType::NackO => {
-                // Misrouted: no memory handler. `table_check` above recorded
-                // the protocol violation; drop the message instead of
-                // panicking.
+            MsgType::AckBD => {
+                in_stage(ids.wait_ack_bd).is_some_and(|t| t.acko_serial == msg.serial)
             }
+            _ => true,
+        };
+        match dispatch {
+            Dispatch::Rows(&[row, ..]) if guard => {
+                self.apply(row, Some(&msg), addr, facets[facets.len() - 1], ctx);
+            }
+            _ => ctx.stale(),
         }
     }
 
-    /// Handles a fired timeout.
+    /// Handles a fired timeout: its row runs if the firing carries the
+    /// slot's live generation ([`Timer::fire`]), and re-arms the slot when
+    /// the row keeps the TBE in its stage.
     pub(crate) fn handle_timeout(
         &mut self,
         kind: TimeoutKind,
@@ -169,225 +195,149 @@ impl MemController {
         gen: u64,
         ctx: &mut Ctx<'_>,
     ) {
-        match kind {
-            TimeoutKind::LostUnblock => self.on_lost_unblock(addr, gen, ctx),
-            TimeoutKind::LostAckBd => self.on_lost_ackbd(addr, gen, ctx),
-            _ => {}
+        let facets = self.facets(addr, self.tbes.get(&addr));
+        let Dispatch::Rows(&[row, ..]) = mem().0.dispatch(&facets, Event::Timeout(kind), self.ft)
+        else {
+            return;
+        };
+        let Some(tbe) = self.tbes.get_mut(&addr) else {
+            return;
+        };
+        let stage = tbe.stage;
+        if !tbe.timer(kind).fire(gen, &mut self.timers, kind, ctx) {
+            return;
+        }
+        self.apply(row, None, addr, facets[facets.len() - 1], ctx);
+        if let Some(tbe) = self.tbes.get_mut(&addr).filter(|t| t.stage == stage) {
+            tbe.timer(kind).rearm(&self.timers, addr, kind, ctx);
         }
     }
 
-    fn on_request(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        if let Some(tbe) = self.tbes.get(&msg.addr) {
-            // Same-kind check: a Put from the blocker while its fill awaits
-            // an unblock is a new transaction, not a reissue (and vice
-            // versa) — it must queue.
-            let same_kind = match tbe.stage {
-                MemStage::WaitUnblock => msg.mtype == MsgType::GetX || msg.mtype == MsgType::GetS,
-                MemStage::WaitWbData | MemStage::WaitAckBd => msg.mtype == MsgType::Put,
+    /// Applies memory-table row `row`, triggered by `msg` (none for a
+    /// timeout), at a line in state `line` (`U` or `C`): its sends, built
+    /// against the state before the row; the written-back data; its next
+    /// states (`U`/`C` set the line's owner, a TBE state its stage); its
+    /// allocations and frees. Freeing the TBE services the line's queue.
+    fn apply(
+        &mut self,
+        row: u16,
+        msg: Option<&Message>,
+        addr: LineAddr,
+        line: u8,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let (table, ids) = mem();
+        let r = &table.rows[usize::from(row)];
+        for &(mtype, role) in &r.sends {
+            let out = self.message(mtype, role, msg, addr, ctx);
+            ctx.send(out);
+        }
+        if let Some(m) = msg.filter(|m| m.mtype == MsgType::WbData) {
+            let data = m.data.expect("WbData carries data");
+            debug_assert!(
+                data.version() >= self.data_of(addr).version(),
+                "writeback would regress memory contents"
+            );
+            self.store.insert(addr, data);
+        }
+        let mut tbe = if r.alloc.contains(&Resource::Tbe) {
+            let m = msg.expect("a request opens the transaction");
+            let tbe = MemTbe {
+                blocker: m.src,
+                serial: m.serial,
+                stage: ids.u, // the row's next states set it below
+                unblock: Timer::default(),
+                ackbd: Timer::default(),
+                acko_serial: SerialNum::ZERO,
             };
-            let addr = msg.addr;
-            let reissue = admit_busy(tbe.blocker, tbe.serial, same_kind, msg, ctx, || {
-                self.waiting.entry(addr).or_default()
-            });
-            if let Some(reissue) = reissue {
-                self.on_reissue(reissue, ctx);
-            }
-            return;
-        }
-        self.service_request(msg, ctx);
-    }
-
-    /// Answers a reissued request from the current blocker (§3.2): adopts
-    /// its serial and repeats the service action.
-    fn on_reissue(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        ctx.stats.false_positives.incr();
-        let Some(tbe) = self.tbes.get_mut(&msg.addr) else {
-            return;
-        };
-        tbe.serial = msg.serial;
-        match tbe.stage {
-            MemStage::WaitUnblock => ctx.send(self.data_ex(&msg)),
-            MemStage::WaitWbData => ctx.send(msg.reply(MsgType::WbAck)),
-            MemStage::WaitAckBd => {}
-        }
-    }
-
-    fn service_request(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        match msg.mtype {
-            MsgType::GetX | MsgType::GetS => {
-                let mut tbe = MemTbe {
-                    blocker: msg.src,
-                    serial: msg.serial,
-                    stage: MemStage::WaitUnblock,
-                    unblock: Timer::default(),
-                    ackbd: Timer::default(),
-                    acko_serial: SerialNum::ZERO,
-                };
-                tbe.unblock
-                    .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
-                self.tbes.insert(msg.addr, tbe);
-                ctx.send(self.data_ex(&msg));
-            }
-            MsgType::Put => {
-                if !self.l2_owned.contains(&msg.addr) {
-                    let mut wback = msg.reply(MsgType::WbAck);
-                    wback.wb_stale = true;
-                    ctx.send(wback);
-                    return;
-                }
-                let mut tbe = MemTbe {
-                    blocker: msg.src,
-                    serial: msg.serial,
-                    stage: MemStage::WaitWbData,
-                    unblock: Timer::default(),
-                    ackbd: Timer::default(),
-                    acko_serial: SerialNum::ZERO,
-                };
-                tbe.unblock
-                    .arm(&mut self.timers, msg.addr, TimeoutKind::LostUnblock, ctx);
-                self.tbes.insert(msg.addr, tbe);
-                ctx.send(msg.reply(MsgType::WbAck));
-            }
-            other => {
-                ctx.checker.protocol_error(
-                    self.me,
-                    msg.addr,
-                    &format!("{other} reached request servicing"),
-                    ctx.now,
-                );
-            }
-        }
-    }
-
-    fn on_unblock(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // A piggybacked AckO is acknowledged even on a stale or duplicate
-        // unblock, so the L2's external-blocked state can always drain.
-        if msg.piggy_acko {
-            ctx.send(msg.reply(MsgType::AckBD));
-        }
-        let tbe = self.tbes.get(&msg.addr);
-        if !tbe.is_some_and(|t| t.expects(&msg, MemStage::WaitUnblock)) {
-            return ctx.stale();
-        }
-        self.tbes.remove(&msg.addr);
-        self.l2_owned.insert(msg.addr);
-        self.pump_waiting(msg.addr, ctx);
-    }
-
-    fn on_wb_data(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let tbe = self.tbes.get_mut(&msg.addr);
-        let Some(tbe) = tbe.filter(|t| t.expects(&msg, MemStage::WaitWbData)) else {
-            return ctx.stale();
-        };
-        match msg.mtype {
-            MsgType::WbData => {
-                let data = msg.data.expect("WbData carries data");
-                debug_assert!(
-                    data.version() >= self.store.get(&msg.addr).map_or(0, |d| d.version()),
-                    "writeback would regress memory contents"
-                );
-                self.store.insert(msg.addr, data);
-                self.l2_owned.remove(&msg.addr);
-                if self.ft {
-                    tbe.stage = MemStage::WaitAckBd;
-                    tbe.acko_serial = msg.serial;
-                    ctx.send(msg.reply(MsgType::AckO));
-                    tbe.ackbd
-                        .arm(&mut self.timers, msg.addr, TimeoutKind::LostAckBd, ctx);
-                    return;
-                }
-                self.tbes.remove(&msg.addr);
-            }
-            MsgType::WbNoData | MsgType::WbCancel => {
-                self.l2_owned.remove(&msg.addr);
-                self.tbes.remove(&msg.addr);
-            }
-            other => {
-                ctx.checker.protocol_error(
-                    self.me,
-                    msg.addr,
-                    &format!("{other} reached writeback-data handling"),
-                    ctx.now,
-                );
-                return;
-            }
-        }
-        self.pump_waiting(msg.addr, ctx);
-    }
-
-    fn on_ackbd(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let tbe = self.tbes.get(&msg.addr);
-        if !tbe.is_some_and(|t| t.stage == MemStage::WaitAckBd && t.acko_serial == msg.serial) {
-            return ctx.stale();
-        }
-        self.tbes.remove(&msg.addr);
-        self.pump_waiting(msg.addr, ctx);
-    }
-
-    fn on_ownership_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // The L2 holds a writeback backup and asks whether its WbData made
-        // it here.
-        let still_waiting = self
-            .tbes
-            .get(&msg.addr)
-            .is_some_and(|t| t.stage == MemStage::WaitWbData);
-        let reply = if still_waiting {
-            MsgType::NackO
+            Some(self.tbes.entry(addr).insert_entry(tbe).into_mut())
         } else {
-            MsgType::AckO
+            self.tbes.get_mut(&addr)
         };
-        ctx.send(msg.reply(reply));
+        for &id in &table.next_ids[usize::from(row)] {
+            if id == line {
+                // The owner stays: no write to the ownership set.
+            } else if id == ids.u {
+                self.l2_owned.remove(&addr);
+            } else if id == ids.c {
+                self.l2_owned.insert(addr);
+            } else if let Some(tbe) = tbe.as_deref_mut() {
+                tbe.stage = id;
+            }
+        }
+        let ft = self.ft;
+        // The timers among the row's resources in this mode.
+        let timers = move |all: &'static [Resource], ft_only: &'static [Resource]| {
+            let ft_only: &[Resource] = if ft { ft_only } else { &[] };
+            all.iter().chain(ft_only).filter_map(|res| match res {
+                Resource::TimerLostUnblock => Some(TimeoutKind::LostUnblock),
+                Resource::TimerLostAckBd => Some(TimeoutKind::LostAckBd),
+                _ => None,
+            })
+        };
+        if let Some(tbe) = tbe {
+            for kind in timers(&r.free, &r.ft_free) {
+                tbe.timer(kind).disarm();
+            }
+            for kind in timers(&r.alloc, &r.ft_alloc) {
+                if kind == TimeoutKind::LostAckBd {
+                    // The handshake's AckO answers the trigger, under its serial.
+                    tbe.acko_serial = msg.expect("WbData starts the handshake").serial;
+                }
+                tbe.timer(kind).arm(&mut self.timers, addr, kind, ctx);
+            }
+        }
+        if r.free.contains(&Resource::Tbe) {
+            self.tbes.remove(&addr);
+            self.pump_waiting(addr, ctx);
+        }
     }
 
-    fn pump_waiting(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
-        loop {
-            if self.tbes.contains_key(&addr) {
-                return;
+    /// The message a row sends as `mtype` to `role`. A reply answers `msg`;
+    /// a `WbAck` is stale when memory owns the line. A timeout's message
+    /// goes to the blocker: a ping under its serial, a re-sent `AckO` under
+    /// the next serial of the handshake.
+    fn message(
+        &mut self,
+        mtype: MsgType,
+        role: Role,
+        msg: Option<&Message>,
+        addr: LineAddr,
+        ctx: &mut Ctx<'_>,
+    ) -> Message {
+        if role != Role::Blocker {
+            let m = msg.expect("a reply answers a message");
+            if mtype == MsgType::DataEx {
+                return self.data_ex(m);
             }
-            let Some(q) = self.waiting.get_mut(&addr) else {
-                return;
-            };
+            let mut reply = m.reply(mtype);
+            reply.wb_stale = mtype == MsgType::WbAck && !self.l2_owned.contains(&addr);
+            return reply;
+        }
+        let tbe = self
+            .tbes
+            .get_mut(&addr)
+            .expect("a timeout row runs on a TBE");
+        let mut serial = tbe.serial;
+        if mtype == MsgType::AckO {
+            tbe.acko_serial = tbe.acko_serial.next(ctx.config.ft.serial_bits);
+            serial = tbe.acko_serial;
+        }
+        let mut ping = Message::new(mtype, addr, self.me, tbe.blocker).serial(serial);
+        ping.ping_for_store = mtype == MsgType::UnblockPing;
+        ping
+    }
+
+    /// Services the line's queued requests while no transaction is open.
+    fn pump_waiting(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
+        while !self.tbes.contains_key(&addr) {
             // The drained queue keeps its buffer for the next deferral
             // instead of being dropped from the map.
-            let Some(msg) = q.pop_front() else {
+            let Some(msg) = self.waiting.get_mut(&addr).and_then(VecDeque::pop_front) else {
                 return;
             };
-            self.service_request(msg, ctx);
+            self.handle_message(msg, ctx);
         }
-    }
-
-    fn on_lost_unblock(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        let kind = TimeoutKind::LostUnblock;
-        let Some(tbe) = self.tbes.get_mut(&addr) else {
-            return;
-        };
-        if !tbe.unblock.fire(gen, &mut self.timers, kind, ctx) {
-            return;
-        }
-        let ping = |mtype| Message::new(mtype, addr, self.me, tbe.blocker).serial(tbe.serial);
-        match tbe.stage {
-            MemStage::WaitUnblock => {
-                let mut ping = ping(MsgType::UnblockPing);
-                ping.ping_for_store = true;
-                ctx.send(ping);
-            }
-            MemStage::WaitWbData => ctx.send(ping(MsgType::WbPing)),
-            MemStage::WaitAckBd => return,
-        }
-        tbe.unblock.rearm(&self.timers, addr, kind, ctx);
-    }
-
-    fn on_lost_ackbd(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        let kind = TimeoutKind::LostAckBd;
-        let Some(tbe) = self.tbes.get_mut(&addr) else {
-            return;
-        };
-        if tbe.stage != MemStage::WaitAckBd || !tbe.ackbd.fire(gen, &mut self.timers, kind, ctx) {
-            return;
-        }
-        tbe.acko_serial = tbe.acko_serial.next(ctx.config.ft.serial_bits);
-        ctx.send(Message::new(MsgType::AckO, addr, self.me, tbe.blocker).serial(tbe.acko_serial));
-        tbe.ackbd.rearm(&self.timers, addr, kind, ctx);
     }
 }
 

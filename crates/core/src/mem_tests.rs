@@ -302,6 +302,30 @@ fn lost_ackbd_timeout_resends_acko_with_new_serial() {
 }
 
 #[test]
+fn taking_wbdata_disarms_the_lost_unblock_timer() {
+    // The unblock timer armed at the WbAck must not fire in WaitAckBd.
+    let mut h = Harness::ft();
+    let mut c = mem(true);
+    grant_to_l2(&mut c, &mut h, 10);
+    c.handle_message(
+        Message::new(MsgType::Put, L, BANK, ME).serial(sn(20)),
+        &mut h.ctx(),
+    );
+    let t = h.armed(ME, TimeoutKind::LostUnblock).unwrap();
+    c.handle_message(
+        Message::new(MsgType::WbData, L, BANK, ME)
+            .serial(sn(20))
+            .data(LineData::pristine())
+            .dirty(true),
+        &mut h.ctx(),
+    );
+    h.clear();
+    c.handle_timeout(TimeoutKind::LostUnblock, L, t.gen, &mut h.ctx());
+    assert_eq!(h.stats.timeouts(TimeoutKind::LostUnblock), 0);
+    assert!(h.out.is_empty() && h.timeouts.is_empty(), "{:?}", h.out);
+}
+
+#[test]
 fn ownership_ping_reports_wbdata_receipt() {
     let mut h = Harness::ft();
     let mut c = mem(true);
@@ -380,6 +404,9 @@ fn misrouted_gets_is_reported_by_the_table_cross_check() {
         h.checker.violations(),
         ["[0c] PROTOCOL: Mem-3 on line:0x3: unexpected GetS in state U"]
     );
+    // Reported and dropped: it is not served as a GetX.
+    assert!(h.out.is_empty(), "{:?}", h.out);
+    assert!(c.is_idle(), "no transaction opened");
     // A legal fill leaves the checker alone.
     let mut h = Harness::ft();
     let mut c = mem(true);

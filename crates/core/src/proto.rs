@@ -14,10 +14,10 @@ use ftdircmp_sim::Cycle;
 use crate::checker::Checker;
 use crate::config::SystemConfig;
 use crate::ids::{LineAddr, NodeId};
-use crate::msg::Message;
+use crate::msg::{Message, MsgType};
 use crate::serial::SerialNum;
 use crate::stats::ProtocolStats;
-use crate::transitions::ControllerTable;
+use crate::transitions::{ControllerTable, Dispatch, Event};
 
 /// The fault-detection timers of FtDirCMP (paper Table 3, plus the
 /// backup-side lost-data timer documented in DESIGN.md §4).
@@ -77,8 +77,8 @@ impl std::fmt::Display for TimeoutKind {
 /// The set of transition-table facets a controller currently holds for a
 /// line (`Mb`, `IM`, … at the L1), each as its state id: the state's index in
 /// [`crate::transitions::ControllerTable::states`]. At most four facets can
-/// coexist on one line, so the set lives on the stack — `table_facets` is
-/// called once per delivered message and must not allocate.
+/// coexist on one line, so the set lives on the stack — a controller's
+/// facets are taken once per delivered message and must not allocate.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Facets {
     buf: [u8; 4],
@@ -114,12 +114,12 @@ impl std::ops::Deref for Facets {
 }
 
 /// Cross-checks a message delivered to `node` against the node's reified
-/// transition table: it must be legal in some facet of the line's state
-/// (guards are not evaluated — this is an over-approximation). Runs on
-/// every delivered message in every build (`System` always enables the
-/// checker): the facet ids from `facets` are tested against the table's
-/// per-state legality bitsets, so the check costs a few loads and bit tests
-/// and allocates only when it reports a violation.
+/// transition table: [`ControllerTable::dispatch`] must not answer
+/// `Impossible` or `Uncovered` for it at the line's facets in the protocol's
+/// mode (guards are not evaluated). Runs on every delivered message in
+/// every build (`System` always enables the checker): the facet ids from
+/// `facets` index the table's dispatch cells, so the check costs a few
+/// loads and allocates only when it reports a violation.
 pub(crate) fn table_check(
     table: &ControllerTable,
     facets: impl FnOnce() -> Facets,
@@ -127,18 +127,32 @@ pub(crate) fn table_check(
     msg: &Message,
     ctx: &mut Ctx<'_>,
 ) {
-    if !ctx.checker.is_enabled() {
-        return;
+    if ctx.checker.is_enabled() {
+        let facets = facets();
+        let ft = ctx.config.protocol.is_fault_tolerant();
+        let dispatch = table.dispatch(&facets, Event::Msg(msg.mtype), ft);
+        unexpected(dispatch, table, &facets, node, msg.addr, msg.mtype, ctx);
     }
-    let facets = facets();
-    if !table.legal_message(&facets, msg.mtype) {
-        let what = format!(
-            "unexpected {} in state {}",
-            msg.mtype,
-            table.facet_names(&facets)
-        );
-        ctx.checker.protocol_error(node, msg.addr, &what, ctx.now);
+}
+
+/// Reports message type `mtype` on `addr` at `node` as a protocol violation
+/// if `dispatch`, `table`'s answer at the line's `facets`, is `Impossible`
+/// or `Uncovered`, and returns whether it did.
+pub(crate) fn unexpected(
+    dispatch: Dispatch<'_>,
+    table: &ControllerTable,
+    facets: &[u8],
+    node: NodeId,
+    addr: LineAddr,
+    mtype: MsgType,
+    ctx: &mut Ctx<'_>,
+) -> bool {
+    let bad = matches!(dispatch, Dispatch::Impossible | Dispatch::Uncovered);
+    if bad {
+        let what = format!("unexpected {mtype} in state {}", table.facet_names(facets));
+        ctx.checker.protocol_error(node, addr, &what, ctx.now);
     }
+    bad
 }
 
 /// Admits a request that found its home busy with the transaction of

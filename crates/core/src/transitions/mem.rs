@@ -52,13 +52,16 @@ fn rows() -> Vec<super::Transition> {
           paper "three-phase writeback" },
         { [U] @ msg(MsgType::Put), if "stale put acknowledged" => [U];
           sends [WbAck -> Sender] },
+        { [WaitUnblock] @ msg(MsgType::GetX), if "reissue: adopt its serial, grant again" => same;
+          gate FtOnly; sends [DataEx -> Requester]; paper "§3.2" },
+        { [WaitWbData] @ msg(MsgType::Put), if "reissue: adopt its serial, acknowledge again" => same;
+          gate FtOnly; sends [WbAck -> Requester] },
+        { [WaitAckBd] @ msg(MsgType::Put), if "reissue: adopt its serial" => same;
+          gate FtOnly },
         // ---- Unblocks -------------------------------------------------
-        { [WaitUnblock] @ msg(MsgType::UnblockEx), if "grant acknowledged" => [C];
-          gate NonFtOnly; free [Tbe] },
         { [WaitUnblock] @ msg(MsgType::UnblockEx),
-          if "grant acknowledged (AckBD for piggybacked AckO)" => [C];
-          gate FtOnly; sends [AckBD -> Sender]; free [Tbe, TimerLostUnblock];
-          paper "§3.1.1" },
+          if "grant acknowledged (a piggybacked AckO is delivered first)" => [C];
+          free [Tbe]; ft_free [TimerLostUnblock]; paper "§3.1.1" },
         // ---- Writeback data -------------------------------------------
         { [WaitWbData] @ msg(MsgType::WbData), if "writeback data accepted" => [U];
           gate NonFtOnly; free [Tbe] },
@@ -150,20 +153,22 @@ fn exceptions() -> Vec<Exception> {
     for k in [TimeoutKind::LostUnblock, TimeoutKind::LostAckBd] {
         ex.push(ignore("*", tmo(k), "stale timer generation: no-op"));
     }
-    for s in ["WaitUnblock", "WaitWbData", "WaitAckBd"] {
-        for t in [T::GetX, T::Put] {
-            ex.push(ignore(
-                s,
-                msg(t),
-                "queued behind the active transaction (FT reissues refresh the serial)",
-            ));
-        }
+    for (s, t) in [
+        ("WaitUnblock", T::Put),
+        ("WaitWbData", T::GetX),
+        ("WaitAckBd", T::GetX),
+    ] {
+        ex.push(ignore(
+            s,
+            msg(t),
+            "queued behind the active transaction (a reissue refreshes the queued serial)",
+        ));
     }
     ex
 }
 
 super::state_ids! {
-    /// Ids of the states `MemController::table_facets` reports.
+    /// Ids of the states `MemController::facets` reports.
     MemIds {
         u => "U",
         c => "C",

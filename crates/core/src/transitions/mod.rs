@@ -24,12 +24,12 @@
 //! reachability claims (lint 3), and that FT-only machinery is unreachable
 //! with fault tolerance disabled (lint 5).
 //!
-//! The simulator cross-checks every delivered message against these tables
-//! at runtime, in every build (see `proto::table_check`).  For that check
-//! each table is compiled, when it is built, into one bitset of legal
-//! message types per state, so the per-message cost is a handful of bit
-//! tests on small state ids and the rows and exceptions stay the single
-//! source of truth.
+//! Each table is compiled, when it is built, into one dense dispatch cell
+//! per (state, event) pair, and [`ControllerTable::dispatch`] is the one
+//! rule that decides what an event does at a line.  The memory controller
+//! runs the rows it picks; the L1 and L2 check every delivered message
+//! against it (see `proto::table_check`); `ftdircmp-lint`'s abstract model
+//! explores with it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -37,9 +37,6 @@ use std::sync::OnceLock;
 
 use crate::msg::MsgType;
 use crate::proto::TimeoutKind;
-
-// One legality bit per message type in a `u32` (`ControllerTable::legal`).
-const _: () = assert!(MsgType::ALL.len() <= u32::BITS as usize);
 
 mod l1;
 mod l2;
@@ -100,6 +97,22 @@ pub enum Event {
     /// Internal L2 event: the line is selected as a victim to make room
     /// for a fill install (bank eviction).
     Victim,
+}
+
+/// Number of events: the range of [`Event::index`].
+const EVENTS: usize = MsgType::ALL.len() + CpuOp::ALL.len() + 1 + TimeoutKind::ALL.len();
+
+impl Event {
+    /// Dense index of the event in `0..EVENTS`: its column of dispatch cells.
+    fn index(self) -> usize {
+        const CPU: usize = MsgType::ALL.len();
+        match self {
+            Event::Msg(t) => t.index(),
+            Event::Cpu(op) => CPU + op as usize,
+            Event::Victim => CPU + CpuOp::ALL.len(),
+            Event::Timeout(k) => CPU + CpuOp::ALL.len() + 1 + k.index(),
+        }
+    }
 }
 
 impl fmt::Display for Event {
@@ -411,6 +424,32 @@ pub enum Coverage {
     Uncovered,
 }
 
+/// What [`ControllerTable::dispatch`] decides an event does at a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch<'a> {
+    /// Indices into [`ControllerTable::rows`] of the rows active in this
+    /// mode, in declaration order; their guards pick the one that runs.
+    Rows(&'a [u16]),
+    /// Legal and a no-op: discarded as stale, or queued for later replay.
+    Ignore,
+    /// Declared impossible: a protocol error.
+    Impossible,
+    /// Neither a row nor an exception covers the event.
+    Uncovered,
+}
+
+/// What one facet decides about one event in one mode: a compiled cell of
+/// [`ControllerTable::dispatch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// No active row, and no exact exception or a `Defer`: passed on.
+    Pass,
+    /// The active rows, `cell_rows[lo..hi]`.
+    Rows(u16, u16),
+    Ignore,
+    Impossible,
+}
+
 /// A complete, validated controller table.
 #[derive(Debug, Clone)]
 pub struct ControllerTable {
@@ -421,10 +460,17 @@ pub struct ControllerTable {
     /// Declared family order; `families[0]` is the mandatory family.
     pub families: Vec<&'static str>,
     state_index: HashMap<&'static str, usize>,
-    /// `legal[state id]`: bit [`MsgType::index`] is set iff the state has a
-    /// row for the message or declares it ignored / deferred.  Derived from
-    /// [`ControllerTable::coverage`] once, in [`ControllerTable::new`].
-    legal: Vec<u32>,
+    /// `rank[state id]`: the position of the state's family in
+    /// [`ControllerTable::priority`].
+    rank: Vec<u8>,
+    /// `cells[state id * EVENTS + event index][ft]`.
+    cells: Vec<[Step; 2]>,
+    /// The row indices of the cells' `Step::Rows`.
+    cell_rows: Vec<u16>,
+    /// `wildcard[event index]`: what the event's `*` exception decides.
+    wildcard: [Dispatch<'static>; EVENTS],
+    /// `next_ids[row]`: the row's next states as state ids.
+    pub(crate) next_ids: Vec<Vec<u8>>,
 }
 
 impl ControllerTable {
@@ -490,48 +536,121 @@ impl ControllerTable {
                 ));
             }
         }
-        if states.len() > usize::from(u8::MAX) {
+        if states.len() > usize::from(u8::MAX) || rows.len() > usize::from(u16::MAX) {
             return Err(format!(
-                "{}: more than {} states",
+                "{}: more than {} states or {} rows",
                 controller.name(),
-                u8::MAX
+                u8::MAX,
+                u16::MAX
             ));
         }
-        let mut table = ControllerTable {
+        let mut active = vec![[Vec::new(), Vec::new()]; states.len() * EVENTS];
+        for (i, row) in rows.iter().enumerate() {
+            let cell = &mut active[state_index[row.src] * EVENTS + row.event.index()];
+            for ft in [false, true] {
+                if row.gate.active(ft) {
+                    cell[usize::from(ft)].push(i as u16);
+                }
+            }
+        }
+        // The first declaration of a pair wins, as in `exception_for`.
+        let (mut exact, mut wildcard) = (vec![None; active.len()], [None; EVENTS]);
+        for ex in &exceptions {
+            let slot = match state_index.get(ex.state) {
+                Some(&s) => &mut exact[s * EVENTS + ex.event.index()],
+                None => &mut wildcard[ex.event.index()],
+            };
+            slot.get_or_insert(ex.kind);
+        }
+        let mut cell_rows = Vec::new();
+        let cells = (active.iter().zip(&exact))
+            .map(|(modes, exact)| {
+                modes.each_ref().map(|rows| match exact {
+                    _ if !rows.is_empty() => {
+                        let lo = cell_rows.len() as u16;
+                        cell_rows.extend_from_slice(rows);
+                        Step::Rows(lo, cell_rows.len() as u16)
+                    }
+                    Some(ExceptionKind::Ignore) => Step::Ignore,
+                    Some(ExceptionKind::Impossible) => Step::Impossible,
+                    Some(ExceptionKind::Defer) | None => Step::Pass,
+                })
+            })
+            .collect();
+        let n = families.len();
+        Ok(ControllerTable {
             controller,
+            // Dispatch order puts the mandatory family, declared first, last.
+            rank: (states.iter())
+                .map(|s| (families.iter().position(|&f| f == s.family).unwrap_or(0) + n - 1) % n)
+                .map(|r| r as u8)
+                .collect(),
+            cells,
+            cell_rows,
+            wildcard: wildcard.map(|kind| match kind {
+                Some(ExceptionKind::Impossible) => Dispatch::Impossible,
+                Some(_) => Dispatch::Ignore,
+                None => Dispatch::Uncovered,
+            }),
+            next_ids: rows
+                .iter()
+                .map(|r| r.next.iter().map(|n| state_index[n] as u8).collect())
+                .collect(),
             states,
             rows,
             exceptions,
             families,
             state_index,
-            legal: Vec::new(),
-        };
-        table.legal = table
-            .states
-            .iter()
-            .map(|s| {
-                MsgType::ALL
-                    .iter()
-                    .filter(|&&mt| {
-                        !matches!(
-                            table.coverage(s.name, Event::Msg(mt)),
-                            Coverage::Impossible | Coverage::Uncovered
-                        )
-                    })
-                    .fold(0u32, |mask, mt| mask | 1 << mt.index())
-            })
-            .collect();
-        Ok(table)
+        })
     }
 
     /// Dense id of a state: its index in [`ControllerTable::states`].
-    fn state_id(&self, name: &str) -> Option<u8> {
+    #[must_use]
+    pub fn state_id(&self, name: &str) -> Option<u8> {
         self.state_index.get(name).map(|&i| i as u8)
     }
 
-    /// The facet set `facets` spelt out as `A+B+C` (violation reports).
+    /// The facet families in dispatch order: the optional families as
+    /// declared, then the mandatory one (a message is matched against the
+    /// outstanding miss or TBE before the stable line).
+    pub fn priority(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.families[1..]
+            .iter()
+            .chain(&self.families[..1])
+            .copied()
+    }
+
+    /// What `event` does at a line whose facets are `facets` (state ids,
+    /// one per populated family, in any order) with fault tolerance `ft`.
+    /// The facets are walked in [`ControllerTable::priority`] order: the
+    /// first with rows active in this mode decides, and so does an exact
+    /// `Ignore` or `Impossible`, while an exact `Defer` passes the event on.
+    /// After the last facet, the event's wildcard exception decides.
+    #[must_use]
+    pub fn dispatch(&self, facets: &[u8], event: Event, ft: bool) -> Dispatch<'_> {
+        let e = event.index();
+        // The first facet in priority order that decides: the lowest rank.
+        let (mut rank, mut step) = (u8::MAX, Step::Pass);
+        for &s in facets {
+            let here = self.cells[usize::from(s) * EVENTS + e][usize::from(ft)];
+            if here != Step::Pass && self.rank[usize::from(s)] < rank {
+                (rank, step) = (self.rank[usize::from(s)], here);
+            }
+        }
+        match step {
+            Step::Pass => self.wildcard[e],
+            Step::Rows(lo, hi) => Dispatch::Rows(&self.cell_rows[usize::from(lo)..usize::from(hi)]),
+            Step::Ignore => Dispatch::Ignore,
+            Step::Impossible => Dispatch::Impossible,
+        }
+    }
+
+    /// The facet set `facets` spelt out as `A+B+C`, in declared state order
+    /// (violation reports).
     pub(crate) fn facet_names(&self, facets: &[u8]) -> String {
-        let names: Vec<&str> = facets
+        let mut ids = facets.to_vec();
+        ids.sort_unstable();
+        let names: Vec<&str> = ids
             .iter()
             .map(|&id| self.states[usize::from(id)].name)
             .collect();
@@ -600,23 +719,10 @@ impl ControllerTable {
             None => Coverage::Uncovered,
         }
     }
-
-    /// Runtime legality of a message arriving while the line's facets are
-    /// `facets` (one state id per populated family, mandatory family
-    /// always present).  Legal iff any facet has a row for the message or
-    /// declares it ignored.  Guards are *not* evaluated: this is an
-    /// over-approximation suitable for a cheap runtime cross-check.
-    #[must_use]
-    pub(crate) fn legal_message(&self, facets: &[u8], mt: MsgType) -> bool {
-        let bit = 1u32 << mt.index();
-        facets
-            .iter()
-            .any(|&id| self.legal[usize::from(id)] & bit != 0)
-    }
 }
 
 /// Declares a controller's state-id struct: one `u8` field per state the
-/// controller's `table_facets` can report, resolved by name against the
+/// controller's facets can report, resolved by name against the
 /// table, so a misspelt state fails the table build instead of silently
 /// never matching.
 macro_rules! state_ids {
@@ -761,8 +867,7 @@ pub(crate) fn l2() -> &'static (ControllerTable, L2Ids) {
     L2.get_or_init(|| l2::build().expect("L2 transition table is malformed"))
 }
 
-/// The memory table with the state ids `MemController::table_facets`
-/// reports.
+/// The memory table with the state ids `MemController::facets` reports.
 pub(crate) fn mem() -> &'static (ControllerTable, MemIds) {
     MEM.get_or_init(|| mem::build().expect("Mem transition table is malformed"))
 }
@@ -829,38 +934,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn legality_over_facets() {
-        use crate::msg::MsgType as T;
-        let (table, ids) = l1();
-        // A blocked line with a pending backup still accepts Inv.
-        assert!(table.legal_message(&[ids.mb], T::Inv));
-        // GetX is never legal at an L1, whatever the facets.
-        assert!(!table.legal_message(&[ids.i, ids.is], T::GetX));
+    /// Every row index of `table` whose source is `state`, event `event`
+    /// and gate active in mode `ft`.
+    fn active_rows(table: &ControllerTable, state: &str, event: Event, ft: bool) -> Vec<u16> {
+        let rows = table.rows.iter().enumerate();
+        rows.filter(|(_, r)| r.src == state && r.event == event && r.gate.active(ft))
+            .map(|(i, _)| i as u16)
+            .collect()
     }
 
     #[test]
-    fn dense_legality_equals_coverage_for_every_state_and_message() {
+    fn one_facet_dispatch_agrees_with_coverage_and_the_gates() {
         for c in Controller::ALL {
             let t = table(c);
             for s in &t.states {
                 let id = t.state_id(s.name).expect("declared state has an id");
-                assert_eq!(t.states[usize::from(id)].name, s.name);
-                for mt in MsgType::ALL {
-                    let covered = !matches!(
-                        t.coverage(s.name, Event::Msg(mt)),
-                        Coverage::Impossible | Coverage::Uncovered
-                    );
-                    assert_eq!(
-                        t.legal_message(&[id], mt),
-                        covered,
-                        "{}: {mt} in state {}",
-                        c.name(),
-                        s.name
-                    );
+                for e in t.event_universe() {
+                    for ft in [false, true] {
+                        let rows = active_rows(t, s.name, e, ft);
+                        let mut coverage = t.coverage(s.name, e);
+                        if matches!(coverage, Coverage::Row | Coverage::Deferred) {
+                            // Rows gated off in this mode, or a facet that
+                            // passes the event on: the wildcard decides.
+                            coverage = t.coverage("*", e);
+                        }
+                        let want = match coverage {
+                            _ if !rows.is_empty() => Dispatch::Rows(&rows),
+                            Coverage::Ignored | Coverage::Deferred => Dispatch::Ignore,
+                            Coverage::Impossible => Dispatch::Impossible,
+                            Coverage::Uncovered | Coverage::Row => Dispatch::Uncovered,
+                        };
+                        let got = t.dispatch(&[id], e, ft);
+                        assert_eq!(got, want, "{}: {e} in {} (ft {ft})", c.name(), s.name);
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn priority_walks_the_optional_families_then_the_mandatory_one() {
+        let order = |c| table(c).priority().collect::<Vec<_>>();
+        assert_eq!(order(Controller::L1), ["Miss", "Wb", "Backup", "Cache"]);
+        assert_eq!(order(Controller::L2), ["Tbe", "Ext", "MemBk", "Line"]);
+        assert_eq!(order(Controller::Mem), ["Tbe", "Line"]);
+    }
+
+    #[test]
+    fn a_facet_without_a_row_or_exact_exception_passes_the_event_on() {
+        use crate::msg::MsgType as T;
+        let (t, i) = mem();
+        let acko = Event::Msg(T::AckO);
+        let want = active_rows(t, "U", acko, true);
+        assert_eq!(want.len(), 1);
+        // In either order: the walk follows the priority, not the slice.
+        for facets in [[i.wait_unblock, i.u], [i.u, i.wait_unblock]] {
+            assert_eq!(t.dispatch(&facets, acko, true), Dispatch::Rows(&want));
+        }
+        // Without fault tolerance the row is gated off: the wildcard ignores.
+        assert_eq!(
+            t.dispatch(&[i.wait_unblock, i.u], acko, false),
+            Dispatch::Ignore
+        );
+    }
+
+    #[test]
+    fn an_exact_defer_passes_to_the_next_facet() {
+        let (t, i) = l2();
+        let gets = Event::Msg(MsgType::GetS);
+        assert_eq!(t.coverage("EXT", gets), Coverage::Deferred);
+        let want = active_rows(t, "MT", gets, true);
+        assert!(!want.is_empty());
+        assert_eq!(
+            t.dispatch(&[i.mt, i.ext], gets, true),
+            Dispatch::Rows(&want)
+        );
+    }
+
+    #[test]
+    fn an_exact_ignore_stops_the_walk() {
+        // A Put behind an open fill is queued, although `C` has a Put row.
+        let (t, i) = mem();
+        let put = Event::Msg(MsgType::Put);
+        assert!(!active_rows(t, "C", put, true).is_empty());
+        for ft in [false, true] {
+            assert_eq!(
+                t.dispatch(&[i.wait_unblock, i.c], put, ft),
+                Dispatch::Ignore
+            );
+        }
+    }
+
+    #[test]
+    fn no_memory_cell_has_two_active_rows_in_one_mode() {
+        // The memory controller evaluates a side-effecting guard
+        // (`Timer::fire`) on the first row of a cell: there must be one.
+        let t = mem_table();
+        for s in &t.states {
+            for e in t.event_universe() {
+                for ft in [false, true] {
+                    let n = active_rows(t, s.name, e, ft).len();
+                    assert!(n <= 1, "{} @ {e} (ft {ft}): {n} rows", s.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn violation_names_follow_the_declared_state_order() {
+        let (t, i) = mem();
+        assert_eq!(t.facet_names(&[i.wait_unblock, i.u]), "U+WaitUnblock");
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //! and (c) rows that never fire in either mode — dead transitions — minus
 //! an explicit, reasoned allowlist of rows beyond the model's fidelity.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use ftdircmp_core::msg::MsgType;
 use ftdircmp_core::proto::TimeoutKind;
 use ftdircmp_core::transitions::{
-    table, Controller, ControllerTable, CpuOp, Event, ExceptionKind, Resource, Role, Transition,
+    table, Controller, ControllerTable, CpuOp, Dispatch, Event, Resource, Role, Transition,
 };
 
 use crate::{Finding, Severity};
@@ -67,17 +67,6 @@ impl Node {
             Node::L1A => Node::L1B,
             _ => Node::L1A,
         }
-    }
-}
-
-/// Facet dispatch priority: transient facets are consulted before the
-/// stable line facet, mirroring the handlers (a message is matched against
-/// the outstanding miss/TBE first).
-fn priority(c: Controller) -> &'static [&'static str] {
-    match c {
-        Controller::L1 => &["Miss", "Wb", "Backup", "Cache"],
-        Controller::L2 => &["Tbe", "Ext", "MemBk", "Line"],
-        Controller::Mem => &["Tbe", "Line"],
     }
 }
 
@@ -138,18 +127,6 @@ impl World {
     }
 }
 
-/// Result of dispatching one event at one node.
-enum Outcome {
-    /// Indices (into `table.rows`) of the rows to branch over.
-    Rows(Vec<usize>),
-    /// Benign: consume the event with no state change.
-    Drop,
-    /// Every facet declares the pair impossible (or leaves it uncovered).
-    Bad { uncovered: bool },
-    /// CPU/timeout injection only: nothing to do.
-    None,
-}
-
 /// Rows the abstract model cannot drive, with the reason.  These are
 /// excluded from the dead-transition report (as notes, not errors); keep
 /// this list short and honest.
@@ -170,96 +147,29 @@ pub struct Exploration {
 
 struct Ctx {
     tables: [&'static ControllerTable; 3],
-    /// Per controller: (src, event) -> row indices.
-    index: [HashMap<(&'static str, Event), Vec<usize>>; 3],
     ft: bool,
     max_inflight: usize,
 }
 
-fn ctl_idx(c: Controller) -> usize {
-    match c {
-        Controller::L1 => 0,
-        Controller::L2 => 1,
-        Controller::Mem => 2,
-    }
-}
-
-fn build_ctx(tables: [&'static ControllerTable; 3], ft: bool, max_inflight: usize) -> Ctx {
-    let index = tables.map(|t| {
-        let mut m: HashMap<(&'static str, Event), Vec<usize>> = HashMap::new();
-        for (i, r) in t.rows.iter().enumerate() {
-            m.entry((r.src, r.event)).or_default().push(i);
-        }
-        m
-    });
-    Ctx {
-        tables,
-        index,
-        ft,
-        max_inflight,
-    }
-}
-
 impl Ctx {
     fn table_of(&self, node: Node) -> &'static ControllerTable {
-        self.tables[ctl_idx(node.controller())]
+        match node.controller() {
+            Controller::L1 => self.tables[0],
+            Controller::L2 => self.tables[1],
+            Controller::Mem => self.tables[2],
+        }
     }
 
-    /// Facet-priority dispatch of `ev` against `ns`.  A facet with active
-    /// rows wins; an exact-state exception on a higher-priority facet
-    /// pre-empts lower facets (this is how the L2 "queues" requests behind
-    /// an active TBE); wildcard ignores are fallbacks.
-    fn dispatch(&self, node: Node, ns: &NodeState, ev: Event) -> Outcome {
+    /// Dispatch of `ev` against `ns`: the engine's own rule
+    /// ([`ControllerTable::dispatch`]) over the node's facets.  An exact
+    /// `Ignore` on a higher-priority facet is how the L2 "queues" requests
+    /// behind an active TBE.
+    fn dispatch(&self, node: Node, ns: &NodeState, ev: Event) -> Dispatch<'static> {
         let t = self.table_of(node);
-        let idx = &self.index[ctl_idx(node.controller())];
-        for fam in priority(node.controller()) {
-            let Some(&state) = ns.facets.get(fam) else {
-                continue;
-            };
-            let rows: Vec<usize> = idx
-                .get(&(state, ev))
-                .map(|v| {
-                    v.iter()
-                        .copied()
-                        .filter(|&i| t.rows[i].gate.active(self.ft))
-                        .collect()
-                })
-                .unwrap_or_default();
-            if !rows.is_empty() {
-                return Outcome::Rows(rows);
-            }
-            if let Some(ex) = t
-                .exceptions
-                .iter()
-                .find(|e| e.state == state && e.event == ev)
-            {
-                match ex.kind {
-                    ExceptionKind::Ignore => return Outcome::Drop,
-                    ExceptionKind::Impossible => return Outcome::Bad { uncovered: false },
-                    // Transparent: a lower-priority facet handles it.
-                    ExceptionKind::Defer => {}
-                }
-            }
-        }
-        // No facet has active rows or an exact exception: fall back to the
-        // wildcard exception for this event (gate-blind coverage would
-        // mis-classify pairs whose only rows are gated off in this mode).
-        if let Some(ex) = t
-            .exceptions
-            .iter()
-            .find(|e| e.state == "*" && e.event == ev)
-        {
-            return match ex.kind {
-                ExceptionKind::Ignore | ExceptionKind::Defer => Outcome::Drop,
-                ExceptionKind::Impossible => Outcome::Bad { uncovered: false },
-            };
-        }
-        match ev {
-            Event::Msg(_) => Outcome::Bad { uncovered: true },
-            // CPU ops / timeouts are injected, not delivered: an uncovered
-            // pair is already lint 1's finding, just don't inject.
-            _ => Outcome::None,
-        }
+        let facets: Vec<u8> = (ns.facets.values())
+            .map(|s| t.state_id(s).expect("validated"))
+            .collect();
+        t.dispatch(&facets, ev, self.ft)
     }
 
     /// Candidate destinations for one send.  Outer vec: nondeterministic
@@ -515,7 +425,11 @@ pub fn explore_with(
     max_states: usize,
     max_inflight: usize,
 ) -> Exploration {
-    let ctx = build_ctx(tables, ft, max_inflight);
+    let ctx = Ctx {
+        tables,
+        ft,
+        max_inflight,
+    };
     let mut exp = Exploration {
         ft,
         states: 0,
@@ -554,8 +468,8 @@ pub fn explore_with(
             let mut base = w.clone();
             base.flight.remove(&m);
             match ctx.dispatch(node, ns, Event::Msg(m.mt)) {
-                Outcome::Rows(rows) => {
-                    for ri in rows {
+                Dispatch::Rows(rows) => {
+                    for ri in rows.iter().map(|&i| usize::from(i)) {
                         let novel = record(&mut exp, node, ri);
                         let row = &ctx.table_of(node).rows[ri];
                         successors.extend(
@@ -565,27 +479,28 @@ pub fn explore_with(
                         );
                     }
                 }
-                Outcome::Drop => successors.push((base, false)),
-                Outcome::Bad { uncovered } => {
+                Dispatch::Ignore => successors.push((base, false)),
+                bad => {
                     let facets: Vec<&str> = ns.facets.values().copied().collect();
                     exp.bad_pairs.insert((
                         node.controller(),
                         format!("{} @ {}", facets.join("+"), Event::Msg(m.mt)),
-                        uncovered,
+                        bad == Dispatch::Uncovered,
                     ));
                     successors.push((base, false)); // consume and continue
                 }
-                Outcome::None => {}
             }
         }
 
         // CPU ops at the L1s.
         for node in [Node::L1A, Node::L1B] {
             for op in CpuOp::ALL {
-                if let Outcome::Rows(rows) =
+                // Injected, not delivered: an uncovered pair is already
+                // lint 1's finding, so only rows inject anything.
+                if let Dispatch::Rows(rows) =
                     ctx.dispatch(node, &w.nodes[node.idx()], Event::Cpu(op))
                 {
-                    for ri in rows {
+                    for ri in rows.iter().map(|&i| usize::from(i)) {
                         let novel = record(&mut exp, node, ri);
                         let row = &ctx.table_of(node).rows[ri];
                         successors.extend(
@@ -602,10 +517,10 @@ pub fn explore_with(
         // line may be evicted at any moment to make room for another fill.
         // The exact-state `Impossible` exceptions on TBE/EXT/MB facets stop
         // the dispatch, mirroring the implementation's victim predicate.
-        if let Outcome::Rows(rows) =
+        if let Dispatch::Rows(rows) =
             ctx.dispatch(Node::L2H, &w.nodes[Node::L2H.idx()], Event::Victim)
         {
-            for ri in rows {
+            for ri in rows.iter().map(|&i| usize::from(i)) {
                 let novel = record(&mut exp, Node::L2H, ri);
                 let row = &ctx.table_of(Node::L2H).rows[ri];
                 successors.extend(
@@ -631,10 +546,10 @@ pub fn explore_with(
                     if !armed {
                         continue;
                     }
-                    if let Outcome::Rows(rows) =
+                    if let Dispatch::Rows(rows) =
                         ctx.dispatch(node, &w.nodes[node.idx()], Event::Timeout(k))
                     {
-                        for ri in rows {
+                        for ri in rows.iter().map(|&i| usize::from(i)) {
                             let novel = record(&mut exp, node, ri);
                             let row = &ctx.table_of(node).rows[ri];
                             successors.extend(
