@@ -118,6 +118,11 @@ impl SharerSet {
         self.0 == 0
     }
 
+    /// Number of tiles present.
+    pub(crate) fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
     /// Removes all tiles.
     pub(crate) fn clear(&mut self) {
         self.0 = 0;

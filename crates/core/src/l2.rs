@@ -12,6 +12,15 @@
 //! (L1-facing handshake pending) and *externally* blocked (memory-facing
 //! handshake pending) — so L2 misses see no added latency, yet at most one
 //! backup exists outside the chip.
+//!
+//! The bank runs from its reified table ([`crate::transitions::l2_table`]):
+//! every message, timeout and victim is dispatched once at the line's
+//! facets, and the first row whose typed guard holds runs — its sends, its
+//! next stage, its records (TBE, `EXT`, `MB`) and timers, and a queue pump
+//! when the TBE frees. Only what a row cannot say is written here: message
+//! contents, the directory and the data, migratory bookkeeping, installs and
+//! victim choice, the checker's backup notifications, and the admission of
+//! a request that finds its line busy.
 
 use std::collections::VecDeque;
 
@@ -23,11 +32,14 @@ use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId, SharerSet};
 use crate::linetab::LineTable;
 use crate::msg::{Message, MsgType};
-use crate::proto::{admit_busy, table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
+use crate::proto::{admit_busy, unexpected, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::{SerialAllocator, SerialNum};
+use crate::transitions::{
+    l2, ControllerTable, Dispatch, Event, Guard, L2Ids, Plan, Resource, Role,
+};
 
 /// Directory + data state of one line resident in this bank.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 struct L2Line {
     /// Data held by the bank (`None` while an L1 owns the line).
     data: Option<LineData>,
@@ -52,109 +64,55 @@ struct L2Line {
 }
 
 impl L2Line {
-    fn fresh() -> Self {
-        L2Line {
-            data: None,
-            dirty: false,
-            owner: None,
-            sharers: SharerSet::new(),
-            migratory: false,
-            last_getter: None,
-            last_was_gets: false,
-            consecutive_gets: 0,
-            ext_blocked: false,
+    /// Migratory-sharing bookkeeping (paper §2) for a request from `tile`:
+    /// a store right after the same tile's read marks the line migratory,
+    /// a second read in a row clears the mark.
+    fn record_request(&mut self, tile: u8, store: bool, migratory_sharing: bool) {
+        if store {
+            if migratory_sharing && self.last_getter == Some(tile) && self.last_was_gets {
+                self.migratory = true;
+            }
+            self.consecutive_gets = 0;
+        } else {
+            self.consecutive_gets = self.consecutive_gets.saturating_add(1);
+            if self.consecutive_gets >= 2 {
+                self.migratory = false;
+            }
         }
+        self.last_getter = Some(tile);
+        self.last_was_gets = !store;
     }
-}
-
-/// What the bank last sent for the active transaction — kept so a reissued
-/// request can be answered by resending it (§3.2).
-#[derive(Debug, Clone)]
-enum Resp {
-    Data {
-        data: LineData,
-    },
-    DataEx {
-        data: Option<LineData>,
-        dirty: bool,
-        acks: u8,
-    },
-}
-
-impl Resp {
-    /// The response granting this to `requester` under `serial`.
-    fn message(&self, addr: LineAddr, me: NodeId, requester: NodeId, serial: SerialNum) -> Message {
-        let (mtype, data, dirty, acks) = match *self {
-            Resp::Data { data } => (MsgType::Data, Some(data), false, 0),
-            Resp::DataEx { data, dirty, acks } => (MsgType::DataEx, data, dirty, acks),
-        };
-        let msg = Message::new(mtype, addr, me, requester)
-            .requester(requester)
-            .serial(serial)
-            .acks(acks);
-        match data {
-            Some(d) => msg.data(d).dirty(dirty),
-            None => msg,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TbeKind {
-    /// An L1 miss (GetS or GetX) being serviced.
-    Miss { store: bool },
-    /// A three-phase writeback from an L1.
-    Wb,
-    /// Directory-initiated recall of a line with L1 copies (bank eviction).
-    Recall,
-    /// Bank eviction writeback to memory.
-    L2Evict,
-}
-
-#[allow(clippy::enum_variant_names)] // Wait* mirrors the protocol's terminology
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    /// Fill: GetX sent to memory, waiting for DataEx.
-    WaitMem,
-    /// Response or forward sent, waiting for Unblock/UnblockEx.
-    WaitUnblock,
-    /// WbAck sent, waiting for WbData/WbNoData.
-    WaitWbData,
-    /// FT: AckO sent for received WbData, waiting for AckBD.
-    WaitWbAckBd,
-    /// Recall in progress (data and/or invalidation acks outstanding).
-    WaitRecall,
-    /// FT: recall data received, AckO sent, waiting for AckBD.
-    WaitRecallAckBd,
-    /// Bank eviction: Put sent to memory, waiting for WbAck.
-    WaitMemWbAck,
 }
 
 /// Per-line transaction state (the paper's MSHR/TBE at the directory, which
 /// also remembers the *blocker* so reissued requests can be recognized).
 #[derive(Debug, Clone)]
 struct Tbe {
-    kind: TbeKind,
-    stage: Stage,
+    /// The request that opened the transaction (`GetS`, `GetX` or `Put`);
+    /// none for the bank's own recall or writeback.
+    request: Option<MsgType>,
+    /// The TBE facet's state id: `WaitMem`, `WaitUnblock`, … (the L2 table's
+    /// `Tbe` family).
+    stage: u8,
     blocker: NodeId,
     serial: SerialNum,
+    /// The serial of the bank's own request: its fill, recall or writeback.
     own_serial: SerialNum,
-    inv_targets: Vec<u8>,
-    fwd_to: Option<u8>,
-    fwd_gets: bool,
-    resp: Option<Resp>,
-    /// Fill: data received from memory. Recall/evict: data being saved.
+    /// Miss: what answered the request — `Data`/`DataEx` to the requester or
+    /// `FwdGetS`/`FwdGetX` to the owner — re-sent to a reissue (§3.2).
+    grant: Option<MsgType>,
+    /// Miss: the granted data. Recall and bank writeback: the data saved.
     data: Option<LineData>,
-    data_dirty: bool,
-    /// Recall: sharers whose invalidation acks are still outstanding.
-    recall_acks: SharerSet,
-    /// Recall: waiting for the owner's data.
-    recall_needs_data: bool,
-    /// This transaction was filled from memory (FT: run the §3.1.1 external
-    /// handshake after the L1 unblocks).
+    dirty: bool,
+    /// Miss: the sharers invalidated for the requester. Recall: the sharers
+    /// whose acks are still outstanding.
+    invs: SharerSet,
+    /// The L1 owner a miss or a recall is forwarded to.
+    fwd_to: Option<u8>,
+    /// Recall: the owner's data is still outstanding.
+    needs_data: bool,
+    /// Filled from memory: the §3.1.1 handshake follows the unblock (FT).
     from_mem: bool,
-    /// The bank sent data itself and (FT) holds it as backup until AckO.
-    sent_data_backup: bool,
     unblock: Timer,
     req: Timer,
     ackbd: Timer,
@@ -162,23 +120,20 @@ struct Tbe {
 }
 
 impl Tbe {
-    fn new(kind: TbeKind, blocker: NodeId, serial: SerialNum) -> Self {
+    fn new(request: Option<MsgType>, stage: u8, blocker: NodeId, serial: SerialNum) -> Self {
         Tbe {
-            kind,
-            stage: Stage::WaitUnblock,
+            request,
+            stage,
             blocker,
             serial,
             own_serial: SerialNum::ZERO,
-            inv_targets: Vec::new(),
-            fwd_to: None,
-            fwd_gets: false,
-            resp: None,
+            grant: None,
             data: None,
-            data_dirty: false,
-            recall_acks: SharerSet::new(),
-            recall_needs_data: false,
+            dirty: false,
+            invs: SharerSet::new(),
+            fwd_to: None,
+            needs_data: false,
             from_mem: false,
-            sent_data_backup: false,
             unblock: Timer::default(),
             req: Timer::default(),
             ackbd: Timer::default(),
@@ -186,36 +141,54 @@ impl Tbe {
         }
     }
 
-    /// Whether `msg` answers this transaction in `stage`: it comes from the
-    /// blocker and carries the transaction's serial (§3.5).
-    fn expects(&self, msg: &Message, stage: Stage) -> bool {
-        self.stage == stage && self.blocker == msg.src && self.serial == msg.serial
+    /// The timer slot of `kind`.
+    fn timer(&mut self, kind: TimeoutKind) -> &mut Timer {
+        match kind {
+            TimeoutKind::LostRequest => &mut self.req,
+            TimeoutKind::LostAckBd => &mut self.ackbd,
+            _ => &mut self.unblock,
+        }
     }
 
-    /// The forward this transaction sends, and re-sends, to the owning L1,
-    /// if it has one: on behalf of its blocker (the bank itself for a
-    /// recall), under its serial, counting its invalidations.
-    fn fwd(&self, addr: LineAddr, me: NodeId) -> Option<Message> {
-        let mtype = if self.fwd_gets {
-            MsgType::FwdGetS
+    /// Whether the grant handed out the bank's own data (an exclusive grant
+    /// from the bank or from a memory fill), the backup the requester's
+    /// `AckO` deletes.
+    fn holds_backup(&self) -> bool {
+        self.grant == Some(MsgType::DataEx) && self.data.is_some()
+    }
+
+    /// The grant `mtype` (`Data` or `DataEx`) this transaction sends, and
+    /// re-sends, to its blocker under its serial.
+    fn grant(&self, mtype: MsgType, addr: LineAddr, me: NodeId) -> Message {
+        let msg = Message::new(mtype, addr, me, self.blocker)
+            .requester(self.blocker)
+            .serial(self.serial)
+            .acks(self.invs.len() as u8);
+        match self.data {
+            Some(d) => msg.data(d).dirty(self.dirty),
+            None => msg,
+        }
+    }
+
+    /// The forward `mtype` this transaction sends, and re-sends, to the
+    /// owning L1: on behalf of its blocker (the bank itself for a recall),
+    /// under its serial, counting the requester's invalidations (a recall
+    /// collects its acks itself).
+    fn fwd(&self, mtype: MsgType, addr: LineAddr, me: NodeId) -> Message {
+        let owner = NodeId::L1(self.fwd_to.expect("forwarded to the owner"));
+        let acks = if self.request.is_none() {
+            0
         } else {
-            MsgType::FwdGetX
+            self.invs.len() as u8
         };
-        let owner = NodeId::L1(self.fwd_to?);
         let msg = Message::new(mtype, addr, me, owner).requester(self.blocker);
-        Some(msg.serial(self.serial).acks(self.inv_targets.len() as u8))
+        msg.serial(self.serial).acks(acks)
     }
 
-    /// Sends this transaction's invalidations to `targets`, to be
-    /// acknowledged to its blocker under its serial.
-    fn send_invs(
-        &self,
-        addr: LineAddr,
-        me: NodeId,
-        targets: impl IntoIterator<Item = u8>,
-        ctx: &mut Ctx<'_>,
-    ) {
-        for t in targets {
+    /// Sends this transaction's invalidations, to be acknowledged to its
+    /// blocker under its serial.
+    fn send_invs(&self, addr: LineAddr, me: NodeId, ctx: &mut Ctx<'_>) {
+        for t in self.invs.iter() {
             ctx.send(
                 Message::new(MsgType::Inv, addr, me, NodeId::L1(t))
                     .requester(self.blocker)
@@ -224,15 +197,48 @@ impl Tbe {
         }
     }
 
-    /// The request to memory this transaction issues, and reissues: the
-    /// fill's `GetX`, or the bank eviction's `Put`.
-    fn mem_request(&self, addr: LineAddr, me: NodeId, mem: NodeId) -> Message {
-        let mtype = if self.stage == Stage::WaitMemWbAck {
-            MsgType::Put
-        } else {
-            MsgType::GetX
+    /// The message a timeout re-sends to the transaction's peer: a ping to
+    /// its blocker under its serial, or the handshake's `AckO` under its
+    /// latest serial to the writer (`Blocker`) or the recalled owner.
+    fn ping(&self, mtype: MsgType, role: Role, addr: LineAddr, me: NodeId) -> Message {
+        let peer = match role {
+            Role::OwnerL1 => NodeId::L1(self.fwd_to.expect("a recall has an owner")),
+            _ => self.blocker,
         };
-        Message::new(mtype, addr, me, mem).serial(self.own_serial)
+        let serial = if mtype == MsgType::AckO {
+            self.acko_serial
+        } else {
+            self.serial
+        };
+        let mut ping = Message::new(mtype, addr, me, peer).serial(serial);
+        ping.ping_for_store = mtype == MsgType::UnblockPing && self.request == Some(MsgType::GetX);
+        ping
+    }
+
+    /// The recall once `msg` is taken — a sharer's `Ack`, the owner's
+    /// `DataEx`, or the `AckBD` closing its handshake: the acks still
+    /// outstanding, whether the owner's data still is, and whether the data
+    /// is dirty.
+    fn recall_after(&self, msg: &Message) -> (SharerSet, bool, bool) {
+        let mut acks = self.invs;
+        match msg.mtype {
+            MsgType::Ack => {
+                // Set-based: a duplicate ack (after an Inv resend) is a no-op.
+                acks.remove(msg.src.index());
+                (acks, self.needs_data, self.dirty)
+            }
+            MsgType::DataEx => (acks, false, msg.data_dirty),
+            _ => (acks, false, self.dirty),
+        }
+    }
+
+    /// The backup of this bank writeback's data, under its serial.
+    fn backup(&self) -> MemBackup {
+        MemBackup {
+            data: self.data.expect("a bank writeback holds data"),
+            serial: self.own_serial,
+            timer: Timer::default(),
+        }
     }
 }
 
@@ -241,16 +247,6 @@ impl Tbe {
 struct ExtPending {
     serial: SerialNum,
     timer: Timer,
-}
-
-impl ExtPending {
-    /// The `UnblockEx` with piggybacked `AckO` this handshake sends, and
-    /// re-sends with the same serial, to memory.
-    fn unblock(&self, addr: LineAddr, me: NodeId, mem: NodeId) -> Message {
-        Message::new(MsgType::UnblockEx, addr, me, mem)
-            .serial(self.serial)
-            .with_acko()
-    }
 }
 
 /// FT: backup of data written back to memory, held until memory's AckO.
@@ -272,9 +268,9 @@ impl MemBackup {
 }
 
 /// Every in-flight facet of one line at this bank, held together in one
-/// [`LineTable`] slot so a message handler resolves all of them with a
-/// single lookup. The deferred-request queue keeps its buffer across
-/// drain/refill cycles instead of being dropped when it empties.
+/// [`LineTable`] slot so an event resolves all of them with a single
+/// lookup. The deferred-request queue keeps its buffer across drain/refill
+/// cycles instead of being dropped when it empties.
 #[derive(Debug, Clone, Default)]
 struct L2LineState {
     tbe: Option<Tbe>,
@@ -283,11 +279,51 @@ struct L2LineState {
     mem_backup: Option<MemBackup>,
 }
 
+impl L2LineState {
+    /// The `kind` timer slot: the `MB` record's for `LostData`, the `EXT`
+    /// record's for `LostAckBd` when `ext`, else the TBE's.
+    fn timer(&mut self, kind: TimeoutKind, ext: bool) -> Option<&mut Timer> {
+        match kind {
+            TimeoutKind::LostData => self.mem_backup.as_mut().map(|b| &mut b.timer),
+            TimeoutKind::LostAckBd if ext => self.ext_pending.as_mut().map(|e| &mut e.timer),
+            _ => self.tbe.as_mut().map(|t| t.timer(kind)),
+        }
+    }
+}
+
+/// One row about to run at one line: what its actions read.
+#[derive(Clone, Copy)]
+struct Step<'m> {
+    /// The line's slot and address.
+    h: u32,
+    addr: LineAddr,
+    /// The row, compiled.
+    plan: &'static Plan,
+    /// The message it takes (none for a timeout or a victim).
+    msg: Option<&'m Message>,
+    /// The directory entry the row reads: the line as the message found
+    /// it, or a victim event's evicted line.
+    line: Option<&'m L2Line>,
+}
+
+/// The Line facet of `line`: `NP` when absent, `MT` with an L1 owner, else
+/// `RO`.
+fn line_facet(ids: &L2Ids, line: Option<&L2Line>) -> u8 {
+    match line {
+        None => ids.np,
+        Some(l) if l.owner.is_some() => ids.mt,
+        Some(_) => ids.ro,
+    }
+}
+
 /// The L2 bank controller for one tile.
 #[derive(Debug, Clone)]
 pub(crate) struct L2Controller {
     me: NodeId,
     ft: bool,
+    /// The L2 table this bank runs, and its state ids.
+    table: &'static ControllerTable,
+    ids: &'static L2Ids,
     cache: SetAssocCache<L2Line>,
     lines: LineTable<L2LineState>,
     /// Number of slots currently holding a TBE (occupancy statistics).
@@ -299,9 +335,12 @@ pub(crate) struct L2Controller {
 impl L2Controller {
     /// Creates the bank controller for `tile`.
     pub(crate) fn new(tile: u8, config: &SystemConfig, rng: &mut DetRng) -> Self {
+        let (table, ids) = l2();
         L2Controller {
             me: NodeId::L2(tile),
             ft: config.protocol.is_fault_tolerant(),
+            table,
+            ids,
             cache: SetAssocCache::new(config.l2_sets(), config.l2_assoc),
             lines: LineTable::new(),
             tbe_count: 0,
@@ -330,30 +369,29 @@ impl L2Controller {
         for (a, st) in self.lines.iter() {
             if let Some(t) = &st.tbe {
                 out.push_str(&format!(
-                    "{} tbe {a} kind={:?} stage={:?} blocker={} serial={} own={} recall_acks={} needs_data={}\n",
-                    self.me, t.kind, t.stage, t.blocker, t.serial, t.own_serial, t.recall_acks, t.recall_needs_data
+                    "{} tbe {a} request={:?} stage={} blocker={} serial={} own={} invs={} needs_data={}\n",
+                    self.me,
+                    t.request,
+                    self.table.facet_names(&[t.stage]),
+                    t.blocker,
+                    t.serial,
+                    t.own_serial,
+                    t.invs,
+                    t.needs_data
                 ));
             }
-        }
-        for (a, st) in self.lines.iter() {
             if !st.waiting.is_empty() {
-                let kinds: Vec<String> = st
-                    .waiting
-                    .iter()
+                let kinds: Vec<String> = (st.waiting.iter())
                     .map(|m| format!("{}:{}", m.src, m.mtype))
                     .collect();
                 out.push_str(&format!("{} waiting {a} [{}]\n", self.me, kinds.join(", ")));
             }
-        }
-        for (a, st) in self.lines.iter() {
             if let Some(e) = &st.ext_pending {
                 out.push_str(&format!(
                     "{} ext-pending {a} serial={}\n",
                     self.me, e.serial
                 ));
             }
-        }
-        for (a, st) in self.lines.iter() {
             if let Some(b) = &st.mem_backup {
                 out.push_str(&format!("{} mem-backup {a} serial={}\n", self.me, b.serial));
             }
@@ -373,55 +411,17 @@ impl L2Controller {
         }
     }
 
-    /// Stores `tbe` in the line's slot; the line must not already have one.
-    fn set_tbe(&mut self, addr: LineAddr, tbe: Tbe) {
-        let slot = &mut self.lines.entry(addr).tbe;
-        debug_assert!(slot.is_none(), "tbe already present");
-        *slot = Some(tbe);
-        self.tbe_count += 1;
-    }
-
-    /// The line's TBE, if any.
-    fn tbe(&self, addr: LineAddr) -> Option<&Tbe> {
-        self.lines.get(addr)?.tbe.as_ref()
-    }
-
-    /// Removes and returns the line's TBE, if any.
-    fn take_tbe(&mut self, addr: LineAddr) -> Option<Tbe> {
-        let t = self.lines.get_mut(addr).and_then(|s| s.tbe.take());
-        if t.is_some() {
-            self.tbe_count -= 1;
-        }
-        t
-    }
-
-    // ------------------------------------------------------------------
-    // Entry points
-    // ------------------------------------------------------------------
-
-    /// The line's current facet configuration, in the state vocabulary of
-    /// the reified transition table ([`crate::transitions::l2_table`]).
-    /// The first entry is always the mandatory `Line` facet.
-    pub(crate) fn table_facets(&self, addr: LineAddr) -> Facets {
-        let ids = &crate::transitions::l2().1;
+    /// The line's facets in the state vocabulary of the L2 table: the TBE's
+    /// stage, `EXT`, `MB`, and the Line facet of `line`. An `AckO` or
+    /// `AckBD` answers by its sender (`from_mem` is `Some`): from memory the
+    /// `EXT` and `MB` records or the line, from an L1 the TBE or the line.
+    fn facets(&self, st: &L2LineState, line: Option<&L2Line>, from_mem: Option<bool>) -> Facets {
+        let ids = self.ids;
         let mut f = Facets::new();
-        f.push(match self.cache.get(addr) {
-            None => ids.np,
-            Some(line) if line.owner.is_some() => ids.mt,
-            Some(_) => ids.ro,
-        });
-        if let Some(st) = self.lines.get(addr) {
-            if let Some(tbe) = &st.tbe {
-                f.push(match tbe.stage {
-                    Stage::WaitMem => ids.wait_mem,
-                    Stage::WaitUnblock => ids.wait_unblock,
-                    Stage::WaitWbData => ids.wait_wb_data,
-                    Stage::WaitWbAckBd => ids.wait_wb_ack_bd,
-                    Stage::WaitRecall => ids.wait_recall,
-                    Stage::WaitRecallAckBd => ids.wait_recall_ack_bd,
-                    Stage::WaitMemWbAck => ids.wait_mem_wb_ack,
-                });
-            }
+        if let Some(t) = st.tbe.as_ref().filter(|_| from_mem != Some(true)) {
+            f.push(t.stage);
+        }
+        if from_mem != Some(false) {
             if st.ext_pending.is_some() {
                 f.push(ids.ext);
             }
@@ -429,34 +429,35 @@ impl L2Controller {
                 f.push(ids.mb);
             }
         }
+        f.push(line_facet(ids, line));
         f
     }
 
-    /// Handles an incoming network message.
+    // ------------------------------------------------------------------
+    // Entry points
+    // ------------------------------------------------------------------
+
+    /// Handles an incoming network message. A piggybacked `AckO` is
+    /// delivered as an `AckO` event before its unblock, even a stale one,
+    /// so the sender's blocked-ownership state can always drain (§3.1,
+    /// §3.4 idempotence); its rows leave the directory entry as it was, so
+    /// the unblock reuses it.
     pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let facets = || self.table_facets(msg.addr);
-        table_check(crate::transitions::l2_table(), facets, self.me, &msg, ctx);
-        match msg.mtype {
-            MsgType::GetS | MsgType::GetX | MsgType::Put => self.on_request(msg, ctx),
-            MsgType::Unblock | MsgType::UnblockEx => self.on_unblock(msg, ctx),
-            MsgType::WbData | MsgType::WbNoData | MsgType::WbCancel => self.on_wb_data(msg, ctx),
-            MsgType::Data | MsgType::DataEx => self.on_data(msg, ctx),
-            MsgType::Ack => self.on_ack(msg, ctx),
-            MsgType::WbAck => self.on_mem_wback(msg, ctx),
-            MsgType::AckO => self.on_acko(msg, ctx),
-            MsgType::AckBD => self.on_ackbd(msg, ctx),
-            MsgType::UnblockPing => self.on_unblock_ping(msg, ctx),
-            MsgType::WbPing => self.on_wb_ping(msg, ctx),
-            MsgType::OwnershipPing => self.on_ownership_ping(msg, ctx),
-            MsgType::NackO => self.on_nacko(msg, ctx),
-            MsgType::Inv | MsgType::FwdGetS | MsgType::FwdGetX => {
-                // Misrouted: no L2 handler. `table_check` above recorded the
-                // protocol violation; drop the message instead of panicking.
-            }
+        let h = self.lines.handle(msg.addr);
+        let line = self.cache.get(msg.addr).copied();
+        if msg.piggy_acko {
+            self.run(h, line, MsgType::AckO, &msg, ctx);
+        }
+        if let Some(msg) = self.admit(h, msg, ctx) {
+            self.run(h, line, msg.mtype, &msg, ctx);
         }
     }
 
-    /// Handles a fired timeout; stale generations are ignored.
+    /// Handles a fired timeout. A firing answers the record whose timer
+    /// slot carries its generation; its row runs, counted by [`Timer::fire`],
+    /// and the slot re-arms. Reissue serials come from the allocator stream,
+    /// drawn even by a stale firing (avoids cross-transaction serial
+    /// collisions, as at the L1).
     pub(crate) fn handle_timeout(
         &mut self,
         kind: TimeoutKind,
@@ -464,550 +465,511 @@ impl L2Controller {
         gen: u64,
         ctx: &mut Ctx<'_>,
     ) {
-        match kind {
-            TimeoutKind::LostUnblock => self.on_lost_unblock(addr, gen, ctx),
-            TimeoutKind::LostRequest => self.on_lost_request(addr, gen, ctx),
-            TimeoutKind::LostAckBd => self.on_lost_ackbd(addr, gen, ctx),
-            TimeoutKind::LostData => self.on_lost_data(addr, gen, ctx),
+        let fresh = matches!(kind, TimeoutKind::LostRequest | TimeoutKind::LostAckBd)
+            .then(|| self.serials.fresh());
+        let (table, ids) = (self.table, self.ids);
+        let h = self.lines.handle(addr);
+        let st = self.lines.at_mut(h);
+        let ext = kind == TimeoutKind::LostAckBd
+            && (st.ext_pending.as_ref()).is_some_and(|e| e.timer.carries(gen));
+        if !st.timer(kind, ext).is_some_and(|t| t.carries(gen)) {
+            return;
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Request admission (busy lines, reissue detection, queuing)
-    // ------------------------------------------------------------------
-
-    fn on_request(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        if let Some(st) = self.lines.get_mut(msg.addr) {
-            if let Some(tbe) = &st.tbe {
-                // A message is a *reissue* of the in-service transaction only if
-                // it comes from the blocker AND is the same kind of request
-                // (§3.2: "same requestor and address ... but a different request
-                // serial number"). A different kind from the same node is a new
-                // transaction (e.g. a GetX issued right after a GetS whose
-                // unblock is still in flight) and must be deferred like any
-                // other.
-                let same_kind = match tbe.kind {
-                    TbeKind::Miss { store } => {
-                        msg.mtype == if store { MsgType::GetX } else { MsgType::GetS }
-                    }
-                    TbeKind::Wb => msg.mtype == MsgType::Put,
-                    TbeKind::Recall | TbeKind::L2Evict => false,
-                };
-                let reissue = admit_busy(tbe.blocker, tbe.serial, same_kind, msg, ctx, || {
-                    &mut st.waiting
-                });
-                if let Some(reissue) = reissue {
-                    self.on_reissue(reissue, ctx);
-                }
-                return;
+        let facet = match (kind, &st.tbe) {
+            (TimeoutKind::LostData, _) => ids.mb,
+            _ if ext => ids.ext,
+            (_, tbe) => tbe.as_ref().expect("the slot is the TBE's").stage,
+        };
+        let Dispatch::Rows(rows) = table.dispatch(&[facet], Event::Timeout(kind), self.ft) else {
+            return;
+        };
+        let Some(row) = Self::pick(table, rows, None, None, st.tbe.as_ref()) else {
+            return;
+        };
+        let slot = st.timer(kind, ext).expect("checked above");
+        slot.fire(gen, &mut self.timers, kind, ctx);
+        if let (Some(fresh), Some(tbe)) = (fresh, st.tbe.as_mut().filter(|_| !ext)) {
+            if kind == TimeoutKind::LostRequest {
+                ctx.stats.reissues.incr();
+                tbe.own_serial = fresh;
+            } else {
+                tbe.acko_serial = fresh;
             }
         }
-        self.service_request(msg, ctx);
+        self.apply(self.step(h, addr, row, None, None), ctx);
+        // The slot re-arms unless the row moved its TBE out of the stage.
+        let in_stage = self.ids.is_stage(facet);
+        let st = self.lines.at_mut(h);
+        let moved = in_stage && st.tbe.as_ref().is_none_or(|t| t.stage != facet);
+        if let Some(t) = st.timer(kind, ext).filter(|_| !moved) {
+            t.rearm(&self.timers, addr, kind, ctx);
+        }
     }
 
-    /// Answers a reissued request from the current blocker (§3.2): adopts
-    /// its serial and repeats the service action.
-    fn on_reissue(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
+    // ------------------------------------------------------------------
+    // Dispatch
+    // ------------------------------------------------------------------
+
+    /// Admits a request that finds its line busy ([`admit_busy`]). A
+    /// message is a *reissue* of the transaction only if it comes from the
+    /// blocker and is the same kind of request (§3.2: "same requestor and
+    /// address ... but a different request serial number"): a GetX issued
+    /// right after a GetS whose unblock is still in flight is a new
+    /// transaction. A reissue adopts its serial and is returned to run; a
+    /// duplicate is dropped and anything else queued. Every other message
+    /// is returned as is.
+    fn admit(&mut self, h: u32, msg: Message, ctx: &mut Ctx<'_>) -> Option<Message> {
+        let L2LineState { tbe, waiting, .. } = self.lines.at_mut(h);
+        let request = matches!(msg.mtype, MsgType::GetS | MsgType::GetX | MsgType::Put);
+        let Some(tbe) = tbe.as_mut().filter(|_| request) else {
+            return Some(msg);
+        };
+        let same_kind = tbe.request == Some(msg.mtype);
+        let reissue = admit_busy(tbe.blocker, tbe.serial, same_kind, msg, ctx, || waiting)?;
         ctx.stats.false_positives.incr();
-        let Some(tbe) = self.lines.get_mut(msg.addr).and_then(|s| s.tbe.as_mut()) else {
-            return;
-        };
-        // The reissue comes from the blocker, so the TBE's blocker and
-        // (now) serial are the request's.
-        tbe.serial = msg.serial;
-        let addr = msg.addr;
-        match tbe.stage {
-            Stage::WaitMem => {
-                // The response will be generated when memory answers; it
-                // will carry the updated serial.
-            }
-            Stage::WaitUnblock => {
-                // Resend invalidations (sharers will re-ack with the new
-                // serial; the requester discards old-serial acks).
-                tbe.send_invs(addr, self.me, tbe.inv_targets.iter().copied(), ctx);
-                if let Some(fwd) = tbe.fwd(addr, self.me) {
-                    ctx.send(fwd);
-                } else if let Some(resp) = &tbe.resp {
-                    ctx.send(resp.message(addr, self.me, msg.src, msg.serial));
-                }
-            }
-            Stage::WaitWbData => ctx.send(msg.reply(MsgType::WbAck)),
-            _ => {}
-        }
+        tbe.serial = reissue.serial;
+        Some(reissue)
     }
 
-    // ------------------------------------------------------------------
-    // Fresh request servicing
-    // ------------------------------------------------------------------
-
-    fn service_request(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        ctx.stats.l2_tbe_occupancy.record(self.tbe_count as u64 + 1);
-        match msg.mtype {
-            MsgType::GetS | MsgType::GetX => self.service_get(msg, ctx),
-            MsgType::Put => self.service_put(msg, ctx),
-            other => {
-                ctx.checker.protocol_error(
-                    self.me,
-                    msg.addr,
-                    &format!("{other} reached request servicing"),
-                    ctx.now,
-                );
-            }
-        }
-    }
-
-    fn service_get(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let store = msg.mtype == MsgType::GetX;
-        let requester_tile = msg.src.index();
-        let addr = msg.addr;
-
-        let Some(line) = self.cache.get_mut(addr) else {
-            // L2 miss: fill from memory (always granted exclusively; this
-            // bank is the only L2-level requester for its slice).
-            ctx.stats.l2_misses.incr();
-            let mut tbe = Tbe::new(TbeKind::Miss { store }, msg.src, msg.serial);
-            tbe.stage = Stage::WaitMem;
-            tbe.own_serial = self.fresh_serial();
-            tbe.req
-                .arm(&mut self.timers, addr, TimeoutKind::LostRequest, ctx);
-            ctx.send(tbe.mem_request(addr, self.me, Self::mem_of(addr, ctx.config)));
-            self.set_tbe(addr, tbe);
-            return;
-        };
-
-        ctx.stats.l2_hits.incr();
-
-        // Migratory-sharing bookkeeping (paper §2).
-        let migratory_grant = if store {
-            if ctx.config.migratory_sharing
-                && line.last_getter == Some(requester_tile)
-                && line.last_was_gets
-            {
-                line.migratory = true;
-            }
-            line.consecutive_gets = 0;
-            line.last_getter = Some(requester_tile);
-            line.last_was_gets = false;
-            false
-        } else {
-            line.consecutive_gets = line.consecutive_gets.saturating_add(1);
-            if line.consecutive_gets >= 2 {
-                line.migratory = false;
-            }
-            line.last_getter = Some(requester_tile);
-            line.last_was_gets = true;
-            line.migratory && line.owner.is_some() && line.sharers.is_empty()
-        };
-        if migratory_grant {
-            ctx.stats.migratory_grants.incr();
-        }
-        let exclusive = store || migratory_grant;
-
-        let mut tbe = Tbe::new(TbeKind::Miss { store }, msg.src, msg.serial);
-
-        if let Some(owner) = line.owner {
-            if store && owner == requester_tile {
-                // Upgrade by the current (O-state) owner: permission plus
-                // ack count, no data (the owner already has it).
-                let invs: Vec<u8> = line
-                    .sharers
-                    .iter()
-                    .filter(|t| *t != requester_tile)
-                    .collect();
-                let resp = Resp::DataEx {
-                    data: None,
-                    dirty: false,
-                    acks: invs.len() as u8,
-                };
-                ctx.send(resp.message(addr, self.me, msg.src, msg.serial));
-                tbe.send_invs(addr, self.me, invs.iter().copied(), ctx);
-                tbe.resp = Some(resp);
-                tbe.inv_targets = invs;
-            } else {
-                // Forward to the L1 owner.
-                let invs: Vec<u8> = if exclusive {
-                    line.sharers
-                        .iter()
-                        .filter(|t| *t != requester_tile)
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                tbe.fwd_to = Some(owner);
-                tbe.fwd_gets = !exclusive;
-                tbe.inv_targets = invs;
-                ctx.send(tbe.fwd(addr, self.me).expect("forwarding to the owner"));
-                tbe.send_invs(addr, self.me, tbe.inv_targets.iter().copied(), ctx);
-            }
-        } else {
-            // The bank itself owns the data.
-            let data = line
-                .data
-                .expect("resident line without owner must hold data");
-            let dirty = line.dirty;
-            if exclusive || line.sharers.is_empty() {
-                // Exclusive grant (GetX, migratory GetS, or GetS with no
-                // sharers → E).
-                let invs: Vec<u8> = line
-                    .sharers
-                    .iter()
-                    .filter(|t| *t != requester_tile)
-                    .collect();
-                let resp = Resp::DataEx {
-                    data: Some(data),
-                    dirty,
-                    acks: invs.len() as u8,
-                };
-                ctx.send(resp.message(addr, self.me, msg.src, msg.serial));
-                tbe.send_invs(addr, self.me, invs.iter().copied(), ctx);
-                tbe.resp = Some(resp);
-                tbe.inv_targets = invs;
-                tbe.sent_data_backup = true;
-            } else {
-                let resp = Resp::Data { data };
-                ctx.send(resp.message(addr, self.me, msg.src, msg.serial));
-                tbe.resp = Some(resp);
-            }
-        }
-
-        tbe.stage = Stage::WaitUnblock;
-        tbe.unblock
-            .arm(&mut self.timers, addr, TimeoutKind::LostUnblock, ctx);
-        self.set_tbe(addr, tbe);
-    }
-
-    fn service_put(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let addr = msg.addr;
-        let requester_tile = msg.src.index();
-        let is_owner = self
-            .cache
-            .get(addr)
-            .is_some_and(|l| l.owner == Some(requester_tile));
-        if !is_owner {
-            // Stale Put: ownership already moved (raced with a forward).
-            let mut wback = msg.reply(MsgType::WbAck);
-            wback.wb_stale = true;
-            ctx.send(wback);
+    /// Runs event `mtype`, carried by `msg`, at the line of slot `h` whose
+    /// directory entry is `line`: the first row
+    /// [`crate::transitions::ControllerTable::dispatch`] picks at the line's
+    /// facets whose guard holds, if `msg` answers the record the rows act on
+    /// ([`Self::answers`]). A message the table ignores, that answers no
+    /// record, or whose rows' guards all fail is stale.
+    fn run(
+        &mut self,
+        h: u32,
+        line: Option<L2Line>,
+        mtype: MsgType,
+        msg: &Message,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let table = self.table;
+        let st = self.lines.at(h);
+        let handshake = matches!(mtype, MsgType::AckO | MsgType::AckBD);
+        let facets = self.facets(st, line.as_ref(), handshake.then(|| msg.src.is_mem()));
+        let event = Event::Msg(mtype);
+        let dispatch = table.dispatch(&facets, event, self.ft);
+        if unexpected(dispatch, table, &facets, self.me, msg.addr, event, ctx) {
             return;
         }
-        let mut tbe = Tbe::new(TbeKind::Wb, msg.src, msg.serial);
-        tbe.stage = Stage::WaitWbData;
-        tbe.unblock
-            .arm(&mut self.timers, addr, TimeoutKind::LostUnblock, ctx);
-        self.set_tbe(addr, tbe);
-        ctx.send(msg.reply(MsgType::WbAck));
-    }
-
-    // ------------------------------------------------------------------
-    // Unblocks and writeback data
-    // ------------------------------------------------------------------
-
-    fn on_unblock(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let addr = msg.addr;
-        // A piggybacked AckO is answered even on a duplicate or stale
-        // unblock, so the sender's blocked-ownership state can always drain
-        // (§3.1, §3.4 idempotence).
-        if msg.piggy_acko {
-            ctx.send(msg.reply(MsgType::AckBD));
-        }
-        // A plain Unblock can never complete a GetX transaction (it would
-        // record a sharer where an owner is required): only a crossing stale
-        // ping-reply can produce one.
-        let live = self.tbe(addr).is_some_and(|t| {
-            t.expects(&msg, Stage::WaitUnblock)
-                && (msg.mtype == MsgType::UnblockEx || t.kind != TbeKind::Miss { store: true })
-        });
-        if !live {
-            return ctx.stale();
-        }
-        let tbe = self.take_tbe(addr).expect("checked above");
-        let requester_tile = msg.src.index();
-
-        // Update the directory.
-        {
-            let line = self
-                .cache
-                .get_mut(addr)
-                .expect("unblocked line must be resident");
-            if msg.mtype == MsgType::UnblockEx {
-                line.owner = Some(requester_tile);
-                line.sharers.clear();
-                // Any bank copy is now stale (or was handed over).
-                line.data = None;
-                line.dirty = false;
-            } else {
-                line.sharers.insert(requester_tile);
+        let row = match dispatch {
+            Dispatch::Rows(rows) if Self::answers(st, mtype, msg) => {
+                Self::pick(table, rows, Some(msg), line.as_ref(), st.tbe.as_ref())
             }
+            _ => None,
+        };
+        if let Some(row) = row {
+            return self.apply(self.step(h, msg.addr, row, Some(msg), line.as_ref()), ctx);
         }
-
-        // The piggybacked AckO, answered above, deletes the grant's backup.
-        if msg.piggy_acko && tbe.sent_data_backup {
-            ctx.checker.backup_deleted(self.me, addr, ctx.now);
-        }
-
-        // FT §3.1.1: the fill's memory-facing handshake starts now.
-        // (DirCMP sends its unblock to memory as soon as the data arrives;
-        // see on_data.)
-        if tbe.from_mem && self.ft {
-            let mut pending = ExtPending {
-                serial: tbe.own_serial,
-                timer: Timer::default(),
-            };
-            pending
-                .timer
-                .arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
-            if let Some(line) = self.cache.get_mut(addr) {
-                line.ext_blocked = true;
-            }
-            ctx.send(pending.unblock(addr, self.me, Self::mem_of(addr, ctx.config)));
-            self.lines.entry(addr).ext_pending = Some(pending);
-        }
-
-        self.pump_waiting(addr, ctx);
-    }
-
-    fn on_wb_data(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let addr = msg.addr;
-        if !self
-            .tbe(addr)
-            .is_some_and(|t| t.expects(&msg, Stage::WaitWbData))
-        {
-            return ctx.stale();
-        }
-        let mut tbe = self.take_tbe(addr).expect("checked above");
-
-        match msg.mtype {
-            MsgType::WbData => {
-                {
-                    let line = self
-                        .cache
-                        .get_mut(addr)
-                        .expect("writeback line must be resident");
-                    line.data = Some(msg.data.expect("WbData carries data"));
-                    line.dirty = msg.data_dirty || line.dirty;
-                    line.owner = None;
-                }
-                if self.ft {
-                    // The bank is the new owner: acknowledge ownership and
-                    // stay blocked until the backup is deleted (§3.1).
-                    tbe.stage = Stage::WaitWbAckBd;
-                    tbe.acko_serial = msg.serial;
-                    ctx.send(msg.reply(MsgType::AckO));
-                    tbe.ackbd
-                        .arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
-                    self.set_tbe(addr, tbe);
-                    return;
-                }
-            }
-            MsgType::WbNoData | MsgType::WbCancel => {
-                let remove = {
-                    let line = self
-                        .cache
-                        .get_mut(addr)
-                        .expect("writeback line must be resident");
-                    line.owner = None;
-                    line.data.is_none() && line.sharers.is_empty()
-                };
-                if remove {
-                    // Clean line with no copies anywhere on chip: memory is
-                    // the owner again.
-                    self.cache.remove(addr);
-                }
-            }
-            other => {
-                // Only writeback-data messages are dispatched here; anything
-                // else is a protocol error, not a panic.
-                ctx.checker.protocol_error(
-                    self.me,
-                    addr,
-                    &format!("{other} reached writeback-data handling"),
-                    ctx.now,
-                );
-                self.set_tbe(addr, tbe);
-                return;
-            }
-        }
-        self.pump_waiting(addr, ctx);
-    }
-
-    // ------------------------------------------------------------------
-    // Memory-facing handlers
-    // ------------------------------------------------------------------
-
-    fn on_data(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // DataEx from memory (fill) or from an L1 owner (recall).
-        let addr = msg.addr;
-        let Some(tbe) = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut()) else {
-            ctx.stale();
+        // A DataEx with no transaction open answers a request already
+        // satisfied: a false-positive timeout (§3.2).
+        if matches!(mtype, MsgType::Data | MsgType::DataEx) && st.tbe.is_none() {
             ctx.stats.false_positives.incr();
-            return;
+        }
+        ctx.stale();
+    }
+
+    /// The §3.5 stale rule, by event: whether `msg`, delivered as `mtype`,
+    /// answers the record its rows act on. A response answers the TBE's
+    /// transaction — from its blocker under its serial, or under the bank's
+    /// own serial; an `AckBD` answers its handshake's `AckO`, a `NackO` the
+    /// backup's `WbData`.
+    fn answers(st: &L2LineState, mtype: MsgType, msg: &Message) -> bool {
+        let tbe = st.tbe.as_ref();
+        let from_blocker = || tbe.is_some_and(|t| t.blocker == msg.src && t.serial == msg.serial);
+        let own = || tbe.is_some_and(|t| t.own_serial == msg.serial);
+        match mtype {
+            // A plain Unblock never completes a GetX (it would record a
+            // sharer where an owner is required): only a crossing stale
+            // ping reply produces one.
+            MsgType::Unblock => {
+                from_blocker() && tbe.is_some_and(|t| t.request != Some(MsgType::GetX))
+            }
+            MsgType::UnblockEx | MsgType::WbData | MsgType::WbNoData | MsgType::WbCancel => {
+                from_blocker()
+            }
+            MsgType::DataEx | MsgType::Ack | MsgType::WbAck => own(),
+            MsgType::AckBD if msg.src.is_mem() => {
+                (st.ext_pending.as_ref()).is_some_and(|e| e.serial == msg.serial)
+            }
+            MsgType::AckBD => tbe.is_some_and(|t| t.acko_serial == msg.serial),
+            MsgType::NackO => (st.mem_backup.as_ref()).is_some_and(|b| b.serial == msg.serial),
+            _ => true,
+        }
+    }
+
+    /// The first of `table`'s `rows` whose guard holds.
+    fn pick(
+        table: &ControllerTable,
+        rows: &[u16],
+        msg: Option<&Message>,
+        line: Option<&L2Line>,
+        tbe: Option<&Tbe>,
+    ) -> Option<u16> {
+        (rows.iter().copied())
+            .find(|&r| Self::holds(table.plans[usize::from(r)].when, msg, line, tbe))
+    }
+
+    /// Whether `guard` holds for `msg` (none for a timeout or a victim) at a
+    /// line whose directory entry is `line` (the evicted line itself for a
+    /// victim) and whose TBE is `tbe`, before the row runs.
+    fn holds(
+        guard: Guard,
+        msg: Option<&Message>,
+        line: Option<&L2Line>,
+        tbe: Option<&Tbe>,
+    ) -> bool {
+        let recall = || {
+            let (t, m) = (tbe.expect("a recall row"), msg.expect("taken by a message"));
+            t.recall_after(m)
         };
-        let live = tbe.own_serial == msg.serial;
-        match tbe.stage {
-            Stage::WaitMem if live => {
-                let data = msg.data.expect("memory fill carries data");
-                tbe.stage = Stage::WaitUnblock;
-                tbe.from_mem = true;
-                tbe.sent_data_backup = true;
-                tbe.data = Some(data);
-                let serial = tbe.serial;
-                let blocker = tbe.blocker;
-                let resp = Resp::DataEx {
-                    data: Some(data),
-                    dirty: false,
-                    acks: 0,
-                };
-                tbe.resp = Some(resp.clone());
-                // Install the line (may evict a victim).
-                self.install_line(addr, data, ctx);
-                // §3.1.1: answer the L1 immediately, keeping a backup.
-                ctx.send(resp.message(addr, self.me, blocker, serial));
-                if self.ft {
-                    ctx.checker.backup_created(self.me, addr, ctx.now);
-                } else {
-                    // DirCMP: unblock memory right away.
-                    let mem = Self::mem_of(addr, ctx.config);
-                    ctx.send(
-                        Message::new(MsgType::UnblockEx, addr, self.me, mem).serial(msg.serial),
-                    );
-                }
-                let tbe = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut());
-                let tbe = tbe.expect("still present");
-                tbe.unblock
-                    .arm(&mut self.timers, addr, TimeoutKind::LostUnblock, ctx);
+        match guard {
+            Guard::Always => true,
+            Guard::Sharers => line.is_some_and(|l| !l.sharers.is_empty()),
+            Guard::Dirty => line.is_some_and(|l| l.dirty),
+            // A read keeps the migratory mark only right after a store.
+            Guard::Migratory => line.is_some_and(|l| {
+                l.migratory && l.consecutive_gets == 0 && l.owner.is_some() && l.sharers.is_empty()
+            }),
+            Guard::FromOwner => line
+                .and_then(|l| l.owner)
+                .is_some_and(|o| msg.is_some_and(|m| m.src.index() == o)),
+            Guard::NoCopies => line.is_some_and(|l| l.data.is_none() && l.sharers.is_empty()),
+            Guard::FromMem => tbe.is_some_and(|t| t.from_mem),
+            Guard::Granted(mtype) => tbe.is_some_and(|t| t.grant == Some(mtype)),
+            Guard::NeedsData => tbe.is_some_and(|t| t.needs_data),
+            Guard::RecallPending => {
+                let (acks, needs_data, _) = recall();
+                needs_data || !acks.is_empty()
             }
-            Stage::WaitRecall if live => {
-                tbe.data = msg.data;
-                tbe.data_dirty = msg.data_dirty;
-                tbe.recall_needs_data = false;
-                if self.ft {
-                    // Acknowledge ownership to the old owner; wait for the
-                    // backup deletion before moving the data off-chip.
-                    tbe.acko_serial = msg.serial;
-                    ctx.send(msg.reply(MsgType::AckO));
-                    tbe.ackbd
-                        .arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
-                    tbe.stage = Stage::WaitRecallAckBd;
-                    return;
-                }
-                self.try_finish_recall(addr, ctx);
-            }
-            _ => ctx.stale(),
+            Guard::RecallDirty => recall().2,
+            Guard::WbStale => msg.is_some_and(|m| m.wb_stale),
         }
     }
 
-    fn on_ack(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // Invalidation acks for a recall (the bank is the requester).
-        let addr = msg.addr;
-        let tbe = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut());
-        let Some(tbe) = tbe.filter(|t| {
-            matches!(t.stage, Stage::WaitRecall | Stage::WaitRecallAckBd)
-                && t.own_serial == msg.serial
-        }) else {
-            return ctx.stale();
-        };
-        // Set-based removal: duplicate acks (possible after Inv resends) are
-        // no-ops.
-        tbe.recall_acks.remove(msg.src.index());
-        if tbe.stage == Stage::WaitRecall {
-            self.try_finish_recall(addr, ctx);
+    // ------------------------------------------------------------------
+    // Rows
+    // ------------------------------------------------------------------
+
+    /// Row `row` about to run at `addr`, the line of slot `h`.
+    fn step<'m>(
+        &self,
+        h: u32,
+        addr: LineAddr,
+        row: u16,
+        msg: Option<&'m Message>,
+        line: Option<&'m L2Line>,
+    ) -> Step<'m> {
+        let plan = &self.table.plans[usize::from(row)];
+        Step {
+            h,
+            addr,
+            plan,
+            msg,
+            line,
         }
     }
 
-    fn on_mem_wback(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // WbAck from memory for a bank eviction.
-        let addr = msg.addr;
-        let live = |t: &Tbe| t.stage == Stage::WaitMemWbAck && t.own_serial == msg.serial;
-        if !self.tbe(addr).is_some_and(live) {
-            return ctx.stale();
-        }
-        let tbe = self.take_tbe(addr).expect("checked above");
-        if msg.wb_stale {
-            // Memory does not consider us the owner; drop the eviction.
-            self.pump_waiting(addr, ctx);
-            return;
-        }
-        let mut backup = MemBackup {
-            data: tbe.data.expect("bank eviction holds data"),
-            serial: msg.serial,
-            timer: Timer::default(),
-        };
-        ctx.send(backup.wb_data(addr, self.me, msg.src));
-        if self.ft {
-            backup
-                .timer
-                .arm(&mut self.timers, addr, TimeoutKind::LostData, ctx);
-            self.lines.entry(addr).mem_backup = Some(backup);
-            ctx.checker.backup_created(self.me, addr, ctx.now);
-        }
-        self.pump_waiting(addr, ctx);
-    }
-
-    fn on_acko(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let addr = msg.addr;
-        if msg.src.is_mem() {
-            // Memory acknowledges our WbData: delete the backup.
-            if self
-                .lines
-                .get_mut(addr)
-                .is_some_and(|s| s.mem_backup.take().is_some())
-            {
-                ctx.checker.backup_deleted(self.me, addr, ctx.now);
-            }
-            ctx.send(msg.reply(MsgType::AckBD));
-            return;
-        }
-        // Standalone AckO from an L1 (its UnblockEx with the piggyback was
-        // lost, or a reissued AckO): delete our grant backup and reply.
-        if let Some(tbe) = self.tbe(addr) {
-            if tbe.sent_data_backup && tbe.blocker == msg.src {
-                ctx.checker.backup_deleted(self.me, addr, ctx.now);
+    /// Applies row `s`: first what the row cannot say ([`Self::by_hand`]),
+    /// then its sends, built from the records as they now are; its next
+    /// stage; its timers and the records it frees
+    /// ([`Self::move_resources`]). Freeing the TBE services the line's
+    /// queue.
+    fn apply(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) {
+        let (p, ids) = (s.plan, self.ids);
+        self.by_hand(s, ctx);
+        for &(mtype, role) in p.sends() {
+            // An AckO to the role of an UnblockEx rides on it.
+            let rides = |t| p.sends().contains(&(t, role));
+            match mtype {
+                MsgType::AckO if rides(MsgType::UnblockEx) => {}
+                MsgType::UnblockEx => self.send(s, mtype, role, rides(MsgType::AckO), ctx),
+                _ => self.send(s, mtype, role, false, ctx),
             }
         }
-        ctx.send(msg.reply(MsgType::AckBD));
+        let stage = s.plan.next().iter().find(|&&id| self.ids.is_stage(id));
+        if let Some(&stage) = stage {
+            let st = self.lines.at_mut(s.h);
+            st.tbe.as_mut().expect("a stage is a TBE's").stage = stage;
+        }
+        let closes = s.plan.moves_resources(self.ft) && self.move_resources(s, ctx);
+        if cfg!(debug_assertions) {
+            // The Line facet is derived from the directory: it must be the
+            // row's, or `NP` when the row leaves the Line family.
+            let lines = [ids.np, ids.ro, ids.mt];
+            let want = (s.plan.next().iter().copied().find(|id| lines.contains(id)))
+                .or_else(|| lines.contains(&s.plan.src).then_some(ids.np));
+            let got = line_facet(ids, self.cache.get(s.addr));
+            let src = || self.table.facet_names(&[p.src]);
+            let what = || format!("{} @ {}: line facet after the row", src(), p.event);
+            debug_assert!(want.is_none_or(|want| want == got), "{}", what());
+        }
+        if closes {
+            self.pump_waiting(s.h, ctx);
+        }
     }
 
-    fn on_ackbd(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let addr = msg.addr;
-        if msg.src.is_mem() {
-            // Memory-facing §3.1.1 handshake complete.
-            if let Some(st) = self.lines.get_mut(addr) {
-                if let Some(p) = &st.ext_pending {
-                    if p.serial == msg.serial {
-                        st.ext_pending = None;
-                        if let Some(line) = self.cache.get_mut(addr) {
-                            line.ext_blocked = false;
+    /// Arms and disarms row `s`'s timers and drops the records it frees;
+    /// returns whether it closed the TBE.
+    fn move_resources(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) -> bool {
+        let (me, ft) = (self.me, self.ft);
+        let st = self.lines.at_mut(s.h);
+        // `LostAckBd` is the EXT record's in a row that opens or closes it.
+        let ext = s.plan.allocs(Resource::ExtPending, ft) || s.plan.frees(Resource::ExtPending, ft);
+        for kind in s.plan.timers(false, ft) {
+            st.timer(kind, ext)
+                .expect("a freed timer's record")
+                .disarm();
+        }
+        for kind in s.plan.timers(true, ft) {
+            if kind == TimeoutKind::LostAckBd && !ext {
+                // The handshake's AckO answers the trigger, under its serial.
+                let serial = s.msg.expect("a message starts the handshake").serial;
+                st.tbe.as_mut().expect("the handshake's TBE").acko_serial = serial;
+            }
+            let slot = st.timer(kind, ext).expect("an armed timer's record");
+            slot.arm(&mut self.timers, s.addr, kind, ctx);
+        }
+        if s.plan.frees(Resource::MemBackup, ft) && st.mem_backup.take().is_some() {
+            ctx.checker.backup_deleted(me, s.addr, ctx.now);
+        }
+        if s.plan.frees(Resource::ExtPending, ft) {
+            st.ext_pending = None;
+            if let Some(line) = self.cache.get_mut(s.addr) {
+                line.ext_blocked = false;
+            }
+        }
+        let st = self.lines.at_mut(s.h);
+        let closes = s.plan.frees(Resource::Tbe, ft) && !s.plan.allocs(Resource::Tbe, ft);
+        if closes && st.tbe.take().is_some() {
+            self.tbe_count -= 1;
+        }
+        closes
+    }
+
+    /// What row `s` does that it cannot say, before its sends: its message
+    /// taken into the directory and the TBE (with the install a fill makes,
+    /// the checker's notice of an `AckO` deleting a grant's backup, and a
+    /// request's hit, miss and migratory statistics), and the records it
+    /// opens — a TBE for its next stage, `EXT`, `MB` — with their contents.
+    fn by_hand(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) {
+        let (ids, ft) = (self.ids, self.ft);
+        if let (Event::Msg(mtype), Some(m)) = (s.plan.event, s.msg) {
+            let (tile, serving) = (m.src.index(), !self.ids.is_stage(s.plan.src));
+            let st = self.lines.at_mut(s.h);
+            match mtype {
+                MsgType::GetS | MsgType::GetX | MsgType::Put if serving => {
+                    ctx.stats.l2_tbe_occupancy.record(self.tbe_count as u64 + 1);
+                    if mtype != MsgType::Put {
+                        let store = mtype == MsgType::GetX;
+                        match self.cache.get_mut(s.addr) {
+                            Some(line) => {
+                                ctx.stats.l2_hits.incr();
+                                line.record_request(tile, store, ctx.config.migratory_sharing);
+                            }
+                            None => ctx.stats.l2_misses.incr(),
                         }
                     }
+                    if s.plan.when == Guard::Migratory {
+                        ctx.stats.migratory_grants.incr();
+                    }
                 }
+                MsgType::UnblockEx
+                | MsgType::Unblock
+                | MsgType::WbData
+                | MsgType::WbNoData
+                | MsgType::WbCancel => {
+                    let line = self.cache.get_mut(s.addr).expect("the line is resident");
+                    match mtype {
+                        MsgType::UnblockEx => {
+                            line.owner = Some(tile);
+                            line.sharers.clear();
+                            // Any bank copy is now stale (or was handed over).
+                            (line.data, line.dirty) = (None, false);
+                        }
+                        MsgType::Unblock => line.sharers.insert(tile),
+                        _ => line.owner = None,
+                    }
+                    if mtype == MsgType::WbData {
+                        line.data = Some(m.data.expect("WbData carries data"));
+                        line.dirty |= m.data_dirty;
+                    }
+                    if s.plan.next().contains(&ids.np) {
+                        // No copy is left on chip: memory owns the line again.
+                        self.cache.remove(s.addr);
+                    }
+                }
+                MsgType::DataEx if s.plan.src == ids.wait_mem => {
+                    // §3.1.1: the fill answers the L1 at once; under FT the
+                    // bank keeps its data as backup until the L1's AckO.
+                    let data = m.data.expect("memory fill carries data");
+                    let tbe = st.tbe.as_mut().expect("a fill's TBE");
+                    (tbe.grant, tbe.data, tbe.from_mem) = (Some(MsgType::DataEx), Some(data), true);
+                    self.install(s.addr, data, ctx);
+                    if self.ft {
+                        ctx.checker.backup_created(self.me, s.addr, ctx.now);
+                    }
+                }
+                MsgType::DataEx | MsgType::Ack | MsgType::AckBD
+                    if s.plan.src == ids.wait_recall || s.plan.src == ids.wait_recall_ack_bd =>
+                {
+                    let tbe = st.tbe.as_mut().expect("a recall's TBE");
+                    (tbe.invs, tbe.needs_data, tbe.dirty) = tbe.recall_after(m);
+                    if mtype == MsgType::DataEx {
+                        tbe.data = m.data;
+                    }
+                }
+                MsgType::AckO
+                    if s.plan.src == ids.wait_unblock || s.plan.src == ids.wait_fill_unblock =>
+                {
+                    let tbe = st.tbe.as_ref().expect("a grant's TBE");
+                    if tbe.holds_backup() && tbe.blocker == m.src {
+                        ctx.checker.backup_deleted(self.me, s.addr, ctx.now);
+                    }
+                }
+                MsgType::WbPing if s.plan.src == ids.mb => {
+                    st.mem_backup.as_mut().expect("a backup").serial = m.serial;
+                }
+                _ => {}
             }
-            return;
         }
-        // AckBD from an L1: completes a writeback or recall handshake.
-        let tbe = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut());
-        match tbe.filter(|t| t.acko_serial == msg.serial) {
-            Some(tbe) if tbe.stage == Stage::WaitWbAckBd => {
-                self.take_tbe(addr);
-                self.pump_waiting(addr, ctx);
+        if s.plan.allocs(Resource::Tbe, ft) {
+            self.open(s, ctx);
+        }
+        let st = self.lines.at_mut(s.h);
+        if s.plan.allocs(Resource::ExtPending, ft) {
+            let serial = st.tbe.as_ref().expect("the fill's TBE").own_serial;
+            let timer = Timer::default();
+            st.ext_pending = Some(ExtPending { serial, timer });
+            if let Some(line) = self.cache.get_mut(s.addr) {
+                line.ext_blocked = true;
             }
-            Some(tbe) if tbe.stage == Stage::WaitRecallAckBd => {
-                tbe.ackbd.disarm(); // handshake done
-                tbe.stage = Stage::WaitRecall;
-                tbe.recall_needs_data = false;
-                self.try_finish_recall(addr, ctx);
-            }
-            _ => ctx.stale(),
+        }
+        if s.plan.allocs(Resource::MemBackup, ft) {
+            st.mem_backup = Some(st.tbe.as_ref().expect("the writeback's TBE").backup());
+            ctx.checker.backup_created(self.me, s.addr, ctx.now);
         }
     }
 
+    /// Opens the TBE of row `s`'s next stage, replacing any TBE the row
+    /// frees: a request's miss, grant or writeback; the recall or bank
+    /// writeback of a victim; the writeback a dirty recall ends in.
+    fn open(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) {
+        let ids = self.ids;
+        let stage = (s.plan.next().iter().copied())
+            .find(|&id| self.ids.is_stage(id))
+            .expect("a TBE opens in a stage");
+        let tbe = if let Some(m) = s.msg.filter(|_| stage != ids.wait_mem_wb_ack) {
+            let mut tbe = Tbe::new(Some(m.mtype), stage, m.src, m.serial);
+            if stage == ids.wait_mem {
+                tbe.own_serial = self.fresh_serial();
+            } else if stage == ids.wait_unblock {
+                // The grant is the row's first send. An owned line holds no
+                // bank data, so an owner's upgrade grants none.
+                let line = s.line.expect("a grant's line is resident");
+                let grant = s.plan.sends()[0].0;
+                tbe.grant = Some(grant);
+                if matches!(grant, MsgType::DataEx | MsgType::FwdGetX) {
+                    tbe.invs = line.sharers;
+                    tbe.invs.remove(m.src.index());
+                }
+                if matches!(grant, MsgType::FwdGetS | MsgType::FwdGetX) {
+                    tbe.fwd_to = line.owner;
+                } else {
+                    debug_assert!(line.owner.is_none() || line.data.is_none());
+                    (tbe.data, tbe.dirty) = (line.data, grant == MsgType::DataEx && line.dirty);
+                }
+            }
+            tbe
+        } else {
+            // The bank's own transaction, under a fresh serial: a victim's
+            // recall or writeback, or the writeback a recall ends in.
+            let old = self.lines.at(s.h).tbe.as_ref().and_then(|t| t.data);
+            let mut tbe = Tbe::new(None, stage, self.me, self.fresh_serial());
+            tbe.own_serial = tbe.serial;
+            match s.line {
+                Some(v) if stage == ids.wait_recall => {
+                    ctx.stats.recalls.incr();
+                    (tbe.data, tbe.dirty, tbe.invs) = (v.data, v.dirty, v.sharers);
+                    (tbe.needs_data, tbe.fwd_to) = (v.owner.is_some(), v.owner);
+                }
+                v => {
+                    ctx.stats.l2_writebacks.incr();
+                    (tbe.data, tbe.dirty) = (v.map_or(old, |v| v.data), true);
+                }
+            }
+            tbe
+        };
+        if self.lines.at_mut(s.h).tbe.replace(tbe).is_none() {
+            self.tbe_count += 1;
+        }
+    }
+
+    /// Sends the message row `s` names as `mtype` to `role`, built from the
+    /// record it sends or re-sends (the row's source facet picks the
+    /// `WbData`'s), or as a reply to its message. `piggy`: an `AckO` rides
+    /// on this `UnblockEx`.
+    fn send(&self, s: Step<'_>, mtype: MsgType, role: Role, piggy: bool, ctx: &mut Ctx<'_>) {
+        let (me, addr) = (self.me, s.addr);
+        let mem = |config| Self::mem_of(addr, config);
+        let st = self.lines.at(s.h);
+        let tbe = || st.tbe.as_ref().expect("the row acts on the TBE");
+        let m = || s.msg.expect("a reply answers a message");
+        let out = match (mtype, role) {
+            (MsgType::Inv, _) => return tbe().send_invs(addr, me, ctx),
+            (MsgType::FwdGetS | MsgType::FwdGetX, _) => tbe().fwd(mtype, addr, me),
+            (MsgType::Data | MsgType::DataEx, _) => tbe().grant(mtype, addr, me),
+            (MsgType::GetX | MsgType::Put, _) => {
+                // The fill's GetX, or the bank writeback's Put, and reissues.
+                Message::new(mtype, addr, me, mem(ctx.config)).serial(tbe().own_serial)
+            }
+            (_, Role::Blocker | Role::OwnerL1) => tbe().ping(mtype, role, addr, me),
+            (MsgType::UnblockEx, _) => {
+                // The EXT record's serial, re-sent alike; else the fill's or
+                // the ping's.
+                let serial = (st.ext_pending.as_ref()).map_or_else(|| m().serial, |e| e.serial);
+                let unblock =
+                    Message::new(MsgType::UnblockEx, addr, me, mem(ctx.config)).serial(serial);
+                if piggy {
+                    unblock.with_acko()
+                } else {
+                    unblock
+                }
+            }
+            (MsgType::WbData, _) if s.plan.src == self.ids.mb => (st.mem_backup.as_ref())
+                .expect("a backup")
+                .wb_data(addr, me, mem(ctx.config)),
+            (MsgType::WbData, _) => tbe().backup().wb_data(addr, me, mem(ctx.config)),
+            (MsgType::OwnershipPing, _) => {
+                let b = st.mem_backup.as_ref().expect("a backup");
+                Message::new(MsgType::OwnershipPing, addr, me, mem(ctx.config)).serial(b.serial)
+            }
+            (MsgType::WbAck, _) => {
+                // Stale unless the writer still owns the line.
+                let mut ack = m().reply(MsgType::WbAck);
+                let owner = s.line.and_then(|l| l.owner);
+                ack.wb_stale = owner != Some(m().src.index());
+                ack
+            }
+            _ => m().reply(mtype),
+        };
+        ctx.send(out);
+    }
+
     // ------------------------------------------------------------------
-    // Fills, evictions and recalls
+    // Fills, evictions and the queue
     // ------------------------------------------------------------------
 
-    fn install_line(&mut self, addr: LineAddr, data: LineData, ctx: &mut Ctx<'_>) {
-        let mut line = L2Line::fresh();
-        line.data = Some(data);
+    /// Installs a filled line, evicting a victim if its set is full: only a
+    /// line with no transaction or external handshake in flight.
+    fn install(&mut self, addr: LineAddr, data: LineData, ctx: &mut Ctx<'_>) {
         let lines = &self.lines;
+        let line = L2Line {
+            data: Some(data),
+            ..L2Line::default()
+        };
         let outcome = self.cache.insert(addr, line, |a, l| {
             !l.ext_blocked
                 && lines
@@ -1015,254 +977,39 @@ impl L2Controller {
                     .is_none_or(|s| s.tbe.is_none() && s.ext_pending.is_none())
         });
         if let Some((vaddr, vline)) = outcome.evicted {
-            self.dispose_victim(vaddr, vline, ctx);
+            self.evict(vaddr, &vline, ctx);
         }
     }
 
-    fn dispose_victim(&mut self, vaddr: LineAddr, vline: L2Line, ctx: &mut Ctx<'_>) {
-        if vline.owner.is_some() || !vline.sharers.is_empty() {
-            self.start_recall(vaddr, vline, ctx);
-        } else if vline.dirty {
-            let data = vline.data.expect("dirty line holds data");
-            self.start_mem_writeback(vaddr, data, ctx);
-        }
-        // Clean, uncached-above victim: silent drop (memory copy is valid).
-    }
-
-    fn start_recall(&mut self, vaddr: LineAddr, vline: L2Line, ctx: &mut Ctx<'_>) {
-        ctx.stats.recalls.incr();
-        let mut tbe = Tbe::new(TbeKind::Recall, self.me, SerialNum::ZERO);
-        tbe.own_serial = self.fresh_serial();
-        tbe.serial = tbe.own_serial;
-        tbe.stage = Stage::WaitRecall;
-        tbe.data = vline.data;
-        tbe.data_dirty = vline.dirty;
-        tbe.recall_acks = vline.sharers;
-        tbe.recall_needs_data = vline.owner.is_some();
-        tbe.fwd_to = vline.owner;
-        if let Some(fwd) = tbe.fwd(vaddr, self.me) {
-            ctx.send(fwd);
-        }
-        tbe.send_invs(vaddr, self.me, tbe.recall_acks.iter(), ctx);
-        tbe.unblock
-            .arm(&mut self.timers, vaddr, TimeoutKind::LostUnblock, ctx);
-        self.set_tbe(vaddr, tbe);
-    }
-
-    fn try_finish_recall(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
-        let Some(tbe) = self.tbe(addr) else {
-            return;
-        };
-        if tbe.stage != Stage::WaitRecall || tbe.recall_needs_data || !tbe.recall_acks.is_empty() {
+    /// Runs the victim event at `vaddr`, whose line `vline` the bank just
+    /// evicted: a recall, a writeback to memory, or a silent drop.
+    fn evict(&mut self, vaddr: LineAddr, vline: &L2Line, ctx: &mut Ctx<'_>) {
+        let table = self.table;
+        let h = self.lines.handle(vaddr);
+        let st = self.lines.at(h);
+        let facets = self.facets(st, Some(vline), None);
+        let dispatch = table.dispatch(&facets, Event::Victim, self.ft);
+        if unexpected(dispatch, table, &facets, self.me, vaddr, Event::Victim, ctx) {
             return;
         }
-        let tbe = self.take_tbe(addr).expect("checked above");
-        if tbe.data_dirty {
-            let data = tbe.data.expect("dirty recall holds data");
-            self.start_mem_writeback(addr, data, ctx);
-        } else {
-            self.pump_waiting(addr, ctx);
+        if let Dispatch::Rows(rows) = dispatch {
+            if let Some(row) = Self::pick(table, rows, None, Some(vline), st.tbe.as_ref()) {
+                self.apply(self.step(h, vaddr, row, None, Some(vline)), ctx);
+            }
         }
     }
 
-    fn start_mem_writeback(&mut self, addr: LineAddr, data: LineData, ctx: &mut Ctx<'_>) {
-        ctx.stats.l2_writebacks.incr();
-        let mut tbe = Tbe::new(TbeKind::L2Evict, self.me, SerialNum::ZERO);
-        tbe.stage = Stage::WaitMemWbAck;
-        tbe.own_serial = self.fresh_serial();
-        tbe.serial = tbe.own_serial;
-        tbe.data = Some(data);
-        tbe.data_dirty = true;
-        tbe.req
-            .arm(&mut self.timers, addr, TimeoutKind::LostRequest, ctx);
-        ctx.send(tbe.mem_request(addr, self.me, Self::mem_of(addr, ctx.config)));
-        self.set_tbe(addr, tbe);
-    }
-
-    /// After a transaction completes, service deferred requests for the
+    /// After a transaction completes, services deferred requests for the
     /// line until one blocks it again (or the queue drains). The queue's
     /// buffer stays in the slot, ready for the next deferral.
-    fn pump_waiting(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
-        loop {
-            let Some(st) = self.lines.get_mut(addr) else {
+    fn pump_waiting(&mut self, h: u32, ctx: &mut Ctx<'_>) {
+        while self.lines.at(h).tbe.is_none() {
+            let Some(msg) = self.lines.at_mut(h).waiting.pop_front() else {
                 return;
             };
-            if st.tbe.is_some() {
-                return;
-            }
-            let Some(msg) = st.waiting.pop_front() else {
-                return;
-            };
-            self.service_request(msg, ctx);
+            let line = self.cache.get(msg.addr).copied();
+            self.run(h, line, msg.mtype, &msg, ctx);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Fault-recovery handlers (FtDirCMP only)
-    // ------------------------------------------------------------------
-
-    fn on_unblock_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // From memory: "is your fill still in progress?"
-        let addr = msg.addr;
-        if let Some(st) = self.lines.get(addr) {
-            if st.tbe.as_ref().is_some_and(|t| t.stage == Stage::WaitMem) {
-                return; // fill unresolved: nothing was lost (§3.3)
-            }
-            if let Some(p) = &st.ext_pending {
-                ctx.send(p.unblock(addr, self.me, msg.src));
-                return;
-            }
-        }
-        // Handshake fully complete (or never ours): answer idempotently.
-        ctx.send(msg.reply(MsgType::UnblockEx).with_acko());
-    }
-
-    fn on_wb_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let addr = msg.addr;
-        if let Some(st) = self.lines.get_mut(addr) {
-            if let Some(tbe) = &st.tbe {
-                if tbe.stage == Stage::WaitMemWbAck {
-                    // Our Put is in flight and memory answered it (the WbAck was
-                    // lost): the ping substitutes for the WbAck.
-                    let as_wback =
-                        Message::new(MsgType::WbAck, addr, msg.src, self.me).serial(tbe.own_serial);
-                    self.on_mem_wback(as_wback, ctx);
-                    return;
-                }
-            }
-            if let Some(b) = st.mem_backup.as_mut() {
-                b.serial = msg.serial;
-                ctx.send(b.wb_data(addr, self.me, msg.src));
-                return;
-            }
-        }
-        ctx.send(msg.reply(MsgType::WbCancel));
-    }
-
-    fn on_ownership_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // An L1 holding a writeback backup asks whether we received its
-        // WbData.
-        let addr = msg.addr;
-        let still_waiting = self
-            .tbe(addr)
-            .is_some_and(|t| t.kind == TbeKind::Wb && t.stage == Stage::WaitWbData);
-        let reply = if still_waiting {
-            MsgType::NackO
-        } else {
-            MsgType::AckO
-        };
-        ctx.send(msg.reply(reply));
-    }
-
-    fn on_nacko(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // Memory never received our WbData: resend it from the backup.
-        let backup = self.lines.get(msg.addr).and_then(|s| s.mem_backup.as_ref());
-        let Some(b) = backup.filter(|b| b.serial == msg.serial) else {
-            return ctx.stale();
-        };
-        ctx.send(b.wb_data(msg.addr, self.me, msg.src));
-    }
-
-    // ------------------------------------------------------------------
-    // Timeout handlers
-    // ------------------------------------------------------------------
-
-    fn on_lost_unblock(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        let kind = TimeoutKind::LostUnblock;
-        let Some(tbe) = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut()) else {
-            return;
-        };
-        if !tbe.unblock.fire(gen, &mut self.timers, kind, ctx) {
-            return;
-        }
-        let ping = |mtype| Message::new(mtype, addr, self.me, tbe.blocker).serial(tbe.serial);
-        match tbe.stage {
-            Stage::WaitUnblock => {
-                let mut ping = ping(MsgType::UnblockPing);
-                ping.ping_for_store = matches!(tbe.kind, TbeKind::Miss { store: true });
-                ctx.send(ping);
-            }
-            Stage::WaitWbData => ctx.send(ping(MsgType::WbPing)),
-            stage @ (Stage::WaitRecall | Stage::WaitRecallAckBd) => {
-                // Re-prod the recall participants: the owner if its data is
-                // still outstanding, and every sharer whose ack is missing
-                // (re-invalidation is idempotent; duplicate acks are no-ops
-                // thanks to set-based tracking).
-                if tbe.recall_needs_data && stage == Stage::WaitRecall {
-                    if let Some(fwd) = tbe.fwd(addr, self.me) {
-                        ctx.send(fwd);
-                    }
-                }
-                tbe.send_invs(addr, self.me, tbe.recall_acks.iter(), ctx);
-            }
-            _ => {}
-        }
-        tbe.unblock.rearm(&self.timers, addr, kind, ctx);
-    }
-
-    fn on_lost_request(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        // Reissue serials come from the allocator stream (see the L1-side
-        // comment: avoids cross-transaction serial collisions).
-        let fresh = self.serials.fresh();
-        let kind = TimeoutKind::LostRequest;
-        let Some(tbe) = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut()) else {
-            return;
-        };
-        if !tbe.req.fire(gen, &mut self.timers, kind, ctx) {
-            return;
-        }
-        ctx.stats.reissues.incr();
-        tbe.own_serial = fresh;
-        if !matches!(tbe.stage, Stage::WaitMem | Stage::WaitMemWbAck) {
-            return;
-        }
-        ctx.send(tbe.mem_request(addr, self.me, Self::mem_of(addr, ctx.config)));
-        tbe.req.rearm(&self.timers, addr, kind, ctx);
-    }
-
-    fn on_lost_ackbd(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        let fresh = self.serials.fresh();
-        let kind = TimeoutKind::LostAckBd;
-        if let Some(tbe) = self.lines.get_mut(addr).and_then(|s| s.tbe.as_mut()) {
-            if matches!(tbe.stage, Stage::WaitWbAckBd | Stage::WaitRecallAckBd)
-                && tbe.ackbd.fire(gen, &mut self.timers, kind, ctx)
-            {
-                tbe.acko_serial = fresh;
-                let peer = if tbe.stage == Stage::WaitWbAckBd {
-                    tbe.blocker
-                } else {
-                    NodeId::L1(tbe.fwd_to.expect("recall has an owner"))
-                };
-                ctx.send(Message::new(MsgType::AckO, addr, self.me, peer).serial(fresh));
-                tbe.ackbd.rearm(&self.timers, addr, kind, ctx);
-                return;
-            }
-        }
-        if let Some(p) = self
-            .lines
-            .get_mut(addr)
-            .and_then(|s| s.ext_pending.as_mut())
-        {
-            if !p.timer.fire(gen, &mut self.timers, kind, ctx) {
-                return;
-            }
-            // Resend with the same serial: memory matches its TBE by it.
-            ctx.send(p.unblock(addr, self.me, Self::mem_of(addr, ctx.config)));
-            p.timer.rearm(&self.timers, addr, kind, ctx);
-        }
-    }
-
-    fn on_lost_data(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        let kind = TimeoutKind::LostData;
-        let Some(b) = self.lines.get_mut(addr).and_then(|s| s.mem_backup.as_mut()) else {
-            return;
-        };
-        if !b.timer.fire(gen, &mut self.timers, kind, ctx) {
-            return;
-        }
-        let mem = Self::mem_of(addr, ctx.config);
-        ctx.send(Message::new(MsgType::OwnershipPing, addr, self.me, mem).serial(b.serial));
-        b.timer.rearm(&self.timers, addr, kind, ctx);
     }
 }
 

@@ -111,6 +111,15 @@ fn dircmp_fill_unblocks_memory_immediately() {
     );
     assert_eq!(h.sent_one(MsgType::UnblockEx).dst, MEM);
     h.sent_one(MsgType::DataEx);
+    h.clear();
+    // Memory was unblocked at the fill: the L1's unblock only closes the
+    // bank's transaction.
+    c.handle_message(
+        Message::new(MsgType::UnblockEx, L, NodeId::L1(5), ME).serial(SerialNum::ZERO),
+        &mut h.ctx(),
+    );
+    assert!(h.out.is_empty(), "nothing more to memory: {:?}", h.out);
+    assert!(c.is_idle());
 }
 
 #[test]
@@ -487,6 +496,86 @@ fn standalone_acko_from_l1_is_answered_with_ackbd() {
         &mut h.ctx(),
     );
     assert_eq!(h.sent_one(MsgType::AckBD).dst, NodeId::L1(6));
+}
+
+#[test]
+fn standalone_acko_at_an_owned_line_without_a_tbe_gets_an_ackbd() {
+    let mut h = Harness::ft();
+    let mut c = l2(&h);
+    // A fill leaves the line owned (MT) with the external handshake
+    // pending (EXT), and no TBE.
+    c.handle_message(getx(5, 10), &mut h.ctx());
+    let mem_req = h.sent_one(MsgType::GetX);
+    c.handle_message(
+        Message::new(MsgType::DataEx, L, MEM, ME)
+            .requester(ME)
+            .serial(mem_req.serial)
+            .data(LineData::pristine()),
+        &mut h.ctx(),
+    );
+    let unblock =
+        Message::new(MsgType::UnblockEx, L, NodeId::L1(5), ME).serial(SerialNum::new(10, 8));
+    c.handle_message(unblock.with_acko(), &mut h.ctx());
+    let to_mem = h.sent_one(MsgType::UnblockEx);
+    let acko = Message::new(MsgType::AckO, L, NodeId::L1(5), ME).serial(SerialNum::new(10, 8));
+    for ext in [true, false] {
+        h.clear();
+        // A re-sent AckO from the L1 (its AckBD was lost) answers the line,
+        // whether or not memory's handshake is still pending.
+        c.handle_message(acko.clone(), &mut h.ctx());
+        let ackbd = h.sent_one(MsgType::AckBD);
+        assert_eq!(
+            (ackbd.dst, ackbd.serial),
+            (NodeId::L1(5), acko.serial),
+            "EXT {ext}"
+        );
+        assert_eq!(h.out.len(), 1);
+        if ext {
+            c.handle_message(
+                Message::new(MsgType::AckBD, L, MEM, ME).serial(to_mem.serial),
+                &mut h.ctx(),
+            );
+        }
+    }
+    assert_eq!(h.stats.stale_discards.get(), 0);
+    assert!(c.is_idle());
+}
+
+#[test]
+fn memory_ackbd_under_another_serial_is_a_stale_discard() {
+    let mut h = Harness::ft();
+    let mut c = l2(&h);
+    c.handle_message(getx(5, 10), &mut h.ctx());
+    let mem_req = h.sent_one(MsgType::GetX);
+    c.handle_message(
+        Message::new(MsgType::DataEx, L, MEM, ME)
+            .requester(ME)
+            .serial(mem_req.serial)
+            .data(LineData::pristine()),
+        &mut h.ctx(),
+    );
+    c.handle_message(
+        Message::new(MsgType::UnblockEx, L, NodeId::L1(5), ME)
+            .serial(SerialNum::new(10, 8))
+            .with_acko(),
+        &mut h.ctx(),
+    );
+    let to_mem = h.sent_one(MsgType::UnblockEx);
+    let before = h.stats.stale_discards.get();
+    let other = to_mem.serial.next(8);
+    c.handle_message(
+        Message::new(MsgType::AckBD, L, MEM, ME).serial(other),
+        &mut h.ctx(),
+    );
+    assert_eq!(h.stats.stale_discards.get(), before + 1);
+    assert!(!c.is_idle(), "the EXT handshake stays pending");
+    // Its own AckBD still completes it.
+    c.handle_message(
+        Message::new(MsgType::AckBD, L, MEM, ME).serial(to_mem.serial),
+        &mut h.ctx(),
+    );
+    assert!(c.is_idle());
+    assert_eq!(h.stats.stale_discards.get(), before + 1);
 }
 
 #[test]

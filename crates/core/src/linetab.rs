@@ -62,17 +62,34 @@ impl<T: Default> LineTable<T> {
     /// first touch.
     #[inline]
     pub(crate) fn entry(&mut self, addr: LineAddr) -> &mut T {
+        let h = self.handle(addr);
+        self.at_mut(h)
+    }
+
+    /// The handle of `addr`'s slot, allocated on first touch. A handle stays
+    /// valid for the table's lifetime: slots are never freed.
+    #[inline]
+    pub(crate) fn handle(&mut self, addr: LineAddr) -> u32 {
         let slots = &mut self.slots;
-        let i = *self.index.entry(addr).or_insert_with(|| {
+        *self.index.entry(addr).or_insert_with(|| {
             let i = u32::try_from(slots.len()).expect("line table exceeds u32 handles");
             slots.push((addr, T::default()));
             i
-        });
-        &mut slots[i as usize].1
+        })
     }
 
-    /// All touched lines in first-touch order (diagnostics only; see the
-    /// module docs for the iteration-order contract).
+    /// The slot of handle `h`.
+    #[inline]
+    pub(crate) fn at(&self, h: u32) -> &T {
+        &self.slots[h as usize].1
+    }
+
+    /// The slot of handle `h`, mutably.
+    #[inline]
+    pub(crate) fn at_mut(&mut self, h: u32) -> &mut T {
+        &mut self.slots[h as usize].1
+    }
+
     pub(crate) fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
         self.slots.iter().map(|(a, t)| (*a, t))
     }

@@ -129,39 +129,53 @@ impl MemController {
 
     /// Handles an incoming network message. A piggybacked `AckO` is
     /// delivered as an `AckO` event before its unblock, even a stale one,
-    /// so the L2's external-blocked state can always drain.
-    pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        if msg.piggy_acko {
-            self.run(MsgType::AckO, msg.clone(), ctx);
-        }
-        self.run(msg.mtype, msg, ctx);
-    }
-
-    /// Runs event `mtype`, carried by `msg`, from the memory table: the row
-    /// [`crate::transitions::ControllerTable::dispatch`] picks, if the
-    /// event's guard holds. A request that finds a transaction open is
-    /// admitted first ([`admit_busy`]): one the table answers with rows is
-    /// of the transaction's kind (a reissue, or a duplicate to drop), one
-    /// the busy facet ignores is queued.
-    fn run(&mut self, mtype: MsgType, mut msg: Message, ctx: &mut Ctx<'_>) {
+    /// so the L2's external-blocked state can always drain; its rows keep
+    /// the line's facets and TBE, which the unblock reuses. A request that
+    /// finds a transaction open is admitted first ([`admit_busy`]): one the
+    /// table answers with rows is of the transaction's kind (a reissue,
+    /// which adopts its serial, or a duplicate to drop), one the busy facet
+    /// ignores is queued.
+    pub(crate) fn handle_message(&mut self, mut msg: Message, ctx: &mut Ctx<'_>) {
         let addr = msg.addr;
-        let tbe = self.tbes.get(&addr).copied();
+        let mut tbe = self.tbes.get(&addr).copied();
         let facets = self.facets(addr, tbe.as_ref());
-        let dispatch = mem().0.dispatch(&facets, Event::Msg(mtype), self.ft);
-        if unexpected(dispatch, &mem().0, &facets, self.me, addr, mtype, ctx) {
-            return;
+        if msg.piggy_acko {
+            self.run(MsgType::AckO, &msg, tbe, &facets, ctx);
         }
-        if let (MsgType::GetX | MsgType::Put, Some(tbe)) = (mtype, tbe) {
+        if let (MsgType::GetX | MsgType::Put, Some(busy)) = (msg.mtype, tbe.as_mut()) {
+            let dispatch = mem().0.dispatch(&facets, Event::Msg(msg.mtype), self.ft);
             let same_kind = matches!(dispatch, Dispatch::Rows(_));
-            let reissue = admit_busy(tbe.blocker, tbe.serial, same_kind, msg, ctx, || {
+            let reissue = admit_busy(busy.blocker, busy.serial, same_kind, msg, ctx, || {
                 self.waiting.entry(addr).or_default()
             });
             let Some(reissue) = reissue else {
                 return;
             };
             ctx.stats.false_positives.incr();
+            busy.serial = reissue.serial;
+            self.tbes.insert(addr, *busy);
             msg = reissue;
-            self.tbes.get_mut(&addr).expect("busy").serial = msg.serial;
+        }
+        self.run(msg.mtype, &msg, tbe, &facets, ctx);
+    }
+
+    /// Runs event `mtype`, carried by `msg`, from the memory table at a line
+    /// whose TBE is `tbe` and facets `facets`: the row
+    /// [`crate::transitions::ControllerTable::dispatch`] picks, if the
+    /// event's guard holds.
+    fn run(
+        &mut self,
+        mtype: MsgType,
+        msg: &Message,
+        tbe: Option<MemTbe>,
+        facets: &Facets,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let addr = msg.addr;
+        let event = Event::Msg(mtype);
+        let dispatch = mem().0.dispatch(facets, event, self.ft);
+        if unexpected(dispatch, &mem().0, facets, self.me, addr, event, ctx) {
+            return;
         }
         // The §3.5 stale rule: a response answers the TBE's transaction.
         let ids = &mem().1;
@@ -179,7 +193,7 @@ impl MemController {
         };
         match dispatch {
             Dispatch::Rows(&[row, ..]) if guard => {
-                self.apply(row, Some(&msg), addr, facets[facets.len() - 1], ctx);
+                self.apply(row, Some(msg), addr, facets[facets.len() - 1], ctx);
             }
             _ => ctx.stale(),
         }
@@ -227,8 +241,8 @@ impl MemController {
         ctx: &mut Ctx<'_>,
     ) {
         let (table, ids) = mem();
-        let r = &table.rows[usize::from(row)];
-        for &(mtype, role) in &r.sends {
+        let plan = &table.plans[usize::from(row)];
+        for &(mtype, role) in plan.sends() {
             let out = self.message(mtype, role, msg, addr, ctx);
             ctx.send(out);
         }
@@ -240,7 +254,7 @@ impl MemController {
             );
             self.store.insert(addr, data);
         }
-        let mut tbe = if r.alloc.contains(&Resource::Tbe) {
+        let mut tbe = if plan.allocs(Resource::Tbe, self.ft) {
             let m = msg.expect("a request opens the transaction");
             let tbe = MemTbe {
                 blocker: m.src,
@@ -254,7 +268,7 @@ impl MemController {
         } else {
             self.tbes.get_mut(&addr)
         };
-        for &id in &table.next_ids[usize::from(row)] {
+        for &id in plan.next() {
             if id == line {
                 // The owner stays: no write to the ownership set.
             } else if id == ids.u {
@@ -265,21 +279,11 @@ impl MemController {
                 tbe.stage = id;
             }
         }
-        let ft = self.ft;
-        // The timers among the row's resources in this mode.
-        let timers = move |all: &'static [Resource], ft_only: &'static [Resource]| {
-            let ft_only: &[Resource] = if ft { ft_only } else { &[] };
-            all.iter().chain(ft_only).filter_map(|res| match res {
-                Resource::TimerLostUnblock => Some(TimeoutKind::LostUnblock),
-                Resource::TimerLostAckBd => Some(TimeoutKind::LostAckBd),
-                _ => None,
-            })
-        };
         if let Some(tbe) = tbe {
-            for kind in timers(&r.free, &r.ft_free) {
+            for kind in plan.timers(false, self.ft) {
                 tbe.timer(kind).disarm();
             }
-            for kind in timers(&r.alloc, &r.ft_alloc) {
+            for kind in plan.timers(true, self.ft) {
                 if kind == TimeoutKind::LostAckBd {
                     // The handshake's AckO answers the trigger, under its serial.
                     tbe.acko_serial = msg.expect("WbData starts the handshake").serial;
@@ -287,7 +291,7 @@ impl MemController {
                 tbe.timer(kind).arm(&mut self.timers, addr, kind, ctx);
             }
         }
-        if r.free.contains(&Resource::Tbe) {
+        if plan.frees(Resource::Tbe, self.ft) {
             self.tbes.remove(&addr);
             self.pump_waiting(addr, ctx);
         }

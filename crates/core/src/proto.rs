@@ -14,7 +14,7 @@ use ftdircmp_sim::Cycle;
 use crate::checker::Checker;
 use crate::config::SystemConfig;
 use crate::ids::{LineAddr, NodeId};
-use crate::msg::{Message, MsgType};
+use crate::msg::Message;
 use crate::serial::SerialNum;
 use crate::stats::ProtocolStats;
 use crate::transitions::{ControllerTable, Dispatch, Event};
@@ -113,8 +113,8 @@ impl std::ops::Deref for Facets {
     }
 }
 
-/// Cross-checks a message delivered to `node` against the node's reified
-/// transition table: [`ControllerTable::dispatch`] must not answer
+/// Cross-checks a message delivered to an L1 `node` (the one controller
+/// still written as handlers) against the node's reified transition table: [`ControllerTable::dispatch`] must not answer
 /// `Impossible` or `Uncovered` for it at the line's facets in the protocol's
 /// mode (guards are not evaluated). Runs on every delivered message in
 /// every build (`System` always enables the checker): the facet ids from
@@ -130,26 +130,27 @@ pub(crate) fn table_check(
     if ctx.checker.is_enabled() {
         let facets = facets();
         let ft = ctx.config.protocol.is_fault_tolerant();
-        let dispatch = table.dispatch(&facets, Event::Msg(msg.mtype), ft);
-        unexpected(dispatch, table, &facets, node, msg.addr, msg.mtype, ctx);
+        let event = Event::Msg(msg.mtype);
+        let dispatch = table.dispatch(&facets, event, ft);
+        unexpected(dispatch, table, &facets, node, msg.addr, event, ctx);
     }
 }
 
-/// Reports message type `mtype` on `addr` at `node` as a protocol violation
-/// if `dispatch`, `table`'s answer at the line's `facets`, is `Impossible`
-/// or `Uncovered`, and returns whether it did.
+/// Reports `event` on `addr` at `node` as a protocol violation if
+/// `dispatch`, `table`'s answer at the line's `facets`, is `Impossible` or
+/// `Uncovered`, and returns whether it did.
 pub(crate) fn unexpected(
     dispatch: Dispatch<'_>,
     table: &ControllerTable,
     facets: &[u8],
     node: NodeId,
     addr: LineAddr,
-    mtype: MsgType,
+    event: Event,
     ctx: &mut Ctx<'_>,
 ) -> bool {
     let bad = matches!(dispatch, Dispatch::Impossible | Dispatch::Uncovered);
     if bad {
-        let what = format!("unexpected {mtype} in state {}", table.facet_names(facets));
+        let what = format!("unexpected {event} in state {}", table.facet_names(facets));
         ctx.checker.protocol_error(node, addr, &what, ctx.now);
     }
     bad
@@ -330,6 +331,11 @@ impl Timer {
         ctx: &mut Ctx<'_>,
     ) {
         timers.schedule(addr, kind, self.gen, self.retries, ctx);
+    }
+
+    /// Whether a firing carrying `gen` is live for this slot.
+    pub(crate) fn carries(self, gen: u64) -> bool {
+        self.gen == gen
     }
 
     /// Disarms the slot: whatever firing is queued for it goes stale.

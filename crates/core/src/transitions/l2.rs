@@ -19,9 +19,10 @@ use super::{
 use crate::msg::MsgType;
 use crate::proto::TimeoutKind;
 
-const TBE_STATES: [&str; 7] = [
+const TBE_STATES: [&str; 8] = [
     "WaitMem",
     "WaitUnblock",
+    "WaitFillUnblock",
     "WaitWbData",
     "WaitWbAckBd",
     "WaitRecall",
@@ -40,6 +41,13 @@ fn states() -> Vec<StateDecl> {
         StateDecl::new("WaitUnblock", "Tbe", "grant sent, waiting for Unblock")
             .implies(&[Tbe])
             .ft_implies(&[TimerLostUnblock]),
+        StateDecl::new(
+            "WaitFillUnblock",
+            "Tbe",
+            "memory's fill forwarded, waiting for the unblock; the fill's lost-request timer still armed",
+        )
+        .ft()
+        .implies(&[Tbe, TimerLostUnblock, TimerLostRequest]),
         StateDecl::new(
             "WaitWbData",
             "Tbe",
@@ -93,44 +101,71 @@ fn rows() -> Vec<super::Transition> {
           paper "§2 L2 miss" },
         { [NP] @ msg(MsgType::GetX), if "miss: fill from memory" => [WaitMem];
           sends [GetX -> MemCtl]; alloc [Tbe]; ft_alloc [TimerLostRequest] },
+        { [RO] @ msg(MsgType::GetS), if Sharers "sharers exist: shared grant" => [RO, WaitUnblock];
+          sends [Data -> Requester]; alloc [Tbe]; ft_alloc [TimerLostUnblock] },
         { [RO] @ msg(MsgType::GetS), if "no sharers: exclusive grant" => [RO, WaitUnblock];
           sends [DataEx -> Requester]; alloc [Tbe]; ft_alloc [TimerLostUnblock] },
-        { [RO] @ msg(MsgType::GetS), if "sharers exist: shared grant" => [RO, WaitUnblock];
-          sends [Data -> Requester]; alloc [Tbe]; ft_alloc [TimerLostUnblock] },
         { [RO] @ msg(MsgType::GetX), if "exclusive grant with invalidations" => [RO, WaitUnblock];
           sends [DataEx -> Requester, Inv -> Sharers];
           alloc [Tbe]; ft_alloc [TimerLostUnblock] },
-        { [MT] @ msg(MsgType::GetS), if "forward to owner" => [MT, WaitUnblock];
-          sends [FwdGetS -> OwnerL1]; alloc [Tbe]; ft_alloc [TimerLostUnblock] },
-        { [MT] @ msg(MsgType::GetS), if "migratory grant" => [MT, WaitUnblock];
+        { [MT] @ msg(MsgType::GetS), if Migratory "migratory grant" => [MT, WaitUnblock];
           sends [FwdGetX -> OwnerL1]; alloc [Tbe]; ft_alloc [TimerLostUnblock];
           paper "migratory sharing" },
-        { [MT] @ msg(MsgType::GetX), if "owner upgrade" => [MT, WaitUnblock];
+        { [MT] @ msg(MsgType::GetS), if "forward to owner" => [MT, WaitUnblock];
+          sends [FwdGetS -> OwnerL1]; alloc [Tbe]; ft_alloc [TimerLostUnblock] },
+        { [MT] @ msg(MsgType::GetX), if FromOwner "owner upgrade" => [MT, WaitUnblock];
           sends [DataEx -> Requester, Inv -> Sharers];
           alloc [Tbe]; ft_alloc [TimerLostUnblock] },
         { [MT] @ msg(MsgType::GetX), if "forward to owner" => [MT, WaitUnblock];
           sends [FwdGetX -> OwnerL1, Inv -> Sharers];
           alloc [Tbe]; ft_alloc [TimerLostUnblock] },
-        { [MT] @ msg(MsgType::Put), if "from the current owner" => [MT, WaitWbData];
+        { [MT] @ msg(MsgType::Put), if FromOwner "from the current owner" => [MT, WaitWbData];
           sends [WbAck -> Requester]; alloc [Tbe]; ft_alloc [TimerLostUnblock];
           paper "three-phase writeback" },
         { [MT] @ msg(MsgType::Put), if "not the owner: stale put acknowledged" => [MT];
           sends [WbAck -> Sender] },
         { [NP, RO] @ msg(MsgType::Put), if "stale put acknowledged" => same;
           sends [WbAck -> Sender] },
+        // ---- Reissues at the busy home (§3.2) -------------------------
+        { [WaitMem] @ msg(MsgType::GetS), if "reissue: adopt its serial" => same;
+          gate FtOnly; paper "§3.2" },
+        { [WaitMem] @ msg(MsgType::GetX), if "reissue: adopt its serial" => same; gate FtOnly },
+        { [WaitUnblock, WaitFillUnblock] @ msg(MsgType::GetS), if Granted(FwdGetS) "reissue: forward again" => same;
+          gate FtOnly; sends [FwdGetS -> OwnerL1] },
+        { [WaitUnblock, WaitFillUnblock] @ msg(MsgType::GetS), if Granted(FwdGetX) "reissue: migratory forward again" => same;
+          gate FtOnly; sends [FwdGetX -> OwnerL1] },
+        { [WaitUnblock, WaitFillUnblock] @ msg(MsgType::GetS), if Granted(Data) "reissue: shared grant again" => same;
+          gate FtOnly; sends [Data -> Requester] },
+        { [WaitUnblock, WaitFillUnblock] @ msg(MsgType::GetS), if "reissue: exclusive grant again" => same;
+          gate FtOnly; sends [DataEx -> Requester] },
+        { [WaitUnblock, WaitFillUnblock] @ msg(MsgType::GetX), if Granted(FwdGetX) "reissue: invalidate, forward again" => same;
+          gate FtOnly; sends [Inv -> Sharers, FwdGetX -> OwnerL1] },
+        { [WaitUnblock, WaitFillUnblock] @ msg(MsgType::GetX), if "reissue: invalidate, grant again" => same;
+          gate FtOnly; sends [Inv -> Sharers, DataEx -> Requester] },
+        { [WaitWbData] @ msg(MsgType::Put), if "reissue: adopt its serial, acknowledge again" => same;
+          gate FtOnly; sends [WbAck -> Requester] },
+        { [WaitWbAckBd] @ msg(MsgType::Put), if "reissue: adopt its serial" => same; gate FtOnly },
         // ---- Unblocks -------------------------------------------------
-        { [WaitUnblock] @ msg(MsgType::UnblockEx), if "exclusive grant acknowledged" => [MT];
-          gate NonFtOnly; free [Tbe] },
-        { [WaitUnblock] @ msg(MsgType::UnblockEx),
-          if "exclusive grant acknowledged (AckBD for piggybacked AckO)" => [MT];
-          gate FtOnly; sends [AckBD -> Sender]; free [Tbe, TimerLostUnblock] },
-        { [WaitUnblock] @ msg(MsgType::UnblockEx), if "fill from memory: unblock forwarded" => [MT];
-          gate NonFtOnly; sends [UnblockEx -> MemCtl]; free [Tbe] },
-        { [WaitUnblock] @ msg(MsgType::UnblockEx),
+        { [WaitFillUnblock] @ msg(MsgType::UnblockEx),
           if "fill from memory: external unblock pending" => [MT, EXT];
-          gate FtOnly; sends [UnblockEx -> MemCtl, AckO -> MemCtl, AckBD -> Sender];
-          free [Tbe, TimerLostUnblock]; alloc [ExtPending, TimerLostAckBd];
+          gate FtOnly; sends [UnblockEx -> MemCtl, AckO -> MemCtl];
+          free [Tbe, TimerLostUnblock, TimerLostRequest]; alloc [ExtPending, TimerLostAckBd];
           paper "§3.1.1" },
+        { [WaitFillUnblock] @ msg(MsgType::Unblock),
+          if "shared ack of a fill: external unblock pending" => [EXT];
+          gate FtOnly; sends [UnblockEx -> MemCtl, AckO -> MemCtl];
+          free [Tbe, TimerLostUnblock, TimerLostRequest]; alloc [ExtPending, TimerLostAckBd] },
+        { [WaitUnblock] @ msg(MsgType::UnblockEx),
+          if FromMem "fill from memory: external unblock pending" => [MT, EXT];
+          gate FtOnly; sends [UnblockEx -> MemCtl, AckO -> MemCtl];
+          free [Tbe, TimerLostUnblock]; alloc [ExtPending, TimerLostAckBd] },
+        { [WaitUnblock] @ msg(MsgType::UnblockEx),
+          if "exclusive grant acknowledged (a piggybacked AckO is delivered first)" => [MT];
+          free [Tbe]; ft_free [TimerLostUnblock] },
+        { [WaitUnblock] @ msg(MsgType::Unblock),
+          if FromMem "shared ack of a fill: external unblock pending" => [EXT];
+          gate FtOnly; sends [UnblockEx -> MemCtl, AckO -> MemCtl];
+          free [Tbe, TimerLostUnblock]; alloc [ExtPending, TimerLostAckBd] },
         { [WaitUnblock] @ msg(MsgType::Unblock), if "shared grant acknowledged" => [];
           free [Tbe]; ft_free [TimerLostUnblock] },
         // ---- Writeback data -------------------------------------------
@@ -140,11 +175,11 @@ fn rows() -> Vec<super::Transition> {
           if "writeback data accepted: ownership handshake" => [RO, WaitWbAckBd];
           gate FtOnly; sends [AckO -> Sender]; alloc [TimerLostAckBd];
           paper "§3.1" },
-        { [WaitWbData] @ msg(MsgType::WbNoData), if "no data: line dropped" => [NP];
+        { [WaitWbData] @ msg(MsgType::WbNoData), if NoCopies "no data: line dropped" => [NP];
           free [Tbe]; ft_free [TimerLostUnblock] },
         { [WaitWbData] @ msg(MsgType::WbNoData), if "copies remain" => [RO];
           free [Tbe]; ft_free [TimerLostUnblock] },
-        { [WaitWbData] @ msg(MsgType::WbCancel), if "cancelled: line dropped" => [NP];
+        { [WaitWbData] @ msg(MsgType::WbCancel), if NoCopies "cancelled: line dropped" => [NP];
           free [Tbe]; ft_free [TimerLostUnblock] },
         { [WaitWbData] @ msg(MsgType::WbCancel), if "cancelled: copies remain" => [RO];
           free [Tbe]; ft_free [TimerLostUnblock] },
@@ -153,56 +188,58 @@ fn rows() -> Vec<super::Transition> {
         // ---- Memory fill ----------------------------------------------
         { [WaitMem] @ msg(MsgType::DataEx), if "memory fill" => [RO, WaitUnblock];
           gate NonFtOnly; sends [DataEx -> Blocker, UnblockEx -> MemCtl] },
-        { [WaitMem] @ msg(MsgType::DataEx), if "memory fill" => [RO, WaitUnblock];
-          gate FtOnly; sends [DataEx -> Blocker];
-          free [TimerLostRequest]; alloc [TimerLostUnblock] },
+        { [WaitMem] @ msg(MsgType::DataEx), if "memory fill: its request timer stays armed" => [RO, WaitFillUnblock];
+          gate FtOnly; sends [DataEx -> Blocker]; alloc [TimerLostUnblock] },
         // ---- Victim selection (internal bank eviction) ----------------
-        { [RO] @ Event::Victim, if "clean, uncached above: silent drop" => [] },
-        { [RO] @ Event::Victim, if "dirty, uncached above: write back" => [WaitMemWbAck];
-          sends [Put -> MemCtl]; alloc [Tbe]; ft_alloc [TimerLostRequest] },
-        { [RO] @ Event::Victim, if "sharers exist: recall" => [WaitRecall];
+        { [RO] @ Event::Victim, if Sharers "sharers exist: recall" => [WaitRecall];
           sends [Inv -> Sharers]; alloc [Tbe]; ft_alloc [TimerLostUnblock] },
+        { [RO] @ Event::Victim, if Dirty "dirty, uncached above: write back" => [WaitMemWbAck];
+          sends [Put -> MemCtl]; alloc [Tbe]; ft_alloc [TimerLostRequest] },
+        { [RO] @ Event::Victim, if "clean, uncached above: silent drop" => [] },
         { [MT] @ Event::Victim, if "owner holds the line: recall" => [WaitRecall];
           sends [FwdGetX -> OwnerL1, Inv -> Sharers];
           alloc [Tbe]; ft_alloc [TimerLostUnblock] },
         // ---- Victim recall --------------------------------------------
         { [WaitRecall] @ msg(MsgType::DataEx), if "recall data from owner" => [WaitRecallAckBd];
           gate FtOnly; sends [AckO -> Sender]; alloc [TimerLostAckBd] },
-        { [WaitRecall] @ msg(MsgType::DataEx), if "recall data, acks pending" => [WaitRecall];
+        { [WaitRecall] @ msg(MsgType::DataEx), if RecallPending "recall data, acks pending" => [WaitRecall];
           gate NonFtOnly },
+        { [WaitRecall] @ msg(MsgType::DataEx), if RecallDirty "recall complete, dirty: write back" => [WaitMemWbAck];
+          gate NonFtOnly; sends [Put -> MemCtl]; free [Tbe]; alloc [Tbe] },
         { [WaitRecall] @ msg(MsgType::DataEx), if "recall complete, clean: dropped" => [];
           gate NonFtOnly; free [Tbe] },
-        { [WaitRecall] @ msg(MsgType::DataEx), if "recall complete, dirty: write back" => [WaitMemWbAck];
-          gate NonFtOnly; sends [Put -> MemCtl] },
-        { [WaitRecall] @ msg(MsgType::Ack), if "sharer invalidated, more pending" => [WaitRecall] },
+        { [WaitRecall] @ msg(MsgType::Ack), if RecallPending "sharer invalidated, more pending" => [WaitRecall] },
+        { [WaitRecall] @ msg(MsgType::Ack), if RecallDirty "last ack, dirty: write back" => [WaitMemWbAck];
+          sends [Put -> MemCtl]; free [Tbe]; alloc [Tbe];
+          ft_free [TimerLostUnblock]; ft_alloc [TimerLostRequest] },
         { [WaitRecall] @ msg(MsgType::Ack), if "last ack, clean: dropped" => [];
           free [Tbe]; ft_free [TimerLostUnblock] },
-        { [WaitRecall] @ msg(MsgType::Ack), if "last ack, dirty: write back" => [WaitMemWbAck];
-          sends [Put -> MemCtl]; ft_free [TimerLostUnblock]; ft_alloc [TimerLostRequest] },
         { [WaitRecallAckBd] @ msg(MsgType::Ack), if "sharer invalidated" => [WaitRecallAckBd];
           gate FtOnly },
-        { [WaitRecallAckBd] @ msg(MsgType::AckBD), if "acks still pending" => [WaitRecall];
+        { [WaitRecallAckBd] @ msg(MsgType::AckBD), if RecallPending "acks still pending" => [WaitRecall];
           gate FtOnly; free [TimerLostAckBd] },
+        { [WaitRecallAckBd] @ msg(MsgType::AckBD), if RecallDirty "recall complete, dirty: write back" => [WaitMemWbAck];
+          gate FtOnly; sends [Put -> MemCtl];
+          free [Tbe, TimerLostAckBd, TimerLostUnblock]; alloc [Tbe, TimerLostRequest] },
         { [WaitRecallAckBd] @ msg(MsgType::AckBD), if "recall complete, clean: dropped" => [];
           gate FtOnly; free [Tbe, TimerLostAckBd, TimerLostUnblock] },
-        { [WaitRecallAckBd] @ msg(MsgType::AckBD), if "recall complete, dirty: write back" => [WaitMemWbAck];
-          gate FtOnly; sends [Put -> MemCtl];
-          free [TimerLostAckBd, TimerLostUnblock]; alloc [TimerLostRequest] },
         // ---- Writeback to memory --------------------------------------
+        { [WaitMemWbAck] @ msg(MsgType::WbAck), if WbStale "stale writeback: dropped" => [];
+          free [Tbe]; ft_free [TimerLostRequest] },
         { [WaitMemWbAck] @ msg(MsgType::WbAck), if "memory writeback proceeds" => [];
           gate NonFtOnly; sends [WbData -> Sender]; free [Tbe] },
         { [WaitMemWbAck] @ msg(MsgType::WbAck), if "memory writeback proceeds" => [MB];
           gate FtOnly; sends [WbData -> Sender];
           free [Tbe, TimerLostRequest]; alloc [MemBackup, TimerLostData];
           paper "§3.1" },
-        { [WaitMemWbAck] @ msg(MsgType::WbAck), if "stale writeback: dropped" => [];
-          free [Tbe]; ft_free [TimerLostRequest] },
         // ---- Ownership handshake --------------------------------------
+        // An AckO or AckBD answers by its sender: from memory the `EXT` and
+        // `MB` records or the line, from an L1 the TBE or the line.
         { [MB] @ msg(MsgType::AckO), if "memory took ownership" => [];
           gate FtOnly; sends [AckBD -> MemCtl]; free [MemBackup, TimerLostData] },
-        { [WaitUnblock] @ msg(MsgType::AckO), if "requester acknowledges ownership" => [WaitUnblock];
+        { [WaitUnblock, WaitFillUnblock] @ msg(MsgType::AckO), if "requester acknowledges ownership" => same;
           gate FtOnly; sends [AckBD -> Sender] },
-        { [NP] @ msg(MsgType::AckO), if "no backup: idempotent re-ack" => [NP];
+        { [NP, RO, MT] @ msg(MsgType::AckO), if "no backup: idempotent re-ack" => same;
           gate FtOnly; sends [AckBD -> Sender]; paper "§3.4" },
         { [EXT] @ msg(MsgType::AckBD), if "external unblock complete" => [];
           gate FtOnly; free [ExtPending, TimerLostAckBd]; paper "§3.1.1" },
@@ -228,18 +265,25 @@ fn rows() -> Vec<super::Transition> {
         { [MB] @ msg(MsgType::NackO), if "memory refused: re-send data" => [MB];
           gate FtOnly; sends [WbData -> MemCtl]; paper "§3.3" },
         // ---- Timeouts -------------------------------------------------
-        { [WaitUnblock] @ tmo(TimeoutKind::LostUnblock), if "ping the blocker" => [WaitUnblock];
+        // A firing answers the record whose timer slot carries its
+        // generation.
+        { [WaitUnblock, WaitFillUnblock] @ tmo(TimeoutKind::LostUnblock), if "ping the blocker" => same;
           gate FtOnly; sends [UnblockPing -> Blocker]; paper "§3.5" },
         { [WaitWbData] @ tmo(TimeoutKind::LostUnblock), if "ping the writer" => [WaitWbData];
           gate FtOnly; sends [WbPing -> Blocker] },
-        { [WaitRecall] @ tmo(TimeoutKind::LostUnblock), if "re-prod owner and sharers" => [WaitRecall];
+        { [WaitRecall] @ tmo(TimeoutKind::LostUnblock), if NeedsData "re-prod owner and sharers" => [WaitRecall];
           gate FtOnly; sends [FwdGetX -> OwnerL1, Inv -> Sharers] },
+        { [WaitRecall] @ tmo(TimeoutKind::LostUnblock), if "re-prod sharers" => [WaitRecall];
+          gate FtOnly; sends [Inv -> Sharers] },
         { [WaitRecallAckBd] @ tmo(TimeoutKind::LostUnblock), if "re-prod sharers" => [WaitRecallAckBd];
           gate FtOnly; sends [Inv -> Sharers] },
         { [WaitWbAckBd] @ tmo(TimeoutKind::LostUnblock), if "inert while AckBD pending" => [WaitWbAckBd];
           gate FtOnly },
         { [WaitMem] @ tmo(TimeoutKind::LostRequest), if "reissue fill" => [WaitMem];
           gate FtOnly; sends [GetX -> MemCtl]; paper "§3.2" },
+        { [WaitFillUnblock] @ tmo(TimeoutKind::LostRequest),
+          if "fill already answered: a fresh serial, nothing re-sent" => [WaitUnblock];
+          gate FtOnly; free [TimerLostRequest] },
         { [WaitMemWbAck] @ tmo(TimeoutKind::LostRequest), if "reissue writeback" => [WaitMemWbAck];
           gate FtOnly; sends [Put -> MemCtl] },
         { [WaitWbAckBd] @ tmo(TimeoutKind::LostAckBd), if "re-send AckO" => [WaitWbAckBd];
@@ -287,11 +331,19 @@ fn exceptions() -> Vec<Exception> {
     }
     for s in TBE_STATES {
         for t in [T::GetS, T::GetX, T::Put] {
-            ex.push(ignore(
-                s,
-                msg(t),
-                "queued behind the active transaction (FT reissues refresh the serial)",
-            ));
+            // The transaction's own reissues have rows (§3.2).
+            let reissue = match s {
+                "WaitMem" | "WaitUnblock" | "WaitFillUnblock" => t != T::Put,
+                "WaitWbData" | "WaitWbAckBd" => t == T::Put,
+                _ => false,
+            };
+            if !reissue {
+                ex.push(ignore(
+                    s,
+                    msg(t),
+                    "queued behind the active transaction (a reissue refreshes the queued serial)",
+                ));
+            }
         }
     }
     for s in ["EXT", "MB"] {
@@ -331,13 +383,16 @@ fn exceptions() -> Vec<Exception> {
 }
 
 super::state_ids! {
-    /// Ids of the states `L2Controller::table_facets` reports.
+    /// Ids of the states `L2Controller::facets` reports. A TBE stage is
+    /// mostly set from a row's next states, so not every id is read by name.
+    #[allow(dead_code)]
     L2Ids {
         np => "NP",
         ro => "RO",
         mt => "MT",
         wait_mem => "WaitMem",
         wait_unblock => "WaitUnblock",
+        wait_fill_unblock => "WaitFillUnblock",
         wait_wb_data => "WaitWbData",
         wait_wb_ack_bd => "WaitWbAckBd",
         wait_recall => "WaitRecall",
@@ -345,6 +400,14 @@ super::state_ids! {
         wait_mem_wb_ack => "WaitMemWbAck",
         ext => "EXT",
         mb => "MB",
+    }
+}
+
+impl L2Ids {
+    /// Whether state id `id` is a TBE stage (the `Tbe` family).
+    #[inline]
+    pub(crate) fn is_stage(&self, id: u8) -> bool {
+        ![self.np, self.ro, self.mt, self.ext, self.mb].contains(&id)
     }
 }
 

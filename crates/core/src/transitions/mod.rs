@@ -26,10 +26,10 @@
 //!
 //! Each table is compiled, when it is built, into one dense dispatch cell
 //! per (state, event) pair, and [`ControllerTable::dispatch`] is the one
-//! rule that decides what an event does at a line.  The memory controller
-//! runs the rows it picks; the L1 and L2 check every delivered message
-//! against it (see `proto::table_check`); `ftdircmp-lint`'s abstract model
-//! explores with it.
+//! rule that decides what an event does at a line.  The L2 bank and the
+//! memory controller run the rows it picks, the first whose typed
+//! [`Guard`] holds; the L1 checks every delivered message against it (see
+//! `proto::table_check`); `ftdircmp-lint`'s abstract model explores with it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -257,6 +257,39 @@ impl Resource {
     }
 }
 
+/// A typed row guard: the condition that picks one row among the rows of
+/// one (state, event) cell, evaluated by the controller that runs the table
+/// (`L2Controller::holds`).  The cell's rows are tried in declaration
+/// order, so a guard may assume that the rows before it did not hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Guard {
+    /// No condition: the row of its cell that runs when no other does.
+    Always,
+    /// The line has L1 sharers.
+    Sharers,
+    /// The line's data is dirty with respect to memory.
+    Dirty,
+    /// Migratory sharing turns the read into an exclusive grant (paper §2).
+    Migratory,
+    /// The request comes from the line's L1 owner.
+    FromOwner,
+    /// The transaction was filled from memory (§3.1.1).
+    FromMem,
+    /// No copy of the line is left on chip: no bank data, no sharer.
+    NoCopies,
+    /// The transaction answered its request with this message: `Data` or
+    /// `DataEx` to the requester, or `FwdGetS`/`FwdGetX` to the owner.
+    Granted(MsgType),
+    /// The recall still waits for the owner's data.
+    NeedsData,
+    /// The recall still waits for the owner's data or a sharer's ack.
+    RecallPending,
+    /// The recalled data is dirty with respect to memory.
+    RecallDirty,
+    /// Memory's `WbAck` says the bank no longer owns the line.
+    WbStale,
+}
+
 /// Declaration of one controller state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateDecl {
@@ -321,8 +354,10 @@ impl StateDecl {
 pub struct Transition {
     pub src: &'static str,
     pub event: Event,
-    /// Free-text guard distinguishing rows that share (src, event).
+    /// The guard in words (PROTOCOL.md).
     pub guard: &'static str,
+    /// The typed guard that picks this row among the rows of its cell.
+    pub when: Guard,
     /// Resulting states, possibly across families (see module docs).
     pub next: Vec<&'static str>,
     /// Messages emitted by this row.
@@ -347,6 +382,7 @@ impl Transition {
             src,
             event,
             guard: "",
+            when: Guard::Always,
             next: next.to_vec(),
             sends: Vec::new(),
             alloc: Vec::new(),
@@ -356,6 +392,94 @@ impl Transition {
             gate: Gate::Both,
             paper: "",
         }
+    }
+}
+
+/// At most this many next states or sends per row (checked when a table
+/// is built).
+const ROW_MAX: usize = 4;
+
+/// A row compiled for the controllers that run it: its state ids, event,
+/// guard and sends inline, and the resources it allocates and frees in
+/// each mode as bit sets, so applying it chases no pointer and scans no
+/// list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Plan {
+    /// The source state's id.
+    pub(crate) src: u8,
+    pub(crate) event: Event,
+    pub(crate) when: Guard,
+    next: ([u8; ROW_MAX], u8),
+    sends: ([(MsgType, Role); ROW_MAX], u8),
+    /// `alloc[ft]`, `free[ft]`: the resources allocated and freed with fault
+    /// tolerance `ft`, one bit per [`Resource`].
+    alloc: [u16; 2],
+    free: [u16; 2],
+}
+
+impl Plan {
+    fn new(row: &Transition, index: &HashMap<&'static str, usize>) -> Option<Self> {
+        fn inline<T: Copy>(items: &[T], fill: T) -> Option<([T; ROW_MAX], u8)> {
+            let mut out = [fill; ROW_MAX];
+            out.get_mut(..items.len())?.copy_from_slice(items);
+            Some((out, items.len() as u8))
+        }
+        let bits = |rs: &[Resource]| rs.iter().fold(0, |m, &r| m | 1 << r as u16);
+        let both = |all, ft| [bits(all), bits(all) | bits(ft)];
+        let next: Vec<u8> = row.next.iter().map(|n| index[n] as u8).collect();
+        Some(Plan {
+            src: index[row.src] as u8,
+            event: row.event,
+            when: row.when,
+            next: inline(&next, 0)?,
+            sends: inline(&row.sends, (MsgType::GetS, Role::Home))?,
+            alloc: both(&row.alloc, &row.ft_alloc),
+            free: both(&row.free, &row.ft_free),
+        })
+    }
+
+    /// The next states' ids.
+    #[inline]
+    pub(crate) fn next(&self) -> &[u8] {
+        &self.next.0[..usize::from(self.next.1)]
+    }
+
+    /// The messages the row sends, in order.
+    #[inline]
+    pub(crate) fn sends(&self) -> &[(MsgType, Role)] {
+        &self.sends.0[..usize::from(self.sends.1)]
+    }
+
+    /// Whether the row allocates or frees anything with fault tolerance `ft`.
+    #[inline]
+    pub(crate) fn moves_resources(&self, ft: bool) -> bool {
+        self.alloc[usize::from(ft)] | self.free[usize::from(ft)] != 0
+    }
+
+    /// Whether the row allocates `res` with fault tolerance `ft`.
+    #[inline]
+    pub(crate) fn allocs(&self, res: Resource, ft: bool) -> bool {
+        self.alloc[usize::from(ft)] & 1 << res as u16 != 0
+    }
+
+    /// Whether the row frees `res` with fault tolerance `ft`.
+    #[inline]
+    pub(crate) fn frees(&self, res: Resource, ft: bool) -> bool {
+        self.free[usize::from(ft)] & 1 << res as u16 != 0
+    }
+
+    /// The timers the row arms (`arm`), or else disarms, with fault
+    /// tolerance `ft`.
+    #[inline]
+    pub(crate) fn timers(&self, arm: bool, ft: bool) -> impl Iterator<Item = TimeoutKind> {
+        const TIMERS: [(TimeoutKind, Resource); 4] = [
+            (TimeoutKind::LostRequest, Resource::TimerLostRequest),
+            (TimeoutKind::LostUnblock, Resource::TimerLostUnblock),
+            (TimeoutKind::LostAckBd, Resource::TimerLostAckBd),
+            (TimeoutKind::LostData, Resource::TimerLostData),
+        ];
+        let set = if arm { self.alloc } else { self.free }[usize::from(ft)];
+        (TIMERS.into_iter()).filter_map(move |(k, r)| (set & 1 << r as u16 != 0).then_some(k))
     }
 }
 
@@ -469,8 +593,8 @@ pub struct ControllerTable {
     cell_rows: Vec<u16>,
     /// `wildcard[event index]`: what the event's `*` exception decides.
     wildcard: [Dispatch<'static>; EVENTS],
-    /// `next_ids[row]`: the row's next states as state ids.
-    pub(crate) next_ids: Vec<Vec<u8>>,
+    /// `plans[row]`: the row compiled.
+    pub(crate) plans: Vec<Plan>,
 }
 
 impl ControllerTable {
@@ -544,6 +668,13 @@ impl ControllerTable {
                 u16::MAX
             ));
         }
+        let plans = (rows.iter())
+            .map(|r| Plan::new(r, &state_index))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| {
+                let c = controller.name();
+                format!("{c}: a row names more than {ROW_MAX} next states or sends")
+            })?;
         let mut active = vec![[Vec::new(), Vec::new()]; states.len() * EVENTS];
         for (i, row) in rows.iter().enumerate() {
             let cell = &mut active[state_index[row.src] * EVENTS + row.event.index()];
@@ -592,10 +723,7 @@ impl ControllerTable {
                 Some(_) => Dispatch::Ignore,
                 None => Dispatch::Uncovered,
             }),
-            next_ids: rows
-                .iter()
-                .map(|r| r.next.iter().map(|n| state_index[n] as u8).collect())
-                .collect(),
+            plans,
             states,
             rows,
             exceptions,
@@ -759,17 +887,21 @@ pub(crate) use state_ids;
 /// `next` after `=>` is either a list of states (see the module docs; `[]`
 /// ends the facet) or `same`: each source keeps its own state.
 ///
-/// Optional clauses, in order: `if "guard"` (after the event), `gate G`,
-/// `sends [..]`, `alloc [..]`, `free [..]`, `ft_alloc [..]`, `ft_free [..]`,
-/// `paper ".."`.
+/// Optional clauses, in order: `if Guard "guard"` (after the event: a
+/// typed [`Guard`], `Granted(MsgType)` for the one with an argument, may
+/// precede the words), `gate G`, `sends [..]`, `alloc [..]`, `free [..]`,
+/// `ft_alloc [..]`, `ft_free [..]`, `paper ".."`.
 macro_rules! row {
-    ( [$($src:ident),+] @ $ev:expr $(, if $guard:literal)? => $next:tt
+    ( [$($src:ident),+] @ $ev:expr
+      $(, if $($when:ident $(($arg:ident))?)? $guard:literal)? => $next:tt
       $(; $($rest:tt)*)?
     ) => {{
         let (next, same) = $crate::transitions::row_next!($next);
         #[allow(unused_mut)]
         let mut proto = $crate::transitions::Transition::new("", $ev, next);
-        $( proto.guard = $guard; )?
+        $( proto.guard = $guard;
+           $( proto.when = $crate::transitions::Guard::$when
+                $(($crate::msg::MsgType::$arg))?; )? )?
         $( $crate::transitions::row_clauses!(proto; $($rest)*); )?
         let mut out: Vec<$crate::transitions::Transition> = Vec::new();
         $(
@@ -862,7 +994,7 @@ pub(crate) fn l1() -> &'static (ControllerTable, L1Ids) {
     L1.get_or_init(|| l1::build().expect("L1 transition table is malformed"))
 }
 
-/// The L2 table with the state ids `L2Controller::table_facets` reports.
+/// The L2 table with the state ids `L2Controller::facets` reports.
 pub(crate) fn l2() -> &'static (ControllerTable, L2Ids) {
     L2.get_or_init(|| l2::build().expect("L2 transition table is malformed"))
 }
@@ -1041,6 +1173,36 @@ mod tests {
     }
 
     #[test]
+    fn every_l2_cell_with_several_rows_names_a_guard_on_all_but_one() {
+        // The L2 picks the first row whose typed guard holds: an unguarded
+        // row anywhere but last would shadow the rows after it.
+        let t = l2_table();
+        let mut several = 0;
+        for s in &t.states {
+            for e in t.event_universe() {
+                for ft in [false, true] {
+                    let rows = active_rows(t, s.name, e, ft);
+                    if rows.len() < 2 {
+                        continue;
+                    }
+                    several += 1;
+                    let whens: Vec<Guard> = (rows.iter())
+                        .map(|&r| t.rows[usize::from(r)].when)
+                        .collect();
+                    let unguarded = whens.iter().filter(|&&w| w == Guard::Always).count();
+                    assert!(unguarded <= 1, "{} @ {e} (ft {ft}): {whens:?}", s.name);
+                    assert!(
+                        whens[..whens.len() - 1].iter().all(|&w| w != Guard::Always),
+                        "{} @ {e} (ft {ft}): only the last row may be unguarded: {whens:?}",
+                        s.name
+                    );
+                }
+            }
+        }
+        assert!(several > 0);
+    }
+
+    #[test]
     fn violation_names_follow_the_declared_state_order() {
         let (t, i) = mem();
         assert_eq!(t.facet_names(&[i.wait_unblock, i.u]), "U+WaitUnblock");
@@ -1088,6 +1250,7 @@ mod tests {
                 (i.mt, "MT"),
                 (i.wait_mem, "WaitMem"),
                 (i.wait_unblock, "WaitUnblock"),
+                (i.wait_fill_unblock, "WaitFillUnblock"),
                 (i.wait_wb_data, "WaitWbData"),
                 (i.wait_wb_ack_bd, "WaitWbAckBd"),
                 (i.wait_recall, "WaitRecall"),
@@ -1113,7 +1276,7 @@ mod tests {
 
     #[test]
     fn a_same_row_expands_to_one_row_per_source_each_keeping_its_state() {
-        let rows = row!([IS, IM, SM] @ msg(MsgType::Ack), if "acks outstanding" => same;
+        let rows = row!([IS, IM, SM] @ msg(MsgType::Ack), if Granted(Data) "acks outstanding" => same;
                         gate FtOnly; sends [UnblockEx -> Home]);
         let got: Vec<(&str, Vec<&str>)> = rows.iter().map(|r| (r.src, r.next.clone())).collect();
         assert_eq!(
@@ -1122,8 +1285,13 @@ mod tests {
         );
         for r in &rows {
             assert_eq!(
-                (r.event, r.guard, r.gate),
-                (msg(MsgType::Ack), "acks outstanding", Gate::FtOnly)
+                (r.event, r.guard, r.when, r.gate),
+                (
+                    msg(MsgType::Ack),
+                    "acks outstanding",
+                    Guard::Granted(MsgType::Data),
+                    Gate::FtOnly
+                )
             );
             assert_eq!(r.sends, [(MsgType::UnblockEx, Role::Home)]);
         }

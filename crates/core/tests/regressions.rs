@@ -144,7 +144,7 @@ fn cross_transaction_serial_collision() {
 /// (or its ack) left the bank's eviction waiting forever on a counter that
 /// could also be corrupted by duplicate acks. Fix: set-based tracking of
 /// outstanding recall acks, with re-invalidation of exactly the missing
-/// members on the lost-unblock timer (l2.rs `recall_acks`).
+/// members on the lost-unblock timer (l2.rs `Tbe::invs`).
 #[test]
 fn lost_recall_invalidations_are_resent() {
     // Originally wedged at stress tiny-caches seed=17.

@@ -467,7 +467,20 @@ pub fn explore_with(
             let ns = &w.nodes[node.idx()];
             let mut base = w.clone();
             base.flight.remove(&m);
-            match ctx.dispatch(node, ns, Event::Msg(m.mt)) {
+            // Busy-home admission, the engine's `admit_busy`: a request that
+            // finds a transaction open runs the transaction's (reissue) rows
+            // only from its blocker; any other waits behind it.
+            let request = matches!(m.mt, MsgType::GetS | MsgType::GetX | MsgType::Put);
+            let queued = request
+                && node.controller() != Controller::L1
+                && ns.facets.contains_key("Tbe")
+                && ns.blocker != Some(m.src);
+            let dispatch = if queued {
+                Dispatch::Ignore
+            } else {
+                ctx.dispatch(node, ns, Event::Msg(m.mt))
+            };
+            match dispatch {
                 Dispatch::Rows(rows) => {
                     for ri in rows.iter().map(|&i| usize::from(i)) {
                         let novel = record(&mut exp, node, ri);
