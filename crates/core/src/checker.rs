@@ -76,11 +76,6 @@ impl Checker {
         }
     }
 
-    /// Whether checking is active.
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Violations recorded so far.
     pub fn violations(&self) -> &[String] {
         &self.violations
@@ -382,7 +377,7 @@ mod tests {
         c.set_perm(l1(1), A, Perm::Write, Cycle::ZERO);
         c.store_committed(l1(0), A, 99, Cycle::ZERO);
         assert!(c.violations().is_empty());
-        assert!(!c.is_enabled());
+        assert!(!c.enabled);
         assert_eq!(c.lines.len(), 0);
     }
 

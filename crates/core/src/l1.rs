@@ -7,15 +7,21 @@
 //!   writebacks.
 //! * **FtDirCMP** (paper §3): on top of DirCMP, the *backup* state when
 //!   sending owned data (§3.1 step 1), the *blocked-ownership* states
-//!   `Mb`/`Eb`/`Ob` while waiting for the backup-deletion acknowledgment
+//!   `Mb`/`Eb` while waiting for the backup-deletion acknowledgment
 //!   (§3.1 steps 2–4), the lost-request and lost-backup-deletion-ack
 //!   timeouts (§3.2, §3.4), request serial numbers with reissue (§3.5), and
 //!   the recovery responses to `UnblockPing`/`WbPing`/`OwnershipPing`.
 //!
-//! Per-line transient state (miss/writeback MSHRs, backups, pending
-//! handshakes, deferred forwards) lives in a single [`LineTable`] slab: one
-//! lookup per message resolves every facet of a line, instead of one hash
-//! probe per facet (see `linetab` for the iteration-order contract).
+//! The controller runs from its reified table
+//! ([`crate::transitions::l1_table`]): every message, live timeout, CPU op
+//! and victim is dispatched once at the line's facets, and the first row
+//! whose typed guard holds runs — its sends, next state, records (miss and
+//! writeback MSHRs, backup, AckBD handshake) and timers. Only what a row
+//! cannot say is written here: message contents, the line's data, the
+//! checker's permissions and backup notices, committing the CPU op and
+//! completing the core, installs and victim choice, and statistics. A
+//! line's records live together in one [`LineTable`] slot (see `linetab`
+//! for the iteration-order contract).
 
 use ftdircmp_sim::{Cycle, DetRng};
 
@@ -26,8 +32,11 @@ use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId};
 use crate::linetab::LineTable;
 use crate::msg::{Message, MsgType};
-use crate::proto::{table_check, Ctx, Facets, TimeoutKind, Timer, Timers};
+use crate::proto::{unexpected, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::{SerialAllocator, SerialNum};
+use crate::transitions::{
+    self, l1, ControllerTable, Dispatch, Event, Guard, L1Ids, Plan, Resource, Role,
+};
 
 /// Stable L1 permission states (MOESI; `I` is represented by absence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,14 +52,6 @@ pub(crate) enum L1Perm {
 }
 
 impl L1Perm {
-    fn is_exclusive(self) -> bool {
-        matches!(self, L1Perm::E | L1Perm::M)
-    }
-
-    fn is_owner(self) -> bool {
-        matches!(self, L1Perm::E | L1Perm::M | L1Perm::O)
-    }
-
     fn checker_perm(self) -> Perm {
         match self {
             L1Perm::S | L1Perm::O => Perm::Read,
@@ -60,13 +61,17 @@ impl L1Perm {
 }
 
 /// One resident L1 line. `blocked` marks the blocked-ownership states
-/// (`Mb`/`Eb`/`Ob`): the miss is satisfied but ownership must not move
-/// until the backup-deletion acknowledgment arrives (paper §3.1 step 2).
-#[derive(Debug, Clone)]
+/// (`Mb`/`Eb`): the miss is satisfied but ownership must not move until the
+/// backup-deletion acknowledgment arrives (paper §3.1 step 2). `slot` is the
+/// handle of the line's [`LineTable`] slot, which every resident line has
+/// (its miss or writeback made it), so an event at a resident line finds
+/// its records without a hash probe.
+#[derive(Debug, Clone, Copy)]
 struct L1Entry {
     perm: L1Perm,
     data: LineData,
     blocked: bool,
+    slot: u32,
 }
 
 /// A CPU memory operation presented to the L1.
@@ -112,6 +117,24 @@ struct MissMshr {
 }
 
 impl MissMshr {
+    /// A miss of `kind` under `serial`, issued at `issued_at`, that nothing
+    /// has answered yet.
+    fn new(kind: MissKind, serial: SerialNum, issued_at: Cycle) -> Self {
+        MissMshr {
+            kind,
+            serial,
+            data: None,
+            granted_ex: false,
+            granted_dirty: false,
+            responded: false,
+            acks_needed: 0,
+            acks_got: 0,
+            supplier: None,
+            issued_at,
+            timer: Timer::default(),
+        }
+    }
+
     /// The request this miss issues, and reissues, to the line's home bank.
     fn request(&self, addr: LineAddr, me: NodeId, home: NodeId) -> Message {
         let mtype = match self.kind {
@@ -119,6 +142,31 @@ impl MissMshr {
             MissKind::Store => MsgType::GetX,
         };
         Message::new(mtype, addr, me, home).serial(self.serial)
+    }
+
+    /// The miss once `msg` — its grant (`Data`, `DataEx`) or an invalidation
+    /// `Ack` — is taken into it.
+    fn after(&self, msg: &Message) -> MissMshr {
+        let mut m = self.clone();
+        if msg.mtype == MsgType::Ack {
+            m.acks_got += 1;
+        } else {
+            m.responded = true;
+            m.granted_ex = msg.mtype == MsgType::DataEx;
+            m.granted_dirty = msg.data_dirty;
+            m.acks_needed = msg.ack_count;
+            m.supplier = Some(msg.src);
+            if msg.data.is_some() {
+                m.data = msg.data;
+            }
+        }
+        m
+    }
+
+    /// Whether the miss is satisfied: granted, with an exclusive grant's
+    /// invalidation acks all in.
+    fn complete(&self) -> bool {
+        self.responded && !(self.granted_ex && self.acks_got < self.acks_needed)
     }
 }
 
@@ -184,8 +232,9 @@ impl Backup {
 #[derive(Debug, Clone, Copy)]
 struct CompletedTx {
     was_store: bool,
-    exclusive: bool,
-    acko: bool,
+    /// The unblock sent, as [`Guard::Replay`] names it: `Unblock`,
+    /// `UnblockEx`, or `AckO` for an `UnblockEx` carrying the `AckO`.
+    sent: MsgType,
 }
 
 #[derive(Debug, Clone)]
@@ -215,12 +264,97 @@ struct L1LineState {
     unblocked: Option<CompletedTx>,
 }
 
+impl L1LineState {
+    /// The `kind` timer slot: the miss's or the writeback's for
+    /// `LostRequest` (the two never coexist), the AckBD handshake's for
+    /// `LostAckBd`, the backup's for `LostData`.
+    fn timer(&mut self, kind: TimeoutKind) -> Option<&mut Timer> {
+        match kind {
+            TimeoutKind::LostRequest => match (&mut self.miss, &mut self.wb) {
+                (Some(m), _) => Some(&mut m.timer),
+                (None, wb) => wb.as_mut().map(|w| &mut w.timer),
+            },
+            TimeoutKind::LostAckBd => self.ackbd.as_mut().map(|p| &mut p.timer),
+            TimeoutKind::LostData => self.backup.as_mut().map(|b| &mut b.timer),
+            TimeoutKind::LostUnblock => None,
+        }
+    }
+}
+
+/// One row about to run at one line: the line's slot (none if never
+/// touched) and address, the row compiled, the message it takes, and the
+/// line's entry as the event found it (a victim's evicted entry).
+#[derive(Clone, Copy)]
+struct Step<'m> {
+    h: Option<u32>,
+    addr: LineAddr,
+    plan: &'static Plan,
+    msg: Option<&'m Message>,
+    line: Option<&'m L1Entry>,
+}
+
+/// The Cache facet of `entry`: `I` when absent.
+fn cache_facet(ids: &L1Ids, entry: Option<&L1Entry>) -> u8 {
+    match entry {
+        None => ids.i,
+        Some(e) => match (e.perm, e.blocked) {
+            (L1Perm::S, _) => ids.s,
+            (L1Perm::O, _) => ids.o,
+            (L1Perm::E, false) => ids.e,
+            (L1Perm::E, true) => ids.eb,
+            (L1Perm::M, false) => ids.m,
+            (L1Perm::M, true) => ids.mb,
+        },
+    }
+}
+
+/// The line's facets in the state vocabulary of the L1 table: the Cache
+/// facet of `entry`, then the miss, writeback and backup of `st`.
+fn facets(ids: &L1Ids, entry: Option<&L1Entry>, st: Option<&L1LineState>) -> Facets {
+    let mut f = Facets::new();
+    f.push(cache_facet(ids, entry));
+    let Some(st) = st else {
+        return f;
+    };
+    if let Some(m) = &st.miss {
+        f.push(match (m.kind, entry.map(|e| e.perm)) {
+            (MissKind::Load, _) => ids.is,
+            (MissKind::Store, Some(L1Perm::S)) => ids.sm,
+            (MissKind::Store, Some(L1Perm::O)) => ids.om,
+            (MissKind::Store, _) => ids.im,
+        });
+    }
+    if let Some(w) = &st.wb {
+        f.push(match (w.data.is_some(), w.was_exclusive, w.dirty) {
+            (false, _, _) => ids.ii,
+            (true, true, true) => ids.mi,
+            (true, true, false) => ids.ei,
+            (true, false, _) => ids.oi,
+        });
+    }
+    if let Some(b) = &st.backup {
+        f.push(match b.kind {
+            BackupKind::ForwardedData { .. } => ids.b,
+            BackupKind::Writeback => ids.bw,
+        });
+    }
+    f
+}
+
+/// The home L2 bank of `addr`.
+fn home(addr: LineAddr, config: &SystemConfig) -> NodeId {
+    NodeId::L2(addr.home_bank(config.tiles))
+}
+
 /// The L1 cache controller for one tile.
 #[derive(Debug, Clone)]
 pub(crate) struct L1Controller {
     tile: u8,
     me: NodeId,
     ft: bool,
+    /// The L1 table this cache runs, and its state ids.
+    table: &'static ControllerTable,
+    ids: &'static L1Ids,
     cache: SetAssocCache<L1Entry>,
     lines: LineTable<L1LineState>,
     /// Number of slots with a live miss MSHR (for occupancy stats).
@@ -237,10 +371,13 @@ pub(crate) struct L1Controller {
 impl L1Controller {
     /// Creates the controller for `tile`.
     pub(crate) fn new(tile: u8, config: &SystemConfig, rng: &mut DetRng) -> Self {
+        let (table, ids) = l1();
         L1Controller {
             tile,
             me: NodeId::L1(tile),
             ft: config.protocol.is_fault_tolerant(),
+            table,
+            ids,
             cache: SetAssocCache::new(config.l1_sets(), config.l1_assoc),
             lines: LineTable::new(),
             miss_count: 0,
@@ -317,10 +454,6 @@ impl L1Controller {
         out
     }
 
-    fn home(&self, addr: LineAddr, config: &SystemConfig) -> NodeId {
-        NodeId::L2(addr.home_bank(config.tiles))
-    }
-
     fn fresh_serial(&mut self) -> SerialNum {
         if self.ft {
             self.serials.fresh()
@@ -330,124 +463,447 @@ impl L1Controller {
     }
 
     // ------------------------------------------------------------------
-    // CPU interface
+    // Entry points
     // ------------------------------------------------------------------
 
-    /// Presents a CPU memory operation.
+    /// Presents a CPU memory operation; the access refreshes the line's LRU
+    /// position, hit or miss. An op on a line whose miss is in flight is a
+    /// protocol violation: it is reported and waits on that miss.
     pub(crate) fn cpu_access(&mut self, op: CpuOp, ctx: &mut Ctx<'_>) -> CpuOutcome {
-        debug_assert!(
-            self.lines.get(op.addr).is_none_or(|s| s.miss.is_none()),
-            "core issued a second op to a line with a miss in flight"
-        );
-        if let Some(entry) = self.cache.get_mut(op.addr) {
-            if !op.is_store {
-                let version = entry.data.version();
-                ctx.stats.l1_load_hits.incr();
-                ctx.checker
-                    .load_observed(self.me, op.addr, version, ctx.now);
-                return CpuOutcome::Hit;
-            }
-            match entry.perm {
-                L1Perm::M => {
-                    entry.data.write(self.me);
-                    let v = entry.data.version();
-                    ctx.stats.l1_store_hits.incr();
-                    ctx.checker.store_committed(self.me, op.addr, v, ctx.now);
-                    return CpuOutcome::Hit;
-                }
-                L1Perm::E => {
-                    // Silent E→M upgrade.
-                    entry.perm = L1Perm::M;
-                    entry.data.write(self.me);
-                    let v = entry.data.version();
-                    ctx.stats.l1_store_hits.incr();
-                    ctx.checker.store_committed(self.me, op.addr, v, ctx.now);
-                    return CpuOutcome::Hit;
-                }
-                L1Perm::S | L1Perm::O => {
-                    // Upgrade miss: fall through keeping the entry.
-                }
-            }
+        let (table, addr) = (self.table, op.addr);
+        let entry = self.cache.get_mut(addr).map(|e| *e);
+        let h = self.slot(addr, entry.as_ref());
+        let facets = facets(self.ids, entry.as_ref(), h.map(|h| self.lines.at(h)));
+        let event = Event::Cpu(if op.is_store {
+            transitions::CpuOp::Store
+        } else {
+            transitions::CpuOp::Load
+        });
+        let dispatch = table.dispatch(&facets, event, self.ft);
+        if unexpected(dispatch, table, &facets, self.me, addr, event, ctx) {
+            return CpuOutcome::Miss;
         }
-        if self.lines.get(op.addr).is_some_and(|s| s.wb.is_some()) {
-            // A writeback of this very line is in flight; park the op.
-            self.stalled_ops.push(op);
-            return CpuOutcome::Stalled;
+        let Dispatch::Rows(&[row, ..]) = dispatch else {
+            unreachable!("every CPU op has a row or is impossible");
+        };
+        let step = self.step(h, addr, row, None, entry.as_ref());
+        self.apply(step, ctx);
+        if step.plan.allocs(Resource::Mshr, self.ft) {
+            CpuOutcome::Miss
+        } else if self.ids.is_wb(step.plan.src) {
+            CpuOutcome::Stalled
+        } else {
+            CpuOutcome::Hit
         }
-        self.issue_miss(op, ctx);
-        CpuOutcome::Miss
     }
 
-    fn issue_miss(&mut self, op: CpuOp, ctx: &mut Ctx<'_>) {
-        let kind = if op.is_store {
-            MissKind::Store
-        } else {
-            MissKind::Load
-        };
-        if op.is_store {
-            ctx.stats.l1_store_misses.incr();
-        } else {
-            ctx.stats.l1_load_misses.incr();
+    /// Handles an incoming network message: the first dispatched row whose
+    /// guard holds runs, if the message answers the rows' record
+    /// ([`Self::answers`]); anything else is stale.
+    pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
+        let (table, addr) = (self.table, msg.addr);
+        let entry = self.cache.get(addr).copied();
+        let h = self.slot(addr, entry.as_ref());
+        let st = h.map(|h| self.lines.at(h));
+        let facets = facets(self.ids, entry.as_ref(), st);
+        let event = Event::Msg(msg.mtype);
+        let dispatch = table.dispatch(&facets, event, self.ft);
+        if unexpected(dispatch, table, &facets, self.me, addr, event, ctx) {
+            return;
         }
-        let serial = self.fresh_serial();
-        let mut timer = Timer::default();
-        timer.arm(&mut self.timers, op.addr, TimeoutKind::LostRequest, ctx);
-        ctx.stats
-            .l1_mshr_occupancy
-            .record(self.miss_count as u64 + 1);
-        self.miss_count += 1;
-        let miss = MissMshr {
-            kind,
-            serial,
-            data: None,
-            granted_ex: false,
-            granted_dirty: false,
-            responded: false,
-            acks_needed: 0,
-            acks_got: 0,
-            supplier: None,
-            issued_at: ctx.now,
-            timer,
+        let row = match dispatch {
+            Dispatch::Rows(rows) if Self::answers(st, &msg) => {
+                let when = |r: u16| table.plans[usize::from(r)].when;
+                (rows.iter().copied()).find(|&r| Self::holds(when(r), Some(&msg), st))
+            }
+            _ => None,
         };
-        let home = self.home(op.addr, ctx.config);
-        ctx.send(miss.request(op.addr, self.me, home));
-        self.lines.entry(op.addr).miss = Some(miss);
+        if let Some(row) = row {
+            return self.apply(self.step(h, addr, row, Some(&msg), entry.as_ref()), ctx);
+        }
+        match msg.mtype {
+            // A grant for a miss already finished or reissued is a duplicate
+            // from a reissue whose original was merely slow: a false
+            // positive (§3.2).
+            MsgType::Data | MsgType::DataEx => ctx.stats.false_positives.incr(),
+            // A forward reads the line, stale or not.
+            MsgType::FwdGetS => {
+                self.cache.get_mut(addr);
+            }
+            _ => {}
+        }
+        ctx.stale();
     }
 
-    fn try_complete(&mut self, addr: LineAddr, ctx: &mut Ctx<'_>) {
-        let Some(st) = self.lines.get_mut(addr) else {
-            return;
-        };
-        let Some(m) = st.miss.as_ref() else {
-            return;
-        };
-        if !m.responded {
+    /// Handles a fired timeout: a firing answers the record whose slot
+    /// carries its generation, its row runs and the slot re-arms. Reissue
+    /// serials come from the per-node stream of fresh requests, drawn even by
+    /// a stale firing (§3.5): chained `.next()` bumps could alias the serial
+    /// of the node's next request.
+    pub(crate) fn handle_timeout(
+        &mut self,
+        kind: TimeoutKind,
+        addr: LineAddr,
+        gen: u64,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let fresh = matches!(kind, TimeoutKind::LostRequest | TimeoutKind::LostAckBd)
+            .then(|| self.serials.fresh());
+        let table = self.table;
+        let h = self.lines.find(addr);
+        let live = h
+            .and_then(|h| self.lines.at_mut(h).timer(kind))
+            .is_some_and(|t| t.carries(gen));
+        if !live && kind != TimeoutKind::LostUnblock {
+            // Stale: no record's slot carries the generation. No L1 record
+            // holds a lost-unblock timer, so that firing goes to the table.
             return;
         }
-        if m.granted_ex && m.acks_got < m.acks_needed {
+        let entry = self.cache.get(addr);
+        let facets = facets(self.ids, entry, h.map(|h| self.lines.at(h)));
+        let event = Event::Timeout(kind);
+        let dispatch = table.dispatch(&facets, event, self.ft);
+        if unexpected(dispatch, table, &facets, self.me, addr, event, ctx) {
             return;
         }
-        let m = st.miss.take().expect("just checked");
-        self.miss_count -= 1;
-        let supplier = m.supplier;
-        let data_came = m.data.is_some();
+        let (Dispatch::Rows(&[row, ..]), Some(h)) = (dispatch, h) else {
+            return;
+        };
+        let st = self.lines.at_mut(h);
+        let slot = st.timer(kind).expect("the live slot");
+        slot.fire(gen, &mut self.timers, kind, ctx);
+        // A reissue forgets whatever answered the old serial.
+        match (kind, fresh, &mut st.miss, &mut st.wb, &mut st.ackbd) {
+            (TimeoutKind::LostRequest, Some(serial), Some(m), _, _) => {
+                ctx.stats.reissues.incr();
+                let timer = m.timer;
+                *m = MissMshr {
+                    timer,
+                    ..MissMshr::new(m.kind, serial, m.issued_at)
+                };
+            }
+            (TimeoutKind::LostRequest, Some(serial), None, Some(w), _) => {
+                ctx.stats.reissues.incr();
+                w.serial = serial;
+            }
+            (TimeoutKind::LostAckBd, Some(serial), _, _, Some(p)) => p.serial = serial,
+            _ => {}
+        }
+        self.apply(self.step(Some(h), addr, row, None, None), ctx);
+        if let Some(t) = self.lines.at_mut(h).timer(kind) {
+            t.rearm(&self.timers, addr, kind, ctx);
+        }
+    }
 
-        // Decide the final permission. An exclusive grant of dirty data must
-        // install as M: a clean E could later evict silently (WbNoData) and
-        // lose the only up-to-date copy.
+    /// The §3.5 stale rule, by event: whether `msg` answers, under its
+    /// serial, the record its rows act on (miss, writeback, handshake,
+    /// backup).
+    fn answers(st: Option<&L1LineState>, msg: &Message) -> bool {
+        let serial = match msg.mtype {
+            MsgType::Data | MsgType::DataEx | MsgType::Ack => {
+                st.and_then(|s| s.miss.as_ref()).map(|m| m.serial)
+            }
+            MsgType::WbAck => st.and_then(|s| s.wb.as_ref()).map(|w| w.serial),
+            MsgType::AckBD => st.and_then(|s| s.ackbd.as_ref()).map(|p| p.serial),
+            MsgType::NackO => st.and_then(|s| s.backup.as_ref()).map(|b| b.serial),
+            _ => return true,
+        };
+        serial == Some(msg.serial)
+    }
+
+    /// Whether `guard` holds for `msg` (none for a CPU op, a timeout or a
+    /// victim) at a line whose records are `st`, before the row runs. The
+    /// miss guards read the miss once `msg` is taken into it.
+    fn holds(guard: Guard, msg: Option<&Message>, st: Option<&L1LineState>) -> bool {
+        let m = || msg.expect("a message's guard");
+        let miss = || st.and_then(|s| s.miss.as_ref());
+        let taken = || miss().map(|miss| miss.after(m()));
+        match guard {
+            Guard::Always => true,
+            Guard::AcksOutstanding => taken().is_some_and(|t| !t.complete()),
+            Guard::DirtyGrant => taken().is_some_and(|t| t.granted_dirty),
+            Guard::NoData => taken().is_some_and(|t| t.data.is_none()),
+            Guard::PingsMiss => {
+                miss().is_some_and(|miss| (miss.kind == MissKind::Store) == m().ping_for_store)
+            }
+            Guard::Replay(sent) => (st.and_then(|s| s.unblocked))
+                .is_some_and(|c| c.was_store == m().ping_for_store && c.sent == sent),
+            Guard::WbExclusive => (st.and_then(|s| s.wb.as_ref())).is_some_and(|w| w.was_exclusive),
+            Guard::OwesAckO => {
+                (st.and_then(|s| s.ackbd.as_ref())).is_some_and(|p| p.peer == m().src)
+            }
+            Guard::WbStale => m().wb_stale,
+            _ => unreachable!("{guard:?} is not an L1 guard"),
+        }
+    }
+
+    /// The handle of `addr`'s slot, if the line was ever touched: a
+    /// resident line's `entry` keeps it.
+    fn slot(&self, addr: LineAddr, entry: Option<&L1Entry>) -> Option<u32> {
+        let h = entry.map_or_else(|| self.lines.find(addr), |e| Some(e.slot));
+        debug_assert_eq!(h, self.lines.find(addr), "{addr}: the entry's slot");
+        h
+    }
+
+    /// Row `row` about to run at `addr`, the line of slot `h`.
+    fn step<'m>(
+        &self,
+        h: Option<u32>,
+        addr: LineAddr,
+        row: u16,
+        msg: Option<&'m Message>,
+        line: Option<&'m L1Entry>,
+    ) -> Step<'m> {
+        let plan = &self.table.plans[usize::from(row)];
+        Step {
+            h,
+            addr,
+            plan,
+            msg,
+            line,
+        }
+    }
+
+    /// The slot of row `s`'s line.
+    fn st_mut(&mut self, s: Step<'_>) -> &mut L1LineState {
+        self.lines.at_mut(s.h.expect("the row's line has a slot"))
+    }
+
+    /// Applies row `s`: what it cannot say ([`Self::by_hand`]), its sends,
+    /// its records and timers ([`Self::move_resources`]); freeing the
+    /// writeback retries the stalled CPU ops, closing the AckBD handshake
+    /// replays the deferred forwards.
+    fn apply(&mut self, mut s: Step<'_>, ctx: &mut Ctx<'_>) {
+        let (p, ft, ids) = (s.plan, self.ft, self.ids);
+        let records = [Resource::Mshr, Resource::WbMshr, Resource::Backup];
+        if s.h.is_none() && records.iter().any(|&r| p.allocs(r, ft)) {
+            // A row that opens a record gives the line its slot.
+            s.h = Some(self.lines.handle(s.addr));
+        }
+        let owned = self.by_hand(s, ctx);
+        // An AckO to the node of the row's UnblockEx rides on it (§3.1).
+        let role = |t| p.sends().iter().find(|&&(u, _)| u == t).map(|&(_, r)| r);
+        let rides = match (role(MsgType::AckO), role(MsgType::UnblockEx)) {
+            (Some(a), Some(u)) => {
+                a == u || self.dest(s, a, ctx.config) == self.dest(s, u, ctx.config)
+            }
+            _ => false,
+        };
+        for &(mtype, role) in p.sends() {
+            match mtype {
+                MsgType::AckO if rides => {}
+                _ => {
+                    let piggy = rides && mtype == MsgType::UnblockEx;
+                    self.send(s, mtype, role, owned.as_ref(), piggy, ctx);
+                }
+            }
+        }
+        if p.moves_resources(ft) {
+            self.move_resources(s, owned, ctx);
+        }
+        if cfg!(debug_assertions) {
+            // The facets derived afterwards must be the row's next states:
+            // each of them, and no state of the source's family unless the
+            // row names one (`I` stands for an empty Cache family).
+            let got = facets(ids, self.cache.get(s.addr), s.h.map(|h| self.lines.at(h)));
+            let family = |id: u8| self.table.states[usize::from(id)].family;
+            let left = |g: &u8| family(*g) == family(p.src) && *g != ids.i;
+            let ok = p.next().iter().all(|n| got.contains(n))
+                && (p.next().iter().any(|&n| family(n) == family(p.src)) || !got.iter().any(left));
+            let names = |f: &[u8]| self.table.facet_names(f);
+            debug_assert!(
+                ok,
+                "{} @ {}: {} after it",
+                names(&[p.src]),
+                p.event,
+                names(&got)
+            );
+        }
+        if p.frees(Resource::WbMshr, ft) {
+            self.retry_stalled(ctx);
+        }
+        if let (true, Some(h)) = (p.frees(Resource::AckBdPend, ft), s.h) {
+            self.drain_deferred(h, ctx);
+        }
+    }
+
+    /// The node `role` names for row `s`, where an `AckO` may ride.
+    fn dest(&self, s: Step<'_>, role: Role, config: &SystemConfig) -> Option<NodeId> {
+        match role {
+            Role::Home => Some(home(s.addr, config)),
+            Role::Sender => s.msg.map(|m| m.src),
+            Role::AckPeer => {
+                let st = self.lines.at(s.h?);
+                st.ackbd.as_ref().map(|p| p.peer)
+            }
+            _ => None,
+        }
+    }
+
+    /// What row `s` does that it cannot say, before its sends: the CPU op,
+    /// the message taken into the records, the line's data and permission,
+    /// the contents of the records it opens. Returns the owned data it hands
+    /// over (a forward's `DataEx`, a writeback's `WbData`).
+    fn by_hand(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) -> Option<Backup> {
+        let (p, addr, me, ids) = (s.plan, s.addr, self.me, self.ids);
+        let m = match (p.event, s.msg) {
+            (Event::Cpu(op), _) => {
+                self.cpu_op(s, op == transitions::CpuOp::Store, ctx);
+                return None;
+            }
+            (Event::Victim, _) => {
+                self.start_writeback(s, ctx);
+                return None;
+            }
+            (Event::Msg(_), Some(m)) => m,
+            _ => return None,
+        };
+        match m.mtype {
+            MsgType::Data | MsgType::DataEx | MsgType::Ack => self.take_grant(s, m, ctx),
+            // An Inv whose row names no Cache state but `I` drops the copy.
+            MsgType::Inv
+                if s.line.is_some() && !p.next().iter().any(|&n| n != ids.i && ids.is_cache(n)) =>
+            {
+                self.cache.remove(addr).expect("the row's line is resident");
+                ctx.checker.set_perm(me, addr, Perm::None, ctx.now);
+            }
+            MsgType::FwdGetS | MsgType::FwdGetX if p.src == ids.mb || p.src == ids.eb => {
+                // Ownership is blocked until the AckBD (§3.1 step 2): the
+                // forward waits, and replays once the AckBD arrives.
+                self.st_mut(s).deferred.push(m.clone());
+                ctx.stats.deferred_forwards.incr();
+            }
+            MsgType::FwdGetS => {
+                // The owner supplies the data and keeps a shared copy; a
+                // writeback in flight supplies it from its buffer.
+                if let Some(entry) = self.cache.get_mut(addr) {
+                    entry.perm = L1Perm::O;
+                    ctx.checker.set_perm(me, addr, Perm::Read, ctx.now);
+                }
+            }
+            MsgType::FwdGetX => return self.surrender(s, m, ctx),
+            MsgType::WbAck | MsgType::WbPing if ids.is_wb(p.src) => {
+                let wb = self.st_mut(s).wb.clone().expect("the row's writeback");
+                let data = wb.data?;
+                if p.when == Guard::WbStale {
+                    // Ownership moved while the Put was queued. If the
+                    // forward has not reached us yet (possible on an
+                    // unordered network), we still hold the data: reinstate
+                    // the line so we can answer it.
+                    let perm = if wb.was_exclusive {
+                        L1Perm::M
+                    } else {
+                        L1Perm::O
+                    };
+                    ctx.checker.set_perm(me, addr, perm.checker_perm(), ctx.now);
+                    let entry = L1Entry {
+                        perm,
+                        data,
+                        blocked: false,
+                        slot: s.h.expect("the writeback's slot"),
+                    };
+                    self.install_line(addr, entry, ctx);
+                    return None;
+                }
+                // Clean (E) lines send their data too, marked clean.
+                return Some(Backup {
+                    data,
+                    dirty: wb.dirty,
+                    dest: m.src,
+                    serial: wb.serial,
+                    kind: BackupKind::Writeback,
+                    timer: Timer::default(),
+                });
+            }
+            MsgType::WbPing if p.src == ids.bw => {
+                self.st_mut(s).backup.as_mut().expect("the backup").serial = m.serial;
+            }
+            MsgType::AckBD => {
+                if let Some(entry) = self.cache.get_mut(addr) {
+                    entry.blocked = false;
+                }
+            }
+            _ => {}
+        }
+        None
+    }
+
+    /// A CPU op's row: a hit commits the op, a miss opens the MSHR, and an
+    /// op behind a writeback of its line is parked until it resolves.
+    fn cpu_op(&mut self, s: Step<'_>, store: bool, ctx: &mut Ctx<'_>) {
+        let (addr, me) = (s.addr, self.me);
+        if s.plan.allocs(Resource::Mshr, self.ft) {
+            if store {
+                ctx.stats.l1_store_misses.incr();
+            } else {
+                ctx.stats.l1_load_misses.incr();
+            }
+            let serial = self.fresh_serial();
+            ctx.stats
+                .l1_mshr_occupancy
+                .record(self.miss_count as u64 + 1);
+            self.miss_count += 1;
+            let kind = [MissKind::Load, MissKind::Store][usize::from(store)];
+            self.st_mut(s).miss = Some(MissMshr::new(kind, serial, ctx.now));
+        } else if self.ids.is_wb(s.plan.src) {
+            self.stalled_ops.push(CpuOp {
+                addr,
+                is_store: store,
+            });
+        } else if store {
+            // A store hit at E is the silent E→M upgrade.
+            let entry = self.cache.get_mut(addr).expect("a hit is resident");
+            entry.perm = L1Perm::M;
+            entry.data.write(me);
+            let v = entry.data.version();
+            ctx.stats.l1_store_hits.incr();
+            ctx.checker.store_committed(me, addr, v, ctx.now);
+        } else {
+            let v = s.line.expect("a hit is resident").data.version();
+            ctx.stats.l1_load_hits.incr();
+            ctx.checker.load_observed(me, addr, v, ctx.now);
+        }
+    }
+
+    /// A victim's row: the line's permission goes, and an owned line opens
+    /// its writeback under a fresh serial.
+    fn start_writeback(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) {
+        let v = *s.line.expect("a victim event's entry");
+        ctx.checker.set_perm(self.me, s.addr, Perm::None, ctx.now);
+        if s.plan.allocs(Resource::WbMshr, self.ft) {
+            let serial = self.fresh_serial();
+            ctx.stats.l1_writebacks.incr();
+            self.st_mut(s).wb = Some(WbMshr {
+                data: Some(v.data),
+                was_exclusive: matches!(v.perm, L1Perm::E | L1Perm::M),
+                dirty: matches!(v.perm, L1Perm::M | L1Perm::O),
+                serial,
+                timer: Timer::default(),
+            });
+        }
+    }
+
+    /// Takes a grant or an invalidation ack into the miss; a row that frees
+    /// the miss completes it: install, commit, the AckBD handshake's peer,
+    /// the completion record, and the core told.
+    fn take_grant(&mut self, s: Step<'_>, msg: &Message, ctx: &mut Ctx<'_>) {
+        let (addr, me, ft) = (s.addr, self.me, self.ft);
+        let miss = self.st_mut(s).miss.as_mut().expect("the row's miss");
+        *miss = miss.after(msg);
+        if !s.plan.frees(Resource::Mshr, ft) {
+            return;
+        }
+        let m = miss.clone();
+        // An exclusive grant of dirty data must install as M: a clean E could
+        // later evict silently (WbNoData) and lose the only up-to-date copy.
+        // A GetX is always answered exclusively.
         let perm = match (m.kind, m.granted_ex) {
             (MissKind::Load, false) => L1Perm::S,
             (MissKind::Load, true) if m.granted_dirty => L1Perm::M,
             (MissKind::Load, true) => L1Perm::E,
-            (MissKind::Store, true) => L1Perm::M,
-            (MissKind::Store, false) => {
-                // A GetX is always answered exclusively; treat defensively.
-                L1Perm::M
-            }
+            (MissKind::Store, _) => L1Perm::M,
         };
-        let blocked = self.ft && data_came && m.granted_ex;
-
-        // Install or update the line.
+        let blocked = ft && m.data.is_some() && m.granted_ex;
         if let Some(entry) = self.cache.get_mut(addr) {
             if let Some(d) = m.data {
                 entry.data = d;
@@ -458,105 +914,212 @@ impl L1Controller {
             let data = m
                 .data
                 .expect("miss completed without data and without a resident line");
-            self.install_line(
-                addr,
-                L1Entry {
-                    perm,
-                    data,
-                    blocked,
-                },
-                ctx,
-            );
-        }
-        ctx.checker
-            .set_perm(self.me, addr, perm.checker_perm(), ctx.now);
-
-        // Commit the CPU operation.
-        let entry = self.cache.get_mut(addr).expect("line just installed");
-        match m.kind {
-            MissKind::Store => {
-                entry.data.write(self.me);
-                let v = entry.data.version();
-                ctx.checker.store_committed(self.me, addr, v, ctx.now);
-            }
-            MissKind::Load => {
-                let v = entry.data.version();
-                ctx.checker.load_observed(self.me, addr, v, ctx.now);
-            }
-        }
-
-        // Unblock the directory; run the FT ownership handshake (§3.1).
-        let home = self.home(addr, ctx.config);
-        let unblock_type = if m.granted_ex {
-            MsgType::UnblockEx
-        } else {
-            MsgType::Unblock
-        };
-        let mut unblock = Message::new(unblock_type, addr, self.me, home).serial(m.serial);
-        if blocked {
-            let mut pending = AckBdPending {
-                peer: supplier.expect("exclusive data has a supplier"),
-                serial: m.serial,
-                timer: Timer::default(),
+            let entry = L1Entry {
+                perm,
+                data,
+                blocked,
+                slot: s.h.expect("the miss's slot"),
             };
-            if pending.peer == home {
-                // AckO piggybacks on the UnblockEx (§3.1).
-                unblock = unblock.with_acko();
-            } else {
-                ctx.send(pending.acko(addr, self.me));
-            }
-            pending
-                .timer
-                .arm(&mut self.timers, addr, TimeoutKind::LostAckBd, ctx);
-            self.lines.entry(addr).ackbd = Some(pending);
+            self.install_line(addr, entry, ctx);
         }
-        self.lines.entry(addr).unblocked = Some(CompletedTx {
-            was_store: m.kind == MissKind::Store,
-            exclusive: m.granted_ex,
-            acko: unblock.piggy_acko,
-        });
-        ctx.send(unblock);
-
-        ctx.stats.miss_latency.record(ctx.now - m.issued_at);
-        ctx.complete(self.tile, addr, m.kind == MissKind::Store, 1);
-    }
-
-    fn install_line(&mut self, addr: LineAddr, entry: L1Entry, ctx: &mut Ctx<'_>) {
-        let outcome = self.cache.insert(addr, entry, |_, e| !e.blocked);
-        if let Some((vaddr, ventry)) = outcome.evicted {
-            self.evict(vaddr, ventry, ctx);
+        ctx.checker.set_perm(me, addr, perm.checker_perm(), ctx.now);
+        let store = m.kind == MissKind::Store;
+        let entry = self.cache.get_mut(addr).expect("line just installed");
+        if store {
+            entry.data.write(me);
+            let v = entry.data.version();
+            ctx.checker.store_committed(me, addr, v, ctx.now);
+        } else {
+            let v = entry.data.version();
+            ctx.checker.load_observed(me, addr, v, ctx.now);
         }
-    }
-
-    fn evict(&mut self, vaddr: LineAddr, ventry: L1Entry, ctx: &mut Ctx<'_>) {
-        debug_assert!(!ventry.blocked);
-        match ventry.perm {
-            L1Perm::S => {
-                // Silent eviction of a clean shared line.
-                ctx.checker.set_perm(self.me, vaddr, Perm::None, ctx.now);
-            }
-            L1Perm::M | L1Perm::E | L1Perm::O => {
-                self.start_writeback(vaddr, ventry, ctx);
-            }
+        let home = home(addr, ctx.config);
+        let st = self.st_mut(s);
+        if s.plan.allocs(Resource::AckBdPend, ft) {
+            let peer = m.supplier.expect("exclusive data has a supplier");
+            let timer = Timer::default();
+            st.ackbd = Some(AckBdPending {
+                peer,
+                serial: m.serial,
+                timer,
+            });
         }
-    }
-
-    fn start_writeback(&mut self, vaddr: LineAddr, ventry: L1Entry, ctx: &mut Ctx<'_>) {
-        let serial = self.fresh_serial();
-        let mut timer = Timer::default();
-        timer.arm(&mut self.timers, vaddr, TimeoutKind::LostRequest, ctx);
-        let wb = WbMshr {
-            data: Some(ventry.data),
-            was_exclusive: ventry.perm.is_exclusive(),
-            dirty: matches!(ventry.perm, L1Perm::M | L1Perm::O),
-            serial,
-            timer,
+        let sent = match (m.granted_ex, blocked && m.supplier == Some(home)) {
+            (false, _) => MsgType::Unblock,
+            (true, false) => MsgType::UnblockEx,
+            (true, true) => MsgType::AckO,
         };
-        ctx.checker.set_perm(self.me, vaddr, Perm::None, ctx.now);
-        ctx.stats.l1_writebacks.incr();
-        let home = self.home(vaddr, ctx.config);
-        ctx.send(wb.put(vaddr, self.me, home));
-        self.lines.entry(vaddr).wb = Some(wb);
+        st.unblocked = Some(CompletedTx {
+            was_store: store,
+            sent,
+        });
+        ctx.stats.miss_latency.record(ctx.now - m.issued_at);
+        ctx.complete(self.tile, addr, store, 1);
+    }
+
+    /// A `FwdGetX`'s row: an owner gives up its line, a writeback its data,
+    /// a backup re-targets the new requester (§3.2: a reissued forward).
+    fn surrender(&mut self, s: Step<'_>, msg: &Message, ctx: &mut Ctx<'_>) -> Option<Backup> {
+        let (p, addr, me, ids) = (s.plan, s.addr, self.me, self.ids);
+        let kind = BackupKind::ForwardedData {
+            acks: msg.ack_count,
+        };
+        let owned = |data, dirty| Backup {
+            data,
+            dirty,
+            dest: msg.requester,
+            serial: msg.serial,
+            kind,
+            timer: Timer::default(),
+        };
+        if ids.is_wb(p.src) {
+            // The Put raced with the forward: ownership goes to the
+            // requester, and the eventual WbAck will be stale.
+            let wb = self.st_mut(s).wb.as_mut().expect("the row's writeback");
+            let data = wb.data.take().expect("a writeback holding data");
+            return Some(owned(data, wb.dirty));
+        }
+        if p.src == ids.b || p.src == ids.bw {
+            let b = self.st_mut(s).backup.as_mut().expect("the row's backup");
+            (b.serial, b.dest, b.kind) = (msg.serial, msg.requester, kind);
+            return None;
+        }
+        let entry = self.cache.remove(addr).expect("the row's line is resident");
+        ctx.checker.set_perm(me, addr, Perm::None, ctx.now);
+        if p.src == ids.s {
+            // A non-owner holding S should never see FwdGetX: the copy is
+            // dropped and the forward is stale.
+            ctx.stale();
+            return None;
+        }
+        let dirty = matches!(entry.perm, L1Perm::M | L1Perm::O);
+        Some(owned(entry.data, dirty))
+    }
+
+    /// Sends row `s`'s `mtype` to `role`, built from the record it sends or
+    /// re-sends (`owned` before the backup) or as a reply; `piggy`: an
+    /// `AckO` rides on this `UnblockEx`.
+    fn send(
+        &self,
+        s: Step<'_>,
+        mtype: MsgType,
+        role: Role,
+        owned: Option<&Backup>,
+        piggy: bool,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let (me, addr) = (self.me, s.addr);
+        let home = || home(addr, ctx.config);
+        let st = s.h.map(|h| self.lines.at(h));
+        let m = || s.msg.expect("a reply answers a message");
+        let miss = || st.and_then(|st| st.miss.as_ref()).expect("the row's miss");
+        let wb = || {
+            st.and_then(|st| st.wb.as_ref())
+                .expect("the row's writeback")
+        };
+        let out = match (mtype, role) {
+            (MsgType::GetS | MsgType::GetX, _) => miss().request(addr, me, home()),
+            (MsgType::Put, _) => wb().put(addr, me, home()),
+            (MsgType::Unblock | MsgType::UnblockEx, Role::Home) => {
+                Message::new(mtype, addr, me, home()).serial(miss().serial)
+            }
+            (MsgType::AckO, Role::AckPeer) => {
+                let p = st.and_then(|st| st.ackbd.as_ref());
+                p.expect("the row's handshake").acko(addr, me)
+            }
+            (MsgType::Ack, _) => Message::new(MsgType::Ack, addr, me, m().requester)
+                .requester(m().requester)
+                .serial(m().serial),
+            (MsgType::Data, _) => {
+                // The owner's data (the row keeps it), else the writeback's.
+                let data = s.line.map(|e| e.data).or_else(|| wb().data);
+                Message::new(MsgType::Data, addr, me, m().requester)
+                    .requester(m().requester)
+                    .serial(m().serial)
+                    .data(data.expect("a forward's data"))
+            }
+            (MsgType::DataEx | MsgType::WbData, _) => {
+                let b = owned.or_else(|| st.and_then(|st| st.backup.as_ref()));
+                b.expect("the row's owned data").message(addr, me)
+            }
+            (MsgType::WbNoData, _) => {
+                Message::new(MsgType::WbNoData, addr, me, m().src).serial(wb().serial)
+            }
+            (MsgType::OwnershipPing, _) => {
+                let b = st
+                    .and_then(|st| st.backup.as_ref())
+                    .expect("the row's backup");
+                Message::new(MsgType::OwnershipPing, addr, me, b.dest).serial(b.serial)
+            }
+            _ => m().reply(mtype),
+        };
+        ctx.send(if piggy { out.with_acko() } else { out });
+    }
+
+    /// Arms and disarms row `s`'s timers, drops the records it frees and
+    /// keeps the backup it opens, `owned`, telling the checker.
+    fn move_resources(&mut self, s: Step<'_>, owned: Option<Backup>, ctx: &mut Ctx<'_>) {
+        let (p, ft, me) = (s.plan, self.ft, self.me);
+        let st = self
+            .lines
+            .at_mut(s.h.expect("a row moving records has a slot"));
+        for kind in p.timers(false, ft) {
+            st.timer(kind).expect("a freed timer's record").disarm();
+        }
+        if p.frees(Resource::Mshr, ft) && st.miss.take().is_some() {
+            self.miss_count -= 1;
+        }
+        if p.frees(Resource::WbMshr, ft) {
+            st.wb = None;
+        }
+        if p.frees(Resource::AckBdPend, ft) {
+            st.ackbd = None;
+        }
+        if p.frees(Resource::Backup, ft) && st.backup.take().is_some() {
+            ctx.checker.backup_deleted(me, s.addr, ctx.now);
+        }
+        if p.allocs(Resource::Backup, ft) {
+            st.backup = Some(owned.expect("the row hands over owned data"));
+            ctx.checker.backup_created(me, s.addr, ctx.now);
+        }
+        for kind in p.timers(true, ft) {
+            let slot = st.timer(kind).expect("an armed timer's record");
+            slot.arm(&mut self.timers, s.addr, kind, ctx);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Fills, evictions, stalled ops and deferred forwards
+    // ------------------------------------------------------------------
+
+    /// Installs a line, evicting a victim if its set is full: a line neither
+    /// blocked (§3.1) nor upgrading.
+    fn install_line(&mut self, addr: LineAddr, entry: L1Entry, ctx: &mut Ctx<'_>) {
+        let lines = &self.lines;
+        let outcome = self.cache.insert(addr, entry, |_, e| {
+            // Only a shared or owned line can be upgrading: E and M hit.
+            let upgrading =
+                matches!(e.perm, L1Perm::S | L1Perm::O) && lines.at(e.slot).miss.is_some();
+            !e.blocked && !upgrading
+        });
+        if let Some((vaddr, ventry)) = outcome.evicted {
+            self.evict(vaddr, &ventry, ctx);
+        }
+    }
+
+    /// Runs the victim event at `vaddr`, whose entry `ventry` a fill just
+    /// evicted: a writeback, or a silent drop.
+    fn evict(&mut self, vaddr: LineAddr, ventry: &L1Entry, ctx: &mut Ctx<'_>) {
+        let table = self.table;
+        let h = Some(ventry.slot);
+        let facets = facets(self.ids, Some(ventry), h.map(|h| self.lines.at(h)));
+        let dispatch = table.dispatch(&facets, Event::Victim, self.ft);
+        if unexpected(dispatch, table, &facets, self.me, vaddr, Event::Victim, ctx) {
+            return;
+        }
+        if let Dispatch::Rows(&[row, ..]) = dispatch {
+            self.apply(self.step(h, vaddr, row, None, Some(ventry)), ctx);
+        }
     }
 
     fn retry_stalled(&mut self, ctx: &mut Ctx<'_>) {
@@ -581,543 +1144,23 @@ impl L1Controller {
                 CpuOutcome::Hit => {
                     ctx.complete(self.tile, op.addr, op.is_store, ctx.config.l1_hit_cycles);
                 }
-                CpuOutcome::Miss => {} // completion will come from try_complete
+                CpuOutcome::Miss => {}    // completion will come from the fill
                 CpuOutcome::Stalled => {} // parked again (new wb appeared)
             }
         }
         self.stalled_scratch = ready;
     }
 
-    // ------------------------------------------------------------------
-    // Message handling
-    // ------------------------------------------------------------------
-
-    /// The line's current facet configuration, in the state vocabulary of
-    /// the reified transition table ([`crate::transitions::l1_table`]).
-    /// The first entry is always the mandatory `Cache` facet.
-    pub(crate) fn table_facets(&self, addr: LineAddr) -> Facets {
-        let ids = &crate::transitions::l1().1;
-        let mut f = Facets::new();
-        let cached = self.cache.get(addr);
-        f.push(match cached {
-            None => ids.i,
-            Some(e) => match (e.perm, e.blocked) {
-                (L1Perm::S, _) => ids.s,
-                (L1Perm::O, _) => ids.o,
-                (L1Perm::E, false) => ids.e,
-                (L1Perm::E, true) => ids.eb,
-                (L1Perm::M, false) => ids.m,
-                (L1Perm::M, true) => ids.mb,
-            },
-        });
-        let st = self.lines.get(addr);
-        if let Some(m) = st.and_then(|s| s.miss.as_ref()) {
-            f.push(match (m.kind, cached.map(|e| e.perm)) {
-                (MissKind::Load, _) => ids.is,
-                (MissKind::Store, Some(L1Perm::S)) => ids.sm,
-                (MissKind::Store, Some(L1Perm::O)) => ids.om,
-                (MissKind::Store, _) => ids.im,
-            });
-        }
-        if let Some(w) = st.and_then(|s| s.wb.as_ref()) {
-            f.push(match (w.data.is_some(), w.was_exclusive, w.dirty) {
-                (false, _, _) => ids.ii,
-                (true, true, true) => ids.mi,
-                (true, true, false) => ids.ei,
-                (true, false, _) => ids.oi,
-            });
-        }
-        if let Some(b) = st.and_then(|s| s.backup.as_ref()) {
-            f.push(match b.kind {
-                BackupKind::ForwardedData { .. } => ids.b,
-                BackupKind::Writeback => ids.bw,
-            });
-        }
-        f
-    }
-
-    /// Handles an incoming network message.
-    pub(crate) fn handle_message(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let facets = || self.table_facets(msg.addr);
-        table_check(crate::transitions::l1_table(), facets, self.me, &msg, ctx);
-        match msg.mtype {
-            MsgType::Data => self.on_data(msg, false, ctx),
-            MsgType::DataEx => self.on_data(msg, true, ctx),
-            MsgType::Ack => self.on_ack(msg, ctx),
-            MsgType::Inv => self.on_inv(msg, ctx),
-            MsgType::FwdGetS | MsgType::FwdGetX
-                if self.cache.get(msg.addr).is_some_and(|e| e.blocked) =>
-            {
-                // Ownership is blocked until the AckBD (§3.1 step 2): the
-                // forward waits, and replays once the AckBD arrives.
-                self.lines.entry(msg.addr).deferred.push(msg);
-                ctx.stats.deferred_forwards.incr();
-            }
-            MsgType::FwdGetS => self.on_fwd_gets(msg, ctx),
-            MsgType::FwdGetX => self.on_fwd_getx(msg, ctx),
-            MsgType::WbAck => self.on_wback(msg, ctx),
-            MsgType::AckO => self.on_acko(msg, ctx),
-            MsgType::AckBD => self.on_ackbd(msg, ctx),
-            MsgType::UnblockPing => self.on_unblock_ping(msg, ctx),
-            MsgType::WbPing => self.on_wb_ping(msg, ctx),
-            MsgType::OwnershipPing => self.on_ownership_ping(msg, ctx),
-            MsgType::NackO => self.on_nacko(msg, ctx),
-            MsgType::GetX
-            | MsgType::GetS
-            | MsgType::Put
-            | MsgType::Unblock
-            | MsgType::UnblockEx
-            | MsgType::WbData
-            | MsgType::WbNoData
-            | MsgType::WbCancel => {
-                // Misrouted: no L1 handler. `table_check` above recorded the
-                // protocol violation; drop the message instead of panicking.
-            }
-        }
-    }
-
-    /// The miss `msg` answers: the line's miss MSHR, if `msg` carries its
-    /// serial.
-    fn live_miss(&mut self, msg: &Message) -> Option<&mut MissMshr> {
-        let m = self.lines.get_mut(msg.addr)?.miss.as_mut()?;
-        (m.serial == msg.serial).then_some(m)
-    }
-
-    fn on_data(&mut self, msg: Message, exclusive: bool, ctx: &mut Ctx<'_>) {
-        let Some(m) = self.live_miss(&msg) else {
-            // The miss already finished or was reissued: this is a duplicate
-            // from a reissue whose original was merely slow, i.e. a false
-            // positive.
-            ctx.stale();
-            ctx.stats.false_positives.incr();
-            return;
-        };
-        m.responded = true;
-        m.granted_ex = exclusive;
-        m.granted_dirty = msg.data_dirty;
-        m.acks_needed = msg.ack_count;
-        m.supplier = Some(msg.src);
-        if msg.data.is_some() {
-            m.data = msg.data;
-        }
-        self.try_complete(msg.addr, ctx);
-    }
-
-    fn on_ack(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // An acknowledgment under an older serial is the stale one of the
-        // paper's Figure 2: it must be discarded or it could be mis-counted
-        // towards the reissued request.
-        let Some(m) = self.live_miss(&msg) else {
-            return ctx.stale();
-        };
-        m.acks_got += 1;
-        self.try_complete(msg.addr, ctx);
-    }
-
-    fn on_inv(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // Always acknowledge: the directory's sharer list may be stale
-        // (silent S evictions), and the requester is counting.
-        ctx.send(
-            Message::new(MsgType::Ack, msg.addr, self.me, msg.requester)
-                .requester(msg.requester)
-                .serial(msg.serial),
-        );
-        if let Some(entry) = self.cache.get(msg.addr) {
-            if entry.perm.is_exclusive() || entry.blocked {
-                // A stale Inv: from a reissued older transaction (FtDirCMP)
-                // or delayed past a complete later transaction that made
-                // this node the owner (possible under plain DirCMP with an
-                // adversarial schedule).  The Ack above is stale and will
-                // be discarded by its requester; keep the line.
-                return;
-            }
-            self.cache.remove(msg.addr);
-            ctx.checker.set_perm(self.me, msg.addr, Perm::None, ctx.now);
-        }
-        // An upgrade in progress (SM/OM) keeps its MSHR: the full data will
-        // arrive with the eventual DataEx.
-    }
-
-    fn on_fwd_gets(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let mut data = None;
-        if let Some(entry) = self.cache.get_mut(msg.addr) {
-            if entry.perm.is_owner() {
-                data = Some(entry.data);
-                entry.perm = L1Perm::O;
-                ctx.checker.set_perm(self.me, msg.addr, Perm::Read, ctx.now);
-            }
-        }
-        // An owner with a writeback in flight still supplies data.
-        let wb_data = || self.lines.get(msg.addr)?.wb.as_ref()?.data;
-        let Some(data) = data.or_else(wb_data) else {
-            return ctx.stale();
-        };
-        ctx.send(
-            Message::new(MsgType::Data, msg.addr, self.me, msg.requester)
-                .requester(msg.requester)
-                .serial(msg.serial)
-                .data(data),
-        );
-    }
-
-    fn on_fwd_getx(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        if let Some(entry) = self.cache.get(msg.addr) {
-            if entry.perm.is_owner() {
-                let dirty = matches!(entry.perm, L1Perm::M | L1Perm::O);
-                let entry = self.cache.remove(msg.addr).expect("just found");
-                self.send_owned_data(msg.addr, entry.data, dirty, &msg, ctx);
-                ctx.checker.set_perm(self.me, msg.addr, Perm::None, ctx.now);
-                return;
-            }
-            // A non-owner holding S should never see FwdGetX; drop the copy
-            // defensively and fall through to the stale path.
-            self.cache.remove(msg.addr);
-            ctx.checker.set_perm(self.me, msg.addr, Perm::None, ctx.now);
-            return ctx.stale();
-        }
-        if let Some(wbm) = self.lines.get_mut(msg.addr).and_then(|s| s.wb.as_mut()) {
-            let dirty = wbm.dirty;
-            if let Some(data) = wbm.data.take() {
-                // Put raced with the forward; ownership goes to the
-                // requester, and the eventual WbAck will be stale.
-                self.send_owned_data(msg.addr, data, dirty, &msg, ctx);
-                return;
-            }
-        }
-        if let Some(b) = self.lines.get_mut(msg.addr).and_then(|s| s.backup.as_mut()) {
-            // Reissued forward: resend from the backup with the new serial
-            // (§3.2: a node in backup state must detect reissued requests).
-            b.serial = msg.serial;
-            b.dest = msg.requester;
-            b.kind = BackupKind::ForwardedData {
-                acks: msg.ack_count,
-            };
-            ctx.send(b.message(msg.addr, self.me));
-            return;
-        }
-        ctx.stale();
-    }
-
-    /// Sends owned data in response to a forwarded request; under FtDirCMP
-    /// the data is retained as a backup until the ownership acknowledgment
-    /// arrives (§3.1 step 1).
-    fn send_owned_data(
-        &mut self,
-        addr: LineAddr,
-        data: LineData,
-        dirty: bool,
-        msg: &Message,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let backup = Backup {
-            data,
-            dirty,
-            dest: msg.requester,
-            serial: msg.serial,
-            kind: BackupKind::ForwardedData {
-                acks: msg.ack_count,
-            },
-            timer: Timer::default(),
-        };
-        self.send_and_keep(addr, backup, ctx);
-    }
-
-    /// Sends `backup`'s owned data; under FtDirCMP the data is kept as a
-    /// backup, with its lost-data timer armed, until the ownership
-    /// acknowledgment arrives.
-    fn send_and_keep(&mut self, addr: LineAddr, mut backup: Backup, ctx: &mut Ctx<'_>) {
-        ctx.send(backup.message(addr, self.me));
-        if self.ft {
-            backup
-                .timer
-                .arm(&mut self.timers, addr, TimeoutKind::LostData, ctx);
-            self.lines.entry(addr).backup = Some(backup);
-            ctx.checker.backup_created(self.me, addr, ctx.now);
-        }
-    }
-
-    fn on_wback(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let live = |w: &mut WbMshr| w.serial == msg.serial;
-        let wb = self
-            .lines
-            .get_mut(msg.addr)
-            .and_then(|s| s.wb.take_if(live));
-        let Some(wbm) = wb else {
-            return ctx.stale();
-        };
-        if msg.wb_stale {
-            // Ownership moved while the Put was queued. If the forward has
-            // not reached us yet (possible on an unordered network), we
-            // still hold the data: reinstate the line so we can answer it.
-            if let Some(data) = wbm.data {
-                let perm = if wbm.was_exclusive {
-                    L1Perm::M
-                } else {
-                    L1Perm::O
-                };
-                ctx.checker
-                    .set_perm(self.me, msg.addr, perm.checker_perm(), ctx.now);
-                self.install_line(
-                    msg.addr,
-                    L1Entry {
-                        perm,
-                        data,
-                        blocked: false,
-                    },
-                    ctx,
-                );
-            }
-            self.retry_stalled(ctx);
-            return;
-        }
-        if let Some(data) = wbm.data {
-            // Clean (E) lines send their data too, marked clean.
-            let backup = Backup {
-                data,
-                dirty: wbm.dirty,
-                dest: msg.src,
-                serial: msg.serial,
-                kind: BackupKind::Writeback,
-                timer: Timer::default(),
-            };
-            self.send_and_keep(msg.addr, backup, ctx);
-        } else {
-            // The data was already surrendered to a forward.
-            ctx.send(msg.reply(MsgType::WbNoData));
-        }
-        self.retry_stalled(ctx);
-    }
-
-    fn on_acko(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let had_backup = self
-            .lines
-            .get_mut(msg.addr)
-            .is_some_and(|s| s.backup.take().is_some());
-        if had_backup {
-            ctx.checker.backup_deleted(self.me, msg.addr, ctx.now);
-        }
-        // Respond even without a backup: a reissued AckO after the original
-        // round trip completed must still be answered (§3.4).
-        ctx.send(msg.reply(MsgType::AckBD));
-    }
-
-    fn on_ackbd(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let live = |s: &&mut L1LineState| s.ackbd.as_ref().is_some_and(|p| p.serial == msg.serial);
-        let Some(st) = self.lines.get_mut(msg.addr).filter(live) else {
-            return ctx.stale();
-        };
-        st.ackbd = None;
-        // Drain forwards deferred while in the blocked-ownership state,
-        // in place: swap the queue into a reused scratch buffer instead of
-        // removing/reinserting a heap-allocated Vec per wakeup.
+    /// Replays the forwards deferred while slot `h`'s line was blocked
+    /// (§3.1), in arrival order, through a reused buffer.
+    fn drain_deferred(&mut self, h: u32, ctx: &mut Ctx<'_>) {
         let mut drained = std::mem::take(&mut self.deferred_scratch);
         debug_assert!(drained.is_empty());
-        std::mem::swap(&mut drained, &mut st.deferred);
-        if let Some(entry) = self.cache.get_mut(msg.addr) {
-            entry.blocked = false;
-        }
+        std::mem::swap(&mut drained, &mut self.lines.at_mut(h).deferred);
         for m in drained.drain(..) {
             self.handle_message(m, ctx);
         }
         self.deferred_scratch = drained;
-    }
-
-    fn on_unblock_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        // Which transaction does the ping refer to? The directory serializes
-        // transactions per line, and (our earlier same-kind rule) a pending
-        // request of the same kind as the open transaction always merges
-        // into it — so the *kind* carried by the ping identifies the
-        // transaction unambiguously, where small serial numbers could
-        // collide across transactions.
-        //
-        // 1. The open transaction is our current, unresolved miss: ignore
-        //    (§3.3) — our own lost-request reissue is the recovery path.
-        let st = self.lines.get(msg.addr);
-        if let Some(m) = st.and_then(|s| s.miss.as_ref()) {
-            if (m.kind == MissKind::Store) == msg.ping_for_store {
-                return;
-            }
-        }
-        // 2. We completed a transaction of that kind and its unblock was
-        //    lost: resend exactly what we sent then.
-        if let Some(c) = st.and_then(|s| s.unblocked.as_ref()) {
-            if c.was_store == msg.ping_for_store {
-                let mtype = if c.exclusive {
-                    MsgType::UnblockEx
-                } else {
-                    MsgType::Unblock
-                };
-                let mut reply = msg.reply(mtype);
-                if c.acko {
-                    reply = reply.with_acko();
-                }
-                ctx.send(reply);
-                return;
-            }
-        }
-        // 3. No record (possible only for stale pings or pre-record history):
-        //    answer conservatively from the current cache state.
-        let reply_type = if let Some(entry) = self.cache.get(msg.addr) {
-            if entry.perm.is_exclusive() {
-                MsgType::UnblockEx
-            } else {
-                MsgType::Unblock
-            }
-        } else if let Some(wbm) = st.and_then(|s| s.wb.as_ref()) {
-            if wbm.was_exclusive {
-                MsgType::UnblockEx
-            } else {
-                MsgType::Unblock
-            }
-        } else {
-            MsgType::Unblock
-        };
-        let mut reply = msg.reply(reply_type);
-        if reply_type == MsgType::UnblockEx {
-            if let Some(p) = st.and_then(|s| s.ackbd.as_ref()) {
-                if p.peer == msg.src {
-                    reply = reply.with_acko();
-                }
-            }
-        }
-        ctx.send(reply);
-    }
-
-    fn on_wb_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        if let Some(wbm) = self.lines.get(msg.addr).and_then(|s| s.wb.as_ref()) {
-            // Our WbAck was lost: the ping substitutes for it (it carries
-            // the same serial the L2's transaction expects).
-            let as_wback =
-                Message::new(MsgType::WbAck, msg.addr, msg.src, self.me).serial(wbm.serial);
-            self.on_wback(as_wback, ctx);
-            return;
-        }
-        if let Some(b) = self.lines.get_mut(msg.addr).and_then(|s| s.backup.as_mut()) {
-            if b.kind == BackupKind::Writeback && b.dest == msg.src {
-                b.serial = msg.serial;
-                ctx.send(b.message(msg.addr, self.me));
-                return;
-            }
-        }
-        ctx.send(msg.reply(MsgType::WbCancel));
-    }
-
-    fn on_ownership_ping(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let st = self.lines.get(msg.addr);
-        let have_ownership = self.cache.contains(msg.addr)
-            || st.is_some_and(|s| s.wb.is_some() || s.backup.is_some());
-        let pending_miss = st.is_some_and(|s| s.miss.is_some());
-        let reply = if have_ownership && !pending_miss {
-            MsgType::AckO
-        } else {
-            MsgType::NackO
-        };
-        ctx.send(msg.reply(reply));
-    }
-
-    fn on_nacko(&mut self, msg: Message, ctx: &mut Ctx<'_>) {
-        let backup = self.lines.get(msg.addr).and_then(|s| s.backup.as_ref());
-        let Some(b) = backup.filter(|b| b.serial == msg.serial) else {
-            return ctx.stale();
-        };
-        // The destination never received the owned data: resend it.
-        ctx.send(b.message(msg.addr, self.me));
-    }
-
-    // ------------------------------------------------------------------
-    // Timeouts
-    // ------------------------------------------------------------------
-
-    /// Handles a fired timeout; stale generations are ignored.
-    pub(crate) fn handle_timeout(
-        &mut self,
-        kind: TimeoutKind,
-        addr: LineAddr,
-        gen: u64,
-        ctx: &mut Ctx<'_>,
-    ) {
-        match kind {
-            TimeoutKind::LostRequest => self.on_lost_request(addr, gen, ctx),
-            TimeoutKind::LostAckBd => self.on_lost_ackbd(addr, gen, ctx),
-            TimeoutKind::LostData => self.on_lost_data(addr, gen, ctx),
-            TimeoutKind::LostUnblock => {
-                // The table declares this pair impossible: L1s never arm
-                // lost-unblock timers. Record it instead of panicking.
-                ctx.checker.protocol_error(
-                    self.me,
-                    addr,
-                    "lost-unblock timeout fired at an L1 (never armed)",
-                    ctx.now,
-                );
-            }
-        }
-    }
-
-    fn on_lost_request(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        // Reissue serials come from the same per-node sequential stream as
-        // fresh requests: still "sequentially increasing" (§3.5), but two
-        // *different* transactions by this node can never collide before the
-        // stream wraps — a chain of `.next()` bumps could alias the serial
-        // the allocator hands to the node's next request.
-        let fresh = self.serials.fresh();
-        let kind = TimeoutKind::LostRequest;
-        let Some(st) = self.lines.get_mut(addr) else {
-            return;
-        };
-        if let Some(m) = st.miss.as_mut() {
-            if !m.timer.fire(gen, &mut self.timers, kind, ctx) {
-                return;
-            }
-            ctx.stats.reissues.incr();
-            m.serial = fresh;
-            m.responded = false;
-            m.granted_ex = false;
-            m.granted_dirty = false;
-            m.data = None;
-            m.acks_needed = 0;
-            m.acks_got = 0;
-            m.supplier = None;
-            let home = NodeId::L2(addr.home_bank(ctx.config.tiles));
-            ctx.send(m.request(addr, self.me, home));
-            m.timer.rearm(&self.timers, addr, kind, ctx);
-            return;
-        }
-        if let Some(w) = st.wb.as_mut() {
-            if !w.timer.fire(gen, &mut self.timers, kind, ctx) {
-                return;
-            }
-            ctx.stats.reissues.incr();
-            w.serial = fresh;
-            let home = NodeId::L2(addr.home_bank(ctx.config.tiles));
-            ctx.send(w.put(addr, self.me, home));
-            w.timer.rearm(&self.timers, addr, kind, ctx);
-        }
-    }
-
-    fn on_lost_ackbd(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        let fresh = self.serials.fresh();
-        let kind = TimeoutKind::LostAckBd;
-        let Some(p) = self.lines.get_mut(addr).and_then(|s| s.ackbd.as_mut()) else {
-            return;
-        };
-        if !p.timer.fire(gen, &mut self.timers, kind, ctx) {
-            return;
-        }
-        p.serial = fresh;
-        ctx.send(p.acko(addr, self.me));
-        p.timer.rearm(&self.timers, addr, kind, ctx);
-    }
-
-    fn on_lost_data(&mut self, addr: LineAddr, gen: u64, ctx: &mut Ctx<'_>) {
-        let kind = TimeoutKind::LostData;
-        let Some(b) = self.lines.get_mut(addr).and_then(|s| s.backup.as_mut()) else {
-            return;
-        };
-        if !b.timer.fire(gen, &mut self.timers, kind, ctx) {
-            return;
-        }
-        ctx.send(Message::new(MsgType::OwnershipPing, addr, self.me, b.dest).serial(b.serial));
-        b.timer.rearm(&self.timers, addr, kind, ctx);
     }
 }
 

@@ -982,3 +982,122 @@ fn misrouted_getx_is_reported_by_the_table_cross_check() {
     c.handle_message(Message::new(MsgType::Inv, L, HOME, ME), &mut h.ctx());
     assert_eq!(h.checker.violations().len(), 2);
 }
+
+#[test]
+fn lost_unblock_firing_is_reported_through_the_table() {
+    // An L1 never arms a lost-unblock timer: the table declares its firing
+    // impossible, and the dispatch reports it.
+    let mut h = Harness::ft();
+    let mut c = l1(&h);
+    c.handle_timeout(TimeoutKind::LostUnblock, L, 1, &mut h.ctx());
+    assert_eq!(
+        h.checker.violations(),
+        ["[0c] PROTOCOL: L1-0 on line:0x3: unexpected timeout:lost-unblock in state I"]
+    );
+    assert!(h.out.is_empty() && h.timeouts.is_empty());
+}
+
+#[test]
+fn cpu_op_on_a_line_with_its_miss_in_flight_is_reported() {
+    // The core never issues a second op to a line whose miss is in flight:
+    // the table declares it impossible, and the op sends nothing.
+    let mut h = Harness::ft();
+    let mut c = l1(&h);
+    assert_eq!(c.cpu_access(load(L), &mut h.ctx()), CpuOutcome::Miss);
+    h.clear();
+    assert_eq!(c.cpu_access(store(L), &mut h.ctx()), CpuOutcome::Miss);
+    assert_eq!(
+        h.checker.violations(),
+        ["[0c] PROTOCOL: L1-0 on line:0x3: unexpected cpu:Store in state I+IS"]
+    );
+    assert!(h.out.is_empty() && h.timeouts.is_empty());
+    assert_eq!(h.stats.l1_store_misses.get(), 0);
+}
+
+#[test]
+fn an_upgrading_line_is_never_chosen_as_victim() {
+    // S+SM is the least recently used line of a full set; the fill evicts
+    // the next one instead, so the upgrade keeps its copy.
+    let mut h = Harness::ft();
+    let mut c = l1(&h);
+    c.cpu_access(load(L), &mut h.ctx());
+    let serial = h.sent_one(MsgType::GetS).serial;
+    c.handle_message(
+        Message::new(MsgType::Data, L, HOME, ME)
+            .requester(ME)
+            .serial(serial)
+            .data(LineData::pristine()),
+        &mut h.ctx(),
+    );
+    assert_eq!(c.cpu_access(store(L), &mut h.ctx()), CpuOutcome::Miss);
+    let upgrade = h.sent_one(MsgType::GetX).serial;
+    h.clear();
+    let sets = h.config.l1_sets();
+    for way in 1..5 {
+        fill_modified(&mut c, &mut h, LineAddr(3 + way * sets));
+    }
+    assert!(c.cache.contains(L), "the upgrading line stays resident");
+    assert_eq!(
+        h.stats.l1_writebacks.get(),
+        1,
+        "the next LRU line is written back"
+    );
+    c.handle_message(
+        Message::new(MsgType::DataEx, L, HOME, ME)
+            .requester(ME)
+            .serial(upgrade)
+            .data(LineData::pristine()),
+        &mut h.ctx(),
+    );
+    assert_eq!(h.completions.len(), 1);
+    assert!(h.checker.violations().is_empty());
+}
+
+#[test]
+fn o_upgrade_losing_its_line_to_an_earlier_writer_refetches_as_an_im_miss() {
+    // The home forwarded an earlier writer's GetX to this owner before the
+    // owner's own upgrade: the owner answers it, keeps a backup (FT), and
+    // its upgrade completes later as a miss without a line.
+    let mut h = Harness::ft();
+    let mut c = l1(&h);
+    fill_modified(&mut c, &mut h, L);
+    c.handle_message(
+        Message::new(MsgType::FwdGetS, L, HOME, NodeId::L1(5))
+            .requester(NodeId::L1(5))
+            .serial(SerialNum::new(3, 8)),
+        &mut h.ctx(),
+    );
+    assert_eq!(c.cpu_access(store(L), &mut h.ctx()), CpuOutcome::Miss);
+    let upgrade = h.sent_one(MsgType::GetX).serial;
+    h.clear();
+    let writer = NodeId::L1(6);
+    c.handle_message(
+        Message::new(MsgType::FwdGetX, L, HOME, writer)
+            .requester(writer)
+            .serial(SerialNum::new(4, 8)),
+        &mut h.ctx(),
+    );
+    let dx = h.sent_one(MsgType::DataEx);
+    assert_eq!((dx.dst, dx.data_dirty), (writer, true));
+    assert!(h.armed(ME, TimeoutKind::LostData).is_some(), "backup timer");
+    assert!(!c.cache.contains(L));
+    // The writer's AckO deletes the backup; the upgrade is now an IM miss,
+    // which the writer's data completes with the ownership handshake.
+    c.handle_message(
+        Message::new(MsgType::AckO, L, writer, ME).serial(SerialNum::new(4, 8)),
+        &mut h.ctx(),
+    );
+    h.clear();
+    c.handle_message(
+        Message::new(MsgType::DataEx, L, writer, ME)
+            .requester(ME)
+            .serial(upgrade)
+            .data(dx.data.expect("owned data"))
+            .dirty(true),
+        &mut h.ctx(),
+    );
+    assert_eq!(h.completions.len(), 1);
+    assert_eq!(h.sent_one(MsgType::AckO).dst, writer);
+    assert!(!h.sent_one(MsgType::UnblockEx).piggy_acko);
+    assert!(h.checker.violations().is_empty());
+}

@@ -646,6 +646,7 @@ impl L2Controller {
             }
             Guard::RecallDirty => recall().2,
             Guard::WbStale => msg.is_some_and(|m| m.wb_stale),
+            _ => unreachable!("{guard:?} is not an L2 guard"),
         }
     }
 

@@ -51,19 +51,10 @@ impl<T: Default> LineTable<T> {
         self.index.get(&addr).map(|&i| &self.slots[i as usize].1)
     }
 
-    /// Mutable access to the line's state, if it was ever touched.
+    /// The handle of `addr`'s slot, if the line was ever touched.
     #[inline]
-    pub(crate) fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
-        let slots = &mut self.slots;
-        self.index.get(&addr).map(|&i| &mut slots[i as usize].1)
-    }
-
-    /// Mutable access to the line's state, allocating a default slot on
-    /// first touch.
-    #[inline]
-    pub(crate) fn entry(&mut self, addr: LineAddr) -> &mut T {
-        let h = self.handle(addr);
-        self.at_mut(h)
+    pub(crate) fn find(&self, addr: LineAddr) -> Option<u32> {
+        self.index.get(&addr).copied()
     }
 
     /// The handle of `addr`'s slot, allocated on first touch. A handle stays
@@ -102,17 +93,19 @@ mod tests {
     #[test]
     fn entry_allocates_and_get_finds() {
         let mut t: LineTable<u64> = LineTable::new();
-        assert_eq!(t.get(LineAddr(7)), None);
-        *t.entry(LineAddr(7)) = 42;
+        assert_eq!((t.get(LineAddr(7)), t.find(LineAddr(7))), (None, None));
+        let h = t.handle(LineAddr(7));
+        *t.at_mut(h) = 42;
         assert_eq!(t.get(LineAddr(7)), Some(&42));
-        assert_eq!(t.get_mut(LineAddr(7)), Some(&mut 42));
+        assert_eq!(t.find(LineAddr(7)), Some(h));
     }
 
     #[test]
     fn slots_persist_after_reset_to_default() {
         let mut t: LineTable<Option<u32>> = LineTable::new();
-        *t.entry(LineAddr(1)) = Some(9);
-        t.get_mut(LineAddr(1)).unwrap().take();
+        let h = t.handle(LineAddr(1));
+        *t.at_mut(h) = Some(9);
+        t.at_mut(h).take();
         // The slot survives; the facet is simply absent.
         assert_eq!(t.get(LineAddr(1)), Some(&None));
     }
@@ -121,9 +114,9 @@ mod tests {
     fn iter_is_first_touch_order() {
         let mut t: LineTable<u8> = LineTable::new();
         for a in [5u64, 1, 9, 3] {
-            t.entry(LineAddr(a));
+            t.handle(LineAddr(a));
         }
-        t.entry(LineAddr(1)); // re-touch must not reorder
+        t.handle(LineAddr(1)); // re-touch must not reorder
         let order: Vec<u64> = t.iter().map(|(a, _)| a.0).collect();
         assert_eq!(order, vec![5, 1, 9, 3]);
     }

@@ -5,7 +5,9 @@
 //! a `Ctx` — outgoing messages, timeout (re)arms, and core completions.
 //! The system driver turns those effects into network sends and scheduled
 //! events. This keeps every controller single-threaded, deterministic and
-//! unit-testable in isolation.
+//! unit-testable in isolation. Each decides what an event does by one
+//! dispatch into its transition table, which is also the legality check:
+//! `unexpected` reports an impossible or uncovered event.
 
 use std::collections::VecDeque;
 
@@ -110,29 +112,6 @@ impl std::ops::Deref for Facets {
 
     fn deref(&self) -> &[u8] {
         &self.buf[..self.len as usize]
-    }
-}
-
-/// Cross-checks a message delivered to an L1 `node` (the one controller
-/// still written as handlers) against the node's reified transition table: [`ControllerTable::dispatch`] must not answer
-/// `Impossible` or `Uncovered` for it at the line's facets in the protocol's
-/// mode (guards are not evaluated). Runs on every delivered message in
-/// every build (`System` always enables the checker): the facet ids from
-/// `facets` index the table's dispatch cells, so the check costs a few
-/// loads and allocates only when it reports a violation.
-pub(crate) fn table_check(
-    table: &ControllerTable,
-    facets: impl FnOnce() -> Facets,
-    node: NodeId,
-    msg: &Message,
-    ctx: &mut Ctx<'_>,
-) {
-    if ctx.checker.is_enabled() {
-        let facets = facets();
-        let ft = ctx.config.protocol.is_fault_tolerant();
-        let event = Event::Msg(msg.mtype);
-        let dispatch = table.dispatch(&facets, event, ft);
-        unexpected(dispatch, table, &facets, node, msg.addr, event, ctx);
     }
 }
 

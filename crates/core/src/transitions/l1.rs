@@ -14,7 +14,7 @@ use super::Resource::{
     AckBdPend, Backup, Mshr, TimerLostAckBd, TimerLostData, TimerLostRequest, WbMshr,
 };
 use super::{
-    cpu, defer, ignore, impossible, msg, tmo, Controller, ControllerTable, CpuOp, Exception,
+    cpu, defer, ignore, impossible, msg, tmo, Controller, ControllerTable, CpuOp, Event, Exception,
     StateDecl,
 };
 use crate::msg::MsgType;
@@ -100,72 +100,59 @@ fn rows() -> Vec<super::Transition> {
           sends [GetX -> Home]; alloc [Mshr]; ft_alloc [TimerLostRequest] },
         { [MI, OI, EI, II] @ cpu(CpuOp::Load), if "stalled behind writeback" => same },
         { [MI, OI, EI, II] @ cpu(CpuOp::Store), if "stalled behind writeback" => same },
-        { [S] @ cpu(CpuOp::Evict), if "silent eviction" => [] },
-        { [E] @ cpu(CpuOp::Evict) => [EI];
+        // ---- Victim selection (a fill evicts the line) ----------------
+        { [S] @ Event::Victim, if "silent eviction" => [] },
+        { [E] @ Event::Victim => [EI];
           sends [Put -> Home]; alloc [WbMshr]; ft_alloc [TimerLostRequest];
           paper "three-phase writeback" },
-        { [M] @ cpu(CpuOp::Evict) => [MI];
+        { [M] @ Event::Victim => [MI];
           sends [Put -> Home]; alloc [WbMshr]; ft_alloc [TimerLostRequest] },
-        { [O] @ cpu(CpuOp::Evict) => [OI];
+        { [O] @ Event::Victim => [OI];
           sends [Put -> Home]; alloc [WbMshr]; ft_alloc [TimerLostRequest] },
         // ---- Data / DataEx / Ack: miss completion ---------------------
+        // The guards read the miss once the message is taken into it.
         { [IS] @ msg(MsgType::Data), if "read miss completes shared" => [S];
           sends [Unblock -> Home]; free [Mshr]; ft_free [TimerLostRequest] },
+        { [IS, IM, SM, OM] @ msg(MsgType::DataEx),
+          if AcksOutstanding "invalidation acks outstanding" => same },
+        { [SM, OM] @ msg(MsgType::DataEx), if NoData "upgrade grant without data" => [M];
+          sends [UnblockEx -> Home]; free [Mshr]; ft_free [TimerLostRequest] },
+        { [IS] @ msg(MsgType::DataEx), if DirtyGrant "dirty exclusive grant, acks complete" => [M];
+          gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
+        { [IS] @ msg(MsgType::DataEx), if DirtyGrant "dirty exclusive grant, acks complete" => [Mb];
+          gate FtOnly; sends [AckO -> AckPeer, UnblockEx -> Home];
+          free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd];
+          paper "§3.1 ownership handshake" },
         { [IS] @ msg(MsgType::DataEx), if "clean exclusive grant, acks complete" => [E];
           gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
-        { [IS] @ msg(MsgType::DataEx), if "dirty exclusive grant, acks complete" => [M];
-          gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
         { [IS] @ msg(MsgType::DataEx), if "clean exclusive grant, acks complete" => [Eb];
-          gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
+          gate FtOnly; sends [AckO -> AckPeer, UnblockEx -> Home];
           free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd];
           paper "§3.1 ownership handshake" },
-        { [IS] @ msg(MsgType::DataEx), if "dirty exclusive grant, acks complete" => [Mb];
-          gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
-          free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd];
-          paper "§3.1 ownership handshake" },
-        { [IS, IM] @ msg(MsgType::DataEx), if "invalidation acks outstanding" => same },
-        { [IM] @ msg(MsgType::DataEx), if "acks complete" => [M];
+        { [IM, SM, OM] @ msg(MsgType::DataEx), if "exclusive grant with data, acks complete" => [M];
           gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
-        { [IM] @ msg(MsgType::DataEx), if "acks complete" => [Mb];
-          gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
+        { [IM, SM, OM] @ msg(MsgType::DataEx), if "exclusive grant with data, acks complete" => [Mb];
+          gate FtOnly; sends [AckO -> AckPeer, UnblockEx -> Home];
           free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd];
           paper "§3.1 ownership handshake" },
-        { [SM] @ msg(MsgType::DataEx), if "upgrade grant without data" => [M];
+        { [IS, IM, SM, OM] @ msg(MsgType::Ack), if AcksOutstanding "acks outstanding" => same },
+        { [SM, OM] @ msg(MsgType::Ack), if NoData "final ack, upgrade without data" => [M];
           sends [UnblockEx -> Home]; free [Mshr]; ft_free [TimerLostRequest] },
-        { [SM] @ msg(MsgType::DataEx), if "data from previous owner, acks complete" => [M];
+        { [IS] @ msg(MsgType::Ack), if DirtyGrant "final ack, dirty exclusive grant" => [M];
           gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
-        { [SM] @ msg(MsgType::DataEx), if "data from previous owner, acks complete" => [Mb];
-          gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
+        { [IS] @ msg(MsgType::Ack), if DirtyGrant "final ack, dirty exclusive grant" => [Mb];
+          gate FtOnly; sends [AckO -> AckPeer, UnblockEx -> Home];
           free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd] },
-        { [SM] @ msg(MsgType::DataEx), if "invalidation acks outstanding" => [SM] },
-        { [OM] @ msg(MsgType::DataEx), if "upgrade grant, acks complete" => [M];
-          sends [UnblockEx -> Home]; free [Mshr]; ft_free [TimerLostRequest] },
-        { [OM] @ msg(MsgType::DataEx), if "invalidation acks outstanding" => [OM] },
-        { [IS, IM, SM, OM] @ msg(MsgType::Ack), if "acks outstanding" => same },
         { [IS] @ msg(MsgType::Ack), if "final ack, clean exclusive grant" => [E];
           gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
-        { [IS] @ msg(MsgType::Ack), if "final ack, dirty exclusive grant" => [M];
-          gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
         { [IS] @ msg(MsgType::Ack), if "final ack, clean exclusive grant" => [Eb];
-          gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
+          gate FtOnly; sends [AckO -> AckPeer, UnblockEx -> Home];
           free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd] },
-        { [IS] @ msg(MsgType::Ack), if "final ack, dirty exclusive grant" => [Mb];
-          gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
-          free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd] },
-        { [IM] @ msg(MsgType::Ack), if "final ack completes store" => [M];
+        { [IM, SM, OM] @ msg(MsgType::Ack), if "final ack, data held" => [M];
           gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
-        { [IM] @ msg(MsgType::Ack), if "final ack completes store" => [Mb];
-          gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
+        { [IM, SM, OM] @ msg(MsgType::Ack), if "final ack, data held" => [Mb];
+          gate FtOnly; sends [AckO -> AckPeer, UnblockEx -> Home];
           free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd] },
-        { [SM] @ msg(MsgType::Ack), if "final ack, upgrade without data" => [M];
-          sends [UnblockEx -> Home]; free [Mshr]; ft_free [TimerLostRequest] },
-        { [SM] @ msg(MsgType::Ack), if "final ack, data held" => [M];
-          gate NonFtOnly; sends [UnblockEx -> Home]; free [Mshr] },
-        { [SM] @ msg(MsgType::Ack), if "final ack, data held" => [Mb];
-          gate FtOnly; sends [UnblockEx -> Home, AckO -> AckPeer];
-          free [Mshr, TimerLostRequest]; alloc [AckBdPend, TimerLostAckBd] },
-        { [OM] @ msg(MsgType::Ack), if "final ack, upgrade without data" => [M];
-          sends [UnblockEx -> Home]; free [Mshr]; ft_free [TimerLostRequest] },
         // ---- Invalidations --------------------------------------------
         { [I] @ msg(MsgType::Inv), if "stale: no line" => [I];
           sends [Ack -> Requester] },
@@ -181,76 +168,79 @@ fn rows() -> Vec<super::Transition> {
         { [SM, OM] @ msg(MsgType::Inv), if "upgrade loses the line" => [I, IM];
           sends [Ack -> Requester] },
         // ---- Forwards -------------------------------------------------
-        { [M] @ msg(MsgType::FwdGetS) => [O]; sends [Data -> Requester];
+        { [M, E, O] @ msg(MsgType::FwdGetS) => [O]; sends [Data -> Requester];
           paper "owner downgrades" },
-        { [E] @ msg(MsgType::FwdGetS) => [O]; sends [Data -> Requester] },
-        { [O] @ msg(MsgType::FwdGetS) => [O]; sends [Data -> Requester] },
         { [Mb, Eb] @ msg(MsgType::FwdGetS), if "deferred until AckBD" => same; gate FtOnly },
         { [MI, OI, EI] @ msg(MsgType::FwdGetS), if "writeback in flight supplies data" => same;
           sends [Data -> Requester] },
         { [M, E, O] @ msg(MsgType::FwdGetX) => []; gate NonFtOnly; sends [DataEx -> Requester] },
-        { [M] @ msg(MsgType::FwdGetX) => [B]; gate FtOnly;
+        { [M, E, O] @ msg(MsgType::FwdGetX) => [B]; gate FtOnly;
           sends [DataEx -> Requester]; alloc [Backup, TimerLostData];
           paper "§3.1 backup creation" },
-        { [E, O] @ msg(MsgType::FwdGetX) => [B]; gate FtOnly;
-          sends [DataEx -> Requester]; alloc [Backup, TimerLostData] },
-        { [S] @ msg(MsgType::FwdGetX), if "non-owner copy dropped" => [] },
+        { [OM] @ msg(MsgType::FwdGetX), if "an earlier writer takes the line: the upgrade refetches" => [I, IM];
+          gate NonFtOnly; sends [DataEx -> Requester] },
+        { [OM] @ msg(MsgType::FwdGetX), if "an earlier writer takes the line: the upgrade refetches" => [I, IM, B];
+          gate FtOnly; sends [DataEx -> Requester]; alloc [Backup, TimerLostData] },
+        { [S] @ msg(MsgType::FwdGetX), if "non-owner copy dropped (stale)" => [] },
         { [Mb, Eb] @ msg(MsgType::FwdGetX), if "deferred until AckBD" => same; gate FtOnly },
         { [MI, OI, EI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II];
           gate NonFtOnly; sends [DataEx -> Requester] },
         { [MI, OI, EI] @ msg(MsgType::FwdGetX), if "writeback surrenders data" => [II, B];
           gate FtOnly; sends [DataEx -> Requester]; alloc [Backup, TimerLostData] },
-        { [B] @ msg(MsgType::FwdGetX), if "backup re-targets the new requester" => [B];
+        { [B, Bw] @ msg(MsgType::FwdGetX), if "backup re-targets the new requester" => [B];
           gate FtOnly; sends [DataEx -> Requester]; paper "§3.3" },
         // ---- Writeback acknowledgements -------------------------------
-        { [MI, OI] @ msg(MsgType::WbAck), if "writeback proceeds" => [];
+        { [MI, EI] @ msg(MsgType::WbAck), if WbStale "stale put: line reinstated" => [M];
+          free [WbMshr]; ft_free [TimerLostRequest] },
+        { [OI] @ msg(MsgType::WbAck), if WbStale "stale put: line reinstated" => [O];
+          free [WbMshr]; ft_free [TimerLostRequest] },
+        { [II] @ msg(MsgType::WbAck), if WbStale "stale put, no data left" => [];
+          free [WbMshr]; ft_free [TimerLostRequest] },
+        { [MI, OI, EI] @ msg(MsgType::WbAck), if "writeback proceeds (clean data too)" => [];
           gate NonFtOnly; sends [WbData -> Sender]; free [WbMshr] },
-        { [EI] @ msg(MsgType::WbAck), if "writeback proceeds (home always wants data)" => [];
-          gate NonFtOnly; sends [WbData -> Sender]; free [WbMshr] },
-        { [MI] @ msg(MsgType::WbAck), if "writeback proceeds" => [Bw];
+        { [MI, OI, EI] @ msg(MsgType::WbAck), if "writeback proceeds (clean data too)" => [Bw];
           gate FtOnly; sends [WbData -> Sender];
           free [WbMshr, TimerLostRequest]; alloc [Backup, TimerLostData];
           paper "§3.1 writeback backup" },
-        { [OI] @ msg(MsgType::WbAck), if "writeback proceeds" => [Bw];
-          gate FtOnly; sends [WbData -> Sender];
-          free [WbMshr, TimerLostRequest]; alloc [Backup, TimerLostData] },
-        { [EI] @ msg(MsgType::WbAck), if "writeback proceeds (home always wants data)" => [Bw];
-          gate FtOnly; sends [WbData -> Sender];
-          free [WbMshr, TimerLostRequest]; alloc [Backup, TimerLostData] },
         { [II] @ msg(MsgType::WbAck), if "data surrendered: cancel" => [];
           sends [WbNoData -> Sender]; free [WbMshr]; ft_free [TimerLostRequest] },
-        { [MI, EI] @ msg(MsgType::WbAck), if "stale put: line reinstated" => [M];
-          free [WbMshr]; ft_free [TimerLostRequest] },
-        { [OI] @ msg(MsgType::WbAck), if "stale put: line reinstated" => [O];
-          free [WbMshr]; ft_free [TimerLostRequest] },
-        { [II] @ msg(MsgType::WbAck), if "stale put, no data left" => [];
-          free [WbMshr]; ft_free [TimerLostRequest] },
         // ---- Ownership handshake (§3.1) -------------------------------
         { [B, Bw] @ msg(MsgType::AckO) => []; gate FtOnly;
           sends [AckBD -> Sender]; free [Backup, TimerLostData]; paper "§3.1" },
-        { [I] @ msg(MsgType::AckO), if "no backup: idempotent re-ack" => [I];
+        { [I, S, E, O, M, Mb, Eb] @ msg(MsgType::AckO), if "no backup: idempotent re-ack" => same;
           gate FtOnly; sends [AckBD -> Sender]; paper "§3.4" },
         { [Mb] @ msg(MsgType::AckBD) => [M]; gate FtOnly;
           free [AckBdPend, TimerLostAckBd]; paper "§3.1 unblock" },
         { [Eb] @ msg(MsgType::AckBD) => [E]; gate FtOnly;
           free [AckBdPend, TimerLostAckBd]; paper "§3.1 unblock" },
         // ---- Recovery pings -------------------------------------------
-        { [IS, IM, SM, OM] @ msg(MsgType::UnblockPing), if "miss still pending: ignored" => same;
-          gate FtOnly },
-        { [M] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => [M];
-          gate FtOnly; sends [UnblockEx -> Sender]; paper "§3.4" },
-        { [E, Mb, Eb] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => same;
+        // An UnblockPing names the kind of request it waits on: the pending
+        // miss's, else a completed transaction's, whose unblock the
+        // completion record replays; else the line's state answers.
+        { [IS, IM, SM, OM] @ msg(MsgType::UnblockPing),
+          if PingsMiss "miss still pending: ignored, its reissue recovers" => same; gate FtOnly },
+        { [IS, IM, SM, OM, MI, OI, EI, II, I, S, E, O, M, Mb, Eb] @ msg(MsgType::UnblockPing),
+          if Replay(Unblock) "replayed from completion record (shared)" => same;
+          gate FtOnly; sends [Unblock -> Sender]; paper "§3.4" },
+        { [IS, IM, SM, OM, MI, OI, EI, II, I, S, E, O, M, Mb, Eb] @ msg(MsgType::UnblockPing),
+          if Replay(UnblockEx) "replayed from completion record (exclusive)" => same;
           gate FtOnly; sends [UnblockEx -> Sender] },
-        { [S, O] @ msg(MsgType::UnblockPing), if "idempotent re-unblock" => same;
-          gate FtOnly; sends [Unblock -> Sender] },
-        { [I] @ msg(MsgType::UnblockPing), if "replayed from completion record (shared)" => [I];
-          gate FtOnly; sends [Unblock -> Sender] },
-        { [I] @ msg(MsgType::UnblockPing), if "replayed from completion record (exclusive)" => [I];
+        { [IS, IM, SM, OM, MI, OI, EI, II, I, S, E, O, M, Mb, Eb] @ msg(MsgType::UnblockPing),
+          if Replay(AckO) "replayed from completion record (exclusive, AckO piggybacked)" => same;
+          gate FtOnly; sends [UnblockEx -> Sender, AckO -> Sender] },
+        { [IS, IM, SM, OM, OI, I, S, O] @ msg(MsgType::UnblockPing),
+          if "no record: shared re-unblock" => same; gate FtOnly; sends [Unblock -> Sender] },
+        { [MI, EI, E, M] @ msg(MsgType::UnblockPing), if "no record: exclusive re-unblock" => same;
           gate FtOnly; sends [UnblockEx -> Sender] },
-        { [MI, EI, II] @ msg(MsgType::UnblockPing), if "conservative re-unblock from wb" => same;
+        { [II] @ msg(MsgType::UnblockPing), if WbExclusive "no record: exclusive re-unblock" => [II];
           gate FtOnly; sends [UnblockEx -> Sender] },
-        { [OI] @ msg(MsgType::UnblockPing), if "conservative re-unblock from wb" => [OI];
+        { [II] @ msg(MsgType::UnblockPing), if "no record: shared re-unblock" => [II];
           gate FtOnly; sends [Unblock -> Sender] },
+        { [Mb, Eb] @ msg(MsgType::UnblockPing),
+          if OwesAckO "no record: exclusive re-unblock, the AckO owed rides" => same;
+          gate FtOnly; sends [UnblockEx -> Sender, AckO -> Sender] },
+        { [Mb, Eb] @ msg(MsgType::UnblockPing), if "no record: exclusive re-unblock" => same;
+          gate FtOnly; sends [UnblockEx -> Sender] },
         { [MI, OI, EI] @ msg(MsgType::WbPing), if "ping completes writeback" => [Bw];
           gate FtOnly; sends [WbData -> Sender];
           free [WbMshr, TimerLostRequest]; alloc [Backup, TimerLostData] },
@@ -258,16 +248,15 @@ fn rows() -> Vec<super::Transition> {
           gate FtOnly; sends [WbNoData -> Sender]; free [WbMshr, TimerLostRequest] },
         { [Bw] @ msg(MsgType::WbPing), if "backup re-sends writeback data" => [Bw];
           gate FtOnly; sends [WbData -> Sender]; paper "§3.3" },
-        { [I] @ msg(MsgType::WbPing), if "no writeback in flight" => [I];
+        { [I, S, E, O, M, Mb, Eb] @ msg(MsgType::WbPing), if "no writeback in flight" => same;
           gate FtOnly; sends [WbCancel -> Sender] },
         { [S, E, O, M, Mb, Eb, MI, OI, EI, II] @ msg(MsgType::OwnershipPing) => same;
           gate FtOnly; sends [AckO -> Sender] },
         { [B, Bw] @ msg(MsgType::OwnershipPing), if "holder acknowledges ownership" => same;
           gate FtOnly; sends [AckO -> Sender] },
-        { [IS] @ msg(MsgType::OwnershipPing), if "miss in flight: ownership refused" => [IS];
-          gate FtOnly; sends [NackO -> Sender]; paper "§3.3" },
-        { [IM, SM, OM] @ msg(MsgType::OwnershipPing),
-          if "miss in flight: ownership refused" => same; gate FtOnly; sends [NackO -> Sender] },
+        { [IS, IM, SM, OM] @ msg(MsgType::OwnershipPing),
+          if "miss in flight: ownership refused" => same; gate FtOnly; sends [NackO -> Sender];
+          paper "§3.3" },
         { [I] @ msg(MsgType::OwnershipPing), if "no copy" => [I];
           gate FtOnly; sends [NackO -> Sender] },
         { [B] @ msg(MsgType::NackO), if "backup re-supplies data" => [B];
@@ -275,27 +264,24 @@ fn rows() -> Vec<super::Transition> {
         { [Bw] @ msg(MsgType::NackO), if "backup re-supplies data" => [Bw];
           gate FtOnly; sends [WbData -> BackupDest] },
         // ---- Timeouts (§3.2 / §3.5) -----------------------------------
+        // A firing answers the record whose timer slot carries its
+        // generation.
         { [IS] @ tmo(TimeoutKind::LostRequest), if "reissue with fresh serial" => [IS];
           gate FtOnly; sends [GetS -> Home]; paper "§3.2" },
         { [IM, SM, OM] @ tmo(TimeoutKind::LostRequest), if "reissue with fresh serial" => same;
           gate FtOnly; sends [GetX -> Home] },
         { [MI, OI, EI, II] @ tmo(TimeoutKind::LostRequest), if "reissue writeback" => same;
           gate FtOnly; sends [Put -> Home] },
-        { [Mb] @ tmo(TimeoutKind::LostAckBd), if "re-send AckO with fresh serial" => [Mb];
+        { [Mb, Eb] @ tmo(TimeoutKind::LostAckBd), if "re-send AckO with fresh serial" => same;
           gate FtOnly; sends [AckO -> AckPeer]; paper "§3.4" },
-        { [Eb] @ tmo(TimeoutKind::LostAckBd), if "re-send AckO with fresh serial" => [Eb];
-          gate FtOnly; sends [AckO -> AckPeer] },
-        { [B] @ tmo(TimeoutKind::LostData), if "probe the owner" => [B];
+        { [B, Bw] @ tmo(TimeoutKind::LostData), if "probe the owner" => same;
           gate FtOnly; sends [OwnershipPing -> BackupDest]; paper "§3.3" },
-        { [Bw] @ tmo(TimeoutKind::LostData), if "probe the owner" => [Bw];
-          gate FtOnly; sends [OwnershipPing -> BackupDest] },
     ]
 }
 
 fn exceptions() -> Vec<Exception> {
     use MsgType as T;
-    let mut ex = Vec::new();
-    for t in [
+    let never_routed = [
         T::GetX,
         T::GetS,
         T::Put,
@@ -304,101 +290,66 @@ fn exceptions() -> Vec<Exception> {
         T::WbData,
         T::WbNoData,
         T::WbCancel,
-    ] {
-        ex.push(impossible("*", msg(t), "never routed to an L1"));
+    ];
+    let mut ex = Vec::new();
+    for t in MsgType::ALL {
+        ex.push(if never_routed.contains(&t) {
+            impossible("*", msg(t), "never routed to an L1")
+        } else {
+            ignore(
+                "*",
+                msg(t),
+                "stale serial or no matching structure: discarded",
+            )
+        });
     }
-    ex.push(impossible(
-        "*",
-        tmo(TimeoutKind::LostUnblock),
-        "L1 never arms lost-unblock timers",
-    ));
-    for t in [
-        T::Data,
-        T::DataEx,
-        T::Ack,
-        T::Inv,
-        T::FwdGetS,
-        T::FwdGetX,
-        T::WbAck,
-        T::AckO,
-        T::AckBD,
-        T::UnblockPing,
-        T::WbPing,
-        T::OwnershipPing,
-        T::NackO,
-    ] {
-        ex.push(ignore(
-            "*",
-            msg(t),
-            "stale serial or no matching structure: discarded",
-        ));
-    }
-    for k in [
-        TimeoutKind::LostRequest,
-        TimeoutKind::LostAckBd,
-        TimeoutKind::LostData,
-    ] {
-        ex.push(ignore("*", tmo(k), "stale timer generation: no-op"));
+    for k in TimeoutKind::ALL {
+        ex.push(if k == TimeoutKind::LostUnblock {
+            impossible("*", tmo(k), "L1 never arms lost-unblock timers")
+        } else {
+            ignore("*", tmo(k), "stale timer generation: no-op")
+        });
     }
     for s in ["IS", "IM", "SM", "OM"] {
-        ex.push(impossible(
-            s,
-            cpu(CpuOp::Load),
-            "the CPU blocks on its outstanding miss",
-        ));
-        ex.push(impossible(
-            s,
-            cpu(CpuOp::Store),
-            "the CPU blocks on its outstanding miss",
-        ));
+        for op in CpuOp::ALL {
+            ex.push(impossible(
+                s,
+                cpu(op),
+                "the CPU blocks on its outstanding miss",
+            ));
+        }
+        let reason = "a line with a miss in flight is never chosen as victim";
+        ex.push(impossible(s, Event::Victim, reason));
     }
     for s in ["B", "Bw"] {
-        ex.push(defer(s, cpu(CpuOp::Load), "cache facet handles the access"));
-        ex.push(defer(
-            s,
-            cpu(CpuOp::Store),
-            "cache facet handles the access",
-        ));
-        ex.push(defer(
-            s,
-            cpu(CpuOp::Evict),
-            "backups are not cache entries; the cache facet decides",
-        ));
+        for op in CpuOp::ALL {
+            ex.push(defer(s, cpu(op), "cache facet handles the access"));
+        }
+        let reason = "backups are not cache entries; the cache facet decides";
+        ex.push(defer(s, Event::Victim, reason));
     }
-    ex.push(impossible("I", cpu(CpuOp::Evict), "no resident line"));
+    // Victim selection is an internal event: a fill only evicts a resident
+    // line that is neither blocked nor upgrading.
+    ex.push(impossible("I", Event::Victim, "no resident line"));
     for s in ["Mb", "Eb"] {
         ex.push(impossible(
             s,
-            cpu(CpuOp::Evict),
+            Event::Victim,
             "blocked lines are not eviction candidates",
-        ));
-    }
-    for s in ["IS", "IM"] {
-        ex.push(impossible(
-            s,
-            cpu(CpuOp::Evict),
-            "no cache entry while the miss is pending",
         ));
     }
     for s in ["MI", "OI", "EI", "II"] {
         ex.push(impossible(
             s,
-            cpu(CpuOp::Evict),
+            Event::Victim,
             "no cache entry during a writeback",
-        ));
-    }
-    for s in ["SM", "OM"] {
-        ex.push(ignore(
-            s,
-            cpu(CpuOp::Evict),
-            "eviction races with in-flight upgrades are excluded from the model",
         ));
     }
     ex
 }
 
 super::state_ids! {
-    /// Ids of the states `L1Controller::table_facets` reports.
+    /// Ids of the states `L1Controller` reports.
     L1Ids {
         i => "I",
         s => "S",
@@ -417,6 +368,20 @@ super::state_ids! {
         ii => "II",
         b => "B",
         bw => "Bw",
+    }
+}
+
+impl L1Ids {
+    /// Whether state id `id` is a line state (the `Cache` family).
+    #[inline]
+    pub(crate) fn is_cache(&self, id: u8) -> bool {
+        [self.i, self.s, self.e, self.o, self.m, self.mb, self.eb].contains(&id)
+    }
+
+    /// Whether state id `id` is a writeback (the `Wb` family).
+    #[inline]
+    pub(crate) fn is_wb(&self, id: u8) -> bool {
+        [self.mi, self.oi, self.ei, self.ii].contains(&id)
     }
 }
 

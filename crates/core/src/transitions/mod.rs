@@ -26,10 +26,11 @@
 //!
 //! Each table is compiled, when it is built, into one dense dispatch cell
 //! per (state, event) pair, and [`ControllerTable::dispatch`] is the one
-//! rule that decides what an event does at a line.  The L2 bank and the
-//! memory controller run the rows it picks, the first whose typed
-//! [`Guard`] holds; the L1 checks every delivered message against it (see
-//! `proto::table_check`); `ftdircmp-lint`'s abstract model explores with it.
+//! rule that decides what an event does at a line.  Every controller runs
+//! the rows it picks, the first whose typed [`Guard`] holds, so the
+//! dispatch is also the legality check: an `Impossible` or uncovered pair is
+//! reported as a protocol violation where it occurs.  `ftdircmp-lint`'s
+//! abstract model explores with the same dispatch.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -72,18 +73,16 @@ impl Controller {
 pub enum CpuOp {
     Load,
     Store,
-    Evict,
 }
 
 impl CpuOp {
-    pub const ALL: [CpuOp; 3] = [CpuOp::Load, CpuOp::Store, CpuOp::Evict];
+    pub const ALL: [CpuOp; 2] = [CpuOp::Load, CpuOp::Store];
 
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             CpuOp::Load => "Load",
             CpuOp::Store => "Store",
-            CpuOp::Evict => "Evict",
         }
     }
 }
@@ -94,8 +93,8 @@ pub enum Event {
     Msg(MsgType),
     Cpu(CpuOp),
     Timeout(TimeoutKind),
-    /// Internal L2 event: the line is selected as a victim to make room
-    /// for a fill install (bank eviction).
+    /// Internal event of the L1 and the L2 bank: the line is selected as a
+    /// victim to make room for a fill install.
     Victim,
 }
 
@@ -259,8 +258,9 @@ impl Resource {
 
 /// A typed row guard: the condition that picks one row among the rows of
 /// one (state, event) cell, evaluated by the controller that runs the table
-/// (`L2Controller::holds`).  The cell's rows are tried in declaration
-/// order, so a guard may assume that the rows before it did not hold.
+/// (`L1Controller::holds`, `L2Controller::holds`).  The cell's rows are
+/// tried in declaration order, so a guard may assume that the rows before
+/// it did not hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Guard {
     /// No condition: the row of its cell that runs when no other does.
@@ -286,8 +286,23 @@ pub enum Guard {
     RecallPending,
     /// The recalled data is dirty with respect to memory.
     RecallDirty,
-    /// Memory's `WbAck` says the bank no longer owns the line.
+    /// The `WbAck` says the writer no longer owns the line.
     WbStale,
+    /// The miss, with the message taken, still waits for a grant or acks.
+    AcksOutstanding,
+    /// The miss's exclusive grant carries dirty data.
+    DirtyGrant,
+    /// The miss holds no data once the grant is taken (an upgrade).
+    NoData,
+    /// The `UnblockPing` names the kind of the pending miss.
+    PingsMiss,
+    /// The completion record of the ping's kind sent this unblock (`AckO`:
+    /// an `UnblockEx` carrying the `AckO`).
+    Replay(MsgType),
+    /// The writeback whose data a forward took was of an exclusive line.
+    WbExclusive,
+    /// The line still owes the message's sender an `AckO`.
+    OwesAckO,
 }
 
 /// Declaration of one controller state.
@@ -797,15 +812,15 @@ impl ControllerTable {
     }
 
     /// Full event universe for this controller (used by the completeness
-    /// lint): every message type, every timeout kind, and — at the L1 —
-    /// every CPU op.
+    /// lint): every message type, every timeout kind, at the L1 every CPU
+    /// op, and at both caches the victim event.
     #[must_use]
     pub fn event_universe(&self) -> Vec<Event> {
         let mut evs: Vec<Event> = MsgType::ALL.iter().map(|&t| Event::Msg(t)).collect();
         if self.controller == Controller::L1 {
             evs.extend(CpuOp::ALL.iter().map(|&op| Event::Cpu(op)));
         }
-        if self.controller == Controller::L2 {
+        if self.controller != Controller::Mem {
             evs.push(Event::Victim);
         }
         evs.extend(TimeoutKind::ALL.iter().map(|&k| Event::Timeout(k)));
@@ -989,7 +1004,7 @@ static L1: OnceLock<(ControllerTable, L1Ids)> = OnceLock::new();
 static L2: OnceLock<(ControllerTable, L2Ids)> = OnceLock::new();
 static MEM: OnceLock<(ControllerTable, MemIds)> = OnceLock::new();
 
-/// The L1 table with the state ids `L1Controller::table_facets` reports.
+/// The L1 table with the state ids `L1Controller` reports.
 pub(crate) fn l1() -> &'static (ControllerTable, L1Ids) {
     L1.get_or_init(|| l1::build().expect("L1 transition table is malformed"))
 }
@@ -1172,11 +1187,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_l2_cell_with_several_rows_names_a_guard_on_all_but_one() {
-        // The L2 picks the first row whose typed guard holds: an unguarded
-        // row anywhere but last would shadow the rows after it.
-        let t = l2_table();
+    /// A controller picks the first row whose typed guard holds: an
+    /// unguarded row anywhere but last in a cell would shadow the rows
+    /// after it.
+    fn assert_guarded_cells(t: &ControllerTable) {
         let mut several = 0;
         for s in &t.states {
             for e in t.event_universe() {
@@ -1200,6 +1214,16 @@ mod tests {
             }
         }
         assert!(several > 0);
+    }
+
+    #[test]
+    fn every_l2_cell_with_several_rows_names_a_guard_on_all_but_one() {
+        assert_guarded_cells(l2_table());
+    }
+
+    #[test]
+    fn every_l1_cell_with_several_rows_names_a_guard_on_all_but_one() {
+        assert_guarded_cells(l1_table());
     }
 
     #[test]

@@ -526,21 +526,22 @@ pub fn explore_with(
             }
         }
 
-        // Internal victim selection at the home bank: a quiescent resident
-        // line may be evicted at any moment to make room for another fill.
-        // The exact-state `Impossible` exceptions on TBE/EXT/MB facets stop
-        // the dispatch, mirroring the implementation's victim predicate.
-        if let Dispatch::Rows(rows) =
-            ctx.dispatch(Node::L2H, &w.nodes[Node::L2H.idx()], Event::Victim)
-        {
-            for ri in rows.iter().map(|&i| usize::from(i)) {
-                let novel = record(&mut exp, Node::L2H, ri);
-                let row = &ctx.table_of(Node::L2H).rows[ri];
-                successors.extend(
-                    ctx.apply_row(&w, Node::L2H, row, None, &mut exp.truncated)
-                        .into_iter()
-                        .map(|s| (s, novel)),
-                );
+        // Internal victim selection at the L1s and the home bank: a quiescent
+        // resident line may be evicted at any moment to make room for
+        // another fill. The exact-state `Impossible` exceptions (a blocked
+        // or upgrading L1 line; a TBE, EXT or MB at the bank) stop the
+        // dispatch, mirroring the implementations' victim predicates.
+        for node in [Node::L1A, Node::L1B, Node::L2H] {
+            if let Dispatch::Rows(rows) = ctx.dispatch(node, &w.nodes[node.idx()], Event::Victim) {
+                for ri in rows.iter().map(|&i| usize::from(i)) {
+                    let novel = record(&mut exp, node, ri);
+                    let row = &ctx.table_of(node).rows[ri];
+                    successors.extend(
+                        ctx.apply_row(&w, node, row, None, &mut exp.truncated)
+                            .into_iter()
+                            .map(|s| (s, novel)),
+                    );
+                }
             }
         }
 
