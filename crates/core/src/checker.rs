@@ -34,7 +34,7 @@ pub enum Perm {
     Write,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Hash)]
 struct LineTrack {
     writer: Option<NodeId>,
     readers: Vec<NodeId>,
@@ -192,6 +192,17 @@ impl Checker {
             let msg = format!("BACKUP: {count} simultaneous backups for {addr}");
             self.violation(at, msg);
         }
+    }
+
+    /// The version of `addr`'s latest committed store (0: never written).
+    pub(crate) fn version(&self, addr: LineAddr) -> u64 {
+        self.lines.get(&addr).map_or(0, |t| t.version)
+    }
+
+    /// Hashes what the checker tracks of `addr`: its writer, readers,
+    /// committed version and backups.
+    pub(crate) fn hash_line(&self, addr: LineAddr, h: &mut impl std::hash::Hasher) {
+        std::hash::Hash::hash(&self.lines.get(&addr), h);
     }
 
     /// Records deletion of the backup copy at `node`.

@@ -89,7 +89,7 @@ impl fmt::Display for LineAddr {
 }
 
 /// A compact set of L1 node indices (the directory's sharer vector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SharerSet(u64);
 
 impl SharerSet {

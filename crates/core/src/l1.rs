@@ -23,6 +23,8 @@
 //! line's records live together in one [`LineTable`] slot (see `linetab`
 //! for the iteration-order contract).
 
+use std::hash::{Hash, Hasher};
+
 use ftdircmp_sim::{Cycle, DetRng};
 
 use crate::cache::SetAssocCache;
@@ -35,11 +37,11 @@ use crate::msg::{Message, MsgType};
 use crate::proto::{unexpected, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::{SerialAllocator, SerialNum};
 use crate::transitions::{
-    self, l1, ControllerTable, Dispatch, Event, Guard, L1Ids, Plan, Resource, Role,
+    self, l1, Controller, ControllerTable, Dispatch, Event, Guard, L1Ids, Plan, Resource, Role,
 };
 
 /// Stable L1 permission states (MOESI; `I` is represented by absence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum L1Perm {
     /// Shared, clean, read-only.
     S,
@@ -75,7 +77,7 @@ struct L1Entry {
 }
 
 /// A CPU memory operation presented to the L1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CpuOp {
     /// Line touched.
     pub(crate) addr: LineAddr,
@@ -95,13 +97,13 @@ pub(crate) enum CpuOutcome {
     Stalled,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum MissKind {
     Load,
     Store,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct MissMshr {
     kind: MissKind,
     serial: SerialNum,
@@ -170,7 +172,7 @@ impl MissMshr {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct WbMshr {
     data: Option<LineData>,
     was_exclusive: bool,
@@ -186,7 +188,7 @@ impl WbMshr {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BackupKind {
     /// Backup created when answering a forwarded request with owned data.
     ForwardedData {
@@ -197,7 +199,7 @@ enum BackupKind {
     Writeback,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Backup {
     data: LineData,
     dirty: bool,
@@ -229,7 +231,7 @@ impl Backup {
 /// Overwriting per line is safe: the directory serializes transactions, so a
 /// newer completion implies the older unblock was received. (In hardware
 /// this table would be bounded; see DESIGN.md §4.)
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct CompletedTx {
     was_store: bool,
     /// The unblock sent, as [`Guard::Replay`] names it: `Unblock`,
@@ -237,7 +239,7 @@ struct CompletedTx {
     sent: MsgType,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct AckBdPending {
     peer: NodeId,
     serial: SerialNum,
@@ -254,7 +256,7 @@ impl AckBdPending {
 /// All transient per-line state of one L1, held together in one slab slot.
 /// Every facet uses absence (`None`/empty) for "not in flight"; the slot
 /// itself persists once allocated.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 struct L1LineState {
     miss: Option<MissMshr>,
     wb: Option<WbMshr>,
@@ -282,12 +284,14 @@ impl L1LineState {
 }
 
 /// One row about to run at one line: the line's slot (none if never
-/// touched) and address, the row compiled, the message it takes, and the
-/// line's entry as the event found it (a victim's evicted entry).
+/// touched) and address, the row and its compiled form, the message it
+/// takes, and the line's entry as the event found it (a victim's evicted
+/// entry).
 #[derive(Clone, Copy)]
 struct Step<'m> {
     h: Option<u32>,
     addr: LineAddr,
+    row: u16,
     plan: &'static Plan,
     msg: Option<&'m Message>,
     line: Option<&'m L1Entry>,
@@ -354,7 +358,7 @@ pub(crate) struct L1Controller {
     ft: bool,
     /// The L1 table this cache runs, and its state ids.
     table: &'static ControllerTable,
-    ids: &'static L1Ids,
+    ids: L1Ids,
     cache: SetAssocCache<L1Entry>,
     lines: LineTable<L1LineState>,
     /// Number of slots with a live miss MSHR (for occupancy stats).
@@ -377,7 +381,7 @@ impl L1Controller {
             me: NodeId::L1(tile),
             ft: config.protocol.is_fault_tolerant(),
             table,
-            ids,
+            ids: *ids,
             cache: SetAssocCache::new(config.l1_sets(), config.l1_assoc),
             lines: LineTable::new(),
             miss_count: 0,
@@ -403,49 +407,29 @@ impl L1Controller {
 
     /// Human-readable summary of in-flight state (deadlock diagnostics).
     pub(crate) fn pending_summary(&self) -> String {
-        let mut out = String::new();
+        let (mut out, me) = (String::new(), self.me);
         for (a, s) in self.lines.iter() {
             if let Some(m) = &s.miss {
-                let retries = m.timer.retries();
-                out.push_str(&format!(
-                    "{} miss {a} kind={:?} serial={} responded={} acks={}/{} retries={retries}\n",
-                    self.me, m.kind, m.serial, m.responded, m.acks_got, m.acks_needed
-                ));
+                let (kind, serial, responded) = (m.kind, m.serial, m.responded);
+                let (got, needed, retries) = (m.acks_got, m.acks_needed, m.timer.retries());
+                out += &format!("{me} miss {a} kind={kind:?} serial={serial} responded={responded} acks={got}/{needed} retries={retries}\n");
             }
-        }
-        for (a, s) in self.lines.iter() {
             if let Some(w) = &s.wb {
-                out.push_str(&format!(
-                    "{} wb {a} serial={} data={}\n",
-                    self.me,
-                    w.serial,
-                    w.data.is_some()
-                ));
+                let data = w.data.is_some();
+                out += &format!("{me} wb {a} serial={} data={data}\n", w.serial);
             }
-        }
-        for (a, s) in self.lines.iter() {
             if let Some(b) = &s.backup {
-                out.push_str(&format!(
-                    "{} backup {a} dest={} serial={} kind={:?}\n",
-                    self.me, b.dest, b.serial, b.kind
-                ));
+                let (dest, serial, kind) = (b.dest, b.serial, b.kind);
+                out += &format!("{me} backup {a} dest={dest} serial={serial} kind={kind:?}\n");
             }
-        }
-        for (a, s) in self.lines.iter() {
             if let Some(p) = &s.ackbd {
-                out.push_str(&format!(
-                    "{} ackbd-pending {a} peer={} serial={}\n",
-                    self.me, p.peer, p.serial
-                ));
+                out += &format!(
+                    "{me} ackbd-pending {a} peer={} serial={}\n",
+                    p.peer, p.serial
+                );
             }
-        }
-        for (a, s) in self.lines.iter() {
             if !s.deferred.is_empty() {
-                out.push_str(&format!(
-                    "{} deferred {a} n={}\n",
-                    self.me,
-                    s.deferred.len()
-                ));
+                out += &format!("{me} deferred {a} n={}\n", s.deferred.len());
             }
         }
         for op in &self.stalled_ops {
@@ -473,7 +457,7 @@ impl L1Controller {
         let (table, addr) = (self.table, op.addr);
         let entry = self.cache.get_mut(addr).map(|e| *e);
         let h = self.slot(addr, entry.as_ref());
-        let facets = facets(self.ids, entry.as_ref(), h.map(|h| self.lines.at(h)));
+        let facets = facets(&self.ids, entry.as_ref(), h.map(|h| self.lines.at(h)));
         let event = Event::Cpu(if op.is_store {
             transitions::CpuOp::Store
         } else {
@@ -505,7 +489,7 @@ impl L1Controller {
         let entry = self.cache.get(addr).copied();
         let h = self.slot(addr, entry.as_ref());
         let st = h.map(|h| self.lines.at(h));
-        let facets = facets(self.ids, entry.as_ref(), st);
+        let facets = facets(&self.ids, entry.as_ref(), st);
         let event = Event::Msg(msg.mtype);
         let dispatch = table.dispatch(&facets, event, self.ft);
         if unexpected(dispatch, table, &facets, self.me, addr, event, ctx) {
@@ -560,7 +544,7 @@ impl L1Controller {
             return;
         }
         let entry = self.cache.get(addr);
-        let facets = facets(self.ids, entry, h.map(|h| self.lines.at(h)));
+        let facets = facets(&self.ids, entry, h.map(|h| self.lines.at(h)));
         let event = Event::Timeout(kind);
         let dispatch = table.dispatch(&facets, event, self.ft);
         if unexpected(dispatch, table, &facets, self.me, addr, event, ctx) {
@@ -658,6 +642,7 @@ impl L1Controller {
         Step {
             h,
             addr,
+            row,
             plan,
             msg,
             line,
@@ -680,6 +665,7 @@ impl L1Controller {
             // A row that opens a record gives the line its slot.
             s.h = Some(self.lines.handle(s.addr));
         }
+        ctx.stats.row_fired(Controller::L1, s.row);
         let owned = self.by_hand(s, ctx);
         // An AckO to the node of the row's UnblockEx rides on it (§3.1).
         let role = |t| p.sends().iter().find(|&&(u, _)| u == t).map(|&(_, r)| r);
@@ -705,7 +691,7 @@ impl L1Controller {
             // The facets derived afterwards must be the row's next states:
             // each of them, and no state of the source's family unless the
             // row names one (`I` stands for an empty Cache family).
-            let got = facets(ids, self.cache.get(s.addr), s.h.map(|h| self.lines.at(h)));
+            let got = facets(&ids, self.cache.get(s.addr), s.h.map(|h| self.lines.at(h)));
             let family = |id: u8| self.table.states[usize::from(id)].family;
             let left = |g: &u8| family(*g) == family(p.src) && *g != ids.i;
             let ok = p.next().iter().all(|n| got.contains(n))
@@ -1112,7 +1098,7 @@ impl L1Controller {
     fn evict(&mut self, vaddr: LineAddr, ventry: &L1Entry, ctx: &mut Ctx<'_>) {
         let table = self.table;
         let h = Some(ventry.slot);
-        let facets = facets(self.ids, Some(ventry), h.map(|h| self.lines.at(h)));
+        let facets = facets(&self.ids, Some(ventry), h.map(|h| self.lines.at(h)));
         let dispatch = table.dispatch(&facets, Event::Victim, self.ft);
         if unexpected(dispatch, table, &facets, self.me, vaddr, Event::Victim, ctx) {
             return;
@@ -1151,6 +1137,14 @@ impl L1Controller {
         self.stalled_scratch = ready;
     }
 
+    /// Whether a `kind` firing for `addr` carrying `gen` is live: a record's
+    /// timer slot carries it.
+    pub(crate) fn carries(&mut self, addr: LineAddr, kind: TimeoutKind, gen: u64) -> bool {
+        let h = self.lines.find(addr);
+        h.and_then(|h| self.lines.at_mut(h).timer(kind))
+            .is_some_and(|t| t.carries(gen))
+    }
+
     /// Replays the forwards deferred while slot `h`'s line was blocked
     /// (§3.1), in arrival order, through a reused buffer.
     fn drain_deferred(&mut self, h: u32, ctx: &mut Ctx<'_>) {
@@ -1161,6 +1155,33 @@ impl L1Controller {
             self.handle_message(m, ctx);
         }
         self.deferred_scratch = drained;
+    }
+
+    /// This cache running `table`, whose state ids are `ids` (`search`).
+    pub(crate) fn with_table(self, table: &'static ControllerTable, ids: L1Ids) -> Self {
+        L1Controller { table, ids, ..self }
+    }
+
+    /// Hashes the protocol state of `addrs` and the serial counter: each
+    /// line's permission, blocked bit and data, its records and its parked
+    /// ops; not its slot, LRU position or timer generations.
+    pub(crate) fn hash_state(&self, addrs: &[LineAddr], h: &mut impl Hasher) {
+        for &addr in addrs {
+            let entry = self.cache.get(addr).map(|e| (e.perm, e.blocked, e.data));
+            (entry, self.lines.get(addr)).hash(h);
+        }
+        (&self.stalled_ops, &self.serials).hash(h);
+    }
+
+    /// Every copy of `addr`'s data this cache holds: the line, the miss's
+    /// grant, the writeback's and the backup's data.
+    pub(crate) fn copies(&self, addr: LineAddr) -> impl Iterator<Item = LineData> + '_ {
+        let st = self.lines.get(addr);
+        let entry = self.cache.get(addr).map(|e| e.data);
+        let miss = st.and_then(|s| s.miss.as_ref()).and_then(|m| m.data);
+        let wb = st.and_then(|s| s.wb.as_ref()).and_then(|w| w.data);
+        let backup = st.and_then(|s| s.backup.as_ref()).map(|b| b.data);
+        [entry, miss, wb, backup].into_iter().flatten()
     }
 }
 

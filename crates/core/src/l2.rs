@@ -23,6 +23,7 @@
 //! a request that finds its line busy.
 
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 use ftdircmp_sim::DetRng;
 
@@ -35,11 +36,11 @@ use crate::msg::{Message, MsgType};
 use crate::proto::{admit_busy, unexpected, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::{SerialAllocator, SerialNum};
 use crate::transitions::{
-    l2, ControllerTable, Dispatch, Event, Guard, L2Ids, Plan, Resource, Role,
+    l2, Controller, ControllerTable, Dispatch, Event, Guard, L2Ids, Plan, Resource, Role,
 };
 
 /// Directory + data state of one line resident in this bank.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 struct L2Line {
     /// Data held by the bank (`None` while an L1 owns the line).
     data: Option<LineData>,
@@ -86,7 +87,7 @@ impl L2Line {
 
 /// Per-line transaction state (the paper's MSHR/TBE at the directory, which
 /// also remembers the *blocker* so reissued requests can be recognized).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Tbe {
     /// The request that opened the transaction (`GetS`, `GetX` or `Put`);
     /// none for the bank's own recall or writeback.
@@ -243,14 +244,14 @@ impl Tbe {
 }
 
 /// FT: memory-facing ownership handshake pending after a fill (§3.1.1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct ExtPending {
     serial: SerialNum,
     timer: Timer,
 }
 
 /// FT: backup of data written back to memory, held until memory's AckO.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct MemBackup {
     data: LineData,
     serial: SerialNum,
@@ -271,7 +272,7 @@ impl MemBackup {
 /// [`LineTable`] slot so an event resolves all of them with a single
 /// lookup. The deferred-request queue keeps its buffer across drain/refill
 /// cycles instead of being dropped when it empties.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 struct L2LineState {
     tbe: Option<Tbe>,
     waiting: VecDeque<Message>,
@@ -289,6 +290,16 @@ impl L2LineState {
             _ => self.tbe.as_mut().map(|t| t.timer(kind)),
         }
     }
+
+    /// Whether a `kind` firing carrying `gen` is live — a record's slot
+    /// carries it — and if so whether that record is `EXT`.
+    fn live(&mut self, kind: TimeoutKind, gen: u64) -> Option<bool> {
+        let ext = kind == TimeoutKind::LostAckBd
+            && (self.ext_pending.as_ref()).is_some_and(|e| e.timer.carries(gen));
+        (self.timer(kind, ext))
+            .is_some_and(|t| t.carries(gen))
+            .then_some(ext)
+    }
 }
 
 /// One row about to run at one line: what its actions read.
@@ -297,7 +308,8 @@ struct Step<'m> {
     /// The line's slot and address.
     h: u32,
     addr: LineAddr,
-    /// The row, compiled.
+    /// The row, and its compiled form.
+    row: u16,
     plan: &'static Plan,
     /// The message it takes (none for a timeout or a victim).
     msg: Option<&'m Message>,
@@ -323,7 +335,7 @@ pub(crate) struct L2Controller {
     ft: bool,
     /// The L2 table this bank runs, and its state ids.
     table: &'static ControllerTable,
-    ids: &'static L2Ids,
+    ids: L2Ids,
     cache: SetAssocCache<L2Line>,
     lines: LineTable<L2LineState>,
     /// Number of slots currently holding a TBE (occupancy statistics).
@@ -340,7 +352,7 @@ impl L2Controller {
             me: NodeId::L2(tile),
             ft: config.protocol.is_fault_tolerant(),
             table,
-            ids,
+            ids: *ids,
             cache: SetAssocCache::new(config.l2_sets(), config.l2_assoc),
             lines: LineTable::new(),
             tbe_count: 0,
@@ -416,7 +428,7 @@ impl L2Controller {
     /// `AckBD` answers by its sender (`from_mem` is `Some`): from memory the
     /// `EXT` and `MB` records or the line, from an L1 the TBE or the line.
     fn facets(&self, st: &L2LineState, line: Option<&L2Line>, from_mem: Option<bool>) -> Facets {
-        let ids = self.ids;
+        let ids = &self.ids;
         let mut f = Facets::new();
         if let Some(t) = st.tbe.as_ref().filter(|_| from_mem != Some(true)) {
             f.push(t.stage);
@@ -470,11 +482,9 @@ impl L2Controller {
         let (table, ids) = (self.table, self.ids);
         let h = self.lines.handle(addr);
         let st = self.lines.at_mut(h);
-        let ext = kind == TimeoutKind::LostAckBd
-            && (st.ext_pending.as_ref()).is_some_and(|e| e.timer.carries(gen));
-        if !st.timer(kind, ext).is_some_and(|t| t.carries(gen)) {
+        let Some(ext) = st.live(kind, gen) else {
             return;
-        }
+        };
         let facet = match (kind, &st.tbe) {
             (TimeoutKind::LostData, _) => ids.mb,
             _ if ext => ids.ext,
@@ -667,6 +677,7 @@ impl L2Controller {
         Step {
             h,
             addr,
+            row,
             plan,
             msg,
             line,
@@ -680,6 +691,7 @@ impl L2Controller {
     /// queue.
     fn apply(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) {
         let (p, ids) = (s.plan, self.ids);
+        ctx.stats.row_fired(Controller::L2, s.row);
         self.by_hand(s, ctx);
         for &(mtype, role) in p.sends() {
             // An AckO to the role of an UnblockEx rides on it.
@@ -702,7 +714,7 @@ impl L2Controller {
             let lines = [ids.np, ids.ro, ids.mt];
             let want = (s.plan.next().iter().copied().find(|id| lines.contains(id)))
                 .or_else(|| lines.contains(&s.plan.src).then_some(ids.np));
-            let got = line_facet(ids, self.cache.get(s.addr));
+            let got = line_facet(&ids, self.cache.get(s.addr));
             let src = || self.table.facet_names(&[p.src]);
             let what = || format!("{} @ {}: line facet after the row", src(), p.event);
             debug_assert!(want.is_none_or(|want| want == got), "{}", what());
@@ -1011,6 +1023,37 @@ impl L2Controller {
             let line = self.cache.get(msg.addr).copied();
             self.run(h, line, msg.mtype, &msg, ctx);
         }
+    }
+
+    /// This bank running `table`, whose state ids are `ids` (`search`).
+    pub(crate) fn with_table(self, table: &'static ControllerTable, ids: L2Ids) -> Self {
+        L2Controller { table, ids, ..self }
+    }
+
+    /// Whether a `kind` firing for `addr` carrying `gen` is live.
+    pub(crate) fn carries(&mut self, addr: LineAddr, kind: TimeoutKind, gen: u64) -> bool {
+        let h = self.lines.find(addr);
+        h.is_some_and(|h| self.lines.at_mut(h).live(kind, gen).is_some())
+    }
+
+    /// Hashes the protocol state of `addrs` and the serial counter: each
+    /// line's directory entry and data, its TBE, `EXT`, `MB` and queue; not
+    /// its slot, LRU position or timer generations.
+    pub(crate) fn hash_state(&self, addrs: &[LineAddr], h: &mut impl Hasher) {
+        for &addr in addrs {
+            (self.cache.get(addr), self.lines.get(addr)).hash(h);
+        }
+        self.serials.hash(h);
+    }
+
+    /// Every copy of `addr`'s data this bank holds: the line's, the TBE's
+    /// (a grant's, or a recall's or writeback's saved data) and `MB`'s.
+    pub(crate) fn copies(&self, addr: LineAddr) -> impl Iterator<Item = LineData> + '_ {
+        let st = self.lines.get(addr);
+        let line = self.cache.get(addr).and_then(|l| l.data);
+        let tbe = st.and_then(|s| s.tbe.as_ref()).and_then(|t| t.data);
+        let mb = st.and_then(|s| s.mem_backup.as_ref()).map(|b| b.data);
+        [line, tbe, mb].into_iter().flatten()
     }
 }
 

@@ -861,6 +861,44 @@ fn recall_timeout_reprods_owner_and_sharers() {
     assert_eq!(again.dst, recall.dst);
 }
 
+#[test]
+fn a_recall_refuses_ownership_while_the_owners_data_is_missing() {
+    // The recall's DataEx was lost and the owner's lost-data timer asks
+    // whether the bank took ownership: it did not, so the answer is NackO
+    // and the owner keeps its backup, the last copy (§3.3).
+    let mut h = Harness::ft();
+    let mut c = l2(&h);
+    let assoc = u64::from(h.config.l2_assoc);
+    let sets = h.config.l2_sets();
+    for i in 0..assoc {
+        let addr = LineAddr(3 + i * sets * 16);
+        fill_line(&mut c, &mut h, addr, 5, (10 + i) as u16);
+    }
+    let addr = LineAddr(3 + assoc * sets * 16);
+    c.handle_message(
+        Message::new(MsgType::GetX, addr, NodeId::L1(6), ME).serial(SerialNum::new(200, 8)),
+        &mut h.ctx(),
+    );
+    let mem_req = h.sent_one(MsgType::GetX);
+    h.clear();
+    c.handle_message(
+        Message::new(MsgType::DataEx, addr, mem_req.dst, ME)
+            .requester(ME)
+            .serial(mem_req.serial)
+            .data(LineData::pristine()),
+        &mut h.ctx(),
+    );
+    let recall = h.sent_one(MsgType::FwdGetX);
+    h.clear();
+    c.handle_message(
+        Message::new(MsgType::OwnershipPing, recall.addr, recall.dst, ME).serial(recall.serial),
+        &mut h.ctx(),
+    );
+    let nack = h.sent_one(MsgType::NackO);
+    assert_eq!((nack.dst, nack.serial), (recall.dst, recall.serial));
+    h.sent_none(MsgType::AckO);
+}
+
 // ---------------------------------------------------------------------
 // Migratory-sharing detection (paper §2)
 // ---------------------------------------------------------------------

@@ -47,6 +47,7 @@ pub mod msc;
 pub mod msg;
 pub mod proto;
 mod report;
+pub mod search;
 mod serial;
 pub mod stats;
 pub mod system;

@@ -15,15 +15,18 @@
 
 use ftdircmp_sim::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 use crate::data::LineData;
 use crate::ids::{LineAddr, NodeId};
 use crate::msg::{Message, MsgType};
 use crate::proto::{admit_busy, unexpected, Ctx, Facets, TimeoutKind, Timer, Timers};
 use crate::serial::SerialNum;
-use crate::transitions::{mem, Dispatch, Event, Resource, Role};
+use crate::transitions::{
+    mem, Controller, ControllerTable, Dispatch, Event, MemIds, Resource, Role,
+};
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct MemTbe {
     blocker: NodeId,
     serial: SerialNum,
@@ -49,6 +52,9 @@ impl MemTbe {
 pub(crate) struct MemController {
     me: NodeId,
     ft: bool,
+    /// The memory table this controller runs, and its state ids.
+    table: &'static ControllerTable,
+    ids: MemIds,
     store: FxHashMap<LineAddr, LineData>,
     l2_owned: FxHashSet<LineAddr>,
     tbes: FxHashMap<LineAddr, MemTbe>,
@@ -59,9 +65,12 @@ pub(crate) struct MemController {
 impl MemController {
     /// Creates memory controller `index`.
     pub(crate) fn new(index: u8, fault_tolerant: bool) -> Self {
+        let (table, ids) = mem();
         MemController {
             me: NodeId::Mem(index),
             ft: fault_tolerant,
+            table,
+            ids: *ids,
             store: FxHashMap::default(),
             l2_owned: FxHashSet::default(),
             tbes: FxHashMap::default(),
@@ -82,7 +91,7 @@ impl MemController {
             out.push_str(&format!(
                 "{} tbe {a} stage={} blocker={} serial={}\n",
                 self.me,
-                mem().0.facet_names(&[t.stage]),
+                self.table.facet_names(&[t.stage]),
                 t.blocker,
                 t.serial
             ));
@@ -95,7 +104,8 @@ impl MemController {
         out
     }
 
-    fn data_of(&self, addr: LineAddr) -> LineData {
+    /// The copy of `addr`'s data memory holds.
+    pub(crate) fn data_of(&self, addr: LineAddr) -> LineData {
         self.store.get(&addr).copied().unwrap_or_default()
     }
 
@@ -114,7 +124,7 @@ impl MemController {
     /// memory table ([`crate::transitions::mem_table`]): the stage of `tbe`,
     /// the line's open transaction if any, then the mandatory `Line` facet.
     fn facets(&self, addr: LineAddr, tbe: Option<&MemTbe>) -> Facets {
-        let ids = &mem().1;
+        let ids = &self.ids;
         let mut f = Facets::new();
         if let Some(tbe) = tbe {
             f.push(tbe.stage);
@@ -143,7 +153,7 @@ impl MemController {
             self.run(MsgType::AckO, &msg, tbe, &facets, ctx);
         }
         if let (MsgType::GetX | MsgType::Put, Some(busy)) = (msg.mtype, tbe.as_mut()) {
-            let dispatch = mem().0.dispatch(&facets, Event::Msg(msg.mtype), self.ft);
+            let dispatch = self.table.dispatch(&facets, Event::Msg(msg.mtype), self.ft);
             let same_kind = matches!(dispatch, Dispatch::Rows(_));
             let reissue = admit_busy(busy.blocker, busy.serial, same_kind, msg, ctx, || {
                 self.waiting.entry(addr).or_default()
@@ -173,12 +183,12 @@ impl MemController {
     ) {
         let addr = msg.addr;
         let event = Event::Msg(mtype);
-        let dispatch = mem().0.dispatch(facets, event, self.ft);
-        if unexpected(dispatch, &mem().0, facets, self.me, addr, event, ctx) {
+        let dispatch = self.table.dispatch(facets, event, self.ft);
+        if unexpected(dispatch, self.table, facets, self.me, addr, event, ctx) {
             return;
         }
         // The §3.5 stale rule: a response answers the TBE's transaction.
-        let ids = &mem().1;
+        let ids = &self.ids;
         let in_stage = |stage| tbe.filter(|t| t.stage == stage);
         let from_blocker = |t: MemTbe| t.blocker == msg.src && t.serial == msg.serial;
         let guard = match mtype {
@@ -210,7 +220,8 @@ impl MemController {
         ctx: &mut Ctx<'_>,
     ) {
         let facets = self.facets(addr, self.tbes.get(&addr));
-        let Dispatch::Rows(&[row, ..]) = mem().0.dispatch(&facets, Event::Timeout(kind), self.ft)
+        let Dispatch::Rows(&[row, ..]) =
+            self.table.dispatch(&facets, Event::Timeout(kind), self.ft)
         else {
             return;
         };
@@ -240,8 +251,9 @@ impl MemController {
         line: u8,
         ctx: &mut Ctx<'_>,
     ) {
-        let (table, ids) = mem();
+        let (table, ids) = (self.table, self.ids);
         let plan = &table.plans[usize::from(row)];
+        ctx.stats.row_fired(Controller::Mem, row);
         for &(mtype, role) in plan.sends() {
             let out = self.message(mtype, role, msg, addr, ctx);
             ctx.send(out);
@@ -341,6 +353,26 @@ impl MemController {
                 return;
             };
             self.handle_message(msg, ctx);
+        }
+    }
+
+    /// This controller running `table`, whose state ids are `ids` (`search`).
+    pub(crate) fn with_table(self, table: &'static ControllerTable, ids: MemIds) -> Self {
+        MemController { table, ids, ..self }
+    }
+
+    /// Whether a `kind` firing for `addr` carrying `gen` is live.
+    pub(crate) fn carries(&mut self, addr: LineAddr, kind: TimeoutKind, gen: u64) -> bool {
+        (self.tbes.get_mut(&addr)).is_some_and(|t| t.timer(kind).carries(gen))
+    }
+
+    /// Hashes the protocol state of `addrs`: each line's data, owner, TBE
+    /// and queue; not the timer generations.
+    pub(crate) fn hash_state(&self, addrs: &[LineAddr], h: &mut impl Hasher) {
+        for &addr in addrs {
+            let queue = self.waiting.get(&addr).filter(|q| !q.is_empty());
+            let owned = self.l2_owned.contains(&addr);
+            (self.data_of(addr), owned, self.tbes.get(&addr), queue).hash(h);
         }
     }
 }

@@ -207,7 +207,7 @@ impl std::fmt::Display for MsgType {
 /// Control messages are 8 bytes and data messages 72 bytes on the wire
 /// (Table 4); FtDirCMP's serial number and CRC fit in the existing header
 /// padding, so both protocols use the same sizes (see DESIGN.md §4).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Message {
     /// Message type.
     pub(crate) mtype: MsgType,

@@ -328,6 +328,13 @@ impl Timer {
     }
 }
 
+/// A slot hashes as nothing: its generation is an identity, not state, and
+/// its retry count only paces the backoff. The state search keys armed
+/// firings by node, line and kind instead (`search`).
+impl std::hash::Hash for Timer {
+    fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
+}
+
 /// Notification that a core's pending memory operation finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CoreCompletion {

@@ -68,7 +68,7 @@ impl std::fmt::Display for SerialNum {
 /// seeded randomly, exactly as the paper describes ("each node has a
 /// wrapping counter which is used to choose serial numbers for new
 /// requests").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct SerialAllocator {
     counter: u16,
     bits: u8,

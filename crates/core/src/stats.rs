@@ -5,6 +5,7 @@ use ftdircmp_stats::{Counter, Histogram};
 
 use crate::msg::MsgType;
 use crate::proto::TimeoutKind;
+use crate::transitions::{Controller, ROWS_MAX};
 
 /// Everything the evaluation section of the paper reports, collected per
 /// run: traffic by message type, miss behavior, fault-tolerance activity.
@@ -51,6 +52,9 @@ pub struct ProtocolStats {
     pub(crate) l1_mshr_occupancy: Histogram,
     /// L2 TBE occupancy sampled at each transaction start.
     pub(crate) l2_tbe_occupancy: Histogram,
+    /// The table rows applied, one bit per row of each controller's table,
+    /// in [`Controller::ALL`] order (the state search reports them).
+    rows_fired: [[u64; ROWS_MAX / 64]; 3],
 }
 
 impl ProtocolStats {
@@ -78,7 +82,19 @@ impl ProtocolStats {
             deferred_requests: Counter::new(),
             l1_mshr_occupancy: Histogram::new(),
             l2_tbe_occupancy: Histogram::new(),
+            rows_fired: [[0; ROWS_MAX / 64]; 3],
         }
+    }
+
+    /// Records that row `row` of `c`'s table was applied.
+    #[inline]
+    pub(crate) fn row_fired(&mut self, c: Controller, row: u16) {
+        self.rows_fired[c as usize][usize::from(row / 64)] |= 1 << (row % 64);
+    }
+
+    /// Whether row `row` of `c`'s table was ever applied.
+    pub(crate) fn fired(&self, c: Controller, row: usize) -> bool {
+        self.rows_fired[c as usize][row / 64] & 1 << (row % 64) != 0
     }
 
     /// Records an injected message of `bytes` bytes.

@@ -261,6 +261,10 @@ fn rows() -> Vec<super::Transition> {
           gate FtOnly; sends [WbCancel -> Sender] },
         { [WaitWbData] @ msg(MsgType::OwnershipPing), if "writeback in flight: refused" => [WaitWbData];
           gate FtOnly; sends [NackO -> Sender]; paper "§3.3" },
+        { [WaitRecall] @ msg(MsgType::OwnershipPing), if NeedsData "recall's data never arrived: refused" => [WaitRecall];
+          gate FtOnly; sends [NackO -> Sender]; paper "§3.3" },
+        { [WaitRecall] @ msg(MsgType::OwnershipPing), if "recall's data arrived" => [WaitRecall];
+          gate FtOnly; sends [AckO -> Sender] },
         { [NP, RO, MT] @ msg(MsgType::OwnershipPing) => same; gate FtOnly; sends [AckO -> Sender] },
         { [MB] @ msg(MsgType::NackO), if "memory refused: re-send data" => [MB];
           gate FtOnly; sends [WbData -> MemCtl]; paper "§3.3" },

@@ -20,17 +20,18 @@
 //! its presence *implies*; each row declares the resource deltas the handler
 //! performs.  `ftdircmp-lint` checks the books balance (lint 4), that every
 //! (state, event) pair is covered (lint 1), that the tables match
-//! PROTOCOL.md (lint 2), that an abstract single-line model agrees with the
-//! reachability claims (lint 3), and that FT-only machinery is unreachable
-//! with fault tolerance disabled (lint 5).
+//! PROTOCOL.md (lint 2), that a bounded search of the real controllers
+//! ([`crate::search`]) breaks no invariant and reaches no pair declared
+//! impossible (lint 3), and that FT-only machinery is unreachable with
+//! fault tolerance disabled (lint 5).
 //!
 //! Each table is compiled, when it is built, into one dense dispatch cell
 //! per (state, event) pair, and [`ControllerTable::dispatch`] is the one
 //! rule that decides what an event does at a line.  Every controller runs
 //! the rows it picks, the first whose typed [`Guard`] holds, so the
 //! dispatch is also the legality check: an `Impossible` or uncovered pair is
-//! reported as a protocol violation where it occurs.  `ftdircmp-lint`'s
-//! abstract model explores with the same dispatch.
+//! reported as a protocol violation where it occurs, in the simulator and
+//! in the lint's search alike.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -414,6 +415,10 @@ impl Transition {
 /// is built).
 const ROW_MAX: usize = 4;
 
+/// At most this many rows per table (checked when a table is built): the
+/// statistics keep one bit per row.
+pub(crate) const ROWS_MAX: usize = 512;
+
 /// A row compiled for the controllers that run it: its state ids, event,
 /// guard and sends inline, and the resources it allocates and frees in
 /// each mode as bit sets, so applying it chases no pointer and scans no
@@ -675,12 +680,11 @@ impl ControllerTable {
                 ));
             }
         }
-        if states.len() > usize::from(u8::MAX) || rows.len() > usize::from(u16::MAX) {
+        if states.len() > usize::from(u8::MAX) || rows.len() > ROWS_MAX {
             return Err(format!(
-                "{}: more than {} states or {} rows",
+                "{}: more than {} states or {ROWS_MAX} rows",
                 controller.name(),
                 u8::MAX,
-                u16::MAX
             ));
         }
         let plans = (rows.iter())
@@ -877,7 +881,7 @@ macro_rules! state_ids {
         }
 
         impl $name {
-            fn resolve(table: &$crate::transitions::ControllerTable) -> Result<Self, String> {
+            pub(crate) fn resolve(table: &$crate::transitions::ControllerTable) -> Result<Self, String> {
                 Ok($name {
                     $($field: table.state_id($state).ok_or_else(|| {
                         format!("{}: no state named {}", table.controller.name(), $state)

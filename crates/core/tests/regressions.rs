@@ -9,6 +9,7 @@ use ftdircmp_core::ids::Addr;
 use ftdircmp_core::trace::{CoreTrace, TraceOp, Workload};
 use ftdircmp_core::{System, SystemConfig};
 use ftdircmp_noc::FaultConfig;
+use ftdircmp_workloads::WorkloadSpec;
 
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state << 13;
@@ -172,5 +173,27 @@ fn drained_queue_with_blocked_cores_is_a_deadlock() {
         Err(ftdircmp_core::RunError::Deadlock { .. }) => {}
         Ok(r) => assert_eq!(r.messages_lost, 0, "losses must imply deadlock"),
         Err(e) => panic!("unexpected: {e}"),
+    }
+}
+
+/// BUG 7 — a recall whose `DataEx` was lost answered the owner's
+/// `OwnershipPing` with `AckO`: `WaitRecall` had no row for it, so the
+/// line's unconditional `AckO` ran, and the owner dropped its backup, the
+/// last copy. The bank then re-sent its forward to a node at `I` until the
+/// watchdog fired (`Deadlock` near 5.3 M cycles). Fix: `WaitRecall`
+/// refuses with `NackO` while the owner's data is missing (l2 table).
+/// Found by the lint's state search; these are `ftdircmp-cli --bench ocean
+/// --protocol ft --fault-rate 8000 --ops 1000 --seed 2` and `--seed 4`.
+#[test]
+fn a_recall_refuses_ownership_until_the_owners_data_arrives() {
+    let mut spec = WorkloadSpec::named("ocean").expect("a suite benchmark");
+    spec.ops_per_core = 1000;
+    for seed in [2, 4] {
+        let mut cfg = SystemConfig::ftdircmp()
+            .with_fault_rate(8_000.0)
+            .with_seed(seed);
+        cfg.watchdog_cycles = 5_000_000;
+        let wl = spec.generate(cfg.tiles, cfg.seed);
+        assert_clean(cfg, &wl, &format!("recall-ownership-ping seed {seed}"));
     }
 }

@@ -2,11 +2,16 @@
 //! transition tables.
 //!
 //! ```text
-//! ftdircmp-lint check [--spec PATH | --no-spec] [--max-states N] [--max-inflight N]
+//! ftdircmp-lint check [--spec PATH | --no-spec]
 //! ftdircmp-lint dump [L1|L2|Mem]
 //! ftdircmp-lint write-spec [--spec PATH]
 //! ```
+//!
+//! Output goes to stdout in one write; a reader that closes the pipe early
+//! (`| head`) ends it quietly.
 
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -15,7 +20,7 @@ use ftdircmp_lint::{spec, CheckOptions, Severity};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  ftdircmp-lint check [--spec PATH | --no-spec] [--max-states N] [--max-inflight N]\n  ftdircmp-lint dump [L1|L2|Mem]\n  ftdircmp-lint write-spec [--spec PATH]"
+        "usage:\n  ftdircmp-lint check [--spec PATH | --no-spec]\n  ftdircmp-lint dump [L1|L2|Mem]\n  ftdircmp-lint write-spec [--spec PATH]"
     );
     ExitCode::from(2)
 }
@@ -25,11 +30,23 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    match cmd.as_str() {
-        "check" => check(&args[1..]),
-        "dump" => dump(&args[1..]),
-        "write-spec" => write_spec(&args[1..]),
-        _ => usage(),
+    let mut out = String::new();
+    let code = match cmd.as_str() {
+        "check" => check(&args[1..], &mut out),
+        "dump" => dump(&args[1..], &mut out),
+        "write-spec" => write_spec(&args[1..], &mut out),
+        _ => return usage(),
+    };
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("cannot write the output: {e}");
+            ExitCode::FAILURE
+        }
+        _ => code,
     }
 }
 
@@ -48,7 +65,7 @@ fn parse_flag<'a>(args: &'a [String], i: &mut usize, name: &str) -> Option<Optio
     }
 }
 
-fn check(args: &[String]) -> ExitCode {
+fn check(args: &[String], out: &mut String) -> ExitCode {
     let mut opts = CheckOptions::default();
     let mut i = 0;
     while i < args.len() {
@@ -56,20 +73,10 @@ fn check(args: &[String]) -> ExitCode {
             opts.spec_path = None;
             i += 1;
         } else if let Some(v) = parse_flag(args, &mut i, "--spec") {
-            match v {
-                Some(p) => opts.spec_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            }
-        } else if let Some(v) = parse_flag(args, &mut i, "--max-states") {
-            match v.and_then(|s| s.parse().ok()) {
-                Some(n) => opts.max_states = n,
-                None => return usage(),
-            }
-        } else if let Some(v) = parse_flag(args, &mut i, "--max-inflight") {
-            match v.and_then(|s| s.parse().ok()) {
-                Some(n) => opts.max_inflight = n,
-                None => return usage(),
-            }
+            let Some(p) = v else {
+                return usage();
+            };
+            opts.spec_path = Some(PathBuf::from(p));
         } else {
             return usage();
         }
@@ -81,11 +88,12 @@ fn check(args: &[String]) -> ExitCode {
         .filter(|f| f.severity == Severity::Error)
         .count();
     for f in &findings {
-        println!("{f}");
+        let _ = writeln!(out, "{f}");
     }
     let rows: usize = Controller::ALL.iter().map(|&c| table(c).rows.len()).sum();
     let states: usize = Controller::ALL.iter().map(|&c| table(c).states.len()).sum();
-    println!(
+    let _ = writeln!(
+        out,
         "checked {states} states / {rows} rows across 3 controllers: {errors} error(s), {} note(s)",
         findings.len() - errors
     );
@@ -96,7 +104,7 @@ fn check(args: &[String]) -> ExitCode {
     }
 }
 
-fn dump(args: &[String]) -> ExitCode {
+fn dump(args: &[String], out: &mut String) -> ExitCode {
     let which: Vec<Controller> = match args.first().map(|s| s.to_ascii_lowercase()).as_deref() {
         None => Controller::ALL.to_vec(),
         Some("l1") => vec![Controller::L1],
@@ -106,15 +114,15 @@ fn dump(args: &[String]) -> ExitCode {
     };
     for c in which {
         let t = table(c);
-        println!("### {} controller\n", c.name());
+        let _ = writeln!(out, "### {} controller\n", c.name());
         for section in spec::Section::ALL {
-            println!("{}", spec::render_section(t, section));
+            let _ = writeln!(out, "{}", spec::render_section(t, section));
         }
     }
     ExitCode::SUCCESS
 }
 
-fn write_spec(args: &[String]) -> ExitCode {
+fn write_spec(args: &[String], out: &mut String) -> ExitCode {
     let mut path = PathBuf::from("PROTOCOL.md");
     let mut i = 0;
     while i < args.len() {
@@ -133,13 +141,13 @@ fn write_spec(args: &[String]) -> ExitCode {
     };
     let updated = spec::update_spec(&text);
     if updated == text {
-        println!("{} already up to date", path.display());
+        let _ = writeln!(out, "{} already up to date", path.display());
         return ExitCode::SUCCESS;
     }
     if let Err(e) = std::fs::write(&path, &updated) {
         eprintln!("cannot write {}: {e}", path.display());
         return ExitCode::FAILURE;
     }
-    println!("updated {}", path.display());
+    let _ = writeln!(out, "updated {}", path.display());
     ExitCode::SUCCESS
 }

@@ -7,26 +7,49 @@
 //!    row or is explicitly declared impossible/ignored.  No silent gaps.
 //! 2. **Spec drift** — the machine-readable tables embedded in PROTOCOL.md
 //!    §5 match the tables compiled into the simulator.
-//! 3. **Abstract reachability** — an abstract single-line model of two L1s,
-//!    the home L2 bank and memory is explored exhaustively; transitions
-//!    that never fire and "impossible" pairs that are actually reachable
-//!    are flagged.
+//! 3. **Reachability** — a bounded explicit-state search
+//!    ([`ftdircmp_core::search`]) runs the real controllers on two L1s, one
+//!    home bank and memory over two lines, without and with fault
+//!    tolerance, and exhausts every state within [`BOUNDS`]. A checker
+//!    violation (an `Impossible` or uncovered pair delivered among them), a
+//!    lost last copy or a stuck state is an error with its path; rows that
+//!    never fire are noted.
 //! 4. **Resource pairing** — per row, the resource book-keeping balances:
 //!    `implied(src) + alloc - free == Σ implied(next)` in each mode, timers
 //!    are armed/disarmed in matching pairs, and at most one backup per line
 //!    can exist at a node (§3.1).
 //! 5. **FT gating** — fault-tolerance-only states and rows are unreachable
-//!    when fault tolerance is disabled.
+//!    when fault tolerance is disabled: statically from the rows, and by
+//!    the rows the search fires without fault tolerance.
 
 use std::fmt;
 
 use ftdircmp_core::msg::MsgType;
 use ftdircmp_core::proto::TimeoutKind;
-use ftdircmp_core::transitions::{Controller, CpuOp, Event};
+use ftdircmp_core::search::Bounds;
+use ftdircmp_core::transitions::{table, Controller, CpuOp, Event};
 
 pub mod lints;
-pub mod model;
 pub mod spec;
+
+/// The search bounds of lint 3, without and with fault tolerance: two ops
+/// per L1 (79 thousand states); one op per L1, one drop and one early
+/// firing (1.7 million states, about 25 s and 0.5 GB in release). Two ops
+/// per L1 with a drop ran past 2.5 GB, so fault tolerance runs with one.
+pub const BOUNDS: [Bounds; 2] = [
+    Bounds {
+        ops: 2,
+        drops: 0,
+        early: 0,
+        on_time: 0,
+    },
+    Bounds {
+        ops: 1,
+        drops: 1,
+        early: 1,
+        on_time: 3,
+    },
+];
 
 /// Severity of a finding.  `Error` findings fail `check`; `Note`s do not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -117,18 +140,12 @@ pub fn parse_event(s: &str) -> Option<Event> {
 pub struct CheckOptions {
     /// Path to PROTOCOL.md (lint 2).  `None` skips the spec-drift lint.
     pub spec_path: Option<std::path::PathBuf>,
-    /// State-count cap for the abstract model exploration.
-    pub max_states: usize,
-    /// In-flight message cap for the abstract model.
-    pub max_inflight: usize,
 }
 
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
             spec_path: Some(std::path::PathBuf::from("PROTOCOL.md")),
-            max_states: 400_000,
-            max_inflight: 7,
         }
     }
 }
@@ -138,7 +155,7 @@ impl Default for CheckOptions {
 pub fn run_check(opts: &CheckOptions) -> Vec<Finding> {
     let mut findings = Vec::new();
     for c in Controller::ALL {
-        let table = ftdircmp_core::transitions::table(c);
+        let table = table(c);
         findings.extend(lints::completeness(table));
         findings.extend(lints::resource_pairing(table));
         findings.extend(lints::ft_gating(table));
@@ -153,7 +170,8 @@ pub fn run_check(opts: &CheckOptions) -> Vec<Finding> {
             )),
         }
     }
-    findings.extend(model::reachability(opts.max_states, opts.max_inflight));
+    let tables = Controller::ALL.map(table);
+    findings.extend(lints::reachability(tables, BOUNDS));
     findings.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.lint.cmp(b.lint)));
     findings
 }

@@ -3,10 +3,11 @@
 //! them.
 
 use ftdircmp_core::msg::MsgType;
+use ftdircmp_core::search::{search, Bounds};
 use ftdircmp_core::transitions::{
     impossible, msg, table, Controller, ControllerTable, Event, Gate, Transition,
 };
-use ftdircmp_lint::{lints, model, spec};
+use ftdircmp_lint::{lints, spec};
 
 fn rebuild(
     c: Controller,
@@ -150,9 +151,18 @@ fn spec_drift_flags_edits_additions_and_deletions() {
     );
 }
 
+/// Without fault tolerance, two ops per L1: enough for a sharer to drop
+/// its copy silently and then see the `Inv` of the other L1's upgrade.
+const TWO_OPS: Bounds = Bounds {
+    ops: 2,
+    drops: 0,
+    early: 0,
+    on_time: 0,
+};
+
 #[test]
-fn model_reaches_a_wrongly_declared_impossible_pair() {
-    // Declare the benign stale-Inv-at-I pair impossible: the model must
+fn search_reaches_a_wrongly_declared_impossible_pair() {
+    // Declare the benign stale-Inv-at-I pair impossible: the search must
     // reach it and report the contradiction.
     let l1 = leak(rebuild(Controller::L1, |_, rows, exceptions| {
         rows.retain(|r| !(r.src == "I" && r.event == msg(MsgType::Inv)));
@@ -163,23 +173,22 @@ fn model_reaches_a_wrongly_declared_impossible_pair() {
         ));
     }));
     let tables = [l1, table(Controller::L2), table(Controller::Mem)];
-    let exp = model::explore_with(tables, false, 30_000, 7);
+    let report = search(tables, false, TWO_OPS).expect("the fixture's states resolve");
     assert!(
-        exp.bad_pairs
+        report
+            .failures
             .iter()
-            .any(|(c, pair, _)| *c == Controller::L1 && pair.contains("Inv")),
+            .any(|f| f.what.contains("PROTOCOL: L1-")
+                && f.what.contains("unexpected Inv in state I")),
         "{:?}",
-        exp.bad_pairs
+        report.failures
     );
 }
 
 #[test]
-fn model_leaves_an_undrivable_row_unfired() {
+fn search_leaves_an_undrivable_row_unfired() {
     // GetX is only ever addressed to the home bank or memory, never to an
-    // L1, so a row consuming it at the L1 can never fire.  (A stale
-    // AckBD-at-S fixture turned out to be genuinely reachable through a
-    // reissued ownership handshake — dead rows need an undeliverable
-    // event, not just an implausible state.)
+    // L1, so a row consuming it at the L1 can never fire.
     let l1 = leak(rebuild(Controller::L1, |_, rows, _| {
         let mut bogus = Transition::new("S", msg(MsgType::GetX), &["S"]);
         bogus.guard = "broken fixture: dead by construction";
@@ -188,11 +197,37 @@ fn model_leaves_an_undrivable_row_unfired() {
     let dead_idx = l1.rows.len() - 1;
     assert_eq!(l1.rows[dead_idx].event, Event::Msg(MsgType::GetX));
     let tables = [l1, table(Controller::L2), table(Controller::Mem)];
-    let exp = model::explore_with(tables, true, 30_000, 7);
+    let report = search(tables, false, TWO_OPS).expect("the fixture's states resolve");
     assert!(
-        !exp.fired.contains(&(Controller::L1, dead_idx)),
+        !report.fired.contains(&(Controller::L1, dead_idx)),
         "bogus row fired"
     );
     // Sanity: plenty of real rows did fire.
-    assert!(exp.fired.len() > 50);
+    assert!(report.fired.len() > 50, "{} rows fired", report.fired.len());
+}
+
+#[test]
+fn search_finds_the_recall_answering_its_lost_data_with_acko() {
+    // Without its `WaitRecall` rows, an `OwnershipPing` at a recall whose
+    // `DataEx` was lost falls through to the line's unconditional `AckO`:
+    // the owner drops its backup, the last copy. One op per L1 and one
+    // drop reach it.
+    let l2 = leak(rebuild(Controller::L2, |_, rows, _| {
+        let ping = msg(MsgType::OwnershipPing);
+        rows.retain(|r| !(r.src == "WaitRecall" && r.event == ping));
+    }));
+    let tables = [table(Controller::L1), l2, table(Controller::Mem)];
+    let one_drop = Bounds {
+        ops: 1,
+        drops: 1,
+        early: 0,
+        on_time: 3,
+    };
+    let report = search(tables, true, one_drop).expect("the fixture's states resolve");
+    let bug = (report.failures.iter())
+        .find(|f| f.what.contains("last copy") || f.what.contains("records left"))
+        .unwrap_or_else(|| panic!("not found: {:?}", report.failures));
+    let step = |what: &str| bug.steps.iter().any(|s| s.starts_with(what));
+    assert!(step("drop DataEx L1-"), "{bug:?}");
+    assert!(step("deliver OwnershipPing L1-"), "{bug:?}");
 }

@@ -5,8 +5,9 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+use ftdircmp_core::search::{search, Bounds};
 use ftdircmp_core::transitions::{table, Controller};
-use ftdircmp_lint::{lints, model, parse_event, spec};
+use ftdircmp_lint::{lints, parse_event, spec};
 
 fn protocol_md() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../PROTOCOL.md");
@@ -71,12 +72,19 @@ fn event_display_round_trips() {
 }
 
 #[test]
-fn model_reaches_the_deep_flows() {
-    // A small bounded exploration must already drive the victim-recall and
-    // memory-writeback machinery, produce no impossible-reached pairs, and
-    // leak no FT-only state into the non-FT run.
-    let ft = model::explore(true, 60_000, 7);
-    assert!(ft.bad_pairs.is_empty(), "{:?}", ft.bad_pairs);
+fn search_reaches_the_deep_flows() {
+    // One op per L1 already drives the victim recall, the memory
+    // writeback and the §3.1.1 handshakes with no failure, and leaks no
+    // FT-only state into the non-FT run.
+    let tables = Controller::ALL.map(table);
+    let one_op = Bounds {
+        ops: 1,
+        drops: 0,
+        early: 0,
+        on_time: 3,
+    };
+    let ft = search(tables, true, one_op).expect("the tables' states resolve");
+    assert!(ft.failures.is_empty(), "{:?}", ft.failures);
     let l2 = table(Controller::L2);
     let fired_srcs: BTreeSet<&str> = ft
         .fired
@@ -88,7 +96,14 @@ fn model_reaches_the_deep_flows() {
         assert!(fired_srcs.contains(src), "no L2 row fired from {src}");
     }
 
-    let non_ft = model::explore(false, 30_000, 7);
-    assert!(non_ft.bad_pairs.is_empty(), "{:?}", non_ft.bad_pairs);
-    assert!(non_ft.ft_leaks.is_empty(), "{:?}", non_ft.ft_leaks);
+    let non_ft = search(tables, false, one_op).expect("the tables' states resolve");
+    assert!(non_ft.failures.is_empty(), "{:?}", non_ft.failures);
+    // A facet enters a state only through a row naming it.
+    for &(c, i) in &non_ft.fired {
+        let row = &table(c).rows[i];
+        for s in std::iter::once(&row.src).chain(&row.next) {
+            let state = table(c).state(s).expect("a declared state");
+            assert!(!state.ft_only, "{s} reached without fault tolerance");
+        }
+    }
 }
