@@ -407,29 +407,49 @@ impl L1Controller {
 
     /// Human-readable summary of in-flight state (deadlock diagnostics).
     pub(crate) fn pending_summary(&self) -> String {
-        let (mut out, me) = (String::new(), self.me);
+        let mut out = String::new();
         for (a, s) in self.lines.iter() {
             if let Some(m) = &s.miss {
-                let (kind, serial, responded) = (m.kind, m.serial, m.responded);
-                let (got, needed, retries) = (m.acks_got, m.acks_needed, m.timer.retries());
-                out += &format!("{me} miss {a} kind={kind:?} serial={serial} responded={responded} acks={got}/{needed} retries={retries}\n");
+                let retries = m.timer.retries();
+                out.push_str(&format!(
+                    "{} miss {a} kind={:?} serial={} responded={} acks={}/{} retries={retries}\n",
+                    self.me, m.kind, m.serial, m.responded, m.acks_got, m.acks_needed
+                ));
             }
+        }
+        for (a, s) in self.lines.iter() {
             if let Some(w) = &s.wb {
-                let data = w.data.is_some();
-                out += &format!("{me} wb {a} serial={} data={data}\n", w.serial);
+                out.push_str(&format!(
+                    "{} wb {a} serial={} data={}\n",
+                    self.me,
+                    w.serial,
+                    w.data.is_some()
+                ));
             }
+        }
+        for (a, s) in self.lines.iter() {
             if let Some(b) = &s.backup {
-                let (dest, serial, kind) = (b.dest, b.serial, b.kind);
-                out += &format!("{me} backup {a} dest={dest} serial={serial} kind={kind:?}\n");
+                out.push_str(&format!(
+                    "{} backup {a} dest={} serial={} kind={:?}\n",
+                    self.me, b.dest, b.serial, b.kind
+                ));
             }
+        }
+        for (a, s) in self.lines.iter() {
             if let Some(p) = &s.ackbd {
-                out += &format!(
-                    "{me} ackbd-pending {a} peer={} serial={}\n",
-                    p.peer, p.serial
-                );
+                out.push_str(&format!(
+                    "{} ackbd-pending {a} peer={} serial={}\n",
+                    self.me, p.peer, p.serial
+                ));
             }
+        }
+        for (a, s) in self.lines.iter() {
             if !s.deferred.is_empty() {
-                out += &format!("{me} deferred {a} n={}\n", s.deferred.len());
+                out.push_str(&format!(
+                    "{} deferred {a} n={}\n",
+                    self.me,
+                    s.deferred.len()
+                ));
             }
         }
         for op in &self.stalled_ops {

@@ -1,28 +1,12 @@
-//! Bounded explicit-state search over the real controllers (DESIGN.md §10,
-//! lint 3): every state two L1s with one-line caches, one home bank with a
-//! one-entry L2 and one memory controller reach over two lines `A` and `B`,
-//! running the simulator's own `L1Controller`, `L2Controller` and
-//! `MemController` through the same effect sink, `Ctx`.
-//!
-//! Each step is a choice: an L1 with nothing outstanding and ops left issues
-//! a load or a store to either line; a message is delivered — in any order
-//! with fault tolerance, as adaptive routing reorders them, and in order
-//! between two nodes without it — or dropped within the drop budget; a live
-//! timer fires early (a §3.2 false positive, while a message is in flight)
-//! within the early budget, or on time once nothing is in flight. On time
-//! the records that fired least often go first, as backoff makes them do,
-//! each at most [`Bounds::on_time`] times. The L1s are alike and so are the
-//! lines, so the first op is L1-0's on `A`.
-//!
-//! A state is its protocol state: the controllers' lines, records, queues
-//! and serials, the checker's view, the messages and the armed timers by
-//! node, line and kind, the ops and budgets left; not statistics, cycles,
-//! LRU order, slot handles or timer generations. The search is
-//! breadth-first, so each failure comes with a shortest path. At every
-//! state it checks the checker's violations and that the latest committed
-//! version of each line is still held somewhere; at a state with no step
-//! left, that every op retired and no record is held. It reports the rows
-//! applied, which name every state a line's facets took.
+//! Bounded explicit-state search over the real controllers: lint 3 of
+//! DESIGN.md §10, which gives its world, steps, state and checks. Two L1s
+//! with one-line caches, one home bank with a one-entry L2 and one memory
+//! controller run over two lines `A` and `B` through `Ctx`. Messages are
+//! delivered in any order with fault tolerance (in order per node pair
+//! without it) or dropped within a budget; timers fire early within a
+//! budget, or on time and fairly ([`ON_TIME`]). A state is its protocol
+//! state, without statistics, cycles, LRU order, slot handles or timer
+//! generations. Breadth-first, so each failure has a shortest path.
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -52,9 +36,13 @@ pub struct Bounds {
     pub drops: u8,
     /// Timers that may fire while a message is in flight.
     pub early: u8,
-    /// On-time firings of one record's timer.
-    pub on_time: u8,
 }
+
+/// On-time firings of one record's timer. Backoff lengthens each retry
+/// (DESIGN.md §6.4), so the records that fired least fire next, and a record
+/// that fired three times without progress while every other record had
+/// its turns is stuck: a state with no step left is then a finding.
+pub const ON_TIME: u8 = 3;
 
 /// A broken invariant — a checker violation (`PROTOCOL:` for an
 /// `Impossible` or uncovered event), a lost last copy or a stuck state —
@@ -302,8 +290,7 @@ impl World {
         };
         let least = self.timers.iter().map(fired).min().unwrap_or(0);
         for (i, t) in self.timers.iter().enumerate() {
-            let on_time =
-                self.flight.is_empty() && fired(t) == least && least < sink.bounds.on_time;
+            let on_time = self.flight.is_empty() && fired(t) == least && least < ON_TIME;
             if on_time || !self.flight.is_empty() && self.early > 0 {
                 out.push(Choice::Fire(i));
             }

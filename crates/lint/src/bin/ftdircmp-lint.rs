@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ftdircmp_core::transitions::{table, Controller};
-use ftdircmp_lint::{spec, CheckOptions, Severity};
+use ftdircmp_lint::{spec, Severity};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -66,23 +66,23 @@ fn parse_flag<'a>(args: &'a [String], i: &mut usize, name: &str) -> Option<Optio
 }
 
 fn check(args: &[String], out: &mut String) -> ExitCode {
-    let mut opts = CheckOptions::default();
+    let mut spec_path = Some(PathBuf::from("PROTOCOL.md"));
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--no-spec" {
-            opts.spec_path = None;
+            spec_path = None;
             i += 1;
         } else if let Some(v) = parse_flag(args, &mut i, "--spec") {
             let Some(p) = v else {
                 return usage();
             };
-            opts.spec_path = Some(PathBuf::from(p));
+            spec_path = Some(PathBuf::from(p));
         } else {
             return usage();
         }
     }
 
-    let findings = ftdircmp_lint::run_check(&opts);
+    let findings = ftdircmp_lint::run_check(spec_path.as_deref());
     let errors = findings
         .iter()
         .filter(|f| f.severity == Severity::Error)

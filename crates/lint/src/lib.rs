@@ -41,13 +41,11 @@ pub const BOUNDS: [Bounds; 2] = [
         ops: 2,
         drops: 0,
         early: 0,
-        on_time: 0,
     },
     Bounds {
         ops: 1,
         drops: 1,
         early: 1,
-        on_time: 3,
     },
 ];
 
@@ -135,24 +133,10 @@ pub fn parse_event(s: &str) -> Option<Event> {
         .map(Event::Msg)
 }
 
-/// Options for a `check` run.
-#[derive(Debug, Clone)]
-pub struct CheckOptions {
-    /// Path to PROTOCOL.md (lint 2).  `None` skips the spec-drift lint.
-    pub spec_path: Option<std::path::PathBuf>,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            spec_path: Some(std::path::PathBuf::from("PROTOCOL.md")),
-        }
-    }
-}
-
-/// Runs all five lints over the compiled-in tables.
+/// Runs all five lints over the compiled-in tables, reading PROTOCOL.md
+/// for lint 2 from `spec_path` (`None` skips it).
 #[must_use]
-pub fn run_check(opts: &CheckOptions) -> Vec<Finding> {
+pub fn run_check(spec_path: Option<&std::path::Path>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for c in Controller::ALL {
         let table = table(c);
@@ -160,7 +144,7 @@ pub fn run_check(opts: &CheckOptions) -> Vec<Finding> {
         findings.extend(lints::resource_pairing(table));
         findings.extend(lints::ft_gating(table));
     }
-    if let Some(path) = &opts.spec_path {
+    if let Some(path) = spec_path {
         match std::fs::read_to_string(path) {
             Ok(text) => findings.extend(spec::drift(&text)),
             Err(e) => findings.push(Finding::error(

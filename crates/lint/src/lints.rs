@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use ftdircmp_core::search::{search, Bounds};
+use ftdircmp_core::search::{search, Bounds, Failure, ON_TIME};
 use ftdircmp_core::transitions::{
     Controller, ControllerTable, Coverage, Gate, Resource, Transition,
 };
@@ -86,6 +86,14 @@ fn describe(books: &Books) -> String {
         .join(", ")
 }
 
+/// A row as a finding names it: `` `src @ event` `` and its guard, if any.
+fn row_name(row: &Transition) -> String {
+    match row.guard {
+        "" => format!("`{} @ {}`", row.src, row.event),
+        guard => format!("`{} @ {}` [{guard}]", row.src, row.event),
+    }
+}
+
 /// Lint 4 — resource pairing.  For each row and each mode in which it is
 /// active, `implied(src) + alloc - free` must equal the sum of the
 /// resources implied by the next states: MSHRs/TBEs/backups are allocated
@@ -106,14 +114,8 @@ pub fn resource_pairing(table: &ControllerTable) -> Vec<Finding> {
                     "resource-pairing",
                     Some(table.controller),
                     format!(
-                        "row `{} @ {}`{} ({} mode): {}",
-                        row.src,
-                        row.event,
-                        if row.guard.is_empty() {
-                            String::new()
-                        } else {
-                            format!(" [{}]", row.guard)
-                        },
+                        "row {} ({} mode): {}",
+                        row_name(row),
                         if ft { "ft" } else { "non-ft" },
                         describe(&books)
                     ),
@@ -199,14 +201,34 @@ pub fn ft_gating(table: &ControllerTable) -> Vec<Finding> {
 }
 
 /// Failures of defects that are known and open (ROADMAP.md, Known
-/// defects): each is noted instead of failing the gate. An entry names its
-/// failure by what it says and by a step of its path.
-const KNOWN_DEFECTS: [(&str, &str); 1] = [
-    // A GetX that outlived its reissue is served as a new request: the
-    // other L1 keeps a backup for good and the directory names an owner
-    // without the data. No row can tell it from a new request.
-    ("kind=ForwardedData", "lost-request timer on A fires early"),
+/// defects), each pinned by its exact text: noted instead of failing the
+/// gate. Any other failure, however alike, is an error.
+const KNOWN_DEFECTS: [&str; 4] = [
+    // ROADMAP item 1(f): a GetX that outlived its reissue is served as a new
+    // request: the other L1 keeps its forwarded-data backup for good and
+    // the directory names an owner without the data. No row can tell it
+    // from a new request. Four shortest paths: a slow GetX at either L1, a
+    // lost GetX at L1-0 and a lost DataEx at L1-1, each reissued early.
+    "records left at quiescence: L1-1 backup line:0x0 dest=L1-0 serial=#236 kind=ForwardedData { acks: 0 }",
+    "records left at quiescence: L1-0 backup line:0x0 dest=L1-1 serial=#149 kind=ForwardedData { acks: 0 }",
+    "records left at quiescence: L1-1 backup line:0x0 dest=L1-0 serial=#237 kind=ForwardedData { acks: 0 }",
+    "records left at quiescence: L1-0 backup line:0x0 dest=L1-1 serial=#150 kind=ForwardedData { acks: 0 }",
 ];
+
+/// A failure of the `mode` search: an error with its path, or a note if it
+/// is a known defect's.
+fn failure(mode: &str, f: &Failure) -> Finding {
+    let message = format!(
+        "{mode} search: {}; path:\n    {}",
+        f.what,
+        f.steps.join("\n    ")
+    );
+    if KNOWN_DEFECTS.contains(&f.what.as_str()) {
+        Finding::note("reachability", None, format!("known defect: {message}"))
+    } else {
+        Finding::error("reachability", None, message)
+    }
+}
 
 /// Lint 3 — reachability, and the dynamic half of lint 5: the state search
 /// of `ftdircmp_core::search` over the real controllers running `tables`
@@ -226,24 +248,16 @@ pub fn reachability(tables: [&'static ControllerTable; 3], bounds: [Bounds; 2]) 
             Err(e) => return vec![Finding::error("reachability", None, e)],
         };
         let (states, rows) = (report.states, report.fired.len());
-        let summary =
-            format!("{mode} search exhausted {states} states ({bounds:?}); {rows} rows fired");
+        let fair = if ft {
+            format!("; on-time firings fair, at most {ON_TIME} per record")
+        } else {
+            String::new()
+        };
+        let summary = format!(
+            "{mode} search exhausted {states} states ({bounds:?}{fair}); {rows} rows fired"
+        );
         findings.push(Finding::note("reachability", None, summary));
-        for f in report.failures {
-            let message = format!(
-                "{mode} search: {}; path:\n    {}",
-                f.what,
-                f.steps.join("\n    ")
-            );
-            let known = |&(what, step): &(&str, &str)| {
-                f.what.contains(what) && f.steps.iter().any(|s| s.contains(step))
-            };
-            findings.push(if KNOWN_DEFECTS.iter().any(known) {
-                Finding::note("reachability", None, format!("known defect: {message}"))
-            } else {
-                Finding::error("reachability", None, message)
-            });
-        }
+        findings.extend(report.failures.iter().map(|f| failure(mode, f)));
         for &(c, i) in report.fired.iter().filter(|_| !ft) {
             let (table, row) = (tables[c as usize], &tables[c as usize].rows[i]);
             let named = std::iter::once(&row.src).chain(&row.next);
@@ -258,21 +272,41 @@ pub fn reachability(tables: [&'static ControllerTable; 3], bounds: [Bounds; 2]) 
         fired.extend(report.fired);
     }
     for (c, table) in Controller::ALL.into_iter().zip(tables) {
-        let unfired = table
-            .rows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !fired.contains(&(c, *i)));
-        for (_, row) in unfired {
-            let (src, event, guard) = (row.src, row.event, row.guard);
-            let guard = if guard.is_empty() {
-                String::new()
-            } else {
-                format!(" [{guard}]")
-            };
-            let message = format!("row `{src} @ {event}`{guard} never fires in the search");
+        for (_, row) in (table.rows.iter().enumerate()).filter(|(i, _)| !fired.contains(&(c, *i))) {
+            let message = format!("row {} never fires in the search", row_name(row));
             findings.push(Finding::note("reachability", Some(c), message));
         }
     }
     findings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Severity;
+
+    /// The stale request's known failure, and the same failure one serial
+    /// on, with the first steps of its path: a slow `GetX` and an early
+    /// firing on `A`.
+    #[test]
+    fn only_a_known_defects_exact_failure_is_a_note() {
+        let steps = [
+            "L1-0 issues Store A",
+            "L1-1 issues Store A",
+            "L1-0's lost-request timer on A fires early",
+        ];
+        let at = |what: &str| Failure {
+            what: what.to_owned(),
+            steps: steps.map(str::to_owned).to_vec(),
+        };
+        let known = failure("ft", &at(KNOWN_DEFECTS[0]));
+        assert_eq!(known.severity, Severity::Note, "{known}");
+        assert!(known
+            .message
+            .starts_with("known defect: ft search: records left"));
+        let other = KNOWN_DEFECTS[0].replace("#236", "#238");
+        let other = failure("ft", &at(&other));
+        assert_eq!(other.severity, Severity::Error, "{other}");
+        assert!(other.message.contains("fires early"), "{other}");
+    }
 }

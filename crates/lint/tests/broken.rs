@@ -157,7 +157,6 @@ const TWO_OPS: Bounds = Bounds {
     ops: 2,
     drops: 0,
     early: 0,
-    on_time: 0,
 };
 
 #[test]
@@ -221,7 +220,6 @@ fn search_finds_the_recall_answering_its_lost_data_with_acko() {
         ops: 1,
         drops: 1,
         early: 0,
-        on_time: 3,
     };
     let report = search(tables, true, one_drop).expect("the fixture's states resolve");
     let bug = (report.failures.iter())

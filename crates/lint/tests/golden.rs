@@ -81,7 +81,6 @@ fn search_reaches_the_deep_flows() {
         ops: 1,
         drops: 0,
         early: 0,
-        on_time: 3,
     };
     let ft = search(tables, true, one_op).expect("the tables' states resolve");
     assert!(ft.failures.is_empty(), "{:?}", ft.failures);
