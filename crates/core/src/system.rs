@@ -69,12 +69,10 @@ pub enum RunError {
     Deadlock {
         /// Simulated time at detection.
         at: u64,
-        /// Cores still blocked on memory.
-        blocked_cores: Vec<u8>,
         /// Last cycle at which any core retired an operation.
         last_progress: u64,
-        /// Per-core stall context: the lines each blocked core is waiting
-        /// on and its retirement progress.
+        /// The cores still blocked on memory, each with the lines it is
+        /// waiting on and its retirement progress.
         stalled: Vec<StalledCore>,
         /// In-flight state of every controller at detection time.
         diagnostics: String,
@@ -87,7 +85,6 @@ impl std::fmt::Display for RunError {
             RunError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
             RunError::Deadlock {
                 at,
-                blocked_cores,
                 last_progress,
                 stalled,
                 diagnostics,
@@ -96,13 +93,26 @@ impl std::fmt::Display for RunError {
                     f,
                     "deadlock detected at cycle {at}: {} cores blocked \
                      (no progress since cycle {last_progress})",
-                    blocked_cores.len()
+                    stalled.len()
                 )?;
                 for s in stalled {
                     write!(f, "\n  {s}")?;
                 }
                 write!(f, "\n{diagnostics}")
             }
+        }
+    }
+}
+
+impl RunError {
+    /// The first blocked core that waits on a line, and that line: what a
+    /// deadlock record names as stuck.
+    pub fn first_stuck(&self) -> Option<(u8, LineAddr)> {
+        match self {
+            RunError::Deadlock { stalled, .. } => stalled
+                .iter()
+                .find_map(|s| s.pending_lines.first().map(|l| (s.core, *l))),
+            RunError::InvalidConfig(_) => None,
         }
     }
 }
@@ -453,9 +463,11 @@ impl System {
         out
     }
 
-    /// Per-core stall context for deadlock reports.
-    fn stalled_cores(&self) -> Vec<StalledCore> {
-        self.cpus
+    /// The deadlock record at `at`: every blocked core with its stall
+    /// context, and the controllers' in-flight state.
+    fn deadlock(&self, at: Cycle) -> RunError {
+        let stalled = self
+            .cpus
             .iter()
             .filter(|c| !c.is_done())
             .map(|c| StalledCore {
@@ -463,7 +475,13 @@ impl System {
                 pending_lines: c.outstanding_lines().to_vec(),
                 mem_ops_done: c.mem_ops_done(),
             })
-            .collect()
+            .collect();
+        RunError::Deadlock {
+            at: at.as_u64(),
+            last_progress: self.last_progress.as_u64(),
+            stalled,
+            diagnostics: self.diagnostics(),
+        }
     }
 
     /// One tracker per scheduled fault event in `faults`.
@@ -640,19 +658,7 @@ impl System {
             }
             // Deadlock watchdog: cores alive but nothing retiring.
             if !self.all_cores_done() && now.saturating_since(self.last_progress) > watchdog {
-                let blocked: Vec<u8> = self
-                    .cpus
-                    .iter()
-                    .filter(|c| !c.is_done())
-                    .map(Cpu::core)
-                    .collect();
-                return Err(RunError::Deadlock {
-                    at: now.as_u64(),
-                    blocked_cores: blocked,
-                    last_progress: self.last_progress.as_u64(),
-                    stalled: self.stalled_cores(),
-                    diagnostics: self.diagnostics(),
-                });
+                return Err(self.deadlock(now));
             }
             // Leftover-activity guard: cores done but timers keep re-arming.
             if self.all_cores_done() && now.saturating_since(self.finished_at) > watchdog {
@@ -674,19 +680,7 @@ impl System {
     /// lost message leaves nothing in flight and no timer to recover (§3).
     fn into_report(self) -> Result<SimReport, RunError> {
         if !self.all_cores_done() {
-            let blocked: Vec<u8> = self
-                .cpus
-                .iter()
-                .filter(|c| !c.is_done())
-                .map(Cpu::core)
-                .collect();
-            return Err(RunError::Deadlock {
-                at: self.queue.now().as_u64(),
-                blocked_cores: blocked,
-                last_progress: self.last_progress.as_u64(),
-                stalled: self.stalled_cores(),
-                diagnostics: self.diagnostics(),
-            });
+            return Err(self.deadlock(self.queue.now()));
         }
 
         let fault_epochs = self.fault_epoch_reports();

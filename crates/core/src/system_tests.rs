@@ -1,9 +1,9 @@
 //! Unit tests for the system driver.
 
 use crate::config::SystemConfig;
-use crate::ids::Addr;
+use crate::ids::{Addr, LineAddr};
 use crate::serial::SerialNum;
-use crate::system::{RunError, System};
+use crate::system::{RunError, StalledCore, System};
 use crate::trace::{CoreTrace, TraceOp, Workload};
 use crate::tracelog::{CollectSink, TraceEventKind};
 
@@ -157,6 +157,27 @@ fn report_totals_match_workload() {
     assert_eq!(r.workload, "totals");
     assert_eq!(r.protocol, crate::config::ProtocolVariant::FtDirCmp);
     assert_eq!(r.messages_lost, 0);
+}
+
+#[test]
+fn first_stuck_names_the_first_core_waiting_on_a_line() {
+    let stalled = |core, lines: &[u64]| StalledCore {
+        core,
+        pending_lines: lines.iter().map(|&l| LineAddr(l)).collect(),
+        mem_ops_done: 0,
+    };
+    let deadlock = RunError::Deadlock {
+        at: 9,
+        last_progress: 1,
+        stalled: vec![
+            stalled(2, &[]),
+            stalled(5, &[0x40, 0x80]),
+            stalled(7, &[0xc0]),
+        ],
+        diagnostics: String::new(),
+    };
+    assert_eq!(deadlock.first_stuck(), Some((5, LineAddr(0x40))));
+    assert_eq!(RunError::InvalidConfig("x".into()).first_stuck(), None);
 }
 
 #[test]

@@ -100,14 +100,12 @@ fn dircmp_deadlocks_under_the_same_flap() {
     match System::run_workload(cfg, &wl) {
         Err(RunError::Deadlock {
             at,
-            blocked_cores,
             last_progress,
             stalled,
             ..
         }) => {
-            assert!(!blocked_cores.is_empty());
+            assert!(!stalled.is_empty());
             assert!(at > last_progress);
-            assert_eq!(stalled.len(), blocked_cores.len());
             assert!(
                 stalled.iter().any(|s| !s.pending_lines.is_empty()),
                 "diagnostics must name at least one stuck line"

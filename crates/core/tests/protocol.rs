@@ -218,8 +218,8 @@ fn dircmp_deadlocks_on_any_loss() {
     let mut cfg = SystemConfig::dircmp().with_fault_rate(20_000.0); // 2%
     cfg.watchdog_cycles = 100_000;
     match System::run_workload(cfg, &wl) {
-        Err(RunError::Deadlock { blocked_cores, .. }) => {
-            assert!(!blocked_cores.is_empty());
+        Err(RunError::Deadlock { stalled, .. }) => {
+            assert!(!stalled.is_empty());
         }
         Ok(r) => {
             // Statistically possible only if no message was actually lost.

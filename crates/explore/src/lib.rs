@@ -21,16 +21,17 @@
 //!    self-contained [`repro::Repro`] file that
 //!    `ftdircmp-explore replay` re-executes.
 //!
-//! Campaign cells are fanned out with the deterministic parallel runner
-//! from `ftdircmp-bench` ([`run_campaign_fallible`]), so exploration
-//! results are byte-identical at any `--jobs` count.
+//! Both campaign phases are lists of seed-0 [`Unit`]s fanned out with the
+//! deterministic parallel runner from `ftdircmp-bench`
+//! ([`run_units_caught`]), so exploration results are byte-identical at any
+//! `--jobs` count.
 
 pub mod repro;
 pub mod shrink;
 
 use std::path::PathBuf;
 
-use ftdircmp_bench::campaign::{run_campaign_fallible, Campaign, Cell};
+use ftdircmp_bench::campaign::{run_units_caught, Campaign, CellError, Unit};
 use ftdircmp_core::{ProtocolVariant, RunError, SimReport, System, SystemConfig, Workload};
 use ftdircmp_noc::{FaultConfig, VcClass};
 use ftdircmp_workloads::WorkloadSpec;
@@ -98,26 +99,15 @@ pub(crate) fn classify(
     result: &Result<SimReport, RunError>,
 ) -> Option<Failure> {
     match result {
-        Err(RunError::Deadlock {
-            at,
-            blocked_cores,
-            stalled,
-            ..
-        }) => {
+        Err(e @ RunError::Deadlock { at, stalled, .. }) => {
             // Name the stuck line so quarantine records say *what* hung,
             // not just that something did.
-            let stuck = stalled
-                .iter()
-                .find_map(|s| s.pending_lines.first().map(|l| (s.core, *l)));
-            let detail = match stuck {
+            let blocked = stalled.len();
+            let detail = match e.first_stuck() {
                 Some((core, line)) => format!(
-                    "deadlock at cycle {at}: {} core(s) blocked, core {core} stuck on {line}",
-                    blocked_cores.len()
+                    "deadlock at cycle {at}: {blocked} core(s) blocked, core {core} stuck on {line}"
                 ),
-                None => format!(
-                    "deadlock at cycle {at}: {} core(s) blocked",
-                    blocked_cores.len()
-                ),
+                None => format!("deadlock at cycle {at}: {blocked} core(s) blocked"),
             };
             Some(Failure {
                 kind: FailureKind::Deadlock,
@@ -291,12 +281,6 @@ pub struct ExploreReport {
     pub repro_paths: Vec<PathBuf>,
 }
 
-/// The effective per-run configuration for campaign seed 0: campaign units
-/// run `spec.generate(tiles, 1000 + seed)` under `config.with_seed(1000 +
-/// seed)` (see `ftdircmp_bench::run_seed_fallible`). Exploration always
-/// uses one seed per cell, so the offset is fixed.
-const CAMPAIGN_SEED: u64 = 1000;
-
 /// Runs a guided exploration campaign: reference phase, guided fault
 /// phase, then shrinking and repro emission for every failure found.
 ///
@@ -320,64 +304,50 @@ pub fn explore(opts: &ExploreOptions) -> ExploreReport {
     let mut report = ExploreReport::default();
 
     // Phase 1: fault-free reference runs, recording injection classes.
-    let mut ref_cells = Vec::new();
+    let mut ref_units = Vec::new();
     for spec in &opts.specs {
         for &ss in &opts.schedule_seeds {
-            let mut cfg = opts.config.clone().with_schedule_seed(ss);
-            cfg.mesh.faults = FaultConfig::default();
-            cfg.mesh.record_injections = true;
-            ref_cells.push(Cell::new(
-                format!("ref/{}-ss{}", spec.name, ss),
-                spec.clone(),
-                cfg,
-                1,
-            ));
+            let label = format!("ref/{}-ss{}", spec.name, ss);
+            ref_units.push(cell(opts, label, spec, ss, FaultConfig::default()));
         }
     }
-    let ref_results = run_campaign_fallible(&ref_cells, &campaign);
-    report.reference_runs = ref_cells.len();
+    let ref_results = run_units(&ref_units, &campaign);
+    report.reference_runs = ref_units.len();
 
-    // Phase 2: guided fault cells for every clean reference; reference
+    // Phase 2: guided fault units for every clean reference; reference
     // failures (a schedule seed alone broke the protocol) go straight to
     // the shrinker with an empty drop set.
-    let mut fault_cells: Vec<Cell> = Vec::new();
-    // (spec index, schedule seed, drop index) per fault cell.
+    let mut fault_units: Vec<Unit> = Vec::new();
+    // (spec index, schedule seed, drop index) per fault unit.
     let mut fault_meta: Vec<(usize, u64, u64)> = Vec::new();
-    for (cell_i, results) in ref_results.iter().enumerate() {
-        let spec_i = cell_i / opts.schedule_seeds.len();
-        let ss = opts.schedule_seeds[cell_i % opts.schedule_seeds.len()];
-        let spec = &opts.specs[spec_i];
-        let result = &results[0];
-        let workload = spec.generate(opts.config.tiles, CAMPAIGN_SEED);
+    for (unit_i, (unit, result)) in ref_units.iter().zip(&ref_results).enumerate() {
+        let spec_i = unit_i / opts.schedule_seeds.len();
+        let ss = unit.config.schedule_seed;
+        let workload = unit.workload();
         if let Some(failure) = classify(&workload, result) {
             report.failing_cells += 1;
-            minimize_and_record(opts, &mut report, spec, ss, &workload, Vec::new(), failure);
+            minimize_and_record(opts, &mut report, unit, &workload, Vec::new(), failure);
             continue;
         }
         let classes = &result.as_ref().expect("classified Ok").injection_classes;
         for drop in guided_drop_candidates(classes, opts.drop_budget) {
-            let mut cfg = opts.config.clone().with_schedule_seed(ss);
-            cfg.mesh.faults = FaultConfig::drop_exactly(vec![drop]);
-            cfg.mesh.record_injections = false;
-            fault_cells.push(Cell::new(
-                format!("drop/{}-ss{}-i{}", spec.name, ss, drop),
-                spec.clone(),
-                cfg,
-                1,
-            ));
+            let label = format!("drop/{}-ss{}-i{}", unit.spec.name, ss, drop);
+            let faults = FaultConfig::drop_exactly(vec![drop]);
+            fault_units.push(cell(opts, label, &unit.spec, ss, faults));
             fault_meta.push((spec_i, ss, drop));
         }
     }
-    let fault_results = run_campaign_fallible(&fault_cells, &campaign);
-    report.fault_runs = fault_cells.len();
+    let fault_results = run_units(&fault_units, &campaign);
+    report.fault_runs = fault_units.len();
 
     // Phase 3: classify, cap per cell, shrink, emit repros.
     let mut repros_in_cell: std::collections::HashMap<(usize, u64), usize> =
         std::collections::HashMap::new();
-    for (results, &(spec_i, ss, drop)) in fault_results.iter().zip(&fault_meta) {
-        let spec = &opts.specs[spec_i];
-        let workload = spec.generate(opts.config.tiles, CAMPAIGN_SEED);
-        let Some(failure) = classify(&workload, &results[0]) else {
+    for ((unit, result), &(spec_i, ss, drop)) in
+        fault_units.iter().zip(&fault_results).zip(&fault_meta)
+    {
+        let workload = unit.workload();
+        let Some(failure) = classify(&workload, result) else {
             continue;
         };
         report.failing_cells += 1;
@@ -386,9 +356,43 @@ pub fn explore(opts: &ExploreOptions) -> ExploreReport {
             continue;
         }
         *taken += 1;
-        minimize_and_record(opts, &mut report, spec, ss, &workload, vec![drop], failure);
+        minimize_and_record(opts, &mut report, unit, &workload, vec![drop], failure);
     }
     report
+}
+
+/// One exploration cell as a campaign unit at seed 0: `spec` under the
+/// explored configuration at schedule seed `ss` with `faults`. Only the
+/// fault-free reference cells record injection classes.
+fn cell(
+    opts: &ExploreOptions,
+    label: String,
+    spec: &WorkloadSpec,
+    ss: u64,
+    faults: FaultConfig,
+) -> Unit {
+    let mut config = opts.config.clone().with_schedule_seed(ss);
+    config.mesh.record_injections = !faults.is_faulty();
+    config.mesh.faults = faults;
+    Unit {
+        label,
+        spec: spec.clone(),
+        config,
+        seed: 0,
+    }
+}
+
+/// Runs `units` through the campaign runner, propagating a unit's panic.
+fn run_units(units: &[Unit], campaign: &Campaign) -> Vec<Result<SimReport, RunError>> {
+    run_units_caught(units, campaign)
+        .into_iter()
+        .map(|r| {
+            r.map_err(|e| match e {
+                CellError::Run(e) => e,
+                p @ CellError::Panicked { .. } => panic!("{p}"),
+            })
+        })
+        .collect()
 }
 
 /// Shrinks one failure and appends it (plus its repro file, if `out_dir`
@@ -396,19 +400,14 @@ pub fn explore(opts: &ExploreOptions) -> ExploreReport {
 fn minimize_and_record(
     opts: &ExploreOptions,
     report: &mut ExploreReport,
-    spec: &WorkloadSpec,
-    schedule_seed: u64,
+    unit: &Unit,
     workload: &Workload,
     drops: Vec<u64>,
     failure: Failure,
 ) {
-    // The effective cell configuration, minus the fault schedule (the
+    // The unit's effective configuration, minus the fault schedule (the
     // shrinker owns that field).
-    let mut cfg = opts
-        .config
-        .clone()
-        .with_seed(CAMPAIGN_SEED)
-        .with_schedule_seed(schedule_seed);
+    let mut cfg = unit.system_config();
     cfg.mesh.faults = FaultConfig::default();
     cfg.mesh.record_injections = false;
     let (min_drops, min_workload, stats) = shrink::shrink_failure(
@@ -429,8 +428,8 @@ fn minimize_and_record(
         report.repro_paths.push(path);
     }
     report.failures.push(FoundFailure {
-        workload: spec.name.to_string(),
-        schedule_seed,
+        workload: unit.spec.name.to_string(),
+        schedule_seed: unit.config.schedule_seed,
         original_drops: drops,
         failure,
         repro,
@@ -494,6 +493,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "campaign unit panicked")]
+    fn explore_propagates_a_panicked_unit() {
+        // An empty pattern mix makes the generator panic inside the worker.
+        let mut opts = ExploreOptions::new(ProtocolVariant::FtDirCmp);
+        opts.specs = vec![WorkloadSpec {
+            mix: Vec::new(),
+            ..WorkloadSpec::named("water-sp").unwrap()
+        }];
+        let _ = explore(&opts);
+    }
+
+    #[test]
     fn guided_candidates_empty_log() {
         assert!(guided_drop_candidates(&[], 10).is_empty());
         assert!(guided_drop_candidates(&[VcClass::Request], 0).is_empty());
@@ -510,7 +521,6 @@ mod tests {
         );
         let deadlock: Result<SimReport, RunError> = Err(RunError::Deadlock {
             at: 5,
-            blocked_cores: vec![0],
             last_progress: 2,
             stalled: vec![ftdircmp_core::StalledCore {
                 core: 0,

@@ -11,9 +11,9 @@
 //! ```
 //!
 //! `render_*` produce those sections from the compiled-in tables,
-//! [`drift`] parses the sections back out of PROTOCOL.md and diffs them
-//! structurally against the tables, and [`update_spec`] rewrites the
-//! sections in place (the `write-spec` subcommand).
+//! [`drift`] compares each section's text in PROTOCOL.md with the rendered
+//! text line by line, and [`update_spec`] rewrites the sections in place
+//! (the `write-spec` subcommand).
 
 use ftdircmp_core::transitions::{table, Controller, ControllerTable, ExceptionKind};
 
@@ -46,14 +46,6 @@ fn marker(section: Section, c: Controller) -> String {
 
 const END_MARKER: &str = "<!-- ftdircmp-lint:end -->";
 
-fn dashes(n: usize) -> String {
-    let mut s = String::from("|");
-    for _ in 0..n {
-        s.push_str("---|");
-    }
-    s
-}
-
 fn fmt_list<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
     if items.is_empty() {
         "—".to_owned()
@@ -63,8 +55,7 @@ fn fmt_list<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
 }
 
 /// Header + body cells for one section of one controller table.
-#[must_use]
-pub fn section_cells(t: &ControllerTable, section: Section) -> (Vec<String>, Vec<Vec<String>>) {
+fn section_cells(t: &ControllerTable, section: Section) -> (Vec<String>, Vec<Vec<String>>) {
     match section {
         Section::States => {
             let header = ["State", "Family", "Implies", "FT implies", "Description"]
@@ -160,28 +151,34 @@ pub fn section_cells(t: &ControllerTable, section: Section) -> (Vec<String>, Vec
     }
 }
 
+/// The table lines of one section, markers excluded.
+fn table_lines(t: &ControllerTable, section: Section) -> Vec<String> {
+    let (header, body) = section_cells(t, section);
+    let mut lines = vec![
+        format!("| {} |", header.join(" | ")),
+        format!("|{}", "---|".repeat(header.len())),
+    ];
+    lines.extend(body.iter().map(|row| format!("| {} |", row.join(" | "))));
+    lines
+}
+
 /// Renders one marked section (markers included).
 #[must_use]
 pub fn render_section(t: &ControllerTable, section: Section) -> String {
-    let (header, body) = section_cells(t, section);
-    let mut out = String::new();
-    out.push_str(&marker(section, t.controller));
+    let mut out = marker(section, t.controller);
     out.push('\n');
-    out.push_str(&format!("| {} |\n", header.join(" | ")));
-    out.push_str(&dashes(header.len()));
-    out.push('\n');
-    for row in &body {
-        out.push_str(&format!("| {} |\n", row.join(" | ")));
+    for line in table_lines(t, section) {
+        out.push_str(&line);
+        out.push('\n');
     }
     out.push_str(END_MARKER);
     out.push('\n');
     out
 }
 
-/// Extracts the body lines of a marked section from `text`, or `None` if
-/// the markers are absent.
-#[must_use]
-pub fn extract_section(text: &str, section: Section, c: Controller) -> Option<Vec<String>> {
+/// Extracts the lines of a marked section from `text`, or `None` if the
+/// markers are absent.
+fn extract_section(text: &str, section: Section, c: Controller) -> Option<Vec<&str>> {
     let open = marker(section, c);
     let mut lines = text.lines();
     lines.by_ref().find(|l| l.trim() == open)?;
@@ -190,113 +187,56 @@ pub fn extract_section(text: &str, section: Section, c: Controller) -> Option<Ve
         if line.trim() == END_MARKER {
             return Some(body);
         }
-        body.push(line.to_owned());
+        body.push(line);
     }
     None // unterminated section
 }
 
-/// Parses markdown table lines into cell rows, skipping the header and the
-/// `|---|` separator.
-#[must_use]
-pub fn parse_cells(lines: &[String]) -> Vec<Vec<String>> {
-    lines
-        .iter()
-        .map(|l| l.trim())
-        .filter(|l| l.starts_with('|'))
-        .filter(|l| !l.trim_matches(|c| c == '|' || c == '-').is_empty())
-        .skip(1) // header
-        .map(|l| {
-            l.trim_matches('|')
-                .split('|')
-                .map(|cell| cell.trim().to_owned())
-                .collect()
-        })
-        .collect()
-}
-
-/// Short identity of a parsed/expected row for diff messages.
-fn row_key(section: Section, cells: &[String]) -> String {
-    let take = match section {
-        Section::States => 1,
-        Section::Rows => 3, // src, event, guard
-        Section::Exceptions => 2,
-    };
-    cells
-        .iter()
-        .take(take)
-        .cloned()
-        .collect::<Vec<_>>()
-        .join(" @ ")
-}
-
-/// Diffs one section of PROTOCOL.md against the compiled-in table.
-fn drift_section(text: &str, t: &ControllerTable, section: Section) -> Vec<Finding> {
+/// Compares one section of PROTOCOL.md with the text the table renders and
+/// names the first line that differs.
+fn drift_section(text: &str, t: &ControllerTable, section: Section) -> Option<Finding> {
     let c = t.controller;
-    let Some(body) = extract_section(text, section, c) else {
-        return vec![Finding::error(
+    let Some(spec) = extract_section(text, section, c) else {
+        return Some(Finding::error(
             "spec-drift",
             Some(c),
             format!(
                 "PROTOCOL.md has no `{}` section (run `ftdircmp-lint write-spec`)",
                 marker(section, c)
             ),
-        )];
-    };
-    let found = parse_cells(&body);
-    let (_, expected) = section_cells(t, section);
-    let mut findings = Vec::new();
-    let mut fi = found.iter();
-    for exp in &expected {
-        match fi.next() {
-            None => findings.push(Finding::error(
-                "spec-drift",
-                Some(c),
-                format!(
-                    "{} section: missing entry `{}`",
-                    section.tag(),
-                    row_key(section, exp)
-                ),
-            )),
-            Some(got) if got != exp => findings.push(Finding::error(
-                "spec-drift",
-                Some(c),
-                format!(
-                    "{} section: `{}` differs\n    spec:  | {} |\n    code:  | {} |",
-                    section.tag(),
-                    row_key(section, exp),
-                    got.join(" | "),
-                    exp.join(" | ")
-                ),
-            )),
-            Some(_) => {}
-        }
-    }
-    for extra in fi {
-        findings.push(Finding::error(
-            "spec-drift",
-            Some(c),
-            format!(
-                "{} section: spec has entry `{}` not present in the code tables",
-                section.tag(),
-                row_key(section, extra)
-            ),
         ));
-    }
-    findings
+    };
+    let code = table_lines(t, section);
+    let line = |i: usize| (spec.get(i).copied(), code.get(i).map(String::as_str));
+    let i = (0..spec.len().max(code.len())).find(|&i| {
+        let (spec_line, code_line) = line(i);
+        spec_line != code_line
+    })?;
+    let (spec_line, code_line) = line(i);
+    let end = "(end of section)";
+    Some(Finding::error(
+        "spec-drift",
+        Some(c),
+        format!(
+            "{} section differs at line {} (run `ftdircmp-lint write-spec`)\n    \
+             spec:  {}\n    code:  {}",
+            section.tag(),
+            i + 1,
+            spec_line.unwrap_or(end),
+            code_line.unwrap_or(end)
+        ),
+    ))
 }
 
-/// Lint 2 entry point: diffs every marked section of PROTOCOL.md against
-/// the compiled-in tables.
+/// Lint 2 entry point: compares every marked section of PROTOCOL.md with
+/// the text the compiled-in tables render.
 #[must_use]
 pub fn drift(protocol_text: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for c in Controller::ALL {
-        let t = table(c);
-        for section in Section::ALL {
-            findings.extend(drift_section(protocol_text, t, section));
-        }
-    }
-    findings
+    Controller::ALL
+        .into_iter()
+        .flat_map(|c| Section::ALL.map(|section| (table(c), section)))
+        .filter_map(|(t, section)| drift_section(protocol_text, t, section))
+        .collect()
 }
 
 /// Rewrites (or appends) the marked sections in a PROTOCOL.md text and

@@ -115,39 +115,46 @@ fn ft_gating_flags_an_ungated_row_entering_an_ft_state() {
 fn spec_drift_flags_edits_additions_and_deletions() {
     let pristine = spec::update_spec("");
     assert!(spec::drift(&pristine).is_empty());
-
-    // A hand-edited cell.
-    let edited = pristine.replace("migratory grant", "migratory graft");
-    assert!(
-        spec::drift(&edited)
-            .iter()
-            .any(|f| f.message.contains("differs")),
-        "cell edit not detected"
-    );
-
-    // A deleted table line.
     let target = pristine
         .lines()
         .find(|l| l.contains("migratory grant"))
         .expect("row rendered");
-    let deleted = pristine.replace(&format!("{target}\n"), "");
-    assert!(
-        spec::drift(&deleted)
+    let next = pristine
+        .lines()
+        .skip_while(|l| *l != target)
+        .nth(1)
+        .expect("a line follows the row");
+    // Each broken text must be reported at its first differing line, with
+    // the spec's line and the code's line side by side.
+    let reported = |text: &str, spec_line: &str, code_line: &str| {
+        let shown = format!("spec:  {spec_line}\n    code:  {code_line}");
+        spec::drift(text)
             .iter()
-            .any(|f| f.message.contains("missing entry")),
-        "deletion not detected"
+            .any(|f| f.message.contains("differs") && f.message.contains(&shown))
+    };
+
+    // A hand-edited cell.
+    let edited = pristine.replace("migratory grant", "migratory graft");
+    let edited_line = target.replace("migratory grant", "migratory graft");
+    assert!(
+        reported(&edited, &edited_line, target),
+        "cell edit not detected"
     );
 
+    // A deleted table line.
+    let deleted = pristine.replace(&format!("{target}\n"), "");
+    assert!(reported(&deleted, next, target), "deletion not detected");
+
     // An invented extra line.
-    let added = pristine.replace(
-        &format!("{target}\n"),
-        &format!("{target}\n| `MT` | GetS | invented | both | ∅ | — | — | — | — | — | — |\n"),
-    );
+    let invented = "| `MT` | GetS | invented | both | ∅ | — | — | — | — | — | — |";
+    let added = pristine.replace(&format!("{target}\n"), &format!("{target}\n{invented}\n"));
+    assert!(reported(&added, invented, next), "addition not detected");
+
+    // Whitespace inside a marked table is drift too.
+    let spaced = pristine.replace(target, &target.replace(" | ", "  | "));
     assert!(
-        spec::drift(&added)
-            .iter()
-            .any(|f| f.message.contains("not present in the code tables")),
-        "addition not detected"
+        !spec::drift(&spaced).is_empty(),
+        "whitespace edit not detected"
     );
 }
 

@@ -17,7 +17,7 @@
 //! benchmarks, bad protocols and configs, empty grids) so a malformed
 //! submission is a typed client error, never a worker crash.
 
-use ftdircmp_bench::campaign::Unit;
+use ftdircmp_bench::campaign::{grid, Unit};
 use ftdircmp_core::{ProtocolVariant, SystemConfig};
 use ftdircmp_explore::repro::Repro;
 use ftdircmp_workloads::WorkloadSpec;
@@ -126,9 +126,10 @@ fn config_label(doc: &Json) -> String {
 }
 
 impl CampaignSpec {
-    /// Expands the grid into campaign units in deterministic order:
-    /// workload-major, then config, then seed — the order unit indices in
-    /// the result store refer to, across every run and resume.
+    /// Expands the grid into campaign units with [`grid`], in its
+    /// deterministic order: workload-major, then config, then seed — the
+    /// order unit indices in the result store refer to, across every run
+    /// and resume.
     ///
     /// # Errors
     ///
@@ -151,20 +152,12 @@ impl CampaignSpec {
             .iter()
             .map(|r| WorkloadSpec::parse(r))
             .collect::<Result<_, _>>()?;
-        let mut units = Vec::with_capacity(specs.len() * self.configs.len() * self.seeds as usize);
-        for spec in &specs {
-            for (doc, config) in &self.configs {
-                for seed in 0..self.seeds {
-                    units.push(Unit {
-                        label: format!("{}/{}", spec.name, config_label(doc)),
-                        spec: spec.clone(),
-                        config: config.clone(),
-                        seed,
-                    });
-                }
-            }
-        }
-        Ok(units)
+        let configs: Vec<(String, SystemConfig)> = self
+            .configs
+            .iter()
+            .map(|(doc, config)| (config_label(doc), config.clone()))
+            .collect();
+        Ok(grid(&specs, &configs, self.seeds))
     }
 }
 
@@ -352,6 +345,41 @@ mod tests {
 
         let back = JobSpec::from_json(&job.to_json()).unwrap();
         assert_eq!(back, job);
+    }
+
+    #[test]
+    fn campaign_units_keep_their_order_and_labels() {
+        // Unit indices in the result store name these positions, so a
+        // resumed job depends on this exact order.
+        let job = JobSpec::from_json(
+            &Json::parse(
+                r#"{"kind":"campaign","specs":["barnes:ops=40","fft:ops=50"],
+                    "configs":[{"protocol":"dircmp"},{"protocol":"ftdircmp","fault_rate":125}],
+                    "seeds":2}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let JobKind::Campaign(c) = &job.kind else {
+            panic!("expected campaign")
+        };
+        let got: Vec<String> = (c.units().unwrap().iter())
+            .map(|u| {
+                let faulty = u.config.mesh.faults.is_faulty();
+                format!("{} {} {} {faulty}", u.label, u.seed, u.spec.ops_per_core)
+            })
+            .collect();
+        let want = [
+            "barnes/dircmp 0 40 false",
+            "barnes/dircmp 1 40 false",
+            "barnes/ftdircmp-125 0 40 true",
+            "barnes/ftdircmp-125 1 40 true",
+            "fft/dircmp 0 50 false",
+            "fft/dircmp 1 50 false",
+            "fft/ftdircmp-125 0 50 true",
+            "fft/ftdircmp-125 1 50 true",
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

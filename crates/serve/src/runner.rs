@@ -176,23 +176,21 @@ fn unit_record(index: u64, unit: &Unit, result: &Result<SimReport, CellError>) -
             pairs.push(("violations", Json::num_u64(report.violations.len() as u64)));
             pairs.push(("messages_lost", Json::num_u64(report.messages_lost)));
         }
-        Err(CellError::Run(RunError::Deadlock {
-            at,
-            blocked_cores,
-            last_progress,
-            stalled,
-            ..
-        })) => {
+        Err(CellError::Run(
+            e @ RunError::Deadlock {
+                at,
+                last_progress,
+                stalled,
+                ..
+            },
+        )) => {
             pairs.push(("status", Json::str("deadlock")));
             pairs.push(("at", Json::num_u64(*at)));
-            pairs.push(("blocked_cores", Json::num_u64(blocked_cores.len() as u64)));
+            pairs.push(("blocked_cores", Json::num_u64(stalled.len() as u64)));
             pairs.push(("last_progress", Json::num_u64(*last_progress)));
             // Name the first stuck line so quarantine triage starts from
             // the record itself, not a rerun.
-            if let Some((core, line)) = stalled
-                .iter()
-                .find_map(|s| s.pending_lines.first().map(|l| (s.core, *l)))
-            {
+            if let Some((core, line)) = e.first_stuck() {
                 pairs.push(("stuck", Json::str(format!("core {core} on {line}"))));
             }
         }

@@ -23,11 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut doomed = SystemConfig::dircmp().with_fault_rate(2000.0);
     doomed.watchdog_cycles = 150_000;
     match System::run_workload(doomed, &wl) {
-        Err(RunError::Deadlock {
-            at, blocked_cores, ..
-        }) => println!(
+        Err(RunError::Deadlock { at, stalled, .. }) => println!(
             "DirCMP at 2000 lost msgs/million: DEADLOCK at cycle {at} with {} cores blocked\n",
-            blocked_cores.len()
+            stalled.len()
         ),
         Ok(r) => println!(
             "DirCMP survived only because no message happened to be lost ({} losses)\n",

@@ -14,8 +14,8 @@ fn dircmp_deadlocks_where_ftdircmp_survives() {
     base_cfg.watchdog_cycles = 150_000;
     let base = System::run_workload(base_cfg, &wl);
     match base {
-        Err(RunError::Deadlock { blocked_cores, .. }) => {
-            assert!(!blocked_cores.is_empty());
+        Err(RunError::Deadlock { stalled, .. }) => {
+            assert!(!stalled.is_empty());
         }
         Ok(r) => panic!(
             "DirCMP survived a lossy network ({} losses) — statistically impossible here",

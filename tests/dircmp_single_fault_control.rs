@@ -65,10 +65,8 @@ fn dircmp_hangs_or_violates_on_any_early_request_loss() {
         let mut cfg = config();
         cfg.mesh.faults = FaultConfig::drop_exactly(vec![idx]);
         match System::run_workload(cfg, &workload()) {
-            Err(RunError::Deadlock {
-                at, blocked_cores, ..
-            }) => {
-                assert!(!blocked_cores.is_empty(), "drop {idx}: empty deadlock set");
+            Err(RunError::Deadlock { at, stalled, .. }) => {
+                assert!(!stalled.is_empty(), "drop {idx}: empty deadlock set");
                 // Bounded detection: the watchdog fires within one window
                 // of the last possible progress.
                 assert!(
