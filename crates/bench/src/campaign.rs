@@ -19,18 +19,22 @@
 //! # Checkpoint-fork mode
 //!
 //! With [`Campaign::warmup_checkpoint`] set (CLI: `--warmup-checkpoint
-//! [PCT]`), units that differ **only in their fault configuration** and run
-//! the same workload under the same seed share one fault-free warmup: the
-//! runner simulates the common prefix once, takes a
-//! [`ftdircmp_core::SystemSnapshot`], and forks every member of the group
-//! from the checkpoint with its own faults switched on at the fork point.
-//! Because neither the fault-free path nor a `drop_indices` schedule
-//! consumes random numbers, a forked run is byte-identical to a from-scratch
-//! run whose faults were gated until the same retirement point — and
-//! fault-free members stay byte-identical to the classic path. Absolute
-//! numbers for *faulty* units change versus classic mode (faults only start
-//! after warmup; see DESIGN.md §8), so the mode is opt-in; with the flag off
-//! every unit runs from scratch.
+//! [PCT]`), every unit runs by one rule, alone or not: it runs its
+//! fault-free prefix until PCT % of its workload's memory operations have
+//! retired, switches its own faults on, and runs to the end. Units that
+//! differ **only in their fault configuration** and run the same workload
+//! under the same seed have the same prefix, so the runner simulates it
+//! once and forks every member from it: each member but the last runs on a
+//! copy of the prefix (the deep copy a [`ftdircmp_core::SystemSnapshot`]
+//! holds), the last on the prefix itself. The group is only a cache: it
+//! never decides a result, and a prefix that fails is each member's own
+//! failure. Because neither the fault-free path nor a `drop_indices`
+//! schedule consumes random numbers, a forked run is byte-identical to a
+//! from-scratch run whose faults were gated until the same retirement
+//! point — and fault-free units stay byte-identical to the classic path.
+//! Absolute numbers for *faulty* units change versus classic mode (faults
+//! only start after warmup; see DESIGN.md §8), so the mode is opt-in; with
+//! the flag off every unit runs from scratch.
 //!
 //! # Example
 //!
@@ -181,6 +185,38 @@ impl Unit {
         System::run_workload(self.system_config(), &self.workload())
     }
 
+    /// The configuration of this unit's fault-free prefix: its own with
+    /// the seed applied and the faults stripped.
+    fn prefix_config(&self) -> SystemConfig {
+        let mut config = self.system_config();
+        config.mesh.faults = FaultConfig::none();
+        config
+    }
+
+    /// The fault-free prefix of this unit under a warm-up, run until `pct`
+    /// % of the workload's memory operations have retired. Units with the
+    /// same spec and [`Unit::prefix_config`] have the same prefix.
+    fn warm_up(&self, pct: f64) -> Result<System, RunError> {
+        let wl = self.workload();
+        let target = (wl.total_mem_ops() as f64 * (pct.clamp(0.0, 100.0) / 100.0)).ceil() as u64;
+        let mut sys = System::new(self.prefix_config(), &wl)?;
+        sys.run_until_retired(target)?;
+        Ok(sys)
+    }
+
+    /// Runs this unit to the end from `prefix` (see [`Unit::warm_up`])
+    /// with its own faults switched on, once they pass the check
+    /// `System::new` makes. Neither the fault-free injector path nor a
+    /// deterministic drop schedule consumes random numbers, so this equals
+    /// a from-scratch run whose faults were gated until the prefix's
+    /// retirement point.
+    fn resume(&self, mut prefix: System) -> Result<SimReport, RunError> {
+        let config = self.system_config();
+        config.validate().map_err(RunError::InvalidConfig)?;
+        prefix.set_fault_config(config.mesh.faults);
+        prefix.run()
+    }
+
     /// The report of this unit's `result`.
     ///
     /// # Panics
@@ -213,6 +249,14 @@ impl Unit {
     }
 }
 
+/// Runs `f` for `unit`, turning a panic into the typed error naming it.
+fn caught<T>(unit: &Unit, f: impl FnOnce() -> Result<T, RunError>) -> Result<T, CellError> {
+    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
+        Ok(r) => r.map_err(CellError::Run),
+        Err(payload) => Err(unit.panicked(panic_message(payload.as_ref()))),
+    }
+}
+
 /// Expands a grid into units in deterministic order: spec-major, then
 /// configuration, then seeds `0..seeds` ascending, each labelled
 /// `"{spec}/{config label}"`.
@@ -236,15 +280,11 @@ pub fn grid(specs: &[WorkloadSpec], configs: &[(String, SystemConfig)], seeds: u
 /// Runs every unit, catching worker panics per unit. Results come back
 /// index-aligned with `units`.
 ///
-/// Checkpoint-fork grouping (see the module docs) applies to any subset of
-/// units: a member's forked result depends only on the shared warmup
-/// (spec, seed, config-modulo-faults) and its own faults. That holds while
-/// the group keeps two or more members in the list; a member left alone
-/// runs from scratch, and a faulty unit then reports its classic result.
-/// Without the warm-up, or with each group whole, resuming a campaign with
-/// a sparse unit list reproduces the exact per-unit results of the full
-/// campaign; the daemon's `--jobs`-sized batches can split a group (a
-/// known defect, ROADMAP item 6(a)).
+/// A unit's result depends on the unit alone, never on which other units
+/// share the call: under the warm-up a group only caches the fault-free
+/// prefix of its members (see the module docs). So resuming a campaign
+/// with a sparse unit list, or in batches of any size, reproduces the
+/// exact per-unit results of the full campaign.
 pub fn run_units_caught(units: &[Unit], opts: &Campaign) -> Vec<Result<SimReport, CellError>> {
     let slots: Vec<OnceLock<Result<SimReport, CellError>>> =
         units.iter().map(|_| OnceLock::new()).collect();
@@ -280,72 +320,42 @@ pub fn run_units_caught(units: &[Unit], opts: &Campaign) -> Vec<Result<SimReport
             "campaign unit {i} computed twice"
         );
     };
-    // Runs `f`, converting a panic into the typed per-unit error.
-    let catch = |i: usize,
-                 f: &mut dyn FnMut() -> Result<SimReport, RunError>|
-     -> Result<SimReport, CellError> {
-        match std::panic::catch_unwind(AssertUnwindSafe(f)) {
-            Ok(r) => r.map_err(CellError::Run),
-            Err(payload) => Err(units[i].panicked(panic_message(payload.as_ref()))),
-        }
-    };
-    let run_unit_classic = |i: usize| {
-        let u = &units[i];
-        let t = Instant::now();
-        let result = catch(i, &mut || u.run());
-        finish_unit(i, result, t);
-    };
     let run_group = |group: &[usize]| {
-        // Singleton groups (and everything when checkpointing is off) take
-        // the classic from-scratch path: nothing to share.
-        let (Some(pct), [first, _, ..]) = (opts.warmup_checkpoint, group) else {
-            group.iter().copied().for_each(run_unit_classic);
+        let Some(pct) = opts.warmup_checkpoint else {
+            for &i in group {
+                let t = Instant::now();
+                finish_unit(i, caught(&units[i], || units[i].run()), t);
+            }
             return;
         };
-        // Shared fault-free warmup: identical workload + seed across the
-        // group, faults stripped. Neither the fault-free injector path nor a
-        // deterministic drop schedule consumes RNG, so swapping each
-        // member's faults in at the fork point reproduces a from-scratch run
-        // with faults gated until the same retirement count.
-        let proto = &units[*first];
-        let seed = proto.seed;
+        // The group only caches the fault-free prefix its members share: a
+        // failed prefix is each member's own failure, and a lone member
+        // forks exactly as it would inside a larger group. Each member but
+        // the last runs on a copy; the last takes the prefix itself.
+        let proto = &units[group[0]];
         let t_warm = Instant::now();
-        let warm = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let wl = proto.workload();
-            let mut warm_cfg = proto.system_config();
-            warm_cfg.mesh.faults = FaultConfig::none();
-            let target =
-                (wl.total_mem_ops() as f64 * (pct.clamp(0.0, 100.0) / 100.0)).ceil() as u64;
-            System::new(warm_cfg, &wl).and_then(|mut sys| {
-                sys.run_until_retired(target)?;
-                Ok((sys, target))
-            })
-        }));
-        let Ok(Ok((sys, target))) = warm else {
-            // The fault-free prefix itself failed (deadlock, invalid
-            // config, or a panic): fall back to full runs so each member
-            // reports its own error through the unchanged classic path.
-            group.iter().copied().for_each(run_unit_classic);
-            return;
-        };
+        let mut warm = caught(proto, || proto.warm_up(pct)).map(Some);
         if opts.progress {
+            let s = t_warm.elapsed().as_secs_f64();
             eprintln!(
-                "[campaign] warmup {} seed {seed}: {target} mem ops shared by {} units in {:.2}s",
-                proto.label,
-                group.len(),
-                t_warm.elapsed().as_secs_f64()
+                "[campaign] warmup {} seed {} in {s:.2}s",
+                proto.label, proto.seed
             );
         }
-        let snap = sys.snapshot();
-        let mut warm = Some(sys);
-        for &i in group {
-            let t = Instant::now();
-            let mut forked = Some(warm.take().unwrap_or_else(|| System::restore(&snap)));
-            let result = catch(i, &mut || {
-                let mut sys = forked.take().expect("fork consumed once");
-                sys.set_fault_config(units[i].config.mesh.faults.clone());
-                sys.run()
-            });
+        for (k, &i) in group.iter().enumerate() {
+            let (u, t) = (&units[i], Instant::now());
+            let result = match &mut warm {
+                Ok(sys) => caught(u, || {
+                    let prefix = if k + 1 < group.len() {
+                        sys.clone()
+                    } else {
+                        sys.take()
+                    };
+                    u.resume(prefix.expect("the last member takes the prefix"))
+                }),
+                Err(CellError::Panicked { message, .. }) => Err(u.panicked(message.clone())),
+                Err(e) => Err(e.clone()),
+            };
             finish_unit(i, result, t);
         }
     };
@@ -388,10 +398,8 @@ pub fn run_units_caught(units: &[Unit], opts: &Campaign) -> Vec<Result<SimReport
         .into_iter()
         .enumerate()
         .map(|(i, slot)| {
-            // Per-unit catch_unwind fills every slot; an empty one means the
-            // group machinery itself failed. Surface it as a typed error —
-            // never abort the caller (the pre-fix code died here with an
-            // opaque `expect("campaign unit completed")`).
+            // Every unit is caught, so an empty slot means the runner itself
+            // failed: a typed error, never an abort of the caller.
             slot.into_inner().unwrap_or_else(|| {
                 let message = "unit result never landed (worker aborted mid-group)";
                 Err(units[i].panicked(message.to_string()))
@@ -400,30 +408,19 @@ pub fn run_units_caught(units: &[Unit], opts: &Campaign) -> Vec<Result<SimReport
         .collect()
 }
 
-/// Partitions units into checkpoint-sharing groups, preserving unit order
-/// within and across groups.
-///
-/// Two units share a warmup iff they run the same seed, the same workload
-/// spec, and configurations that are equal once faults are stripped — the
-/// exact precondition for the fork-point fault swap to be sound.
+/// Partitions units into warm-up groups, preserving unit order within and
+/// across groups: two units share a group iff they run the same workload
+/// spec from the same fault-free prefix configuration.
 fn group_units(units: &[Unit]) -> Vec<Vec<usize>> {
-    fn modulo_faults(config: &SystemConfig) -> SystemConfig {
-        let mut c = config.clone();
-        c.mesh.faults = FaultConfig::none();
-        c
-    }
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut keys: Vec<(u64, &WorkloadSpec, SystemConfig)> = Vec::new();
-    for (u, unit) in units.iter().enumerate() {
-        let stripped = modulo_faults(&unit.config);
-        if let Some(g) = keys
-            .iter()
-            .position(|(s, spec, cfg)| *s == unit.seed && **spec == unit.spec && *cfg == stripped)
-        {
-            groups[g].push(u);
+    let mut keys: Vec<(&WorkloadSpec, SystemConfig)> = Vec::new();
+    for (i, unit) in units.iter().enumerate() {
+        let key = (&unit.spec, unit.prefix_config());
+        if let Some(g) = keys.iter().position(|k| *k == key) {
+            groups[g].push(i);
         } else {
-            keys.push((unit.seed, &unit.spec, stripped));
-            groups.push(vec![u]);
+            keys.push(key);
+            groups.push(vec![i]);
         }
     }
     groups
@@ -491,29 +488,53 @@ mod tests {
         }
     }
 
+    fn warmup(jobs: usize) -> Campaign {
+        Campaign {
+            warmup_checkpoint: Some(60.0),
+            ..opts(jobs)
+        }
+    }
+
     #[test]
-    fn poisoned_warmup_group_falls_back_per_unit() {
-        // Both members share a (spec, seed, config-modulo-faults) group; the
-        // warmup panics, so each member reports its own typed error.
+    fn poisoned_warmup_fails_each_member_by_name() {
+        // The first two units share a (spec, seed, config-modulo-faults)
+        // group, the third is alone in its own; every warm-up panics, and
+        // each member reports the panic under its own name.
         let mut faulty = SystemConfig::ftdircmp().with_fault_rate(125.0);
         faulty.watchdog_cycles = 3_000_000;
         let units = vec![
             unit("p/ff", poisoned_spec(), SystemConfig::ftdircmp(), 0),
-            unit("p/ft", poisoned_spec(), faulty, 0),
+            unit("p/ft", poisoned_spec(), faulty.clone(), 0),
+            unit("p/lone", poisoned_spec(), faulty, 1),
         ];
-        let results = run_units_caught(
-            &units,
-            &Campaign {
-                jobs: 2,
-                progress: false,
-                warmup_checkpoint: Some(60.0),
-            },
-        );
-        for r in &results {
-            assert!(
-                matches!(r, Err(CellError::Panicked { .. })),
-                "expected Panicked, got {r:?}"
-            );
+        let results = run_units_caught(&units, &warmup(2));
+        for (u, r) in units.iter().zip(&results) {
+            match r {
+                Err(CellError::Panicked { label, seed, .. }) => {
+                    assert_eq!((label, *seed), (&u.label, u.seed));
+                }
+                other => panic!("{}: expected Panicked, got {other:?}", u.label),
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_faults_fail_a_forked_unit_as_they_fail_a_classic_one() {
+        // A fork installs its faults after the prefix; they are checked
+        // first, with the text a from-scratch run gives, alone or grouped.
+        let spec = WorkloadSpec::parse("water-sp:ops=200").unwrap();
+        let mut bad = SystemConfig::ftdircmp();
+        bad.mesh.faults = FaultConfig::per_million(-5.0);
+        let good = unit("good", spec.clone(), SystemConfig::ftdircmp(), 0);
+        let bad = unit("bad", spec, bad, 0);
+        let want = "invalid configuration: loss_per_million = -5 is not a rate in [0, 1000000]";
+        for units in [vec![bad.clone(), good], vec![bad]] {
+            for campaign in [opts(1), warmup(1)] {
+                let results = run_units_caught(&units, &campaign);
+                let got = results[0].as_ref().unwrap_err().to_string();
+                assert_eq!(got, want, "{campaign:?}");
+                assert!(results[1..].iter().all(Result::is_ok), "{campaign:?}");
+            }
         }
     }
 
@@ -521,26 +542,28 @@ mod tests {
     fn sparse_unit_list_matches_full_campaign() {
         // Resuming from a sparse unit list must reproduce the exact
         // per-unit results of the full run — the daemon's resume contract.
+        // Under the warm-up the sparse list splits every fault-rate group,
+        // leaving the faulty seed-0 unit alone.
         let spec = WorkloadSpec::named("water-sp").unwrap();
-        let units: Vec<Unit> = (0..3)
-            .map(|seed| {
-                unit(
-                    &format!("u{seed}"),
-                    spec.clone(),
-                    SystemConfig::ftdircmp(),
-                    seed,
-                )
-            })
-            .collect();
-        let full = run_units_caught(&units, &opts(1));
-        let sparse = run_units_caught(&[units[2].clone(), units[0].clone()], &opts(1));
-        assert_eq!(
-            full[2].as_ref().unwrap().cycles,
-            sparse[0].as_ref().unwrap().cycles
-        );
-        assert_eq!(
-            full[0].as_ref().unwrap().cycles,
-            sparse[1].as_ref().unwrap().cycles
-        );
+        let configs = [0.0, 2000.0].map(|rate| {
+            let mut config = SystemConfig::ftdircmp().with_fault_rate(rate);
+            config.watchdog_cycles = 3_000_000;
+            (format!("ft-{rate}"), config)
+        });
+        let units = grid(&[spec], &configs, 2);
+        for campaign in [opts(1), warmup(1)] {
+            let full = run_units_caught(&units, &campaign);
+            let sparse = run_units_caught(&[units[2].clone(), units[1].clone()], &campaign);
+            for (i, got) in [2, 1].into_iter().zip(&sparse) {
+                let want = full[i].as_ref().unwrap();
+                assert_eq!(
+                    want.cycles,
+                    got.as_ref().unwrap().cycles,
+                    "{} seed {} {campaign:?}",
+                    units[i].label,
+                    units[i].seed
+                );
+            }
+        }
     }
 }

@@ -216,7 +216,8 @@ static REGISTRY: [Experiment; 13] = [
 
 /// Runs the `ftdircmp-bench` command line `args` (program name left out):
 /// each named experiment's text goes to stdout, or to `DIR/NAME.txt` with
-/// `--out DIR`. A malformed argument exits with status 2.
+/// `--out DIR`. A malformed argument exits with status 2; a reader that
+/// closes stdout early ends the run quietly.
 pub fn cli(args: impl IntoIterator<Item = String>) {
     let args = BenchArgs::from_vec(args.into_iter().collect());
     let experiments = select(&args).unwrap_or_else(|e| e.exit());
@@ -225,7 +226,9 @@ pub fn cli(args: impl IntoIterator<Item = String>) {
     for exp in experiments {
         let text = exp.run(seeds, &campaign);
         let Some(dir) = out else {
-            print!("{text}");
+            if !ftdircmp_core::print_stdout(&text) {
+                return; // the reader closed the pipe: run nothing more
+            }
             continue;
         };
         let path = std::path::Path::new(dir).join(format!("{}.txt", exp.name));

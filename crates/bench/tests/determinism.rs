@@ -316,3 +316,22 @@ fn checkpoint_campaign_fault_free_cells_match_classic() {
         );
     }
 }
+
+/// Under the warm-up a unit's result is its own: run alone, each unit of a
+/// checkpoint campaign reports exactly what it reports inside the full
+/// campaign, where its fault-rate group shares one prefix.
+#[test]
+fn checkpoint_unit_alone_matches_its_result_in_the_campaign() {
+    let units = checkpoint_units();
+    let full = campaign(&units, &opts(2, Some(60.0)));
+    for (u, want) in units.iter().zip(&full) {
+        let alone = campaign(std::slice::from_ref(u), &opts(1, Some(60.0)));
+        assert_eq!(
+            fingerprint(&alone[0]),
+            fingerprint(want),
+            "{} seed {}: alone != inside the campaign",
+            u.label,
+            u.seed
+        );
+    }
+}

@@ -66,3 +66,24 @@ pub use proto::TimeoutKind;
 pub use serial::{SerialAllocator, SerialNum};
 pub use system::{FaultEpochReport, RunError, SimReport, StalledCore, System, SystemSnapshot};
 pub use trace::{CoreTrace, TraceOp, Workload};
+
+/// Prints `text` to stdout in one locked write, the binaries' one way to
+/// print, and returns whether the reader is still reading: one that closed
+/// the pipe early (`| head`) has all it wants, so the output ends quietly
+/// where `print!` would panic. Any other write error ends the process with
+/// status 1, naming it.
+pub fn print_stdout(text: &str) -> bool {
+    use std::io::{ErrorKind, Write as _};
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => true,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => false,
+        Err(e) => {
+            eprintln!("cannot write the output: {e}");
+            std::process::exit(1)
+        }
+    }
+}

@@ -19,6 +19,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ftdircmp_bench::BenchArgs;
+use ftdircmp_core::print_stdout;
 use ftdircmp_explore::repro::read_repro;
 use ftdircmp_explore::{explore, ExploreOptions};
 use ftdircmp_workloads::{suite, WorkloadSpec};
@@ -115,16 +116,16 @@ fn cmd_explore(argv: &[String]) -> ExitCode {
         opts.jobs
     );
     let report = explore(&opts);
-    println!(
-        "explored {} reference + {} faulty runs: {} failing cell(s), {} minimized repro(s)",
+    let mut out = format!(
+        "explored {} reference + {} faulty runs: {} failing cell(s), {} minimized repro(s)\n",
         report.reference_runs,
         report.fault_runs,
         report.failing_cells,
         report.failures.len()
     );
     for f in &report.failures {
-        println!(
-            "  {} ss={} drops {:?} -> {:?} ({} probe runs, {} -> {} ops): {}",
+        out += &format!(
+            "  {} ss={} drops {:?} -> {:?} ({} probe runs, {} -> {} ops): {}\n",
             f.workload,
             f.schedule_seed,
             f.original_drops,
@@ -136,8 +137,9 @@ fn cmd_explore(argv: &[String]) -> ExitCode {
         );
     }
     for p in &report.repro_paths {
-        println!("  repro: {}", p.display());
+        out += &format!("  repro: {}\n", p.display());
     }
+    print_stdout(&out);
     if report.failing_cells > 0 {
         ExitCode::FAILURE
     } else {
@@ -157,28 +159,28 @@ fn cmd_replay(argv: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!(
-        "replaying {path}: {} workload {:?}, schedule seed {}, drops {:?}, expecting {}",
+    print_stdout(&format!(
+        "replaying {path}: {} workload {:?}, schedule seed {}, drops {:?}, expecting {}\n",
         repro.config.protocol.name(),
         repro.workload.name,
         repro.config.schedule_seed,
         repro.drops(),
         repro.failure
-    );
+    ));
     match repro.replay() {
         Some(f) if f.kind == repro.failure => {
-            println!("reproduced: {}", f.detail);
+            print_stdout(&format!("reproduced: {}\n", f.detail));
             ExitCode::SUCCESS
         }
         Some(f) => {
-            println!(
-                "failure kind changed: recorded {}, observed {} ({})",
+            print_stdout(&format!(
+                "failure kind changed: recorded {}, observed {} ({})\n",
                 repro.failure, f.kind, f.detail
-            );
+            ));
             ExitCode::FAILURE
         }
         None => {
-            println!("did not reproduce: run completed cleanly");
+            print_stdout("did not reproduce: run completed cleanly\n");
             ExitCode::FAILURE
         }
     }

@@ -225,3 +225,22 @@ fn explore_rejects_an_unknown_flag_naming_it() {
     assert!(stderr.contains("got \"--budjet\""), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing ran");
 }
+
+/// A reader that stops early (`ftdircmp-explore explore --smoke | head -1`)
+/// ends the output quietly.
+#[test]
+fn explore_ends_quietly_when_its_reader_closes_the_pipe() {
+    use std::process::{Command, Stdio};
+    // Closed before the binary writes, as `| true` does.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ftdircmp-explore"))
+        .args(["explore", "--smoke", "--workloads", "water-sp"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -7,11 +7,10 @@
 //! ftdircmp-lint write-spec [--spec PATH]
 //! ```
 //!
-//! Output goes to stdout in one write; a reader that closes the pipe early
-//! (`| head`) ends it quietly.
+//! Output goes to stdout in one write (`ftdircmp_core::print_stdout`); a
+//! reader that closes the pipe early (`| head`) ends it quietly.
 
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -37,17 +36,8 @@ fn main() -> ExitCode {
         "write-spec" => write_spec(&args[1..], &mut out),
         _ => return usage(),
     };
-    let mut stdout = std::io::stdout().lock();
-    match stdout
-        .write_all(out.as_bytes())
-        .and_then(|()| stdout.flush())
-    {
-        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
-            eprintln!("cannot write the output: {e}");
-            ExitCode::FAILURE
-        }
-        _ => code,
-    }
+    ftdircmp_core::print_stdout(&out);
+    code
 }
 
 fn parse_flag<'a>(args: &'a [String], i: &mut usize, name: &str) -> Option<Option<&'a str>> {

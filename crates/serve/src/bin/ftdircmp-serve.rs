@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ftdircmp_bench::BenchArgs;
+use ftdircmp_core::print_stdout;
 use ftdircmp_serve::job::JobSpec;
 use ftdircmp_serve::json::Json;
 use ftdircmp_serve::runner::{execute_job, OUTCOME_OK};
@@ -45,7 +46,7 @@ fn main() -> ExitCode {
         "run-local" => (cmd_run_local, &["--root", "--file", "--id", "--jobs"]),
         "json-check" => (|_, _| cmd_json_check(), &[]),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            print_stdout(&format!("{USAGE}\n"));
             return ExitCode::SUCCESS;
         }
         other => {
@@ -192,7 +193,7 @@ fn cmd_submit(f: &BenchArgs, _: &[&str]) -> Result<ExitCode, String> {
         .and_then(Json::as_str)
         .ok_or("daemon reply missing id")?
         .to_string();
-    println!("{id}");
+    print_stdout(&format!("{id}\n"));
     if !f.has("--wait") {
         return Ok(ExitCode::SUCCESS);
     }
@@ -232,7 +233,7 @@ fn cmd_ctl(f: &BenchArgs, positionals: &[&str]) -> Result<ExitCode, String> {
     let request = Json::parse(request_text).map_err(|e| format!("request: {e}"))?;
     let mut client = Client::connect(&addr)?;
     let reply = client.call(&request)?;
-    println!("{reply}");
+    print_stdout(&format!("{reply}\n"));
     Ok(if reply.get("ok") == Some(&Json::Bool(true)) {
         ExitCode::SUCCESS
     } else {
@@ -259,7 +260,7 @@ fn cmd_run_local(f: &BenchArgs, _: &[&str]) -> Result<ExitCode, String> {
         .read_summary(id)
         .map_err(|e| format!("reading summary: {e}"))?
         .ok_or("summary missing after run")?;
-    print!("{summary}");
+    print_stdout(&summary);
     Ok(if outcome == OUTCOME_OK {
         ExitCode::SUCCESS
     } else {

@@ -8,10 +8,11 @@
 //! Campaign resume: before running anything the executor loads the job's
 //! unit-record journal and skips every unit whose record already reached
 //! disk (records are synced once per batch of `--jobs` units; the last
-//! batch rides on the summary's sync, see `store.rs`). Checkpoint-fork results depend only on the unit itself (proven
-//! by `sparse_unit_list_matches_full_campaign` in `ftdircmp-bench`), so
-//! re-running the sparse remainder reproduces exactly what an
-//! uninterrupted run would have written.
+//! batch rides on the summary's sync, see `store.rs`). A unit's result
+//! depends only on the unit itself, with or without the checkpoint warm-up
+//! (`sparse_unit_list_matches_full_campaign` in `ftdircmp-bench` runs both),
+//! so re-running the sparse remainder in batches of any `--jobs` size
+//! reproduces exactly what an uninterrupted run would have written.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -377,6 +378,28 @@ mod tests {
             let _ = std::fs::remove_dir_all(&partial.root);
         }
         let _ = std::fs::remove_dir_all(&fresh.root);
+    }
+
+    #[test]
+    fn warmup_job_summary_is_the_same_at_any_jobs() {
+        // `--jobs`-sized batches split the fault-rate groups differently;
+        // no unit's result may depend on that.
+        let v = Json::parse(
+            r#"{"kind":"campaign","label":"warmup","specs":["water-sp"],
+                "configs":[{"protocol":"ftdircmp"},{"protocol":"ftdircmp","fault_rate":2000}],
+                "seeds":2,"warmup_checkpoint":60}"#,
+        )
+        .unwrap();
+        let job = JobSpec::from_json(&v).unwrap();
+        let summaries = [1, 2, 4].map(|jobs| {
+            let store = tmp_store(&format!("warmup-{jobs}"));
+            execute_job(&store, "j1", &job, jobs, &|_, _| {}).unwrap();
+            let summary = store.read_summary("j1").unwrap().unwrap();
+            let _ = std::fs::remove_dir_all(&store.root);
+            summary
+        });
+        assert_eq!(summaries[1], summaries[0], "--jobs 2 != --jobs 1");
+        assert_eq!(summaries[2], summaries[0], "--jobs 4 != --jobs 1");
     }
 
     #[test]

@@ -474,6 +474,34 @@ fn subcommands_reject_an_unknown_flag_naming_it() {
     assert!(!root.join("results").exists(), "nothing ran");
 }
 
+/// `run-local` whose reader stops early (`| head -1`) still runs and
+/// stores the job, and ends quietly.
+#[test]
+fn run_local_ends_quietly_when_its_reader_closes_the_pipe() {
+    let root = tmp_root("closed-pipe");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ftdircmp-serve"))
+        .args(["run-local", "--root"])
+        .arg(&root)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let job = r#"{"kind":"campaign","label":"pipe","specs":["barnes:ops=30"],
+        "configs":[{"protocol":"ftdircmp"}],"seeds":1}"#;
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(job.as_bytes()).unwrap();
+    drop(stdin);
+    // Closed before the binary writes its summary, as `| true` does.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(root.join("results/local.json").exists(), "the job ran");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A request line that is not UTF-8 gets a typed error naming the encoding,
 /// as malformed JSON does, and the connection keeps serving.
 #[test]

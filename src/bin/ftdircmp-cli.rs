@@ -21,7 +21,7 @@
 //! ```
 
 use ftdircmp::core_protocol::tracelog::StderrSink;
-use ftdircmp::core_protocol::{json::Json, trace_io};
+use ftdircmp::core_protocol::{json::Json, print_stdout, trace_io};
 use ftdircmp::{workloads, System, SystemConfig};
 
 /// The CLI's own flags; every other `--key value` patches the config.
@@ -72,10 +72,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let bench = value("--bench").unwrap_or("barnes");
     if bench == "list" {
-        println!("available benchmarks:");
-        for s in workloads::suite() {
-            println!("  {}", s.name);
-        }
+        let names: Vec<&str> = workloads::suite().iter().map(|s| s.name).collect();
+        let names = names.join("\n  ");
+        print_stdout(&format!("available benchmarks:\n  {names}\n"));
         return Ok(());
     }
     let mut config = config(&patches);
@@ -98,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = value("--dump-trace") {
         trace_io::write_file(&wl, path)?;
         let (cores, ops) = (wl.traces.len(), wl.total_mem_ops());
-        println!("wrote {path} ({cores} cores, {ops} memory ops)");
+        print_stdout(&format!("wrote {path} ({cores} cores, {ops} memory ops)\n"));
         return Ok(());
     }
     let mut system = System::new(config, &wl)?;
@@ -107,9 +106,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let report = system.run()?;
 
-    if value("--summary-only").is_some() {
-        println!(
-            "{} {} cycles={} msgs={} bytes={} lost={} violations={}",
+    print_stdout(&if value("--summary-only").is_some() {
+        format!(
+            "{} {} cycles={} msgs={} bytes={} lost={} violations={}\n",
             report.workload,
             report.protocol,
             report.cycles,
@@ -117,10 +116,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.stats.total_bytes(),
             report.messages_lost,
             report.violations.len()
-        );
+        )
     } else {
-        print!("{}", report.render_summary());
-    }
+        report.render_summary()
+    });
     if !report.violations.is_empty() {
         return Err("coherence violations detected".into());
     }

@@ -2,7 +2,7 @@
 //! document cannot take exits with status 2 and names the flag, instead of
 //! running a configuration nobody asked for.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cli(flags: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_ftdircmp-cli"))
@@ -70,4 +70,31 @@ fn trace_line_prints_the_events_of_the_lines_it_names() {
     assert!(traced.lines().all(|l| l.starts_with('[')), "{traced}");
     let (_, _, quiet) = cli(&[]);
     assert!(quiet.is_empty(), "{quiet}");
+}
+
+/// A reader that stops early (`ftdircmp-cli ... | head -1`) ends the
+/// output quietly, whichever text the run prints.
+#[test]
+fn a_closed_pipe_ends_the_output_quietly() {
+    for flags in [
+        &["--bench", "list"][..],
+        &["--bench", "water-sp", "--ops", "50"],
+    ] {
+        // Closed before the binary writes, as `| true` does.
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ftdircmp-cli"))
+            .args(flags)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "{flags:?}: {:?}: {stderr}",
+            out.status
+        );
+        assert!(stderr.is_empty(), "{flags:?}: {stderr}");
+    }
 }
