@@ -34,6 +34,16 @@ pub enum Perm {
     Write,
 }
 
+/// The most violations a checker records; later ones are dropped.
+const MAX_VIOLATIONS: usize = 64;
+
+/// Records `text` at cycle `at` in `violations`, unless it is full.
+fn violation(violations: &mut Vec<String>, at: Cycle, text: String) {
+    if violations.len() < MAX_VIOLATIONS {
+        violations.push(format!("[{at}] {text}"));
+    }
+}
+
 #[derive(Debug, Default, Clone, Hash)]
 struct LineTrack {
     writer: Option<NodeId>,
@@ -61,7 +71,6 @@ pub struct Checker {
     enabled: bool,
     lines: FxHashMap<LineAddr, LineTrack>,
     violations: Vec<String>,
-    max_violations: usize,
 }
 
 impl Checker {
@@ -72,19 +81,12 @@ impl Checker {
             enabled,
             lines: FxHashMap::default(),
             violations: Vec::new(),
-            max_violations: 64,
         }
     }
 
     /// Violations recorded so far.
     pub fn violations(&self) -> &[String] {
         &self.violations
-    }
-
-    fn violation(&mut self, at: Cycle, text: String) {
-        if self.violations.len() < self.max_violations {
-            self.violations.push(format!("[{at}] {text}"));
-        }
     }
 
     /// Records a protocol-level error: a message or timeout that the reified
@@ -96,7 +98,7 @@ impl Checker {
             return;
         }
         let msg = format!("PROTOCOL: {node} on {addr}: {what}");
-        self.violation(at, msg);
+        violation(&mut self.violations, at, msg);
     }
 
     /// Records that `node` now holds `perm` on `addr`.
@@ -104,7 +106,7 @@ impl Checker {
         if !self.enabled {
             return;
         }
-        let t = self.lines.entry(addr).or_default();
+        let (t, v) = (self.lines.entry(addr).or_default(), &mut self.violations);
         // Remove the node's previous standing.
         if t.writer == Some(node) {
             t.writer = None;
@@ -115,26 +117,19 @@ impl Checker {
             Perm::Read => {
                 if let Some(w) = t.writer {
                     let msg = format!("SWMR: {node} granted READ on {addr} while {w} holds WRITE");
-                    self.violation(at, msg);
+                    violation(v, at, msg);
                 }
-                let t = self.lines.entry(addr).or_default();
                 t.readers.push(node);
             }
             Perm::Write => {
-                let writer = t.writer;
-                let readers: Vec<NodeId> = t.readers.clone();
-                if let Some(w) = writer {
+                if let Some(w) = t.writer {
                     let msg = format!("SWMR: {node} granted WRITE on {addr} while {w} holds WRITE");
-                    self.violation(at, msg);
+                    violation(v, at, msg);
                 }
-                for r in readers {
-                    if r != node {
-                        let msg =
-                            format!("SWMR: {node} granted WRITE on {addr} while {r} holds READ");
-                        self.violation(at, msg);
-                    }
+                for r in &t.readers {
+                    let msg = format!("SWMR: {node} granted WRITE on {addr} while {r} holds READ");
+                    violation(v, at, msg);
                 }
-                let t = self.lines.entry(addr).or_default();
                 t.writer = Some(node);
             }
         }
@@ -149,14 +144,14 @@ impl Checker {
         if !self.enabled {
             return;
         }
-        let expected = self.lines.entry(addr).or_default().version + 1;
+        let t = self.lines.entry(addr).or_default();
+        let expected = t.version + 1;
         if new_version != expected {
             let msg = format!(
                 "DATA: store by {node} on {addr} produced v{new_version}, expected v{expected} (lost update?)"
             );
-            self.violation(at, msg);
+            violation(&mut self.violations, at, msg);
         }
-        let t = self.lines.entry(addr).or_default();
         t.version = t.version.max(new_version);
     }
 
@@ -170,7 +165,7 @@ impl Checker {
             let msg = format!(
                 "DATA: load by {node} on {addr} observed v{version}, but last committed is v{current}"
             );
-            self.violation(at, msg);
+            violation(&mut self.violations, at, msg);
         }
     }
 
@@ -182,7 +177,7 @@ impl Checker {
         let t = self.lines.entry(addr).or_default();
         if t.backups.contains(&node) {
             let msg = format!("BACKUP: duplicate backup at {node} for {addr}");
-            self.violation(at, msg);
+            violation(&mut self.violations, at, msg);
             return;
         }
         t.backups.push(node);
@@ -190,7 +185,7 @@ impl Checker {
         if count > 2 {
             // §3.1.1 allows one backup in-chip plus one at the memory side.
             let msg = format!("BACKUP: {count} simultaneous backups for {addr}");
-            self.violation(at, msg);
+            violation(&mut self.violations, at, msg);
         }
     }
 
@@ -211,7 +206,6 @@ impl Checker {
             return;
         }
         let t = self.lines.entry(addr).or_default();
-        t.readers.len(); // keep borrowck simple
         t.backups.retain(|n| *n != node);
     }
 }
@@ -398,6 +392,6 @@ mod tests {
         for i in 0..100u8 {
             c.set_perm(l1(i % 16), A, Perm::Write, Cycle::ZERO);
         }
-        assert!(c.violations().len() <= 64);
+        assert_eq!(c.violations().len(), MAX_VIOLATIONS);
     }
 }

@@ -16,12 +16,13 @@
 //! ([`crate::transitions::l1_table`]): every message, live timeout, CPU op
 //! and victim is dispatched once at the line's facets, and the first row
 //! whose typed guard holds runs — its sends, next state, records (miss and
-//! writeback MSHRs, backup, AckBD handshake) and timers. Only what a row
-//! cannot say is written here: message contents, the line's data, the
-//! checker's permissions and backup notices, committing the CPU op and
-//! completing the core, installs and victim choice, and statistics. A
-//! line's records live together in one [`LineTable`] slot (see `linetab`
-//! for the iteration-order contract).
+//! writeback MSHRs, backup, AckBD handshake) and timers. The line's
+//! `Cache` state is the one its rows set; the Miss, Wb and Backup facets
+//! are read off the records. Only what a row cannot say is written here:
+//! message contents, the line's data, the checker's backup notices,
+//! committing the CPU op and completing the core, victim choice, and
+//! statistics. A line's records live together in one [`LineTable`] slot
+//! (see `linetab` for the iteration-order contract).
 
 use std::hash::{Hash, Hasher};
 
@@ -40,39 +41,15 @@ use crate::transitions::{
     self, l1, Controller, ControllerTable, Dispatch, Event, Guard, L1Ids, Plan, Resource, Role,
 };
 
-/// Stable L1 permission states (MOESI; `I` is represented by absence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum L1Perm {
-    /// Shared, clean, read-only.
-    S,
-    /// Exclusive, clean (silent upgrade to `M` on store).
-    E,
-    /// Owned: shared but responsible for supplying data.
-    O,
-    /// Modified: exclusive and dirty.
-    M,
-}
-
-impl L1Perm {
-    fn checker_perm(self) -> Perm {
-        match self {
-            L1Perm::S | L1Perm::O => Perm::Read,
-            L1Perm::E | L1Perm::M => Perm::Write,
-        }
-    }
-}
-
-/// One resident L1 line. `blocked` marks the blocked-ownership states
-/// (`Mb`/`Eb`): the miss is satisfied but ownership must not move until the
-/// backup-deletion acknowledgment arrives (paper §3.1 step 2). `slot` is the
-/// handle of the line's [`LineTable`] slot, which every resident line has
-/// (its miss or writeback made it), so an event at a resident line finds
+/// One resident L1 line: its state in the L1 table's `Cache` family (never
+/// `I`), which the rows that fire at the line set, and its data. `slot` is
+/// the handle of the line's [`LineTable`] slot, which every resident line
+/// has (its miss or writeback made it), so an event at a resident line finds
 /// its records without a hash probe.
 #[derive(Debug, Clone, Copy)]
 struct L1Entry {
-    perm: L1Perm,
+    state: u8,
     data: LineData,
-    blocked: bool,
     slot: u32,
 }
 
@@ -297,35 +274,21 @@ struct Step<'m> {
     line: Option<&'m L1Entry>,
 }
 
-/// The Cache facet of `entry`: `I` when absent.
-fn cache_facet(ids: &L1Ids, entry: Option<&L1Entry>) -> u8 {
-    match entry {
-        None => ids.i,
-        Some(e) => match (e.perm, e.blocked) {
-            (L1Perm::S, _) => ids.s,
-            (L1Perm::O, _) => ids.o,
-            (L1Perm::E, false) => ids.e,
-            (L1Perm::E, true) => ids.eb,
-            (L1Perm::M, false) => ids.m,
-            (L1Perm::M, true) => ids.mb,
-        },
-    }
-}
-
-/// The line's facets in the state vocabulary of the L1 table: the Cache
-/// facet of `entry`, then the miss, writeback and backup of `st`.
+/// The line's facets in the state vocabulary of the L1 table: the state of
+/// `entry` (`I` when absent), then the miss, writeback and backup of `st`.
 fn facets(ids: &L1Ids, entry: Option<&L1Entry>, st: Option<&L1LineState>) -> Facets {
     let mut f = Facets::new();
-    f.push(cache_facet(ids, entry));
+    let state = entry.map_or(ids.i, |e| e.state);
+    f.push(state);
     let Some(st) = st else {
         return f;
     };
     if let Some(m) = &st.miss {
-        f.push(match (m.kind, entry.map(|e| e.perm)) {
-            (MissKind::Load, _) => ids.is,
-            (MissKind::Store, Some(L1Perm::S)) => ids.sm,
-            (MissKind::Store, Some(L1Perm::O)) => ids.om,
-            (MissKind::Store, _) => ids.im,
+        f.push(match m.kind {
+            MissKind::Load => ids.is,
+            MissKind::Store if state == ids.s => ids.sm,
+            MissKind::Store if state == ids.o => ids.om,
+            MissKind::Store => ids.im,
         });
     }
     if let Some(w) = &st.wb {
@@ -343,6 +306,25 @@ fn facets(ids: &L1Ids, entry: Option<&L1Entry>, st: Option<&L1LineState>) -> Fac
         });
     }
     f
+}
+
+/// The Cache state row `p` sets: the one it names, else `I` if it fires
+/// at a Cache state (the line leaves the cache); none if the row leaves
+/// the Cache facet as it is.
+fn cache_next(ids: &L1Ids, p: &Plan) -> Option<u8> {
+    let named = p.next().iter().copied().find(|&n| ids.is_cache(n));
+    named.or_else(|| ids.is_cache(p.src).then_some(ids.i))
+}
+
+/// The permission Cache state `state` gives its node.
+fn perm(ids: &L1Ids, state: u8) -> Perm {
+    if state == ids.i {
+        Perm::None
+    } else if state == ids.s || state == ids.o {
+        Perm::Read
+    } else {
+        Perm::Write
+    }
 }
 
 /// The home L2 bank of `addr`.
@@ -563,8 +545,8 @@ impl L1Controller {
             // holds a lost-unblock timer, so that firing goes to the table.
             return;
         }
-        let entry = self.cache.get(addr);
-        let facets = facets(&self.ids, entry, h.map(|h| self.lines.at(h)));
+        let entry = self.cache.get(addr).copied();
+        let facets = facets(&self.ids, entry.as_ref(), h.map(|h| self.lines.at(h)));
         let event = Event::Timeout(kind);
         let dispatch = table.dispatch(&facets, event, self.ft);
         if unexpected(dispatch, table, &facets, self.me, addr, event, ctx) {
@@ -593,7 +575,7 @@ impl L1Controller {
             (TimeoutKind::LostAckBd, Some(serial), _, _, Some(p)) => p.serial = serial,
             _ => {}
         }
-        self.apply(self.step(Some(h), addr, row, None, None), ctx);
+        self.apply(self.step(Some(h), addr, row, None, entry.as_ref()), ctx);
         if let Some(t) = self.lines.at_mut(h).timer(kind) {
             t.rearm(&self.timers, addr, kind, ctx);
         }
@@ -674,10 +656,11 @@ impl L1Controller {
         self.lines.at_mut(s.h.expect("the row's line has a slot"))
     }
 
-    /// Applies row `s`: what it cannot say ([`Self::by_hand`]), its sends,
-    /// its records and timers ([`Self::move_resources`]); freeing the
-    /// writeback retries the stalled CPU ops, closing the AckBD handshake
-    /// replays the deferred forwards.
+    /// Applies row `s`: what it cannot say ([`Self::by_hand`]), its Cache
+    /// state ([`Self::enter`]), the miss it completes, its sends, its records
+    /// and timers ([`Self::move_resources`]); freeing the writeback retries
+    /// the stalled CPU ops, closing the AckBD handshake replays the deferred
+    /// forwards.
     fn apply(&mut self, mut s: Step<'_>, ctx: &mut Ctx<'_>) {
         let (p, ft, ids) = (s.plan, self.ft, self.ids);
         let records = [Resource::Mshr, Resource::WbMshr, Resource::Backup];
@@ -687,6 +670,10 @@ impl L1Controller {
         }
         ctx.stats.row_fired(Controller::L1, s.row);
         let owned = self.by_hand(s, ctx);
+        self.enter(s, ctx);
+        if p.frees(Resource::Mshr, ft) {
+            self.complete_miss(s, ctx);
+        }
         // An AckO to the node of the row's UnblockEx rides on it (§3.1).
         let role = |t| p.sends().iter().find(|&&(u, _)| u == t).map(|&(_, r)| r);
         let rides = match (role(MsgType::AckO), role(MsgType::UnblockEx)) {
@@ -710,7 +697,9 @@ impl L1Controller {
         if cfg!(debug_assertions) {
             // The facets derived afterwards must be the row's next states:
             // each of them, and no state of the source's family unless the
-            // row names one (`I` stands for an empty Cache family).
+            // row names one (`I` stands for an empty Cache family). The
+            // row set the Cache facet itself; the Miss, Wb and Backup facets
+            // are derived from the records.
             let got = facets(&ids, self.cache.get(s.addr), s.h.map(|h| self.lines.at(h)));
             let family = |id: u8| self.table.states[usize::from(id)].family;
             let left = |g: &u8| family(*g) == family(p.src) && *g != ids.i;
@@ -746,12 +735,12 @@ impl L1Controller {
         }
     }
 
-    /// What row `s` does that it cannot say, before its sends: the CPU op,
-    /// the message taken into the records, the line's data and permission,
-    /// the contents of the records it opens. Returns the owned data it hands
-    /// over (a forward's `DataEx`, a writeback's `WbData`).
+    /// What row `s` does that it cannot say, before its Cache state and its
+    /// sends: the CPU op, the message taken into the records, the line's
+    /// data, the contents of the records it opens. Returns the owned data it
+    /// hands over (a forward's `DataEx`, a writeback's `WbData`).
     fn by_hand(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) -> Option<Backup> {
-        let (p, addr, me, ids) = (s.plan, s.addr, self.me, self.ids);
+        let (p, addr, ids) = (s.plan, s.addr, self.ids);
         let m = match (p.event, s.msg) {
             (Event::Cpu(op), _) => {
                 self.cpu_op(s, op == transitions::CpuOp::Store, ctx);
@@ -765,13 +754,9 @@ impl L1Controller {
             _ => return None,
         };
         match m.mtype {
-            MsgType::Data | MsgType::DataEx | MsgType::Ack => self.take_grant(s, m, ctx),
-            // An Inv whose row names no Cache state but `I` drops the copy.
-            MsgType::Inv
-                if s.line.is_some() && !p.next().iter().any(|&n| n != ids.i && ids.is_cache(n)) =>
-            {
-                self.cache.remove(addr).expect("the row's line is resident");
-                ctx.checker.set_perm(me, addr, Perm::None, ctx.now);
+            MsgType::Data | MsgType::DataEx | MsgType::Ack => {
+                let miss = self.st_mut(s).miss.as_mut().expect("the row's miss");
+                *miss = miss.after(m);
             }
             MsgType::FwdGetS | MsgType::FwdGetX if p.src == ids.mb || p.src == ids.eb => {
                 // Ownership is blocked until the AckBD (§3.1 step 2): the
@@ -780,40 +765,23 @@ impl L1Controller {
                 ctx.stats.deferred_forwards.incr();
             }
             MsgType::FwdGetS => {
-                // The owner supplies the data and keeps a shared copy; a
-                // writeback in flight supplies it from its buffer.
-                if let Some(entry) = self.cache.get_mut(addr) {
-                    entry.perm = L1Perm::O;
-                    ctx.checker.set_perm(me, addr, Perm::Read, ctx.now);
+                // The owner supplies the data and keeps a shared copy (the
+                // row's `O`); a writeback in flight supplies it from its
+                // buffer. An owner already at `O` registers as a reader again.
+                let resident = self.cache.get_mut(addr).is_some();
+                if resident && p.src == ids.o {
+                    ctx.checker.set_perm(self.me, addr, Perm::Read, ctx.now);
                 }
             }
             MsgType::FwdGetX => return self.surrender(s, m, ctx),
-            MsgType::WbAck | MsgType::WbPing if ids.is_wb(p.src) => {
-                let wb = self.st_mut(s).wb.clone().expect("the row's writeback");
-                let data = wb.data?;
-                if p.when == Guard::WbStale {
-                    // Ownership moved while the Put was queued. If the
-                    // forward has not reached us yet (possible on an
-                    // unordered network), we still hold the data: reinstate
-                    // the line so we can answer it.
-                    let perm = if wb.was_exclusive {
-                        L1Perm::M
-                    } else {
-                        L1Perm::O
-                    };
-                    ctx.checker.set_perm(me, addr, perm.checker_perm(), ctx.now);
-                    let entry = L1Entry {
-                        perm,
-                        data,
-                        blocked: false,
-                        slot: s.h.expect("the writeback's slot"),
-                    };
-                    self.install_line(addr, entry, ctx);
-                    return None;
-                }
+            // A stale Put's line is reinstated by its row (the writeback's
+            // data enters the cache): the forward that took ownership may
+            // not have reached us yet on an unordered network.
+            MsgType::WbAck | MsgType::WbPing if ids.is_wb(p.src) && p.when != Guard::WbStale => {
+                let wb = self.st_mut(s).wb.as_ref().expect("the row's writeback");
                 // Clean (E) lines send their data too, marked clean.
                 return Some(Backup {
-                    data,
+                    data: wb.data?,
                     dirty: wb.dirty,
                     dest: m.src,
                     serial: wb.serial,
@@ -823,11 +791,6 @@ impl L1Controller {
             }
             MsgType::WbPing if p.src == ids.bw => {
                 self.st_mut(s).backup.as_mut().expect("the backup").serial = m.serial;
-            }
-            MsgType::AckBD => {
-                if let Some(entry) = self.cache.get_mut(addr) {
-                    entry.blocked = false;
-                }
             }
             _ => {}
         }
@@ -857,9 +820,7 @@ impl L1Controller {
                 is_store: store,
             });
         } else if store {
-            // A store hit at E is the silent E→M upgrade.
             let entry = self.cache.get_mut(addr).expect("a hit is resident");
-            entry.perm = L1Perm::M;
             entry.data.write(me);
             let v = entry.data.version();
             ctx.stats.l1_store_hits.incr();
@@ -871,66 +832,67 @@ impl L1Controller {
         }
     }
 
-    /// A victim's row: the line's permission goes, and an owned line opens
-    /// its writeback under a fresh serial.
+    /// A victim's row: an owned line opens its writeback under a fresh
+    /// serial.
     fn start_writeback(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) {
-        let v = *s.line.expect("a victim event's entry");
-        ctx.checker.set_perm(self.me, s.addr, Perm::None, ctx.now);
+        let (v, ids) = (*s.line.expect("a victim event's entry"), self.ids);
         if s.plan.allocs(Resource::WbMshr, self.ft) {
             let serial = self.fresh_serial();
             ctx.stats.l1_writebacks.incr();
             self.st_mut(s).wb = Some(WbMshr {
                 data: Some(v.data),
-                was_exclusive: matches!(v.perm, L1Perm::E | L1Perm::M),
-                dirty: matches!(v.perm, L1Perm::M | L1Perm::O),
+                was_exclusive: v.state == ids.e || v.state == ids.m,
+                dirty: v.state == ids.m || v.state == ids.o,
                 serial,
                 timer: Timer::default(),
             });
         }
     }
 
-    /// Takes a grant or an invalidation ack into the miss; a row that frees
-    /// the miss completes it: install, commit, the AckBD handshake's peer,
-    /// the completion record, and the core told.
-    fn take_grant(&mut self, s: Step<'_>, msg: &Message, ctx: &mut Ctx<'_>) {
-        let (addr, me, ft) = (s.addr, self.me, self.ft);
-        let miss = self.st_mut(s).miss.as_mut().expect("the row's miss");
-        *miss = miss.after(msg);
-        if !s.plan.frees(Resource::Mshr, ft) {
+    /// Enters row `s`'s Cache state ([`cache_next`]), if it changes: at `I`
+    /// the line leaves the cache; an absent line enters it with the data of
+    /// the record that brings it (the miss's grant, the writeback's buffer).
+    /// The checker hears of a change of permission.
+    fn enter(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) {
+        let (ids, addr) = (self.ids, s.addr);
+        let was = s.line.map_or(ids.i, |e| e.state);
+        let Some(next) = cache_next(&ids, s.plan).filter(|&n| n != was) else {
             return;
-        }
-        let m = miss.clone();
-        // An exclusive grant of dirty data must install as M: a clean E could
-        // later evict silently (WbNoData) and lose the only up-to-date copy.
-        // A GetX is always answered exclusively.
-        let perm = match (m.kind, m.granted_ex) {
-            (MissKind::Load, false) => L1Perm::S,
-            (MissKind::Load, true) if m.granted_dirty => L1Perm::M,
-            (MissKind::Load, true) => L1Perm::E,
-            (MissKind::Store, _) => L1Perm::M,
         };
-        let blocked = ft && m.data.is_some() && m.granted_ex;
-        if let Some(entry) = self.cache.get_mut(addr) {
-            if let Some(d) = m.data {
-                entry.data = d;
-            }
-            entry.perm = perm;
-            entry.blocked = blocked;
+        if next == ids.i {
+            self.cache.remove(addr);
+        } else if let Some(entry) = self.cache.get_mut(addr) {
+            entry.state = next;
         } else {
-            let data = m
-                .data
-                .expect("miss completed without data and without a resident line");
+            let slot = s.h.expect("a line entering the cache has a slot");
+            let st = self.lines.at(slot);
+            let data = (st.miss.as_ref().and_then(|m| m.data))
+                .or_else(|| st.wb.as_ref().and_then(|w| w.data))
+                .expect("a line entering the cache has data");
             let entry = L1Entry {
-                perm,
+                state: next,
                 data,
-                blocked,
-                slot: s.h.expect("the miss's slot"),
+                slot,
             };
             self.install_line(addr, entry, ctx);
         }
-        ctx.checker.set_perm(me, addr, perm.checker_perm(), ctx.now);
+        if perm(&ids, next) != perm(&ids, was) {
+            ctx.checker
+                .set_perm(self.me, addr, perm(&ids, next), ctx.now);
+        }
+    }
+
+    /// Completes the miss row `s` frees, on the line it entered: the grant's
+    /// data, the committed CPU op, the AckBD handshake's peer, the
+    /// completion record, and the core told.
+    fn complete_miss(&mut self, s: Step<'_>, ctx: &mut Ctx<'_>) {
+        let (addr, me, ids, ft) = (s.addr, self.me, self.ids, self.ft);
+        let m = self.st_mut(s).miss.clone().expect("the row's miss");
+        let entry = self.cache.get_mut(addr).expect("the miss's line");
+        if let Some(d) = m.data {
+            entry.data = d;
+        }
         let store = m.kind == MissKind::Store;
-        let entry = self.cache.get_mut(addr).expect("line just installed");
         if store {
             entry.data.write(me);
             let v = entry.data.version();
@@ -939,6 +901,7 @@ impl L1Controller {
             let v = entry.data.version();
             ctx.checker.load_observed(me, addr, v, ctx.now);
         }
+        let blocked = entry.state == ids.mb || entry.state == ids.eb;
         let home = home(addr, ctx.config);
         let st = self.st_mut(s);
         if s.plan.allocs(Resource::AckBdPend, ft) {
@@ -963,10 +926,11 @@ impl L1Controller {
         ctx.complete(self.tile, addr, store, 1);
     }
 
-    /// A `FwdGetX`'s row: an owner gives up its line, a writeback its data,
-    /// a backup re-targets the new requester (§3.2: a reissued forward).
+    /// A `FwdGetX`'s row: an owner gives up its line's data (the row takes
+    /// the line), a writeback its data, a backup re-targets the new
+    /// requester (§3.2: a reissued forward).
     fn surrender(&mut self, s: Step<'_>, msg: &Message, ctx: &mut Ctx<'_>) -> Option<Backup> {
-        let (p, addr, me, ids) = (s.plan, s.addr, self.me, self.ids);
+        let (p, ids) = (s.plan, self.ids);
         let kind = BackupKind::ForwardedData {
             acks: msg.ack_count,
         };
@@ -990,16 +954,17 @@ impl L1Controller {
             (b.serial, b.dest, b.kind) = (msg.serial, msg.requester, kind);
             return None;
         }
-        let entry = self.cache.remove(addr).expect("the row's line is resident");
-        ctx.checker.set_perm(me, addr, Perm::None, ctx.now);
         if p.src == ids.s {
             // A non-owner holding S should never see FwdGetX: the copy is
             // dropped and the forward is stale.
             ctx.stale();
             return None;
         }
-        let dirty = matches!(entry.perm, L1Perm::M | L1Perm::O);
-        Some(owned(entry.data, dirty))
+        let entry = s.line.expect("the row's line is resident");
+        Some(owned(
+            entry.data,
+            entry.state == ids.m || entry.state == ids.o,
+        ))
     }
 
     /// Sends row `s`'s `mtype` to `role`, built from the record it sends or
@@ -1101,12 +1066,12 @@ impl L1Controller {
     /// Installs a line, evicting a victim if its set is full: a line neither
     /// blocked (§3.1) nor upgrading.
     fn install_line(&mut self, addr: LineAddr, entry: L1Entry, ctx: &mut Ctx<'_>) {
-        let lines = &self.lines;
+        let (lines, ids) = (&self.lines, self.ids);
         let outcome = self.cache.insert(addr, entry, |_, e| {
             // Only a shared or owned line can be upgrading: E and M hit.
             let upgrading =
-                matches!(e.perm, L1Perm::S | L1Perm::O) && lines.at(e.slot).miss.is_some();
-            !e.blocked && !upgrading
+                (e.state == ids.s || e.state == ids.o) && lines.at(e.slot).miss.is_some();
+            e.state != ids.mb && e.state != ids.eb && !upgrading
         });
         if let Some((vaddr, ventry)) = outcome.evicted {
             self.evict(vaddr, &ventry, ctx);
@@ -1183,11 +1148,11 @@ impl L1Controller {
     }
 
     /// Hashes the protocol state of `addrs` and the serial counter: each
-    /// line's permission, blocked bit and data, its records and its parked
-    /// ops; not its slot, LRU position or timer generations.
+    /// line's state and data, its records and its parked ops; not its slot,
+    /// LRU position or timer generations.
     pub(crate) fn hash_state(&self, addrs: &[LineAddr], h: &mut impl Hasher) {
         for &addr in addrs {
-            let entry = self.cache.get(addr).map(|e| (e.perm, e.blocked, e.data));
+            let entry = self.cache.get(addr).map(|e| (e.state, e.data));
             (entry, self.lines.get(addr)).hash(h);
         }
         (&self.stalled_ops, &self.serials).hash(h);

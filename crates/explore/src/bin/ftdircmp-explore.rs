@@ -9,7 +9,8 @@
 //! ftdircmp-explore replay FILE.json
 //! ```
 //!
-//! A flag `explore` does not take exits with status 2. `explore` exits
+//! A flag `explore` does not take, and a `replay` without exactly one
+//! readable repro file, exits with status 2. `explore` exits
 //! nonzero if any failure was found (CI runs `--smoke`
 //! against FtDirCMP and asserts a clean sweep); `replay` exits zero only
 //! if the repro file (one JSON object, see `repro.rs`) still reproduces
@@ -148,14 +149,16 @@ fn cmd_explore(argv: &[String]) -> ExitCode {
 }
 
 fn cmd_replay(argv: &[String]) -> ExitCode {
-    let Some(path) = argv.first() else {
+    let [path] = argv else {
+        let got = argv.len();
+        eprintln!("error: replay: expected one FILE.json, got {got} arguments");
         eprintln!("usage: ftdircmp-explore replay FILE.json");
         return ExitCode::from(2);
     };
     let repro = match read_repro(std::path::Path::new(path)) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("error: replay: {e}");
             return ExitCode::from(2);
         }
     };

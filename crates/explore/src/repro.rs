@@ -137,18 +137,16 @@ pub fn write_repro(dir: &std::path::Path, repro: &Repro) -> std::io::Result<std:
 ///
 /// # Errors
 ///
-/// Propagates I/O errors; parse errors are wrapped as
-/// [`std::io::ErrorKind::InvalidData`].
+/// An I/O error, or a parse error as [`std::io::ErrorKind::InvalidData`];
+/// either one's message names the path.
 pub fn read_repro(path: &std::path::Path) -> std::io::Result<Repro> {
-    let text = std::fs::read_to_string(path)?;
+    let named = |kind, e: &dyn std::fmt::Display| {
+        std::io::Error::new(kind, format!("{}: {e}", path.display()))
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| named(e.kind(), &e))?;
     Json::parse(&text)
         .and_then(|v| Repro::from_json(&v))
-        .map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {e}", path.display()),
-            )
-        })
+        .map_err(|e| named(std::io::ErrorKind::InvalidData, &e))
 }
 
 #[cfg(test)]

@@ -226,6 +226,33 @@ fn explore_rejects_an_unknown_flag_naming_it() {
     assert!(out.stdout.is_empty(), "nothing ran");
 }
 
+/// `replay` takes exactly one repro file; a second argument, or a file it
+/// cannot read, is a usage error that names the file.
+#[test]
+fn replay_rejects_extra_arguments_and_names_an_unreadable_file() {
+    let missing = std::env::temp_dir().join("ftdircmp-no-such-dir/repro.json");
+    let missing = missing.display().to_string();
+    for (args, needle) in [
+        (
+            vec!["replay", "a.json", "b.json"],
+            "error: replay: expected one FILE.json, got 2".to_string(),
+        ),
+        (
+            vec!["replay", &missing],
+            format!("error: replay: {missing}: "),
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ftdircmp-explore"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
+
 /// A reader that stops early (`ftdircmp-explore explore --smoke | head -1`)
 /// ends the output quietly.
 #[test]

@@ -17,7 +17,9 @@ use std::process::ExitCode;
 use ftdircmp_core::transitions::{table, Controller};
 use ftdircmp_lint::{spec, Severity};
 
-fn usage() -> ExitCode {
+/// Prints `error` and the usage; exits with status 2.
+fn usage(error: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {error}");
     eprintln!(
         "usage:\n  ftdircmp-lint check [--spec PATH | --no-spec]\n  ftdircmp-lint dump [L1|L2|Mem]\n  ftdircmp-lint write-spec [--spec PATH]"
     );
@@ -27,14 +29,14 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        return usage();
+        return usage("expected a command");
     };
     let mut out = String::new();
     let code = match cmd.as_str() {
         "check" => check(&args[1..], &mut out),
         "dump" => dump(&args[1..], &mut out),
         "write-spec" => write_spec(&args[1..], &mut out),
-        _ => return usage(),
+        _ => return usage(format!("unknown command {cmd:?}")),
     };
     ftdircmp_core::print_stdout(&out);
     code
@@ -64,11 +66,11 @@ fn check(args: &[String], out: &mut String) -> ExitCode {
             i += 1;
         } else if let Some(v) = parse_flag(args, &mut i, "--spec") {
             let Some(p) = v else {
-                return usage();
+                return usage("--spec: expected a path");
             };
             spec_path = Some(PathBuf::from(p));
         } else {
-            return usage();
+            return usage(format!("check: unexpected argument {:?}", args[i]));
         }
     }
 
@@ -95,12 +97,15 @@ fn check(args: &[String], out: &mut String) -> ExitCode {
 }
 
 fn dump(args: &[String], out: &mut String) -> ExitCode {
+    if let Some(extra) = args.get(1) {
+        return usage(format!("dump: unexpected argument {extra:?}"));
+    }
     let which: Vec<Controller> = match args.first().map(|s| s.to_ascii_lowercase()).as_deref() {
         None => Controller::ALL.to_vec(),
         Some("l1") => vec![Controller::L1],
         Some("l2") => vec![Controller::L2],
         Some("mem") => vec![Controller::Mem],
-        Some(_) => return usage(),
+        Some(_) => return usage(format!("dump: unknown controller {:?}", args[0])),
     };
     for c in which {
         let t = table(c);
@@ -116,10 +121,10 @@ fn write_spec(args: &[String], out: &mut String) -> ExitCode {
     let mut path = PathBuf::from("PROTOCOL.md");
     let mut i = 0;
     while i < args.len() {
-        if let Some(Some(p)) = parse_flag(args, &mut i, "--spec") {
-            path = PathBuf::from(p);
-        } else {
-            return usage();
+        match parse_flag(args, &mut i, "--spec") {
+            Some(Some(p)) => path = PathBuf::from(p),
+            Some(None) => return usage("--spec: expected a path"),
+            None => return usage(format!("write-spec: unexpected argument {:?}", args[i])),
         }
     }
     let text = match std::fs::read_to_string(&path) {

@@ -35,3 +35,29 @@ fn a_closed_pipe_ends_the_output_quietly() {
         assert_eq!(read, "### L1 controller\n".repeat(lines));
     }
 }
+
+/// An argument a command does not take is an `error:` line naming it,
+/// then the usage, with status 2, not a run that ignores it.
+#[test]
+fn an_unexpected_argument_is_a_usage_error_naming_it() {
+    for (args, needle) in [
+        (
+            &["dump", "L1", "extra"][..],
+            "error: dump: unexpected argument \"extra\"",
+        ),
+        (&["dump", "L3"], "error: dump: unknown controller \"L3\""),
+        (
+            &["write-spec", "--spek", "x"],
+            "error: write-spec: unexpected argument \"--spek\"",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ftdircmp-lint"))
+            .args(args)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
+}

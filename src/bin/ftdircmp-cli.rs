@@ -14,7 +14,9 @@
 //! or `--fault-classes '["ping"]'`. A value is JSON if it parses as JSON,
 //! else a string. The document starts as `{"seed":42}`; a faulty run without
 //! `--watchdog-cycles` gets a 5 000 000-cycle watchdog. A config the flags
-//! cannot make exits with status 2, naming the flag.
+//! cannot make, an unknown benchmark, a malformed `--ops` or a trace file
+//! that cannot be read or written exits with status 2, naming the flag (and
+//! the path).
 //!
 //! ```text
 //! cargo run --release --bin ftdircmp-cli -- --bench ocean --fault-rate 2000
@@ -85,17 +87,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|raw| StderrSink::parse_lines(raw).unwrap_or_else(|e| usage_error("--trace-line", e)));
 
     let wl = if let Some(path) = value("--trace-file") {
-        trace_io::read_file(path)?
+        trace_io::read_file(path)
+            .unwrap_or_else(|e| usage_error("--trace-file", format!("{path}: {e}")))
     } else {
-        let mut spec = workloads::WorkloadSpec::named(bench)
-            .ok_or_else(|| format!("unknown benchmark {bench:?} (try --bench list)"))?;
+        let mut spec = workloads::WorkloadSpec::named(bench).unwrap_or_else(|| {
+            usage_error(
+                "--bench",
+                format!("unknown benchmark {bench} (try --bench list)"),
+            )
+        });
         if let Some(ops) = value("--ops") {
-            spec.ops_per_core = ops.parse()?;
+            spec.ops_per_core = ops
+                .parse()
+                .unwrap_or_else(|e| usage_error("--ops", format!("{ops:?}: {e}")));
         }
         spec.generate(config.tiles, config.seed)
     };
     if let Some(path) = value("--dump-trace") {
-        trace_io::write_file(&wl, path)?;
+        trace_io::write_file(&wl, path)
+            .unwrap_or_else(|e| usage_error("--dump-trace", format!("{path}: {e}")));
         let (cores, ops) = (wl.traces.len(), wl.total_mem_ops());
         print_stdout(&format!("wrote {path} ({cores} cores, {ops} memory ops)\n"));
         return Ok(());

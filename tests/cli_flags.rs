@@ -47,6 +47,39 @@ fn bad_config_flags_exit_2_naming_the_flag() {
     }
 }
 
+/// Bad input to the CLI's own flags is one `error:` line naming the flag,
+/// and the path it could not read or write, with status 2.
+#[test]
+fn bad_run_flags_exit_2_naming_the_flag_and_path() {
+    let missing = std::env::temp_dir().join("ftdircmp-no-such-dir");
+    let trace = missing.join("in.trace").display().to_string();
+    let dump = missing.join("out.trace").display().to_string();
+    for (flags, needle) in [
+        (
+            &["--ops", "abc"][..],
+            "error: --ops: \"abc\": invalid digit".to_string(),
+        ),
+        (
+            &["--bench", "nope"],
+            "error: --bench: unknown benchmark nope".into(),
+        ),
+        (
+            &["--trace-file", &trace],
+            format!("error: --trace-file: {trace}: "),
+        ),
+        (
+            &["--dump-trace", &dump],
+            format!("error: --dump-trace: {dump}: "),
+        ),
+    ] {
+        let (code, stdout, stderr) = cli(flags);
+        assert_eq!(code, Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.starts_with(&needle), "{flags:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flags:?}: {stderr}");
+        assert!(stdout.is_empty(), "{flags:?} ran: {stdout}");
+    }
+}
+
 #[test]
 fn config_flags_set_the_keys_they_name() {
     let (code, faulty, _) = cli(&["--fault-rate", "2000", "--seed", "5"]);
